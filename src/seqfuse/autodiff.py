@@ -10,12 +10,20 @@ Broadcasting is deliberately restricted: `add` accepts a 1 x n row vector
 as its second argument (bias), `scale_rows` a rows x 1 column; everything
 else wants exact shapes so mistakes surface as DimensionError, not silent
 broadcast.
+
+Sequences of T steps over a batch of B rows are stacked step-major into
+one (T*B) x n tensor, row t*B + b, with a (T, B) array marking real steps
+(1.0) and padding (0.0). `gru_sequence` and `masked_attention` take that
+layout and record one tape entry per call.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -64,30 +72,43 @@ class Tensor:
 class Tape:
     """Execution record for one forward pass; a context manager.
 
-    A tape and its tensors belong to one thread. Independent tapes (one per
-    grid-search trial) may run in parallel.
+    Each thread has its own stack of entered tapes, and an op records on
+    the innermost tape of the thread that runs it. Independent tapes (one
+    per grid-search trial) may therefore run on parallel threads.
     """
 
-    _active: list["Tape"] = []
+    _active = threading.local()
 
     def __init__(self):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
 
+    @staticmethod
+    def _stack() -> list["Tape"]:
+        stack = getattr(Tape._active, "stack", None)
+        if stack is None:
+            stack = Tape._active.stack = []
+        return stack
+
     def __enter__(self) -> "Tape":
-        Tape._active.append(self)
+        Tape._stack().append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        Tape._active.pop()
+        Tape._stack().pop()
 
     @staticmethod
     def current() -> "Tape | None":
-        return Tape._active[-1] if Tape._active else None
+        stack = Tape._stack()
+        return stack[-1] if stack else None
+
+
+def _check_finite(op_name: str, data: np.ndarray) -> None:
+    if not np.isfinite(data).all():
+        raise NumericsError(f"{op_name} produced a non-finite value")
 
 
 def _result(op_name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    if not np.isfinite(out_data).all():
-        raise NumericsError(f"{op_name} produced a non-finite value")
+    _check_finite(op_name, out_data)
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     tape = Tape.current()
@@ -183,14 +204,15 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     return _result("concat", out, tuple(tensors), vjp)
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below, so exp
+    # never overflows.
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign to avoid overflow in exp.
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    out[~pos] = e / (1.0 + e)
+    out = _sigmoid(x.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -264,25 +286,144 @@ def embedding_lookup(weights: Tensor, index_lists: list[list[int]]) -> Tensor:
 
     This is the sparse path for multi-hot inputs: equivalent to X @ weights
     for a binary X whose set bits are the index lists, without densifying X.
+    An empty index list gives a zero row (a padded step).
     """
     rows = len(index_lists)
+    counts = np.fromiter((len(idxs) for idxs in index_lists), dtype=np.intp, count=rows)
+    flat = np.fromiter(itertools.chain.from_iterable(index_lists), dtype=np.intp, count=int(counts.sum()))
+    if flat.size and (flat.min() < 0 or flat.max() >= weights.shape[0]):
+        raise DimensionError(
+            f"embedding_lookup: index out of range for {weights.shape[0]} rows")
+    row_of = np.repeat(np.arange(rows), counts)
+    # np.add.at accumulates in index order, as a per-row loop would.
     out = np.zeros((rows, weights.shape[1]))
-    for i, idxs in enumerate(index_lists):
-        if len(idxs) == 0:
-            raise DimensionError(f"embedding_lookup: empty index list at row {i}")
-        if max(idxs) >= weights.shape[0] or min(idxs) < 0:
-            raise DimensionError(
-                f"embedding_lookup: index out of range for {weights.shape[0]} rows")
-        out[i] = weights.data[list(idxs)].sum(axis=0)
+    np.add.at(out, row_of, weights.data[flat])
 
     def vjp(g):
         gw = np.zeros_like(weights.data)
-        for i, idxs in enumerate(index_lists):
-            for j in idxs:
-                gw[j] += g[i]
+        np.add.at(gw, flat, g[row_of])
         return (gw,)
 
     return _result("embedding_lookup", out, (weights,), vjp)
+
+
+def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
+                 u: tuple[Tensor, Tensor, Tensor], b: tuple[Tensor, Tensor, Tensor],
+                 mask: np.ndarray) -> Tensor:
+    """All T steps of one GRU layer as one op; returns every step's state.
+
+    x is (T*B) x n step-major, h0 the B x H initial state, w/u/b the
+    (r, z, h) input weights, recurrent weights and biases, mask (T, B).
+    With m the mask entry of a row:
+
+        r = sigmoid(x W_r + h U_r + b_r),  z = sigmoid(x W_z + h U_z + b_z)
+        h~ = tanh(x W_h + (r * h) U_h + b_h),  h' = h + (m * z) * (h~ - h)
+
+    so a padded step (m = 0) leaves h bit-unchanged. The input projection
+    x [W_r|W_z|W_h] + b runs once for all rows; each step then multiplies
+    by [U_r|U_z] and U_h. The gate pre-activations are checked for
+    non-finite values here, because sigmoid and tanh would squash an
+    overflow into a finite output.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    steps, batch = mask.shape
+    hidden = h0.shape[1]
+    if h0.shape[0] != batch or x.shape[0] != steps * batch:
+        raise DimensionError(f"gru_sequence: x {x.shape}, h0 {h0.shape}, mask {mask.shape}")
+    if (any(t.shape != (x.shape[1], hidden) for t in w)
+            or any(t.shape != (hidden, hidden) for t in u)
+            or any(t.shape != (1, hidden) for t in b)):
+        raise DimensionError(f"gru_sequence: weight shapes do not match x {x.shape}, h0 {h0.shape}")
+    w_all = np.concatenate([t.data for t in w], axis=1)
+    u_rz = np.concatenate([u[0].data, u[1].data], axis=1)
+    u_h = u[2].data
+    xw = (x.data @ w_all + np.concatenate([t.data for t in b], axis=1)).reshape(steps, batch, 3 * hidden)
+    _check_finite("gru_sequence input projection", xw)
+    states = np.empty((steps + 1, batch, hidden))
+    states[0] = h0.data
+    gates = np.empty((steps, batch, 2 * hidden))  # r | z
+    cand = np.empty((steps, batch, hidden))
+    pre = np.empty((batch, 3 * hidden))
+    for t in range(steps):
+        h = states[t]
+        np.add(xw[t, :, :2 * hidden], h @ u_rz, out=pre[:, :2 * hidden])
+        gates[t] = _sigmoid(pre[:, :2 * hidden])
+        r = gates[t, :, :hidden]
+        np.add(xw[t, :, 2 * hidden:], (r * h) @ u_h, out=pre[:, 2 * hidden:])
+        _check_finite("gru_sequence pre-activation", pre)
+        cand[t] = np.tanh(pre[:, 2 * hidden:])
+        states[t + 1] = h + (mask[t][:, None] * gates[t, :, hidden:]) * (cand[t] - h)
+
+    def vjp(g):
+        g = g.reshape(steps, batch, hidden)
+        d_pre = np.empty((steps, batch, 3 * hidden))
+        d_u_rz = np.zeros_like(u_rz)
+        d_u_h = np.zeros_like(u_h)
+        dh = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            dh = dh + g[t]
+            h = states[t]
+            r, z, c = gates[t, :, :hidden], gates[t, :, hidden:], cand[t]
+            m = mask[t][:, None]
+            da_h = dh * m * z * (1.0 - c * c)
+            d_rh = da_h @ u_h.T
+            d_u_h += (r * h).T @ da_h
+            d_pre[t, :, :hidden] = d_rh * h * r * (1.0 - r)
+            d_pre[t, :, hidden:2 * hidden] = dh * m * (c - h) * z * (1.0 - z)
+            d_pre[t, :, 2 * hidden:] = da_h
+            d_rz = d_pre[t, :, :2 * hidden]
+            d_u_rz += h.T @ d_rz
+            dh = dh * (1.0 - m * z) + d_rh * r + d_rz @ u_rz.T
+        d_pre = d_pre.reshape(steps * batch, 3 * hidden)
+        d_w = x.data.T @ d_pre
+        d_b = d_pre.sum(axis=0, keepdims=True)
+        cols = [slice(k * hidden, (k + 1) * hidden) for k in range(3)]
+        return (
+            d_pre @ w_all.T if x.requires_grad else None,
+            dh if h0.requires_grad else None,
+            *(d_w[:, c] for c in cols),
+            d_u_rz[:, cols[0]], d_u_rz[:, cols[1]], d_u_h,
+            *(d_b[:, c] for c in cols),
+        )
+
+    out = states[1:].reshape(steps * batch, hidden)
+    return _result("gru_sequence", out, (x, h0, *w, *u, *b), vjp)
+
+
+def masked_attention(states: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention over step-major states, as one op.
+
+    The last step's state is the query, so it must be real for every row
+    (left padding ensures that). A padded step scores -inf, so its weight
+    is exactly 0, and the summary is the weighted sum of the states.
+    Returns (summary B x H, weights B x T); the weights are a constant,
+    not recorded on the tape.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    steps, batch = mask.shape
+    hidden = states.shape[1]
+    if states.shape[0] != steps * batch:
+        raise DimensionError(f"masked_attention: states {states.shape}, mask {mask.shape}")
+    if not (mask[-1] == 1.0).all():
+        raise DimensionError("masked_attention: the last step must be real for every row")
+    stacked = states.data.reshape(steps, batch, hidden)
+    query = stacked[-1]
+    inv_sqrt_d = 1.0 / math.sqrt(hidden)
+    scores = (stacked * query).sum(axis=2) * inv_sqrt_d
+    scores[mask == 0.0] = -np.inf
+    e = np.exp(scores - scores.max(axis=0))
+    weights = e / e.sum(axis=0)
+    summary = (weights[:, :, None] * stacked).sum(axis=0)
+
+    def vjp(g):
+        d_states = weights[:, :, None] * g
+        d_weights = (stacked * g).sum(axis=2)
+        d_scores = weights * (d_weights - (weights * d_weights).sum(axis=0)) * inv_sqrt_d
+        d_states += d_scores[:, :, None] * query
+        d_states[-1] += (d_scores[:, :, None] * stacked).sum(axis=0)
+        return (d_states.reshape(steps * batch, hidden),)
+
+    return _result("masked_attention", summary, (states,), vjp), Tensor(weights.T.copy())
 
 
 def weighted_bce(y_hat: Tensor, y: np.ndarray, w_pos: float = 1.0, w_neg: float = 1.0) -> Tensor:

@@ -6,13 +6,16 @@ dot-product attention with the final hidden state as the query. The
 summary fuses with the hand-crafted vector z either before ("early") or
 after ("late") a small tanh MLP, or not at all ("none").
 
-All math runs through the tape engine in 2-D tensors. Sequences of equal
-length are processed as one batch; `predict` buckets mixed lengths.
+All math runs through the tape engine in 2-D tensors. A batch of mixed
+lengths is left-padded to its longest sequence and carries a (T, B) step
+mask: the whole batch is embedded in one lookup, each GRU layer runs as
+one fused op over all T steps (a padded step leaves the state unchanged),
+and attention gives padded steps a weight of exactly 0. `forward`, `loss`
+and `predict` all take this one padded path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,16 +26,13 @@ from .autodiff import (
     add,
     concat,
     embedding_lookup,
-    hadamard,
+    gru_sequence,
     init_uniform,
     load_checkpoint,
+    masked_attention,
     matmul,
-    row_sum,
     save_checkpoint,
-    scale,
-    scale_rows,
     sigmoid,
-    softmax,
     tanh,
     weighted_bce,
 )
@@ -154,40 +154,42 @@ class SeqFuseModel:
         return {name: t for name, t in self.params.items() if t.requires_grad}
 
     def embed(self, step_indices: list[list[int]]) -> Tensor:
-        """One time step for a batch: sum of embedding rows plus bias."""
+        """Rows of steps for a batch: sum of embedding rows plus bias. An
+        empty index list (a padded step) embeds to the bias alone."""
         return add(embedding_lookup(self.params["embed.W"], step_indices), self.params["embed.b"])
 
-    def gru_step(self, layer: int, x: Tensor, h: Tensor) -> Tensor:
+    def gru_step(self, layer: int, x: Tensor, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Runs GRU layer `layer` from state h (B x H) over the step-major
+        rows of x, as `gru_sequence` lays them out; without a mask x is one
+        step (T = 1). Returns the state after every step, stacked like x."""
         p = self.params
-        r = sigmoid(add(add(matmul(x, p[f"gru{layer}.W_r"]), matmul(h, p[f"gru{layer}.U_r"])), p[f"gru{layer}.b_r"]))
-        z = sigmoid(add(add(matmul(x, p[f"gru{layer}.W_z"]), matmul(h, p[f"gru{layer}.U_z"])), p[f"gru{layer}.b_z"]))
-        h_tilde = tanh(
-            add(add(matmul(x, p[f"gru{layer}.W_h"]), matmul(hadamard(r, h), p[f"gru{layer}.U_h"])), p[f"gru{layer}.b_h"])
+        if mask is None:
+            mask = np.ones((1, h.shape[0]))
+        return gru_sequence(
+            x, h,
+            tuple(p[f"gru{layer}.W_{g}"] for g in "rzh"),
+            tuple(p[f"gru{layer}.U_{g}"] for g in "rzh"),
+            tuple(p[f"gru{layer}.b_{g}"] for g in "rzh"),
+            mask,
         )
-        # (1 - z) * h + z * h_tilde, written as h + z * (h_tilde - h).
-        return add(h, hadamard(z, add(h_tilde, scale(h, -1.0))))
 
-    def attend(self, states: list[Tensor]) -> tuple[Tensor, Tensor]:
+    def attend(self, states: list[Tensor] | Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """Scaled dot-product attention; the last state is the query.
 
-        Returns (summary, weights); weights rows sum to one. A length-one
-        sequence passes its single state through untouched.
+        `states` is a list of T equal-length (B x H) steps, or one stacked
+        step-major (T*B x H) tensor with its (T, B) step mask. Returns
+        (summary, weights); weights rows sum to one and padded steps weigh
+        exactly 0. A length-one sequence passes its single state through
+        untouched.
         """
-        if not states:
-            raise ValidationError("attention needs at least one state")
-        query = states[-1]
-        inv_sqrt_d = 1.0 / math.sqrt(self.config.hidden_dim)
-        scores = [scale(row_sum(hadamard(query, h_t)), inv_sqrt_d) for h_t in states]
-        attention = softmax(concat(scores, axis=1))
-        t_count = len(states)
-        summary: Tensor | None = None
-        for t, h_t in enumerate(states):
-            unit = np.zeros((t_count, 1))
-            unit[t, 0] = 1.0
-            coef = matmul(attention, Tensor(unit))
-            term = scale_rows(h_t, coef)
-            summary = term if summary is None else add(summary, term)
-        return summary, attention
+        if isinstance(states, list):
+            if not states:
+                raise ValidationError("attention needs at least one state")
+            mask = np.ones((len(states), states[0].shape[0]))
+            states = states[0] if len(states) == 1 else concat(states, axis=0)
+        elif mask is None:
+            raise ValidationError("stacked states need their (T, B) step mask")
+        return masked_attention(states, mask)
 
     def _mlp(self, x: Tensor) -> Tensor:
         for i in range(len(self.config.mlp_hidden_dims)):
@@ -212,6 +214,34 @@ class SeqFuseModel:
         logit = add(matmul(fused, self.params["out.W"]), self.params["out.b"])
         return sigmoid(logit), logit
 
+    def _padded_pass(
+        self,
+        step_lists: list[list[list[int]]],
+        z_rows: np.ndarray | None,
+    ) -> tuple[Tensor, Tensor, Tensor]:
+        """Left-pads the batch to its longest sequence and runs the network
+        once. Returns (probability, logit, attention B x T_max)."""
+        if not step_lists:
+            raise ValidationError("a batch needs at least one sequence")
+        batch = len(step_lists)
+        t_len = max(len(steps) for steps in step_lists)
+        if min(len(steps) for steps in step_lists) == 0:
+            raise DimensionError("every sequence needs at least one step")
+        mask = np.zeros((t_len, batch))
+        rows: list[list[int]] = [[] for _ in range(t_len * batch)]
+        for b, steps in enumerate(step_lists):
+            offset = t_len - len(steps)
+            mask[offset:, b] = 1.0
+            for t, indices in enumerate(steps, start=offset):
+                rows[t * batch + b] = indices
+        x = self.embed(rows)
+        h0 = Tensor(np.zeros((batch, self.config.hidden_dim)))
+        for layer in range(self.config.n_gru_layers):
+            x = self.gru_step(layer, x, h0, mask)
+        summary, attention = self.attend(x, mask)
+        y, logit = self.fuse_and_output(summary, z_rows)
+        return y, logit, attention
+
     def forward(
         self,
         step_lists: list[list[list[int]]],
@@ -227,17 +257,7 @@ class SeqFuseModel:
         t_len = len(step_lists[0])
         if t_len == 0 or any(len(steps) != t_len for steps in step_lists):
             raise DimensionError("all sequences in a batch must share one non-zero length")
-        h = [Tensor(np.zeros((len(step_lists), self.config.hidden_dim))) for _ in range(self.config.n_gru_layers)]
-        states: list[Tensor] = []
-        for t in range(t_len):
-            x = self.embed([steps[t] for steps in step_lists])
-            for layer in range(self.config.n_gru_layers):
-                h[layer] = self.gru_step(layer, x, h[layer])
-                x = h[layer]
-            states.append(x)
-        summary, attention = self.attend(states)
-        y, logit = self.fuse_and_output(summary, z_rows)
-        return y, logit, attention
+        return self._padded_pass(step_lists, z_rows)
 
     def loss(
         self,
@@ -249,24 +269,12 @@ class SeqFuseModel:
     ) -> tuple[Tensor, Tensor]:
         """Weighted BCE over a mixed-length batch under the active tape.
 
-        Sequences are grouped by length; each group runs as one batch and
-        the per-event probabilities are concatenated against reordered
-        labels, so the mean is over the whole input batch.
+        The batch runs padded as one pass, so the mean is over the whole
+        input batch; the probabilities come back in input order.
         """
-        groups: dict[int, list[int]] = {}
-        for i, steps in enumerate(step_lists):
-            groups.setdefault(len(steps), []).append(i)
-        ys: list[Tensor] = []
-        order: list[int] = []
-        for t_len in sorted(groups):
-            idx = groups[t_len]
-            z_group = z_rows[idx] if z_rows is not None else None
-            y, _, _ = self.forward([step_lists[i] for i in idx], z_group)
-            ys.append(y)
-            order.extend(idx)
-        y_all = ys[0] if len(ys) == 1 else concat(ys, axis=0)
-        targets = np.asarray(labels, dtype=np.float64)[order].reshape(-1, 1)
-        return weighted_bce(y_all, targets, w_pos, w_neg), y_all
+        y, _, _ = self._padded_pass(step_lists, z_rows)
+        targets = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+        return weighted_bce(y, targets, w_pos, w_neg), y
 
     def predict(
         self,
@@ -274,24 +282,25 @@ class SeqFuseModel:
         z_rows: np.ndarray | None,
         batch_size: int = 256,
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Probabilities, logits, and attention rows in input order."""
+        """Probabilities, logits, and attention rows in input order.
+
+        Chunks of `batch_size` are taken in length order, so each chunk
+        pads little; each attention row is trimmed to its event's length.
+        """
         n = len(step_lists)
         probs = np.zeros(n)
         logits = np.zeros(n)
         attentions: list[np.ndarray] = [np.zeros(0)] * n
-        groups: dict[int, list[int]] = {}
-        for i, steps in enumerate(step_lists):
-            groups.setdefault(len(steps), []).append(i)
-        for t_len in sorted(groups):
-            idx = groups[t_len]
-            for start in range(0, len(idx), batch_size):
-                chunk = idx[start : start + batch_size]
-                z_group = z_rows[chunk] if z_rows is not None else None
-                y, logit, attention = self.forward([step_lists[i] for i in chunk], z_group)
-                for row, i in enumerate(chunk):
-                    probs[i] = y.data[row, 0]
-                    logits[i] = logit.data[row, 0]
-                    attentions[i] = attention.data[row].copy()
+        order = sorted(range(n), key=lambda i: len(step_lists[i]))
+        for start in range(0, n, batch_size):
+            chunk = order[start : start + batch_size]
+            z_chunk = z_rows[chunk] if z_rows is not None else None
+            y, logit, attention = self._padded_pass([step_lists[i] for i in chunk], z_chunk)
+            probs[chunk] = y.data[:, 0]
+            logits[chunk] = logit.data[:, 0]
+            t_len = attention.shape[1]
+            for row, i in enumerate(chunk):
+                attentions[i] = attention.data[row, t_len - len(step_lists[i]) :].copy()
         return probs, logits, attentions
 
 

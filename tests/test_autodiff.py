@@ -16,9 +16,11 @@ from seqfuse.autodiff import (
     backward,
     concat,
     embedding_lookup,
+    gru_sequence,
     hadamard,
     init_uniform,
     load_checkpoint,
+    masked_attention,
     matmul,
     row_sum,
     save_checkpoint,
@@ -167,6 +169,73 @@ class TestOpGradients:
             return weighted_bce(sigmoid(matmul(hidden, w2)), y, w_pos=2.0)
 
         check_grads(loss, {"w1": w1, "b1": b1, "w2": w2}, rtol=1e-4)
+
+
+# Left-padded (T=4, B=3): sequence 0 has 4 real steps, 1 has 2, 2 has 1.
+_MASK = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+
+
+def _gru_weights(rng, n_in, hidden):
+    def make(rows, cols):
+        return tuple(Tensor(_rand(rng, rows, cols), requires_grad=True) for _ in range(3))
+
+    return make(n_in, hidden), make(hidden, hidden), make(1, hidden)
+
+
+def _named(prefix, weights):
+    w, u, b = weights
+    return {f"{prefix}.{kind}_{gate}": t for kind, ts in zip("WUb", (w, u, b)) for gate, t in zip("rzh", ts)}
+
+
+class TestFusedOps:
+    def test_gru_sequence_two_layers_with_padding(self, rng):
+        steps, batch = _MASK.shape
+        x = Tensor(_rand(rng, steps * batch, 3), requires_grad=True)
+        h0 = Tensor(_rand(rng, batch, 4), requires_grad=True)
+        first, second = _gru_weights(rng, 3, 4), _gru_weights(rng, 4, 4)
+        r = Tensor(_rand(rng, steps * batch, 4))
+
+        def loss():
+            h1 = gru_sequence(x, h0, *first, _MASK)
+            h2 = gru_sequence(h1, Tensor(np.zeros((batch, 4))), *second, _MASK)
+            return tsum(hadamard(h2, r))
+
+        params = {"x": x, "h0": h0, **_named("gru0", first), **_named("gru1", second)}
+        check_grads(loss, params)
+
+    def test_masked_attention(self, rng):
+        steps, batch = _MASK.shape
+        states = Tensor(_rand(rng, steps * batch, 5), requires_grad=True)
+        r = Tensor(_rand(rng, batch, 5))
+        check_grads(lambda: tsum(hadamard(masked_attention(states, _MASK)[0], r)), {"states": states})
+
+    def test_padded_steps_keep_state_and_weigh_zero(self, rng):
+        steps, batch = _MASK.shape
+        h0 = Tensor(_rand(rng, batch, 4))
+        out = gru_sequence(Tensor(_rand(rng, steps * batch, 3)), h0, *_gru_weights(rng, 3, 4), _MASK)
+        per_step = out.data.reshape(steps, batch, 4)
+        _, weights = masked_attention(out, _MASK)
+        for t in range(steps):
+            for b in range(batch):
+                if _MASK[t, b] == 0.0:
+                    assert per_step[t, b].tobytes() == h0.data[b].tobytes()
+                    assert weights.data[b, t] == 0.0
+                else:
+                    assert weights.data[b, t] > 0.0
+        np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        with pytest.raises(DimensionError):
+            masked_attention(out, _MASK[::-1])
+
+    @pytest.mark.parametrize("kind, gate", [(0, 0), (1, 0), (1, 2)], ids=["x_W_r", "h_U_r", "rh_U_h"])
+    def test_gru_overflow_inside_the_op_raises(self, rng, kind, gate):
+        """sigmoid and tanh map an infinite pre-activation to a finite
+        state, so the op itself must report the overflow."""
+        steps, batch = _MASK.shape
+        weights = _gru_weights(rng, 3, 4)
+        weights[2][0].data[:] = 50.0  # b_r: r = 1, so r * h = h
+        weights[kind][gate].data[:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            gru_sequence(Tensor(np.ones((steps * batch, 3))), Tensor(np.ones((batch, 4))), *weights, _MASK)
 
 
 class TestBackwardMechanics:

@@ -326,6 +326,29 @@ class TestLoss:
                 assert abs(got - fd) <= 1e-4 * max(1.0, abs(fd)), (name, k, got, fd)
 
 
+class TestPaddedBatches:
+    def test_loss_probabilities_match_solo_forward(self):
+        """A mixed-length batch runs left-padded in one pass; each event's
+        probability, in input order, matches a solo pass to rounding."""
+        cfg = small_config(n_gru_layers=2)
+        model = SeqFuseModel(cfg)
+        rng = Xoshiro256(73)
+        lengths = [3, 1, 4, 1, 2, 4]
+        steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
+        z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
+        with Tape():
+            _, y = model.loss(steps, z, np.zeros(len(lengths)))
+        for i in range(len(lengths)):
+            with Tape():
+                y_solo, _, _ = model.forward([steps[i]], z[i : i + 1])
+            np.testing.assert_allclose(y.data[i, 0], y_solo.data[0, 0], rtol=1e-12)
+
+    def test_empty_sequence_rejected(self):
+        model = SeqFuseModel(small_config())
+        with pytest.raises(DimensionError):
+            model.predict([[[0]], []], np.zeros((2, 4)))
+
+
 class TestPersistence:
     def test_round_trip_is_bitwise(self, tmp_path):
         cfg = small_config()

@@ -7,6 +7,7 @@ from seqfuse.errors import ValidationError
 from seqfuse.metrics import auc
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.rng import Xoshiro256, derive_seed
+from seqfuse import training
 from seqfuse.training import (
     FOLD_NAMES,
     TrainSettings,
@@ -159,6 +160,17 @@ class TestSmote:
             smote(x, np.array([1, 1, 1, 1]), seed=1)
         with pytest.raises(ValidationError):
             smote(x, np.array([0, 1, 2, 1]), seed=1)
+
+    def test_blocked_neighbors_match_full_distance_matrix(self, monkeypatch):
+        x, y = self._world(n_pos=45, n_neg=10, dim=4)
+        rows = x[y == 1]
+        rows[7] = rows[3]  # an exact tie, broken by index in both
+        # 7 rows per block: six full blocks and a partial one.
+        monkeypatch.setattr(training, "_SMOTE_BLOCK_BYTES", 7 * 8 * 45 * 4)
+        d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        expected = np.argsort(d2, axis=1, kind="mergesort")[:, :5]
+        np.testing.assert_array_equal(training._nearest_neighbors(rows, 5), expected)
 
     def test_deterministic_in_seed(self):
         x, y = self._world()
@@ -335,6 +347,33 @@ class TestGridSearch:
                 b.config, b.seed, b.status, b.valid_auc, b.test_auc,
             )
         assert serial.best.config == parallel.best.config
+
+    def test_parallel_equals_serial_on_real_trials(self, small_sequences, bundle):
+        """Trials on two threads each record on their own tape, so real
+        deep trials give the same AUCs as in series."""
+        sequences, _ = small_sequences
+        steps = [[list(st.indices) for st in s.steps] for s in sequences]
+        z = np.array([s.z for s in sequences], dtype=np.float64)
+        labels = np.array([float(s.readmit_label) for s in sequences])
+        positives: dict[str, int] = {}
+        for seq, label in zip(sequences, labels):
+            positives[seq.beneficiary_id] = positives.get(seq.beneficiary_id, 0) + int(label)
+        folds, _ = split_patients(positives, seed=5)
+        fold_of = {pid: name for name, pids in folds.items() for pid in pids}
+        fold_idx = {name: [] for name in folds}
+        for i, seq in enumerate(sequences):
+            fold_idx[fold_of[seq.beneficiary_id]].append(i)
+        runner = make_deep_runner(
+            steps, z, labels, fold_idx,
+            input_dim=bundle.ccs.input_dim, domain_dim=z.shape[1], fusion="late",
+            epochs=1, patience=1,
+        )
+        axes = {"embed_dim": [4], "hidden_dim": [4], "lr": [0.02, 0.01], "batch_size": [8]}
+        serial = grid_search(axes, runner, base_seed=3, jobs=1)
+        parallel = grid_search(axes, runner, base_seed=3, jobs=2)
+        for a, b in zip(serial.trials, parallel.trials):
+            assert a.status == b.status == "ok"
+            assert (a.valid_auc, a.test_auc) == (b.valid_auc, b.test_auc)
 
     def test_duplicate_configs_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
