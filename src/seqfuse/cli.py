@@ -7,6 +7,13 @@ read and wrote. A stage refuses to run when an input does not match the
 hash its producer recorded, so stale or hand-edited artifacts fail loudly
 instead of silently skewing results downstream.
 
+`featurize` hands its events on as one columnar store,
+`featurize/events.npz` (an `EventTable`), which every later stage loads
+through `_load_sequences`; `featurize/sequences.jsonl` holds the same events
+as a human-readable record that no stage reads. `calibrate` keeps each
+cell's uncalibrated scores in `calibrate/raw_scores.npz`, so `evaluate`
+scores events without predicting again.
+
 Exit codes: 0 success, 2 invalid input or config, 3 missing/stale
 prerequisite artifacts, 4 numerical failure.
 """
@@ -44,7 +51,7 @@ from .errors import (
     SeqfuseError,
     ValidationError,
 )
-from .features import PatientSequence, SequenceOptions, SequenceStep, featurize_events
+from .features import SUBGROUP_KEYS, EventTable, SequenceOptions, featurize_events, write_npz
 from .knowledge import CcsMap, load_bundle
 from .metrics import (
     auc,
@@ -305,38 +312,33 @@ def _cell_name(algorithm: str, mode: str) -> str:
     return f"{algorithm}__{mode}"
 
 
-def _load_sequences(outdir: Path) -> tuple[list[PatientSequence], dict]:
+# What every stage after featurize reads of its output.
+FEATURIZE_INPUTS = ["featurize/events.npz", "featurize/features.json"]
+
+
+def _load_sequences(outdir: Path, task: str) -> tuple[EventTable, dict]:
+    """The task's events, from featurize's columnar store, and the
+    featurize metadata. The mortality task drops its excluded events."""
     features_meta = _read_json(outdir / "featurize" / "features.json")
-    sequences: list[PatientSequence] = []
-    with open(outdir / "featurize" / "sequences.jsonl", "r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            sequences.append(
-                PatientSequence(
-                    event_id=obj["event_id"],
-                    beneficiary_id=obj["beneficiary_id"],
-                    steps=[SequenceStep(day_offset=o, indices=tuple(ix)) for o, ix in obj["steps"]],
-                    z=list(obj["z"]),
-                    readmit_label=bool(obj["readmit_label"]),
-                    mortality_label=bool(obj["mortality_label"]),
-                    mortality_excluded=bool(obj["mortality_excluded"]),
-                    subgroup=obj["subgroup"],
-                )
-            )
-    return sequences, features_meta
-
-
-def _task_sequences(sequences: list[PatientSequence], task: str) -> list[PatientSequence]:
+    table = EventTable.load(outdir / "featurize" / "events.npz")
     if task == "mortality":
-        return [s for s in sequences if not s.mortality_excluded]
-    return sequences
+        table = table.select(~table.mortality_excluded)
+    return table, features_meta
 
 
-def _fold_indices(sequences: list[PatientSequence], patient_folds: dict[str, str]) -> dict[str, list[int]]:
+def _fold_indices(table: EventTable, patient_folds: dict[str, str]) -> tuple[list[str], dict[str, list[int]]]:
+    """Each event's fold, and the event indices in each fold."""
+    fold_of = [patient_folds[pid] for pid in table.beneficiary_id.tolist()]
     fold_idx: dict[str, list[int]] = {name: [] for name in ("train", "valid", "calibration", "test")}
-    for i, seq in enumerate(sequences):
-        fold_idx[patient_folds[seq.beneficiary_id]].append(i)
-    return fold_idx
+    for i, name in enumerate(fold_of):
+        fold_idx[name].append(i)
+    return fold_of, fold_idx
+
+
+def _split_folds(outdir: Path, table: EventTable) -> tuple[list[str], dict[str, list[int]]]:
+    """`_fold_indices` under the patient split that train recorded."""
+    split = _read_json(outdir / "train" / "split.json")
+    return _fold_indices(table, {pid: name for name, pids in split["patients"].items() for pid in pids})
 
 
 # --- stages ------------------------------------------------------------------
@@ -458,6 +460,7 @@ def stage_featurize(cfg: dict) -> None:
                 },
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    EventTable.from_sequences(sequences).save(stage_dir / "events.npz")
     embed_dim = feats.get("pretrained_embed_dim", 16)
     write_random_embedding(
         stage_dir / "pretrained_embedding",
@@ -487,6 +490,7 @@ def stage_featurize(cfg: dict) -> None:
         inputs=inputs,
         outputs=[
             "featurize/sequences.jsonl",
+            "featurize/events.npz",
             "featurize/features.json",
             "featurize/pretrained_embedding/manifest.json",
             "featurize/pretrained_embedding/weights.bin",
@@ -499,29 +503,23 @@ def stage_train(cfg: dict) -> None:
     outdir = Path(cfg["outdir"])
     inputs = require_inputs(
         outdir,
-        [
-            "featurize/sequences.jsonl",
-            "featurize/features.json",
-            "featurize/pretrained_embedding/manifest.json",
-            "featurize/pretrained_embedding/weights.bin",
-        ],
+        FEATURIZE_INPUTS
+        + ["featurize/pretrained_embedding/manifest.json", "featurize/pretrained_embedding/weights.bin"],
     )
     stage_dir = outdir / "train"
     stage_dir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]
     train_cfg = cfg["train"]
-    all_sequences, features_meta = _load_sequences(outdir)
-    sequences = _task_sequences(all_sequences, task)
-    labels = np.array([float(s.label_for(task)) for s in sequences])
-    z = np.array([s.z for s in sequences], dtype=np.float64)
-    steps = [[list(step.indices) for step in s.steps] for s in sequences]
+    cells = _cells(cfg)
+    table, features_meta = _load_sequences(outdir, task)
+    labels = table.label_for(task).astype(np.float64)
+    event_ids = table.event_id.tolist()
 
     positives: dict[str, int] = {}
-    for seq, label in zip(sequences, labels):
-        positives[seq.beneficiary_id] = positives.get(seq.beneficiary_id, 0) + int(label)
+    for pid, label in zip(table.beneficiary_id.tolist(), labels):
+        positives[pid] = positives.get(pid, 0) + int(label)
     folds, warnings = split_patients(positives, cfg["seed"], tuple(train_cfg["fractions"]))
-    patient_folds = {pid: name for name, pids in folds.items() for pid in pids}
-    fold_idx = _fold_indices(sequences, patient_folds)
+    _, fold_idx = _fold_indices(table, {pid: name for name, pids in folds.items() for pid in pids})
     for name in ("train", "valid", "test"):
         if not fold_idx[name]:
             raise ValidationError(f"fold {name!r} received no events; increase the population")
@@ -533,34 +531,35 @@ def stage_train(cfg: dict) -> None:
             "fractions": train_cfg["fractions"],
             "warnings": warnings,
             "patients": folds,
-            "events": {name: [sequences[i].event_id for i in idx] for name, idx in fold_idx.items()},
+            "events": {name: [event_ids[i] for i in idx] for name, idx in fold_idx.items()},
         },
     )
 
     pretrained = load_pretrained_embedding(outdir / "featurize" / "pretrained_embedding")
+    steps = table.step_lists() if any(algorithm != "lr" for algorithm, _ in cells) else None
     jobs = int(train_cfg.get("jobs", 1))
     summary: dict[str, dict] = {}
     trial_rows: list[dict] = []
-    for algorithm, mode in _cells(cfg):
+    for algorithm, mode in cells:
         cell = _cell_name(algorithm, mode)
         cell_seed_label = f"{task}/{cell}"
         if algorithm == "lr":
-            table = flatten(
-                sequences,
+            flat = flatten(
+                table,
                 features_meta["n_dx_columns"],
                 features_meta["n_proc_columns"],
                 features_meta["z_names"],
             )
-            runner = make_lr_runner(table.matrix, labels.astype(np.int64), fold_idx)
+            runner = make_lr_runner(flat.matrix, labels.astype(np.int64), fold_idx)
             axes = {k: list(v) for k, v in train_cfg["lr_grid"].items()}
         else:
             runner = make_deep_runner(
                 steps,
-                z,
+                table.z,
                 labels,
                 fold_idx,
                 input_dim=features_meta["input_dim"],
-                domain_dim=z.shape[1],
+                domain_dim=table.z.shape[1],
                 fusion=FUSION_OF[algorithm],
                 embedding=mode,
                 pretrained=pretrained if mode == "pretrained" else None,
@@ -640,17 +639,10 @@ def stage_train(cfg: dict) -> None:
         writer.writerows(trial_rows)
     _write_json(stage_dir / "summary.json", {"task": task, "cells": summary})
 
-    outputs = ["train/split.json", "train/trials.csv", "train/summary.json"]
-    for algorithm, mode in _cells(cfg):
-        cell = _cell_name(algorithm, mode)
-        if algorithm == "lr":
-            outputs.append(f"train/models/{cell}/best/model.json")
-        else:
-            outputs.append(f"train/models/{cell}/best/manifest.json")
-            outputs.append(f"train/models/{cell}/best/weights.bin")
+    outputs = ["train/split.json", "train/trials.csv", "train/summary.json"] + _model_artifacts(cfg)
     write_manifest(outdir, "train", cfg, inputs=inputs, outputs=outputs)
-    cells = ", ".join(f"{c}={s['best']['valid_auc']:.3f}" for c, s in summary.items())
-    print(f"train: best valid AUC by cell: {cells}")
+    best_aucs = ", ".join(f"{c}={s['best']['valid_auc']:.3f}" for c, s in summary.items())
+    print(f"train: best valid AUC by cell: {best_aucs}")
 
 
 def _model_artifacts(cfg: dict) -> list[str]:
@@ -667,27 +659,26 @@ def _model_artifacts(cfg: dict) -> list[str]:
 
 def _raw_scores_for_cell(
     outdir: Path,
-    cfg: dict,
     algorithm: str,
     cell: str,
-    sequences: list[PatientSequence],
+    table: EventTable,
     features_meta: dict,
+    steps: list[list[list[int]]] | None,
 ) -> np.ndarray:
-    """Uncalibrated margins/logits for every event, in sequence order."""
+    """Uncalibrated margins/logits for every event, in table order; a deep
+    cell predicts from `steps`, the table's step lists."""
     if algorithm == "lr":
         spec = _read_json(outdir / "train" / "models" / cell / "best" / "model.json")
-        table = flatten(
-            sequences,
+        flat = flatten(
+            table,
             features_meta["n_dx_columns"],
             features_meta["n_proc_columns"],
             features_meta["z_names"],
         )
-        standardized = (table.matrix - np.array(spec["z_mean"])) / np.array(spec["z_std"])
+        standardized = (flat.matrix - np.array(spec["z_mean"])) / np.array(spec["z_std"])
         return standardized @ np.array(spec["weights"]) + spec["intercept"]
     model, meta = load_model(outdir / "train" / "models" / cell / "best")
-    z = np.array([s.z for s in sequences], dtype=np.float64)
-    z_std = (z - np.array(meta["z_mean"])) / np.array(meta["z_std"])
-    steps = [[list(step.indices) for step in s.steps] for s in sequences]
+    z_std = (table.z - np.array(meta["z_mean"])) / np.array(meta["z_std"])
     _, logits, _ = model.predict(steps, z_std if model.config.fusion != "none" else None)
     return logits
 
@@ -695,33 +686,35 @@ def _raw_scores_for_cell(
 def stage_calibrate(cfg: dict) -> None:
     outdir = Path(cfg["outdir"])
     inputs = require_inputs(
-        outdir,
-        ["featurize/sequences.jsonl", "featurize/features.json", "train/split.json", "train/summary.json"]
-        + _model_artifacts(cfg),
+        outdir, FEATURIZE_INPUTS + ["train/split.json", "train/summary.json"] + _model_artifacts(cfg)
     )
     stage_dir = outdir / "calibrate"
     stage_dir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]
-    all_sequences, features_meta = _load_sequences(outdir)
-    sequences = _task_sequences(all_sequences, task)
-    labels = np.array([float(s.label_for(task)) for s in sequences])
-    split = _read_json(outdir / "train" / "split.json")
-    patient_folds = {pid: name for name, pids in split["patients"].items() for pid in pids}
-    fold_idx = _fold_indices(sequences, patient_folds)
+    cells = _cells(cfg)
+    table, features_meta = _load_sequences(outdir, task)
+    labels = table.label_for(task).astype(np.float64)
+    _, fold_idx = _split_folds(outdir, table)
     calib_idx = fold_idx["calibration"]
     if not calib_idx:
         raise ValidationError("calibration fold received no events; adjust train.fractions")
 
+    steps = table.step_lists() if any(algorithm != "lr" for algorithm, _ in cells) else None
     calibrators: dict[str, dict] = {}
-    for algorithm, mode in _cells(cfg):
+    raw_scores: dict[str, np.ndarray] = {}
+    for algorithm, mode in cells:
         cell = _cell_name(algorithm, mode)
-        raw = _raw_scores_for_cell(outdir, cfg, algorithm, cell, sequences, features_meta)
+        raw = _raw_scores_for_cell(outdir, algorithm, cell, table, features_meta, steps)
+        raw_scores[cell] = raw
         method = cfg["calibrate"]["method_lr" if algorithm == "lr" else "method_deep"]
         fit = fit_platt if method == "platt" else fit_temperature
         calibrator = fit(raw[calib_idx], labels[calib_idx], fold="calibration")
         calibrators[cell] = calibrator.to_json_obj()
     _write_json(stage_dir / "calibrators.json", {"task": task, "cells": calibrators})
-    write_manifest(outdir, "calibrate", cfg, inputs=inputs, outputs=["calibrate/calibrators.json"])
+    write_npz(stage_dir / "raw_scores.npz", raw_scores)
+    write_manifest(
+        outdir, "calibrate", cfg, inputs=inputs, outputs=["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
+    )
     summary = ", ".join(
         f"{cell}: {obj['kind']}"
         + (f"(T={obj['temperature']:.2f})" if obj["kind"] == "temperature" else f"(a={obj['a']:.2f}, b={obj['b']:.2f})")
@@ -734,34 +727,28 @@ def stage_evaluate(cfg: dict) -> None:
     outdir = Path(cfg["outdir"])
     inputs = require_inputs(
         outdir,
-        [
-            "featurize/sequences.jsonl",
-            "featurize/features.json",
-            "train/split.json",
-            "train/summary.json",
-            "calibrate/calibrators.json",
-        ]
-        + _model_artifacts(cfg),
+        FEATURIZE_INPUTS
+        + ["train/split.json", "train/summary.json", "calibrate/calibrators.json", "calibrate/raw_scores.npz"],
     )
     stage_dir = outdir / "evaluate"
     stage_dir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]
     threshold = cfg["evaluate"]["threshold"]
-    all_sequences, features_meta = _load_sequences(outdir)
-    sequences = _task_sequences(all_sequences, task)
-    labels = np.array([int(s.label_for(task)) for s in sequences])
-    split = _read_json(outdir / "train" / "split.json")
-    patient_folds = {pid: name for name, pids in split["patients"].items() for pid in pids}
-    fold_idx = _fold_indices(sequences, patient_folds)
+    table, _ = _load_sequences(outdir, task)
+    labels = table.label_for(task).astype(np.int64)
+    event_ids = table.event_id.tolist()
+    fold_of, fold_idx = _split_folds(outdir, table)
     test_idx = np.array(fold_idx["test"], dtype=np.int64)
     calibrators = _read_json(outdir / "calibrate" / "calibrators.json")["cells"]
+    with np.load(outdir / "calibrate" / "raw_scores.npz", allow_pickle=False) as npz:
+        raw_scores = {cell: npz[cell] for cell in npz.files}
     train_summary = _read_json(outdir / "train" / "summary.json")["cells"]
 
     metrics: dict[str, dict] = {}
     outputs = []
     for algorithm, mode in _cells(cfg):
         cell = _cell_name(algorithm, mode)
-        raw = _raw_scores_for_cell(outdir, cfg, algorithm, cell, sequences, features_meta)
+        raw = raw_scores[cell]
         calibrator = Calibrator.from_json_obj(calibrators[cell])
         prob_raw = Calibrator(kind="identity").apply(raw)
         prob_cal = calibrator.apply(raw)
@@ -769,11 +756,11 @@ def stage_evaluate(cfg: dict) -> None:
         with open(scores_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["event_id", "fold", "label", "raw", "prob_raw", "prob_cal"])
-            for i, seq in enumerate(sequences):
+            for i, event_id in enumerate(event_ids):
                 writer.writerow(
                     [
-                        seq.event_id,
-                        patient_folds[seq.beneficiary_id],
+                        event_id,
+                        fold_of[i],
                         labels[i],
                         f"{raw[i]:.10g}",
                         f"{prob_raw[i]:.10g}",
@@ -837,14 +824,7 @@ def stage_report(cfg: dict) -> None:
     best_cell = metrics_all["best_cell"]
     inputs.update(
         require_inputs(
-            outdir,
-            [
-                "featurize/sequences.jsonl",
-                "featurize/features.json",
-                "train/split.json",
-                "train/summary.json",
-                f"evaluate/scores_{best_cell}.csv",
-            ],
+            outdir, FEATURIZE_INPUTS + ["train/split.json", "train/summary.json", f"evaluate/scores_{best_cell}.csv"]
         )
     )
     stage_dir = outdir / "report"
@@ -880,27 +860,21 @@ def stage_report(cfg: dict) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
     # Subgroup breakdown of the best model's calibrated test-fold scores.
-    all_sequences, _ = _load_sequences(outdir)
-    sequences = _task_sequences(all_sequences, task)
-    split = _read_json(outdir / "train" / "split.json")
-    patient_folds = {pid: name for name, pids in split["patients"].items() for pid in pids}
+    table, features_meta = _load_sequences(outdir, task)
     scores_by_event: dict[str, float] = {}
     with open(outdir / "evaluate" / f"scores_{best_cell}.csv", "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             if row["fold"] == "test":
                 scores_by_event[row["event_id"]] = float(row["prob_cal"])
-    test_sequences = [s for s in sequences if s.event_id in scores_by_event]
-    scores = np.array([scores_by_event[s.event_id] for s in test_sequences])
-    labels = np.array([int(s.label_for(task)) for s in test_sequences])
-    n_proc_columns = _read_json(outdir / "featurize" / "features.json")["n_proc_columns"]
-    groups: dict[str, list[str]] = {}
-    for key in ("age_range", "gender", "race", "medicare_status", "charlson_band"):
-        groups[key] = [str(s.subgroup[key]) for s in test_sequences]
+    test = table.select(np.array([e in scores_by_event for e in table.event_id.tolist()], dtype=bool))
+    scores = np.array([scores_by_event[e] for e in test.event_id.tolist()])
+    labels = test.label_for(task).astype(np.int64)
+    n_proc_columns = features_meta["n_proc_columns"]
+    groups: dict[str, list[str]] = {key: getattr(test, key).tolist() for key in SUBGROUP_KEYS}
+    member = test.proc_ccs_membership(n_proc_columns)
     for cat in range(n_proc_columns):
         label = "other" if cat == n_proc_columns - 1 else str(cat)
-        groups[f"proc_ccs_{label}"] = [
-            "present" if cat in set(s.subgroup["proc_ccs"]) else "absent" for s in test_sequences
-        ]
+        groups[f"proc_ccs_{label}"] = np.where(member[:, cat], "present", "absent").tolist()
     report_rows = subgroup_report(scores, labels, groups, n_min=cfg["evaluate"]["n_min"], threshold=cfg["evaluate"]["threshold"])
     with open(stage_dir / "subgroups.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -919,7 +893,7 @@ def stage_report(cfg: dict) -> None:
             )
     _write_json(
         stage_dir / "report_info.json",
-        {"task": task, "best_cell": best_cell, "n_test_events": int(len(test_sequences))},
+        {"task": task, "best_cell": best_cell, "n_test_events": len(test)},
     )
     write_manifest(
         outdir,
@@ -937,33 +911,25 @@ def stage_importance(cfg: dict) -> None:
     metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
     best_cell = metrics_all["best_cell"]
     inputs.update(
-        require_inputs(
-            outdir,
-            [
-                "featurize/sequences.jsonl",
-                "featurize/features.json",
-                f"evaluate/scores_{best_cell}.csv",
-            ],
-        )
+        require_inputs(outdir, FEATURIZE_INPUTS + [f"evaluate/scores_{best_cell}.csv"])
     )
     stage_dir = outdir / "importance"
     stage_dir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]
     threshold = cfg["evaluate"]["threshold"]
-    all_sequences, features_meta = _load_sequences(outdir)
-    sequences = _task_sequences(all_sequences, task)
+    table, features_meta = _load_sequences(outdir, task)
     scores_by_event: dict[str, float] = {}
     with open(outdir / "evaluate" / f"scores_{best_cell}.csv", "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             scores_by_event[row["event_id"]] = float(row["prob_cal"])
-    scores = np.array([scores_by_event[s.event_id] for s in sequences])
-    table = flatten(
-        sequences,
+    scores = np.array([scores_by_event[e] for e in table.event_id.tolist()])
+    flat = flatten(
+        table,
         features_meta["n_dx_columns"],
         features_meta["n_proc_columns"],
         features_meta["z_names"],
     )
-    rows = surrogate_importance(table.matrix, table.names, table.categories, scores, threshold=threshold)
+    rows = surrogate_importance(flat.matrix, flat.names, flat.categories, scores, threshold=threshold)
     with open(stage_dir / "importance.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["category", "feature", "importance"])
@@ -979,7 +945,7 @@ def stage_importance(cfg: dict) -> None:
                 f"predictions binarized at {threshold}; importances rank what drives "
                 "the model, not outcome associations"
             ),
-            "n_events": len(sequences),
+            "n_events": len(table),
             "n_predicted_positive": int((scores >= threshold).sum()),
         },
     )

@@ -5,11 +5,17 @@ CCS category indices plus a fixed-width vector z of demographic, index-stay,
 utilization, comorbidity, and hospital-acquired-condition features. The
 layout of z is data-driven (see seqfuse/data/domain_spec.json), and the
 name list returned alongside the values always matches positionally.
+
+`EventTable` holds the same events column by column; it is the form the
+featurize stage hands to every later stage (`featurize/events.npz`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+
+import numpy as np
 
 from .claims import Beneficiary, ClaimRecord
 from .cohort import IndexEvent, InpatientStay, age_band
@@ -27,6 +33,10 @@ __all__ = [
     "SequenceOptions",
     "SequenceStep",
     "PatientSequence",
+    "EventTable",
+    "SUBGROUP_KEYS",
+    "step_columns",
+    "write_npz",
     "build_sequence",
     "build_domain_vector",
     "featurize_events",
@@ -295,3 +305,151 @@ def featurize_events(
             )
         )
     return sequences, z_names
+
+
+# --- columnar form ------------------------------------------------------------
+
+SUBGROUP_KEYS = ("age_range", "gender", "race", "medicare_status", "charlson_band")
+# EventTable columns indexed by step, index or procedure rather than by event.
+_CSR_COLUMNS = ("step_ptr", "day_offset", "idx_ptr", "indices", "proc_ptr", "proc_ccs")
+
+
+def write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """`np.savez` without its clock: uncompressed `.npy` members, no
+    pickles, and a fixed member timestamp, so equal arrays give equal
+    bytes. (`np.savez` stamps each member with the current time, which
+    would break byte-identical reruns.)"""
+    import zipfile
+
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+        for key, value in arrays.items():
+            info = zipfile.ZipInfo(f"{key}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(value), allow_pickle=False)
+
+
+def _ptr(lengths) -> np.ndarray:
+    """CSR row pointers for rows of the given lengths."""
+    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
+
+
+def _csr_take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pointer array of CSR rows `rows`, and the positions of their
+    elements in the original value array."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    new_ptr = _ptr(lengths)
+    positions = np.repeat(starts - new_ptr[:-1], lengths) + np.arange(new_ptr[-1], dtype=np.int64)
+    return new_ptr, positions
+
+
+def step_columns(sequences: list[PatientSequence]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Visit steps as two-level CSR: (step_ptr, day_offset, idx_ptr, indices).
+
+    Event i's steps are rows step_ptr[i]:step_ptr[i+1]; step k's category
+    indices are indices[idx_ptr[k]:idx_ptr[k+1]].
+    """
+    steps = [step for seq in sequences for step in seq.steps]
+    indices = [index for step in steps for index in step.indices]
+    return (
+        _ptr([len(seq.steps) for seq in sequences]),
+        np.array([step.day_offset for step in steps], dtype=np.int64),
+        _ptr([len(step.indices) for step in steps]),
+        np.array(indices, dtype=np.int64),
+    )
+
+
+@dataclass(eq=False)
+class EventTable:
+    """Featurized events as columns: one row per event, visit steps and
+    procedure categories in CSR form (see `step_columns`)."""
+
+    event_id: np.ndarray
+    beneficiary_id: np.ndarray
+    readmit_label: np.ndarray
+    mortality_label: np.ndarray
+    mortality_excluded: np.ndarray
+    z: np.ndarray
+    step_ptr: np.ndarray
+    day_offset: np.ndarray
+    idx_ptr: np.ndarray
+    indices: np.ndarray
+    age_range: np.ndarray
+    gender: np.ndarray
+    race: np.ndarray
+    medicare_status: np.ndarray
+    charlson_band: np.ndarray
+    proc_ptr: np.ndarray
+    proc_ccs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.event_id)
+
+    @classmethod
+    def from_sequences(cls, sequences: list[PatientSequence]) -> "EventTable":
+        step_ptr, day_offset, idx_ptr, indices = step_columns(sequences)
+        procs = [s.subgroup["proc_ccs"] for s in sequences]
+        z_width = len(sequences[0].z) if sequences else 0
+        return cls(
+            event_id=np.array([s.event_id for s in sequences], dtype=np.str_),
+            beneficiary_id=np.array([s.beneficiary_id for s in sequences], dtype=np.str_),
+            readmit_label=np.array([s.readmit_label for s in sequences], dtype=bool),
+            mortality_label=np.array([s.mortality_label for s in sequences], dtype=bool),
+            mortality_excluded=np.array([s.mortality_excluded for s in sequences], dtype=bool),
+            z=np.array([s.z for s in sequences], dtype=np.float64).reshape(len(sequences), z_width),
+            step_ptr=step_ptr,
+            day_offset=day_offset,
+            idx_ptr=idx_ptr,
+            indices=indices,
+            **{key: np.array([str(s.subgroup[key]) for s in sequences], dtype=np.str_) for key in SUBGROUP_KEYS},
+            proc_ptr=_ptr([len(p) for p in procs]),
+            proc_ccs=np.array([c for p in procs for c in p], dtype=np.int64),
+        )
+
+    def save(self, path: Path) -> None:
+        write_npz(path, {f.name: getattr(self, f.name) for f in fields(self)})
+
+    @classmethod
+    def load(cls, path: Path) -> "EventTable":
+        with np.load(path, allow_pickle=False) as npz:
+            return cls(**{f.name: npz[f.name] for f in fields(cls)})
+
+    def label_for(self, task: str) -> np.ndarray:
+        if task == "readmission":
+            return self.readmit_label
+        if task == "mortality":
+            return self.mortality_label
+        raise ValidationError(f"unknown task {task!r}")
+
+    def select(self, mask: np.ndarray) -> "EventTable":
+        """The rows where `mask` holds, in order."""
+        rows = np.flatnonzero(mask)
+        step_ptr, step_rows = _csr_take(self.step_ptr, rows)
+        idx_ptr, idx_rows = _csr_take(self.idx_ptr, step_rows)
+        proc_ptr, proc_rows = _csr_take(self.proc_ptr, rows)
+        return EventTable(
+            **{f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name not in _CSR_COLUMNS},
+            step_ptr=step_ptr,
+            day_offset=self.day_offset[step_rows],
+            idx_ptr=idx_ptr,
+            indices=self.indices[idx_rows],
+            proc_ptr=proc_ptr,
+            proc_ccs=self.proc_ccs[proc_rows],
+        )
+
+    def step_lists(self) -> list[list[list[int]]]:
+        """Per event, per step, the category indices: the model's input."""
+        flat = self.indices.tolist()
+        idx_ptr = self.idx_ptr.tolist()
+        steps = [flat[idx_ptr[k] : idx_ptr[k + 1]] for k in range(len(idx_ptr) - 1)]
+        step_ptr = self.step_ptr.tolist()
+        return [steps[step_ptr[i] : step_ptr[i + 1]] for i in range(len(self))]
+
+    def proc_ccs_membership(self, n_proc_columns: int) -> np.ndarray:
+        """(events, n_proc_columns) bool: whether each procedure category
+        occurs in each event's index stay."""
+        member = np.zeros((len(self), n_proc_columns), dtype=bool)
+        member[np.repeat(np.arange(len(self)), np.diff(self.proc_ptr)), self.proc_ccs] = True
+        return member

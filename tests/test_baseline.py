@@ -5,7 +5,7 @@ import pytest
 
 from seqfuse.baseline import flatten, make_lr_runner, train_lr
 from seqfuse.errors import NumericsError, ValidationError
-from seqfuse.features import PatientSequence, SequenceStep
+from seqfuse.features import SUBGROUP_KEYS, EventTable, PatientSequence, SequenceStep
 from seqfuse.rng import Xoshiro256
 
 
@@ -66,6 +66,83 @@ class TestFlatten:
         wrong_z = _sequence("E1", [(0,)], z=[1.0])
         with pytest.raises(ValidationError):
             flatten([wrong_z], n_dx_columns=2, n_proc_columns=1, z_names=["a", "b"])
+
+
+
+def _reference_flatten(sequences, n_dx_columns, n_proc_columns, z_names):
+    """The per-row loop the vectorised kernel replaced."""
+    if not sequences:
+        raise ValidationError("no sequences to flatten")
+    input_dim = n_dx_columns + n_proc_columns
+    matrix = np.zeros((len(sequences), 2 * input_dim + len(z_names)))
+    for row, seq in enumerate(sequences):
+        counts = np.zeros(input_dim)
+        for step in seq.steps:
+            for index in step.indices:
+                if not 0 <= index < input_dim:
+                    raise ValidationError(f"sequence index {index} outside input dim {input_dim}")
+                counts[index] += 1.0
+        matrix[row, 0:2 * input_dim:2] = counts
+        matrix[row, 1:2 * input_dim:2] = counts / len(seq.steps)
+        if len(seq.z) != len(z_names):
+            raise ValidationError("domain vector width does not match its name list")
+        matrix[row, 2 * input_dim :] = seq.z
+    return matrix
+
+
+def _ragged_sequences(rng, n, input_dim, z_width):
+    """Random events of 1-6 steps; a step holds 0-5 indices drawn with
+    repeats, so steps with empty index lists and the last ("other") dx
+    and proc columns all occur."""
+    n_dx = input_dim // 2
+    sequences = []
+    for e in range(n):
+        steps = []
+        for _ in range(int(rng.integers(1, 7))):
+            ix = rng.integers(0, input_dim, size=int(rng.integers(0, 6)))
+            if rng.random() < 0.3:
+                ix = np.append(ix, [n_dx - 1, input_dim - 1])
+            steps.append(tuple(int(i) for i in ix))
+        seq = _sequence(f"E{e}", steps, z=rng.normal(size=z_width).tolist())
+        seq.subgroup = {key: "" for key in SUBGROUP_KEYS} | {"proc_ccs": ()}
+        sequences.append(seq)
+    return sequences
+
+
+class TestFlattenKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_the_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        sequences = _ragged_sequences(rng, n=60, input_dim=9, z_width=4)
+        assert any(not step.indices for s in sequences for step in s.steps)
+        z_names = [f"z{i}" for i in range(4)]
+        expected = _reference_flatten(sequences, 4, 5, z_names)
+        table = flatten(sequences, 4, 5, z_names)
+        assert table.matrix.tobytes() == expected.tobytes()
+        columns = EventTable.from_sequences(sequences)
+        assert flatten(columns, 4, 5, z_names).matrix.tobytes() == expected.tobytes()
+        # The same two errors from the columns: an index past a narrower
+        # input dim, and a name list one short.
+        for n_proc, names in ((4, z_names), (5, z_names[:3])):
+            with pytest.raises(ValidationError) as want:
+                _reference_flatten(sequences, 4, n_proc, names)
+            with pytest.raises(ValidationError) as got:
+                flatten(columns, 4, n_proc, names)
+            assert str(got.value) == str(want.value)
+
+    def test_raises_the_row_loops_errors(self):
+        cases = [
+            ([_sequence("E1", [(0,), (), (9,)], z=[])], []),
+            ([_sequence("E1", [(0,)], z=[]), _sequence("E2", [(-1,)], z=[])], []),
+            ([_sequence("E1", [(0,)], z=[1.0, 2.0]), _sequence("E2", [(1,)], z=[1.0])], ["a", "b"]),
+            ([_sequence("E1", [(0,)], z=[1.0])], ["a", "b"]),
+        ]
+        for sequences, z_names in cases:
+            with pytest.raises(ValidationError) as expected:
+                _reference_flatten(sequences, 4, 5, z_names)
+            with pytest.raises(ValidationError) as got:
+                flatten(sequences, 4, 5, z_names)
+            assert str(got.value) == str(expected.value)
 
 
 def _logit_world(n=300, d=4, seed=21, true_w=(1.5, -2.0, 0.0, 0.5), true_b=-0.3):

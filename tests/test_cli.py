@@ -3,11 +3,14 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqfuse.cli import default_config, load_config, main, validate_config
+from seqfuse.features import SUBGROUP_KEYS, EventTable
 
 
 def _write_config(path: Path, outdir: Path, **overrides) -> Path:
@@ -224,6 +227,68 @@ class TestRerunsAndTampering:
         assert main(["cohort", "--config", str(config)]) == 3
         assert main(["generate", "--config", str(config)]) == 0
         assert main(["cohort", "--config", str(config)]) == 0
+
+
+
+class TestColumnarArtifacts:
+    def test_event_store_equals_the_readable_record(self, pipeline_run):
+        _, outdir = pipeline_run
+        table = EventTable.load(outdir / "featurize" / "events.npz")
+        with open(outdir / "featurize" / "sequences.jsonl") as fh:
+            rows = [json.loads(line) for line in fh]
+        assert len(table) == len(rows)
+        assert table.event_id.tolist() == [r["event_id"] for r in rows]
+        assert table.beneficiary_id.tolist() == [r["beneficiary_id"] for r in rows]
+        for flag in ("readmit_label", "mortality_label", "mortality_excluded"):
+            assert getattr(table, flag).dtype == bool
+            assert getattr(table, flag).tolist() == [bool(r[flag]) for r in rows]
+        assert table.z.dtype == np.float64
+        assert table.z.tolist() == [r["z"] for r in rows]
+        assert table.step_lists() == [[ix for _, ix in r["steps"]] for r in rows]
+        assert table.day_offset.tolist() == [o for r in rows for o, _ in r["steps"]]
+        for key in SUBGROUP_KEYS:
+            assert getattr(table, key).tolist() == [str(r["subgroup"][key]) for r in rows]
+        procs = [r["subgroup"]["proc_ccs"] for r in rows]
+        assert np.diff(table.proc_ptr).tolist() == [len(p) for p in procs]
+        assert table.proc_ccs.tolist() == [c for p in procs for c in p]
+
+    def test_featurize_rerun_is_byte_identical(self, pipeline_run):
+        config, outdir = pipeline_run
+        targets = [outdir / "featurize" / "events.npz", outdir / "featurize" / "manifest.json"]
+        before = [_sha(p) for p in targets]
+        assert main(["featurize", "--config", str(config)]) == 0
+        assert [_sha(p) for p in targets] == before
+
+    def test_evaluate_reads_scores_instead_of_predicting(self, pipeline_run, tmp_path, monkeypatch):
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate predicted again")
+
+        monkeypatch.setattr("seqfuse.model.SeqFuseModel.predict", refuse)
+        assert main(["evaluate", "--config", str(config), "--outdir", str(copy)]) == 0
+        for path in sorted((outdir / "evaluate").iterdir()):
+            assert (copy / "evaluate" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_tampered_event_store_is_exit_3_until_featurized(self, tmp_path):
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run")
+        for stage in ("generate", "cohort", "featurize"):
+            assert main([stage, "--config", str(config)]) == 0
+        store = tmp_path / "run" / "featurize" / "events.npz"
+        store.write_bytes(store.read_bytes() + b"\0")
+        assert main(["train", "--config", str(config)]) == 3
+        assert main(["featurize", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+
+    def test_tampered_raw_scores_are_exit_3(self, tmp_path):
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run")
+        for stage in ("generate", "cohort", "featurize", "train", "calibrate"):
+            assert main([stage, "--config", str(config)]) == 0
+        raw = tmp_path / "run" / "calibrate" / "raw_scores.npz"
+        raw.write_bytes(raw.read_bytes() + b"\0")
+        assert main(["evaluate", "--config", str(config)]) == 3
 
 
 class TestMortalityTask:

@@ -1,17 +1,23 @@
 """Sequence construction and the hand-crafted vector, checked against a
 fixture small enough to compute every value on paper."""
 
+import zipfile
+
+import numpy as np
 import pytest
 
 from seqfuse.claims import ClaimRecord, iso_to_day
 from seqfuse.cohort import build_cohort
 from seqfuse.errors import ValidationError
 from seqfuse.features import (
+    SUBGROUP_KEYS,
+    EventTable,
     SequenceOptions,
     build_domain_vector,
     build_sequence,
     charlson_band,
     featurize_events,
+    write_npz,
 )
 from seqfuse.knowledge import CcsMap, load_bundle
 from tests.test_cohort import DAY0, ben, inpatient
@@ -184,3 +190,67 @@ class TestFeaturizeEvents:
         sequences, _ = small_sequences
         with pytest.raises(ValidationError):
             sequences[0].label_for("los")
+
+
+def _same_table(a: EventTable, b: EventTable) -> None:
+    for name in EventTable.__dataclass_fields__:
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype.kind == right.dtype.kind, name
+        np.testing.assert_array_equal(left, right, err_msg=name)
+
+
+class TestEventTable:
+    def test_step_lists_round_trip(self, small_sequences):
+        sequences, _ = small_sequences
+        table = EventTable.from_sequences(sequences)
+        assert table.step_lists() == [[list(step.indices) for step in s.steps] for s in sequences]
+        offsets = [step.day_offset for s in sequences for step in s.steps]
+        assert table.day_offset.tolist() == offsets
+
+    def test_columns_match_the_sequences(self, small_sequences):
+        sequences, z_names = small_sequences
+        table = EventTable.from_sequences(sequences)
+        assert len(table) == len(sequences)
+        assert table.event_id.tolist() == [s.event_id for s in sequences]
+        assert table.beneficiary_id.tolist() == [s.beneficiary_id for s in sequences]
+        assert table.z.shape == (len(sequences), len(z_names))
+        assert table.z.tolist() == [s.z for s in sequences]
+        for task in ("readmission", "mortality"):
+            assert table.label_for(task).tolist() == [s.label_for(task) for s in sequences]
+        for key in SUBGROUP_KEYS:
+            assert getattr(table, key).tolist() == [str(s.subgroup[key]) for s in sequences]
+        with pytest.raises(ValidationError):
+            table.label_for("discharge")
+
+    def test_select_matches_filtering_the_sequences(self, small_sequences):
+        sequences, _ = small_sequences
+        table = EventTable.from_sequences(sequences)
+        keep = np.array([i % 3 != 1 for i in range(len(sequences))])
+        _same_table(table.select(keep), EventTable.from_sequences([s for s, k in zip(sequences, keep) if k]))
+        empty = table.select(np.zeros(len(table), dtype=bool))
+        assert len(empty) == 0 and empty.step_lists() == []
+
+    def test_proc_ccs_membership(self, small_sequences, bundle):
+        sequences, _ = small_sequences
+        n_proc_columns = bundle.ccs.n_proc_columns
+        member = EventTable.from_sequences(sequences).proc_ccs_membership(n_proc_columns)
+        expected = [[cat in s.subgroup["proc_ccs"] for cat in range(n_proc_columns)] for s in sequences]
+        assert member.tolist() == expected
+
+    def test_save_load_round_trip_is_byte_stable(self, small_sequences, tmp_path):
+        sequences, _ = small_sequences
+        table = EventTable.from_sequences(sequences)
+        table.save(tmp_path / "a.npz")
+        _same_table(EventTable.load(tmp_path / "a.npz"), table)
+        EventTable.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_write_npz_members_carry_no_clock(self, tmp_path):
+        write_npz(tmp_path / "x.npz", {"a": np.arange(3), "b": np.array(["x", "yz"])})
+        with zipfile.ZipFile(tmp_path / "x.npz") as zf:
+            infos = zf.infolist()
+        assert [i.filename for i in infos] == ["a.npy", "b.npy"]
+        assert {i.date_time for i in infos} == {(1980, 1, 1, 0, 0, 0)}
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+        with np.load(tmp_path / "x.npz", allow_pickle=False) as npz:
+            assert npz["b"].tolist() == ["x", "yz"]
