@@ -7,9 +7,8 @@ walks the records in reverse and accumulates gradients with +=, so running
 it twice without a grad reset doubles every gradient — callers reset.
 
 Broadcasting is deliberately restricted: `add` accepts a 1 x n row vector
-as its second argument (bias), `scale_rows` a rows x 1 column; everything
-else wants exact shapes so mistakes surface as DimensionError, not silent
-broadcast.
+as its second argument (bias); everything else wants exact shapes so
+mistakes surface as DimensionError, not silent broadcast.
 
 Sequences of T steps over a batch of B rows are stacked step-major into
 one (T*B) x n tensor, row t*B + b, with a (T, B) array marking real steps
@@ -73,8 +72,8 @@ class Tape:
     """Execution record for one forward pass; a context manager.
 
     Each thread has its own stack of entered tapes, and an op records on
-    the innermost tape of the thread that runs it. Independent tapes (one
-    per grid-search trial) may therefore run on parallel threads.
+    the innermost tape of the thread that runs it, so a tape on one thread
+    never records another thread's ops.
     """
 
     _active = threading.local()
@@ -229,26 +228,6 @@ def tanh(x: Tensor) -> Tensor:
     return _result("tanh", out, (x,), vjp)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction; a 1 x n input is the vector case."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _result("softmax", out, (x,), vjp)
-
-
-def scale(x: Tensor, alpha: float) -> Tensor:
-    def vjp(g):
-        return (g * alpha,)
-
-    return _result("scale", x.data * alpha, (x,), vjp)
-
-
 def tsum(x: Tensor) -> Tensor:
     """Full reduction to a 1 x 1 scalar."""
     out = np.array([[x.data.sum()]])
@@ -257,28 +236,6 @@ def tsum(x: Tensor) -> Tensor:
         return (np.full_like(x.data, g[0, 0]),)
 
     return _result("sum", out, (x,), vjp)
-
-
-def row_sum(x: Tensor) -> Tensor:
-    """Reduce columns, keeping one value per row (rows x 1)."""
-    out = x.data.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return (np.repeat(g, x.shape[1], axis=1),)
-
-    return _result("row_sum", out, (x,), vjp)
-
-
-def scale_rows(x: Tensor, c: Tensor) -> Tensor:
-    """Multiply row i of x by c[i, 0]; c is a rows x 1 column."""
-    if c.shape != (x.shape[0], 1):
-        raise DimensionError(f"scale_rows: x {x.shape}, c {c.shape}")
-    out = x.data * c.data
-
-    def vjp(g):
-        return g * c.data, (g * x.data).sum(axis=1, keepdims=True)
-
-    return _result("scale_rows", out, (x, c), vjp)
 
 
 def embedding_lookup(weights: Tensor, index_lists: list[list[int]]) -> Tensor:
@@ -545,12 +502,3 @@ def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]
         tensors[entry["name"]] = np.array(vals, dtype=np.float64).reshape(shape)
     return tensors, manifest.get("meta", {})
 
-
-def update_checkpoint_meta(directory: str | Path, updates: dict) -> None:
-    """Merge keys into an existing checkpoint's JSON block (weights untouched)."""
-    directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    manifest.setdefault("meta", {}).update(updates)
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)

@@ -5,7 +5,9 @@ Every stage reads one JSON config, writes into its own subdirectory of the
 run directory, and records a manifest with SHA-256 hashes of everything it
 read and wrote. A stage refuses to run when an input does not match the
 hash its producer recorded, so stale or hand-edited artifacts fail loudly
-instead of silently skewing results downstream.
+instead of silently skewing results downstream. `_artifacts` is the one
+list of each stage's inputs and outputs, and `run_stage` runs a stage body
+under that protocol: verify the inputs, run, hash the outputs.
 
 `featurize` hands its events on as one columnar store,
 `featurize/events.npz` (an `EventTable`), which every later stage loads
@@ -37,11 +39,10 @@ from .claims import (
     day_to_iso,
     generate_population,
     ingest_claims,
-    iso_to_day,
     write_ground_truth,
     write_population,
 )
-from .cohort import IndexEvent, build_cohort, cohort_summary, resolve_stays
+from .cohort import IndexEvent, build_cohort, cohort_summary
 from .errors import (
     CalibrationError,
     MetricUndefinedError,
@@ -102,7 +103,6 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
             "patience": 3,
             "optimizer": "adam",
             "w_neg": 1.0,
-            "jobs": 1,
             "grid": {
                 "embed_dim": [16],
                 "hidden_dim": [24],
@@ -162,8 +162,6 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append("train.epochs must be positive")
     if train.get("patience", 0) < 0:
         problems.append("train.patience must be non-negative")
-    if train.get("jobs", 1) < 1:
-        problems.append("train.jobs must be at least 1")
     grid = train.get("grid", {})
     if any(a in FUSION_OF for a in algorithms):
         for axis in ("embed_dim", "hidden_dim", "lr"):
@@ -196,7 +194,7 @@ def validate_config(cfg: dict) -> list[str]:
     return problems
 
 
-def load_config(path: str, outdir: str | None = None, jobs: int | None = None) -> dict:
+def load_config(path: str, outdir: str | None = None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -214,8 +212,9 @@ def load_config(path: str, outdir: str | None = None, jobs: int | None = None) -
             merged[key] = value
     if outdir is not None:
         merged["outdir"] = outdir
-    if jobs is not None:
-        merged.setdefault("train", {})["jobs"] = jobs
+    # Configs from older versions carry the removed `train.jobs`; results
+    # never depended on it, so it is dropped rather than hashed.
+    merged["train"].pop("jobs", None)
     problems = validate_config(merged)
     if problems:
         raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
@@ -233,10 +232,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _hash_tree(outdir: Path, relpaths: list[str]) -> dict[str, str]:
-    return {rel: _sha256(outdir / rel) for rel in sorted(relpaths)}
-
-
 def write_manifest(outdir: Path, stage: str, cfg: dict, inputs: dict[str, str], outputs: list[str]) -> None:
     manifest = {
         "stage": stage,
@@ -246,10 +241,9 @@ def write_manifest(outdir: Path, stage: str, cfg: dict, inputs: dict[str, str], 
         # change what experiment the manifests claim it was.
         "config_hash": config_hash({k: v for k, v in cfg.items() if k != "outdir"}),
         "inputs": inputs,
-        "outputs": _hash_tree(outdir, outputs),
+        "outputs": {rel: _sha256(outdir / rel) for rel in sorted(outputs)},
     }
-    path = outdir / stage / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(outdir / stage / "manifest.json", manifest)
 
 
 def require_inputs(outdir: Path, relpaths: list[str]) -> dict[str, str]:
@@ -312,8 +306,35 @@ def _cell_name(algorithm: str, mode: str) -> str:
     return f"{algorithm}__{mode}"
 
 
-# What every stage after featurize reads of its output.
-FEATURIZE_INPUTS = ["featurize/events.npz", "featurize/features.json"]
+def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
+    """{stage: (inputs, outputs)}, relative to the run directory: the only
+    list of what each stage reads from earlier stages and what it writes.
+    `run_stage` verifies the inputs before a stage runs and hashes the
+    outputs into its manifest after."""
+    cells = _cells(cfg)
+    models: list[str] = []
+    for algorithm, mode in cells:
+        best = f"train/models/{_cell_name(algorithm, mode)}/best"
+        models += [f"{best}/model.json"] if algorithm == "lr" else [f"{best}/manifest.json", f"{best}/weights.bin"]
+    # Report and importance read only the best cell's scores, but the best
+    # cell is known only once evaluate has run, so they verify every cell's.
+    evaluated = [f"evaluate/scores_{_cell_name(algorithm, mode)}.csv" for algorithm, mode in cells]
+    evaluated.append("evaluate/metrics.json")
+    population = ["generate/population.jsonl", "generate/ccs_map.csv"]
+    events = ["featurize/events.npz", "featurize/features.json"]
+    embedding = ["featurize/pretrained_embedding/manifest.json", "featurize/pretrained_embedding/weights.bin"]
+    calibrated = ["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
+    return {
+        "generate": ([], population + ["generate/ground_truth.csv", "generate/generator_info.json"]),
+        "cohort": (population, ["cohort/index_events.jsonl", "cohort/summary.csv", "cohort/audit.json"]),
+        # index_events.jsonl only pins featurize after cohort; featurize rebuilds the cohort.
+        "featurize": (population + ["cohort/index_events.jsonl"], ["featurize/sequences.jsonl"] + events + embedding),
+        "train": (events + embedding, ["train/split.json", "train/trials.csv", "train/summary.json"] + models),
+        "calibrate": (events + ["train/split.json"] + models, calibrated),
+        "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, evaluated),
+        "report": (events + evaluated, ["report/table3.csv", "report/subgroups.csv", "report/report_info.json"]),
+        "importance": (events + evaluated, ["importance/importance.csv", "importance/importance.json"]),
+    }
 
 
 def _load_sequences(outdir: Path, task: str) -> tuple[EventTable, dict]:
@@ -344,10 +365,8 @@ def _split_folds(outdir: Path, table: EventTable) -> tuple[list[str], dict[str, 
 # --- stages ------------------------------------------------------------------
 
 
-def stage_generate(cfg: dict) -> None:
-    outdir = Path(cfg["outdir"])
+def stage_generate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "generate"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     gen = cfg["generate"]
     synth = SyntheticConfig(
         n_patients=gen["n_patients"],
@@ -361,18 +380,6 @@ def stage_generate(cfg: dict) -> None:
     write_ground_truth(stage_dir / "ground_truth.csv", population.truth)
     CcsMap.synthetic(synth.dx_vocab, synth.proc_vocab).to_csv(stage_dir / "ccs_map.csv")
     _write_json(stage_dir / "generator_info.json", population.info)
-    write_manifest(
-        outdir,
-        "generate",
-        cfg,
-        inputs={},
-        outputs=[
-            "generate/population.jsonl",
-            "generate/ground_truth.csv",
-            "generate/ccs_map.csv",
-            "generate/generator_info.json",
-        ],
-    )
     print(
         f"generate: {len(population.beneficiaries)} patients, {len(population.claims)} claims, "
         f"{len(population.truth)} ground-truth events"
@@ -396,11 +403,8 @@ def _event_row(event: IndexEvent) -> dict:
     }
 
 
-def stage_cohort(cfg: dict) -> None:
-    outdir = Path(cfg["outdir"])
-    inputs = require_inputs(outdir, ["generate/population.jsonl", "generate/ccs_map.csv"])
+def stage_cohort(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "cohort"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     beneficiaries, claims = ingest_claims(outdir / "generate" / "population.jsonl")
     bundle = _knowledge_bundle(cfg, outdir)
     events, stays, audit = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
@@ -410,27 +414,14 @@ def stage_cohort(cfg: dict) -> None:
     ben_map = {b.beneficiary_id: b for b in beneficiaries}
     (stage_dir / "summary.csv").write_text(cohort_summary(events, ben_map), encoding="utf-8")
     _write_json(stage_dir / "audit.json", audit)
-    write_manifest(
-        outdir,
-        "cohort",
-        cfg,
-        inputs=inputs,
-        outputs=["cohort/index_events.jsonl", "cohort/summary.csv", "cohort/audit.json"],
-    )
     print(
         f"cohort: {audit['n_events']} events, {audit['n_eligible']} eligible, "
         f"{audit['readmit_positive']} readmissions, {audit['mortality_positive']} deaths"
     )
 
 
-def stage_featurize(cfg: dict) -> None:
-    outdir = Path(cfg["outdir"])
-    inputs = require_inputs(
-        outdir,
-        ["generate/population.jsonl", "generate/ccs_map.csv", "cohort/index_events.jsonl"],
-    )
+def stage_featurize(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "featurize"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     beneficiaries, claims = ingest_claims(outdir / "generate" / "population.jsonl")
     bundle = _knowledge_bundle(cfg, outdir)
     events, stays, _ = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
@@ -483,31 +474,11 @@ def stage_featurize(cfg: dict) -> None:
             "n_events": len(sequences),
         },
     )
-    write_manifest(
-        outdir,
-        "featurize",
-        cfg,
-        inputs=inputs,
-        outputs=[
-            "featurize/sequences.jsonl",
-            "featurize/events.npz",
-            "featurize/features.json",
-            "featurize/pretrained_embedding/manifest.json",
-            "featurize/pretrained_embedding/weights.bin",
-        ],
-    )
     print(f"featurize: {len(sequences)} sequences, |z| = {len(z_names)}")
 
 
-def stage_train(cfg: dict) -> None:
-    outdir = Path(cfg["outdir"])
-    inputs = require_inputs(
-        outdir,
-        FEATURIZE_INPUTS
-        + ["featurize/pretrained_embedding/manifest.json", "featurize/pretrained_embedding/weights.bin"],
-    )
+def stage_train(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "train"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]
     train_cfg = cfg["train"]
     cells = _cells(cfg)
@@ -537,7 +508,6 @@ def stage_train(cfg: dict) -> None:
 
     pretrained = load_pretrained_embedding(outdir / "featurize" / "pretrained_embedding")
     steps = table.step_lists() if any(algorithm != "lr" for algorithm, _ in cells) else None
-    jobs = int(train_cfg.get("jobs", 1))
     summary: dict[str, dict] = {}
     trial_rows: list[dict] = []
     for algorithm, mode in cells:
@@ -569,7 +539,7 @@ def stage_train(cfg: dict) -> None:
                 optimizer=train_cfg.get("optimizer", "adam"),
             )
             axes = {k: list(v) for k, v in train_cfg["grid"].items()}
-        result = grid_search(axes, runner, derive_seed(cfg["seed"], cell_seed_label), jobs=jobs)
+        result = grid_search(axes, runner, derive_seed(cfg["seed"], cell_seed_label))
         for trial in result.trials:
             trial_rows.append(
                 {
@@ -638,23 +608,8 @@ def stage_train(cfg: dict) -> None:
         writer.writeheader()
         writer.writerows(trial_rows)
     _write_json(stage_dir / "summary.json", {"task": task, "cells": summary})
-
-    outputs = ["train/split.json", "train/trials.csv", "train/summary.json"] + _model_artifacts(cfg)
-    write_manifest(outdir, "train", cfg, inputs=inputs, outputs=outputs)
     best_aucs = ", ".join(f"{c}={s['best']['valid_auc']:.3f}" for c, s in summary.items())
     print(f"train: best valid AUC by cell: {best_aucs}")
-
-
-def _model_artifacts(cfg: dict) -> list[str]:
-    artifacts = []
-    for algorithm, mode in _cells(cfg):
-        cell = _cell_name(algorithm, mode)
-        if algorithm == "lr":
-            artifacts.append(f"train/models/{cell}/best/model.json")
-        else:
-            artifacts.append(f"train/models/{cell}/best/manifest.json")
-            artifacts.append(f"train/models/{cell}/best/weights.bin")
-    return artifacts
 
 
 def _raw_scores_for_cell(
@@ -683,13 +638,8 @@ def _raw_scores_for_cell(
     return logits
 
 
-def stage_calibrate(cfg: dict) -> None:
-    outdir = Path(cfg["outdir"])
-    inputs = require_inputs(
-        outdir, FEATURIZE_INPUTS + ["train/split.json", "train/summary.json"] + _model_artifacts(cfg)
-    )
+def stage_calibrate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "calibrate"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]
     cells = _cells(cfg)
     table, features_meta = _load_sequences(outdir, task)
@@ -712,9 +662,6 @@ def stage_calibrate(cfg: dict) -> None:
         calibrators[cell] = calibrator.to_json_obj()
     _write_json(stage_dir / "calibrators.json", {"task": task, "cells": calibrators})
     write_npz(stage_dir / "raw_scores.npz", raw_scores)
-    write_manifest(
-        outdir, "calibrate", cfg, inputs=inputs, outputs=["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
-    )
     summary = ", ".join(
         f"{cell}: {obj['kind']}"
         + (f"(T={obj['temperature']:.2f})" if obj["kind"] == "temperature" else f"(a={obj['a']:.2f}, b={obj['b']:.2f})")
@@ -723,15 +670,8 @@ def stage_calibrate(cfg: dict) -> None:
     print(f"calibrate: {summary}")
 
 
-def stage_evaluate(cfg: dict) -> None:
-    outdir = Path(cfg["outdir"])
-    inputs = require_inputs(
-        outdir,
-        FEATURIZE_INPUTS
-        + ["train/split.json", "train/summary.json", "calibrate/calibrators.json", "calibrate/raw_scores.npz"],
-    )
+def stage_evaluate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "evaluate"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]
     threshold = cfg["evaluate"]["threshold"]
     table, _ = _load_sequences(outdir, task)
@@ -745,7 +685,6 @@ def stage_evaluate(cfg: dict) -> None:
     train_summary = _read_json(outdir / "train" / "summary.json")["cells"]
 
     metrics: dict[str, dict] = {}
-    outputs = []
     for algorithm, mode in _cells(cfg):
         cell = _cell_name(algorithm, mode)
         raw = raw_scores[cell]
@@ -767,7 +706,6 @@ def stage_evaluate(cfg: dict) -> None:
                         f"{prob_cal[i]:.10g}",
                     ]
                 )
-        outputs.append(f"evaluate/scores_{cell}.csv")
         test_labels = labels[test_idx]
         test_cal = prob_cal[test_idx]
         test_raw_prob = prob_raw[test_idx]
@@ -807,8 +745,6 @@ def stage_evaluate(cfg: dict) -> None:
         "best_cell": best_cell,
     }
     _write_json(stage_dir / "metrics.json", payload)
-    outputs.append("evaluate/metrics.json")
-    write_manifest(outdir, "evaluate", cfg, inputs=inputs, outputs=outputs)
     lines = ", ".join(f"{cell}: AUC {m['auc']:.3f}" for cell, m in metrics.items())
     print(f"evaluate [{task}]: {lines}")
 
@@ -817,18 +753,21 @@ def _fmt(value, digits: int = 4) -> str:
     return "" if value is None else f"{value:.{digits}f}"
 
 
-def stage_report(cfg: dict) -> None:
-    outdir = Path(cfg["outdir"])
-    inputs = require_inputs(outdir, ["evaluate/metrics.json"])
+def _cell_scores(outdir: Path, cell: str, table: EventTable) -> tuple[np.ndarray, np.ndarray]:
+    """The calibrated score evaluate wrote for each of `table`'s events
+    under `cell`, and a mask of the events in the test fold."""
+    by_event: dict[str, tuple[float, bool]] = {}
+    with open(outdir / "evaluate" / f"scores_{cell}.csv", "r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            by_event[row["event_id"]] = (float(row["prob_cal"]), row["fold"] == "test")
+    prob_cal, in_test = zip(*(by_event[e] for e in table.event_id.tolist()))
+    return np.array(prob_cal), np.array(in_test, dtype=bool)
+
+
+def stage_report(cfg: dict, outdir: Path) -> None:
+    stage_dir = outdir / "report"
     metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
     best_cell = metrics_all["best_cell"]
-    inputs.update(
-        require_inputs(
-            outdir, FEATURIZE_INPUTS + ["train/split.json", "train/summary.json", f"evaluate/scores_{best_cell}.csv"]
-        )
-    )
-    stage_dir = outdir / "report"
-    stage_dir.mkdir(parents=True, exist_ok=True)
     task = cfg["task"]
     cells = metrics_all["cells"]
     modes = [m for m in EMBEDDING_MODES if m in cfg["train"]["embedding_modes"]]
@@ -861,13 +800,9 @@ def stage_report(cfg: dict) -> None:
 
     # Subgroup breakdown of the best model's calibrated test-fold scores.
     table, features_meta = _load_sequences(outdir, task)
-    scores_by_event: dict[str, float] = {}
-    with open(outdir / "evaluate" / f"scores_{best_cell}.csv", "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["fold"] == "test":
-                scores_by_event[row["event_id"]] = float(row["prob_cal"])
-    test = table.select(np.array([e in scores_by_event for e in table.event_id.tolist()], dtype=bool))
-    scores = np.array([scores_by_event[e] for e in test.event_id.tolist()])
+    scores, in_test = _cell_scores(outdir, best_cell, table)
+    test = table.select(in_test)
+    scores = scores[in_test]
     labels = test.label_for(task).astype(np.int64)
     n_proc_columns = features_meta["n_proc_columns"]
     groups: dict[str, list[str]] = {key: getattr(test, key).tolist() for key in SUBGROUP_KEYS}
@@ -895,34 +830,16 @@ def stage_report(cfg: dict) -> None:
         stage_dir / "report_info.json",
         {"task": task, "best_cell": best_cell, "n_test_events": len(test)},
     )
-    write_manifest(
-        outdir,
-        "report",
-        cfg,
-        inputs=inputs,
-        outputs=["report/table3.csv", "report/subgroups.csv", "report/report_info.json"],
-    )
     print(f"report: table3.csv ({len(rows) - 1} rows), subgroups.csv ({len(report_rows)} rows), best cell {best_cell}")
 
 
-def stage_importance(cfg: dict) -> None:
-    outdir = Path(cfg["outdir"])
-    inputs = require_inputs(outdir, ["evaluate/metrics.json"])
-    metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
-    best_cell = metrics_all["best_cell"]
-    inputs.update(
-        require_inputs(outdir, FEATURIZE_INPUTS + [f"evaluate/scores_{best_cell}.csv"])
-    )
+def stage_importance(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "importance"
-    stage_dir.mkdir(parents=True, exist_ok=True)
+    best_cell = _read_json(outdir / "evaluate" / "metrics.json")["best_cell"]
     task = cfg["task"]
     threshold = cfg["evaluate"]["threshold"]
     table, features_meta = _load_sequences(outdir, task)
-    scores_by_event: dict[str, float] = {}
-    with open(outdir / "evaluate" / f"scores_{best_cell}.csv", "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            scores_by_event[row["event_id"]] = float(row["prob_cal"])
-    scores = np.array([scores_by_event[e] for e in table.event_id.tolist()])
+    scores, _ = _cell_scores(outdir, best_cell, table)
     flat = flatten(
         table,
         features_meta["n_dx_columns"],
@@ -949,9 +866,6 @@ def stage_importance(cfg: dict) -> None:
             "n_predicted_positive": int((scores >= threshold).sum()),
         },
     )
-    write_manifest(
-        outdir, "importance", cfg, inputs=inputs, outputs=["importance/importance.csv", "importance/importance.json"]
-    )
     print(f"importance: {len(rows)} features ranked from cell {best_cell}")
 
 
@@ -967,9 +881,15 @@ STAGE_FUNCS = {
 }
 
 
-def stage_pipeline(cfg: dict) -> None:
-    for stage in STAGES:
-        STAGE_FUNCS[stage](cfg)
+def run_stage(stage: str, cfg: dict) -> None:
+    """Runs one stage body under the manifest protocol: verify its declared
+    inputs, make its directory, run it, and record its declared outputs."""
+    outdir = Path(cfg["outdir"])
+    inputs, outputs = _artifacts(cfg)[stage]
+    verified = require_inputs(outdir, inputs)
+    (outdir / stage).mkdir(parents=True, exist_ok=True)
+    STAGE_FUNCS[stage](cfg, outdir)
+    write_manifest(outdir, stage, cfg, inputs=verified, outputs=outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -990,7 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "pipeline" else "run all stages in order")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--outdir", default=None, help="override the config's run directory")
-        p.add_argument("--jobs", type=int, default=None, help="worker threads for the hyperparameter grid")
     return parser
 
 
@@ -1008,11 +927,9 @@ def main(argv: list[str] | None = None) -> int:
                 Path(args.out).write_text(text, encoding="utf-8")
                 print(f"wrote {args.out}")
             return 0
-        cfg = load_config(args.config, outdir=args.outdir, jobs=args.jobs)
-        if args.command == "pipeline":
-            stage_pipeline(cfg)
-        else:
-            STAGE_FUNCS[args.command](cfg)
+        cfg = load_config(args.config, outdir=args.outdir)
+        for stage in STAGES if args.command == "pipeline" else (args.command,):
+            run_stage(stage, cfg)
         return 0
     except PrerequisiteError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -389,7 +388,6 @@ def grid_search(
     axes: dict[str, list],
     run_trial,
     base_seed: int,
-    jobs: int = 1,
     top_n: int = 10,
 ) -> GridSearchResult:
     """Runs every config in the grid; ranking ignores execution order.
@@ -405,14 +403,7 @@ def grid_search(
         raise ValidationError("duplicate configs in grid")
     seeds = [derive_seed(base_seed, "trial", h) for h in hashes]
 
-    def run(i: int) -> dict:
-        return run_trial(configs[i], seeds[i])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(run, range(len(configs))))
-    else:
-        outputs = [run(i) for i in range(len(configs))]
+    outputs = [run_trial(config, seed) for config, seed in zip(configs, seeds)]
 
     trials = []
     for config, h, seed, out in zip(configs, hashes, seeds, outputs):

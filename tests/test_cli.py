@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqfuse.cli import default_config, load_config, main, validate_config
+from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, default_config, load_config, main, validate_config
 from seqfuse.features import SUBGROUP_KEYS, EventTable
 
 
@@ -103,6 +103,13 @@ class TestConfigHandling:
         config = _write_config(tmp_path / "cfg.json", tmp_path / "a")
         cfg = load_config(str(config), outdir=str(tmp_path / "b"))
         assert cfg["outdir"] == str(tmp_path / "b")
+
+    def test_config_with_the_removed_jobs_key_loads(self, tmp_path):
+        # Older demo configs wrote "jobs": 1; it is dropped, not hashed.
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", train={"jobs": 1})
+        cfg = load_config(str(config))
+        assert "jobs" not in cfg["train"]
+        assert cfg == load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run")))
 
 
 class TestPipelineArtifacts:
@@ -204,6 +211,46 @@ class TestPipelineArtifacts:
         assert {"category", "feature", "importance"} <= set(rows[0])
         note = json.loads((outdir / "importance" / "importance.json").read_text())
         assert "binarized" in note["explains"]
+
+
+class TestArtifactTable:
+    def test_every_input_is_an_earlier_stages_output(self):
+        cfg = default_config()
+        cfg["train"].update({"algorithms": list(ALGORITHMS), "embedding_modes": ["linear", "pretrained"]})
+        table = _artifacts(cfg)
+        assert list(table) == list(STAGES)
+        produced: set[str] = set()
+        for stage in STAGES:
+            inputs, outputs = table[stage]
+            assert set(inputs) <= produced, (stage, sorted(set(inputs) - produced))
+            assert all(rel.startswith(f"{stage}/") for rel in outputs), stage
+            produced.update(outputs)
+        # 7 cells: LR once, each deep algorithm under both embeddings.
+        assert sum(rel.startswith("evaluate/scores_") for rel in table["report"][0]) == 7
+        assert len([rel for rel in table["train"][1] if rel.startswith("train/models/")]) == 1 + 6 * 2
+
+    def test_manifests_record_exactly_the_table(self, pipeline_run):
+        config, outdir = pipeline_run
+        table = _artifacts(load_config(str(config)))
+        for stage in STAGES:
+            manifest = json.loads((outdir / stage / "manifest.json").read_text())
+            inputs, outputs = table[stage]
+            assert sorted(manifest["inputs"]) == sorted(inputs), stage
+            assert sorted(manifest["outputs"]) == sorted(outputs), stage
+
+    def test_each_tampered_input_is_exit_3_until_restored(self, pipeline_run, tmp_path):
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        table = _artifacts(load_config(str(config)))
+        for stage in STAGES:
+            argv = [stage, "--config", str(config), "--outdir", str(copy)]
+            for rel in table[stage][0]:
+                original = (copy / rel).read_bytes()
+                (copy / rel).write_bytes(original + b"\0")
+                assert main(argv) == 3, (stage, rel)
+                (copy / rel).write_bytes(original)
+                assert main(argv) == 0, (stage, rel)
 
 
 class TestRerunsAndTampering:

@@ -338,43 +338,6 @@ class TestGridSearch:
             if trial.status == "ok":
                 assert trial.payload["seed_seen"] == expected
 
-    def test_parallel_equals_serial(self):
-        axes = {"lr": [0.5, 1.0, 1.5, 2.0], "width": [1, 2]}
-        serial = grid_search(axes, self._stub, base_seed=3, jobs=1)
-        parallel = grid_search(axes, self._stub, base_seed=3, jobs=2)
-        for a, b in zip(serial.trials, parallel.trials):
-            assert (a.config, a.seed, a.status, a.valid_auc, a.test_auc) == (
-                b.config, b.seed, b.status, b.valid_auc, b.test_auc,
-            )
-        assert serial.best.config == parallel.best.config
-
-    def test_parallel_equals_serial_on_real_trials(self, small_sequences, bundle):
-        """Trials on two threads each record on their own tape, so real
-        deep trials give the same AUCs as in series."""
-        sequences, _ = small_sequences
-        steps = [[list(st.indices) for st in s.steps] for s in sequences]
-        z = np.array([s.z for s in sequences], dtype=np.float64)
-        labels = np.array([float(s.readmit_label) for s in sequences])
-        positives: dict[str, int] = {}
-        for seq, label in zip(sequences, labels):
-            positives[seq.beneficiary_id] = positives.get(seq.beneficiary_id, 0) + int(label)
-        folds, _ = split_patients(positives, seed=5)
-        fold_of = {pid: name for name, pids in folds.items() for pid in pids}
-        fold_idx = {name: [] for name in folds}
-        for i, seq in enumerate(sequences):
-            fold_idx[fold_of[seq.beneficiary_id]].append(i)
-        runner = make_deep_runner(
-            steps, z, labels, fold_idx,
-            input_dim=bundle.ccs.input_dim, domain_dim=z.shape[1], fusion="late",
-            epochs=1, patience=1,
-        )
-        axes = {"embed_dim": [4], "hidden_dim": [4], "lr": [0.02, 0.01], "batch_size": [8]}
-        serial = grid_search(axes, runner, base_seed=3, jobs=1)
-        parallel = grid_search(axes, runner, base_seed=3, jobs=2)
-        for a, b in zip(serial.trials, parallel.trials):
-            assert a.status == b.status == "ok"
-            assert (a.valid_auc, a.test_auc) == (b.valid_auc, b.test_auc)
-
     def test_duplicate_configs_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             grid_search({"lr": [1.0, 1.0]}, self._stub, base_seed=1)
