@@ -9,7 +9,10 @@ instead of silently skewing results downstream. `_artifacts` is the one
 list of each stage's inputs and outputs, and `run_stage` runs a stage body
 under that protocol: verify the inputs, run, hash the outputs.
 
-`featurize` hands its events on as one columnar store,
+`cohort` is the one stage that parses and validates
+`generate/population.jsonl`; it hands the same sorted records on as
+`cohort/population.npz`, which `featurize` loads instead of parsing the
+JSONL again. `featurize` hands its events on as one columnar store,
 `featurize/events.npz` (an `EventTable`), which every later stage loads
 through `_load_sequences`; `featurize/sequences.jsonl` holds the same events
 as a human-readable record that no stage reads. `calibrate` keeps each
@@ -39,8 +42,11 @@ from .claims import (
     day_to_iso,
     generate_population,
     ingest_claims,
+    read_population_npz,
     write_ground_truth,
+    write_npz,
     write_population,
+    write_population_npz,
 )
 from .cohort import IndexEvent, build_cohort, cohort_summary
 from .errors import (
@@ -52,7 +58,7 @@ from .errors import (
     SeqfuseError,
     ValidationError,
 )
-from .features import SUBGROUP_KEYS, EventTable, SequenceOptions, featurize_events, write_npz
+from .features import SUBGROUP_KEYS, EventTable, SequenceOptions, featurize_events
 from .knowledge import CcsMap, load_bundle
 from .metrics import (
     auc,
@@ -326,9 +332,14 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     calibrated = ["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
     return {
         "generate": ([], population + ["generate/ground_truth.csv", "generate/generator_info.json"]),
-        "cohort": (population, ["cohort/index_events.jsonl", "cohort/summary.csv", "cohort/audit.json"]),
-        # index_events.jsonl only pins featurize after cohort; featurize rebuilds the cohort.
-        "featurize": (population + ["cohort/index_events.jsonl"], ["featurize/sequences.jsonl"] + events + embedding),
+        "cohort": (
+            population,
+            ["cohort/index_events.jsonl", "cohort/population.npz", "cohort/summary.csv", "cohort/audit.json"],
+        ),
+        "featurize": (
+            ["cohort/population.npz", "generate/ccs_map.csv"],
+            ["featurize/sequences.jsonl"] + events + embedding,
+        ),
         "train": (events + embedding, ["train/split.json", "train/trials.csv", "train/summary.json"] + models),
         "calibrate": (events + ["train/split.json"] + models, calibrated),
         "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, evaluated),
@@ -406,6 +417,7 @@ def _event_row(event: IndexEvent) -> dict:
 def stage_cohort(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "cohort"
     beneficiaries, claims = ingest_claims(outdir / "generate" / "population.jsonl")
+    write_population_npz(stage_dir / "population.npz", beneficiaries, claims)
     bundle = _knowledge_bundle(cfg, outdir)
     events, stays, audit = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
     with open(stage_dir / "index_events.jsonl", "w", encoding="utf-8") as fh:
@@ -422,7 +434,7 @@ def stage_cohort(cfg: dict, outdir: Path) -> None:
 
 def stage_featurize(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "featurize"
-    beneficiaries, claims = ingest_claims(outdir / "generate" / "population.jsonl")
+    beneficiaries, claims = read_population_npz(outdir / "cohort" / "population.npz")
     bundle = _knowledge_bundle(cfg, outdir)
     events, stays, _ = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
     feats = cfg["features"]

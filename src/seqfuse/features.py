@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import Beneficiary, ClaimRecord
+from .claims import Beneficiary, ClaimRecord, _ptr, write_npz
 from .cohort import IndexEvent, InpatientStay, age_band
 from .errors import ValidationError
 from .knowledge import (
@@ -215,33 +215,25 @@ def build_domain_vector(
     }
 
     values: list[float] = []
-    names: list[str] = []
     for feature in bundle.domain_spec:
         if feature.name not in raw:
             raise ValidationError(f"domain spec references unknown feature {feature.name!r}")
         value = raw[feature.name]
         if feature.encoding == "numeric":
             values.append(float(value))
-            names.append(feature.name)
         elif feature.encoding == "binary":
             values.append(1.0 if value else 0.0)
-            names.append(feature.name)
         elif feature.encoding == "one_hot":
             values.extend(_one_hot(str(value), feature.levels))
-            names.extend([f"{feature.name}={level}" for level in feature.levels] + [f"{feature.name}=(other)"])
         elif feature.encoding == "one_hot_dx_ccs":
             vec = [0.0] * ccs.n_dx_columns
             vec[int(value)] = 1.0
             values.extend(vec)
-            names.extend(
-                [f"{feature.name}={cat}" for cat in range(ccs.n_dx)] + [f"{feature.name}=(other)"]
-            )
         elif feature.encoding == "flags":
             values.extend(float(f) for f in value)
-            names.extend(f"{feature.name}[{rule.name}]" for rule in bundle.hac_rules)
         else:
             raise ValidationError(f"feature {feature.name!r}: unknown encoding {feature.encoding!r}")
-    return values, names
+    return values, list(bundle.domain_names)
 
 
 def charlson_band(charlson: int) -> str:
@@ -312,27 +304,6 @@ def featurize_events(
 SUBGROUP_KEYS = ("age_range", "gender", "race", "medicare_status", "charlson_band")
 # EventTable columns indexed by step, index or procedure rather than by event.
 _CSR_COLUMNS = ("step_ptr", "day_offset", "idx_ptr", "indices", "proc_ptr", "proc_ccs")
-
-
-def write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """`np.savez` without its clock: uncompressed `.npy` members, no
-    pickles, and a fixed member timestamp, so equal arrays give equal
-    bytes. (`np.savez` stamps each member with the current time, which
-    would break byte-identical reruns.)"""
-    import zipfile
-
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        for key, value in arrays.items():
-            info = zipfile.ZipInfo(f"{key}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            with zf.open(info, "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asanyarray(value), allow_pickle=False)
-
-
-def _ptr(lengths) -> np.ndarray:
-    """CSR row pointers for rows of the given lengths."""
-    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ptr[1:])
-    return ptr
 
 
 def _csr_take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,9 +8,17 @@ modules that need randomness take an explicit seed and construct their own
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+# Streams stepped together by `Xoshiro256.streams`: its numpy block arrays
+# hold 2 * 8 bytes per stream and draw, so about 4 MiB at the default block.
+_LOCKSTEP_STREAMS = 1024
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -49,12 +57,27 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+def _np_splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`splitmix64` over a uint64 array. Every operand is uint64, so numpy
+    1.x and 2.x (NEP 50) type the results alike, and products wrap."""
+    state = state + np.uint64(0x9E3779B97F4A7C15)
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return state, z ^ (z >> np.uint64(31))
+
+
+def _np_rotl(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+
 class Xoshiro256:
     """xoshiro256** with the usual conversions (uniform, normal, poisson...).
 
-    Plain-Python integer arithmetic: slower than numpy's generators but
-    byte-for-byte reproducible everywhere, which the artifact contracts
-    (identical outputs for identical seeds) care about more than speed.
+    A stream is exact integer arithmetic, so it is byte-for-byte
+    reproducible everywhere, which the artifact contracts (identical
+    outputs for identical seeds) care about more than speed. One stream
+    steps in plain Python; `streams` steps many in numpy at once for their
+    first draws, with the same values.
     """
 
     def __init__(self, seed: int):
@@ -64,8 +87,60 @@ class Xoshiro256:
             state, out = splitmix64(state)
             self._s.append(out)
         self._spare_normal: float | None = None
+        # Precomputed draws (see `streams`), handed out before `_s` steps.
+        self._block: list[int] = []
+        self._block_f: list[float] = []
+        self._pos = self._end = 0
+
+    @classmethod
+    def streams(cls, seeds: Iterable[int], block: int = 256) -> Iterator["Xoshiro256"]:
+        """One stream per seed, in order, each equal draw for draw to
+        `Xoshiro256(seed)`.
+
+        The streams are seeded and stepped side by side in numpy uint64
+        for their first `block` draws, in groups of `_LOCKSTEP_STREAMS`
+        (vectorised independent streams, as in Salmon et al., "Parallel
+        random numbers: as easy as 1, 2, 3", SC 2011). A stream hands out
+        its block, u64 values and the matching `random()` floats, and then
+        steps on alone from the state the block ended in.
+        """
+        seeds = iter(seeds)
+        while group := [seed & _MASK64 for seed in itertools.islice(seeds, _LOCKSTEP_STREAMS)]:
+            state = np.array(group, dtype=np.uint64)
+            s = []
+            for _ in range(4):
+                state, out = _np_splitmix64(state)
+                s.append(out)
+            s0, s1, s2, s3 = s
+            draws = np.empty((len(group), block), dtype=np.uint64)
+            for k in range(block):
+                draws[:, k] = _np_rotl(s1 * np.uint64(5), 7) * np.uint64(9)
+                t = s1 << np.uint64(17)
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = _np_rotl(s3, 45)
+            floats = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            ends = np.stack([s0, s1, s2, s3], axis=1).tolist()
+            for j, end in enumerate(ends):
+                gen = cls.__new__(cls)
+                gen._s = end
+                gen._spare_normal = None
+                gen._block = draws[j].tolist()
+                gen._block_f = floats[j].tolist()
+                gen._pos, gen._end = 0, block
+                yield gen
 
     def next_u64(self) -> int:
+        pos = self._pos
+        if pos < self._end:
+            self._pos = pos + 1
+            return self._block[pos]
+        return self._step()
+
+    def _step(self) -> int:
         s0, s1, s2, s3 = self._s
         result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
         t = (s1 << 17) & _MASK64
@@ -80,7 +155,11 @@ class Xoshiro256:
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        pos = self._pos
+        if pos < self._end:
+            self._pos = pos + 1
+            return self._block_f[pos]
+        return (self._step() >> 11) * 2.0**-53
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
@@ -90,7 +169,7 @@ class Xoshiro256:
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         n = hi - lo + 1
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        limit = _TWO64 - _TWO64 % n
         while True:
             u = self.next_u64()
             if u < limit:

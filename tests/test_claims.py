@@ -15,13 +15,18 @@ from seqfuse.claims import (
     day_to_iso,
     default_signals,
     generate_population,
+    _gen_patient,
     ingest_claims,
     iso_to_day,
     read_ground_truth,
+    read_population_npz,
     write_ground_truth,
     write_population,
+    write_population_npz,
 )
 from seqfuse.errors import ParseError, ValidationError
+from seqfuse.knowledge import CcsMap, load_charlson_weights
+from seqfuse.rng import Xoshiro256, derive_seed
 
 
 def make_inpatient(**overrides) -> ClaimRecord:
@@ -196,6 +201,27 @@ class TestPopulationFiles:
         with pytest.raises(ParseError):
             ingest_claims(path)
 
+    def test_columnar_store_returns_the_records_it_was_given(self, tmp_path):
+        bens = [
+            make_beneficiary(beneficiary_id="B1", death_date=iso_to_day("2011-09-01")),
+            make_beneficiary(
+                beneficiary_id="Bé\0", dual_eligible=True, enrollment_intervals=((-400, -10), (0, 99), (100, 200))
+            ),
+        ]
+        claims = [
+            make_inpatient(claim_id="C1", dx_codes=("D0031", "D0001"), proc_codes=()),
+            ClaimRecord("C2", "Bé\0", "outpatient", 5, 5, ("D0001",), ("P0002", "P0001"), facility_id=""),
+            ClaimRecord("C3", "Bé\0", "ed", 7, 7, ()),
+        ]
+        path = tmp_path / "pop.npz"
+        write_population_npz(path, bens, claims)
+        loaded_bens, loaded_claims = read_population_npz(path)
+        assert loaded_bens == bens and loaded_claims == claims
+        assert loaded_claims[1].facility_id == "" and loaded_claims[0].facility_id == "F01"
+        assert loaded_claims[2].drg is None and loaded_bens[0].death_date is not None
+        write_population_npz(path, bens[:1], [])
+        assert read_population_npz(path) == (bens[:1], [])
+
     def test_ground_truth_header_contract(self, tmp_path):
         rows = [
             GroundTruth(
@@ -251,6 +277,22 @@ class TestGenerator:
         assert again.beneficiaries == small_population.beneficiaries
         assert again.claims == small_population.claims
         assert again.truth == small_population.truth
+
+    @pytest.mark.parametrize("n_patients, seed", [(1100, 5), (60, 20110901)])
+    def test_equals_one_scalar_stream_per_patient(self, n_patients, seed):
+        cfg = SyntheticConfig(n_patients=n_patients, seed=seed)
+        ccs = CcsMap.synthetic(cfg.dx_vocab, cfg.proc_vocab)
+        weights = load_charlson_weights()
+        beneficiaries, claims, truth = [], [], []
+        for i in range(n_patients):
+            ben, patient_claims, row = _gen_patient(i, cfg, ccs, weights, Xoshiro256(derive_seed(seed, "patient", i)))
+            beneficiaries.append(ben)
+            claims.extend(patient_claims)
+            truth.extend([row] if row is not None else [])
+        population = generate_population(cfg)
+        assert population.beneficiaries == beneficiaries
+        assert population.claims == claims
+        assert population.truth == truth
 
     def test_every_claim_validates_and_references_a_beneficiary(self, small_population):
         ids = {b.beneficiary_id for b in small_population.beneficiaries}

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqfuse.claims import ingest_claims, read_population_npz
 from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, default_config, load_config, main, validate_config
 from seqfuse.features import SUBGROUP_KEYS, EventTable
 
@@ -298,6 +299,24 @@ class TestColumnarArtifacts:
         procs = [r["subgroup"]["proc_ccs"] for r in rows]
         assert np.diff(table.proc_ptr).tolist() == [len(p) for p in procs]
         assert table.proc_ccs.tolist() == [c for p in procs for c in p]
+
+    def test_population_store_equals_the_ingested_records(self, pipeline_run):
+        _, outdir = pipeline_run
+        stored = read_population_npz(outdir / "cohort" / "population.npz")
+        assert stored == ingest_claims(outdir / "generate" / "population.jsonl")
+
+    def test_featurize_reads_the_store_instead_of_parsing(self, pipeline_run, tmp_path, monkeypatch):
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("featurize parsed population.jsonl")
+
+        monkeypatch.setattr("seqfuse.cli.ingest_claims", refuse)
+        assert main(["featurize", "--config", str(config), "--outdir", str(copy)]) == 0
+        for path in sorted((outdir / "featurize").glob("*.*")):
+            assert (copy / "featurize" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_featurize_rerun_is_byte_identical(self, pipeline_run):
         config, outdir = pipeline_run

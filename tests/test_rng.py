@@ -142,3 +142,45 @@ class TestConversions:
         gen = Xoshiro256(11)
         hits = sum(gen.bernoulli(0.3) for _ in range(30000))
         assert abs(hits / 30000 - 0.3) < 0.01
+
+
+def _draw_through_every_conversion(gen):
+    """One pass through each conversion; randint over three quarters of
+    2**64 rejects about a quarter of its draws."""
+    items = list(range(12))
+    gen.shuffle(items)
+    return [
+        gen.random(),
+        gen.randint(0, 5),
+        gen.randint(0, 3 * 2**62),
+        gen.choice("abcdefg"),
+        gen.normal(),
+        gen.normal(1.0, 2.0),
+        gen.normal(),
+        gen.poisson(2.2),
+        gen.sample(range(30), 6),
+        items,
+        gen.bernoulli(0.3),
+        gen.next_u64(),
+    ]
+
+
+class TestBulkStreams:
+    def test_equal_to_scalar_streams_over_many_seeds(self):
+        # More seeds than one lock-step group, plus seeds that need masking.
+        seeds = [derive_seed(11, "bulk", i) for i in range(1100)] + [0, _MASK, -1, 1 << 70]
+        streams = Xoshiro256.streams(seeds)
+        for seed, bulk in zip(seeds, streams):
+            scalar = Xoshiro256(seed)
+            for _ in range(3):
+                assert _draw_through_every_conversion(bulk) == _draw_through_every_conversion(scalar), seed
+        assert next(streams, None) is None
+
+    def test_draws_past_the_block_continue_bit_for_bit(self):
+        seeds = [derive_seed(12, "short", i) for i in range(40)]
+        for block in (1, 7):
+            for seed, bulk in zip(seeds, Xoshiro256.streams(seeds, block=block)):
+                scalar = Xoshiro256(seed)
+                assert [bulk.next_u64() for _ in range(block + 20)] == [scalar.next_u64() for _ in range(block + 20)]
+                assert _draw_through_every_conversion(bulk) == _draw_through_every_conversion(scalar)
+                assert bulk._s == scalar._s
