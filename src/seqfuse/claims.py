@@ -49,6 +49,24 @@ def day_to_iso(day: int) -> str:
     return date.fromordinal(day + _EPOCH_ORDINAL).isoformat()
 
 
+# The text fields of each record; `validate` holds them to str (or None),
+# which `write_population_npz` relies on.
+_BEN_TEXT = ("beneficiary_id", "gender", "race", "medicare_status")
+_CLAIM_TEXT = (
+    "claim_id",
+    "beneficiary_id",
+    "claim_type",
+    "drg",
+    "admission_type",
+    "admission_source",
+    "discharge_disposition",
+    "facility_id",
+)
+_CLAIM_CODES = ("dx_codes", "proc_codes")
+_STR = {str}
+_STR_OR_NONE = {str, type(None)}
+
+
 @dataclass(frozen=True)
 class ClaimRecord:
     claim_id: str
@@ -67,6 +85,12 @@ class ClaimRecord:
     def validate(self) -> None:
         if not self.claim_id or not self.beneficiary_id:
             raise ValidationError("claim_id and beneficiary_id must be non-empty")
+        # Type checks for the text fields that the membership checks below
+        # leave open (written as sets of types to keep ingest fast).
+        if not set(map(type, (self.claim_id, self.beneficiary_id, *self.dx_codes, *self.proc_codes))) <= _STR:
+            raise ValidationError(f"claim {self.claim_id!r}: claim_id, beneficiary_id, dx_codes and proc_codes must be strings")
+        if not {type(self.drg), type(self.facility_id)} <= _STR_OR_NONE:
+            raise ValidationError(f"claim {self.claim_id!r}: drg and facility_id must be strings")
         if self.claim_type not in CLAIM_TYPES:
             raise ValidationError(f"claim {self.claim_id}: claim_type {self.claim_type!r} not in {CLAIM_TYPES}")
         if self.admit_date > self.discharge_date:
@@ -150,8 +174,8 @@ class Beneficiary:
     death_date: int | None = None
 
     def validate(self) -> None:
-        if not self.beneficiary_id:
-            raise ValidationError("beneficiary_id must be non-empty")
+        if not self.beneficiary_id or not isinstance(self.beneficiary_id, str):
+            raise ValidationError("beneficiary_id must be a non-empty string")
         if self.gender not in GENDERS:
             raise ValidationError(f"beneficiary {self.beneficiary_id}: gender {self.gender!r} invalid")
         if self.race not in RACES:
@@ -294,20 +318,6 @@ def _ptr(lengths) -> np.ndarray:
     return ptr
 
 
-_BEN_TEXT = ("beneficiary_id", "gender", "race", "medicare_status")
-_CLAIM_TEXT = (
-    "claim_id",
-    "beneficiary_id",
-    "claim_type",
-    "drg",
-    "admission_type",
-    "admission_source",
-    "discharge_disposition",
-    "facility_id",
-)
-_CLAIM_CODES = ("dx_codes", "proc_codes")
-
-
 def write_population_npz(path: str | Path, beneficiaries: list[Beneficiary], claims: list[ClaimRecord]) -> None:
     """The records as columns, in the order given, for `read_population_npz`.
 
@@ -341,7 +351,7 @@ def write_population_npz(path: str | Path, beneficiaries: list[Beneficiary], cla
         rows = [getattr(c, name) for c in claims]
         cols[f"claim.{name}_ptr"] = _ptr([len(row) for row in rows])
         cols[f"claim.{name}"] = codes([code for row in rows for code in row])
-    encoded = [word.encode("utf-8") for word in text if word is not None]
+    encoded = [word.encode("utf-8", "surrogatepass") for word in text if word is not None]
     cols["text_ptr"] = _ptr([len(word) for word in encoded])
     cols["text"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
     write_npz(Path(path), cols)
@@ -354,7 +364,7 @@ def read_population_npz(path: str | Path) -> tuple[list[Beneficiary], list[Claim
         cols = {key: npz[key] for key in npz.files}
     blob = cols.pop("text").tobytes()
     ptr = cols.pop("text_ptr").tolist()
-    words = [blob[start:end].decode("utf-8") for start, end in zip(ptr, ptr[1:])] + [None]
+    words = [blob[start:end].decode("utf-8", "surrogatepass") for start, end in zip(ptr, ptr[1:])] + [None]
     cols = {key: value.tolist() for key, value in cols.items()}
 
     def text(name: str) -> list:

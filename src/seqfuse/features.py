@@ -171,6 +171,33 @@ def build_domain_vector(
     comorbidity pools diagnosis codes over that window plus the index stay.
     Unknown categorical values land in each feature's reserved (other) slot.
     """
+    return _domain_values(event, beneficiary, claims, stays, bundle, lookback_days), _domain_names(bundle)
+
+
+def _domain_names(bundle: KnowledgeBundle) -> list[str]:
+    """The column names of z, in the layout `_domain_values` fills."""
+    names: list[str] = []
+    for feature in bundle.domain_spec:
+        if feature.encoding in ("numeric", "binary"):
+            names.append(feature.name)
+        elif feature.encoding == "one_hot":
+            names.extend([f"{feature.name}={level}" for level in feature.levels] + [f"{feature.name}=(other)"])
+        elif feature.encoding == "one_hot_dx_ccs":
+            names.extend([f"{feature.name}={cat}" for cat in range(bundle.ccs.n_dx)] + [f"{feature.name}=(other)"])
+        elif feature.encoding == "flags":
+            names.extend(f"{feature.name}[{rule.name}]" for rule in bundle.hac_rules)
+    return names
+
+
+def _domain_values(
+    event: IndexEvent,
+    beneficiary: Beneficiary,
+    claims: list[ClaimRecord],
+    stays: list[InpatientStay],
+    bundle: KnowledgeBundle,
+    lookback_days: int = 365,
+) -> list[float]:
+    """The values of z (see `build_domain_vector`)."""
     stay = event.stay
     ccs = bundle.ccs
     admit = stay.admit_date
@@ -233,7 +260,7 @@ def build_domain_vector(
             values.extend(float(f) for f in value)
         else:
             raise ValidationError(f"feature {feature.name!r}: unknown encoding {feature.encoding!r}")
-    return values, list(bundle.domain_names)
+    return values
 
 
 def charlson_band(charlson: int) -> str:
@@ -262,7 +289,7 @@ def featurize_events(
         stays_by_ben.setdefault(stay.beneficiary_id, []).append(stay)
 
     sequences: list[PatientSequence] = []
-    z_names: list[str] = []
+    z_names = _domain_names(bundle)
     for event in events:
         if not event.eligible:
             continue
@@ -271,11 +298,10 @@ def featurize_events(
         ben_claims = claims_by_ben.get(bid, [])
         ben_stays = stays_by_ben.get(bid, [])
         steps = build_sequence(event, ben_claims, ben_stays, bundle.ccs, opts)
-        z, names = build_domain_vector(event, ben, ben_claims, ben_stays, bundle)
-        if z_names and names != z_names:
-            raise ValidationError("domain vector layout changed between events")
-        z_names = names
-        charlson = z[names.index("charlson_index")]
+        z = _domain_values(event, ben, ben_claims, ben_stays, bundle)
+        if len(z) != len(z_names):
+            raise ValidationError(f"domain vector has {len(z)} values for {len(z_names)} names")
+        charlson = z[z_names.index("charlson_index")]
         subgroup = {
             "age_range": age_band(event.age),
             "gender": ben.gender,

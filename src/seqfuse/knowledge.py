@@ -11,7 +11,6 @@ them for files derived from the published crosswalks without code changes.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -316,23 +315,6 @@ class KnowledgeBundle:
     acute_drgs: frozenset[str]
     lace_tables: LaceTables
     domain_spec: list[DomainFeature]
-
-    @functools.cached_property
-    def domain_names(self) -> list[str]:
-        """The names of the domain vector's columns, matching the values
-        `features.build_domain_vector` builds position by position. Built
-        once per bundle; do not mutate the list."""
-        names: list[str] = []
-        for feature in self.domain_spec:
-            if feature.encoding in ("numeric", "binary"):
-                names.append(feature.name)
-            elif feature.encoding == "one_hot":
-                names.extend([f"{feature.name}={level}" for level in feature.levels] + [f"{feature.name}=(other)"])
-            elif feature.encoding == "one_hot_dx_ccs":
-                names.extend([f"{feature.name}={cat}" for cat in range(self.ccs.n_dx)] + [f"{feature.name}=(other)"])
-            elif feature.encoding == "flags":
-                names.extend(f"{feature.name}[{rule.name}]" for rule in self.hac_rules)
-        return names
 
 
 def load_bundle(ccs: CcsMap, paths: dict[str, str | Path] | None = None) -> KnowledgeBundle:

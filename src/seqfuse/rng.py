@@ -16,9 +16,12 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
-# Streams stepped together by `Xoshiro256.streams`: its numpy block arrays
-# hold 2 * 8 bytes per stream and draw, so about 4 MiB at the default block.
+# `Xoshiro256.streams` steps up to `_LOCKSTEP_STREAMS` streams together for
+# their first `_BLOCK_DRAWS` draws; its numpy block arrays hold 2 * 8 bytes
+# per stream and draw, so about 4 MiB. A synthetic patient takes at most
+# about 255 draws (mean 133), so few streams step on past their block.
 _LOCKSTEP_STREAMS = 1024
+_BLOCK_DRAWS = 256
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -93,18 +96,19 @@ class Xoshiro256:
         self._pos = self._end = 0
 
     @classmethod
-    def streams(cls, seeds: Iterable[int], block: int = 256) -> Iterator["Xoshiro256"]:
+    def streams(cls, seeds: Iterable[int]) -> Iterator["Xoshiro256"]:
         """One stream per seed, in order, each equal draw for draw to
         `Xoshiro256(seed)`.
 
         The streams are seeded and stepped side by side in numpy uint64
-        for their first `block` draws, in groups of `_LOCKSTEP_STREAMS`
+        for their first `_BLOCK_DRAWS` draws, in groups of `_LOCKSTEP_STREAMS`
         (vectorised independent streams, as in Salmon et al., "Parallel
         random numbers: as easy as 1, 2, 3", SC 2011). A stream hands out
         its block, u64 values and the matching `random()` floats, and then
         steps on alone from the state the block ended in.
         """
         seeds = iter(seeds)
+        block = _BLOCK_DRAWS
         while group := [seed & _MASK64 for seed in itertools.islice(seeds, _LOCKSTEP_STREAMS)]:
             state = np.array(group, dtype=np.uint64)
             s = []

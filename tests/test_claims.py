@@ -2,6 +2,7 @@
 synthetic generator must guarantee (determinism, planted-signal bookkeeping,
 presence of the structural edge cases downstream code screens for)."""
 
+import json
 import math
 
 import pytest
@@ -201,6 +202,28 @@ class TestPopulationFiles:
         with pytest.raises(ParseError):
             ingest_claims(path)
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("claim", "drg", 470),
+            ("claim", "facility_id", 12),
+            ("claim", "claim_id", 3),
+            ("claim", "dx_codes", ["D0001", 5]),
+            ("claim", "proc_codes", [None]),
+            ("beneficiary", "beneficiary_id", 1),
+        ],
+    )
+    def test_non_string_text_rejected(self, tmp_path, kind, field, value):
+        path = tmp_path / "pop.jsonl"
+        write_population(path, [make_beneficiary()], [make_inpatient()])
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        for obj in objs:
+            if obj["kind"] == kind:
+                obj[field] = value
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        with pytest.raises(ParseError, match=field):
+            ingest_claims(path)
+
     def test_columnar_store_returns_the_records_it_was_given(self, tmp_path):
         bens = [
             make_beneficiary(beneficiary_id="B1", death_date=iso_to_day("2011-09-01")),
@@ -211,7 +234,8 @@ class TestPopulationFiles:
         claims = [
             make_inpatient(claim_id="C1", dx_codes=("D0031", "D0001"), proc_codes=()),
             ClaimRecord("C2", "Bé\0", "outpatient", 5, 5, ("D0001",), ("P0002", "P0001"), facility_id=""),
-            ClaimRecord("C3", "Bé\0", "ed", 7, 7, ()),
+            # A lone surrogate is a valid str that strict UTF-8 cannot encode.
+            ClaimRecord("C3", "Bé\0", "ed", 7, 7, (), facility_id="\udc80"),
         ]
         path = tmp_path / "pop.npz"
         write_population_npz(path, bens, claims)

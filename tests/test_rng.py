@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from seqfuse import rng
 from seqfuse.rng import Xoshiro256, derive_seed, splitmix64
 
 _MASK = (1 << 64) - 1
@@ -176,11 +177,12 @@ class TestBulkStreams:
                 assert _draw_through_every_conversion(bulk) == _draw_through_every_conversion(scalar), seed
         assert next(streams, None) is None
 
-    def test_draws_past_the_block_continue_bit_for_bit(self):
+    @pytest.mark.parametrize("block", [1, 7, rng._BLOCK_DRAWS])
+    def test_draws_past_the_block_continue_bit_for_bit(self, block, monkeypatch):
+        monkeypatch.setattr(rng, "_BLOCK_DRAWS", block)
         seeds = [derive_seed(12, "short", i) for i in range(40)]
-        for block in (1, 7):
-            for seed, bulk in zip(seeds, Xoshiro256.streams(seeds, block=block)):
-                scalar = Xoshiro256(seed)
-                assert [bulk.next_u64() for _ in range(block + 20)] == [scalar.next_u64() for _ in range(block + 20)]
-                assert _draw_through_every_conversion(bulk) == _draw_through_every_conversion(scalar)
-                assert bulk._s == scalar._s
+        for seed, bulk in zip(seeds, Xoshiro256.streams(seeds)):
+            scalar = Xoshiro256(seed)
+            assert [bulk.next_u64() for _ in range(block + 20)] == [scalar.next_u64() for _ in range(block + 20)]
+            assert _draw_through_every_conversion(bulk) == _draw_through_every_conversion(scalar)
+            assert bulk._s == scalar._s
