@@ -8,9 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricUndefinedError, NumericsError, ValidationError
-from .features import EventTable, PatientSequence, step_columns
-
-_Z_WIDTH_ERROR = "domain vector width does not match its name list"
+from .features import EventTable
 
 
 @dataclass
@@ -23,42 +21,30 @@ class FlatTable:
     categories: list[str]
 
 
-def flatten(
-    events: EventTable | list[PatientSequence],
-    n_dx_columns: int,
-    n_proc_columns: int,
-    z_names: list[str],
-) -> FlatTable:
+def flatten(table: EventTable, n_dx_columns: int, n_proc_columns: int, z_names: list[str]) -> FlatTable:
     """One row per event: per input column the number of steps holding it
     and that count over the event's step count, then z.
 
-    A list of sequences is converted to the table's columns first. When
-    both an index and z are wrong, the z error is the one raised.
+    When both an index and z are wrong, the z error is the one raised.
     """
-    n = len(events)
+    n = len(table)
     if n == 0:
         raise ValidationError("no sequences to flatten")
-    if isinstance(events, EventTable):
-        step_ptr, idx_ptr, indices, z = events.step_ptr, events.idx_ptr, events.indices, events.z
-    else:
-        if any(len(seq.z) != len(z_names) for seq in events):
-            raise ValidationError(_Z_WIDTH_ERROR)
-        step_ptr, _, idx_ptr, indices = step_columns(events)
-        z = np.array([seq.z for seq in events], dtype=np.float64).reshape(n, len(z_names))
-    if z.shape[1] != len(z_names):
-        raise ValidationError(_Z_WIDTH_ERROR)
+    if table.z.shape[1] != len(z_names):
+        raise ValidationError("domain vector width does not match its name list")
+    indices = table.indices
     input_dim = n_dx_columns + n_proc_columns
     outside = (indices < 0) | (indices >= input_dim)
     if outside.any():
         raise ValidationError(f"sequence index {indices[outside][0]} outside input dim {input_dim}")
-    n_steps = np.diff(step_ptr)
-    index_event = np.repeat(np.repeat(np.arange(n), n_steps), np.diff(idx_ptr))
+    n_steps = np.diff(table.step_ptr)
+    index_event = np.repeat(np.repeat(np.arange(n), n_steps), np.diff(table.idx_ptr))
     counts = np.zeros((n, input_dim))
     np.add.at(counts, (index_event, indices), 1.0)
     matrix = np.zeros((n, 2 * input_dim + len(z_names)))
     matrix[:, 0 : 2 * input_dim : 2] = counts
     matrix[:, 1 : 2 * input_dim : 2] = counts / n_steps[:, None]
-    matrix[:, 2 * input_dim :] = z
+    matrix[:, 2 * input_dim :] = table.z
     names: list[str] = []
     categories: list[str] = []
     for i in range(n_dx_columns):

@@ -12,12 +12,11 @@ under that protocol: verify the inputs, run, hash the outputs.
 `cohort` is the one stage that parses and validates
 `generate/population.jsonl`; it hands the same sorted records on as
 `cohort/population.npz`, which `featurize` loads instead of parsing the
-JSONL again. `featurize` hands its events on as one columnar store,
+JSONL again. `featurize` hands its events on in one form, the columnar
 `featurize/events.npz` (an `EventTable`), which every later stage loads
-through `_load_sequences`; `featurize/sequences.jsonl` holds the same events
-as a human-readable record that no stage reads. `calibrate` keeps each
-cell's uncalibrated scores in `calibrate/raw_scores.npz`, so `evaluate`
-scores events without predicting again.
+through `_load_sequences`. `calibrate` keeps each cell's uncalibrated
+scores in `calibrate/raw_scores.npz`, so `evaluate` scores events without
+predicting again.
 
 Exit codes: 0 success, 2 invalid input or config, 3 missing/stale
 prerequisite artifacts, 4 numerical failure.
@@ -129,30 +128,45 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
 _TOP_KEYS = {"outdir", "seed", "task", "generate", "features", "train", "calibrate", "evaluate", "knowledge"}
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bools, which Python counts as ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config(cfg: dict) -> list[str]:
-    """Collects every problem instead of stopping at the first."""
+    """Collects every problem instead of stopping at the first. Each value
+    is type-checked before its range, so a wrong type is one more problem
+    rather than a crash."""
     problems: list[str] = []
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown config keys: {sorted(unknown)}")
     if not isinstance(cfg.get("outdir"), str) or not cfg.get("outdir"):
         problems.append("outdir must be a non-empty string")
-    if not isinstance(cfg.get("seed"), int):
+    if not _is_int(cfg.get("seed")):
         problems.append("seed must be an integer")
     if cfg.get("task") not in TASKS:
         problems.append(f"task must be one of {TASKS}")
 
     gen = cfg.get("generate", {})
-    if not isinstance(gen.get("n_patients"), int) or gen.get("n_patients", 0) <= 0:
+    n_patients = gen.get("n_patients")
+    if not _is_int(n_patients) or n_patients <= 0:
         problems.append("generate.n_patients must be a positive integer")
-    if gen.get("mean_claims_per_patient", 1) <= 0:
-        problems.append("generate.mean_claims_per_patient must be positive")
+    mean_claims = gen.get("mean_claims_per_patient", 1)
+    if not _is_number(mean_claims) or mean_claims <= 0:
+        problems.append("generate.mean_claims_per_patient must be a positive number")
 
     feats = cfg.get("features", {})
-    if feats.get("lookback_days", 365) <= 0:
-        problems.append("features.lookback_days must be positive")
-    if feats.get("pretrained_embed_dim", 16) <= 0:
-        problems.append("features.pretrained_embed_dim must be positive")
+    lookback = feats.get("lookback_days", 365)
+    if not _is_int(lookback) or lookback <= 0:
+        problems.append("features.lookback_days must be a positive integer")
+    embed_dim = feats.get("pretrained_embed_dim", 16)
+    if not _is_int(embed_dim) or embed_dim <= 0:
+        problems.append("features.pretrained_embed_dim must be a positive integer")
 
     train = cfg.get("train", {})
     algorithms = train.get("algorithms", [])
@@ -162,23 +176,29 @@ def validate_config(cfg: dict) -> list[str]:
     if not modes or any(m not in EMBEDDING_MODES for m in modes):
         problems.append(f"train.embedding_modes must be a non-empty subset of {EMBEDDING_MODES}")
     fractions = train.get("fractions", [0.70, 0.15, 0.05, 0.10])
-    if len(fractions) != 4 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    if (
+        not isinstance(fractions, list)
+        or len(fractions) != 4
+        or not all(_is_number(f) and f >= 0 for f in fractions)
+        or abs(sum(fractions) - 1.0) > 1e-9
+    ):
         problems.append("train.fractions must be four non-negative numbers summing to 1")
-    if train.get("epochs", 1) <= 0:
-        problems.append("train.epochs must be positive")
-    if train.get("patience", 0) < 0:
-        problems.append("train.patience must be non-negative")
+    epochs = train.get("epochs", 1)
+    if not _is_int(epochs) or epochs <= 0:
+        problems.append("train.epochs must be a positive integer")
+    patience = train.get("patience", 0)
+    if not _is_int(patience) or patience < 0:
+        problems.append("train.patience must be a non-negative integer")
     grid = train.get("grid", {})
     if any(a in FUSION_OF for a in algorithms):
         for axis in ("embed_dim", "hidden_dim", "lr"):
             if not grid.get(axis):
                 problems.append(f"train.grid.{axis} must be a non-empty list")
         if "pretrained" in modes:
-            dim = feats.get("pretrained_embed_dim", 16)
-            bad = [e for e in grid.get("embed_dim", []) if e != dim]
+            bad = [e for e in grid.get("embed_dim", []) if e != embed_dim]
             if bad:
                 problems.append(
-                    f"train.grid.embed_dim values {bad} clash with features.pretrained_embed_dim={dim}"
+                    f"train.grid.embed_dim values {bad} clash with features.pretrained_embed_dim={embed_dim}"
                 )
     if "lr" in algorithms and not train.get("lr_grid", {}).get("l2"):
         problems.append("train.lr_grid.l2 must be a non-empty list")
@@ -191,12 +211,14 @@ def validate_config(cfg: dict) -> list[str]:
 
     ev = cfg.get("evaluate", {})
     threshold = ev.get("threshold", 0.5)
-    if not 0.0 < threshold < 1.0:
-        problems.append("evaluate.threshold must be in (0, 1)")
-    if any(not isinstance(k, int) or k < 1 for k in ev.get("top_k", [])):
-        problems.append("evaluate.top_k must hold positive integers")
-    if ev.get("n_min", 50) < 1:
-        problems.append("evaluate.n_min must be at least 1")
+    if not _is_number(threshold) or not 0.0 < threshold < 1.0:
+        problems.append("evaluate.threshold must be a number in (0, 1)")
+    top_k = ev.get("top_k", [])
+    if not isinstance(top_k, list) or not all(_is_int(k) and k >= 1 for k in top_k):
+        problems.append("evaluate.top_k must be a list of positive integers")
+    n_min = ev.get("n_min", 50)
+    if not _is_int(n_min) or n_min < 1:
+        problems.append("evaluate.n_min must be an integer of at least 1")
     return problems
 
 
@@ -338,7 +360,7 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
         ),
         "featurize": (
             ["cohort/population.npz", "generate/ccs_map.csv"],
-            ["featurize/sequences.jsonl"] + events + embedding,
+            events + embedding,
         ),
         "train": (events + embedding, ["train/split.json", "train/trials.csv", "train/summary.json"] + models),
         "calibrate": (events + ["train/split.json"] + models, calibrated),
@@ -444,26 +466,10 @@ def stage_featurize(cfg: dict, outdir: Path) -> None:
         lookback_days=feats.get("lookback_days", 365),
     )
     ben_map = {b.beneficiary_id: b for b in beneficiaries}
-    sequences, z_names = featurize_events(events, ben_map, claims, stays, bundle, opts)
-    if not sequences:
+    table, z_names = featurize_events(events, ben_map, claims, stays, bundle, opts)
+    if not len(table):
         raise ValidationError("no eligible events to featurize")
-    with open(stage_dir / "sequences.jsonl", "w", encoding="utf-8") as fh:
-        for seq in sequences:
-            obj = {
-                "event_id": seq.event_id,
-                "beneficiary_id": seq.beneficiary_id,
-                "steps": [[step.day_offset, list(step.indices)] for step in seq.steps],
-                "z": seq.z,
-                "readmit_label": int(seq.readmit_label),
-                "mortality_label": int(seq.mortality_label),
-                "mortality_excluded": seq.mortality_excluded,
-                "subgroup": {
-                    **{k: v for k, v in seq.subgroup.items() if k != "proc_ccs"},
-                    "proc_ccs": list(seq.subgroup["proc_ccs"]),
-                },
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    EventTable.from_sequences(sequences).save(stage_dir / "events.npz")
+    table.save(stage_dir / "events.npz")
     embed_dim = feats.get("pretrained_embed_dim", 16)
     write_random_embedding(
         stage_dir / "pretrained_embedding",
@@ -483,10 +489,10 @@ def stage_featurize(cfg: dict, outdir: Path) -> None:
                 "exclude_index_step": opts.exclude_index_step,
                 "lookback_days": opts.lookback_days,
             },
-            "n_events": len(sequences),
+            "n_events": len(table),
         },
     )
-    print(f"featurize: {len(sequences)} sequences, |z| = {len(z_names)}")
+    print(f"featurize: {len(table)} sequences, |z| = {len(z_names)}")
 
 
 def stage_train(cfg: dict, outdir: Path) -> None:

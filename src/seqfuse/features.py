@@ -6,43 +6,32 @@ utilization, comorbidity, and hospital-acquired-condition features. The
 layout of z is data-driven (see seqfuse/data/domain_spec.json), and the
 name list returned alongside the values always matches positionally.
 
-`EventTable` holds the same events column by column; it is the form the
-featurize stage hands to every later stage (`featurize/events.npz`).
+`featurize_events` appends each event straight into the columns of an
+`EventTable`, one row per event with its visit steps in CSR form; the
+featurize stage saves that table as `featurize/events.npz`, which every
+later stage loads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .claims import Beneficiary, ClaimRecord, _ptr, write_npz
-from .cohort import IndexEvent, InpatientStay, age_band
+from .cohort import LOOKBACK_DAYS, IndexEvent, InpatientStay, age_band
 from .errors import ValidationError
-from .knowledge import (
-    CcsMap,
-    DomainFeature,
-    KnowledgeBundle,
-    charlson_index,
-    hac_flags,
-    lace_score,
-)
+from .knowledge import CcsMap, KnowledgeBundle, charlson_index, hac_flags
 
 __all__ = [
     "SequenceOptions",
     "SequenceStep",
-    "PatientSequence",
     "EventTable",
     "SUBGROUP_KEYS",
-    "step_columns",
-    "write_npz",
     "build_sequence",
     "build_domain_vector",
     "featurize_events",
-    "charlson_index",
-    "hac_flags",
-    "lace_score",
 ]
 
 
@@ -57,25 +46,6 @@ class SequenceOptions:
 class SequenceStep:
     day_offset: int
     indices: tuple[int, ...]
-
-
-@dataclass
-class PatientSequence:
-    event_id: str
-    beneficiary_id: str
-    steps: list[SequenceStep]
-    z: list[float]
-    readmit_label: bool
-    mortality_label: bool
-    mortality_excluded: bool
-    subgroup: dict[str, object] = field(default_factory=dict)
-
-    def label_for(self, task: str) -> bool:
-        if task == "readmission":
-            return self.readmit_label
-        if task == "mortality":
-            return self.mortality_label
-        raise ValidationError(f"unknown task {task!r}")
 
 
 def _stay_indices(stay: InpatientStay, ccs: CcsMap) -> tuple[int, ...]:
@@ -148,11 +118,11 @@ def _z_age_band(age: int) -> str:
     return f"{low}-{low + 4}"
 
 
-def _pooled_dx_codes(event: IndexEvent, claims: list[ClaimRecord], lookback_days: int) -> set[str]:
+def _pooled_dx_codes(event: IndexEvent, claims: list[ClaimRecord]) -> set[str]:
     admit = event.stay.admit_date
     codes = set(event.stay.all_dx)
     for claim in claims:
-        if claim.beneficiary_id == event.stay.beneficiary_id and admit - lookback_days <= claim.admit_date <= admit:
+        if claim.beneficiary_id == event.stay.beneficiary_id and admit - LOOKBACK_DAYS <= claim.admit_date <= admit:
             codes.update(claim.dx_codes)
     return codes
 
@@ -163,15 +133,16 @@ def build_domain_vector(
     claims: list[ClaimRecord],
     stays: list[InpatientStay],
     bundle: KnowledgeBundle,
-    lookback_days: int = 365,
 ) -> tuple[list[float], list[str]]:
     """The hand-crafted vector z and its positionally matched feature names.
 
-    Utilization counts cover the 12 months before the index admission;
-    comorbidity pools diagnosis codes over that window plus the index stay.
-    Unknown categorical values land in each feature's reserved (other) slot.
+    Utilization counts cover the `LOOKBACK_DAYS` (12 months) before the
+    index admission; comorbidity pools diagnosis codes over that window
+    plus the index stay. `features.lookback_days` sets only the window of
+    the visit steps, not this one. Unknown categorical values land in each
+    feature's reserved (other) slot.
     """
-    return _domain_values(event, beneficiary, claims, stays, bundle, lookback_days), _domain_names(bundle)
+    return _domain_values(event, beneficiary, claims, stays, bundle), _domain_names(bundle)
 
 
 def _domain_names(bundle: KnowledgeBundle) -> list[str]:
@@ -195,13 +166,12 @@ def _domain_values(
     claims: list[ClaimRecord],
     stays: list[InpatientStay],
     bundle: KnowledgeBundle,
-    lookback_days: int = 365,
 ) -> list[float]:
     """The values of z (see `build_domain_vector`)."""
     stay = event.stay
     ccs = bundle.ccs
     admit = stay.admit_date
-    window_start = admit - lookback_days
+    window_start = admit - LOOKBACK_DAYS
 
     n_inpatient = sum(
         1
@@ -216,7 +186,7 @@ def _domain_values(
                 n_outpatient += 1
             elif claim.claim_type == "ed":
                 n_ed += 1
-    charlson = charlson_index(_pooled_dx_codes(event, claims, lookback_days), ccs, bundle.charlson_weights)
+    charlson = charlson_index(_pooled_dx_codes(event, claims), ccs, bundle.charlson_weights)
     dx_cats = {ccs.dx_category(c) for c in stay.all_dx}
     proc_cats = {ccs.proc_category(p) for p in stay.all_proc}
     flags = hac_flags(dx_cats, proc_cats, bundle.hac_rules)
@@ -278,9 +248,9 @@ def featurize_events(
     stays: list[InpatientStay],
     bundle: KnowledgeBundle,
     opts: SequenceOptions = SequenceOptions(),
-) -> tuple[list[PatientSequence], list[str]]:
-    """Builds sequences and z for every eligible event, with subgroup
-    attributes attached for downstream reporting."""
+) -> tuple[EventTable, list[str]]:
+    """The visit steps, z, labels and subgroup attributes of every eligible
+    event, in event order, as one `EventTable`; and the names of z."""
     claims_by_ben: dict[str, list[ClaimRecord]] = {}
     for claim in claims:
         claims_by_ben.setdefault(claim.beneficiary_id, []).append(claim)
@@ -288,8 +258,10 @@ def featurize_events(
     for stay in stays:
         stays_by_ben.setdefault(stay.beneficiary_id, []).append(stay)
 
-    sequences: list[PatientSequence] = []
     z_names = _domain_names(bundle)
+    charlson_at = z_names.index("charlson_index")
+    # Per event column, its values; per CSR column, its row lengths.
+    cols: dict[str, list] = {f.name: [] for f in fields(EventTable)}
     for event in events:
         if not event.eligible:
             continue
@@ -301,28 +273,36 @@ def featurize_events(
         z = _domain_values(event, ben, ben_claims, ben_stays, bundle)
         if len(z) != len(z_names):
             raise ValidationError(f"domain vector has {len(z)} values for {len(z_names)} names")
-        charlson = z[z_names.index("charlson_index")]
-        subgroup = {
+        procs = sorted({bundle.ccs.proc_category(p) for p in event.stay.all_proc})
+        row = {
+            "event_id": event.event_id,
+            "beneficiary_id": bid,
+            "readmit_label": bool(event.readmit_label),
+            "mortality_label": bool(event.mortality_label),
+            "mortality_excluded": event.mortality_exclusion is not None,
+            "z": z,
+            "step_ptr": len(steps),
             "age_range": age_band(event.age),
             "gender": ben.gender,
             "race": ben.race,
             "medicare_status": ben.medicare_status,
-            "charlson_band": charlson_band(int(charlson)),
-            "proc_ccs": tuple(sorted({bundle.ccs.proc_category(p) for p in event.stay.all_proc})),
+            "charlson_band": charlson_band(int(z[charlson_at])),
+            "proc_ptr": len(procs),
         }
-        sequences.append(
-            PatientSequence(
-                event_id=event.event_id,
-                beneficiary_id=bid,
-                steps=steps,
-                z=z,
-                readmit_label=bool(event.readmit_label),
-                mortality_label=bool(event.mortality_label),
-                mortality_excluded=event.mortality_exclusion is not None,
-                subgroup=subgroup,
-            )
-        )
-    return sequences, z_names
+        for name, value in row.items():
+            cols[name].append(value)
+        for step in steps:
+            cols["day_offset"].append(step.day_offset)
+            cols["idx_ptr"].append(len(step.indices))
+            cols["indices"].extend(step.indices)
+        cols["proc_ccs"].extend(procs)
+    return EventTable(
+        **{name: np.array(cols[name], dtype=bool) for name in ("readmit_label", "mortality_label", "mortality_excluded")},
+        **{name: np.array(cols[name], dtype=np.str_) for name in ("event_id", "beneficiary_id", *SUBGROUP_KEYS)},
+        **{name: np.array(cols[name], dtype=np.int64) for name in ("day_offset", "indices", "proc_ccs")},
+        **{name: _ptr(cols[name]) for name in ("step_ptr", "idx_ptr", "proc_ptr")},
+        z=np.array(cols["z"], dtype=np.float64).reshape(len(cols["z"]), len(z_names)),
+    ), z_names
 
 
 # --- columnar form ------------------------------------------------------------
@@ -342,26 +322,13 @@ def _csr_take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return new_ptr, positions
 
 
-def step_columns(sequences: list[PatientSequence]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Visit steps as two-level CSR: (step_ptr, day_offset, idx_ptr, indices).
-
-    Event i's steps are rows step_ptr[i]:step_ptr[i+1]; step k's category
-    indices are indices[idx_ptr[k]:idx_ptr[k+1]].
-    """
-    steps = [step for seq in sequences for step in seq.steps]
-    indices = [index for step in steps for index in step.indices]
-    return (
-        _ptr([len(seq.steps) for seq in sequences]),
-        np.array([step.day_offset for step in steps], dtype=np.int64),
-        _ptr([len(step.indices) for step in steps]),
-        np.array(indices, dtype=np.int64),
-    )
-
-
 @dataclass(eq=False)
 class EventTable:
     """Featurized events as columns: one row per event, visit steps and
-    procedure categories in CSR form (see `step_columns`)."""
+    procedure categories in CSR form. Event i's steps are rows
+    step_ptr[i]:step_ptr[i+1] of `day_offset`; step k's category indices
+    are indices[idx_ptr[k]:idx_ptr[k+1]], and event i's index-stay
+    procedure categories are proc_ccs[proc_ptr[i]:proc_ptr[i+1]]."""
 
     event_id: np.ndarray
     beneficiary_id: np.ndarray
@@ -383,27 +350,6 @@ class EventTable:
 
     def __len__(self) -> int:
         return len(self.event_id)
-
-    @classmethod
-    def from_sequences(cls, sequences: list[PatientSequence]) -> "EventTable":
-        step_ptr, day_offset, idx_ptr, indices = step_columns(sequences)
-        procs = [s.subgroup["proc_ccs"] for s in sequences]
-        z_width = len(sequences[0].z) if sequences else 0
-        return cls(
-            event_id=np.array([s.event_id for s in sequences], dtype=np.str_),
-            beneficiary_id=np.array([s.beneficiary_id for s in sequences], dtype=np.str_),
-            readmit_label=np.array([s.readmit_label for s in sequences], dtype=bool),
-            mortality_label=np.array([s.mortality_label for s in sequences], dtype=bool),
-            mortality_excluded=np.array([s.mortality_excluded for s in sequences], dtype=bool),
-            z=np.array([s.z for s in sequences], dtype=np.float64).reshape(len(sequences), z_width),
-            step_ptr=step_ptr,
-            day_offset=day_offset,
-            idx_ptr=idx_ptr,
-            indices=indices,
-            **{key: np.array([str(s.subgroup[key]) for s in sequences], dtype=np.str_) for key in SUBGROUP_KEYS},
-            proc_ptr=_ptr([len(p) for p in procs]),
-            proc_ccs=np.array([c for p in procs for c in p], dtype=np.int64),
-        )
 
     def save(self, path: Path) -> None:
         write_npz(path, {f.name: getattr(self, f.name) for f in fields(self)})

@@ -34,13 +34,11 @@ def small_cohort(small_population, bundle):
 
 
 @pytest.fixture(scope="session")
-def small_sequences(small_population, small_cohort, bundle):
+def small_table(small_population, small_cohort, bundle):
+    """The featurized eligible events, as (EventTable, z names)."""
     events, stays, _ = small_cohort
     ben_map = {b.beneficiary_id: b for b in small_population.beneficiaries}
-    sequences, z_names = featurize_events(
-        events, ben_map, small_population.claims, stays, bundle, SequenceOptions()
-    )
-    return sequences, z_names
+    return featurize_events(events, ben_map, small_population.claims, stays, bundle, SequenceOptions())
 
 
 @pytest.fixture()

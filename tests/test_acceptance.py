@@ -82,22 +82,23 @@ def planted_world():
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs
     )
     ben_map = {b.beneficiary_id: b for b in population.beneficiaries}
-    sequences, _ = featurize_events(
+    table, _ = featurize_events(
         events, ben_map, population.claims, stays, bundle,
         SequenceOptions(include_outpatient=False),
     )
-    labels = np.array([float(s.readmit_label) for s in sequences])
-    z = np.array([s.z for s in sequences], dtype=np.float64)
-    steps = [[list(st.indices) for st in s.steps] for s in sequences]
+    labels = table.readmit_label.astype(np.float64)
+    z = table.z
+    steps = table.step_lists()
+    patient_of = table.beneficiary_id.tolist()
 
     positives: dict[str, int] = {}
-    for seq, label in zip(sequences, labels):
-        positives[seq.beneficiary_id] = positives.get(seq.beneficiary_id, 0) + int(label)
+    for pid, label in zip(patient_of, labels):
+        positives[pid] = positives.get(pid, 0) + int(label)
     folds, _ = split_patients(positives, seed=31)
     fold_of = {pid: name for name, pids in folds.items() for pid in pids}
     fold_idx: dict[str, list[int]] = {name: [] for name in folds}
-    for i, seq in enumerate(sequences):
-        fold_idx[fold_of[seq.beneficiary_id]].append(i)
+    for i, pid in enumerate(patient_of):
+        fold_idx[fold_of[pid]].append(i)
     build_seconds = time.monotonic() - start
     return steps, z, labels, fold_idx, bundle.ccs.input_dim, build_seconds
 

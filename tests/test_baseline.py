@@ -5,20 +5,30 @@ import pytest
 
 from seqfuse.baseline import flatten, make_lr_runner, train_lr
 from seqfuse.errors import NumericsError, ValidationError
-from seqfuse.features import SUBGROUP_KEYS, EventTable, PatientSequence, SequenceStep
+from seqfuse.claims import _ptr
+from seqfuse.features import SUBGROUP_KEYS, EventTable
 from seqfuse.rng import Xoshiro256
 
 
-def _sequence(event_id: str, indices_by_step: list[tuple[int, ...]], z: list[float]) -> PatientSequence:
-    steps = [SequenceStep(day_offset=-len(indices_by_step) + 1 + t, indices=ix) for t, ix in enumerate(indices_by_step)]
-    return PatientSequence(
-        event_id=event_id,
-        beneficiary_id="B1",
-        steps=steps,
-        z=z,
-        readmit_label=False,
-        mortality_label=False,
-        mortality_excluded=False,
+def _table(rows: list[tuple[list[tuple[int, ...]], list[float]]]) -> EventTable:
+    """An EventTable of events given as (steps, z), each step a tuple of
+    category indices; every z must have the same width."""
+    n = len(rows)
+    steps = [step for event_steps, _ in rows for step in event_steps]
+    return EventTable(
+        event_id=np.array([f"E{i}" for i in range(n)], dtype=np.str_),
+        beneficiary_id=np.array(["B1"] * n, dtype=np.str_),
+        readmit_label=np.zeros(n, dtype=bool),
+        mortality_label=np.zeros(n, dtype=bool),
+        mortality_excluded=np.zeros(n, dtype=bool),
+        z=np.array([z for _, z in rows], dtype=np.float64).reshape(n, len(rows[0][1]) if rows else 0),
+        step_ptr=_ptr([len(event_steps) for event_steps, _ in rows]),
+        day_offset=np.zeros(len(steps), dtype=np.int64),
+        idx_ptr=_ptr([len(step) for step in steps]),
+        indices=np.array([index for step in steps for index in step], dtype=np.int64),
+        **{key: np.array([""] * n, dtype=np.str_) for key in SUBGROUP_KEYS},
+        proc_ptr=np.zeros(n + 1, dtype=np.int64),
+        proc_ccs=np.zeros(0, dtype=np.int64),
     )
 
 
@@ -26,8 +36,8 @@ class TestFlatten:
     def test_layout_matches_hand_construction(self):
         """Two dx columns, one proc column: interleaved count/mean pairs,
         then the domain vector."""
-        seq = _sequence("E1", [(0, 2), (0,), (1,)], z=[7.0, -1.0])
-        table = flatten([seq], n_dx_columns=2, n_proc_columns=1, z_names=["za", "zb"])
+        events = _table([([(0, 2), (0,), (1,)], [7.0, -1.0])])
+        table = flatten(events, n_dx_columns=2, n_proc_columns=1, z_names=["za", "zb"])
         assert table.names == [
             "dx_ccs_0_count", "dx_ccs_0_mean",
             "dx_ccs_other_count", "dx_ccs_other_mean",
@@ -41,8 +51,7 @@ class TestFlatten:
         )
 
     def test_named_proc_columns_before_the_other_bucket(self):
-        seq = _sequence("E1", [(3,)], z=[])
-        table = flatten([seq], n_dx_columns=2, n_proc_columns=3, z_names=[])
+        table = flatten(_table([([(3,)], [])]), n_dx_columns=2, n_proc_columns=3, z_names=[])
         assert table.names[4:8] == [
             "proc_ccs_0_count", "proc_ccs_0_mean",
             "proc_ccs_1_count", "proc_ccs_1_mean",
@@ -50,98 +59,93 @@ class TestFlatten:
         np.testing.assert_array_equal(table.matrix[0], [0, 0, 0, 0, 0, 0, 1, 1, 0, 0])
 
     def test_rows_follow_input_order(self):
-        a = _sequence("E1", [(0,)], z=[1.0])
-        b = _sequence("E2", [(1,), (1,)], z=[2.0])
-        table = flatten([a, b], n_dx_columns=2, n_proc_columns=1, z_names=["z"])
+        events = _table([([(0,)], [1.0]), ([(1,), (1,)], [2.0])])
+        table = flatten(events, n_dx_columns=2, n_proc_columns=1, z_names=["z"])
         assert table.matrix.shape == (2, 7)
         assert table.matrix[0, 0] == 1.0 and table.matrix[1, 2] == 2.0
         assert table.matrix[1, 3] == 1.0  # two hits over two steps
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
-            flatten([], n_dx_columns=2, n_proc_columns=1, z_names=[])
-        out_of_range = _sequence("E1", [(5,)], z=[])
+            flatten(_table([]), n_dx_columns=2, n_proc_columns=1, z_names=[])
+        out_of_range = _table([([(5,)], [])])
         with pytest.raises(ValidationError):
-            flatten([out_of_range], n_dx_columns=2, n_proc_columns=1, z_names=[])
-        wrong_z = _sequence("E1", [(0,)], z=[1.0])
+            flatten(out_of_range, n_dx_columns=2, n_proc_columns=1, z_names=[])
+        wrong_z = _table([([(0,)], [1.0])])
         with pytest.raises(ValidationError):
-            flatten([wrong_z], n_dx_columns=2, n_proc_columns=1, z_names=["a", "b"])
+            flatten(wrong_z, n_dx_columns=2, n_proc_columns=1, z_names=["a", "b"])
 
 
 
-def _reference_flatten(sequences, n_dx_columns, n_proc_columns, z_names):
-    """The per-row loop the vectorised kernel replaced."""
-    if not sequences:
+def _reference_flatten(rows, n_dx_columns, n_proc_columns, z_names):
+    """The per-row loop the vectorised kernel replaced, over (steps, z)
+    rows."""
+    if not rows:
         raise ValidationError("no sequences to flatten")
     input_dim = n_dx_columns + n_proc_columns
-    matrix = np.zeros((len(sequences), 2 * input_dim + len(z_names)))
-    for row, seq in enumerate(sequences):
+    matrix = np.zeros((len(rows), 2 * input_dim + len(z_names)))
+    for row, (steps, z) in enumerate(rows):
         counts = np.zeros(input_dim)
-        for step in seq.steps:
-            for index in step.indices:
+        for step in steps:
+            for index in step:
                 if not 0 <= index < input_dim:
                     raise ValidationError(f"sequence index {index} outside input dim {input_dim}")
                 counts[index] += 1.0
         matrix[row, 0:2 * input_dim:2] = counts
-        matrix[row, 1:2 * input_dim:2] = counts / len(seq.steps)
-        if len(seq.z) != len(z_names):
+        matrix[row, 1:2 * input_dim:2] = counts / len(steps)
+        if len(z) != len(z_names):
             raise ValidationError("domain vector width does not match its name list")
-        matrix[row, 2 * input_dim :] = seq.z
+        matrix[row, 2 * input_dim :] = z
     return matrix
 
 
-def _ragged_sequences(rng, n, input_dim, z_width):
-    """Random events of 1-6 steps; a step holds 0-5 indices drawn with
-    repeats, so steps with empty index lists and the last ("other") dx
-    and proc columns all occur."""
+def _ragged_rows(rng, n, input_dim, z_width):
+    """Random (steps, z) events of 1-6 steps; a step holds 0-5 indices
+    drawn with repeats, so steps with empty index lists and the last
+    ("other") dx and proc columns all occur."""
     n_dx = input_dim // 2
-    sequences = []
-    for e in range(n):
+    rows = []
+    for _ in range(n):
         steps = []
         for _ in range(int(rng.integers(1, 7))):
             ix = rng.integers(0, input_dim, size=int(rng.integers(0, 6)))
             if rng.random() < 0.3:
                 ix = np.append(ix, [n_dx - 1, input_dim - 1])
             steps.append(tuple(int(i) for i in ix))
-        seq = _sequence(f"E{e}", steps, z=rng.normal(size=z_width).tolist())
-        seq.subgroup = {key: "" for key in SUBGROUP_KEYS} | {"proc_ccs": ()}
-        sequences.append(seq)
-    return sequences
+        rows.append((steps, rng.normal(size=z_width).tolist()))
+    return rows
 
 
 class TestFlattenKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise_equal_to_the_row_loop(self, seed):
         rng = np.random.default_rng(seed)
-        sequences = _ragged_sequences(rng, n=60, input_dim=9, z_width=4)
-        assert any(not step.indices for s in sequences for step in s.steps)
+        rows = _ragged_rows(rng, n=60, input_dim=9, z_width=4)
+        assert any(not step for steps, _ in rows for step in steps)
         z_names = [f"z{i}" for i in range(4)]
-        expected = _reference_flatten(sequences, 4, 5, z_names)
-        table = flatten(sequences, 4, 5, z_names)
-        assert table.matrix.tobytes() == expected.tobytes()
-        columns = EventTable.from_sequences(sequences)
-        assert flatten(columns, 4, 5, z_names).matrix.tobytes() == expected.tobytes()
-        # The same two errors from the columns: an index past a narrower
-        # input dim, and a name list one short.
+        expected = _reference_flatten(rows, 4, 5, z_names)
+        table = _table(rows)
+        assert flatten(table, 4, 5, z_names).matrix.tobytes() == expected.tobytes()
+        # The same two errors: an index past a narrower input dim, and a
+        # name list one short.
         for n_proc, names in ((4, z_names), (5, z_names[:3])):
             with pytest.raises(ValidationError) as want:
-                _reference_flatten(sequences, 4, n_proc, names)
+                _reference_flatten(rows, 4, n_proc, names)
             with pytest.raises(ValidationError) as got:
-                flatten(columns, 4, n_proc, names)
+                flatten(table, 4, n_proc, names)
             assert str(got.value) == str(want.value)
 
     def test_raises_the_row_loops_errors(self):
         cases = [
-            ([_sequence("E1", [(0,), (), (9,)], z=[])], []),
-            ([_sequence("E1", [(0,)], z=[]), _sequence("E2", [(-1,)], z=[])], []),
-            ([_sequence("E1", [(0,)], z=[1.0, 2.0]), _sequence("E2", [(1,)], z=[1.0])], ["a", "b"]),
-            ([_sequence("E1", [(0,)], z=[1.0])], ["a", "b"]),
+            ([([(0,), (), (9,)], [])], []),
+            ([([(0,)], []), ([(-1,)], [])], []),
+            ([([(0,)], [1.0])], ["a", "b"]),
         ]
-        for sequences, z_names in cases:
+        for rows, z_names in cases:
             with pytest.raises(ValidationError) as expected:
-                _reference_flatten(sequences, 4, 5, z_names)
+                _reference_flatten(rows, 4, 5, z_names)
             with pytest.raises(ValidationError) as got:
-                flatten(sequences, 4, 5, z_names)
+                flatten(_table(rows), 4, 5, z_names)
             assert str(got.value) == str(expected.value)
 
 

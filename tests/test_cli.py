@@ -11,7 +11,9 @@ import pytest
 
 from seqfuse.claims import ingest_claims, read_population_npz
 from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, default_config, load_config, main, validate_config
-from seqfuse.features import SUBGROUP_KEYS, EventTable
+from seqfuse.cohort import age_band, build_cohort
+from seqfuse.features import EventTable, build_domain_vector, build_sequence, charlson_band
+from seqfuse.knowledge import CcsMap, load_bundle
 
 
 def _write_config(path: Path, outdir: Path, **overrides) -> Path:
@@ -88,6 +90,24 @@ class TestConfigHandling:
         cfg["features"]["pretrained_embed_dim"] = 16
         assert any("clash" in p for p in validate_config(cfg))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "fractions", ["a", 0.15, 0.05, 0.10]),
+            ("evaluate", "threshold", "0.5"),
+            ("train", "epochs", "3"),
+            ("features", "lookback_days", None),
+            ("generate", "n_patients", True),
+        ],
+    )
+    def test_wrongly_typed_value_is_one_problem_and_exit_2(self, tmp_path, section, key, value):
+        cfg = default_config()
+        cfg[section][key] = value
+        assert len(validate_config(cfg)) == 1
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", **{section: {key: value}})
+        assert main(["generate", "--config", str(config)]) == 2
+        assert not (tmp_path / "run").exists()
+
     def test_missing_config_file_is_exit_2(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -129,13 +149,12 @@ class TestPipelineArtifacts:
 
     def test_featurize_covers_the_eligible_cohort(self, pipeline_run):
         _, outdir = pipeline_run
-        eligible = 0
         with open(outdir / "cohort" / "index_events.jsonl") as fh:
-            for line in fh:
-                eligible += json.loads(line)["exclusion_reason"] is None
-        n_sequences = sum(1 for _ in open(outdir / "featurize" / "sequences.jsonl"))
+            eligible = [row["event_id"] for row in map(json.loads, fh) if row["exclusion_reason"] is None]
+        table = EventTable.load(outdir / "featurize" / "events.npz")
         features = json.loads((outdir / "featurize" / "features.json").read_text())
-        assert n_sequences == features["n_events"] == eligible
+        assert len(table) == features["n_events"] == len(eligible)
+        assert table.event_id.tolist() == eligible
         assert features["input_dim"] == features["n_dx_columns"] + features["n_proc_columns"]
 
     def test_split_is_patient_disjoint_and_complete(self, pipeline_run):
@@ -239,6 +258,15 @@ class TestArtifactTable:
             assert sorted(manifest["inputs"]) == sorted(inputs), stage
             assert sorted(manifest["outputs"]) == sorted(outputs), stage
 
+    def test_each_stage_directory_holds_exactly_its_outputs(self, pipeline_run):
+        """A file a stage writes without declaring it sits outside the hash
+        chain, so each stage directory holds its outputs and manifest only."""
+        config, outdir = pipeline_run
+        table = _artifacts(load_config(str(config)))
+        for stage in STAGES:
+            present = {p.relative_to(outdir).as_posix() for p in (outdir / stage).rglob("*") if p.is_file()}
+            assert present == {*table[stage][1], f"{stage}/manifest.json"}, stage
+
     def test_each_tampered_input_is_exit_3_until_restored(self, pipeline_run, tmp_path):
         config, outdir = pipeline_run
         copy = tmp_path / "run"
@@ -279,24 +307,37 @@ class TestRerunsAndTampering:
 
 
 class TestColumnarArtifacts:
-    def test_event_store_equals_the_readable_record(self, pipeline_run):
+    def test_event_store_equals_per_event_featurization(self, pipeline_run):
+        """events.npz against each eligible event built one at a time from
+        the run's own population, cohort and knowledge bundle."""
         _, outdir = pipeline_run
         table = EventTable.load(outdir / "featurize" / "events.npz")
-        with open(outdir / "featurize" / "sequences.jsonl") as fh:
-            rows = [json.loads(line) for line in fh]
-        assert len(table) == len(rows)
-        assert table.event_id.tolist() == [r["event_id"] for r in rows]
-        assert table.beneficiary_id.tolist() == [r["beneficiary_id"] for r in rows]
+        beneficiaries, claims = read_population_npz(outdir / "cohort" / "population.npz")
+        bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
+        events, stays, _ = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+        ben_map = {b.beneficiary_id: b for b in beneficiaries}
+        eligible = [e for e in events if e.eligible]
+        steps = [build_sequence(e, claims, stays, bundle.ccs) for e in eligible]
+        bens = [ben_map[e.stay.beneficiary_id] for e in eligible]
+        z, z_names = zip(*(build_domain_vector(e, b, claims, stays, bundle) for e, b in zip(eligible, bens)))
+        assert table.event_id.tolist() == [e.event_id for e in eligible]
+        assert table.beneficiary_id.tolist() == [b.beneficiary_id for b in bens]
         for flag in ("readmit_label", "mortality_label", "mortality_excluded"):
             assert getattr(table, flag).dtype == bool
-            assert getattr(table, flag).tolist() == [bool(r[flag]) for r in rows]
+        assert table.readmit_label.tolist() == [bool(e.readmit_label) for e in eligible]
+        assert table.mortality_label.tolist() == [bool(e.mortality_label) for e in eligible]
+        assert table.mortality_excluded.tolist() == [e.mortality_exclusion is not None for e in eligible]
         assert table.z.dtype == np.float64
-        assert table.z.tolist() == [r["z"] for r in rows]
-        assert table.step_lists() == [[ix for _, ix in r["steps"]] for r in rows]
-        assert table.day_offset.tolist() == [o for r in rows for o, _ in r["steps"]]
-        for key in SUBGROUP_KEYS:
-            assert getattr(table, key).tolist() == [str(r["subgroup"][key]) for r in rows]
-        procs = [r["subgroup"]["proc_ccs"] for r in rows]
+        assert table.z.tolist() == list(z)
+        assert table.step_lists() == [[list(step.indices) for step in s] for s in steps]
+        assert table.day_offset.tolist() == [step.day_offset for s in steps for step in s]
+        charlson = z_names[0].index("charlson_index")
+        assert table.age_range.tolist() == [age_band(e.age) for e in eligible]
+        assert table.gender.tolist() == [b.gender for b in bens]
+        assert table.race.tolist() == [b.race for b in bens]
+        assert table.medicare_status.tolist() == [b.medicare_status for b in bens]
+        assert table.charlson_band.tolist() == [charlson_band(int(row[charlson])) for row in z]
+        procs = [sorted({bundle.ccs.proc_category(p) for p in e.stay.all_proc}) for e in eligible]
         assert np.diff(table.proc_ptr).tolist() == [len(p) for p in procs]
         assert table.proc_ccs.tolist() == [c for p in procs for c in p]
 
@@ -372,10 +413,9 @@ class TestMortalityTask:
         metrics = json.loads((outdir / "evaluate" / "metrics.json").read_text())
         assert metrics["best_cell"] == "lr__linear"
         features = json.loads((outdir / "featurize" / "features.json").read_text())
-        excluded = 0
-        with open(outdir / "featurize" / "sequences.jsonl") as fh:
-            for line in fh:
-                excluded += json.loads(line)["mortality_excluded"]
+        with open(outdir / "cohort" / "index_events.jsonl") as fh:
+            rows = [json.loads(line) for line in fh]
+        excluded = sum(r["exclusion_reason"] is None and r["mortality_exclusion"] is not None for r in rows)
         split = json.loads((outdir / "train" / "split.json").read_text())
         n_split = sum(len(v) for v in split["events"].values())
         assert n_split == features["n_events"] - excluded

@@ -6,8 +6,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from seqfuse.claims import ClaimRecord, iso_to_day
-from seqfuse.cohort import build_cohort
+from seqfuse.claims import ClaimRecord, iso_to_day, write_npz
+from seqfuse.cohort import age_band, build_cohort
 from seqfuse.errors import ValidationError
 from seqfuse.features import (
     SUBGROUP_KEYS,
@@ -17,7 +17,6 @@ from seqfuse.features import (
     build_sequence,
     charlson_band,
     featurize_events,
-    write_npz,
 )
 from seqfuse.knowledge import CcsMap, load_bundle
 from tests.test_cohort import DAY0, ben, inpatient
@@ -150,46 +149,48 @@ class TestDomainVector:
         assert charlson_band(6) == "6+"
 
 
+@pytest.fixture(scope="module")
+def reference(small_population, small_cohort, bundle):
+    """Per eligible event, in order: the event, its beneficiary, and its
+    steps and z built one event at a time from the whole population."""
+    events, stays, _ = small_cohort
+    ben_map = {b.beneficiary_id: b for b in small_population.beneficiaries}
+    rows = []
+    for event in events:
+        if event.eligible:
+            ben = ben_map[event.stay.beneficiary_id]
+            steps = build_sequence(event, small_population.claims, stays, bundle.ccs)
+            z, _ = build_domain_vector(event, ben, small_population.claims, stays, bundle)
+            rows.append((event, ben, steps, z))
+    return rows
+
+
 class TestFeaturizeEvents:
-    def test_covers_every_eligible_event(self, small_population, small_cohort, bundle):
-        events, stays, _ = small_cohort
-        ben_map = {b.beneficiary_id: b for b in small_population.beneficiaries}
-        sequences, z_names = featurize_events(
-            events, ben_map, small_population.claims, stays, bundle, SequenceOptions()
-        )
-        assert len(sequences) == sum(1 for e in events if e.eligible)
-        assert len({s.event_id for s in sequences}) == len(sequences)
-        for seq in sequences:
-            assert len(seq.z) == len(z_names)
-            assert seq.steps, seq.event_id
-            assert seq.steps[-1].day_offset == 0
-            assert all(
-                seq.steps[i].day_offset <= seq.steps[i + 1].day_offset
-                for i in range(len(seq.steps) - 1)
-            )
-            assert set(seq.subgroup) == {
-                "age_range", "gender", "race", "medicare_status", "charlson_band", "proc_ccs",
-            }
+    def test_covers_every_eligible_event(self, small_table, small_cohort, reference):
+        table, z_names = small_table
+        events, _, _ = small_cohort
+        assert len(table) == sum(1 for e in events if e.eligible) == len(reference)
+        assert table.event_id.tolist() == [event.event_id for event, _, _, _ in reference]
+        assert len(set(table.event_id.tolist())) == len(table)
+        assert table.z.shape == (len(table), len(z_names))
+        for steps in table.step_lists():
+            assert steps
+        offsets = np.split(table.day_offset, table.step_ptr[1:-1])
+        assert all(o[-1] == 0 and np.all(np.diff(o) >= 0) for o in offsets)
 
-    def test_labels_carried_from_events(self, small_population, small_cohort, bundle):
-        events, stays, _ = small_cohort
-        ben_map = {b.beneficiary_id: b for b in small_population.beneficiaries}
-        sequences, _ = featurize_events(
-            events, ben_map, small_population.claims, stays, bundle, SequenceOptions()
-        )
-        by_id = {e.event_id: e for e in events if e.eligible}
-        for seq in sequences:
-            event = by_id[seq.event_id]
-            assert seq.readmit_label == bool(event.readmit_label)
-            assert seq.mortality_label == bool(event.mortality_label)
-            assert seq.mortality_excluded == (event.mortality_exclusion is not None)
-            assert seq.label_for("readmission") == seq.readmit_label
-            assert seq.label_for("mortality") == seq.mortality_label
+    def test_labels_carried_from_events(self, small_table, reference):
+        table, _ = small_table
+        events = [event for event, _, _, _ in reference]
+        assert table.readmit_label.tolist() == [bool(e.readmit_label) for e in events]
+        assert table.mortality_label.tolist() == [bool(e.mortality_label) for e in events]
+        assert table.mortality_excluded.tolist() == [e.mortality_exclusion is not None for e in events]
+        assert table.label_for("readmission") is table.readmit_label
+        assert table.label_for("mortality") is table.mortality_label
 
-    def test_unknown_task_rejected(self, small_sequences):
-        sequences, _ = small_sequences
+    def test_unknown_task_rejected(self, small_table):
+        table, _ = small_table
         with pytest.raises(ValidationError):
-            sequences[0].label_for("los")
+            table.label_for("los")
 
 
 def _same_table(a: EventTable, b: EventTable) -> None:
@@ -200,46 +201,56 @@ def _same_table(a: EventTable, b: EventTable) -> None:
 
 
 class TestEventTable:
-    def test_step_lists_round_trip(self, small_sequences):
-        sequences, _ = small_sequences
-        table = EventTable.from_sequences(sequences)
-        assert table.step_lists() == [[list(step.indices) for step in s.steps] for s in sequences]
-        offsets = [step.day_offset for s in sequences for step in s.steps]
+    def test_step_lists_round_trip(self, small_table, reference):
+        table, _ = small_table
+        assert table.step_lists() == [[list(step.indices) for step in steps] for _, _, steps, _ in reference]
+        offsets = [step.day_offset for _, _, steps, _ in reference for step in steps]
         assert table.day_offset.tolist() == offsets
 
-    def test_columns_match_the_sequences(self, small_sequences):
-        sequences, z_names = small_sequences
-        table = EventTable.from_sequences(sequences)
-        assert len(table) == len(sequences)
-        assert table.event_id.tolist() == [s.event_id for s in sequences]
-        assert table.beneficiary_id.tolist() == [s.beneficiary_id for s in sequences]
-        assert table.z.shape == (len(sequences), len(z_names))
-        assert table.z.tolist() == [s.z for s in sequences]
-        for task in ("readmission", "mortality"):
-            assert table.label_for(task).tolist() == [s.label_for(task) for s in sequences]
-        for key in SUBGROUP_KEYS:
-            assert getattr(table, key).tolist() == [str(s.subgroup[key]) for s in sequences]
+    def test_columns_match_the_sequences(self, small_table, reference):
+        table, z_names = small_table
+        assert table.beneficiary_id.tolist() == [ben.beneficiary_id for _, ben, _, _ in reference]
+        assert table.z.dtype == np.float64
+        assert table.z.tolist() == [z for _, _, _, z in reference]
+        charlson = z_names.index("charlson_index")
+        expected = {
+            "age_range": [age_band(event.age) for event, _, _, _ in reference],
+            "gender": [ben.gender for _, ben, _, _ in reference],
+            "race": [ben.race for _, ben, _, _ in reference],
+            "medicare_status": [ben.medicare_status for _, ben, _, _ in reference],
+            "charlson_band": [charlson_band(int(z[charlson])) for _, _, _, z in reference],
+        }
+        assert set(expected) == set(SUBGROUP_KEYS)
+        for key, values in expected.items():
+            assert getattr(table, key).tolist() == values, key
         with pytest.raises(ValidationError):
             table.label_for("discharge")
 
-    def test_select_matches_filtering_the_sequences(self, small_sequences):
-        sequences, _ = small_sequences
-        table = EventTable.from_sequences(sequences)
-        keep = np.array([i % 3 != 1 for i in range(len(sequences))])
-        _same_table(table.select(keep), EventTable.from_sequences([s for s, k in zip(sequences, keep) if k]))
+    def test_select_matches_filtering_the_sequences(self, small_table, small_population, small_cohort, bundle):
+        table, _ = small_table
+        events, stays, _ = small_cohort
+        eligible = [e for e in events if e.eligible]
+        keep = np.array([i % 3 != 1 for i in range(len(table))])
+        ben_map = {b.beneficiary_id: b for b in small_population.beneficiaries}
+        kept, _ = featurize_events(
+            [e for e, k in zip(eligible, keep) if k], ben_map, small_population.claims, stays, bundle
+        )
+        _same_table(table.select(keep), kept)
         empty = table.select(np.zeros(len(table), dtype=bool))
         assert len(empty) == 0 and empty.step_lists() == []
 
-    def test_proc_ccs_membership(self, small_sequences, bundle):
-        sequences, _ = small_sequences
+    def test_proc_ccs_membership(self, small_table, reference, bundle):
+        table, _ = small_table
         n_proc_columns = bundle.ccs.n_proc_columns
-        member = EventTable.from_sequences(sequences).proc_ccs_membership(n_proc_columns)
-        expected = [[cat in s.subgroup["proc_ccs"] for cat in range(n_proc_columns)] for s in sequences]
+        member = table.proc_ccs_membership(n_proc_columns)
+        expected = []
+        for event, _, _, _ in reference:
+            cats = {bundle.ccs.proc_category(p) for p in event.stay.all_proc}
+            expected.append([cat in cats for cat in range(n_proc_columns)])
         assert member.tolist() == expected
 
-    def test_save_load_round_trip_is_byte_stable(self, small_sequences, tmp_path):
-        sequences, _ = small_sequences
-        table = EventTable.from_sequences(sequences)
+    def test_save_load_round_trip_is_byte_stable(self, small_table, tmp_path):
+        table, _ = small_table
         table.save(tmp_path / "a.npz")
         _same_table(EventTable.load(tmp_path / "a.npz"), table)
         EventTable.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
