@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
@@ -50,7 +50,7 @@ def day_to_iso(day: int) -> str:
 
 
 # The text fields of each record; `validate` holds them to str (or None),
-# which `write_population_npz` relies on.
+# which `cohort.population_columns` relies on.
 _BEN_TEXT = ("beneficiary_id", "gender", "race", "medicare_status")
 _CLAIM_TEXT = (
     "claim_id",
@@ -316,77 +316,6 @@ def _ptr(lengths) -> np.ndarray:
     ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=ptr[1:])
     return ptr
-
-
-def write_population_npz(path: str | Path, beneficiaries: list[Beneficiary], claims: list[ClaimRecord]) -> None:
-    """The records as columns, in the order given, for `read_population_npz`.
-
-    Every string is an int32 code (-1 for None) into one table of distinct
-    strings, stored as UTF-8 bytes (`text`) with CSR offsets (`text_ptr`).
-    Dates are int32 day numbers, and enrollment intervals and code tuples
-    are CSR rows. Written with `write_npz`, so equal records give equal
-    bytes. The records are not validated again: pass what
-    `ingest_claims` returned.
-    """
-    text: dict[str | None, int] = {None: -1}
-
-    def codes(values: list) -> np.ndarray:
-        for value in dict.fromkeys(values):
-            text.setdefault(value, len(text) - 1)
-        return np.array(list(map(text.__getitem__, values)), dtype=np.int32)
-
-    cols = {f"beneficiary.{name}": codes([getattr(b, name) for b in beneficiaries]) for name in _BEN_TEXT}
-    cols["beneficiary.birth_date"] = np.array([b.birth_date for b in beneficiaries], dtype=np.int32)
-    cols["beneficiary.dual_eligible"] = np.array([b.dual_eligible for b in beneficiaries], dtype=bool)
-    cols["beneficiary.has_death_date"] = np.array([b.death_date is not None for b in beneficiaries], dtype=bool)
-    cols["beneficiary.death_date"] = np.array([b.death_date or 0 for b in beneficiaries], dtype=np.int32)
-    cols["beneficiary.enrollment_ptr"] = _ptr([len(b.enrollment_intervals) for b in beneficiaries])
-    cols["beneficiary.enrollment"] = np.array(
-        [interval for b in beneficiaries for interval in b.enrollment_intervals], dtype=np.int32
-    ).reshape(-1, 2)
-    cols.update({f"claim.{name}": codes([getattr(c, name) for c in claims]) for name in _CLAIM_TEXT})
-    for name in ("admit_date", "discharge_date"):
-        cols[f"claim.{name}"] = np.array([getattr(c, name) for c in claims], dtype=np.int32)
-    for name in _CLAIM_CODES:
-        rows = [getattr(c, name) for c in claims]
-        cols[f"claim.{name}_ptr"] = _ptr([len(row) for row in rows])
-        cols[f"claim.{name}"] = codes([code for row in rows for code in row])
-    encoded = [word.encode("utf-8", "surrogatepass") for word in text if word is not None]
-    cols["text_ptr"] = _ptr([len(word) for word in encoded])
-    cols["text"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    write_npz(Path(path), cols)
-
-
-def read_population_npz(path: str | Path) -> tuple[list[Beneficiary], list[ClaimRecord]]:
-    """The beneficiaries and claims `write_population_npz` stored, equal to
-    the records it was given and in the same order."""
-    with np.load(path, allow_pickle=False) as npz:
-        cols = {key: npz[key] for key in npz.files}
-    blob = cols.pop("text").tobytes()
-    ptr = cols.pop("text_ptr").tolist()
-    words = [blob[start:end].decode("utf-8", "surrogatepass") for start, end in zip(ptr, ptr[1:])] + [None]
-    cols = {key: value.tolist() for key, value in cols.items()}
-
-    def text(name: str) -> list:
-        return [words[code] for code in cols[name]]
-
-    def rows(name: str, values: list) -> list[tuple]:
-        bounds = cols[f"{name}_ptr"]
-        return [tuple(values[start:end]) for start, end in zip(bounds, bounds[1:])]
-
-    ben = {name: text(f"beneficiary.{name}") for name in _BEN_TEXT}
-    ben["birth_date"] = cols["beneficiary.birth_date"]
-    ben["dual_eligible"] = cols["beneficiary.dual_eligible"]
-    ben["enrollment_intervals"] = rows("beneficiary.enrollment", list(map(tuple, cols["beneficiary.enrollment"])))
-    ben["death_date"] = [
-        day if known else None for day, known in zip(cols["beneficiary.death_date"], cols["beneficiary.has_death_date"])
-    ]
-    claim = {name: text(f"claim.{name}") for name in _CLAIM_TEXT}
-    claim.update({name: rows(f"claim.{name}", text(f"claim.{name}")) for name in _CLAIM_CODES})
-    claim.update({name: cols[f"claim.{name}"] for name in ("admit_date", "discharge_date")})
-    beneficiaries = list(map(Beneficiary, *(ben[f.name] for f in fields(Beneficiary))))
-    claims = list(map(ClaimRecord, *(claim[f.name] for f in fields(ClaimRecord))))
-    return beneficiaries, claims
 
 
 @dataclass(frozen=True)

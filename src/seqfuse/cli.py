@@ -11,12 +11,13 @@ under that protocol: verify the inputs, run, hash the outputs.
 
 `cohort` is the one stage that parses and validates
 `generate/population.jsonl`; it hands the same sorted records on as
-`cohort/population.npz`, which `featurize` loads instead of parsing the
-JSONL again. `featurize` hands its events on in one form, the columnar
-`featurize/events.npz` (an `EventTable`), which every later stage loads
-through `_load_sequences`. `calibrate` keeps each cell's uncalibrated
-scores in `calibrate/raw_scores.npz`, so `evaluate` scores events without
-predicting again.
+`cohort/population.npz`, with the stays and index events it built, and
+`featurize` computes its features from those columns instead of parsing
+the JSONL or building the cohort again. `featurize` hands its events on in
+one form, the columnar `featurize/events.npz` (an `EventTable`), which
+every later stage loads through `_load_sequences`. `calibrate` keeps each
+cell's uncalibrated scores in `calibrate/raw_scores.npz`, so `evaluate`
+scores events without predicting again.
 
 Exit codes: 0 success, 2 invalid input or config, 3 missing/stale
 prerequisite artifacts, 4 numerical failure.
@@ -29,6 +30,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +43,11 @@ from .claims import (
     day_to_iso,
     generate_population,
     ingest_claims,
-    read_population_npz,
     write_ground_truth,
     write_npz,
     write_population,
-    write_population_npz,
 )
-from .cohort import IndexEvent, build_cohort, cohort_summary
+from .cohort import IndexEvent, build_cohort, cohort_summary, population_columns
 from .errors import (
     CalibrationError,
     MetricUndefinedError,
@@ -125,7 +125,8 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
     }
 
 
-_TOP_KEYS = {"outdir", "seed", "task", "generate", "features", "train", "calibrate", "evaluate", "knowledge"}
+_SECTIONS = ("generate", "features", "train", "calibrate", "evaluate", "knowledge")
+_TOP_KEYS = {"outdir", "seed", "task", *_SECTIONS}
 
 
 def _is_int(value) -> bool:
@@ -151,8 +152,13 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append("seed must be an integer")
     if cfg.get("task") not in TASKS:
         problems.append(f"task must be one of {TASKS}")
+    sections = {name: cfg.get(name, {}) for name in _SECTIONS}
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            problems.append(f"{name} must be a JSON object")
+            sections[name] = {}
 
-    gen = cfg.get("generate", {})
+    gen = sections["generate"]
     n_patients = gen.get("n_patients")
     if not _is_int(n_patients) or n_patients <= 0:
         problems.append("generate.n_patients must be a positive integer")
@@ -160,7 +166,7 @@ def validate_config(cfg: dict) -> list[str]:
     if not _is_number(mean_claims) or mean_claims <= 0:
         problems.append("generate.mean_claims_per_patient must be a positive number")
 
-    feats = cfg.get("features", {})
+    feats = sections["features"]
     lookback = feats.get("lookback_days", 365)
     if not _is_int(lookback) or lookback <= 0:
         problems.append("features.lookback_days must be a positive integer")
@@ -168,7 +174,7 @@ def validate_config(cfg: dict) -> list[str]:
     if not _is_int(embed_dim) or embed_dim <= 0:
         problems.append("features.pretrained_embed_dim must be a positive integer")
 
-    train = cfg.get("train", {})
+    train = sections["train"]
     algorithms = train.get("algorithms", [])
     if not algorithms or any(a not in ALGORITHMS for a in algorithms):
         problems.append(f"train.algorithms must be a non-empty subset of {ALGORITHMS}")
@@ -189,27 +195,35 @@ def validate_config(cfg: dict) -> list[str]:
     patience = train.get("patience", 0)
     if not _is_int(patience) or patience < 0:
         problems.append("train.patience must be a non-negative integer")
-    grid = train.get("grid", {})
+    grids = {}
+    for name in ("grid", "lr_grid"):
+        grids[name] = train.get(name, {})
+        if not isinstance(grids[name], dict):
+            problems.append(f"train.{name} must be a JSON object")
+            grids[name] = {}
+        not_lists = [axis for axis, values in grids[name].items() if not isinstance(values, (list, tuple))]
+        problems += [f"train.{name}.{axis} must be a list" for axis in not_lists]
+    grid = grids["grid"]
     if any(a in FUSION_OF for a in algorithms):
         for axis in ("embed_dim", "hidden_dim", "lr"):
             if not grid.get(axis):
                 problems.append(f"train.grid.{axis} must be a non-empty list")
-        if "pretrained" in modes:
-            bad = [e for e in grid.get("embed_dim", []) if e != embed_dim]
+        if "pretrained" in modes and isinstance(grid.get("embed_dim"), (list, tuple)):
+            bad = [e for e in grid["embed_dim"] if e != embed_dim]
             if bad:
                 problems.append(
                     f"train.grid.embed_dim values {bad} clash with features.pretrained_embed_dim={embed_dim}"
                 )
-    if "lr" in algorithms and not train.get("lr_grid", {}).get("l2"):
+    if "lr" in algorithms and not grids["lr_grid"].get("l2"):
         problems.append("train.lr_grid.l2 must be a non-empty list")
 
-    cal = cfg.get("calibrate", {})
+    cal = sections["calibrate"]
     if cal.get("method_deep", "temperature") not in ("temperature", "platt"):
         problems.append("calibrate.method_deep must be 'temperature' or 'platt'")
     if cal.get("method_lr", "platt") not in ("temperature", "platt"):
         problems.append("calibrate.method_lr must be 'temperature' or 'platt'")
 
-    ev = cfg.get("evaluate", {})
+    ev = sections["evaluate"]
     threshold = ev.get("threshold", 0.5)
     if not _is_number(threshold) or not 0.0 < threshold < 1.0:
         problems.append("evaluate.threshold must be a number in (0, 1)")
@@ -242,7 +256,8 @@ def load_config(path: str, outdir: str | None = None) -> dict:
         merged["outdir"] = outdir
     # Configs from older versions carry the removed `train.jobs`; results
     # never depended on it, so it is dropped rather than hashed.
-    merged["train"].pop("jobs", None)
+    if isinstance(merged["train"], dict):
+        merged["train"].pop("jobs", None)
     problems = validate_config(merged)
     if problems:
         raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
@@ -439,9 +454,9 @@ def _event_row(event: IndexEvent) -> dict:
 def stage_cohort(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "cohort"
     beneficiaries, claims = ingest_claims(outdir / "generate" / "population.jsonl")
-    write_population_npz(stage_dir / "population.npz", beneficiaries, claims)
     bundle = _knowledge_bundle(cfg, outdir)
     events, stays, audit = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+    write_npz(stage_dir / "population.npz", population_columns(beneficiaries, claims, stays, events))
     with open(stage_dir / "index_events.jsonl", "w", encoding="utf-8") as fh:
         for event in events:
             fh.write(json.dumps(_event_row(event), sort_keys=True) + "\n")
@@ -456,19 +471,21 @@ def stage_cohort(cfg: dict, outdir: Path) -> None:
 
 def stage_featurize(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "featurize"
-    beneficiaries, claims = read_population_npz(outdir / "cohort" / "population.npz")
     bundle = _knowledge_bundle(cfg, outdir)
-    events, stays, _ = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
     feats = cfg["features"]
     opts = SequenceOptions(
         include_outpatient=feats.get("include_outpatient", True),
         exclude_index_step=feats.get("exclude_index_step", False),
         lookback_days=feats.get("lookback_days", 365),
     )
-    ben_map = {b.beneficiary_id: b for b in beneficiaries}
-    table, z_names = featurize_events(events, ben_map, claims, stays, bundle, opts)
+    with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
+        cols = {key: npz[key] for key in npz.files}
+    if "event.stay" not in cols:
+        raise PrerequisiteError("cohort/population.npz holds no stays or events; rerun `seqfuse cohort`")
+    table, z_names = featurize_events(cols, bundle, opts)
+    n_dropped = int(cols["event.eligible"].sum()) - len(table)
     if not len(table):
-        raise ValidationError("no eligible events to featurize")
+        raise ValidationError(f"no eligible events to featurize ({n_dropped} had no visit steps)")
     table.save(stage_dir / "events.npz")
     embed_dim = feats.get("pretrained_embed_dim", 16)
     write_random_embedding(
@@ -477,22 +494,20 @@ def stage_featurize(cfg: dict, outdir: Path) -> None:
         embed_dim=embed_dim,
         seed=cfg["seed"],
     )
-    _write_json(
-        stage_dir / "features.json",
-        {
-            "z_names": z_names,
-            "n_dx_columns": bundle.ccs.n_dx_columns,
-            "n_proc_columns": bundle.ccs.n_proc_columns,
-            "input_dim": bundle.ccs.input_dim,
-            "options": {
-                "include_outpatient": opts.include_outpatient,
-                "exclude_index_step": opts.exclude_index_step,
-                "lookback_days": opts.lookback_days,
-            },
-            "n_events": len(table),
-        },
-    )
-    print(f"featurize: {len(table)} sequences, |z| = {len(z_names)}")
+    meta = {
+        "z_names": z_names,
+        "n_dx_columns": bundle.ccs.n_dx_columns,
+        "n_proc_columns": bundle.ccs.n_proc_columns,
+        "input_dim": bundle.ccs.input_dim,
+        "options": asdict(opts),
+        "n_events": len(table),
+    }
+    # Only an excluded index step can leave an event without steps.
+    if opts.exclude_index_step:
+        meta["n_dropped_no_steps"] = n_dropped
+    _write_json(stage_dir / "features.json", meta)
+    dropped = f", {n_dropped} dropped with no visit steps" if n_dropped else ""
+    print(f"featurize: {len(table)} sequences, |z| = {len(z_names)}{dropped}")
 
 
 def stage_train(cfg: dict, outdir: Path) -> None:

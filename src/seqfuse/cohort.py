@@ -13,7 +13,9 @@ import io
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .claims import ESRD_STATUSES, Beneficiary, ClaimRecord, day_to_iso
+import numpy as np
+
+from .claims import _BEN_TEXT, _CLAIM_CODES, _CLAIM_TEXT, ESRD_STATUSES, Beneficiary, ClaimRecord, _ptr, day_to_iso
 from .errors import ValidationError
 from .knowledge import CcsMap, PlannedRules
 
@@ -367,3 +369,89 @@ def build_cohort(
         ),
     }
     return events, stays, audit
+
+
+# The stay fields featurization reads, besides the dates and code rows.
+_STAY_TEXT = (
+    "beneficiary_id",
+    "stay_id",
+    "principal_dx",
+    "drg",
+    "admission_type",
+    "admission_source",
+    "discharge_disposition",
+)
+
+
+def population_columns(
+    beneficiaries: list[Beneficiary],
+    claims: list[ClaimRecord],
+    stays: list[InpatientStay],
+    events: list[IndexEvent],
+) -> dict[str, np.ndarray]:
+    """The records and the cohort built from them as columns, each in the
+    order given: the arrays of `cohort/population.npz`.
+
+    Every string is an int32 code (-1 for None) into one table of the
+    distinct strings in sorted order, so codes compare as their strings
+    do. The table is stored as UTF-8 bytes (`text`) with CSR offsets
+    (`text_ptr`), which `text_words` decodes. Dates are int32 day numbers,
+    and enrollment intervals and code tuples are CSR rows (a stay's
+    `all_dx` and `all_proc` exactly as `resolve_stays` built them,
+    duplicates kept). Each event names its stay's row. The records are not
+    validated again: pass what `ingest_claims` and `build_cohort` returned.
+    """
+    texts: dict[str, list] = {}  # the string columns, coded at the end
+
+    def text_columns(kind: str, records: list, names: tuple[str, ...]) -> None:
+        texts.update({f"{kind}.{name}": [getattr(r, name) for r in records] for name in names})
+
+    def code_rows(kind: str, rows: list[tuple[str, ...]]) -> None:
+        cols[f"{kind}_ptr"] = _ptr([len(row) for row in rows])
+        texts[kind] = [code for row in rows for code in row]
+
+    cols: dict[str, np.ndarray] = {}
+    text_columns("beneficiary", beneficiaries, _BEN_TEXT)
+    cols["beneficiary.birth_date"] = np.array([b.birth_date for b in beneficiaries], dtype=np.int32)
+    cols["beneficiary.dual_eligible"] = np.array([b.dual_eligible for b in beneficiaries], dtype=bool)
+    cols["beneficiary.has_death_date"] = np.array([b.death_date is not None for b in beneficiaries], dtype=bool)
+    cols["beneficiary.death_date"] = np.array([b.death_date or 0 for b in beneficiaries], dtype=np.int32)
+    cols["beneficiary.enrollment_ptr"] = _ptr([len(b.enrollment_intervals) for b in beneficiaries])
+    cols["beneficiary.enrollment"] = np.array(
+        [interval for b in beneficiaries for interval in b.enrollment_intervals], dtype=np.int32
+    ).reshape(-1, 2)
+    text_columns("claim", claims, _CLAIM_TEXT)
+    for kind, records in (("claim", claims), ("stay", stays)):
+        for name in ("admit_date", "discharge_date"):
+            cols[f"{kind}.{name}"] = np.array([getattr(r, name) for r in records], dtype=np.int32)
+    for name in _CLAIM_CODES:
+        code_rows(f"claim.{name}", [getattr(c, name) for c in claims])
+    text_columns("stay", stays, _STAY_TEXT)
+    code_rows("stay.all_dx", [s.all_dx for s in stays])
+    code_rows("stay.all_proc", [s.all_proc for s in stays])
+    row_of = {(s.beneficiary_id, s.stay_id): i for i, s in enumerate(stays)}
+    cols["event.stay"] = np.array([row_of[e.stay.beneficiary_id, e.stay.stay_id] for e in events], dtype=np.int64)
+    cols["event.age"] = np.array([e.age for e in events], dtype=np.int32)
+    cols["event.eligible"] = np.array([e.eligible for e in events], dtype=bool)
+    cols["event.readmit_label"] = np.array([bool(e.readmit_label) for e in events], dtype=bool)
+    cols["event.mortality_label"] = np.array([bool(e.mortality_label) for e in events], dtype=bool)
+    cols["event.mortality_excluded"] = np.array([e.mortality_exclusion is not None for e in events], dtype=bool)
+    words = sorted(set().union(*texts.values()) - {None})
+    code = dict(zip(words, range(len(words))))
+    code[None] = -1
+    cols.update({name: np.array(list(map(code.__getitem__, values)), dtype=np.int32) for name, values in texts.items()})
+    encoded = [word.encode("utf-8", "surrogatepass") for word in words]
+    cols["text_ptr"] = _ptr([len(word) for word in encoded])
+    cols["text"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return cols
+
+
+def text_words(cols, codes) -> dict[int, str | None]:
+    """{code: string} for the given codes of `population_columns`' table;
+    code -1 reads None."""
+    blob = cols["text"].tobytes()
+    ptr = cols["text_ptr"].tolist()
+    return {
+        code: None if code < 0 else blob[ptr[code] : ptr[code + 1]].decode("utf-8", "surrogatepass")
+        for code in np.unique(codes).tolist()
+    }

@@ -6,10 +6,11 @@ utilization, comorbidity, and hospital-acquired-condition features. The
 layout of z is data-driven (see seqfuse/data/domain_spec.json), and the
 name list returned alongside the values always matches positionally.
 
-`featurize_events` appends each event straight into the columns of an
-`EventTable`, one row per event with its visit steps in CSR form; the
-featurize stage saves that table as `featurize/events.npz`, which every
-later stage loads.
+`featurize_events` builds every event's steps and z in one pass of numpy
+operations over the columns cohort writes (`cohort.population_columns`),
+not one event at a time, and returns them as an `EventTable`, one row per
+event with its visit steps in CSR form; the featurize stage saves that
+table as `featurize/events.npz`, which every later stage loads.
 """
 
 from __future__ import annotations
@@ -19,18 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import Beneficiary, ClaimRecord, _ptr, write_npz
-from .cohort import LOOKBACK_DAYS, IndexEvent, InpatientStay, age_band
+from .claims import _ptr, day_to_iso, write_npz
+from .cohort import LOOKBACK_DAYS, age_band, text_words
 from .errors import ValidationError
-from .knowledge import CcsMap, KnowledgeBundle, charlson_index, hac_flags
+from .knowledge import DomainFeature, KnowledgeBundle
 
 __all__ = [
     "SequenceOptions",
-    "SequenceStep",
     "EventTable",
     "SUBGROUP_KEYS",
-    "build_sequence",
-    "build_domain_vector",
     "featurize_events",
 ]
 
@@ -42,73 +40,6 @@ class SequenceOptions:
     lookback_days: int = 365
 
 
-@dataclass(frozen=True)
-class SequenceStep:
-    day_offset: int
-    indices: tuple[int, ...]
-
-
-def _stay_indices(stay: InpatientStay, ccs: CcsMap) -> tuple[int, ...]:
-    indices = {ccs.dx_index(c) for c in stay.all_dx}
-    indices.update(ccs.proc_index(p) for p in stay.all_proc)
-    return tuple(sorted(indices))
-
-
-def _claim_indices(claim: ClaimRecord, ccs: CcsMap) -> tuple[int, ...]:
-    indices = {ccs.dx_index(c) for c in claim.dx_codes}
-    indices.update(ccs.proc_index(p) for p in claim.proc_codes)
-    return tuple(sorted(indices))
-
-
-def build_sequence(
-    event: IndexEvent,
-    claims: list[ClaimRecord],
-    stays: list[InpatientStay],
-    ccs: CcsMap,
-    opts: SequenceOptions = SequenceOptions(),
-) -> list[SequenceStep]:
-    """Ordered visit steps for one index event.
-
-    History covers admissions in [index admit - lookback, index admit);
-    inpatient steps come from resolved stays so transfer chains appear once.
-    Same-day steps order by record id, so output is stable. The index stay
-    itself is the final step unless excluded, and excluding it requires at
-    least one history step to remain.
-    """
-    index_admit = event.stay.admit_date
-    horizon = index_admit - opts.lookback_days
-    keyed: list[tuple[int, str, tuple[int, ...]]] = []
-    for stay in stays:
-        if stay.beneficiary_id == event.stay.beneficiary_id and horizon <= stay.admit_date < index_admit:
-            keyed.append((stay.admit_date - index_admit, stay.stay_id, _stay_indices(stay, ccs)))
-    if opts.include_outpatient:
-        for claim in claims:
-            if (
-                claim.beneficiary_id == event.stay.beneficiary_id
-                and claim.claim_type in ("outpatient", "ed")
-                and horizon <= claim.admit_date < index_admit
-            ):
-                indices = _claim_indices(claim, ccs)
-                if indices:
-                    keyed.append((claim.admit_date - index_admit, claim.claim_id, indices))
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    steps = [SequenceStep(day_offset=offset, indices=indices) for offset, _, indices in keyed]
-    if not opts.exclude_index_step:
-        steps.append(SequenceStep(day_offset=0, indices=_stay_indices(event.stay, ccs)))
-    if not steps:
-        raise ValidationError(f"event {event.event_id}: no visits left to build a sequence from")
-    return steps
-
-
-def _one_hot(value: str, levels: tuple[str, ...]) -> list[float]:
-    vec = [0.0] * (len(levels) + 1)
-    try:
-        vec[levels.index(value)] = 1.0
-    except ValueError:
-        vec[-1] = 1.0
-    return vec
-
-
 def _z_age_band(age: int) -> str:
     if age < 65:
         return "<65"
@@ -118,119 +49,41 @@ def _z_age_band(age: int) -> str:
     return f"{low}-{low + 4}"
 
 
-def _pooled_dx_codes(event: IndexEvent, claims: list[ClaimRecord]) -> set[str]:
-    admit = event.stay.admit_date
-    codes = set(event.stay.all_dx)
-    for claim in claims:
-        if claim.beneficiary_id == event.stay.beneficiary_id and admit - LOOKBACK_DAYS <= claim.admit_date <= admit:
-            codes.update(claim.dx_codes)
-    return codes
-
-
-def build_domain_vector(
-    event: IndexEvent,
-    beneficiary: Beneficiary,
-    claims: list[ClaimRecord],
-    stays: list[InpatientStay],
-    bundle: KnowledgeBundle,
-) -> tuple[list[float], list[str]]:
-    """The hand-crafted vector z and its positionally matched feature names.
-
-    Utilization counts cover the `LOOKBACK_DAYS` (12 months) before the
-    index admission; comorbidity pools diagnosis codes over that window
-    plus the index stay. `features.lookback_days` sets only the window of
-    the visit steps, not this one. Unknown categorical values land in each
-    feature's reserved (other) slot.
-    """
-    return _domain_values(event, beneficiary, claims, stays, bundle), _domain_names(bundle)
+def _feature_names(feature: DomainFeature, bundle: KnowledgeBundle) -> list[str]:
+    """The column names of one feature's block of z."""
+    if feature.encoding in ("numeric", "binary"):
+        return [feature.name]
+    if feature.encoding == "one_hot":
+        return [f"{feature.name}={level}" for level in feature.levels] + [f"{feature.name}=(other)"]
+    if feature.encoding == "one_hot_dx_ccs":
+        return [f"{feature.name}={cat}" for cat in range(bundle.ccs.n_dx)] + [f"{feature.name}=(other)"]
+    if feature.encoding == "flags":
+        return [f"{feature.name}[{rule.name}]" for rule in bundle.hac_rules]
+    raise ValidationError(f"feature {feature.name!r}: unknown encoding {feature.encoding!r}")
 
 
 def _domain_names(bundle: KnowledgeBundle) -> list[str]:
-    """The column names of z, in the layout `_domain_values` fills."""
-    names: list[str] = []
-    for feature in bundle.domain_spec:
-        if feature.encoding in ("numeric", "binary"):
-            names.append(feature.name)
-        elif feature.encoding == "one_hot":
-            names.extend([f"{feature.name}={level}" for level in feature.levels] + [f"{feature.name}=(other)"])
-        elif feature.encoding == "one_hot_dx_ccs":
-            names.extend([f"{feature.name}={cat}" for cat in range(bundle.ccs.n_dx)] + [f"{feature.name}=(other)"])
-        elif feature.encoding == "flags":
-            names.extend(f"{feature.name}[{rule.name}]" for rule in bundle.hac_rules)
-    return names
+    """The column names of z, in the layout `_encode` fills."""
+    return [name for feature in bundle.domain_spec for name in _feature_names(feature, bundle)]
 
 
-def _domain_values(
-    event: IndexEvent,
-    beneficiary: Beneficiary,
-    claims: list[ClaimRecord],
-    stays: list[InpatientStay],
-    bundle: KnowledgeBundle,
-) -> list[float]:
-    """The values of z (see `build_domain_vector`)."""
-    stay = event.stay
-    ccs = bundle.ccs
-    admit = stay.admit_date
-    window_start = admit - LOOKBACK_DAYS
-
-    n_inpatient = sum(
-        1
-        for s in stays
-        if s.beneficiary_id == stay.beneficiary_id and window_start <= s.admit_date <= admit - 1
-    )
-    n_outpatient = 0
-    n_ed = 0
-    for claim in claims:
-        if claim.beneficiary_id == stay.beneficiary_id and window_start <= claim.admit_date <= admit - 1:
-            if claim.claim_type == "outpatient":
-                n_outpatient += 1
-            elif claim.claim_type == "ed":
-                n_ed += 1
-    charlson = charlson_index(_pooled_dx_codes(event, claims), ccs, bundle.charlson_weights)
-    dx_cats = {ccs.dx_category(c) for c in stay.all_dx}
-    proc_cats = {ccs.proc_category(p) for p in stay.all_proc}
-    flags = hac_flags(dx_cats, proc_cats, bundle.hac_rules)
-
-    raw: dict[str, object] = {
-        "age_range": _z_age_band(event.age),
-        "gender": beneficiary.gender,
-        "race": beneficiary.race,
-        "dual_eligible": beneficiary.dual_eligible,
-        "medicare_status": beneficiary.medicare_status,
-        "length_of_stay": float(stay.los),
-        "admission_type": stay.admission_type,
-        "admission_source": stay.admission_source,
-        "discharge_disposition": stay.discharge_disposition,
-        "drg": stay.drg,
-        "discharge_dx_ccs": ccs.dx_category(stay.principal_dx),
-        "n_dx_codes_index": float(len(stay.all_dx)),
-        "inpatient_admissions_12m": float(n_inpatient),
-        "outpatient_visits_12m": float(n_outpatient),
-        "ed_visits_12m": float(n_ed),
-        "charlson_index": float(charlson),
-        "hac_flags": flags,
-    }
-
-    values: list[float] = []
-    for feature in bundle.domain_spec:
-        if feature.name not in raw:
-            raise ValidationError(f"domain spec references unknown feature {feature.name!r}")
-        value = raw[feature.name]
-        if feature.encoding == "numeric":
-            values.append(float(value))
-        elif feature.encoding == "binary":
-            values.append(1.0 if value else 0.0)
-        elif feature.encoding == "one_hot":
-            values.extend(_one_hot(str(value), feature.levels))
-        elif feature.encoding == "one_hot_dx_ccs":
-            vec = [0.0] * ccs.n_dx_columns
-            vec[int(value)] = 1.0
-            values.extend(vec)
-        elif feature.encoding == "flags":
-            values.extend(float(f) for f in value)
-        else:
-            raise ValidationError(f"feature {feature.name!r}: unknown encoding {feature.encoding!r}")
-    return values
+def _encode(feature: DomainFeature, value, n_dx_columns: int) -> list[float]:
+    """One feature's block of z for one value. Unknown categorical values
+    land in the feature's reserved (other) slot."""
+    if feature.encoding == "numeric":
+        return [float(value)]
+    if feature.encoding == "binary":
+        return [1.0 if value else 0.0]
+    if feature.encoding == "flags":
+        return [float(f) for f in value]
+    if feature.encoding == "one_hot":
+        levels = feature.levels
+        vec = [0.0] * (len(levels) + 1)
+        vec[levels.index(str(value)) if str(value) in levels else -1] = 1.0
+    else:
+        vec = [0.0] * n_dx_columns
+        vec[int(value)] = 1.0
+    return vec
 
 
 def charlson_band(charlson: int) -> str:
@@ -241,67 +94,192 @@ def charlson_band(charlson: int) -> str:
     return "6+"
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR pointers for runs of the given lengths, and the positions
+    starts[i], ..., starts[i] + lengths[i] - 1 of all runs in order."""
+    ptr = _ptr(lengths)
+    return ptr, np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1], dtype=np.int64)
+
+
+def _pairs(keys: np.ndarray, row_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, r) for every i and every row r with row_keys[r] == keys[i],
+    grouped by i; within a group, rows keep their order."""
+    order = np.argsort(row_keys, kind="stable")
+    sorted_keys = row_keys[order]
+    lo = np.searchsorted(sorted_keys, keys, "left")
+    counts = np.searchsorted(sorted_keys, keys, "right") - lo
+    _, positions = _ranges(lo, counts)
+    return np.repeat(np.arange(len(keys)), counts), order[positions]
+
+
+def _strings(values: np.ndarray, convert) -> np.ndarray:
+    """`np.array([convert(v) for v in values], dtype=str)`, converting each
+    distinct value once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([convert(v) for v in distinct.tolist()], dtype=np.str_)[inverse.reshape(-1)]
+
+
+def _membership(cols, kind: str, dx_name: str, proc_name: str, dx_index, proc_index, width: int) -> np.ndarray:
+    """(rows of `kind`, width) bool: which category indices each row's dx
+    and proc codes fall in."""
+    member = np.zeros((len(cols[f"{kind}.{dx_name}_ptr"]) - 1, width), dtype=bool)
+    for name, index in ((dx_name, dx_index), (proc_name, proc_index)):
+        lengths = np.diff(cols[f"{kind}.{name}_ptr"])
+        member[np.repeat(np.arange(len(lengths)), lengths), index[cols[f"{kind}.{name}"]]] = True
+    return member
+
+
 def featurize_events(
-    events: list[IndexEvent],
-    beneficiaries: dict[str, Beneficiary],
-    claims: list[ClaimRecord],
-    stays: list[InpatientStay],
+    cols: dict[str, np.ndarray],
     bundle: KnowledgeBundle,
     opts: SequenceOptions = SequenceOptions(),
 ) -> tuple[EventTable, list[str]]:
     """The visit steps, z, labels and subgroup attributes of every eligible
-    event, in event order, as one `EventTable`; and the names of z."""
-    claims_by_ben: dict[str, list[ClaimRecord]] = {}
-    for claim in claims:
-        claims_by_ben.setdefault(claim.beneficiary_id, []).append(claim)
-    stays_by_ben: dict[str, list[InpatientStay]] = {}
-    for stay in stays:
-        stays_by_ben.setdefault(stay.beneficiary_id, []).append(stay)
+    event in `cols` (`cohort.population_columns`), in event order, as one
+    `EventTable`; and the names of z.
 
-    z_names = _domain_names(bundle)
-    charlson_at = z_names.index("charlson_index")
-    # Per event column, its values; per CSR column, its row lengths.
-    cols: dict[str, list] = {f.name: [] for f in fields(EventTable)}
-    for event in events:
-        if not event.eligible:
-            continue
-        bid = event.stay.beneficiary_id
-        ben = beneficiaries[bid]
-        ben_claims = claims_by_ben.get(bid, [])
-        ben_stays = stays_by_ben.get(bid, [])
-        steps = build_sequence(event, ben_claims, ben_stays, bundle.ccs, opts)
-        z = _domain_values(event, ben, ben_claims, ben_stays, bundle)
-        if len(z) != len(z_names):
-            raise ValidationError(f"domain vector has {len(z)} values for {len(z_names)} names")
-        procs = sorted({bundle.ccs.proc_category(p) for p in event.stay.all_proc})
-        row = {
-            "event_id": event.event_id,
-            "beneficiary_id": bid,
-            "readmit_label": bool(event.readmit_label),
-            "mortality_label": bool(event.mortality_label),
-            "mortality_excluded": event.mortality_exclusion is not None,
-            "z": z,
-            "step_ptr": len(steps),
-            "age_range": age_band(event.age),
-            "gender": ben.gender,
-            "race": ben.race,
-            "medicare_status": ben.medicare_status,
-            "charlson_band": charlson_band(int(z[charlson_at])),
-            "proc_ptr": len(procs),
+    An event's steps are the stays and, with `include_outpatient`, the
+    outpatient and ED claims that carry a code, admitted in
+    [index admit - lookback_days, index admit); each step is its sorted
+    distinct category indices. Steps order by day, then by record id
+    string; the index stay is the last step unless `exclude_index_step`.
+    An event left with no step is dropped. Utilization counts cover the
+    `LOOKBACK_DAYS` (12 months) before the index admission, and the
+    Charlson index pools the dx codes of claims admitted in that window or
+    on the index day with the index stay's: `lookback_days` sets only the
+    window of the steps.
+    """
+    ccs = bundle.ccs
+    width = ccs.input_dim
+
+    def lookup(convert, *names: str) -> np.ndarray:
+        # Each code's value under `convert`, computed once per distinct code.
+        table = np.zeros(len(cols["text_ptr"]), dtype=np.int64)
+        for code, word in text_words(cols, np.concatenate([cols[name] for name in names])).items():
+            table[code] = convert(word)
+        return table
+
+    claim_type = cols["claim.claim_type"]
+    types = text_words(cols, claim_type)
+    outpatient = np.isin(claim_type, [code for code, word in types.items() if word == "outpatient"])
+    ed = np.isin(claim_type, [code for code, word in types.items() if word == "ed"])
+    dx_index = lookup(ccs.dx_index, "claim.dx_codes", "stay.all_dx", "stay.principal_dx")
+    proc_index = lookup(ccs.proc_index, "claim.proc_codes", "stay.all_proc")
+    stay_member = _membership(cols, "stay", "all_dx", "all_proc", dx_index, proc_index, width)
+    claim_member = _membership(cols, "claim", "dx_codes", "proc_codes", dx_index, proc_index, width)
+    stay_ben, claim_ben = cols["stay.beneficiary_id"], cols["claim.beneficiary_id"]
+    stay_admit = cols["stay.admit_date"].astype(np.int64)
+    claim_admit = cols["claim.admit_date"].astype(np.int64)
+
+    # Visit steps. Records are the stays, then the claims, with their
+    # category sets as CSR; string codes compare as the ids do.
+    n_stays = len(stay_ben)
+    rec_rows, rec_idx = np.nonzero(np.concatenate([stay_member, claim_member]))
+    rec_ptr = _ptr(np.bincount(rec_rows, minlength=n_stays + len(claim_ben)))
+    rec_admit = np.concatenate([stay_admit, claim_admit])
+    rec_id = np.concatenate([cols["stay.stay_id"], cols["claim.claim_id"]])
+    visits = np.arange(n_stays)
+    if opts.include_outpatient:
+        visits = np.concatenate([visits, n_stays + np.flatnonzero((outpatient | ed) & claim_member.any(axis=1))])
+    events = np.flatnonzero(cols["event.eligible"])
+    stay = cols["event.stay"][events]
+    admit = stay_admit[stay]
+    ev, rec = _pairs(stay_ben[stay], np.concatenate([stay_ben, claim_ben])[visits])
+    rec = visits[rec]
+    day = rec_admit[rec]
+    window = (admit[ev] - opts.lookback_days <= day) & (day < admit[ev])
+    ev, rec = ev[window], rec[window]
+    if not opts.exclude_index_step:
+        ev = np.concatenate([ev, np.arange(len(events))])
+        rec = np.concatenate([rec, stay])
+    # Every history step is admitted before the index day, so the index
+    # step sorts last.
+    order = np.lexsort((rec_id[rec], rec_admit[rec], ev))
+    ev, rec = ev[order], rec[order]
+    n_steps = np.bincount(ev, minlength=len(events))
+    idx_ptr, positions = _csr_take(rec_ptr, rec)
+    steps = {
+        "step_ptr": _ptr(n_steps[n_steps > 0]),
+        "day_offset": rec_admit[rec] - admit[ev],
+        "idx_ptr": idx_ptr,
+        "indices": rec_idx[positions],
+    }
+
+    # z, over the events that kept a step.
+    events, stay, admit = events[n_steps > 0], stay[n_steps > 0], admit[n_steps > 0]
+    n = len(events)
+    ben = stay_ben[stay]
+    ben_row = np.zeros(len(cols["text_ptr"]), dtype=np.int64)
+    ben_row[cols["beneficiary.beneficiary_id"]] = np.arange(len(cols["beneficiary.beneficiary_id"]))
+    ben_row = ben_row[ben]
+    ev, other = _pairs(ben, stay_ben)
+    day = stay_admit[other]
+    n_inpatient = np.bincount(ev[(admit[ev] - LOOKBACK_DAYS <= day) & (day < admit[ev])], minlength=n)
+    ev, claim = _pairs(ben, claim_ben)
+    day = claim_admit[claim]
+    past = (admit[ev] - LOOKBACK_DAYS <= day) & (day < admit[ev])
+    n_outpatient = np.bincount(ev[past & outpatient[claim]], minlength=n)
+    n_ed = np.bincount(ev[past & ed[claim]], minlength=n)
+    dx_member, proc_member = stay_member[stay, : ccs.n_dx_columns], stay_member[stay, ccs.n_dx_columns :]
+    pooled = past | (day == admit[ev])
+    code_ptr, positions = _csr_take(cols["claim.dx_codes_ptr"], claim[pooled])
+    comorbid = dx_member.copy()
+    comorbid[np.repeat(ev[pooled], np.diff(code_ptr)), dx_index[cols["claim.dx_codes"][positions]]] = True
+    weights = np.array([bundle.charlson_weights.get(cat, 0) for cat in range(ccs.n_dx_columns)], dtype=np.int64)
+    charlson = comorbid.astype(np.int64) @ weights
+    flags = np.zeros((n, len(bundle.hac_rules)), dtype=np.int64)
+    for k, rule in enumerate(bundle.hac_rules):
+        dx_cats = [cat for cat in sorted(rule.dx_ccs) if 0 <= cat < ccs.n_dx_columns]
+        proc_cats = [cat for cat in sorted(rule.proc_ccs) if 0 <= cat < ccs.n_proc_columns]
+        flags[:, k] = dx_member[:, dx_cats].any(axis=1) | proc_member[:, proc_cats].any(axis=1)
+
+    # Per feature of the spec: its value per event, and how a distinct value
+    # converts to what `_encode` takes (None: as it is).
+    coded = {name: cols[f"beneficiary.{name}"][ben_row] for name in ("gender", "race", "medicare_status")}
+    stay_text = ("admission_type", "admission_source", "discharge_disposition", "drg")
+    coded.update({name: cols[f"stay.{name}"][stay] for name in stay_text})
+    word = text_words(cols, np.concatenate([ben, *coded.values()])).__getitem__
+    age = cols["event.age"][events]
+    raw = {name: (values, word) for name, values in coded.items()}
+    raw.update(
+        {
+            "age_range": (age, _z_age_band),
+            "dual_eligible": (cols["beneficiary.dual_eligible"][ben_row], None),
+            "length_of_stay": (cols["stay.discharge_date"][stay] - cols["stay.admit_date"][stay], None),
+            "discharge_dx_ccs": (dx_index[cols["stay.principal_dx"][stay]], None),
+            "n_dx_codes_index": (np.diff(cols["stay.all_dx_ptr"])[stay], None),
+            "inpatient_admissions_12m": (n_inpatient, None),
+            "outpatient_visits_12m": (n_outpatient, None),
+            "ed_visits_12m": (n_ed, None),
+            "charlson_index": (charlson, None),
+            "hac_flags": (flags, None),
         }
-        for name, value in row.items():
-            cols[name].append(value)
-        for step in steps:
-            cols["day_offset"].append(step.day_offset)
-            cols["idx_ptr"].append(len(step.indices))
-            cols["indices"].extend(step.indices)
-        cols["proc_ccs"].extend(procs)
+    )
+    z_names = _domain_names(bundle)
+    blocks = []
+    for feature in bundle.domain_spec:
+        if feature.name not in raw:
+            raise ValidationError(f"domain spec references unknown feature {feature.name!r}")
+        values, convert = raw[feature.name]
+        if feature.encoding == "flags" and values.ndim == 2:
+            blocks.append(values.astype(np.float64))  # `_encode`'s float(f) of each 0/1 flag
+            continue
+        distinct, inverse = np.unique(values, return_inverse=True)
+        encoded = [_encode(feature, convert(v) if convert else v, ccs.n_dx_columns) for v in distinct.tolist()]
+        block_width = len(_feature_names(feature, bundle))
+        blocks.append(np.array(encoded, dtype=np.float64).reshape(len(distinct), block_width)[inverse.reshape(-1)])
+    proc_rows, proc_cats = np.nonzero(proc_member)
     return EventTable(
-        **{name: np.array(cols[name], dtype=bool) for name in ("readmit_label", "mortality_label", "mortality_excluded")},
-        **{name: np.array(cols[name], dtype=np.str_) for name in ("event_id", "beneficiary_id", *SUBGROUP_KEYS)},
-        **{name: np.array(cols[name], dtype=np.int64) for name in ("day_offset", "indices", "proc_ccs")},
-        **{name: _ptr(cols[name]) for name in ("step_ptr", "idx_ptr", "proc_ptr")},
-        z=np.array(cols["z"], dtype=np.float64).reshape(len(cols["z"]), len(z_names)),
+        event_id=np.array([f"{word(b)}@{day_to_iso(d)}" for b, d in zip(ben.tolist(), admit.tolist())], dtype=np.str_),
+        beneficiary_id=_strings(ben, word),
+        **{name: cols[f"event.{name}"][events] for name in ("readmit_label", "mortality_label", "mortality_excluded")},
+        z=np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0)),
+        **steps,
+        age_range=_strings(age, age_band),
+        **{name: _strings(coded[name], word) for name in ("gender", "race", "medicare_status")},
+        charlson_band=_strings(charlson, charlson_band),
+        proc_ptr=_ptr(np.bincount(proc_rows, minlength=n)),
+        proc_ccs=proc_cats.astype(np.int64),
     ), z_names
 
 
@@ -315,11 +293,7 @@ _CSR_COLUMNS = ("step_ptr", "day_offset", "idx_ptr", "indices", "proc_ptr", "pro
 def _csr_take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pointer array of CSR rows `rows`, and the positions of their
     elements in the original value array."""
-    starts = ptr[rows]
-    lengths = ptr[rows + 1] - starts
-    new_ptr = _ptr(lengths)
-    positions = np.repeat(starts - new_ptr[:-1], lengths) + np.arange(new_ptr[-1], dtype=np.int64)
-    return new_ptr, positions
+    return _ranges(ptr[rows], ptr[rows + 1] - ptr[rows])
 
 
 @dataclass(eq=False)

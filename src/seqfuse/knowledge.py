@@ -188,13 +188,6 @@ def load_hac_rules(path: str | Path | None = None) -> list[HacRule]:
     return rules
 
 
-def hac_flags(dx_cats, proc_cats, rules: list[HacRule]) -> list[int]:
-    """One 0/1 flag per rule; a rule fires on any listed dx or proc category."""
-    dx = set(dx_cats)
-    proc = set(proc_cats)
-    return [1 if (dx & rule.dx_ccs or proc & rule.proc_ccs) else 0 for rule in rules]
-
-
 @dataclass(frozen=True)
 class PlannedRules:
     planned_proc_ccs: frozenset[int]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqfuse.claims import SyntheticConfig, generate_population
-from seqfuse.cohort import build_cohort
+from seqfuse.cohort import build_cohort, population_columns
 from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import CcsMap, load_bundle
 
@@ -34,11 +34,16 @@ def small_cohort(small_population, bundle):
 
 
 @pytest.fixture(scope="session")
-def small_table(small_population, small_cohort, bundle):
-    """The featurized eligible events, as (EventTable, z names)."""
+def small_columns(small_population, small_cohort):
+    """The population and its cohort as the columns cohort writes."""
     events, stays, _ = small_cohort
-    ben_map = {b.beneficiary_id: b for b in small_population.beneficiaries}
-    return featurize_events(events, ben_map, small_population.claims, stays, bundle, SequenceOptions())
+    return population_columns(small_population.beneficiaries, small_population.claims, stays, events)
+
+
+@pytest.fixture(scope="session")
+def small_table(small_columns, bundle):
+    """The featurized eligible events, as (EventTable, z names)."""
+    return featurize_events(small_columns, bundle, SequenceOptions())
 
 
 @pytest.fixture()

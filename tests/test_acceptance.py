@@ -16,7 +16,7 @@ from seqfuse.autodiff import Tape, Tensor, backward
 from seqfuse.calibration import fit_platt, fit_temperature
 from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, generate_population, iso_to_day
 from seqfuse.cli import default_config, main
-from seqfuse.cohort import build_cohort
+from seqfuse.cohort import build_cohort, population_columns
 from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import CcsMap, load_bundle
 from seqfuse.metrics import auc, recall_at_top_k, recall_precision_at_threshold
@@ -81,9 +81,9 @@ def planted_world():
     events, stays, _ = build_cohort(
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs
     )
-    ben_map = {b.beneficiary_id: b for b in population.beneficiaries}
     table, _ = featurize_events(
-        events, ben_map, population.claims, stays, bundle,
+        population_columns(population.beneficiaries, population.claims, stays, events),
+        bundle,
         SequenceOptions(include_outpatient=False),
     )
     labels = table.readmit_label.astype(np.float64)

@@ -5,6 +5,7 @@ presence of the structural edge cases downstream code screens for)."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from seqfuse.claims import (
@@ -20,14 +21,15 @@ from seqfuse.claims import (
     ingest_claims,
     iso_to_day,
     read_ground_truth,
-    read_population_npz,
     write_ground_truth,
+    write_npz,
     write_population,
-    write_population_npz,
 )
+from seqfuse.cohort import population_columns
 from seqfuse.errors import ParseError, ValidationError
 from seqfuse.knowledge import CcsMap, load_charlson_weights
 from seqfuse.rng import Xoshiro256, derive_seed
+from tests.reference import read_population_npz
 
 
 def make_inpatient(**overrides) -> ClaimRecord:
@@ -238,13 +240,13 @@ class TestPopulationFiles:
             ClaimRecord("C3", "Bé\0", "ed", 7, 7, (), facility_id="\udc80"),
         ]
         path = tmp_path / "pop.npz"
-        write_population_npz(path, bens, claims)
-        loaded_bens, loaded_claims = read_population_npz(path)
+        write_npz(path, population_columns(bens, claims, [], []))
+        with np.load(path, allow_pickle=False) as npz:
+            loaded_bens, loaded_claims = read_population_npz(npz)
         assert loaded_bens == bens and loaded_claims == claims
         assert loaded_claims[1].facility_id == "" and loaded_claims[0].facility_id == "F01"
         assert loaded_claims[2].drg is None and loaded_bens[0].death_date is not None
-        write_population_npz(path, bens[:1], [])
-        assert read_population_npz(path) == (bens[:1], [])
+        assert read_population_npz(population_columns(bens[:1], [], [], [])) == (bens[:1], [])
 
     def test_ground_truth_header_contract(self, tmp_path):
         rows = [

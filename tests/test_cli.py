@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqfuse.claims import ingest_claims, read_population_npz
+from seqfuse.claims import ingest_claims, write_npz
 from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, default_config, load_config, main, validate_config
 from seqfuse.cohort import age_band, build_cohort
-from seqfuse.features import EventTable, build_domain_vector, build_sequence, charlson_band
+from seqfuse.features import EventTable, SequenceOptions, charlson_band
 from seqfuse.knowledge import CcsMap, load_bundle
+from tests.reference import build_domain_vector, build_sequence, read_population_npz, reference_table
 
 
 def _write_config(path: Path, outdir: Path, **overrides) -> Path:
@@ -105,6 +106,30 @@ class TestConfigHandling:
         cfg[section][key] = value
         assert len(validate_config(cfg)) == 1
         config = _write_config(tmp_path / "cfg.json", tmp_path / "run", **{section: {key: value}})
+        assert main(["generate", "--config", str(config)]) == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, problem",
+        [
+            ({"generate": 5}, "generate must be a JSON object"),
+            ({"knowledge": ["charlson_weights.json"]}, "knowledge must be a JSON object"),
+            ({"train": {"grid": []}}, "train.grid must be a JSON object"),
+            ({"train": {"lr_grid": [0.1]}}, "train.lr_grid must be a JSON object"),
+            ({"train": {"lr_grid": {"l2": 0.1, "smote": [False]}}}, "train.lr_grid.l2 must be a list"),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "batch_size": 32}}},
+                "train.grid.batch_size must be a list",
+            ),
+        ],
+    )
+    def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
+        cfg = default_config(outdir=str(tmp_path / "run"))
+        for key, value in overrides.items():
+            cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+        assert problem in validate_config(cfg)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["generate", "--config", str(config)]) == 2
         assert not (tmp_path / "run").exists()
 
@@ -312,7 +337,8 @@ class TestColumnarArtifacts:
         the run's own population, cohort and knowledge bundle."""
         _, outdir = pipeline_run
         table = EventTable.load(outdir / "featurize" / "events.npz")
-        beneficiaries, claims = read_population_npz(outdir / "cohort" / "population.npz")
+        with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
+            beneficiaries, claims = read_population_npz(npz)
         bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
         events, stays, _ = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         ben_map = {b.beneficiary_id: b for b in beneficiaries}
@@ -343,8 +369,21 @@ class TestColumnarArtifacts:
 
     def test_population_store_equals_the_ingested_records(self, pipeline_run):
         _, outdir = pipeline_run
-        stored = read_population_npz(outdir / "cohort" / "population.npz")
+        with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
+            stored = read_population_npz(npz)
         assert stored == ingest_claims(outdir / "generate" / "population.jsonl")
+
+    def test_featurize_does_not_rebuild_the_cohort(self, pipeline_run, tmp_path, monkeypatch):
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("featurize rebuilt the cohort")
+
+        monkeypatch.setattr("seqfuse.cli.build_cohort", refuse)
+        assert main(["featurize", "--config", str(config), "--outdir", str(copy)]) == 0
+        assert (copy / "featurize" / "events.npz").read_bytes() == (outdir / "featurize" / "events.npz").read_bytes()
 
     def test_featurize_reads_the_store_instead_of_parsing(self, pipeline_run, tmp_path, monkeypatch):
         config, outdir = pipeline_run
@@ -358,6 +397,19 @@ class TestColumnarArtifacts:
         assert main(["featurize", "--config", str(config), "--outdir", str(copy)]) == 0
         for path in sorted((outdir / "featurize").glob("*.*")):
             assert (copy / "featurize" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_population_store_without_the_cohort_is_exit_3(self, pipeline_run, tmp_path):
+        """A population.npz from before cohort wrote its stays and events."""
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        store = copy / "cohort" / "population.npz"
+        with np.load(store, allow_pickle=False) as npz:
+            write_npz(store, {key: npz[key] for key in npz.files if not key.startswith(("stay.", "event."))})
+        manifest = json.loads((copy / "cohort" / "manifest.json").read_text())
+        manifest["outputs"]["cohort/population.npz"] = _sha(store)
+        (copy / "cohort" / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["featurize", "--config", str(config), "--outdir", str(copy)]) == 3
 
     def test_featurize_rerun_is_byte_identical(self, pipeline_run):
         config, outdir = pipeline_run
@@ -396,6 +448,41 @@ class TestColumnarArtifacts:
         raw = tmp_path / "run" / "calibrate" / "raw_scores.npz"
         raw.write_bytes(raw.read_bytes() + b"\0")
         assert main(["evaluate", "--config", str(config)]) == 3
+
+
+class TestExcludeIndexStep:
+    def test_events_without_history_are_dropped_and_counted(self, tmp_path):
+        """Seed 5 at 300 patients has eligible events with no visit before
+        the index stay; they are dropped, not fatal."""
+        outdir = tmp_path / "run"
+        config = tmp_path / "cfg.json"
+        cfg = default_config(outdir=str(outdir), n_patients=300, seed=5)
+        cfg["features"]["exclude_index_step"] = True
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        for stage in ("generate", "cohort", "featurize"):
+            assert main([stage, "--config", str(config)]) == 0, stage
+        features = json.loads((outdir / "featurize" / "features.json").read_text())
+        audit = json.loads((outdir / "cohort" / "audit.json").read_text())
+        assert features["n_dropped_no_steps"] > 0
+        assert features["n_events"] + features["n_dropped_no_steps"] == audit["n_eligible"]
+        table = EventTable.load(outdir / "featurize" / "events.npz")
+        assert len(table) == features["n_events"] and np.all(np.diff(table.step_ptr) > 0)
+        assert np.all(table.day_offset < 0)
+        with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
+            beneficiaries, claims = read_population_npz(npz)
+        bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
+        events, stays, _ = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+        expected, _ = reference_table(
+            events,
+            {b.beneficiary_id: b for b in beneficiaries},
+            claims,
+            stays,
+            bundle,
+            SequenceOptions(exclude_index_step=True),
+        )
+        assert table.event_id.tolist() == expected.event_id.tolist()
+        assert table.z.tobytes() == expected.z.tobytes()
+        assert table.indices.tolist() == expected.indices.tolist()
 
 
 class TestMortalityTask:

