@@ -429,14 +429,12 @@ class Sgd:
 
 class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self._v = {k: np.zeros_like(v.data) for k, v in params.items()}
@@ -449,8 +447,6 @@ class Adam:
             if not p.requires_grad or p._grad is None:
                 continue
             g = p._grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m = self._m[name]
             v = self._v[name]
             m *= self.beta1

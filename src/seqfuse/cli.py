@@ -15,9 +15,12 @@ under that protocol: verify the inputs, run, hash the outputs.
 `featurize` computes its features from those columns instead of parsing
 the JSONL or building the cohort again. `featurize` hands its events on in
 one form, the columnar `featurize/events.npz` (an `EventTable`), which
-every later stage loads through `_load_sequences`. `calibrate` keeps each
-cell's uncalibrated scores in `calibrate/raw_scores.npz`, so `evaluate`
-scores events without predicting again.
+every later stage loads through `_load_sequences`. `train` builds the
+frozen matrix of the `pretrained` embedding mode itself, for each trial at
+its `embed_dim` (`model.random_embedding`), so no stage writes it.
+`calibrate` keeps each cell's uncalibrated scores in
+`calibrate/raw_scores.npz`, so `evaluate` scores events without predicting
+again.
 
 Exit codes: 0 success, 2 invalid input or config, 3 missing/stale
 prerequisite artifacts, 4 numerical failure.
@@ -58,7 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .features import SUBGROUP_KEYS, EventTable, SequenceOptions, featurize_events
-from .knowledge import CcsMap, load_bundle
+from .knowledge import KNOWLEDGE_FILES, CcsMap, load_bundle
 from .metrics import (
     auc,
     recall_at_top_k,
@@ -66,7 +69,7 @@ from .metrics import (
     subgroup_report,
     surrogate_importance,
 )
-from .model import load_model, load_pretrained_embedding, save_model, write_random_embedding
+from .model import EMBEDDINGS as EMBEDDING_MODES, load_model, save_model
 from .rng import derive_seed
 from .training import (
     config_hash,
@@ -80,7 +83,6 @@ TASKS = ("readmission", "mortality")
 ALGORITHMS = ("lr", "rnn", "early_fusion", "late_fusion")
 ALGORITHM_LABELS = {"lr": "LR", "rnn": "RNN", "early_fusion": "Early Fusion", "late_fusion": "Late Fusion"}
 FUSION_OF = {"rnn": "none", "early_fusion": "early", "late_fusion": "late"}
-EMBEDDING_MODES = ("linear", "pretrained")
 
 
 def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int = 20110901) -> dict:
@@ -98,7 +100,6 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
             "include_outpatient": True,
             "exclude_index_step": False,
             "lookback_days": 365,
-            "pretrained_embed_dim": 16,
         },
         "train": {
             "algorithms": ["lr", "early_fusion", "late_fusion"],
@@ -162,6 +163,9 @@ def validate_config(cfg: dict) -> list[str]:
     n_patients = gen.get("n_patients")
     if not _is_int(n_patients) or n_patients <= 0:
         problems.append("generate.n_patients must be a positive integer")
+    for key in ("dx_vocab", "proc_vocab"):  # `SyntheticConfig.validate` checks their range
+        if not _is_int(gen.get(key, 90)):
+            problems.append(f"generate.{key} must be an integer")
     mean_claims = gen.get("mean_claims_per_patient", 1)
     if not _is_number(mean_claims) or mean_claims <= 0:
         problems.append("generate.mean_claims_per_patient must be a positive number")
@@ -170,9 +174,6 @@ def validate_config(cfg: dict) -> list[str]:
     lookback = feats.get("lookback_days", 365)
     if not _is_int(lookback) or lookback <= 0:
         problems.append("features.lookback_days must be a positive integer")
-    embed_dim = feats.get("pretrained_embed_dim", 16)
-    if not _is_int(embed_dim) or embed_dim <= 0:
-        problems.append("features.pretrained_embed_dim must be a positive integer")
 
     train = sections["train"]
     algorithms = train.get("algorithms", [])
@@ -195,6 +196,11 @@ def validate_config(cfg: dict) -> list[str]:
     patience = train.get("patience", 0)
     if not _is_int(patience) or patience < 0:
         problems.append("train.patience must be a non-negative integer")
+    if train.get("optimizer", "adam") not in ("adam", "sgd"):
+        problems.append("train.optimizer must be 'adam' or 'sgd'")
+    w_neg = train.get("w_neg", 1.0)
+    if not _is_number(w_neg) or w_neg <= 0:
+        problems.append("train.w_neg must be a positive number")
     grids = {}
     for name in ("grid", "lr_grid"):
         grids[name] = train.get(name, {})
@@ -208,12 +214,6 @@ def validate_config(cfg: dict) -> list[str]:
         for axis in ("embed_dim", "hidden_dim", "lr"):
             if not grid.get(axis):
                 problems.append(f"train.grid.{axis} must be a non-empty list")
-        if "pretrained" in modes and isinstance(grid.get("embed_dim"), (list, tuple)):
-            bad = [e for e in grid["embed_dim"] if e != embed_dim]
-            if bad:
-                problems.append(
-                    f"train.grid.embed_dim values {bad} clash with features.pretrained_embed_dim={embed_dim}"
-                )
     if "lr" in algorithms and not grids["lr_grid"].get("l2"):
         problems.append("train.lr_grid.l2 must be a non-empty list")
 
@@ -233,6 +233,16 @@ def validate_config(cfg: dict) -> list[str]:
     n_min = ev.get("n_min", 50)
     if not _is_int(n_min) or n_min < 1:
         problems.append("evaluate.n_min must be an integer of at least 1")
+
+    knowledge = sections["knowledge"]
+    unknown = set(knowledge) - set(KNOWLEDGE_FILES)
+    if unknown:
+        problems.append(f"unknown knowledge keys: {sorted(unknown)}")
+    problems += [
+        f"knowledge.{key} must be a file path string"
+        for key, value in knowledge.items()
+        if key in KNOWLEDGE_FILES and not isinstance(value, str)
+    ]
     return problems
 
 
@@ -254,10 +264,14 @@ def load_config(path: str, outdir: str | None = None) -> dict:
             merged[key] = value
     if outdir is not None:
         merged["outdir"] = outdir
-    # Configs from older versions carry the removed `train.jobs`; results
-    # never depended on it, so it is dropped rather than hashed.
+    # Configs from older versions may carry two removed keys: `train.jobs`,
+    # which results never depended on, and `features.pretrained_embed_dim`,
+    # which had to equal every `train.grid.embed_dim` (the frozen matrix
+    # now takes each trial's own). Both are dropped rather than hashed.
     if isinstance(merged["train"], dict):
         merged["train"].pop("jobs", None)
+    if isinstance(merged["features"], dict):
+        merged["features"].pop("pretrained_embed_dim", None)
     problems = validate_config(merged)
     if problems:
         raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
@@ -365,7 +379,6 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     evaluated.append("evaluate/metrics.json")
     population = ["generate/population.jsonl", "generate/ccs_map.csv"]
     events = ["featurize/events.npz", "featurize/features.json"]
-    embedding = ["featurize/pretrained_embedding/manifest.json", "featurize/pretrained_embedding/weights.bin"]
     calibrated = ["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
     return {
         "generate": ([], population + ["generate/ground_truth.csv", "generate/generator_info.json"]),
@@ -373,11 +386,8 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
             population,
             ["cohort/index_events.jsonl", "cohort/population.npz", "cohort/summary.csv", "cohort/audit.json"],
         ),
-        "featurize": (
-            ["cohort/population.npz", "generate/ccs_map.csv"],
-            events + embedding,
-        ),
-        "train": (events + embedding, ["train/split.json", "train/trials.csv", "train/summary.json"] + models),
+        "featurize": (["cohort/population.npz", "generate/ccs_map.csv"], events),
+        "train": (events, ["train/split.json", "train/trials.csv", "train/summary.json"] + models),
         "calibrate": (events + ["train/split.json"] + models, calibrated),
         "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, evaluated),
         "report": (events + evaluated, ["report/table3.csv", "report/subgroups.csv", "report/report_info.json"]),
@@ -487,13 +497,6 @@ def stage_featurize(cfg: dict, outdir: Path) -> None:
     if not len(table):
         raise ValidationError(f"no eligible events to featurize ({n_dropped} had no visit steps)")
     table.save(stage_dir / "events.npz")
-    embed_dim = feats.get("pretrained_embed_dim", 16)
-    write_random_embedding(
-        stage_dir / "pretrained_embedding",
-        input_dim=bundle.ccs.input_dim,
-        embed_dim=embed_dim,
-        seed=cfg["seed"],
-    )
     meta = {
         "z_names": z_names,
         "n_dx_columns": bundle.ccs.n_dx_columns,
@@ -539,7 +542,6 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         },
     )
 
-    pretrained = load_pretrained_embedding(outdir / "featurize" / "pretrained_embedding")
     steps = table.step_lists() if any(algorithm != "lr" for algorithm, _ in cells) else None
     summary: dict[str, dict] = {}
     trial_rows: list[dict] = []
@@ -565,7 +567,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
                 domain_dim=table.z.shape[1],
                 fusion=FUSION_OF[algorithm],
                 embedding=mode,
-                pretrained=pretrained if mode == "pretrained" else None,
+                embedding_seed=cfg["seed"],
                 epochs=int(train_cfg.get("epochs", 15)),
                 patience=int(train_cfg.get("patience", 3)),
                 w_neg=float(train_cfg.get("w_neg", 1.0)),

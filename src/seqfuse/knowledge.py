@@ -2,7 +2,7 @@
 
 Everything the pipeline knows about medicine lives here: the CCS-style
 grouper that collapses raw diagnosis/procedure codes into categories, the
-Charlson weights, the LACE point tables, hospital-acquired-condition rules,
+Charlson weights, hospital-acquired-condition rules,
 the planned-readmission screen, and the acute DRG list. Rule tables ship as
 JSON under ``seqfuse/data`` so a deployment against real claims can swap
 them for files derived from the published crosswalks without code changes.
@@ -219,59 +219,6 @@ def load_acute_drgs(path: str | Path | None = None) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class LaceTables:
-    los_points: tuple[tuple[int, int], ...]
-    acute_admission_points: int
-    charlson_points: tuple[tuple[int, int], ...]
-    ed_visit_points: tuple[tuple[int, int], ...]
-
-
-def load_lace_tables(path: str | Path | None = None) -> LaceTables:
-    raw = _load_json(path, "lace_tables.json")
-
-    def table(key: str) -> tuple[tuple[int, int], ...]:
-        rows = tuple((int(a), int(b)) for a, b in raw[key])
-        if list(rows) != sorted(rows):
-            raise ValidationError(f"{key} breakpoints must be sorted ascending")
-        return rows
-
-    return LaceTables(
-        los_points=table("los_points"),
-        acute_admission_points=int(raw["acute_admission_points"]),
-        charlson_points=table("charlson_points"),
-        ed_visit_points=table("ed_visit_points"),
-    )
-
-
-def _lookup_points(value: float, breakpoints: tuple[tuple[int, int], ...]) -> int:
-    points = 0
-    for threshold, pts in breakpoints:
-        if value >= threshold:
-            points = pts
-    return points
-
-
-def lace_score(
-    los_days: int,
-    admission_type: str,
-    charlson: int,
-    ed_visits_6m: int,
-    tables: LaceTables,
-) -> int:
-    """19-point LACE index: length of stay, acuity, comorbidity, ED use."""
-    if los_days < 0:
-        raise ValidationError(f"length of stay must be non-negative, got {los_days}")
-    if ed_visits_6m < 0:
-        raise ValidationError(f"ED visit count must be non-negative, got {ed_visits_6m}")
-    score = _lookup_points(los_days, tables.los_points)
-    if admission_type in ("emergent", "urgent"):
-        score += tables.acute_admission_points
-    score += _lookup_points(charlson, tables.charlson_points)
-    score += _lookup_points(ed_visits_6m, tables.ed_visit_points)
-    return score
-
-
-@dataclass(frozen=True)
 class DomainFeature:
     name: str
     encoding: str
@@ -297,6 +244,17 @@ def load_domain_spec(path: str | Path | None = None) -> list[DomainFeature]:
     return features
 
 
+# The rule tables a config's `knowledge` section may replace with a file,
+# each with its loader.
+KNOWLEDGE_FILES = {
+    "charlson_weights": load_charlson_weights,
+    "hac_rules": load_hac_rules,
+    "planned_rules": load_planned_rules,
+    "acute_drgs": load_acute_drgs,
+    "domain_spec": load_domain_spec,
+}
+
+
 @dataclass(frozen=True)
 class KnowledgeBundle:
     """All rule tables resolved together, as the pipeline consumes them."""
@@ -306,18 +264,19 @@ class KnowledgeBundle:
     hac_rules: list[HacRule]
     planned_rules: PlannedRules
     acute_drgs: frozenset[str]
-    lace_tables: LaceTables
     domain_spec: list[DomainFeature]
 
 
 def load_bundle(ccs: CcsMap, paths: dict[str, str | Path] | None = None) -> KnowledgeBundle:
+    """Each table from its file in `paths`, or the bundled one. A file that
+    cannot be read, or whose JSON lacks the fields or types its loader
+    expects, raises ValidationError naming it."""
     paths = paths or {}
-    return KnowledgeBundle(
-        ccs=ccs,
-        charlson_weights=load_charlson_weights(paths.get("charlson_weights")),
-        hac_rules=load_hac_rules(paths.get("hac_rules")),
-        planned_rules=load_planned_rules(paths.get("planned_rules")),
-        acute_drgs=load_acute_drgs(paths.get("acute_drgs")),
-        lace_tables=load_lace_tables(paths.get("lace_tables")),
-        domain_spec=load_domain_spec(paths.get("domain_spec")),
-    )
+    tables = {}
+    for key, loader in KNOWLEDGE_FILES.items():
+        try:
+            tables[key] = loader(paths.get(key))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            source = paths.get(key) or "the bundled table"
+            raise ValidationError(f"knowledge.{key}: cannot load {str(source)!r}: {exc!r}") from exc
+    return KnowledgeBundle(ccs=ccs, **tables)

@@ -322,21 +322,9 @@ def load_model(directory) -> tuple[SeqFuseModel, dict]:
     return SeqFuseModel(cfg, params=params), meta
 
 
-def write_random_embedding(directory, input_dim: int, embed_dim: int, seed: int) -> np.ndarray:
-    """A fixed random embedding checkpoint, a stand-in for externally
-    pretrained code vectors; training leaves it untouched."""
+def random_embedding(input_dim: int, embed_dim: int, seed: int) -> np.ndarray:
+    """A fixed random (input_dim, embed_dim) matrix drawn from the root
+    seed, a stand-in for externally pretrained code vectors; a model built
+    with `embedding="pretrained"` keeps it frozen."""
     rng = Xoshiro256(derive_seed(seed, "pretrained_embedding"))
-    matrix = init_uniform((input_dim, embed_dim), input_dim, rng).data
-    save_checkpoint(
-        directory,
-        {"embed.W": matrix},
-        {"kind": "pretrained_embedding", "input_dim": input_dim, "embed_dim": embed_dim, "seed": seed},
-    )
-    return matrix
-
-
-def load_pretrained_embedding(directory) -> np.ndarray:
-    arrays, meta = load_checkpoint(directory)
-    if meta.get("kind") != "pretrained_embedding" or "embed.W" not in arrays:
-        raise ValidationError(f"{directory} does not hold an embedding checkpoint")
-    return arrays["embed.W"]
+    return init_uniform((input_dim, embed_dim), input_dim, rng).data

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Adam, Sgd, Tape, backward
 from .errors import MetricUndefinedError, NumericsError, ValidationError
 from .metrics import auc
-from .model import ModelConfig, SeqFuseModel
+from .model import ModelConfig, SeqFuseModel, random_embedding
 from .rng import Xoshiro256, derive_seed
 
 FOLD_NAMES = ("train", "valid", "calibration", "test")
@@ -314,7 +314,7 @@ def make_deep_runner(
     domain_dim: int,
     fusion: str,
     embedding: str = "linear",
-    pretrained: np.ndarray | None = None,
+    embedding_seed: int = 0,
     epochs: int = 30,
     patience: int = 5,
     w_neg: float = 1.0,
@@ -325,6 +325,8 @@ def make_deep_runner(
     Each trial standardizes z on the training fold, trains a fresh model,
     and reports validation/test AUC plus everything needed to persist the
     winner. A numerics blow-up returns a failed trial instead of raising.
+    A pretrained trial freezes `random_embedding(input_dim, embed_dim,
+    embedding_seed)` at its own `embed_dim`.
     """
     labels = np.asarray(labels, dtype=np.float64)
     use_z = fusion != "none"
@@ -352,6 +354,9 @@ def make_deep_runner(
         )
         mean, std = fit_standardizer(z[fold_idx["train"]])
         z_std = apply_standardizer(z, mean, std) if use_z else None
+        pretrained = None
+        if embedding == "pretrained":
+            pretrained = random_embedding(input_dim, model_config.embed_dim, embedding_seed)
         try:
             model = SeqFuseModel(model_config, pretrained_embedding=pretrained)
             result = train_model(

@@ -14,6 +14,8 @@ from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, default_config, load_con
 from seqfuse.cohort import age_band, build_cohort
 from seqfuse.features import EventTable, SequenceOptions, charlson_band
 from seqfuse.knowledge import CcsMap, load_bundle
+from seqfuse.model import load_model, random_embedding
+from seqfuse.training import config_hash
 from tests.reference import build_domain_vector, build_sequence, read_population_npz, reference_table
 
 
@@ -84,13 +86,6 @@ class TestConfigHandling:
         problems = validate_config(cfg)
         assert len(problems) == 3
 
-    def test_pretrained_embed_dim_clash_detected(self):
-        cfg = default_config()
-        cfg["train"]["embedding_modes"] = ["linear", "pretrained"]
-        cfg["train"]["grid"]["embed_dim"] = [24]
-        cfg["features"]["pretrained_embed_dim"] = 16
-        assert any("clash" in p for p in validate_config(cfg))
-
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -99,6 +94,10 @@ class TestConfigHandling:
             ("train", "epochs", "3"),
             ("features", "lookback_days", None),
             ("generate", "n_patients", True),
+            ("generate", "dx_vocab", "x"),
+            ("train", "optimizer", "rmsprop"),
+            ("train", "w_neg", -1),
+            ("knowledge", "hac_rules", 5),
         ],
     )
     def test_wrongly_typed_value_is_one_problem_and_exit_2(self, tmp_path, section, key, value):
@@ -121,6 +120,8 @@ class TestConfigHandling:
                 {"train": {"grid": {**default_config()["train"]["grid"], "batch_size": 32}}},
                 "train.grid.batch_size must be a list",
             ),
+            ({"knowledge": {"hac_rule": "hac_rules.json"}}, "unknown knowledge keys: ['hac_rule']"),
+            ({"knowledge": {"lace_tables": "lace_tables.json"}}, "unknown knowledge keys: ['lace_tables']"),
         ],
     )
     def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
@@ -132,6 +133,22 @@ class TestConfigHandling:
         config.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["generate", "--config", str(config)]) == 2
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", '{"rule": []}', '{"rules": 5}', '{"rules": [{"name": "x", "dx_ccs": ["a"], "proc_ccs": []}]}'],
+        ids=["missing", "not-json", "no-rules", "rules-not-a-list", "category-not-an-integer"],
+    )
+    def test_unreadable_rule_file_is_exit_2(self, pipeline_run, tmp_path, capsys, content):
+        _, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir / "generate", copy / "generate")
+        rules = tmp_path / "hac_rules.json"
+        if content is not None:
+            rules.write_text(content, encoding="utf-8")
+        config = _write_config(tmp_path / "cfg.json", copy, knowledge={"hac_rules": str(rules)})
+        assert main(["cohort", "--config", str(config)]) == 2
+        assert "knowledge.hac_rules" in capsys.readouterr().err
 
     def test_missing_config_file_is_exit_2(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -156,6 +173,12 @@ class TestConfigHandling:
         cfg = load_config(str(config))
         assert "jobs" not in cfg["train"]
         assert cfg == load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run")))
+
+    def test_config_with_the_removed_pretrained_embed_dim_loads(self, tmp_path):
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", features={"pretrained_embed_dim": 16})
+        cfg = load_config(str(config))
+        assert "pretrained_embed_dim" not in cfg["features"]
+        assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
 
 
 class TestPipelineArtifacts:
@@ -305,6 +328,29 @@ class TestArtifactTable:
                 assert main(argv) == 3, (stage, rel)
                 (copy / rel).write_bytes(original)
                 assert main(argv) == 0, (stage, rel)
+
+
+class TestPretrainedEmbedding:
+    def test_pretrained_cells_search_embed_dim_over_a_frozen_seeded_matrix(self, tmp_path):
+        """Each pretrained trial freezes `random_embedding` at its own
+        embed_dim, so a pretrained cell searches embed_dim as a linear one does."""
+        grid = {"embed_dim": [8, 12], "hidden_dim": [8], "lr": [0.05], "batch_size": [32]}
+        train = {"algorithms": ["rnn"], "embedding_modes": ["linear", "pretrained"], "grid": grid}
+        outdir = tmp_path / "run"
+        config = _write_config(tmp_path / "cfg.json", outdir, train=train)
+        for stage in ("generate", "cohort", "featurize", "train"):
+            assert main([stage, "--config", str(config)]) == 0, stage
+        with open(outdir / "train" / "trials.csv", newline="") as fh:
+            trials = [row for row in csv.DictReader(fh) if row["cell"] == "rnn__pretrained"]
+        assert sorted(json.loads(t["config"])["embed_dim"] for t in trials) == [8, 12]
+        assert {t["status"] for t in trials} == {"ok"}
+        input_dim = json.loads((outdir / "featurize" / "features.json").read_text())["input_dim"]
+        frozen, _ = load_model(outdir / "train" / "models" / "rnn__pretrained" / "best")
+        expected = random_embedding(input_dim, frozen.config.embed_dim, 4242)
+        assert not frozen.params["embed.W"].requires_grad
+        assert frozen.params["embed.W"].data.tobytes() == expected.tobytes()
+        learned, _ = load_model(outdir / "train" / "models" / "rnn__linear" / "best")
+        assert learned.params["embed.W"].requires_grad
 
 
 class TestRerunsAndTampering:

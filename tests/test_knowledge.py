@@ -1,5 +1,5 @@
-"""Rule-table semantics: the code grouper, comorbidity and LACE scoring,
-HAC flags, planned-admission rules, and the domain feature spec."""
+"""Rule-table semantics: the code grouper, comorbidity scoring, HAC flags,
+planned-admission rules, and the domain feature spec."""
 
 import pytest
 
@@ -7,13 +7,11 @@ from seqfuse.errors import ValidationError
 from seqfuse.knowledge import (
     CcsMap,
     charlson_index,
-    lace_score,
     load_acute_drgs,
     load_bundle,
     load_charlson_weights,
     load_domain_spec,
     load_hac_rules,
-    load_lace_tables,
     load_planned_rules,
 )
 from tests.reference import hac_flags
@@ -132,36 +130,6 @@ class TestPlannedRules:
         assert rules.is_planned(17, set()) is False
 
 
-class TestLace:
-    def test_hand_scores(self):
-        tables = load_lace_tables()
-        assert lace_score(5, "emergent", 2, 1, tables) == 4 + 3 + 2 + 1
-        assert lace_score(14, "elective", 6, 9, tables) == 7 + 0 + 5 + 4
-        assert lace_score(0, "emergent", 0, 0, tables) == 3
-        assert lace_score(1, "urgent", 1, 1, tables) == 1 + 3 + 1 + 1
-
-    def test_caps_at_19(self):
-        tables = load_lace_tables()
-        assert lace_score(400, "urgent", 40, 40, tables) == 19
-
-    def test_breakpoint_edges(self):
-        tables = load_lace_tables()
-        # 4-6 days scores 4, the jump to 5 happens at exactly 7 days.
-        assert lace_score(6, "elective", 0, 0, tables) == 4
-        assert lace_score(7, "elective", 0, 0, tables) == 5
-        assert lace_score(13, "elective", 0, 0, tables) == 5
-        # Charlson 4+ scores 5 (there is no 4-point comorbidity row).
-        assert lace_score(0, "elective", 3, 0, tables) == 3
-        assert lace_score(0, "elective", 4, 0, tables) == 5
-
-    def test_rejects_negative_inputs(self):
-        tables = load_lace_tables()
-        with pytest.raises(ValidationError):
-            lace_score(-1, "emergent", 0, 0, tables)
-        with pytest.raises(ValidationError):
-            lace_score(0, "emergent", 0, -2, tables)
-
-
 class TestDomainSpecAndBundle:
     def test_spec_shape(self):
         spec = load_domain_spec()
@@ -180,7 +148,6 @@ class TestDomainSpecAndBundle:
         bundle = load_bundle(CcsMap.synthetic())
         assert bundle.ccs.input_dim == 44
         assert len(bundle.hac_rules) == 12
-        assert bundle.lace_tables.acute_admission_points == 3
 
     def test_path_override(self, tmp_path):
         override = tmp_path / "acute.json"

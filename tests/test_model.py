@@ -15,9 +15,8 @@ from seqfuse.model import (
     SeqFuseModel,
     init_params,
     load_model,
-    load_pretrained_embedding,
+    random_embedding,
     save_model,
-    write_random_embedding,
 )
 from seqfuse.rng import Xoshiro256
 
@@ -366,22 +365,18 @@ class TestPersistence:
         np.testing.assert_array_equal(model.predict(steps, z)[0], again.predict(steps, z)[0])
 
     def test_pretrained_embedding_round_trip_and_freezing(self, tmp_path):
-        matrix = write_random_embedding(tmp_path / "emb", input_dim=12, embed_dim=5, seed=3)
-        loaded = load_pretrained_embedding(tmp_path / "emb")
-        assert np.array_equal(loaded, matrix)
+        matrix = random_embedding(input_dim=12, embed_dim=5, seed=3)
+        assert matrix.shape == (12, 5)
+        assert np.array_equal(matrix, random_embedding(12, 5, 3))
+        assert not np.array_equal(matrix, random_embedding(12, 5, 4))
         cfg = small_config(embedding="pretrained")
-        model = SeqFuseModel(cfg, pretrained_embedding=loaded)
+        model = SeqFuseModel(cfg, pretrained_embedding=matrix)
         assert not model.params["embed.W"].requires_grad
         save_model(tmp_path / "m", model)
         again, _ = load_model(tmp_path / "m")
+        assert np.array_equal(again.params["embed.W"].data, matrix)
         assert not again.params["embed.W"].requires_grad
         assert again.params["out.W"].requires_grad
-
-    def test_non_embedding_checkpoint_rejected(self, tmp_path):
-        model = SeqFuseModel(small_config())
-        save_model(tmp_path / "m", model)
-        with pytest.raises(ValidationError):
-            load_pretrained_embedding(tmp_path / "m")
 
     def test_pretrained_requires_matrix_of_right_shape(self):
         cfg = small_config(embedding="pretrained")
