@@ -22,6 +22,12 @@ its `embed_dim` (`model.random_embedding`), so no stage writes it.
 `calibrate/raw_scores.npz`, so `evaluate` scores events without predicting
 again.
 
+The config is one JSON object shaped like `default_config()`, which is
+also its schema. `load_config` merges the file over the defaults, and
+`validate_config` walks the result against that shape before any stage
+runs: unknown keys, types, then each value's range (`_RANGES`). A stage
+body reads `cfg[...]` directly and keeps no defaults of its own.
+
 Exit codes: 0 success, 2 invalid input or config, 3 missing/stale
 prerequisite artifacts, 4 numerical failure.
 """
@@ -71,12 +77,7 @@ from .metrics import (
 )
 from .model import EMBEDDINGS as EMBEDDING_MODES, load_model, save_model
 from .rng import derive_seed
-from .training import (
-    config_hash,
-    grid_search,
-    make_deep_runner,
-    split_patients,
-)
+from .training import apply_standardizer, config_hash, grid_search, make_deep_runner, split_patients
 
 STAGES = ("generate", "cohort", "featurize", "train", "calibrate", "evaluate", "report", "importance")
 TASKS = ("readmission", "mortality")
@@ -126,123 +127,109 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
     }
 
 
-_SECTIONS = ("generate", "features", "train", "calibrate", "evaluate", "knowledge")
-_TOP_KEYS = {"outdir", "seed", "task", *_SECTIONS}
+# Keys a config may leave out: a grid trial then takes the library's
+# default for that setting, and a knowledge table its bundled file.
+_OPTIONAL = {
+    *(f"train.grid.{axis}" for axis in ("n_gru_layers", "mlp_hidden_dims", "batch_size", "w_pos")),
+    "train.lr_grid.smote",
+    *(f"knowledge.{key}" for key in KNOWLEDGE_FILES),
+}
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE_VALUES = (lambda v: v and min(v) > 0, "must be a non-empty list of positive values")
+_CALIBRATION_METHOD = (lambda v: v in ("temperature", "platt"), "must be 'temperature' or 'platt'")
+
+# {path: (check, message)}: the range of each value, checked only once the
+# value has its schema type.
+_RANGES = {
+    "outdir": (bool, "must be a non-empty string"),
+    "task": (lambda v: v in TASKS, f"must be one of {TASKS}"),
+    "generate.n_patients": _POSITIVE,
+    "generate.mean_claims_per_patient": _POSITIVE,
+    "features.lookback_days": _POSITIVE,
+    "train.algorithms": (lambda v: v and set(v) <= set(ALGORITHMS), f"must be a non-empty subset of {ALGORITHMS}"),
+    "train.embedding_modes": (
+        lambda v: v and set(v) <= set(EMBEDDING_MODES),
+        f"must be a non-empty subset of {EMBEDDING_MODES}",
+    ),
+    "train.fractions": (
+        lambda v: len(v) == 4 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
+        "must be four non-negative numbers summing to 1",
+    ),
+    "train.epochs": _POSITIVE,
+    "train.patience": (lambda v: v >= 0, "must be non-negative"),
+    "train.optimizer": (lambda v: v in ("adam", "sgd"), "must be 'adam' or 'sgd'"),
+    "train.w_neg": _POSITIVE,
+    **{f"train.grid.{axis}": _POSITIVE_VALUES for axis in ("embed_dim", "hidden_dim", "lr", "batch_size", "w_pos")},
+    "train.grid.n_gru_layers": (lambda v: v and min(v) >= 1, "must be a non-empty list of values of at least 1"),
+    "train.grid.mlp_hidden_dims": (
+        lambda v: v and all(width > 0 for dims in v for width in dims),
+        "must be a non-empty list of lists of positive widths",
+    ),
+    "train.lr_grid.l2": _POSITIVE_VALUES,
+    "train.lr_grid.smote": (bool, "must be a non-empty list"),
+    "calibrate.method_deep": _CALIBRATION_METHOD,
+    "calibrate.method_lr": _CALIBRATION_METHOD,
+    "evaluate.threshold": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "evaluate.top_k": (lambda v: all(k >= 1 for k in v), "must hold integers of at least 1"),
+    "evaluate.n_min": (lambda v: v >= 1, "must be at least 1"),
+}
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bools, which Python counts as ints.
-    return isinstance(value, int) and not isinstance(value, bool)
+def _has_type(value, like) -> bool:
+    # An int passes where the schema has a float. JSON true/false load as
+    # bools, which Python counts as ints, so they pass only as booleans.
+    if isinstance(like, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(like)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _walk(value, schema, path: str, problems: list[str]) -> None:
+    """Appends to `problems` each way `value` departs from `schema`, the
+    value at `path` in `default_config`'s shape, and then its range
+    problem if the value and everything in it had the schema's type."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            problems.append(f"{path or 'config'} must be a JSON object")
+            return
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            problems.append(f"unknown {path or 'config'} keys: {unknown}")
+        for key, like in schema.items():
+            key_path = f"{path}.{key}" if path else key
+            if key in value:
+                _walk(value[key], like, key_path, problems)
+            elif key_path not in _OPTIONAL:
+                problems.append(f"{key_path} is missing")
+        return
+    start = len(problems)
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            problems.append(f"{path} must be a list")
+        else:
+            for i, item in enumerate(value):
+                _walk(item, schema[0], f"{path}[{i}]", problems)
+    elif not _has_type(value, schema):
+        problems.append(f"{path} must be {_TYPE_NAMES[type(schema)]}")
+    rule = _RANGES.get(path)
+    if rule and len(problems) == start and not rule[0](value):
+        problems.append(f"{path} {rule[1]}")
 
 
 def validate_config(cfg: dict) -> list[str]:
-    """Collects every problem instead of stopping at the first. Each value
-    is type-checked before its range, so a wrong type is one more problem
-    rather than a crash."""
+    """Every problem with a complete config, all reported together and
+    each naming its key's path. `default_config` is the schema, with the
+    `KNOWLEDGE_FILES` keys under `knowledge`: an object holds only the
+    schema's keys, each required unless `_OPTIONAL` lists it; a list holds
+    values shaped like the schema's first element; a scalar has the
+    schema's type. A value with its type is then checked against
+    `_RANGES`, so a wrong type is one problem rather than a crash."""
+    schema = default_config()
+    schema["knowledge"] = dict.fromkeys(KNOWLEDGE_FILES, "")
     problems: list[str] = []
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        problems.append(f"unknown config keys: {sorted(unknown)}")
-    if not isinstance(cfg.get("outdir"), str) or not cfg.get("outdir"):
-        problems.append("outdir must be a non-empty string")
-    if not _is_int(cfg.get("seed")):
-        problems.append("seed must be an integer")
-    if cfg.get("task") not in TASKS:
-        problems.append(f"task must be one of {TASKS}")
-    sections = {name: cfg.get(name, {}) for name in _SECTIONS}
-    for name, section in sections.items():
-        if not isinstance(section, dict):
-            problems.append(f"{name} must be a JSON object")
-            sections[name] = {}
-
-    gen = sections["generate"]
-    n_patients = gen.get("n_patients")
-    if not _is_int(n_patients) or n_patients <= 0:
-        problems.append("generate.n_patients must be a positive integer")
-    for key in ("dx_vocab", "proc_vocab"):  # `SyntheticConfig.validate` checks their range
-        if not _is_int(gen.get(key, 90)):
-            problems.append(f"generate.{key} must be an integer")
-    mean_claims = gen.get("mean_claims_per_patient", 1)
-    if not _is_number(mean_claims) or mean_claims <= 0:
-        problems.append("generate.mean_claims_per_patient must be a positive number")
-
-    feats = sections["features"]
-    lookback = feats.get("lookback_days", 365)
-    if not _is_int(lookback) or lookback <= 0:
-        problems.append("features.lookback_days must be a positive integer")
-
-    train = sections["train"]
-    algorithms = train.get("algorithms", [])
-    if not algorithms or any(a not in ALGORITHMS for a in algorithms):
-        problems.append(f"train.algorithms must be a non-empty subset of {ALGORITHMS}")
-    modes = train.get("embedding_modes", ["linear"])
-    if not modes or any(m not in EMBEDDING_MODES for m in modes):
-        problems.append(f"train.embedding_modes must be a non-empty subset of {EMBEDDING_MODES}")
-    fractions = train.get("fractions", [0.70, 0.15, 0.05, 0.10])
-    if (
-        not isinstance(fractions, list)
-        or len(fractions) != 4
-        or not all(_is_number(f) and f >= 0 for f in fractions)
-        or abs(sum(fractions) - 1.0) > 1e-9
-    ):
-        problems.append("train.fractions must be four non-negative numbers summing to 1")
-    epochs = train.get("epochs", 1)
-    if not _is_int(epochs) or epochs <= 0:
-        problems.append("train.epochs must be a positive integer")
-    patience = train.get("patience", 0)
-    if not _is_int(patience) or patience < 0:
-        problems.append("train.patience must be a non-negative integer")
-    if train.get("optimizer", "adam") not in ("adam", "sgd"):
-        problems.append("train.optimizer must be 'adam' or 'sgd'")
-    w_neg = train.get("w_neg", 1.0)
-    if not _is_number(w_neg) or w_neg <= 0:
-        problems.append("train.w_neg must be a positive number")
-    grids = {}
-    for name in ("grid", "lr_grid"):
-        grids[name] = train.get(name, {})
-        if not isinstance(grids[name], dict):
-            problems.append(f"train.{name} must be a JSON object")
-            grids[name] = {}
-        not_lists = [axis for axis, values in grids[name].items() if not isinstance(values, (list, tuple))]
-        problems += [f"train.{name}.{axis} must be a list" for axis in not_lists]
-    grid = grids["grid"]
-    if any(a in FUSION_OF for a in algorithms):
-        for axis in ("embed_dim", "hidden_dim", "lr"):
-            if not grid.get(axis):
-                problems.append(f"train.grid.{axis} must be a non-empty list")
-    if "lr" in algorithms and not grids["lr_grid"].get("l2"):
-        problems.append("train.lr_grid.l2 must be a non-empty list")
-
-    cal = sections["calibrate"]
-    if cal.get("method_deep", "temperature") not in ("temperature", "platt"):
-        problems.append("calibrate.method_deep must be 'temperature' or 'platt'")
-    if cal.get("method_lr", "platt") not in ("temperature", "platt"):
-        problems.append("calibrate.method_lr must be 'temperature' or 'platt'")
-
-    ev = sections["evaluate"]
-    threshold = ev.get("threshold", 0.5)
-    if not _is_number(threshold) or not 0.0 < threshold < 1.0:
-        problems.append("evaluate.threshold must be a number in (0, 1)")
-    top_k = ev.get("top_k", [])
-    if not isinstance(top_k, list) or not all(_is_int(k) and k >= 1 for k in top_k):
-        problems.append("evaluate.top_k must be a list of positive integers")
-    n_min = ev.get("n_min", 50)
-    if not _is_int(n_min) or n_min < 1:
-        problems.append("evaluate.n_min must be an integer of at least 1")
-
-    knowledge = sections["knowledge"]
-    unknown = set(knowledge) - set(KNOWLEDGE_FILES)
-    if unknown:
-        problems.append(f"unknown knowledge keys: {sorted(unknown)}")
-    problems += [
-        f"knowledge.{key} must be a file path string"
-        for key, value in knowledge.items()
-        if key in KNOWLEDGE_FILES and not isinstance(value, str)
-    ]
+    _walk(cfg, schema, "", problems)
     return problems
 
 
@@ -341,7 +328,7 @@ def _read_json(path: Path):
 
 def _knowledge_bundle(cfg: dict, outdir: Path):
     ccs = CcsMap.from_csv(outdir / "generate" / "ccs_map.csv")
-    paths = {k: v for k, v in cfg.get("knowledge", {}).items() if v}
+    paths = {k: v for k, v in cfg["knowledge"].items() if v}
     return load_bundle(ccs, paths)
 
 
@@ -425,14 +412,7 @@ def _split_folds(outdir: Path, table: EventTable) -> tuple[list[str], dict[str, 
 
 def stage_generate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "generate"
-    gen = cfg["generate"]
-    synth = SyntheticConfig(
-        n_patients=gen["n_patients"],
-        seed=cfg["seed"],
-        dx_vocab=gen.get("dx_vocab", 90),
-        proc_vocab=gen.get("proc_vocab", 36),
-        mean_claims_per_patient=gen.get("mean_claims_per_patient", 6.0),
-    )
+    synth = SyntheticConfig(seed=cfg["seed"], **cfg["generate"])
     population = generate_population(synth)
     write_population(stage_dir / "population.jsonl", population.beneficiaries, population.claims)
     write_ground_truth(stage_dir / "ground_truth.csv", population.truth)
@@ -482,12 +462,7 @@ def stage_cohort(cfg: dict, outdir: Path) -> None:
 def stage_featurize(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "featurize"
     bundle = _knowledge_bundle(cfg, outdir)
-    feats = cfg["features"]
-    opts = SequenceOptions(
-        include_outpatient=feats.get("include_outpatient", True),
-        exclude_index_step=feats.get("exclude_index_step", False),
-        lookback_days=feats.get("lookback_days", 365),
-    )
+    opts = SequenceOptions(**cfg["features"])
     with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
         cols = {key: npz[key] for key in npz.files}
     if "event.stay" not in cols:
@@ -568,10 +543,10 @@ def stage_train(cfg: dict, outdir: Path) -> None:
                 fusion=FUSION_OF[algorithm],
                 embedding=mode,
                 embedding_seed=cfg["seed"],
-                epochs=int(train_cfg.get("epochs", 15)),
-                patience=int(train_cfg.get("patience", 3)),
-                w_neg=float(train_cfg.get("w_neg", 1.0)),
-                optimizer=train_cfg.get("optimizer", "adam"),
+                epochs=train_cfg["epochs"],
+                patience=train_cfg["patience"],
+                w_neg=train_cfg["w_neg"],
+                optimizer=train_cfg["optimizer"],
             )
             axes = {k: list(v) for k, v in train_cfg["grid"].items()}
         result = grid_search(axes, runner, derive_seed(cfg["seed"], cell_seed_label))
@@ -665,10 +640,10 @@ def _raw_scores_for_cell(
             features_meta["n_proc_columns"],
             features_meta["z_names"],
         )
-        standardized = (flat.matrix - np.array(spec["z_mean"])) / np.array(spec["z_std"])
+        standardized = apply_standardizer(flat.matrix, np.array(spec["z_mean"]), np.array(spec["z_std"]))
         return standardized @ np.array(spec["weights"]) + spec["intercept"]
     model, meta = load_model(outdir / "train" / "models" / cell / "best")
-    z_std = (table.z - np.array(meta["z_mean"])) / np.array(meta["z_std"])
+    z_std = apply_standardizer(table.z, np.array(meta["z_mean"]), np.array(meta["z_std"]))
     _, logits, _ = model.predict(steps, z_std if model.config.fusion != "none" else None)
     return logits
 
@@ -749,7 +724,7 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
         except MetricUndefinedError:
             recall, precision = None, None
         top_k = {}
-        for k in cfg["evaluate"].get("top_k", []):
+        for k in cfg["evaluate"]["top_k"]:
             if 1 <= k <= len(test_idx):
                 top_k[str(k)] = recall_at_top_k(test_cal, test_labels, k)
         metrics[cell] = {

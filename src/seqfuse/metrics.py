@@ -135,6 +135,7 @@ def surrogate_importance(
     absolute weight, descending, name ascending on ties.
     """
     from .baseline import train_lr
+    from .training import apply_standardizer, fit_standardizer
 
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != len(names) or len(names) != len(categories):
@@ -145,10 +146,7 @@ def surrogate_importance(
     targets = (scores >= threshold).astype(np.int64)
     if targets.min() == targets.max():
         raise MetricUndefinedError("binarized predictions are single-class; surrogate undefined")
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    lr = train_lr((matrix - mean) / std, targets, l2=l2)
+    lr = train_lr(apply_standardizer(matrix, *fit_standardizer(matrix)), targets, l2=l2)
     order = sorted(range(len(names)), key=lambda i: (-abs(lr.weights[i]), names[i]))
     return [
         {"category": categories[i], "feature": names[i], "importance": float(lr.weights[i])}

@@ -16,12 +16,11 @@ and `predict` all take this one padded path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import (
-    Tape,
     Tensor,
     add,
     concat,

@@ -98,6 +98,11 @@ class TestConfigHandling:
             ("train", "optimizer", "rmsprop"),
             ("train", "w_neg", -1),
             ("knowledge", "hac_rules", 5),
+            ("features", "exclude_index_step", "false"),
+            ("features", "lookback_day", 30),
+            ("train", "grid", {**default_config()["train"]["grid"], "lr": ["0.05"]}),
+            ("train", "grid", {**default_config()["train"]["grid"], "mlp_hidden_dims": [16]}),
+            ("train", "lr_grid", {"l2": [0.0], "smote": [True]}),
         ],
     )
     def test_wrongly_typed_value_is_one_problem_and_exit_2(self, tmp_path, section, key, value):
@@ -122,6 +127,49 @@ class TestConfigHandling:
             ),
             ({"knowledge": {"hac_rule": "hac_rules.json"}}, "unknown knowledge keys: ['hac_rule']"),
             ({"knowledge": {"lace_tables": "lace_tables.json"}}, "unknown knowledge keys: ['lace_tables']"),
+            ({"features": {"lookback_day": 30}}, "unknown features keys: ['lookback_day']"),
+            ({"train": {"optimiser": "sgd"}}, "unknown train keys: ['optimiser']"),
+            ({"evaluate": {"topk": [10]}}, "unknown evaluate keys: ['topk']"),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "hiden_dim": [8]}}},
+                "unknown train.grid keys: ['hiden_dim']",
+            ),
+            ({"train": {"lr_grid": {"l2": [0.1], "smot": [True]}}}, "unknown train.lr_grid keys: ['smot']"),
+            ({"features": {"exclude_index_step": "false"}}, "features.exclude_index_step must be a boolean"),
+            ({"train": {"lr_grid": {"l2": [0.1], "smote": ["no"]}}}, "train.lr_grid.smote[0] must be a boolean"),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "lr": ["0.05"]}}},
+                "train.grid.lr[0] must be a number",
+            ),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "mlp_hidden_dims": [16]}}},
+                "train.grid.mlp_hidden_dims[0] must be a list",
+            ),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "embed_dim": [0]}}},
+                "train.grid.embed_dim must be a non-empty list of positive values",
+            ),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "lr": [-0.1]}}},
+                "train.grid.lr must be a non-empty list of positive values",
+            ),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "batch_size": [0]}}},
+                "train.grid.batch_size must be a non-empty list of positive values",
+            ),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "n_gru_layers": [0]}}},
+                "train.grid.n_gru_layers must be a non-empty list of values of at least 1",
+            ),
+            (
+                {"train": {"grid": {**default_config()["train"]["grid"], "mlp_hidden_dims": [[16, 0]]}}},
+                "train.grid.mlp_hidden_dims must be a non-empty list of lists of positive widths",
+            ),
+            (
+                {"train": {"lr_grid": {"l2": [0.0], "smote": [True]}}},
+                "train.lr_grid.l2 must be a non-empty list of positive values",
+            ),
+            ({"train": {"grid": {"hidden_dim": [8], "lr": [0.05]}}}, "train.grid.embed_dim is missing"),
         ],
     )
     def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
