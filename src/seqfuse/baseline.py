@@ -161,7 +161,7 @@ def make_lr_runner(matrix: np.ndarray, labels: np.ndarray, fold_idx: dict[str, l
         x_train = standardized[fold_idx["train"]]
         y_train = labels[fold_idx["train"]]
         try:
-            if config.get("smote", False):
+            if config["smote"]:
                 x_train, y_train = smote(x_train, y_train, seed=seed)
             model = train_lr(x_train, y_train, l2=float(config["l2"]))
         except (NumericsError, ValidationError) as exc:

@@ -1,24 +1,31 @@
-"""Claim and beneficiary records, file I/O, and the synthetic population.
+"""Claim and beneficiary records, their columnar archive, and the
+synthetic population.
 
-Dates are integer day numbers (days since 1970-01-01) everywhere in memory;
-files carry ISO strings. The synthetic generator plants a known logistic
-outcome signal per patient and reports it back so tests can check that the
-cohort builder and feature engine recover exactly what was planted.
+Dates are integer day numbers (days since 1970-01-01) everywhere; the
+ground-truth CSV carries ISO strings. `claim_columns` codes the records
+into the arrays of `generate/claims.npz`, and `ingest_claims` reads them
+back and checks them as the record validators would. The synthetic
+generator plants a known logistic outcome signal per patient and reports it
+back so tests can check that the cohort builder and feature engine recover
+exactly what was planted.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
+import operator
 import zipfile
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .knowledge import CcsMap, charlson_index, load_charlson_weights
 from .rng import Xoshiro256, derive_seed
 
@@ -36,9 +43,8 @@ MEDICARE_STATUSES = ("aged_no_esrd", "aged_esrd", "disabled", "esrd_only")
 ESRD_STATUSES = frozenset({"aged_esrd", "esrd_only"})
 
 
-# The file readers and writers convert each date of a population many
-# times: 5,000 synthetic patients make about 77,000 conversions of about
-# 1,100 distinct days. The caches are bounded all the same.
+# Event ids and the ground truth convert many dates of a few distinct days;
+# the caches are bounded all the same.
 @functools.lru_cache(maxsize=1 << 16)
 def iso_to_day(text: str) -> int:
     return date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
@@ -50,7 +56,7 @@ def day_to_iso(day: int) -> str:
 
 
 # The text fields of each record; `validate` holds them to str (or None),
-# which `cohort.population_columns` relies on.
+# which `claim_columns` relies on.
 _BEN_TEXT = ("beneficiary_id", "gender", "race", "medicare_status")
 _CLAIM_TEXT = (
     "claim_id",
@@ -63,6 +69,8 @@ _CLAIM_TEXT = (
     "facility_id",
 )
 _CLAIM_CODES = ("dx_codes", "proc_codes")
+# The claim fields only an inpatient claim may fill.
+_INPATIENT_ONLY = ("drg", "admission_type", "admission_source", "discharge_disposition")
 _STR = {str}
 _STR_OR_NONE = {str, type(None)}
 
@@ -86,7 +94,7 @@ class ClaimRecord:
         if not self.claim_id or not self.beneficiary_id:
             raise ValidationError("claim_id and beneficiary_id must be non-empty")
         # Type checks for the text fields that the membership checks below
-        # leave open (written as sets of types to keep ingest fast).
+        # leave open (written as sets of types to keep generation fast).
         if not set(map(type, (self.claim_id, self.beneficiary_id, *self.dx_codes, *self.proc_codes))) <= _STR:
             raise ValidationError(f"claim {self.claim_id!r}: claim_id, beneficiary_id, dx_codes and proc_codes must be strings")
         if not {type(self.drg), type(self.facility_id)} <= _STR_OR_NONE:
@@ -114,52 +122,13 @@ class ClaimRecord:
             # Outpatient and ED claims are point events with no admission fields.
             if self.admit_date != self.discharge_date:
                 raise ValidationError(f"claim {self.claim_id}: {self.claim_type} claim must be a single-day event")
-            for name in ("drg", "admission_type", "admission_source", "discharge_disposition"):
+            for name in _INPATIENT_ONLY:
                 if getattr(self, name) is not None:
                     raise ValidationError(f"claim {self.claim_id}: {name} only applies to inpatient claims")
 
     @property
     def principal_dx(self) -> str:
         return self.dx_codes[0]
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "kind": "claim",
-            "claim_id": self.claim_id,
-            "beneficiary_id": self.beneficiary_id,
-            "claim_type": self.claim_type,
-            "admit_date": day_to_iso(self.admit_date),
-            "discharge_date": day_to_iso(self.discharge_date),
-            "dx_codes": list(self.dx_codes),
-            "proc_codes": list(self.proc_codes),
-        }
-        for name in ("drg", "admission_type", "admission_source", "discharge_disposition", "facility_id"):
-            value = getattr(self, name)
-            if value is not None:
-                obj[name] = value
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ClaimRecord":
-        try:
-            record = cls(
-                claim_id=obj["claim_id"],
-                beneficiary_id=obj["beneficiary_id"],
-                claim_type=obj["claim_type"],
-                admit_date=iso_to_day(obj["admit_date"]),
-                discharge_date=iso_to_day(obj["discharge_date"]),
-                dx_codes=tuple(obj["dx_codes"]),
-                proc_codes=tuple(obj.get("proc_codes", ())),
-                drg=obj.get("drg"),
-                admission_type=obj.get("admission_type"),
-                admission_source=obj.get("admission_source"),
-                discharge_disposition=obj.get("discharge_disposition"),
-                facility_id=obj.get("facility_id"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"claim record missing field {exc.args[0]!r}") from exc
-        record.validate()
-        return record
 
 
 @dataclass(frozen=True)
@@ -194,110 +163,6 @@ class Beneficiary:
         if self.death_date is not None and self.death_date < self.birth_date:
             raise ValidationError(f"beneficiary {self.beneficiary_id}: death before birth")
 
-    def age_at(self, day: int) -> int:
-        return int(math.floor((day - self.birth_date) / 365.25))
-
-    def covers(self, start: int, end: int) -> bool:
-        """True when enrollment is continuous over [start, end]; intervals
-        that touch back-to-back (next start = prev end + 1) count as one."""
-        merged_start = None
-        merged_end = None
-        for s, e in self.enrollment_intervals:
-            if merged_end is not None and s <= merged_end + 1:
-                merged_end = max(merged_end, e)
-            else:
-                if merged_start is not None and merged_start <= start and end <= merged_end:
-                    return True
-                merged_start, merged_end = s, e
-        return merged_start is not None and merged_start <= start and end <= merged_end
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "kind": "beneficiary",
-            "beneficiary_id": self.beneficiary_id,
-            "birth_date": day_to_iso(self.birth_date),
-            "gender": self.gender,
-            "race": self.race,
-            "dual_eligible": self.dual_eligible,
-            "medicare_status": self.medicare_status,
-            "enrollment_intervals": [[day_to_iso(s), day_to_iso(e)] for s, e in self.enrollment_intervals],
-        }
-        if self.death_date is not None:
-            obj["death_date"] = day_to_iso(self.death_date)
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Beneficiary":
-        try:
-            record = cls(
-                beneficiary_id=obj["beneficiary_id"],
-                birth_date=iso_to_day(obj["birth_date"]),
-                gender=obj["gender"],
-                race=obj["race"],
-                dual_eligible=bool(obj["dual_eligible"]),
-                medicare_status=obj["medicare_status"],
-                enrollment_intervals=tuple(
-                    (iso_to_day(s), iso_to_day(e)) for s, e in obj["enrollment_intervals"]
-                ),
-                death_date=iso_to_day(obj["death_date"]) if "death_date" in obj else None,
-            )
-        except KeyError as exc:
-            raise ValidationError(f"beneficiary record missing field {exc.args[0]!r}") from exc
-        record.validate()
-        return record
-
-
-def ingest_claims(path: str | Path) -> tuple[list[Beneficiary], list[ClaimRecord]]:
-    """Reads a population JSONL file; any invalid line rejects the whole file.
-
-    Returns beneficiaries sorted by id and claims sorted by
-    (beneficiary_id, admit_date, discharge_date, claim_id).
-    """
-    beneficiaries: dict[str, Beneficiary] = {}
-    claims: list[ClaimRecord] = []
-    claim_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-            kind = obj.get("kind")
-            try:
-                if kind == "beneficiary":
-                    ben = Beneficiary.from_json_obj(obj)
-                    if ben.beneficiary_id in beneficiaries:
-                        raise ValidationError(f"duplicate beneficiary_id {ben.beneficiary_id!r}")
-                    beneficiaries[ben.beneficiary_id] = ben
-                elif kind == "claim":
-                    claim = ClaimRecord.from_json_obj(obj)
-                    if claim.claim_id in claim_ids:
-                        raise ValidationError(f"duplicate claim_id {claim.claim_id!r}")
-                    claim_ids.add(claim.claim_id)
-                    claims.append(claim)
-                else:
-                    raise ValidationError(f"record kind {kind!r} must be 'beneficiary' or 'claim'")
-            except ValidationError as exc:
-                raise ParseError(line_no, str(exc)) from exc
-    orphans = sorted({c.beneficiary_id for c in claims} - set(beneficiaries))
-    if orphans:
-        raise ValidationError(f"claims reference unknown beneficiaries: {orphans[:5]}")
-    claims.sort(key=lambda c: (c.beneficiary_id, c.admit_date, c.discharge_date, c.claim_id))
-    return sorted(beneficiaries.values(), key=lambda b: b.beneficiary_id), claims
-
-
-def write_population(path: str | Path, beneficiaries: list[Beneficiary], claims: list[ClaimRecord]) -> None:
-    """Writes records in sorted order; output bytes are deterministic."""
-    bens = sorted(beneficiaries, key=lambda b: b.beneficiary_id)
-    sorted_claims = sorted(claims, key=lambda c: (c.beneficiary_id, c.admit_date, c.discharge_date, c.claim_id))
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in [*bens, *sorted_claims]:
-            fh.write(json.dumps(record.to_json_obj(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
-
 
 def write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
     """`np.savez` without its clock: uncompressed `.npy` members, no
@@ -316,6 +181,214 @@ def _ptr(lengths) -> np.ndarray:
     ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=ptr[1:])
     return ptr
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR pointers for runs of the given lengths, and the positions
+    starts[i], ..., starts[i] + lengths[i] - 1 of all runs in order."""
+    ptr = _ptr(lengths)
+    return ptr, np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1], dtype=np.int64)
+
+
+# The arrays of `generate/claims.npz`: {name: (dtype, ndim)}.
+CLAIM_COLUMNS = {
+    **{f"beneficiary.{name}": (np.int32, 1) for name in (*_BEN_TEXT, "birth_date", "death_date")},
+    "beneficiary.dual_eligible": (np.bool_, 1),
+    "beneficiary.has_death_date": (np.bool_, 1),
+    "beneficiary.enrollment_ptr": (np.int64, 1),
+    "beneficiary.enrollment": (np.int32, 2),
+    **{f"claim.{name}": (np.int32, 1) for name in (*_CLAIM_TEXT, *_CLAIM_CODES, "admit_date", "discharge_date")},
+    **{f"claim.{name}_ptr": (np.int64, 1) for name in _CLAIM_CODES},
+    "text_ptr": (np.int64, 1),
+    "text": (np.uint8, 1),
+}
+
+
+def claim_columns(beneficiaries: list[Beneficiary], claims: list[ClaimRecord]) -> dict[str, np.ndarray]:
+    """The records as the columns of `CLAIM_COLUMNS`, beneficiaries sorted
+    by id and claims by (beneficiary_id, admit_date, discharge_date,
+    claim_id): what generate writes and `ingest_claims` reads.
+
+    Every string is an int32 code (-1 for None) into one table of the
+    distinct strings in sorted order, so codes compare as their strings
+    do. The table is stored as UTF-8 bytes (`text`) with CSR offsets
+    (`text_ptr`), which `text_words` decodes. Dates are int32 day numbers,
+    and enrollment intervals and code tuples are CSR rows. The records are
+    not validated again: pass records whose `validate` passed.
+    """
+    bens = sorted(beneficiaries, key=attrgetter("beneficiary_id"))
+    claims = sorted(claims, key=attrgetter("beneficiary_id", "admit_date", "discharge_date", "claim_id"))
+
+    def values(records: list, names: tuple[str, ...]) -> dict[str, list]:
+        return {name: list(map(attrgetter(name), records)) for name in names}
+
+    ben = values(bens, (*_BEN_TEXT, "birth_date", "dual_eligible", "death_date", "enrollment_intervals"))
+    claim = values(claims, (*_CLAIM_TEXT, *_CLAIM_CODES, "admit_date", "discharge_date"))
+    texts = {f"beneficiary.{name}": ben[name] for name in _BEN_TEXT}
+    texts.update({f"claim.{name}": claim[name] for name in _CLAIM_TEXT})
+    intervals = list(chain.from_iterable(ben["enrollment_intervals"]))
+    cols = {
+        "beneficiary.birth_date": np.array(ben["birth_date"], dtype=np.int32),
+        "beneficiary.dual_eligible": np.array(ben["dual_eligible"], dtype=bool),
+        "beneficiary.has_death_date": np.array([day is not None for day in ben["death_date"]], dtype=bool),
+        "beneficiary.death_date": np.array([day or 0 for day in ben["death_date"]], dtype=np.int32),
+        "beneficiary.enrollment_ptr": _ptr(list(map(len, ben["enrollment_intervals"]))),
+        "beneficiary.enrollment": np.array(intervals, dtype=np.int32).reshape(-1, 2),
+        **{f"claim.{name}": np.array(claim[name], dtype=np.int32) for name in ("admit_date", "discharge_date")},
+    }
+    for name in _CLAIM_CODES:
+        cols[f"claim.{name}_ptr"] = _ptr(list(map(len, claim[name])))
+        texts[f"claim.{name}"] = list(chain.from_iterable(claim[name]))
+    words = sorted(set().union(*texts.values()) - {None})
+    code = dict(zip(words, range(len(words))))
+    code[None] = -1
+    for name, strings in texts.items():
+        cols[name] = np.fromiter(map(code.__getitem__, strings), dtype=np.int32, count=len(strings))
+    encoded = [word.encode("utf-8", "surrogatepass") for word in words]
+    cols["text_ptr"] = _ptr(list(map(len, encoded)))
+    cols["text"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return cols
+
+
+def text_words(cols, codes) -> dict[int, str | None]:
+    """{code: string} for the given codes of `claim_columns`' table; code
+    -1 reads None."""
+    blob = cols["text"].tobytes()
+    ptr = cols["text_ptr"].tolist()
+    return {
+        code: None if code < 0 else blob[ptr[code] : ptr[code + 1]].decode("utf-8", "surrogatepass")
+        for code in np.unique(codes).tolist()
+    }
+
+
+# The text columns, each an int32 code per row (per code, for the code
+# lists); only the claim fields of `_NULLABLE` may hold -1 (None).
+_TEXT_COLUMNS = (
+    *(f"beneficiary.{name}" for name in _BEN_TEXT),
+    *(f"claim.{name}" for name in _CLAIM_TEXT + _CLAIM_CODES),
+)
+_NULLABLE = (*(f"claim.{name}" for name in _INPATIENT_ONLY), "claim.facility_id")
+# The CSR value arrays; each has a `_ptr` array.
+_CSR = ("beneficiary.enrollment", "claim.dx_codes", "claim.proc_codes", "text")
+
+
+def ingest_claims(path: str | Path) -> dict[str, np.ndarray]:
+    """Reads the columns `claim_columns` wrote to an archive and checks
+    them: the archive's members, dtypes, shapes and CSR pointers; the
+    string table and every code into it; each record as `validate` would;
+    and unique ids, claims of known beneficiaries only, and the sort order
+    of `claim_columns`. Any failed check rejects the whole file with a
+    ValidationError."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            cols = {}
+            for info in archive.infolist():
+                with archive.open(info) as fh:
+                    cols[info.filename.removesuffix(".npy")] = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path}: not a NumPy archive of claim columns: {exc}") from exc
+    missing, unknown = sorted(CLAIM_COLUMNS.keys() - cols.keys()), sorted(cols.keys() - CLAIM_COLUMNS.keys())
+    if missing or unknown:
+        raise ValidationError(f"{path}: missing members {missing}, unknown members {unknown}")
+    for name, (dtype, ndim) in CLAIM_COLUMNS.items():
+        if cols[name].dtype != dtype or cols[name].ndim != ndim:
+            raise ValidationError(f"{name} must be {ndim}-D {np.dtype(dtype)}, not {cols[name].ndim}-D {cols[name].dtype}")
+    rows = {"beneficiary": len(cols["beneficiary.beneficiary_id"]), "claim": len(cols["claim.claim_id"])}
+    for name in CLAIM_COLUMNS:
+        kind = name.split(".")[0]
+        if name in _CSR:
+            ptr = cols[f"{name}_ptr"]
+            n_ptr = rows[kind] + 1 if kind in rows else max(len(ptr), 1)  # the table may hold any number of strings
+            if len(ptr) != n_ptr or ptr[0] or ptr[-1] != len(cols[name]) or (np.diff(ptr) < 0).any():
+                raise ValidationError(f"{name}_ptr is not a CSR pointer array over {name}")
+        elif kind in rows and not name.endswith("_ptr") and len(cols[name]) != rows[kind]:
+            raise ValidationError(f"{name} holds {len(cols[name])} rows, not {rows[kind]}")
+    if cols["beneficiary.enrollment"].shape[1] != 2:
+        raise ValidationError("beneficiary.enrollment must hold (start, end) pairs")
+    blob, ptr = cols["text"].tobytes(), cols["text_ptr"].tolist()
+    try:
+        text = blob.decode("utf-8", "surrogatepass")
+        if len(text) == len(blob):  # ASCII: the byte offsets are character offsets
+            words = [text[start:end] for start, end in zip(ptr, ptr[1:])]
+        else:
+            words = [blob[start:end].decode("utf-8", "surrogatepass") for start, end in zip(ptr, ptr[1:])]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"the string table is not UTF-8: {exc}") from exc
+    if any(map(operator.ge, words, words[1:])):
+        raise ValidationError("the string table is not sorted and distinct")
+    for name in _TEXT_COLUMNS:
+        codes, low = cols[name], -1 if name in _NULLABLE else 0
+        if len(codes) and not (low <= codes.min() and codes.max() < len(words)):
+            raise ValidationError(f"{name} holds codes outside the string table")
+
+    def code_of(*strings: str) -> list[int]:
+        found = [bisect_left(words, s) for s in strings]
+        return [code for code, s in zip(found, strings) if code < len(words) and words[code] == s]
+
+    def check(kind: str, bad: np.ndarray, message: str, owner=None) -> None:
+        """Raises naming the first record of `kind` with a `bad` row (or
+        the record `owner` maps the first bad row to)."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            record = row if owner is None else owner[row]
+            raise ValidationError(f"{kind} {words[cols[f'{kind}.{kind}_id'][record]]!r}: {message}")
+
+    def check_enum(kind: str, name: str, allowed: tuple[str, ...], rows=True) -> None:
+        values = cols[f"{kind}.{name}"]
+        bad = rows & ~np.isin(values, code_of(*allowed))
+        if bad.any():
+            value = values[np.argmax(bad)]
+            check(kind, bad, f"{name} {words[value] if value >= 0 else None!r} invalid")
+
+    ben_id, claim_id, claim_ben = cols["beneficiary.beneficiary_id"], cols["claim.claim_id"], cols["claim.beneficiary_id"]
+    if np.isin(np.concatenate([ben_id, claim_id, claim_ben]), code_of("")).any():
+        raise ValidationError("beneficiary_id and claim_id must be non-empty")
+    for name, allowed in (("gender", GENDERS), ("race", RACES), ("medicare_status", MEDICARE_STATUSES)):
+        check_enum("beneficiary", name, allowed)
+    ptr, (start, end) = cols["beneficiary.enrollment_ptr"], cols["beneficiary.enrollment"].T
+    check("beneficiary", np.diff(ptr) == 0, "needs at least one enrollment interval")
+    owner = np.repeat(np.arange(rows["beneficiary"]), np.diff(ptr))
+    check("beneficiary", start > end, "enrollment interval start after end", owner)
+    overlap = np.r_[False, (owner[1:] == owner[:-1]) & (start[1:] <= end[:-1])]
+    check("beneficiary", overlap, "enrollment intervals overlap or are unsorted", owner)
+    death, birth = cols["beneficiary.death_date"], cols["beneficiary.birth_date"]
+    check("beneficiary", cols["beneficiary.has_death_date"] & (death < birth), "death before birth")
+
+    check_enum("claim", "claim_type", CLAIM_TYPES)
+    admit, discharge = cols["claim.admit_date"], cols["claim.discharge_date"]
+    check("claim", admit > discharge, "admit_date after discharge_date")
+    inpatient = np.isin(cols["claim.claim_type"], code_of("inpatient"))
+    check("claim", inpatient & (np.diff(cols["claim.dx_codes_ptr"]) == 0), "inpatient claim needs at least one dx code")
+    for name, allowed in (
+        ("admission_type", ADMISSION_TYPES),
+        ("admission_source", ADMISSION_SOURCES),
+        ("discharge_disposition", DISPOSITIONS),
+    ):
+        check_enum("claim", name, allowed, inpatient)
+    for name in ("drg", "facility_id"):
+        check("claim", inpatient & np.isin(cols[f"claim.{name}"], [-1, *code_of("")]), f"inpatient claim needs a {name}")
+    check("claim", ~inpatient & (admit != discharge), "outpatient and ED claims must be single-day events")
+    for name in _INPATIENT_ONLY:
+        check("claim", ~inpatient & (cols[f"claim.{name}"] >= 0), f"{name} only applies to inpatient claims")
+
+    for kind, ids in (("beneficiary", ben_id), ("claim", claim_id)):
+        distinct, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValidationError(f"duplicate {kind}_id {words[distinct[np.argmax(counts > 1)]]!r}")
+    orphans = sorted({words[code] for code in claim_ben[~np.isin(claim_ben, ben_id)].tolist()})
+    if orphans:
+        raise ValidationError(f"claims reference unknown beneficiaries: {orphans[:5]}")
+    if (np.diff(ben_id) < 0).any():
+        raise ValidationError("beneficiaries are not sorted by beneficiary_id")
+    # Each claim's (beneficiary_id, admit_date, discharge_date, claim_id)
+    # must be above the previous claim's.
+    above, tied = np.zeros(max(len(claim_id) - 1, 0), dtype=bool), True
+    for key in (claim_ben, admit, discharge, claim_id):
+        above |= tied & (key[1:] > key[:-1])
+        tied = tied & (key[1:] == key[:-1])
+    if not above.all():
+        raise ValidationError("claims are not sorted by (beneficiary_id, admit_date, discharge_date, claim_id)")
+    return cols
 
 
 @dataclass(frozen=True)

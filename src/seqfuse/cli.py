@@ -9,24 +9,26 @@ instead of silently skewing results downstream. `_artifacts` is the one
 list of each stage's inputs and outputs, and `run_stage` runs a stage body
 under that protocol: verify the inputs, run, hash the outputs.
 
-`cohort` is the one stage that parses and validates
-`generate/population.jsonl`; it hands the same sorted records on as
-`cohort/population.npz`, with the stays and index events it built, and
-`featurize` computes its features from those columns instead of parsing
-the JSONL or building the cohort again. `featurize` hands its events on in
-one form, the columnar `featurize/events.npz` (an `EventTable`), which
-every later stage loads through `_load_sequences`. `train` builds the
-frozen matrix of the `pretrained` embedding mode itself, for each trial at
-its `embed_dim` (`model.random_embedding`), so no stage writes it.
-`calibrate` keeps each cell's uncalibrated scores in
-`calibrate/raw_scores.npz`, so `evaluate` scores events without predicting
-again.
+`generate` codes the claims into columns once and writes them as
+`generate/claims.npz`. `cohort` is the one stage that reads and checks
+them; it hands the same columns on as `cohort/population.npz`, with the
+stays and index events it built, and `featurize` computes its features
+from those columns instead of reading the claims or building the cohort
+again. `featurize` hands its events on in one form, the columnar
+`featurize/events.npz` (an `EventTable`), which every later stage loads
+through `_load_sequences`. `train` builds the frozen matrix of the
+`pretrained` embedding mode itself, for each trial at its `embed_dim`
+(`model.random_embedding`), so no stage writes it. `calibrate` keeps each
+cell's uncalibrated scores in `calibrate/raw_scores.npz`, so `evaluate`
+scores events without predicting again.
 
 The config is one JSON object shaped like `default_config()`, which is
-also its schema. `load_config` merges the file over the defaults, and
-`validate_config` walks the result against that shape before any stage
-runs: unknown keys, types, then each value's range (`_RANGES`). A stage
-body reads `cfg[...]` directly and keeps no defaults of its own.
+also its schema. `load_config` merges the file over the defaults (into a
+grid, the axes of `_DEFAULT_AXES` it leaves out), and `validate_config`
+walks the result against that shape before any stage runs: unknown keys,
+types, then each value's range (`_RANGES`). A stage body reads `cfg[...]`
+directly and keeps no defaults of its own, and neither do the grid
+runners.
 
 Exit codes: 0 success, 2 invalid input or config, 3 missing/stale
 prerequisite artifacts, 4 numerical failure.
@@ -47,16 +49,8 @@ import numpy as np
 from . import __version__
 from .baseline import flatten, make_lr_runner
 from .calibration import Calibrator, ece, fit_platt, fit_temperature, nll
-from .claims import (
-    SyntheticConfig,
-    day_to_iso,
-    generate_population,
-    ingest_claims,
-    write_ground_truth,
-    write_npz,
-    write_population,
-)
-from .cohort import IndexEvent, build_cohort, cohort_summary, population_columns
+from .claims import SyntheticConfig, claim_columns, generate_population, ingest_claims, write_ground_truth, write_npz
+from .cohort import POPULATION_MEMBERS, build_cohort, cohort_summary, index_event_lines
 from .errors import (
     CalibrationError,
     MetricUndefinedError,
@@ -127,13 +121,11 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
     }
 
 
-# Keys a config may leave out: a grid trial then takes the library's
-# default for that setting, and a knowledge table its bundled file.
-_OPTIONAL = {
-    *(f"train.grid.{axis}" for axis in ("n_gru_layers", "mlp_hidden_dims", "batch_size", "w_pos")),
-    "train.lr_grid.smote",
-    *(f"knowledge.{key}" for key in KNOWLEDGE_FILES),
-}
+# Keys a config may leave out: a knowledge table then takes its bundled
+# file. Grid axes with a default value are not among them, because
+# `load_config` fills each one a grid leaves out from `default_config`.
+_OPTIONAL = {f"knowledge.{key}" for key in KNOWLEDGE_FILES}
+_DEFAULT_AXES = {"grid": ("n_gru_layers", "mlp_hidden_dims", "batch_size", "w_pos"), "lr_grid": ("smote",)}
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
@@ -147,6 +139,10 @@ _RANGES = {
     "outdir": (bool, "must be a non-empty string"),
     "task": (lambda v: v in TASKS, f"must be one of {TASKS}"),
     "generate.n_patients": _POSITIVE,
+    # The bundled rule tables reference dx categories up to 29 and proc
+    # categories up to 11, three codes per category.
+    "generate.dx_vocab": (lambda v: v >= 90, "must be at least 90 to cover the bundled rule tables"),
+    "generate.proc_vocab": (lambda v: v >= 36, "must be at least 36 to cover the bundled rule tables"),
     "generate.mean_claims_per_patient": _POSITIVE,
     "features.lookback_days": _POSITIVE,
     "train.algorithms": (lambda v: v and set(v) <= set(ALGORITHMS), f"must be a non-empty subset of {ALGORITHMS}"),
@@ -251,12 +247,17 @@ def load_config(path: str, outdir: str | None = None) -> dict:
             merged[key] = value
     if outdir is not None:
         merged["outdir"] = outdir
+    train = merged["train"]
+    for grid, axes in _DEFAULT_AXES.items():
+        if isinstance(train, dict) and isinstance(train.get(grid), dict):
+            defaults = default_config()["train"][grid]
+            train[grid] = {**{axis: defaults[axis] for axis in axes}, **train[grid]}
     # Configs from older versions may carry two removed keys: `train.jobs`,
     # which results never depended on, and `features.pretrained_embed_dim`,
     # which had to equal every `train.grid.embed_dim` (the frozen matrix
     # now takes each trial's own). Both are dropped rather than hashed.
-    if isinstance(merged["train"], dict):
-        merged["train"].pop("jobs", None)
+    if isinstance(train, dict):
+        train.pop("jobs", None)
     if isinstance(merged["features"], dict):
         merged["features"].pop("pretrained_embed_dim", None)
     problems = validate_config(merged)
@@ -364,7 +365,7 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     # cell is known only once evaluate has run, so they verify every cell's.
     evaluated = [f"evaluate/scores_{_cell_name(algorithm, mode)}.csv" for algorithm, mode in cells]
     evaluated.append("evaluate/metrics.json")
-    population = ["generate/population.jsonl", "generate/ccs_map.csv"]
+    population = ["generate/claims.npz", "generate/ccs_map.csv"]
     events = ["featurize/events.npz", "featurize/features.json"]
     calibrated = ["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
     return {
@@ -414,7 +415,7 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "generate"
     synth = SyntheticConfig(seed=cfg["seed"], **cfg["generate"])
     population = generate_population(synth)
-    write_population(stage_dir / "population.jsonl", population.beneficiaries, population.claims)
+    write_npz(stage_dir / "claims.npz", claim_columns(population.beneficiaries, population.claims))
     write_ground_truth(stage_dir / "ground_truth.csv", population.truth)
     CcsMap.synthetic(synth.dx_vocab, synth.proc_vocab).to_csv(stage_dir / "ccs_map.csv")
     _write_json(stage_dir / "generator_info.json", population.info)
@@ -424,34 +425,14 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
     )
 
 
-def _event_row(event: IndexEvent) -> dict:
-    return {
-        "event_id": event.event_id,
-        "beneficiary_id": event.stay.beneficiary_id,
-        "stay_id": event.stay.stay_id,
-        "admit_date": day_to_iso(event.stay.admit_date),
-        "discharge_date": day_to_iso(event.stay.discharge_date),
-        "age": event.age,
-        "los": event.stay.los,
-        "exclusion_reason": event.exclusion_reason,
-        "readmit_label": event.readmit_label,
-        "readmit_stay_id": event.readmit_stay_id,
-        "mortality_label": event.mortality_label,
-        "mortality_exclusion": event.mortality_exclusion,
-    }
-
-
 def stage_cohort(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "cohort"
-    beneficiaries, claims = ingest_claims(outdir / "generate" / "population.jsonl")
+    cols = ingest_claims(outdir / "generate" / "claims.npz")
     bundle = _knowledge_bundle(cfg, outdir)
-    events, stays, audit = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
-    write_npz(stage_dir / "population.npz", population_columns(beneficiaries, claims, stays, events))
-    with open(stage_dir / "index_events.jsonl", "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(_event_row(event), sort_keys=True) + "\n")
-    ben_map = {b.beneficiary_id: b for b in beneficiaries}
-    (stage_dir / "summary.csv").write_text(cohort_summary(events, ben_map), encoding="utf-8")
+    cols, audit = build_cohort(cols, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+    write_npz(stage_dir / "population.npz", {name: cols[name] for name in POPULATION_MEMBERS})
+    (stage_dir / "index_events.jsonl").write_text(index_event_lines(cols), encoding="utf-8")
+    (stage_dir / "summary.csv").write_text(cohort_summary(cols), encoding="utf-8")
     _write_json(stage_dir / "audit.json", audit)
     print(
         f"cohort: {audit['n_events']} events, {audit['n_eligible']} eligible, "

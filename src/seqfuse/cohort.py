@@ -4,19 +4,26 @@ Inpatient claims are first resolved into stays (transfer chains and
 same-day fragments merge into one stay), then each stay is screened
 against the index-event criteria, and finally eligible events get a
 30-day unplanned-readmission label and an unexpected-mortality label.
+
+`build_cohort` does all three in one pass of numpy operations over the
+claim columns that `claims.ingest_claims` returns, and adds the stays and
+events as columns. Cohort writes them on as `population.npz`
+(`POPULATION_MEMBERS`), `index_events.jsonl` (`index_event_lines`) and
+`summary.csv` (`cohort_summary`). The record-based definition the kernel
+must equal byte for byte lives in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .claims import _BEN_TEXT, _CLAIM_CODES, _CLAIM_TEXT, ESRD_STATUSES, Beneficiary, ClaimRecord, _ptr, day_to_iso
-from .errors import ValidationError
+from .claims import _BEN_TEXT, _CLAIM_CODES, _CLAIM_TEXT, ESRD_STATUSES, _ptr, _ranges, day_to_iso, text_words
 from .knowledge import CcsMap, PlannedRules
 
 EXCLUSION_REASONS = (
@@ -26,248 +33,272 @@ EXCLUSION_REASONS = (
     "transferred_out",
     "enrollment_gap",
 )
+MORTALITY_EXCLUSIONS = ("ama", "hospice")
 
 READMIT_WINDOW_DAYS = 30
 LOOKBACK_DAYS = 365
+MAX_LOS_DAYS = 30
+
+# The stay fields featurization reads, besides the dates and code rows.
+_STAY_TEXT = (
+    "beneficiary_id",
+    "stay_id",
+    "principal_dx",
+    "drg",
+    "admission_type",
+    "admission_source",
+    "discharge_disposition",
+)
+
+# The arrays of `cohort/population.npz`, in the order they are written:
+# the claim columns, then a stay's `all_dx` and `all_proc` exactly as the
+# stays were merged (duplicates kept), and each event's stay row.
+POPULATION_MEMBERS = (
+    *(f"beneficiary.{name}" for name in ("birth_date", "dual_eligible", "has_death_date", "death_date")),
+    "beneficiary.enrollment_ptr",
+    "beneficiary.enrollment",
+    *(f"{kind}.{name}" for kind in ("claim", "stay") for name in ("admit_date", "discharge_date")),
+    "claim.dx_codes_ptr",
+    "claim.proc_codes_ptr",
+    "stay.all_dx_ptr",
+    "stay.all_proc_ptr",
+    *(f"event.{name}" for name in ("stay", "age", "eligible", "readmit_label", "mortality_label", "mortality_excluded")),
+    *(f"beneficiary.{name}" for name in _BEN_TEXT),
+    *(f"claim.{name}" for name in _CLAIM_TEXT + _CLAIM_CODES),
+    *(f"stay.{name}" for name in _STAY_TEXT + ("all_dx", "all_proc")),
+    "text_ptr",
+    "text",
+)
 
 
-@dataclass(frozen=True)
-class InpatientStay:
-    beneficiary_id: str
-    admit_date: int
-    discharge_date: int
-    merged_claim_ids: tuple[str, ...]
-    principal_dx: str
-    all_dx: tuple[str, ...]
-    all_proc: tuple[str, ...]
-    drg: str
-    admission_type: str
-    admission_source: str
-    discharge_disposition: str
-    facility_id: str
-
-    @property
-    def los(self) -> int:
-        return self.discharge_date - self.admit_date
-
-    @property
-    def stay_id(self) -> str:
-        return self.merged_claim_ids[0]
-
-
-def _stay_from_claim(claim: ClaimRecord) -> InpatientStay:
-    return InpatientStay(
-        beneficiary_id=claim.beneficiary_id,
-        admit_date=claim.admit_date,
-        discharge_date=claim.discharge_date,
-        merged_claim_ids=(claim.claim_id,),
-        principal_dx=claim.principal_dx,
-        all_dx=tuple(claim.dx_codes),
-        all_proc=tuple(claim.proc_codes),
-        drg=claim.drg,
-        admission_type=claim.admission_type,
-        admission_source=claim.admission_source,
-        discharge_disposition=claim.discharge_disposition,
-        facility_id=claim.facility_id,
-    )
-
-
-def _merge(stay: InpatientStay, claim: ClaimRecord) -> InpatientStay:
-    # Admission-side fields stay with the first claim; discharge-side fields
-    # (disposition, facility, DRG) come from the last.
-    return replace(
-        stay,
-        discharge_date=max(stay.discharge_date, claim.discharge_date),
-        merged_claim_ids=stay.merged_claim_ids + (claim.claim_id,),
-        all_dx=tuple(dict.fromkeys(stay.all_dx + tuple(claim.dx_codes))),
-        all_proc=tuple(dict.fromkeys(stay.all_proc + tuple(claim.proc_codes))),
-        drg=claim.drg,
-        discharge_disposition=claim.discharge_disposition,
-        facility_id=claim.facility_id,
-    )
-
-
-def resolve_stays(claims: list[ClaimRecord]) -> list[InpatientStay]:
-    """Collapses inpatient claims into disjoint stays per beneficiary.
-
-    A claim joins the open stay when it starts on or before the stay's
-    discharge day, or on the next day if the stay ended in an acute
-    transfer. After resolution, consecutive stays never touch: the next
-    admit is at least one day after the previous discharge.
-    """
-    stays: list[InpatientStay] = []
-    by_beneficiary: dict[str, list[ClaimRecord]] = {}
-    for claim in claims:
-        if claim.claim_type == "inpatient":
-            by_beneficiary.setdefault(claim.beneficiary_id, []).append(claim)
-    for bid in sorted(by_beneficiary):
-        ordered = sorted(by_beneficiary[bid], key=lambda c: (c.admit_date, c.discharge_date, c.claim_id))
-        open_stay: InpatientStay | None = None
-        for claim in ordered:
-            if open_stay is None:
-                open_stay = _stay_from_claim(claim)
-                continue
-            grace = 1 if open_stay.discharge_disposition == "transfer_acute" else 0
-            if claim.admit_date <= open_stay.discharge_date + grace:
-                open_stay = _merge(open_stay, claim)
-            else:
-                stays.append(open_stay)
-                open_stay = _stay_from_claim(claim)
-        if open_stay is not None:
-            stays.append(open_stay)
-    for prev, nxt in zip(stays, stays[1:]):
-        if prev.beneficiary_id == nxt.beneficiary_id and nxt.admit_date <= prev.discharge_date:
-            raise ValidationError(
-                f"stays overlap after merging for beneficiary {prev.beneficiary_id}: "
-                f"{prev.merged_claim_ids} and {nxt.merged_claim_ids}"
-            )
-    return stays
-
-
-@dataclass(frozen=True)
-class IndexPolicy:
-    max_los_days: int = 30
-    acute_drgs: frozenset[str] = frozenset()
-    lookback_days: int = LOOKBACK_DAYS
-    window_days: int = READMIT_WINDOW_DAYS
-
-
-@dataclass
-class IndexEvent:
-    stay: InpatientStay
-    age: int
-    exclusion_reason: str | None = None
-    readmit_label: bool | None = None
-    readmit_stay_id: str | None = None
-    mortality_label: bool | None = None
-    mortality_exclusion: str | None = None
-
-    @property
-    def eligible(self) -> bool:
-        return self.exclusion_reason is None
-
-    @property
-    def event_id(self) -> str:
-        return f"{self.stay.beneficiary_id}@{day_to_iso(self.stay.admit_date)}"
-
-
-def select_index_events(
-    stays: list[InpatientStay],
-    beneficiaries: dict[str, Beneficiary],
-    policy: IndexPolicy,
-) -> list[IndexEvent]:
-    """Screens every stay; ineligible stays keep their first failed check.
-
-    Checks run in a fixed order (acute short stay, age, inpatient death,
-    acute transfer out, enrollment), so the recorded reason is stable.
-    """
-    events: list[IndexEvent] = []
-    for stay in stays:
-        ben = beneficiaries.get(stay.beneficiary_id)
-        if ben is None:
-            raise ValidationError(f"stay references unknown beneficiary {stay.beneficiary_id!r}")
-        age = ben.age_at(stay.admit_date)
-        reason: str | None = None
-        acute = stay.admission_type in ("emergent", "urgent") or stay.drg in policy.acute_drgs
-        if stay.los > policy.max_los_days or not acute:
-            reason = "not_acute_short_stay"
-        elif age < 65 and ben.medicare_status not in ESRD_STATUSES:
-            reason = "age"
-        elif stay.discharge_disposition == "expired":
-            reason = "expired_inpatient"
-        elif stay.discharge_disposition == "transfer_acute":
-            reason = "transferred_out"
-        elif not ben.covers(stay.admit_date - policy.lookback_days, stay.discharge_date + policy.window_days):
-            reason = "enrollment_gap"
-        events.append(IndexEvent(stay=stay, age=age, exclusion_reason=reason))
-    return events
-
-
-def label_readmission(
-    events: list[IndexEvent],
-    stays: list[InpatientStay],
+def build_cohort(
+    cols: dict[str, np.ndarray],
     rules: PlannedRules,
     ccs: CcsMap,
-    window_days: int = READMIT_WINDOW_DAYS,
-) -> None:
-    """Sets the 30-day unplanned readmission label on eligible events.
+    acute_drgs: frozenset[str],
+) -> tuple[dict[str, np.ndarray], dict]:
+    """The claim columns with the stays and index events added, and the
+    audit counts. One event per stay, in stay order; besides the members
+    of `POPULATION_MEMBERS`, each event gets `event.exclusion` and
+    `event.mortality_exclusion` (indices into `EXCLUSION_REASONS` and
+    `MORTALITY_EXCLUSIONS`, -1 for none) and `event.readmit_stay` (the
+    stay row credited as its readmission, -1 for none).
 
-    The candidate is the first stay admitting inside (discharge,
-    discharge + window]; a planned candidate yields a negative label, it is
-    not skipped in favor of a later stay. A stay never serves as the
-    readmission for two index events.
+    Stays: a beneficiary's inpatient claims, in order, join the open stay
+    when they start on or before its discharge day, or on the next day if
+    it ended in an acute transfer. A stay keeps its first claim's id,
+    admission fields and principal dx, and its last claim's disposition
+    and DRG; a stay of one claim keeps its codes as they are, and a merged
+    stay the first occurrence of each. Screen, first failure wins: more
+    than `MAX_LOS_DAYS` or not acute (emergent, urgent or an acute DRG),
+    under 65 without ESRD, died, transferred out, or not enrolled from
+    `LOOKBACK_DAYS` before admission to `READMIT_WINDOW_DAYS` after
+    discharge (back-to-back intervals count as one). An eligible event's
+    readmission candidate is the beneficiary's next stay if it is admitted
+    within the window; a planned candidate gives a negative label. Its
+    death in the window is positive unless it was discharged against
+    medical advice or into hospice, or a hospice stay was admitted between
+    its discharge and the death, which exclude it from the mortality task.
     """
-    stays_by_ben: dict[str, list[InpatientStay]] = {}
-    for stay in stays:
-        stays_by_ben.setdefault(stay.beneficiary_id, []).append(stay)
-    for bucket in stays_by_ben.values():
-        bucket.sort(key=lambda s: (s.admit_date, s.discharge_date, s.stay_id))
-    claimed: set[tuple[str, str]] = set()
-    for event in sorted(events, key=lambda e: (e.stay.beneficiary_id, e.stay.admit_date)):
-        if not event.eligible:
-            continue
-        discharge = event.stay.discharge_date
-        candidate: InpatientStay | None = None
-        for stay in stays_by_ben.get(event.stay.beneficiary_id, ()):
-            if stay.admit_date > discharge + window_days:
-                break
-            if stay.admit_date > discharge:
-                candidate = stay
-                break
-        if candidate is None:
-            event.readmit_label = False
-            continue
-        principal_ccs = ccs.dx_category(candidate.principal_dx)
-        proc_ccs = {ccs.proc_category(p) for p in candidate.all_proc}
-        planned = rules.is_planned(principal_ccs, proc_ccs)
-        event.readmit_label = not planned
-        if event.readmit_label:
-            key = (candidate.beneficiary_id, candidate.stay_id)
-            if key in claimed:
-                raise ValidationError(
-                    f"stay {candidate.stay_id} counted as readmission for two index events"
-                )
-            claimed.add(key)
-            event.readmit_stay_id = candidate.stay_id
+    cols = dict(cols)
+    n_words = len(cols["text_ptr"]) - 1
+
+    def has(name: str, words, rows=slice(None)) -> np.ndarray:
+        """Whether each row of column `name` holds one of `words`."""
+        values = cols[name][rows]
+        return np.isin(values, [code for code, word in text_words(cols, values).items() if word in words])
+
+    def in_category(name: str, category, allowed: frozenset[int]) -> np.ndarray:
+        """Whether each code of column `name` falls in a category of `allowed`."""
+        return has(name, {word for word in text_words(cols, cols[name]).values() if category(word) in allowed})
+
+    # Stays. Claims come sorted by beneficiary and admission, so a claim
+    # that starts a stay starts after every earlier discharge of its
+    # beneficiary, and the open stay's discharge is the latest of them.
+    claim = np.flatnonzero(has("claim.claim_type", ("inpatient",)))
+    ben = cols["claim.beneficiary_id"][claim]
+    admit = cols["claim.admit_date"][claim].astype(np.int64)
+    discharge = cols["claim.discharge_date"][claim].astype(np.int64)
+    starts = _run_starts(ben)
+    offset = (np.cumsum(starts) - 1) * (discharge.max(initial=0) - discharge.min(initial=0) + 1)
+    latest = np.maximum.accumulate(offset + discharge) - offset
+    grace = has("claim.discharge_disposition", ("transfer_acute",), claim)
+    starts[1:] |= admit[1:] > latest[:-1] + grace[:-1]
+    ends = _run_ends(starts)
+    stay_of = np.cumsum(starts) - 1
+    first, last = claim[starts], claim[ends]
+    n = len(first)
+    stay = {
+        "stay.admit_date": admit[starts].astype(np.int32),
+        "stay.discharge_date": latest[ends].astype(np.int32),
+        "stay.beneficiary_id": ben[starts],
+        "stay.stay_id": cols["claim.claim_id"][first],
+        "stay.principal_dx": cols["claim.dx_codes"][cols["claim.dx_codes_ptr"][first]],
+        **{f"stay.{name}": cols[f"claim.{name}"][first] for name in ("admission_type", "admission_source")},
+        **{f"stay.{name}": cols[f"claim.{name}"][last] for name in ("drg", "discharge_disposition")},
+    }
+    merged = np.bincount(stay_of, minlength=n) > 1
+    for name, codes in zip(("all_dx", "all_proc"), _CLAIM_CODES):
+        ptr = cols[f"claim.{codes}_ptr"]
+        lengths = ptr[claim + 1] - ptr[claim]
+        values = cols[f"claim.{codes}"][_ranges(ptr[claim], lengths)[1]]
+        owner = np.repeat(stay_of, lengths)
+        keep = ~merged[owner]
+        keep[np.unique(owner * n_words + values, return_index=True)[1]] = True
+        stay[f"stay.{name}_ptr"] = _ptr(np.bincount(owner[keep], minlength=n))
+        stay[f"stay.{name}"] = values[keep]
+    cols.update(stay)
+
+    # The screen.
+    ben = stay["stay.beneficiary_id"]
+    admit, discharge = admit[starts], latest[ends]
+    ben_row = np.searchsorted(cols["beneficiary.beneficiary_id"], ben)
+    age = np.floor((admit - cols["beneficiary.birth_date"][ben_row]) / 365.25).astype(np.int64)
+    acute = has("stay.admission_type", ("emergent", "urgent")) | has("stay.drg", acute_drgs)
+    failed = np.array(
+        [
+            (discharge - admit > MAX_LOS_DAYS) | ~acute,
+            (age < 65) & ~has("beneficiary.medicare_status", ESRD_STATUSES, ben_row),
+            has("stay.discharge_disposition", ("expired",)),
+            has("stay.discharge_disposition", ("transfer_acute",)),
+            ~_enrolled(cols, ben_row, admit - LOOKBACK_DAYS, discharge + READMIT_WINDOW_DAYS),
+        ]
+    )
+    exclusion = np.where(failed.any(axis=0), failed.argmax(axis=0), -1)
+    eligible = exclusion < 0
+
+    # Row n is a sentinel stay of no beneficiary, for "no such stay".
+    ben, admit = np.r_[ben, -2], np.r_[admit, 0]
+
+    # Readmission: stays are disjoint, so the first stay admitted after a
+    # discharge is the beneficiary's next one.
+    following = np.arange(1, n + 1)
+    candidate = eligible & (ben[following] == ben[:n]) & (admit[following] <= discharge + READMIT_WINDOW_DAYS)
+    override = in_category("stay.principal_dx", ccs.dx_category, rules.acute_override_dx_ccs)
+    maintenance = in_category("stay.principal_dx", ccs.dx_category, rules.maintenance_dx_ccs)
+    planned_proc = in_category("stay.all_proc", ccs.proc_category, rules.planned_proc_ccs)
+    owner = np.repeat(np.arange(n), np.diff(stay["stay.all_proc_ptr"]))
+    planned = ~override & (maintenance | (np.bincount(owner[planned_proc], minlength=n) > 0))
+    readmitted = candidate & ~np.r_[planned, False][following]
+
+    # Mortality. The first hospice stay after a stay, if it is of the same
+    # beneficiary, is the earliest hospice admission after its discharge.
+    death = cols["beneficiary.death_date"][ben_row]
+    dies = (
+        eligible
+        & cols["beneficiary.has_death_date"][ben_row]
+        & (discharge < death)
+        & (death <= discharge + READMIT_WINDOW_DAYS)
+    )
+    hospice = has("stay.discharge_disposition", ("hospice",))
+    next_hospice = np.r_[np.flatnonzero(hospice), n][np.searchsorted(np.flatnonzero(hospice), following)]
+    ama = dies & has("stay.discharge_disposition", ("ama",))
+    in_hospice = dies & ~ama & (hospice | ((ben[next_hospice] == ben[:n]) & (admit[next_hospice] <= death)))
+    cols.update(
+        {
+            "event.stay": np.arange(n, dtype=np.int64),
+            "event.age": age.astype(np.int32),
+            "event.eligible": eligible,
+            "event.readmit_label": readmitted,
+            "event.mortality_label": dies & ~ama & ~in_hospice,
+            "event.mortality_excluded": ama | in_hospice,
+            "event.exclusion": exclusion,
+            "event.readmit_stay": np.where(readmitted, following, -1),
+            "event.mortality_exclusion": np.select([ama, in_hospice], [0, 1], -1),
+        }
+    )
+    audit = {
+        "n_stays": n,
+        "n_events": n,
+        "n_eligible": int(eligible.sum()),
+        "exclusions": _counts(EXCLUSION_REASONS, exclusion),
+        "readmit_positive": int(readmitted.sum()),
+        "mortality_positive": int(cols["event.mortality_label"].sum()),
+        "mortality_excluded": _counts(MORTALITY_EXCLUSIONS, cols["event.mortality_exclusion"]),
+    }
+    return cols, audit
 
 
-def label_mortality(
-    events: list[IndexEvent],
-    beneficiaries: dict[str, Beneficiary],
-    stays: list[InpatientStay],
-    window_days: int = READMIT_WINDOW_DAYS,
-) -> None:
-    """Sets the 30-day unexpected mortality label on eligible events.
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each row starts a run of equal keys."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return starts
 
-    Deaths following a discharge against medical advice, or with hospice
-    involvement between discharge and death, are flagged as exclusions for
-    this task rather than labeled.
-    """
-    stays_by_ben: dict[str, list[InpatientStay]] = {}
-    for stay in stays:
-        stays_by_ben.setdefault(stay.beneficiary_id, []).append(stay)
-    for event in events:
-        if not event.eligible:
-            continue
-        ben = beneficiaries[event.stay.beneficiary_id]
-        discharge = event.stay.discharge_date
-        death = ben.death_date
-        if death is None or not (discharge < death <= discharge + window_days):
-            event.mortality_label = False
-            continue
-        if event.stay.discharge_disposition == "ama":
-            event.mortality_label = False
-            event.mortality_exclusion = "ama"
-            continue
-        hospice = event.stay.discharge_disposition == "hospice" or any(
-            s.discharge_disposition == "hospice" and discharge < s.admit_date <= death
-            for s in stays_by_ben.get(event.stay.beneficiary_id, ())
+
+def _run_ends(starts: np.ndarray) -> np.ndarray:
+    """Whether each row ends a run, given where the runs start."""
+    ends = np.ones(len(starts), dtype=bool)
+    ends[:-1] = starts[1:]
+    return ends
+
+
+def _enrolled(cols, ben_row: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Whether each beneficiary row's enrollment covers [start, end]
+    without a gap; intervals that touch back-to-back (next start = previous
+    end + 1) count as one."""
+    ptr = cols["beneficiary.enrollment_ptr"]
+    owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    interval = cols["beneficiary.enrollment"].astype(np.int64)
+    runs = _run_starts(owner)
+    runs[1:] |= interval[1:, 0] > interval[:-1, 1] + 1
+    owner, run_start, run_end = owner[runs], interval[runs, 0], interval[_run_ends(runs), 1]
+    # Runs sort by (owner, start): find each row's last run that starts by
+    # `start`, with both keys packed into one integer.
+    low = min(run_start.min(initial=0), start.min(initial=0))
+    scale = max(run_start.max(initial=0), start.max(initial=0)) - low + 1
+    found = np.searchsorted(owner * scale + run_start - low, ben_row * scale + start - low, "right") - 1
+    return (found >= 0) & (owner[found] == ben_row) & (run_end[found] >= end)
+
+
+def _counts(names: tuple[str, ...], index: np.ndarray) -> dict[str, int]:
+    """{name: count} of each name that `index` points at, sorted by name."""
+    counts = np.bincount(index[index >= 0], minlength=len(names)).tolist()
+    return {name: count for name, count in sorted(zip(names, counts)) if count}
+
+
+def index_event_lines(cols) -> str:
+    """`cohort/index_events.jsonl`: each event of `build_cohort` as one
+    JSON object with sorted keys; a label or exclusion the event does not
+    have reads null."""
+    stay = cols["event.stay"]
+    ben, stay_id = cols["stay.beneficiary_id"][stay], cols["stay.stay_id"][stay]
+    # `json.dumps` of a string, without its dispatch.
+    quoted = {code: encode_basestring_ascii(word) for code, word in text_words(cols, np.concatenate([ben, stay_id])).items()}
+    readmit_stay = cols["event.readmit_stay"]
+    credited = np.where(readmit_stay >= 0, cols["stay.stay_id"][readmit_stay], -1)
+    quoted[-1] = "null"
+    eligible = cols["event.eligible"].tolist()
+
+    def label(name: str) -> list[str]:
+        return [("true" if value else "false") if ok else "null" for value, ok in zip(cols[name].tolist(), eligible)]
+
+    def named(names: tuple[str, ...], index: np.ndarray) -> list[str]:
+        return [json.dumps(names[i]) if i >= 0 else "null" for i in index.tolist()]
+
+    admit, discharge = cols["stay.admit_date"][stay].tolist(), cols["stay.discharge_date"][stay].tolist()
+    lines = []
+    for b, s, a, d, age, reason, readmit, credit, mortality, mortality_reason in zip(
+        ben.tolist(),
+        stay_id.tolist(),
+        admit,
+        discharge,
+        cols["event.age"].tolist(),
+        named(EXCLUSION_REASONS, cols["event.exclusion"]),
+        label("event.readmit_label"),
+        credited.tolist(),
+        label("event.mortality_label"),
+        named(MORTALITY_EXCLUSIONS, cols["event.mortality_exclusion"]),
+    ):
+        a_iso, d_iso = day_to_iso(a), day_to_iso(d)
+        lines.append(
+            f'{{"admit_date": "{a_iso}", "age": {age}, "beneficiary_id": {quoted[b]}, '
+            f'"discharge_date": "{d_iso}", "event_id": {quoted[b][:-1]}@{a_iso}", '
+            f'"exclusion_reason": {reason}, "los": {d - a}, "mortality_exclusion": {mortality_reason}, '
+            f'"mortality_label": {mortality}, "readmit_label": {readmit}, '
+            f'"readmit_stay_id": {quoted[credit]}, "stay_id": {quoted[s]}}}\n'
         )
-        if hospice:
-            event.mortality_label = False
-            event.mortality_exclusion = "hospice"
-            continue
-        event.mortality_label = True
+    return "".join(lines)
 
 
 AGE_BANDS = ("Unknown", "<65", "65~69", "70~74", "75~79", "80~84", ">85")
@@ -298,23 +329,22 @@ _RACE_LABELS = (
 )
 
 
-def cohort_summary(events: list[IndexEvent], beneficiaries: dict[str, Beneficiary]) -> str:
+def cohort_summary(cols) -> str:
     """Race, gender, and age-band breakdown of beneficiaries with at least
-    one eligible index event, as CSV with count and percentage rows."""
-    first_event: dict[str, IndexEvent] = {}
-    for event in events:
-        if event.eligible and event.stay.beneficiary_id not in first_event:
-            first_event[event.stay.beneficiary_id] = event
-    total = len(first_event)
+    one eligible index event (at their first), as CSV with count and
+    percentage rows."""
+    events = np.flatnonzero(cols["event.eligible"])
+    ben = cols["stay.beneficiary_id"][cols["event.stay"][events]]
+    _, first = np.unique(ben, return_index=True)
+    row = np.searchsorted(cols["beneficiary.beneficiary_id"], ben[first])
+    total = len(first)
 
-    race_counts: Counter[str] = Counter()
-    gender_counts: Counter[str] = Counter()
-    age_counts: Counter[str] = Counter()
-    for bid, event in first_event.items():
-        ben = beneficiaries[bid]
-        race_counts[ben.race] += 1
-        gender_counts[ben.gender] += 1
-        age_counts[age_band(event.age)] += 1
+    def counts(name: str) -> Counter[str]:
+        codes = cols[f"beneficiary.{name}"][row]
+        return Counter(map(text_words(cols, codes).__getitem__, codes.tolist()))
+
+    race_counts, gender_counts = counts("race"), counts("gender")
+    age_counts = Counter(map(age_band, cols["event.age"][events[first]].tolist()))
 
     def pct(n: int) -> str:
         return f"{(100.0 * n / total):.2f}%" if total else "0.00%"
@@ -338,120 +368,3 @@ def cohort_summary(events: list[IndexEvent], beneficiaries: dict[str, Beneficiar
     writer.writerow(["Counts"] + age_values + [total])
     writer.writerow(["Percentage"] + [pct(v) for v in age_values] + [pct(total)])
     return buf.getvalue()
-
-
-def build_cohort(
-    beneficiaries: list[Beneficiary],
-    claims: list[ClaimRecord],
-    rules: PlannedRules,
-    ccs: CcsMap,
-    acute_drgs: frozenset[str],
-) -> tuple[list[IndexEvent], list[InpatientStay], dict]:
-    """End-to-end cohort pass: stays, screening, both labels, audit counts."""
-    ben_map = {b.beneficiary_id: b for b in beneficiaries}
-    stays = resolve_stays(claims)
-    policy = IndexPolicy(acute_drgs=acute_drgs)
-    events = select_index_events(stays, ben_map, policy)
-    label_readmission(events, stays, rules, ccs)
-    label_mortality(events, ben_map, stays)
-    eligible = [e for e in events if e.eligible]
-    audit = {
-        "n_stays": len(stays),
-        "n_events": len(events),
-        "n_eligible": len(eligible),
-        "exclusions": dict(
-            sorted(Counter(e.exclusion_reason for e in events if not e.eligible).items())
-        ),
-        "readmit_positive": sum(1 for e in eligible if e.readmit_label),
-        "mortality_positive": sum(1 for e in eligible if e.mortality_label),
-        "mortality_excluded": dict(
-            sorted(Counter(e.mortality_exclusion for e in eligible if e.mortality_exclusion).items())
-        ),
-    }
-    return events, stays, audit
-
-
-# The stay fields featurization reads, besides the dates and code rows.
-_STAY_TEXT = (
-    "beneficiary_id",
-    "stay_id",
-    "principal_dx",
-    "drg",
-    "admission_type",
-    "admission_source",
-    "discharge_disposition",
-)
-
-
-def population_columns(
-    beneficiaries: list[Beneficiary],
-    claims: list[ClaimRecord],
-    stays: list[InpatientStay],
-    events: list[IndexEvent],
-) -> dict[str, np.ndarray]:
-    """The records and the cohort built from them as columns, each in the
-    order given: the arrays of `cohort/population.npz`.
-
-    Every string is an int32 code (-1 for None) into one table of the
-    distinct strings in sorted order, so codes compare as their strings
-    do. The table is stored as UTF-8 bytes (`text`) with CSR offsets
-    (`text_ptr`), which `text_words` decodes. Dates are int32 day numbers,
-    and enrollment intervals and code tuples are CSR rows (a stay's
-    `all_dx` and `all_proc` exactly as `resolve_stays` built them,
-    duplicates kept). Each event names its stay's row. The records are not
-    validated again: pass what `ingest_claims` and `build_cohort` returned.
-    """
-    texts: dict[str, list] = {}  # the string columns, coded at the end
-
-    def text_columns(kind: str, records: list, names: tuple[str, ...]) -> None:
-        texts.update({f"{kind}.{name}": [getattr(r, name) for r in records] for name in names})
-
-    def code_rows(kind: str, rows: list[tuple[str, ...]]) -> None:
-        cols[f"{kind}_ptr"] = _ptr([len(row) for row in rows])
-        texts[kind] = [code for row in rows for code in row]
-
-    cols: dict[str, np.ndarray] = {}
-    text_columns("beneficiary", beneficiaries, _BEN_TEXT)
-    cols["beneficiary.birth_date"] = np.array([b.birth_date for b in beneficiaries], dtype=np.int32)
-    cols["beneficiary.dual_eligible"] = np.array([b.dual_eligible for b in beneficiaries], dtype=bool)
-    cols["beneficiary.has_death_date"] = np.array([b.death_date is not None for b in beneficiaries], dtype=bool)
-    cols["beneficiary.death_date"] = np.array([b.death_date or 0 for b in beneficiaries], dtype=np.int32)
-    cols["beneficiary.enrollment_ptr"] = _ptr([len(b.enrollment_intervals) for b in beneficiaries])
-    cols["beneficiary.enrollment"] = np.array(
-        [interval for b in beneficiaries for interval in b.enrollment_intervals], dtype=np.int32
-    ).reshape(-1, 2)
-    text_columns("claim", claims, _CLAIM_TEXT)
-    for kind, records in (("claim", claims), ("stay", stays)):
-        for name in ("admit_date", "discharge_date"):
-            cols[f"{kind}.{name}"] = np.array([getattr(r, name) for r in records], dtype=np.int32)
-    for name in _CLAIM_CODES:
-        code_rows(f"claim.{name}", [getattr(c, name) for c in claims])
-    text_columns("stay", stays, _STAY_TEXT)
-    code_rows("stay.all_dx", [s.all_dx for s in stays])
-    code_rows("stay.all_proc", [s.all_proc for s in stays])
-    row_of = {(s.beneficiary_id, s.stay_id): i for i, s in enumerate(stays)}
-    cols["event.stay"] = np.array([row_of[e.stay.beneficiary_id, e.stay.stay_id] for e in events], dtype=np.int64)
-    cols["event.age"] = np.array([e.age for e in events], dtype=np.int32)
-    cols["event.eligible"] = np.array([e.eligible for e in events], dtype=bool)
-    cols["event.readmit_label"] = np.array([bool(e.readmit_label) for e in events], dtype=bool)
-    cols["event.mortality_label"] = np.array([bool(e.mortality_label) for e in events], dtype=bool)
-    cols["event.mortality_excluded"] = np.array([e.mortality_exclusion is not None for e in events], dtype=bool)
-    words = sorted(set().union(*texts.values()) - {None})
-    code = dict(zip(words, range(len(words))))
-    code[None] = -1
-    cols.update({name: np.array(list(map(code.__getitem__, values)), dtype=np.int32) for name, values in texts.items()})
-    encoded = [word.encode("utf-8", "surrogatepass") for word in words]
-    cols["text_ptr"] = _ptr([len(word) for word in encoded])
-    cols["text"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    return cols
-
-
-def text_words(cols, codes) -> dict[int, str | None]:
-    """{code: string} for the given codes of `population_columns`' table;
-    code -1 reads None."""
-    blob = cols["text"].tobytes()
-    ptr = cols["text_ptr"].tolist()
-    return {
-        code: None if code < 0 else blob[ptr[code] : ptr[code + 1]].decode("utf-8", "surrogatepass")
-        for code in np.unique(codes).tolist()
-    }

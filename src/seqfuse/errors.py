@@ -14,7 +14,7 @@ class ValidationError(SeqfuseError):
 
 
 class ParseError(ValidationError):
-    """A claims file line could not be decoded; carries the line number."""
+    """A JSON file could not be decoded; carries the line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

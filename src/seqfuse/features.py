@@ -7,7 +7,7 @@ layout of z is data-driven (see seqfuse/data/domain_spec.json), and the
 name list returned alongside the values always matches positionally.
 
 `featurize_events` builds every event's steps and z in one pass of numpy
-operations over the columns cohort writes (`cohort.population_columns`),
+operations over the columns cohort writes (`cohort.POPULATION_MEMBERS`),
 not one event at a time, and returns them as an `EventTable`, one row per
 event with its visit steps in CSR form; the featurize stage saves that
 table as `featurize/events.npz`, which every later stage loads.
@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import _ptr, day_to_iso, write_npz
-from .cohort import LOOKBACK_DAYS, age_band, text_words
+from .claims import _ptr, _ranges, day_to_iso, text_words, write_npz
+from .cohort import LOOKBACK_DAYS, age_band
 from .errors import ValidationError
 from .knowledge import DomainFeature, KnowledgeBundle
 
@@ -94,13 +94,6 @@ def charlson_band(charlson: int) -> str:
     return "6+"
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR pointers for runs of the given lengths, and the positions
-    starts[i], ..., starts[i] + lengths[i] - 1 of all runs in order."""
-    ptr = _ptr(lengths)
-    return ptr, np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1], dtype=np.int64)
-
-
 def _pairs(keys: np.ndarray, row_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, r) for every i and every row r with row_keys[r] == keys[i],
     grouped by i; within a group, rows keep their order."""
@@ -135,7 +128,7 @@ def featurize_events(
     opts: SequenceOptions = SequenceOptions(),
 ) -> tuple[EventTable, list[str]]:
     """The visit steps, z, labels and subgroup attributes of every eligible
-    event in `cols` (`cohort.population_columns`), in event order, as one
+    event in `cols` (`cohort.POPULATION_MEMBERS`), in event order, as one
     `EventTable`; and the names of z.
 
     An event's steps are the stays and, with `include_outpatient`, the

@@ -337,18 +337,18 @@ def make_deep_runner(
             embed_dim=int(config["embed_dim"]),
             hidden_dim=int(config["hidden_dim"]),
             domain_dim=domain_dim,
-            n_gru_layers=int(config.get("n_gru_layers", 1)),
+            n_gru_layers=int(config["n_gru_layers"]),
             fusion=fusion,
-            mlp_hidden_dims=tuple(config.get("mlp_hidden_dims", ())),
+            mlp_hidden_dims=tuple(config["mlp_hidden_dims"]),
             embedding=embedding,
             seed=seed,
         )
         settings = TrainSettings(
             lr=float(config["lr"]),
-            batch_size=int(config.get("batch_size", 32)),
+            batch_size=int(config["batch_size"]),
             epochs=epochs,
             patience=patience,
-            w_pos=float(config.get("w_pos", 1.0)),
+            w_pos=float(config["w_pos"]),
             w_neg=w_neg,
             optimizer=optimizer,
         )

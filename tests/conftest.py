@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from seqfuse.claims import SyntheticConfig, generate_population
-from seqfuse.cohort import build_cohort, population_columns
+from seqfuse.cohort import POPULATION_MEMBERS
 from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import CcsMap, load_bundle
+from tests.reference import checked_cohort
 
 
 @pytest.fixture(scope="session")
@@ -22,22 +23,28 @@ def bundle():
 
 
 @pytest.fixture(scope="session")
-def small_cohort(small_population, bundle):
-    events, stays, audit = build_cohort(
+def small_checked(small_population, bundle):
+    """`checked_cohort` of the small population: the kernel's columns, and
+    the reference's events, stays and audit."""
+    return checked_cohort(
         small_population.beneficiaries,
         small_population.claims,
         bundle.planned_rules,
         bundle.ccs,
         bundle.acute_drgs,
     )
-    return events, stays, audit
 
 
 @pytest.fixture(scope="session")
-def small_columns(small_population, small_cohort):
+def small_cohort(small_checked):
+    """The reference's events, stays and audit."""
+    return small_checked[1:]
+
+
+@pytest.fixture(scope="session")
+def small_columns(small_checked):
     """The population and its cohort as the columns cohort writes."""
-    events, stays, _ = small_cohort
-    return population_columns(small_population.beneficiaries, small_population.claims, stays, events)
+    return {name: small_checked[0][name] for name in POPULATION_MEMBERS}
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,13 @@ from seqfuse.autodiff import Tape, Tensor, backward
 from seqfuse.calibration import fit_platt, fit_temperature
 from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, generate_population, iso_to_day
 from seqfuse.cli import default_config, main
-from seqfuse.cohort import build_cohort, population_columns
 from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import CcsMap, load_bundle
 from seqfuse.metrics import auc, recall_at_top_k, recall_precision_at_threshold
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.rng import Xoshiro256
 from seqfuse.training import make_deep_runner, smote, split_patients
+from tests.reference import checked_cohort
 
 DAY0 = iso_to_day("2011-03-01")
 
@@ -65,7 +65,7 @@ def _stay_claim(bid, admit, los, disposition="home", facility="F01", dx=("D0001"
 
 def _cohort(bens, claims):
     bundle = load_bundle(CcsMap.synthetic())
-    return build_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+    return checked_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)[1:]
 
 
 # --- the planted-signal world used by criteria 6 and 7 ------------------------
@@ -78,14 +78,10 @@ def planted_world():
     start = time.monotonic()
     population = generate_population(SyntheticConfig(n_patients=2000, seed=20110901))
     bundle = load_bundle(CcsMap.synthetic())
-    events, stays, _ = build_cohort(
+    cols, *_ = checked_cohort(
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs
     )
-    table, _ = featurize_events(
-        population_columns(population.beneficiaries, population.claims, stays, events),
-        bundle,
-        SequenceOptions(include_outpatient=False),
-    )
+    table, _ = featurize_events(cols, bundle, SequenceOptions(include_outpatient=False))
     labels = table.readmit_label.astype(np.float64)
     z = table.z
     steps = table.step_lists()
@@ -363,7 +359,7 @@ def test_c07_recall_is_tunable(planted_world):
     )
     for w_pos in (1.0, 2.0, 4.0, 8.0):
         out = runner(
-            {"embed_dim": 8, "hidden_dim": 16, "mlp_hidden_dims": [16],
+            {"embed_dim": 8, "hidden_dim": 16, "n_gru_layers": 1, "mlp_hidden_dims": [16],
              "lr": 0.02, "batch_size": 64, "w_pos": w_pos},
             seed=7,
         )

@@ -1,8 +1,7 @@
-"""Record validation, population file round trips, and properties the
+"""Record validation, the claims archive and its checks, and properties the
 synthetic generator must guarantee (determinism, planted-signal bookkeeping,
 presence of the structural edge cases downstream code screens for)."""
 
-import json
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from seqfuse.claims import (
     GroundTruth,
     OutcomeSignal,
     SyntheticConfig,
+    claim_columns,
     day_to_iso,
     default_signals,
     generate_population,
@@ -23,13 +23,11 @@ from seqfuse.claims import (
     read_ground_truth,
     write_ground_truth,
     write_npz,
-    write_population,
 )
-from seqfuse.cohort import population_columns
-from seqfuse.errors import ParseError, ValidationError
+from seqfuse.errors import ValidationError
 from seqfuse.knowledge import CcsMap, load_charlson_weights
 from seqfuse.rng import Xoshiro256, derive_seed
-from tests.reference import read_population_npz
+from tests.reference import age_at, covers, read_population_npz
 
 
 def make_inpatient(**overrides) -> ClaimRecord:
@@ -124,11 +122,6 @@ class TestClaimValidation:
         claim = make_inpatient(dx_codes=("D0031", "D0001"))
         assert claim.principal_dx == "D0031"
 
-    def test_json_round_trip(self):
-        claim = make_inpatient(dx_codes=("D0031", "D0001"), proc_codes=())
-        again = ClaimRecord.from_json_obj(claim.to_json_obj())
-        assert again == claim
-
 
 class TestBeneficiaryValidation:
     def test_valid(self):
@@ -142,20 +135,34 @@ class TestBeneficiaryValidation:
 
     def test_age_at(self):
         ben = make_beneficiary(birth_date=iso_to_day("1940-06-15"))
-        assert ben.age_at(iso_to_day("2011-06-14")) == 70
-        assert ben.age_at(iso_to_day("2011-06-16")) == 71
+        assert age_at(ben, iso_to_day("2011-06-14")) == 70
+        assert age_at(ben, iso_to_day("2011-06-16")) == 71
 
     def test_covers_merges_back_to_back_intervals(self):
         ben = make_beneficiary(enrollment_intervals=((0, 99), (100, 200)))
-        assert ben.covers(50, 150)
+        assert covers(ben, 50, 150)
         gap = make_beneficiary(enrollment_intervals=((0, 99), (101, 200)))
-        assert not gap.covers(50, 150)
-        assert gap.covers(101, 200)
-        assert not gap.covers(195, 201)
+        assert not covers(gap, 50, 150)
+        assert covers(gap, 101, 200)
+        assert not covers(gap, 195, 201)
 
-    def test_json_round_trip_with_death(self):
-        ben = make_beneficiary(death_date=iso_to_day("2011-09-01"))
-        assert Beneficiary.from_json_obj(ben.to_json_obj()) == ben
+
+def write_claims(path, bens, claims, changes=None):
+    """`claim_columns` of the records as an archive, with the members in
+    `changes` replaced (or, for None, dropped)."""
+    cols = claim_columns(bens, claims)
+    for name, value in (changes or {}).items():
+        if value is None:
+            del cols[name]
+        else:
+            cols[name] = value
+    write_npz(path, cols)
+    return path
+
+
+def point_claim(claim_type="ed", day=100, **overrides) -> ClaimRecord:
+    return ClaimRecord(**{"claim_id": "C2", "beneficiary_id": "B1", "claim_type": claim_type, "admit_date": day,
+                          "discharge_date": day, "dx_codes": ("D0005",), **overrides})
 
 
 class TestPopulationFiles:
@@ -165,66 +172,142 @@ class TestPopulationFiles:
             make_inpatient(claim_id="C2", beneficiary_id="B1", admit_date=20, discharge_date=21),
             make_inpatient(claim_id="C1", beneficiary_id="B1", admit_date=10, discharge_date=12),
         ]
-        path = tmp_path / "pop.jsonl"
-        write_population(path, bens, claims)
-        loaded_bens, loaded_claims = ingest_claims(path)
+        loaded_bens, loaded_claims = read_population_npz(ingest_claims(write_claims(tmp_path / "claims.npz", bens, claims)))
         assert [b.beneficiary_id for b in loaded_bens] == ["B1", "B2"]
         assert [c.claim_id for c in loaded_claims] == ["C1", "C2"]
+        assert loaded_bens == bens[::-1] and loaded_claims == claims[::-1]
 
-    def test_parse_error_carries_line_number(self, tmp_path):
-        path = tmp_path / "pop.jsonl"
-        ben_line = '{"kind": "beneficiary"}'  # missing fields
-        path.write_text(ben_line + "\n")
-        with pytest.raises(ParseError) as exc:
+    def test_missing_member_rejected(self, tmp_path):
+        path = write_claims(tmp_path / "claims.npz", [make_beneficiary()], [], {"beneficiary.birth_date": None})
+        with pytest.raises(ValidationError, match=r"missing members \['beneficiary.birth_date'\]"):
             ingest_claims(path)
-        assert exc.value.line_no == 1
+        path = write_claims(tmp_path / "claims.npz", [make_beneficiary()], [], {"beneficiary.kind": np.zeros(1)})
+        with pytest.raises(ValidationError, match=r"unknown members \['beneficiary.kind'\]"):
+            ingest_claims(path)
 
-    def test_invalid_json_rejects_file(self, tmp_path):
-        path = tmp_path / "pop.jsonl"
+    def test_non_zip_file_rejected(self, tmp_path):
+        path = tmp_path / "claims.npz"
         path.write_text("{not json\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="not a NumPy archive"):
             ingest_claims(path)
 
     def test_orphan_claim_rejected(self, tmp_path):
-        path = tmp_path / "pop.jsonl"
-        write_population(path, [make_beneficiary()], [make_inpatient(beneficiary_id="B1")])
-        lines = path.read_text().splitlines()
-        patched = [
-            line.replace('"beneficiary_id":"B1"', '"beneficiary_id":"B9"') if '"kind":"claim"' in line else line
-            for line in lines
-        ]
-        path.write_text("\n".join(patched) + "\n")
+        path = write_claims(tmp_path / "claims.npz", [make_beneficiary()], [make_inpatient(beneficiary_id="B9")])
         with pytest.raises(ValidationError, match="unknown beneficiaries"):
             ingest_claims(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        path = tmp_path / "pop.jsonl"
         claims = [make_inpatient(claim_id="C1"), make_inpatient(claim_id="C1", admit_date=50, discharge_date=51)]
-        write_population(path, [make_beneficiary()], claims)
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError, match="duplicate claim_id 'C1'"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", [make_beneficiary()], claims))
+        bens = [make_beneficiary(), make_beneficiary()]
+        with pytest.raises(ValidationError, match="duplicate beneficiary_id 'B1'"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", bens, [make_inpatient()]))
+
+    @pytest.mark.parametrize(
+        "column, bad, problem",
+        [
+            pytest.param("claim.drg", np.array([470], dtype=np.int32), "holds codes outside", id="claim-drg-470"),
+            pytest.param("claim.facility_id", np.array([12]), "must be 1-D int32", id="claim-facility_id-12"),
+            pytest.param("claim.claim_id", np.array([3.0]), "must be 1-D int32", id="claim-claim_id-3"),
+            pytest.param("claim.dx_codes", np.array(["D0001", "5"]), "must be 1-D int32", id="claim-dx_codes-value3"),
+            pytest.param("claim.proc_codes", np.array([-1], dtype=np.int32), "holds codes outside", id="claim-proc_codes-value4"),
+            pytest.param("beneficiary.beneficiary_id", np.array([1]), "must be 1-D int32", id="beneficiary-beneficiary_id-1"),
+        ],
+    )
+    def test_non_string_text_rejected(self, tmp_path, column, bad, problem):
+        """A text column that does not hold codes into the string table:
+        the wrong dtype, or a code outside the table (-1, None, where a
+        string is required)."""
+        path = write_claims(tmp_path / "claims.npz", [make_beneficiary()], [make_inpatient()], {column: bad})
+        with pytest.raises(ValidationError, match=f"{column} {problem}"):
             ingest_claims(path)
 
     @pytest.mark.parametrize(
-        "kind, field, value",
+        "changes, problem",
         [
-            ("claim", "drg", 470),
-            ("claim", "facility_id", 12),
-            ("claim", "claim_id", 3),
-            ("claim", "dx_codes", ["D0001", 5]),
-            ("claim", "proc_codes", [None]),
-            ("beneficiary", "beneficiary_id", 1),
+            ({"claim.dx_codes_ptr": np.array([0, 2])}, "claim.dx_codes_ptr is not a CSR pointer array"),
+            ({"claim.proc_codes_ptr": np.array([1, 1])}, "claim.proc_codes_ptr is not a CSR pointer array"),
+            ({"beneficiary.enrollment_ptr": np.array([0])}, "beneficiary.enrollment_ptr is not a CSR pointer array"),
+            ({"text_ptr": np.array([], dtype=np.int64)}, "text_ptr is not a CSR pointer array"),
+            ({"beneficiary.enrollment": np.zeros((1, 3), dtype=np.int32)}, "must hold \\(start, end\\) pairs"),
+            ({"beneficiary.birth_date": np.zeros(2, dtype=np.int32)}, "beneficiary.birth_date holds 2 rows, not 1"),
+            ({"claim.admit_date": np.zeros((1, 1), dtype=np.int32)}, "claim.admit_date must be 1-D int32"),
+            ({"text": np.frombuffer(b"\xff" * 200, dtype=np.uint8)[:0]}, "text_ptr is not a CSR pointer array"),
         ],
     )
-    def test_non_string_text_rejected(self, tmp_path, kind, field, value):
-        path = tmp_path / "pop.jsonl"
-        write_population(path, [make_beneficiary()], [make_inpatient()])
-        objs = [json.loads(line) for line in path.read_text().splitlines()]
-        for obj in objs:
-            if obj["kind"] == kind:
-                obj[field] = value
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
-        with pytest.raises(ParseError, match=field):
+    def test_malformed_columns_rejected(self, tmp_path, changes, problem):
+        path = write_claims(tmp_path / "claims.npz", [make_beneficiary()], [make_inpatient()], changes)
+        with pytest.raises(ValidationError, match=problem):
             ingest_claims(path)
+
+    def test_malformed_string_table_rejected(self, tmp_path):
+        cols = claim_columns([make_beneficiary()], [make_inpatient()])
+        text = cols["text"].copy()
+        text[0] = 0xFF
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", [make_beneficiary()], [make_inpatient()], {"text": text}))
+        # Codes compare as strings only if the table is sorted.
+        ptr, words = cols["text_ptr"], cols["text"].tobytes()
+        first, second = words[ptr[0] : ptr[1]], words[ptr[1] : ptr[2]]
+        swapped = np.frombuffer(second + first + words[ptr[2] :], dtype=np.uint8)
+        swapped_ptr = ptr.copy()
+        swapped_ptr[1] = len(second)
+        changes = {"text": swapped, "text_ptr": swapped_ptr}
+        with pytest.raises(ValidationError, match="not sorted and distinct"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", [make_beneficiary()], [make_inpatient()], changes))
+
+    @pytest.mark.parametrize(
+        "bens, claims, problem",
+        [
+            ([make_beneficiary(gender="x")], [], "beneficiary 'B1': gender 'x' invalid"),
+            ([make_beneficiary(race="martian")], [], "race 'martian' invalid"),
+            ([make_beneficiary(medicare_status="aged")], [], "medicare_status 'aged' invalid"),
+            ([make_beneficiary(beneficiary_id="")], [], "must be non-empty"),
+            ([make_beneficiary(enrollment_intervals=())], [], "needs at least one enrollment interval"),
+            ([make_beneficiary(enrollment_intervals=((10, 5),))], [], "enrollment interval start after end"),
+            ([make_beneficiary(enrollment_intervals=((0, 10), (5, 20)))], [], "overlap or are unsorted"),
+            ([make_beneficiary(enrollment_intervals=((30, 40), (0, 10)))], [], "overlap or are unsorted"),
+            ([make_beneficiary(death_date=iso_to_day("1940-01-01"))], [], "death before birth"),
+            ([make_beneficiary()], [make_inpatient(claim_id="")], "must be non-empty"),
+            ([make_beneficiary()], [make_inpatient(claim_type="snf")], "claim 'C1': claim_type 'snf' invalid"),
+            ([make_beneficiary()], [make_inpatient(admit_date=10, discharge_date=9)], "admit_date after discharge_date"),
+            ([make_beneficiary()], [make_inpatient(dx_codes=())], "needs at least one dx code"),
+            ([make_beneficiary()], [make_inpatient(admission_type=None)], "admission_type None invalid"),
+            ([make_beneficiary()], [make_inpatient(admission_source="air")], "admission_source 'air' invalid"),
+            ([make_beneficiary()], [make_inpatient(discharge_disposition="x")], "discharge_disposition 'x' invalid"),
+            ([make_beneficiary()], [make_inpatient(drg=None)], "inpatient claim needs a drg"),
+            ([make_beneficiary()], [make_inpatient(drg="")], "inpatient claim needs a drg"),
+            ([make_beneficiary()], [make_inpatient(facility_id=None)], "inpatient claim needs a facility_id"),
+            ([make_beneficiary()], [point_claim(discharge_date=101)], "must be single-day events"),
+            ([make_beneficiary()], [point_claim("outpatient", drg="DRG001")], "drg only applies to inpatient claims"),
+            ([make_beneficiary()], [point_claim(admission_type="emergent")], "admission_type only applies"),
+        ],
+    )
+    def test_invalid_records_rejected(self, tmp_path, bens, claims, problem):
+        """Each rule of `validate`, on records it rejects, now that the
+        archive no longer goes through it."""
+        with pytest.raises(ValidationError, match=problem):
+            ingest_claims(write_claims(tmp_path / "claims.npz", bens, claims))
+
+    def test_rows_out_of_order_rejected(self, tmp_path):
+        bens = [make_beneficiary(beneficiary_id="B1"), make_beneficiary(beneficiary_id="B2")]
+        claims = [make_inpatient(claim_id="C1"), make_inpatient(claim_id="C2", admit_date=50, discharge_date=51)]
+        cols = claim_columns(bens, claims)
+        for name in ("claim.admit_date", "claim.discharge_date"):
+            cols[name] = cols[name][::-1].copy()
+        with pytest.raises(ValidationError, match="claims are not sorted"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", bens, claims, cols))
+        # Same admit and discharge: the claim id decides.
+        claims = [make_inpatient(claim_id="C1"), make_inpatient(claim_id="C2")]
+        cols = claim_columns(bens, claims)
+        cols["claim.claim_id"] = cols["claim.claim_id"][::-1].copy()
+        with pytest.raises(ValidationError, match="claims are not sorted"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", bens, claims, cols))
+        cols = claim_columns(bens, [])
+        cols["beneficiary.beneficiary_id"] = cols["beneficiary.beneficiary_id"][::-1].copy()
+        with pytest.raises(ValidationError, match="beneficiaries are not sorted"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", bens, [], cols))
 
     def test_columnar_store_returns_the_records_it_was_given(self, tmp_path):
         bens = [
@@ -240,13 +323,14 @@ class TestPopulationFiles:
             ClaimRecord("C3", "Bé\0", "ed", 7, 7, (), facility_id="\udc80"),
         ]
         path = tmp_path / "pop.npz"
-        write_npz(path, population_columns(bens, claims, [], []))
+        write_npz(path, claim_columns(bens, claims))
         with np.load(path, allow_pickle=False) as npz:
             loaded_bens, loaded_claims = read_population_npz(npz)
         assert loaded_bens == bens and loaded_claims == claims
         assert loaded_claims[1].facility_id == "" and loaded_claims[0].facility_id == "F01"
         assert loaded_claims[2].drg is None and loaded_bens[0].death_date is not None
-        assert read_population_npz(population_columns(bens[:1], [], [], [])) == (bens[:1], [])
+        assert read_population_npz(claim_columns(bens[:1], [])) == (bens[:1], [])
+        assert read_population_npz(ingest_claims(path)) == (bens, claims)
 
     def test_ground_truth_header_contract(self, tmp_path):
         rows = [
@@ -363,7 +447,7 @@ class TestGenerator:
         bens = small_population.beneficiaries
         claims = small_population.claims
         anchors = [c for c in claims if c.claim_type == "inpatient"]
-        assert any(b.age_at(iso_to_day("2011-06-01")) < 65 for b in bens)
+        assert any(age_at(b, iso_to_day("2011-06-01")) < 65 for b in bens)
         assert any(len(b.enrollment_intervals) > 1 for b in bens)
         assert any(c.discharge_disposition == "transfer_acute" for c in anchors)
         assert any(c.discharge_disposition in ("ama", "hospice", "expired") for c in anchors)

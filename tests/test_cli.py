@@ -9,14 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqfuse.claims import ingest_claims, write_npz
+from seqfuse.claims import CLAIM_COLUMNS, write_npz
 from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, default_config, load_config, main, validate_config
-from seqfuse.cohort import age_band, build_cohort
+from seqfuse.cohort import age_band
 from seqfuse.features import EventTable, SequenceOptions, charlson_band
 from seqfuse.knowledge import CcsMap, load_bundle
 from seqfuse.model import load_model, random_embedding
 from seqfuse.training import config_hash
-from tests.reference import build_domain_vector, build_sequence, read_population_npz, reference_table
+from tests.reference import (
+    build_domain_vector,
+    build_sequence,
+    read_population_npz,
+    reference_cohort,
+    reference_table,
+)
 
 
 def _write_config(path: Path, outdir: Path, **overrides) -> Path:
@@ -170,6 +176,8 @@ class TestConfigHandling:
                 "train.lr_grid.l2 must be a non-empty list of positive values",
             ),
             ({"train": {"grid": {"hidden_dim": [8], "lr": [0.05]}}}, "train.grid.embed_dim is missing"),
+            ({"generate": {"dx_vocab": 50}}, "generate.dx_vocab must be at least 90 to cover the bundled rule tables"),
+            ({"generate": {"proc_vocab": 20}}, "generate.proc_vocab must be at least 36 to cover the bundled rule tables"),
         ],
     )
     def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
@@ -197,6 +205,19 @@ class TestConfigHandling:
         config = _write_config(tmp_path / "cfg.json", copy, knowledge={"hac_rules": str(rules)})
         assert main(["cohort", "--config", str(config)]) == 2
         assert "knowledge.hac_rules" in capsys.readouterr().err
+
+    def test_grid_axes_left_out_take_the_default_config_values(self, tmp_path):
+        grid = {"embed_dim": [6], "hidden_dim": [8], "lr": [0.05]}
+        outdir = tmp_path / "run"
+        train = {"algorithms": ["early_fusion"], "grid": grid, "lr_grid": {"l2": [0.1]}}
+        config = _write_config(tmp_path / "cfg.json", outdir, train=train)
+        cfg = load_config(str(config))
+        assert cfg["train"]["grid"] == {**default_config()["train"]["grid"], **grid}
+        assert cfg["train"]["lr_grid"] == {"l2": [0.1], "smote": [True]}
+        for stage in ("generate", "cohort", "featurize", "train"):
+            assert main([stage, "--config", str(config)]) == 0, stage
+        model, _ = load_model(outdir / "train" / "models" / "early_fusion__linear" / "best")
+        assert model.config.mlp_hidden_dims == (16,)
 
     def test_missing_config_file_is_exit_2(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -417,8 +438,8 @@ class TestRerunsAndTampering:
         config = _write_config(tmp_path / "cfg.json", tmp_path / "run")
         assert main(["generate", "--config", str(config)]) == 0
         assert main(["cohort", "--config", str(config)]) == 0
-        population = tmp_path / "run" / "generate" / "population.jsonl"
-        population.write_bytes(population.read_bytes() + b"\n")
+        population = tmp_path / "run" / "generate" / "claims.npz"
+        population.write_bytes(population.read_bytes() + b"\0")
         assert main(["cohort", "--config", str(config)]) == 3
         assert main(["generate", "--config", str(config)]) == 0
         assert main(["cohort", "--config", str(config)]) == 0
@@ -434,7 +455,7 @@ class TestColumnarArtifacts:
         with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
             beneficiaries, claims = read_population_npz(npz)
         bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
-        events, stays, _ = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+        events, stays, _ = reference_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         ben_map = {b.beneficiary_id: b for b in beneficiaries}
         eligible = [e for e in events if e.eligible]
         steps = [build_sequence(e, claims, stays, bundle.ccs) for e in eligible]
@@ -464,8 +485,14 @@ class TestColumnarArtifacts:
     def test_population_store_equals_the_ingested_records(self, pipeline_run):
         _, outdir = pipeline_run
         with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
-            stored = read_population_npz(npz)
-        assert stored == ingest_claims(outdir / "generate" / "population.jsonl")
+            stored = {name: npz[name] for name in npz.files}
+        with np.load(outdir / "generate" / "claims.npz", allow_pickle=False) as npz:
+            claims = {name: npz[name] for name in npz.files}
+        assert set(claims) == set(CLAIM_COLUMNS) < set(stored)
+        for name, column in claims.items():
+            assert (stored[name].dtype, stored[name].shape) == (column.dtype, column.shape), name
+            assert stored[name].tobytes() == column.tobytes(), name
+        assert read_population_npz(stored) == read_population_npz(claims)
 
     def test_featurize_does_not_rebuild_the_cohort(self, pipeline_run, tmp_path, monkeypatch):
         config, outdir = pipeline_run
@@ -485,7 +512,7 @@ class TestColumnarArtifacts:
         shutil.copytree(outdir, copy)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("featurize parsed population.jsonl")
+            raise AssertionError("featurize read generate/claims.npz")
 
         monkeypatch.setattr("seqfuse.cli.ingest_claims", refuse)
         assert main(["featurize", "--config", str(config), "--outdir", str(copy)]) == 0
@@ -565,7 +592,7 @@ class TestExcludeIndexStep:
         with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
             beneficiaries, claims = read_population_npz(npz)
         bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
-        events, stays, _ = build_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+        events, stays, _ = reference_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         expected, _ = reference_table(
             events,
             {b.beneficiary_id: b for b in beneficiaries},

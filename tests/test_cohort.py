@@ -1,21 +1,18 @@
 """Cohort construction on hand-built fixtures: stay merging, the ordered
-eligibility screen, readmission crediting, and mortality exclusions."""
+eligibility screen, readmission crediting, and mortality exclusions.
 
+Every case runs the columnar kernel `cohort.build_cohort` on the records'
+`claim_columns` and checks that the four files cohort writes from it equal
+the record-based reference's (tests/reference.py) byte for byte; the
+assertions then read the reference's records."""
+
+import numpy as np
 import pytest
 
-from seqfuse.claims import Beneficiary, ClaimRecord, iso_to_day
-from seqfuse.cohort import (
-    IndexPolicy,
-    age_band,
-    build_cohort,
-    cohort_summary,
-    label_mortality,
-    label_readmission,
-    resolve_stays,
-    select_index_events,
-)
-from seqfuse.errors import ValidationError
-from seqfuse.knowledge import CcsMap, load_acute_drgs, load_planned_rules
+from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, generate_population, iso_to_day, text_words
+from seqfuse.cohort import EXCLUSION_REASONS, age_band
+from seqfuse.knowledge import CcsMap, load_acute_drgs, load_bundle, load_planned_rules
+from tests.reference import checked_cohort, cohort_summary
 
 DAY0 = iso_to_day("2011-03-01")
 
@@ -73,7 +70,16 @@ def acute_drgs():
 
 
 def run_cohort(bens, claims, rules, ccs, acute_drgs):
-    return build_cohort(bens, claims, rules, ccs, acute_drgs)
+    """The reference's events, stays and audit, once the kernel's files
+    for the same records have been checked equal to the reference's."""
+    _, events, stays, audit = checked_cohort(bens, claims, rules, ccs, acute_drgs)
+    return events, stays, audit
+
+
+def resolve_stays(claims):
+    """The stays of `run_cohort`, each beneficiary being the default `ben`."""
+    bens = [ben(bid=bid) for bid in sorted({c.beneficiary_id for c in claims})]
+    return run_cohort(bens, claims, load_planned_rules(), CcsMap.synthetic(), load_acute_drgs())[1]
 
 
 class TestStayResolution:
@@ -139,9 +145,7 @@ class TestStayResolution:
 
 class TestEligibilityScreen:
     def screen(self, bens, claims, acute_drgs):
-        stays = resolve_stays(claims)
-        ben_map = {b.beneficiary_id: b for b in bens}
-        return select_index_events(stays, ben_map, IndexPolicy(acute_drgs=acute_drgs))
+        return run_cohort(bens, claims, load_planned_rules(), CcsMap.synthetic(), acute_drgs)[0]
 
     def test_eligible_baseline(self, acute_drgs):
         events = self.screen([ben()], [inpatient()], acute_drgs)
@@ -373,3 +377,134 @@ class TestOverlapGuard:
         b = inpatient(admit=DAY0 + 2, los=1)
         stays = resolve_stays([a, b])
         assert len(stays) == 1  # the fold absorbs it; no exception
+
+
+def kernel_world(bens, claims):
+    """The kernel's columns for hand-built records, checked against the
+    reference; and each event's row by (beneficiary, admit day)."""
+    cols, events, _, _ = checked_cohort(bens, claims, load_planned_rules(), CcsMap.synthetic(), load_acute_drgs())
+    return cols, {(e.stay.beneficiary_id, e.stay.admit_date): i for i, e in enumerate(events)}
+
+
+def code_rows(cols, name):
+    """Each stay's codes of column `name` as strings."""
+    words = text_words(cols, cols[name])
+    ptr = cols[f"{name}_ptr"].tolist()
+    return [[words[c] for c in cols[name][a:b].tolist()] for a, b in zip(ptr, ptr[1:])]
+
+
+class TestKernelWorlds:
+    """Worlds at the edge of each rule, asserted on the kernel's own
+    columns (the reference equality is checked on the way)."""
+
+    def test_transfer_grace_counts_from_the_last_merged_claim(self):
+        claims = [
+            # The day after an acute transfer merges; two days after does not.
+            inpatient(bid="B1", admit=DAY0, los=2, disposition="transfer_acute"),
+            inpatient(bid="B1", admit=DAY0 + 3, los=2),
+            inpatient(bid="B1", admit=DAY0 + 40, los=2, disposition="transfer_acute"),
+            inpatient(bid="B1", admit=DAY0 + 44, los=2),
+            # A claim inside an open stay; its transfer gives the grace day
+            # after the stay's later discharge.
+            inpatient(bid="B2", admit=DAY0, los=10),
+            inpatient(bid="B2", admit=DAY0 + 2, los=2, disposition="transfer_acute"),
+            inpatient(bid="B2", admit=DAY0 + 11, los=1),
+        ]
+        cols, _ = kernel_world([ben("B1"), ben("B2")], claims)
+        assert cols["stay.admit_date"].tolist() == [DAY0, DAY0 + 40, DAY0 + 44, DAY0]
+        assert cols["stay.discharge_date"].tolist() == [DAY0 + 5, DAY0 + 42, DAY0 + 46, DAY0 + 12]
+        ids = text_words(cols, cols["stay.stay_id"])
+        assert [ids[c] for c in cols["stay.stay_id"].tolist()] == [claims[i].claim_id for i in (0, 2, 3, 4)]
+
+    def test_codes_repeat_within_a_claim_and_merge_once_across_claims(self):
+        claims = [
+            inpatient(bid="B1", admit=DAY0, los=2, dx=("D0001", "D0004", "D0001"), proc=("P0001", "P0001")),
+            inpatient(bid="B2", admit=DAY0, los=2, dx=("D0004", "D0004"), proc=("P0002",), disposition="transfer_acute"),
+            inpatient(bid="B2", admit=DAY0 + 3, los=1, dx=("D0001", "D0004"), proc=("P0002", "P0001")),
+        ]
+        cols, _ = kernel_world([ben("B1"), ben("B2")], claims)
+        assert code_rows(cols, "stay.all_dx") == [["D0001", "D0004", "D0001"], ["D0004", "D0001"]]
+        assert code_rows(cols, "stay.all_proc") == [["P0001", "P0001"], ["P0002", "P0001"]]
+        words = text_words(cols, cols["stay.principal_dx"])
+        assert [words[c] for c in cols["stay.principal_dx"].tolist()] == ["D0001", "D0004"]
+
+    def test_readmission_window_edges_and_a_planned_candidate(self):
+        claims = [
+            inpatient(bid="B1", admit=DAY0, los=3),
+            inpatient(bid="B1", admit=DAY0 + 3 + 30, los=2),
+            inpatient(bid="B2", admit=DAY0, los=3),
+            inpatient(bid="B2", admit=DAY0 + 3 + 31, los=2),
+            inpatient(bid="B3", admit=DAY0, los=3),
+            # P0013 maps to proc category 4, a planned procedure.
+            inpatient(bid="B3", admit=DAY0 + 10, los=2, proc=("P0013",)),
+            inpatient(bid="B3", admit=DAY0 + 20, los=2),
+        ]
+        cols, row = kernel_world([ben("B1"), ben("B2"), ben("B3")], claims)
+        labels, credited = cols["event.readmit_label"], cols["event.readmit_stay"]
+        assert labels[row["B1", DAY0]] and credited[row["B1", DAY0]] == row["B1", DAY0 + 33]
+        assert not labels[row["B2", DAY0]] and credited[row["B2", DAY0]] == -1
+        assert not labels[row["B3", DAY0]] and credited[row["B3", DAY0]] == -1
+        assert labels[row["B3", DAY0 + 10]] and credited[row["B3", DAY0 + 10]] == row["B3", DAY0 + 20]
+
+    def test_mortality_exclusions_and_the_hospice_window(self):
+        bens = [
+            ben("B1", death=DAY0 + 3 + 5),
+            ben("B2", death=DAY0 + 3 + 20),
+            ben("B3", death=DAY0 + 3 + 10),
+            ben("B4", death=DAY0 + 3 + 31),
+            ben("B5", death=DAY0 + 3),
+            ben("B6", death=DAY0 + 10),
+        ]
+        claims = [
+            inpatient(bid="B1", admit=DAY0, los=3, disposition="ama"),
+            inpatient(bid="B2", admit=DAY0, los=3),
+            inpatient(bid="B2", admit=DAY0 + 10, los=2, disposition="hospice"),
+            inpatient(bid="B3", admit=DAY0, los=3),
+            # Admitted to hospice only after the death.
+            inpatient(bid="B3", admit=DAY0 + 20, los=2, disposition="hospice"),
+            inpatient(bid="B4", admit=DAY0, los=3),
+            # Died on the day of discharge, outside the window.
+            inpatient(bid="B5", admit=DAY0, los=3),
+            # Admitted to hospice on the day of the death.
+            inpatient(bid="B6", admit=DAY0, los=3),
+            inpatient(bid="B6", admit=DAY0 + 10, los=2, disposition="hospice"),
+        ]
+        cols, row = kernel_world(bens, claims)
+        index = [row[bid, DAY0] for bid in ("B1", "B2", "B3", "B4", "B5", "B6")]
+        assert cols["event.mortality_exclusion"][index].tolist() == [0, 1, -1, -1, -1, 1]
+        assert cols["event.mortality_label"][index].tolist() == [False, False, True, False, False, False]
+        assert cols["event.mortality_excluded"][index].tolist() == [True, True, False, False, False, True]
+
+    def test_age_65_esrd_and_enrollment_edges(self):
+        bens = [
+            ben("B1", birth_date=DAY0 - 23742),  # 65 on the day of admission
+            ben("B2", birth_date=DAY0 - 23741),  # a day short of it
+            ben("B3", birth_year=1950, status="aged_esrd"),
+            ben("B4", intervals=((DAY0 - 800, DAY0 - 10), (DAY0 - 9, DAY0 + 400))),
+            ben("B5", intervals=((DAY0 - 800, DAY0 - 10), (DAY0 - 8, DAY0 + 400))),
+            # Coverage from exactly 365 days before admission to exactly 30
+            # days after discharge, and a day short at either end.
+            ben("B6", intervals=((DAY0 - 365, DAY0 + 3 + 30),)),
+            ben("B7", intervals=((DAY0 - 364, DAY0 + 400),)),
+            ben("B8", intervals=((DAY0 - 800, DAY0 + 3 + 29),)),
+        ]
+        claims = [inpatient(bid=b.beneficiary_id, admit=DAY0, los=3) for b in bens]
+        cols, _ = kernel_world(bens, claims)
+        assert cols["event.age"].tolist()[:3] == [65, 64, 61]
+        reasons = [EXCLUSION_REASONS[i] if i >= 0 else None for i in cols["event.exclusion"].tolist()]
+        assert reasons == [None, "age", None, None, "enrollment_gap", None, "enrollment_gap", "enrollment_gap"]
+
+
+@pytest.mark.parametrize("n_patients, seed", [(2000, 20110901), (5000, 7)])
+def test_whole_populations_equal_the_reference(n_patients, seed):
+    population = generate_population(SyntheticConfig(n_patients=n_patients, seed=seed))
+    bundle = load_bundle(CcsMap.synthetic())
+    cols, events, _, audit = checked_cohort(
+        population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs
+    )
+    # Both tasks' labels, as featurize reads them.
+    assert len(events) == len(cols["event.stay"]) == audit["n_events"]
+    assert int(cols["event.readmit_label"].sum()) == audit["readmit_positive"] > 0
+    assert int(cols["event.mortality_label"].sum()) == audit["mortality_positive"] > 0
+    assert int(cols["event.mortality_excluded"].sum()) == sum(audit["mortality_excluded"].values()) > 0
+    assert np.array_equal(cols["event.eligible"], [e.eligible for e in events])

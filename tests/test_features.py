@@ -11,10 +11,17 @@ import numpy as np
 import pytest
 
 from seqfuse.claims import ClaimRecord, SyntheticConfig, day_to_iso, generate_population, write_npz
-from seqfuse.cohort import age_band, build_cohort, population_columns
+from seqfuse.cohort import age_band
 from seqfuse.errors import ValidationError
 from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band, featurize_events
-from tests.reference import build_domain_vector, build_sequence, reference_table
+from tests.reference import (
+    build_domain_vector,
+    build_sequence,
+    checked_cohort,
+    population_columns,
+    reference_cohort,
+    reference_table,
+)
 from tests.test_cohort import DAY0, ben, inpatient
 
 
@@ -46,9 +53,10 @@ def _same_table(a: EventTable, b: EventTable, exact: bool = True) -> None:
 
 def featurize_world(bens, claims, bundle, opts=SequenceOptions()):
     """The kernel's table for hand-built records, after checking that it
-    equals the per-event reference byte for byte."""
-    events, stays, _ = build_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
-    table, z_names = featurize_events(population_columns(bens, claims, stays, events), bundle, opts)
+    equals the per-event reference byte for byte (and the cohort kernel's
+    columns it reads equal the record-based cohort's)."""
+    cols, events, stays, _ = checked_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+    table, z_names = featurize_events(cols, bundle, opts)
     expected, expected_names = reference_table(
         events, {b.beneficiary_id: b for b in bens}, claims, stays, bundle, opts
     )
@@ -115,7 +123,7 @@ class TestBuildSequence:
             point_claim(bid="B2", day=DAY0 - 5, kind="outpatient"),
             inpatient(bid="B2", admit=DAY0, los=2),
         ]
-        events, stays, _ = build_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+        events, stays, _ = reference_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         with pytest.raises(ValidationError, match="no visits left"):
             build_sequence(events[0], claims, stays, bundle.ccs, SequenceOptions(exclude_index_step=True))
         table, _ = featurize_world(bens, claims, bundle, SequenceOptions(exclude_index_step=True))
@@ -274,7 +282,7 @@ class TestKernelOnHandBuiltWorlds:
         ]
         table, _ = featurize_world(bens, claims, bundle)
         assert table.mortality_excluded.tolist() == [True, False, True, False, False]
-        events, stays, _ = build_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+        events, stays, _ = reference_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         kept = [e for e in events if e.mortality_exclusion is None]
         expected, _ = reference_table(kept, {b.beneficiary_id: b for b in bens}, claims, stays, bundle)
         selected = table.select(~table.mortality_excluded)

@@ -373,7 +373,7 @@ class TestDeepRunner:
             epochs=8, patience=8,
         )
         out = runner(
-            {"embed_dim": 4, "hidden_dim": 4, "lr": 0.05, "batch_size": 8,
+            {"embed_dim": 4, "hidden_dim": 4, "n_gru_layers": 1, "lr": 0.05, "batch_size": 8,
              "mlp_hidden_dims": [4], "w_pos": 1.0},
             seed=5,
         )
@@ -405,6 +405,8 @@ class TestDeepRunner:
                 input_dim=8, domain_dim=0, fusion="none",
                 epochs=3, patience=3,
             )
-            outs.append(runner({"embed_dim": 4, "hidden_dim": 4, "lr": 0.05}, seed=2))
+            config = {"embed_dim": 4, "hidden_dim": 4, "n_gru_layers": 1, "mlp_hidden_dims": [], "lr": 0.05,
+                      "batch_size": 32, "w_pos": 1.0}
+            outs.append(runner(config, seed=2))
         assert outs[0]["valid_auc"] == outs[1]["valid_auc"]
         assert outs[0]["test_auc"] == outs[1]["test_auc"]
