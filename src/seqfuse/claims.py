@@ -2,12 +2,18 @@
 synthetic population.
 
 Dates are integer day numbers (days since 1970-01-01) everywhere; the
-ground-truth CSV carries ISO strings. `claim_columns` codes the records
-into the arrays of `generate/claims.npz`, and `ingest_claims` reads them
-back and checks them as the record validators would. The synthetic
-generator plants a known logistic outcome signal per patient and reports it
-back so tests can check that the cohort builder and feature engine recover
-exactly what was planted.
+ground-truth CSV carries ISO strings. The records are the vocabulary for
+hand-built claims; the archive `generate/claims.npz` holds the same fields
+as the columns of `CLAIM_COLUMNS`, which `check_claim_columns` checks as
+the record validators would and `ingest_claims` reads back.
+
+The synthetic generator plants a known logistic outcome signal per patient
+and reports it back so tests can check that the cohort builder and feature
+engine recover exactly what was planted. It is a numpy kernel: the
+patients of a chunk step side by side, each drawing from its own stream
+(`rng.Xoshiro256Lanes`) exactly the values the one-patient-at-a-time
+reference generator in `tests/reference.py` draws, and their claims go
+straight into the archive's columns without record objects.
 """
 
 from __future__ import annotations
@@ -19,15 +25,13 @@ import zipfile
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .knowledge import CcsMap, charlson_index, load_charlson_weights
-from .rng import Xoshiro256, derive_seed
+from .knowledge import load_charlson_weights
+from .rng import Xoshiro256Lanes, derive_seeds
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
@@ -55,8 +59,8 @@ def day_to_iso(day: int) -> str:
     return date.fromordinal(day + _EPOCH_ORDINAL).isoformat()
 
 
-# The text fields of each record; `validate` holds them to str (or None),
-# which `claim_columns` relies on.
+# The text fields of each record, each an int32 code column of the
+# archive; `validate` holds them to str (or None).
 _BEN_TEXT = ("beneficiary_id", "gender", "race", "medicare_status")
 _CLAIM_TEXT = (
     "claim_id",
@@ -190,69 +194,32 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     return ptr, np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1], dtype=np.int64)
 
 
-# The arrays of `generate/claims.npz`: {name: (dtype, ndim)}.
+# The arrays of `generate/claims.npz`, in the archive's order: {name: (dtype, ndim)}.
+# Every string is an int32 code (-1 for None) into one table of the distinct
+# strings in sorted order, so codes compare as their strings do; the table
+# is UTF-8 bytes (`text`) with CSR offsets (`text_ptr`), which `text_words`
+# decodes. Dates are int32 day numbers, and enrollment intervals and code
+# lists are CSR rows. Beneficiaries are sorted by id, and claims by
+# (beneficiary_id, admit_date, discharge_date, claim_id).
 CLAIM_COLUMNS = {
-    **{f"beneficiary.{name}": (np.int32, 1) for name in (*_BEN_TEXT, "birth_date", "death_date")},
+    "beneficiary.birth_date": (np.int32, 1),
     "beneficiary.dual_eligible": (np.bool_, 1),
     "beneficiary.has_death_date": (np.bool_, 1),
+    "beneficiary.death_date": (np.int32, 1),
     "beneficiary.enrollment_ptr": (np.int64, 1),
     "beneficiary.enrollment": (np.int32, 2),
-    **{f"claim.{name}": (np.int32, 1) for name in (*_CLAIM_TEXT, *_CLAIM_CODES, "admit_date", "discharge_date")},
+    **{f"claim.{name}": (np.int32, 1) for name in ("admit_date", "discharge_date")},
     **{f"claim.{name}_ptr": (np.int64, 1) for name in _CLAIM_CODES},
+    **{f"beneficiary.{name}": (np.int32, 1) for name in _BEN_TEXT},
+    **{f"claim.{name}": (np.int32, 1) for name in (*_CLAIM_TEXT, *_CLAIM_CODES)},
     "text_ptr": (np.int64, 1),
     "text": (np.uint8, 1),
 }
 
 
-def claim_columns(beneficiaries: list[Beneficiary], claims: list[ClaimRecord]) -> dict[str, np.ndarray]:
-    """The records as the columns of `CLAIM_COLUMNS`, beneficiaries sorted
-    by id and claims by (beneficiary_id, admit_date, discharge_date,
-    claim_id): what generate writes and `ingest_claims` reads.
-
-    Every string is an int32 code (-1 for None) into one table of the
-    distinct strings in sorted order, so codes compare as their strings
-    do. The table is stored as UTF-8 bytes (`text`) with CSR offsets
-    (`text_ptr`), which `text_words` decodes. Dates are int32 day numbers,
-    and enrollment intervals and code tuples are CSR rows. The records are
-    not validated again: pass records whose `validate` passed.
-    """
-    bens = sorted(beneficiaries, key=attrgetter("beneficiary_id"))
-    claims = sorted(claims, key=attrgetter("beneficiary_id", "admit_date", "discharge_date", "claim_id"))
-
-    def values(records: list, names: tuple[str, ...]) -> dict[str, list]:
-        return {name: list(map(attrgetter(name), records)) for name in names}
-
-    ben = values(bens, (*_BEN_TEXT, "birth_date", "dual_eligible", "death_date", "enrollment_intervals"))
-    claim = values(claims, (*_CLAIM_TEXT, *_CLAIM_CODES, "admit_date", "discharge_date"))
-    texts = {f"beneficiary.{name}": ben[name] for name in _BEN_TEXT}
-    texts.update({f"claim.{name}": claim[name] for name in _CLAIM_TEXT})
-    intervals = list(chain.from_iterable(ben["enrollment_intervals"]))
-    cols = {
-        "beneficiary.birth_date": np.array(ben["birth_date"], dtype=np.int32),
-        "beneficiary.dual_eligible": np.array(ben["dual_eligible"], dtype=bool),
-        "beneficiary.has_death_date": np.array([day is not None for day in ben["death_date"]], dtype=bool),
-        "beneficiary.death_date": np.array([day or 0 for day in ben["death_date"]], dtype=np.int32),
-        "beneficiary.enrollment_ptr": _ptr(list(map(len, ben["enrollment_intervals"]))),
-        "beneficiary.enrollment": np.array(intervals, dtype=np.int32).reshape(-1, 2),
-        **{f"claim.{name}": np.array(claim[name], dtype=np.int32) for name in ("admit_date", "discharge_date")},
-    }
-    for name in _CLAIM_CODES:
-        cols[f"claim.{name}_ptr"] = _ptr(list(map(len, claim[name])))
-        texts[f"claim.{name}"] = list(chain.from_iterable(claim[name]))
-    words = sorted(set().union(*texts.values()) - {None})
-    code = dict(zip(words, range(len(words))))
-    code[None] = -1
-    for name, strings in texts.items():
-        cols[name] = np.fromiter(map(code.__getitem__, strings), dtype=np.int32, count=len(strings))
-    encoded = [word.encode("utf-8", "surrogatepass") for word in words]
-    cols["text_ptr"] = _ptr(list(map(len, encoded)))
-    cols["text"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    return cols
-
-
 def text_words(cols, codes) -> dict[int, str | None]:
-    """{code: string} for the given codes of `claim_columns`' table; code
-    -1 reads None."""
+    """{code: string} for the given codes of the archive's string table;
+    code -1 reads None."""
     blob = cols["text"].tobytes()
     ptr = cols["text_ptr"].tolist()
     return {
@@ -273,11 +240,8 @@ _CSR = ("beneficiary.enrollment", "claim.dx_codes", "claim.proc_codes", "text")
 
 
 def ingest_claims(path: str | Path) -> dict[str, np.ndarray]:
-    """Reads the columns `claim_columns` wrote to an archive and checks
-    them: the archive's members, dtypes, shapes and CSR pointers; the
-    string table and every code into it; each record as `validate` would;
-    and unique ids, claims of known beneficiaries only, and the sort order
-    of `claim_columns`. Any failed check rejects the whole file with a
+    """Reads the claim columns of an archive and checks them with
+    `check_claim_columns`. Any failed check rejects the whole file with a
     ValidationError."""
     try:
         with zipfile.ZipFile(path) as archive:
@@ -287,9 +251,20 @@ def ingest_claims(path: str | Path) -> dict[str, np.ndarray]:
                     cols[info.filename.removesuffix(".npy")] = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"{path}: not a NumPy archive of claim columns: {exc}") from exc
+    check_claim_columns(cols, str(path))
+    return cols
+
+
+def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
+    """Checks claim columns as generate writes them and cohort reads them:
+    the members, dtypes, shapes and CSR pointers; the string table and
+    every code into it; each record as `validate` would; and unique ids,
+    claims of known beneficiaries only, and the sort order of
+    `CLAIM_COLUMNS`. Raises ValidationError, naming `source` for missing
+    or unknown members."""
     missing, unknown = sorted(CLAIM_COLUMNS.keys() - cols.keys()), sorted(cols.keys() - CLAIM_COLUMNS.keys())
     if missing or unknown:
-        raise ValidationError(f"{path}: missing members {missing}, unknown members {unknown}")
+        raise ValidationError(f"{source}: missing members {missing}, unknown members {unknown}")
     for name, (dtype, ndim) in CLAIM_COLUMNS.items():
         if cols[name].dtype != dtype or cols[name].ndim != ndim:
             raise ValidationError(f"{name} must be {ndim}-D {np.dtype(dtype)}, not {cols[name].ndim}-D {cols[name].dtype}")
@@ -388,7 +363,6 @@ def ingest_claims(path: str | Path) -> dict[str, np.ndarray]:
         tied = tied & (key[1:] == key[:-1])
     if not above.all():
         raise ValidationError("claims are not sorted by (beneficiary_id, admit_date, discharge_date, claim_id)")
-    return cols
 
 
 @dataclass(frozen=True)
@@ -549,429 +523,615 @@ def read_ground_truth(path: str | Path) -> list[dict]:
 
 @dataclass
 class SyntheticPopulation:
-    beneficiaries: list[Beneficiary]
-    claims: list[ClaimRecord]
+    """The generated claims as the columns of `CLAIM_COLUMNS`, the planted
+    events' ground truth and the generator's summary."""
+
+    columns: dict[str, np.ndarray]
     truth: list[GroundTruth]
     info: dict
 
 
-def _dx_code(cat: int, rng: Xoshiro256) -> str:
-    return f"D{cat * 3 + 1 + rng.randint(0, 2):04d}"
+# Patients generated side by side. A chunk's streams are one (patients,
+# draws) uint64 block that grows `rng._BLOCK_DRAWS` draws at a time, as far
+# as the chunk's hungriest patient needs, so memory is bounded whatever
+# `n_patients` is.
+_CHUNK_PATIENTS = 8192
+
+# The generator's small vocabularies, each coded by position; -1 is None.
+_DRGS = _ACUTE_DRGS + _OTHER_DRGS
+_RACE_CUTS = (0.862, 0.952, 0.972, 0.985, 0.993, 0.998)
+_RACE_DRAWN = np.array(
+    [RACES.index(race) for race in ("white", "black", "hispanic", "asian", "other", "north_american_native", "unknown")]
+)
+# `_chronic_cat`'s runs of categories, (first, last) per branch: symptoms,
+# then by the second uniform, weight-1 and weight-2 groups, 14, and 15-16.
+_CHRONIC_RUNS = np.array([[28, 0, 10, 14, 15], [29, 9, 13, 14, 16]])
+_AGED_NO_ESRD, _AGED_ESRD, _DISABLED, _ESRD_ONLY = map(MEDICARE_STATUSES.index, MEDICARE_STATUSES)
+_MALE, _FEMALE = map(GENDERS.index, GENDERS)
+_INPATIENT, _OUTPATIENT, _ED = map(CLAIM_TYPES.index, CLAIM_TYPES)
+_EMERGENT, _URGENT, _ELECTIVE = map(ADMISSION_TYPES.index, ADMISSION_TYPES)
+_COMMUNITY, _TRANSFER, _SNF_SOURCE = map(ADMISSION_SOURCES.index, ADMISSION_SOURCES)
+_HOME, _HOME_HEALTH, _SNF, _TRANSFER_ACUTE, _HOSPICE, _AMA, _EXPIRED = map(DISPOSITIONS.index, DISPOSITIONS)
+_VISIT_FIELDS = ("drg", "admission_type", "admission_source", "disposition", "facility")
+_DX, _PROC = 0, 1
+# A patient holds the anchor, at most three prior stays, a readmission or
+# planned decoy, and a late decoy.
+_MAX_SPANS = 8
+_NO_DEATH = np.iinfo(np.int64).min
+_N_DX_CATS = 1 + max(_ACUTE_DX_CATS + _MAINTENANCE_DX_CATS + _HAC_DX_CATS + _SYMPTOM_DX_CATS)
 
 
-def _proc_code(cat: int, rng: Xoshiro256) -> str:
-    return f"P{cat * 3 + 1 + rng.randint(0, 2):04d}"
+def _branch(u: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
+    """The index of the first cut each uniform is below (len(cuts) when
+    none): the branch an if/elif chain on `u < cut` takes."""
+    index = np.zeros(len(u), dtype=np.intp)
+    for cut in cuts:
+        index += u >= cut
+    return index
 
 
-def _chronic_cat(rng: Xoshiro256) -> int:
-    if rng.random() < 0.30:
-        return rng.choice(_SYMPTOM_DX_CATS)
-    v = rng.random()
-    if v < 0.72:
-        return rng.randint(0, 9)  # weight-1 Charlson groups
-    if v < 0.92:
-        return rng.randint(10, 13)  # weight-2
-    if v < 0.96:
-        return 14
-    return rng.choice((15, 16))
+class _Chunk:
+    """One chunk of patients, generated as the scalar generator would
+    generate each: every step below draws for the lanes (patients) that
+    take it, from each lane's own stream, in the scalar order.
+
+    Visits collect as flat arrays, one row per (lane, visit), and codes as
+    flat (lane, key, kind, num) rows, both in creation order. A visit's dx
+    and proc lists are the codes under its keys, in drawing order; `num` is
+    the code's number (D0001 is dx 1). The functions the methods mirror
+    (`_chronic_cat`, `_history_dx_codes`, `_free_span`, ...) are the scalar
+    generator's, in `tests/reference.py`."""
+
+    def __init__(self, patients: np.ndarray, cfg: SyntheticConfig):
+        self.rng = Xoshiro256Lanes(derive_seeds(cfg.seed, "patient", patients))
+        self.cfg = cfg
+        self.patients = patients
+        self.n = len(patients)
+        self.every = np.arange(self.n)
+        self.keys = 0
+        self.visits: list[tuple[np.ndarray, ...]] = []
+        self.codes: list[tuple[np.ndarray, ...]] = []
+        self.span_start = np.zeros((self.n, _MAX_SPANS), dtype=np.int64)
+        self.span_end = np.zeros((self.n, _MAX_SPANS), dtype=np.int64)
+        self.n_spans = np.zeros(self.n, dtype=np.int64)
+
+    def new_key(self) -> int:
+        """A code key no list has used yet."""
+        self.keys += 1
+        return self.keys
+
+    def flags(self, lanes: np.ndarray, rate: float) -> np.ndarray:
+        """`random() < rate` for `lanes`, as a mask over all lanes."""
+        out = np.zeros(self.n, dtype=bool)
+        out[lanes] = self.rng.random(lanes) < rate
+        return out
+
+    def add_codes(self, lanes: np.ndarray, key: int, kind: int, cat: np.ndarray) -> None:
+        """`_dx_code` / `_proc_code` of category `cat` for each lane."""
+        num = cat * 3 + 1 + self.rng.randint(lanes, 0, 2)
+        self.codes.append((lanes, np.full(len(lanes), key), np.full(len(lanes), kind), num))
+
+    def add_visit(self, lanes, claim_type, admit, discharge, key, proc_key=None, **fields) -> None:
+        """A visit per lane, listing the dx codes under `key` and the proc
+        codes under `proc_key` (default `key`); `fields` are drg,
+        admission_type, admission_source, disposition and facility
+        (default None)."""
+        columns = [lanes, key, key if proc_key is None else proc_key, claim_type, admit, discharge]
+        columns += [fields.get(name, -1) for name in _VISIT_FIELDS]
+        self.visits.append(tuple(np.full(len(lanes), value) if np.ndim(value) == 0 else value for value in columns))
+
+    def take(self, lanes: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
+        self.span_start[lanes, self.n_spans[lanes]] = start
+        self.span_end[lanes, self.n_spans[lanes]] = end
+        self.n_spans[lanes] += 1
+
+    def free_span(self, lanes: np.ndarray, admit: np.ndarray, los) -> np.ndarray:
+        """`_free_span` per lane: clear of each taken span by two days, so
+        unrelated stays never satisfy the merge rule."""
+        start, end = self.span_start[lanes], self.span_end[lanes]
+        clear = (admit[:, None] > end + 2) | ((admit + los)[:, None] < start - 2)
+        clear |= np.arange(_MAX_SPANS) >= self.n_spans[lanes, None]
+        return clear.all(axis=1)
+
+    def anchor_los(self, long_stay: np.ndarray) -> np.ndarray:
+        """`_anchor_los` per lane: a long stay, or a short one capped at 28 days."""
+        los = np.empty(self.n, dtype=np.int64)
+        lanes = self.every[long_stay]
+        los[lanes] = 31 + self.rng.randint(lanes, 0, 14)
+        lanes = self.every[~long_stay]
+        short = 1 + self.rng.poisson(lanes, 2.2)
+        longer = self.rng.random(lanes) < 0.15
+        short[longer] += self.rng.randint(lanes[longer], 4, 12)
+        los[lanes] = np.minimum(short, 28)
+        return los
+
+    def late_decoy_fits(self, lanes: np.ndarray, ld_admit: np.ndarray, death: np.ndarray) -> np.ndarray:
+        """`_late_decoy_fits` per lane: the decoy's admission comes more than
+        four days before the death, if any, and its stay is free."""
+        return ((death == _NO_DEATH) | (ld_admit + 4 < death)) & self.free_span(lanes, ld_admit, 3)
+
+    def chronic_cat(self, lanes: np.ndarray) -> np.ndarray:
+        """`_chronic_cat` per lane; each branch's choice is a randint over
+        a run of categories."""
+        rng = self.rng
+        branch = np.zeros(len(lanes), dtype=np.intp)  # the symptom branch
+        rest = rng.random(lanes) >= 0.30
+        branch[rest] = 1 + _branch(rng.random(lanes[rest]), (0.72, 0.92, 0.96))
+        lo, hi = _CHRONIC_RUNS[:, branch]
+        draw = lo != hi
+        lo[draw] = rng.randint(lanes[draw], lo[draw], hi[draw])
+        return lo
+
+    def chronic_choice(self, lanes: np.ndarray) -> np.ndarray:
+        """`rng.choice(chronic)` per lane; each lane's list is non-empty."""
+        return self.chronic[lanes, self.rng.randint(lanes, 0, self.n_chronic[lanes] - 1)]
+
+    def chronic_or_new(self, lanes: np.ndarray, p: float) -> np.ndarray:
+        """`rng.choice(chronic) if chronic and rng.random() < p else _chronic_cat(rng)`."""
+        cat = np.empty(len(lanes), dtype=np.int64)
+        has = self.n_chronic[lanes] > 0
+        pick = np.zeros(len(lanes), dtype=bool)
+        pick[has] = self.rng.random(lanes[has]) < p
+        cat[pick] = self.chronic_choice(lanes[pick])
+        cat[~pick] = self.chronic_cat(lanes[~pick])
+        return cat
+
+    def history_dx(self, lanes: np.ndarray, key: int) -> None:
+        """`_history_dx_codes` per lane, under `key`."""
+        for active in self.loop(1 + self.rng.poisson(lanes, 1.2), lanes):
+            self.add_codes(active, key, _DX, self.chronic_or_new(active, 0.65))
+
+    def general_proc(self, lanes: np.ndarray, key: int, rate: float) -> None:
+        """`(_proc_code(rng.choice(_GENERAL_PROC_CATS), rng),) if rng.random() < rate else ()`."""
+        lanes = lanes[self.rng.random(lanes) < rate]
+        self.add_codes(lanes, key, _PROC, self.rng.choice(lanes, _GENERAL_PROC_CATS))
+
+    def drg(self, lanes: np.ndarray, acute) -> np.ndarray:
+        """`rng.choice(_ACUTE_DRGS if acute else _OTHER_DRGS)` per lane, as
+        an index into `_DRGS`; `acute` is a bool or one per lane."""
+        acute = np.broadcast_to(acute, lanes.shape)
+        size = np.where(acute, len(_ACUTE_DRGS), len(_OTHER_DRGS))
+        return np.where(acute, 0, len(_ACUTE_DRGS)) + self.rng.randint(lanes, 0, size - 1)
+
+    def loop(self, counts: np.ndarray, lanes: np.ndarray | None = None):
+        """The active lanes of each pass of a per-lane `range(count)` loop."""
+        lanes = self.every if lanes is None else lanes
+        for j in range(counts.max(initial=0)):
+            yield lanes[counts > j]
+
+    def generate(self) -> dict:
+        rng, cfg, every, rates = self.rng, self.cfg, self.every, WRINKLE_RATES
+        under_65 = self.flags(every, rates["under_65"])
+        esrd_under_65 = self.flags(every[under_65], rates["esrd_given_under_65"])
+        enroll_gap, long_stay, elective_anchor, elective_acute, transfer_chain, expired_anchor = (
+            self.flags(every, rates[name])
+            for name in (
+                "enrollment_gap", "long_stay", "elective_anchor", "acute_drg_given_elective", "transfer_chain",
+                "expired_anchor",
+            )
+        )
+
+        u = rng.random(every)
+        age_years = np.where(under_65, 40 + u * 24, 66 + u * 28)
+        status = np.where(under_65, np.where(esrd_under_65, _ESRD_ONLY, _DISABLED), _AGED_NO_ESRD)
+        status[self.flags(every[~under_65], 0.05)] = _AGED_ESRD
+        gender = np.where(rng.random(every) < 0.44, _MALE, _FEMALE)
+        race = _RACE_DRAWN[_branch(rng.random(every), _RACE_CUTS)]
+        dual = rng.random(every) < 0.17
+
+        admit = iso_to_day("2011-03-01") + rng.randint(every, 0, 240)
+        los = self.anchor_los(long_stay)
+        discharge = admit + los
+        birth = admit - (age_years * 365.25).astype(np.int64) - rng.randint(every, 0, 200)
+
+        drawn = np.zeros((self.n, _N_DX_CATS), dtype=np.int64)  # 1 for each chronic category drawn
+        for lanes in self.loop(rng.poisson(every, 2.3)):
+            drawn[lanes, self.chronic_cat(lanes)] = 1
+        self.n_chronic = drawn.sum(axis=1)
+        self.chronic = np.argsort(-drawn, axis=1, kind="stable")  # each lane's categories, ascending
+        self.take(every, admit, discharge)
+
+        n_out = rng.poisson(every, cfg.mean_claims_per_patient * 0.45)
+        n_ed = rng.poisson(every, cfg.mean_claims_per_patient * 0.20)
+        for lanes in self.loop(n_out):
+            day = admit[lanes] - rng.randint(lanes, 1, 365)
+            key = self.new_key()
+            self.general_proc(lanes, key, 0.3)
+            self.history_dx(lanes, key)
+            self.add_visit(lanes, _OUTPATIENT, day, day, key)
+        for lanes in self.loop(n_ed):
+            day = admit[lanes] - rng.randint(lanes, 1, 365)
+            key = self.new_key()
+            self.history_dx(lanes, key)
+            self.add_visit(lanes, _ED, day, day, key)
+
+        for lanes in self.loop(np.minimum(rng.poisson(every, 0.5), 3)):
+            p_admit = admit[lanes] - rng.randint(lanes, 40, 350)
+            p_los = 1 + rng.poisson(lanes, 1.8)
+            free = self.free_span(lanes, p_admit, p_los)
+            lanes, p_admit, p_discharge = lanes[free], p_admit[free], (p_admit + p_los)[free]
+            self.take(lanes, p_admit, p_discharge)
+            t = rng.random(lanes)
+            p_type = np.array([_EMERGENT, _URGENT, _ELECTIVE])[_branch(t, (0.35, 0.5))]
+            p_drg = self.drg(lanes, p_type != _ELECTIVE)
+            d = rng.random(lanes)
+            key = self.new_key()
+            self.history_dx(lanes, key)
+            self.general_proc(lanes, key, 0.4)
+            self.add_visit(
+                lanes, _INPATIENT, p_admit, p_discharge, key,
+                drg=p_drg, admission_type=p_type, admission_source=_COMMUNITY,
+                disposition=np.array([_HOME, _SNF, _HOME_HEALTH])[_branch(d, (0.85, 0.95))],
+                facility=rng.randint(lanes, 1, 10),
+            )
+
+        # Anchor admission.
+        anchor_type = np.full(self.n, _ELECTIVE)
+        acute_drg = elective_acute.copy()
+        lanes = every[~elective_anchor]
+        anchor_type[lanes] = np.where(rng.random(lanes) < 0.72, _EMERGENT, _URGENT)
+        acute_drg[lanes] = rng.random(lanes) < 0.8
+        anchor_drg = self.drg(every, acute_drg)
+        anchor = self.new_key()
+        acute_dx = rng.random(every) < 0.55
+        lanes = every[acute_dx]
+        self.add_codes(lanes, anchor, _DX, rng.choice(lanes, _ACUTE_DX_CATS))
+        lanes = every[~acute_dx]
+        cat = np.empty(len(lanes), dtype=np.int64)
+        has = self.n_chronic[lanes] > 0
+        cat[has] = self.chronic_choice(lanes[has])
+        cat[~has] = self.chronic_cat(lanes[~has])
+        self.add_codes(lanes, anchor, _DX, cat)
+        for lanes in self.loop(1 + rng.poisson(every, 1.6)):
+            self.add_codes(lanes, anchor, _DX, self.chronic_or_new(lanes, 0.65))
+        for lanes in self.loop(rng.poisson(every, 0.8)):
+            self.add_codes(lanes, anchor, _PROC, rng.choice(lanes, _GENERAL_PROC_CATS))
+        lanes = every[rng.random(every) < rates["hac_code"]]
+        as_dx = rng.random(lanes) < 0.5
+        self.add_codes(lanes[as_dx], anchor, _DX, rng.choice(lanes[as_dx], _HAC_DX_CATS))
+        self.add_codes(lanes[~as_dx], anchor, _PROC, rng.choice(lanes[~as_dx], _HAC_PROC_CATS))
+        s = rng.random(every)
+        anchor_source = np.array([_COMMUNITY, _SNF_SOURCE, _TRANSFER])[_branch(s, (0.85, 0.95))]
+        d = rng.random(every)
+        anchor_disp = np.array([_HOME, _HOME_HEALTH, _SNF])[_branch(d, (0.62, 0.75))]
+        anchor_disp[expired_anchor] = _EXPIRED
+        anchor_facility = rng.randint(every, 1, 10)
+
+        eligible = (
+            ~long_stay & ~expired_anchor & ~enroll_gap & (~under_65 | esrd_under_65) & (~elective_anchor | elective_acute)
+        )
+
+        # Planted signal, computed the same way the feature engine will see it:
+        # dx categories pooled over claims admitted in [admit-365, admit].
+        # `CcsMap.synthetic` puts three consecutive codes in each category, so
+        # a code's category is the one it was drawn from.
+        visits = self.visit_columns()
+        lane, v_admit = visits["lane"], visits["admit"]
+        pooled_visit = (admit[lane] - 365 <= v_admit) & (v_admit <= admit[lane])
+        codes = self.code_columns()
+        pool_keys = np.concatenate([visits["key"][pooled_visit] * self.n + lane[pooled_visit], anchor * self.n + every])
+        pooled_code = (codes["kind"] == _DX) & np.isin(codes["key"] * self.n + codes["lane"], pool_keys)
+        pooled = np.zeros((self.n, _N_DX_CATS), dtype=np.int64)  # 1 for each category present
+        pooled[codes["lane"][pooled_code], (codes["num"][pooled_code] - 1) // 3] = 1
+        weights = np.zeros(_N_DX_CATS, dtype=np.int64)
+        for cat, weight in load_charlson_weights().items():
+            if 0 <= cat < _N_DX_CATS:
+                weights[cat] = weight
+        charlson = pooled @ weights
+        ed_visit = (visits["claim_type"] == _ED) & (admit[lane] - 365 <= v_admit) & (v_admit <= admit[lane] - 1)
+        ed_12m = np.bincount(lane[ed_visit], minlength=self.n)
+
+        el = every[eligible]
+        p_r = _probability(cfg.readmit_signal, pooled[el], charlson[el], los[el], ed_12m[el])
+        p_m = _probability(cfg.mortality_signal, pooled[el], charlson[el], los[el], ed_12m[el])
+        readmit = np.zeros(self.n, dtype=bool)
+        readmit[el] = rng.bernoulli(el, p_r)
+        mortality = np.zeros(self.n, dtype=bool)
+        mortality[el] = rng.bernoulli(el, p_m)
+        ama = self.flags(el, rates["ama"])
+        hospice = self.flags(every[mortality], rates["hospice_given_mortality"])
+        anchor_disp[ama] = _AMA
+        anchor_disp[hospice] = _HOSPICE
+        death = np.full(self.n, _NO_DEATH)
+
+        lanes = every[readmit]
+        dies = mortality[lanes]
+        delay = rng.randint(lanes, 1, np.where(dies, 15, 30))
+        r_admit = discharge[lanes] + delay
+        r_discharge = r_admit + 1 + rng.poisson(lanes, 1.5)
+        r_disp = np.full(len(lanes), _HOME)
+        i = np.flatnonzero(dies)
+        death[lanes[i]] = discharge[lanes[i]] + rng.randint(lanes[i], delay[i], 30)
+        i = i[death[lanes[i]] <= r_discharge[i]]
+        r_discharge[i] = death[lanes[i]]
+        r_disp[i] = _EXPIRED
+        key = self.new_key()
+        self.add_codes(lanes, key, _DX, rng.choice(lanes, _ACUTE_DX_CATS))
+        for active in self.loop(rng.poisson(lanes, 1.2), lanes):
+            self.add_codes(active, key, _DX, self.chronic_or_new(active, 0.6))
+        self.general_proc(lanes, key, 0.3)
+        self.add_visit(
+            lanes, _INPATIENT, r_admit, r_discharge, key,
+            drg=self.drg(lanes, True), admission_type=_EMERGENT, admission_source=_COMMUNITY,
+            disposition=r_disp, facility=rng.randint(lanes, 1, 10),
+        )
+        self.take(lanes, r_admit, r_discharge)
+
+        # A planned stay inside the window; must not flip the label.
+        lanes = el[~readmit[el]]
+        lanes = lanes[rng.random(lanes) < rates["planned_decoy"]]
+        pd_admit = discharge[lanes] + rng.randint(lanes, 1, 30)
+        pd_discharge = pd_admit + 1 + rng.randint(lanes, 0, 2)
+        key = self.new_key()
+        with_proc = rng.random(lanes) < 0.5
+        active = lanes[with_proc]
+        cat = np.full(len(active), 28)
+        has = self.n_chronic[active] > 0
+        cat[has] = self.chronic_choice(active[has])
+        self.add_codes(active, key, _DX, cat)
+        self.add_codes(active, key, _PROC, rng.choice(active, _PLANNED_PROC_CATS))
+        active = lanes[~with_proc]
+        self.add_codes(active, key, _DX, rng.choice(active, _MAINTENANCE_DX_CATS))
+        self.add_visit(
+            lanes, _INPATIENT, pd_admit, pd_discharge, key,
+            drg=self.drg(lanes, False), admission_type=_ELECTIVE, admission_source=_COMMUNITY,
+            disposition=_HOME, facility=rng.randint(lanes, 1, 10),
+        )
+        self.take(lanes, pd_admit, pd_discharge)
+
+        lanes = every[mortality & ~readmit]
+        death[lanes] = discharge[lanes] + rng.randint(lanes, 1, 30)
+        lanes = el[~mortality[el]]
+        lanes = lanes[rng.random(lanes) < rates["late_death"]]
+        death[lanes] = discharge[lanes] + rng.randint(lanes, 45, 700)
+        has_death = death != _NO_DEATH
+
+        lanes = el[rng.random(el) < rates["late_decoy"]]
+        ld_admit = discharge[lanes] + rng.randint(lanes, 35, 90)
+        clear = self.late_decoy_fits(lanes, ld_admit, death[lanes])
+        lanes, ld_admit = lanes[clear], ld_admit[clear]
+        ld_discharge = ld_admit + 1 + rng.randint(lanes, 0, 2)
+        key = self.new_key()
+        self.history_dx(lanes, key)
+        self.add_visit(
+            lanes, _INPATIENT, ld_admit, ld_discharge, key,
+            drg=self.drg(lanes, True), admission_type=_EMERGENT, admission_source=_COMMUNITY,
+            disposition=_HOME, facility=rng.randint(lanes, 1, 10),
+        )
+        self.take(lanes, ld_admit, ld_discharge)
+        clean = eligible & ~hospice & ~(ama & mortality)
+
+        # Anchor claims, split in two when planting a transfer chain.
+        chain = transfer_chain & (los >= 2) & (anchor_disp != _EXPIRED)
+        lanes = every[chain]
+        d1 = admit[lanes] + rng.randint(lanes, 0, los[lanes] - 2)
+        a2 = d1 + rng.randint(lanes, 0, 1)
+        facility_b = rng.randint(lanes, 1, 10)
+        self.add_visit(
+            lanes, _INPATIENT, admit[lanes], d1, anchor,
+            drg=anchor_drg[lanes], admission_type=anchor_type[lanes], admission_source=anchor_source[lanes],
+            disposition=_TRANSFER_ACUTE, facility=anchor_facility[lanes],
+        )
+        # Carry the anchor codes so the merged stay pools exactly the
+        # categories the planted signal was computed from.
+        self.add_visit(
+            lanes, _INPATIENT, a2, discharge[lanes], anchor, self.new_key(),  # a key with no codes: no procedures
+            drg=anchor_drg[lanes], admission_type=_EMERGENT,
+            admission_source=_TRANSFER, disposition=anchor_disp[lanes], facility=facility_b,
+        )
+        lanes = every[~chain]
+        self.add_visit(
+            lanes, _INPATIENT, admit[lanes], discharge[lanes], anchor,
+            drg=anchor_drg[lanes], admission_type=anchor_type[lanes], admission_source=anchor_source[lanes],
+            disposition=anchor_disp[lanes], facility=anchor_facility[lanes],
+        )
+
+        enroll_start = admit - 800
+        enroll_end = discharge + 90
+        second = np.zeros(self.n, dtype=bool)
+        lanes = every[enroll_gap]
+        two = rng.random(lanes) < 0.5
+        split = lanes[two]
+        gap_start = rng.randint(split, 150, 250)
+        gap_end = rng.randint(split, 50, 120)
+        second[split] = True
+        one = lanes[~two]
+        enroll_start[one] = admit[one] - rng.randint(one, 50, 300)
+        lanes = every[~enroll_gap]
+        enroll_start[lanes] -= rng.randint(lanes, 0, 60)
+        enroll_end[lanes] = discharge[lanes] + 60 + rng.randint(lanes, 0, 120)
+        enrollment = np.stack([enroll_start, enroll_end], axis=1)
+        n_intervals = 1 + second
+        starts = _ptr(n_intervals)[:-1]
+        intervals = np.empty((len(enrollment) + len(split), 2), dtype=np.int64)
+        intervals[starts] = enrollment
+        intervals[starts[split]] = np.stack([enroll_start[split], admit[split] - gap_start], axis=1)
+        intervals[starts[split] + 1] = np.stack([admit[split] - gap_end, enroll_end[split]], axis=1)
+
+        visits, codes = self.visit_columns(), self.code_columns()
+        return {
+            "birth": birth, "gender": gender, "race": race, "dual": dual, "status": status,
+            "death": death, "has_death": has_death, "n_intervals": n_intervals, "intervals": intervals,
+            **self.claims(visits, codes),
+            "truth": {
+                "patient": self.patients[clean], "admit": admit[clean], "discharge": discharge[clean],
+                "readmit": readmit[clean], "mortality": mortality[clean],
+                "p_readmit": p_r[clean[el]], "p_mortality": p_m[clean[el]],
+                "charlson": charlson[clean], "los": los[clean], "ed_12m": ed_12m[clean], "pooled": pooled[clean],
+            },
+        }
+
+    def visit_columns(self) -> dict[str, np.ndarray]:
+        names = ("lane", "key", "proc_key", "claim_type", "admit", "discharge", *_VISIT_FIELDS)
+        return {name: np.concatenate(column) for name, column in zip(names, zip(*self.visits))}
+
+    def code_columns(self) -> dict[str, np.ndarray]:
+        return {name: np.concatenate(column) for name, column in zip(("lane", "key", "kind", "num"), zip(*self.codes))}
+
+    def claims(self, visits: dict[str, np.ndarray], codes: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """The chunk's visits as claims: sorted stably by (admit,
+        discharge) within each lane as `list.sort` sorts them, numbered
+        within the lane, each with its dx and proc codes deduplicated in
+        first-seen order (as CSR lengths and values)."""
+        # Visits and codes are in creation order, which the stable sorts keep
+        # among ties.
+        order = np.lexsort((visits["discharge"], visits["admit"], visits["lane"]))
+        claims = {name: column[order] for name, column in visits.items()}
+        lane = claims["lane"]
+        claims["number"] = np.arange(len(lane)) - _ptr(np.bincount(lane, minlength=self.n))[lane]
+        claims["patient"] = self.patients[claims.pop("lane")]
+        # One group per (lane, key, kind) list; of equal codes in a group,
+        # the first drawn stays, as `dict.fromkeys` keeps it.
+        group = (codes["key"] * self.n + codes["lane"]) * 2 + codes["kind"]
+        _, first = np.unique(group * (codes["num"].max(initial=0) + 1) + codes["num"], return_index=True)
+        first.sort()
+        order = np.argsort(group[first], kind="stable")
+        group, num = group[first][order], codes["num"][first][order]
+        for kind, key in ((_DX, "key"), (_PROC, "proc_key")):
+            wanted = (claims[key] * self.n + lane) * 2 + kind
+            start = np.searchsorted(group, wanted, side="left")
+            length = np.searchsorted(group, wanted, side="right") - start
+            claims[_CLAIM_CODES[kind] + "_len"] = length
+            claims[_CLAIM_CODES[kind]] = num[_ranges(start, length)[1]]
+        del claims["key"], claims["proc_key"]
+        return claims
 
 
-def _history_dx_codes(chronic: list[int], rng: Xoshiro256) -> tuple[str, ...]:
-    n = 1 + rng.poisson(1.2)
-    codes = []
-    for _ in range(n):
-        if chronic and rng.random() < 0.65:
-            cat = rng.choice(chronic)
+def _probability(signal: OutcomeSignal, pooled: np.ndarray, charlson, los, ed_visits) -> np.ndarray:
+    """`1 / (1 + exp(-signal.logit(...)))` per row, with the logit's float
+    additions in `logit`'s order and `math.exp`, so each value equals the
+    scalar one bit for bit."""
+    weights = np.zeros(len(pooled))
+    for cat, weight in signal.ccs_weights.items():
+        if 0 <= cat < _N_DX_CATS:
+            weights = weights + np.where(pooled[:, cat] == 1, weight, 0.0)
+    value = np.full(len(pooled), float(signal.intercept)) + weights
+    value = value + signal.charlson_weight * charlson
+    value = value + signal.los_weight * los
+    value = value + signal.ed_weight * ed_visits
+    return np.array([1.0 / (1.0 + math.exp(-x)) for x in value.tolist()])
+
+
+def _decimal(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """`f"{v:0{width}d}"` of each non-negative int: rows of ASCII digits,
+    NUL-padded on the right, and their lengths."""
+    length = np.full(len(values), width)
+    for power in range(width, len(str(values.max(initial=0)))):
+        length += values >= 10**power
+    exponent = length[:, None] - 1 - np.arange(length.max(initial=width))
+    digits = values[:, None] // 10 ** np.maximum(exponent, 0) % 10
+    return np.where(exponent >= 0, digits + ord("0"), 0).astype(np.uint8), length
+
+
+def _strings(n: int, *pieces) -> np.ndarray:
+    """`n` strings, each the concatenation of `pieces` (bytes, or rows and
+    lengths from `_decimal`), as a NUL-padded bytes array."""
+    pieces = [(np.frombuffer(p, dtype=np.uint8)[None], np.full(n, len(p))) if isinstance(p, bytes) else p for p in pieces]
+    out = np.zeros((n, sum(rows.shape[1] for rows, _ in pieces)), dtype=np.uint8)
+    at = np.zeros(n, dtype=np.int64)
+    for rows, length in pieces:
+        row, col = np.nonzero(np.arange(rows.shape[1]) < length[:, None])
+        out[row, at[row] + col] = rows[row if len(rows) > 1 else 0, col]
+        at += length
+    return out.view(f"S{out.shape[1]}").ravel()
+
+
+def _population_columns(parts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The generated patients and claims as the columns of
+    `CLAIM_COLUMNS`, sorted and coded as `tests.reference.claim_columns`
+    sorts and codes the records: every string is an int32 code into the
+    sorted table of the distinct strings used."""
+    patient, claim_patient = np.arange(len(parts["birth"])), parts["patient"]
+    ben_ids = _strings(len(patient), b"B", _decimal(patient, 6))
+    claim_ids = _strings(len(claim_patient), b"B", _decimal(claim_patient, 6), b"-C", _decimal(parts["number"], 3))
+    # Each text column's values, with the words of its values' codes.
+    vocabularies = {
+        "beneficiary.gender": (parts["gender"], GENDERS),
+        "beneficiary.race": (parts["race"], RACES),
+        "beneficiary.medicare_status": (parts["status"], MEDICARE_STATUSES),
+        "claim.claim_type": (parts["claim_type"], CLAIM_TYPES),
+        "claim.drg": (parts["drg"], _DRGS),
+        "claim.admission_type": (parts["admission_type"], ADMISSION_TYPES),
+        "claim.admission_source": (parts["admission_source"], ADMISSION_SOURCES),
+        "claim.discharge_disposition": (parts["disposition"], DISPOSITIONS),
+        "claim.facility_id": (parts["facility"], "F{:02d}"),
+        "claim.dx_codes": (parts["dx_codes"], "D{:04d}"),
+        "claim.proc_codes": (parts["proc_codes"], "P{:04d}"),
+    }
+    used = {name: np.flatnonzero(np.bincount(values + 1, minlength=1)[1:]) for name, (values, _) in vocabularies.items()}
+    words = [
+        vocabulary.format(value) if isinstance(vocabulary, str) else vocabulary[value]
+        for name, (_, vocabulary) in vocabularies.items()
+        for value in used[name].tolist()
+    ]
+    table, code = np.unique(np.concatenate([ben_ids, claim_ids, np.array(words, dtype=np.bytes_)]), return_inverse=True)
+    code = code.reshape(-1).astype(np.int32)
+    ben_code, claim_code = code[: len(patient)], code[len(patient) : len(patient) + len(claim_patient)]
+    at = len(patient) + len(claim_patient)  # the first word's code
+
+    ben_order = np.argsort(ben_code, kind="stable")
+    claim_ben = ben_code[claim_patient]
+    claim_order = np.lexsort((claim_code, parts["discharge"], parts["admit"], claim_ben))
+    n_intervals = parts["n_intervals"][ben_order]
+    intervals = parts["intervals"][_ranges(_ptr(parts["n_intervals"])[:-1][ben_order], n_intervals)[1]]
+    cols = {
+        "beneficiary.beneficiary_id": ben_code[ben_order],
+        "beneficiary.birth_date": parts["birth"][ben_order],
+        "beneficiary.dual_eligible": parts["dual"][ben_order],
+        "beneficiary.has_death_date": parts["has_death"][ben_order],
+        "beneficiary.death_date": np.where(parts["has_death"], parts["death"], 0)[ben_order],
+        "beneficiary.enrollment_ptr": _ptr(n_intervals),
+        "beneficiary.enrollment": intervals,
+        "claim.claim_id": claim_code[claim_order],
+        "claim.beneficiary_id": claim_ben[claim_order],
+        "claim.admit_date": parts["admit"][claim_order],
+        "claim.discharge_date": parts["discharge"][claim_order],
+    }
+    for name, (values, _) in vocabularies.items():
+        lookup = np.full(values.max(initial=-1) + 2, -1, dtype=np.int32)  # the code of value - 1; None's is -1
+        lookup[used[name] + 1] = code[at : at + len(used[name])]
+        at += len(used[name])
+        if name.startswith("beneficiary."):
+            cols[name] = lookup[values + 1][ben_order]
+        elif name in ("claim.dx_codes", "claim.proc_codes"):
+            length = parts[f"{name.removeprefix('claim.')}_len"]
+            ptr, rows = _ranges(_ptr(length)[:-1][claim_order], length[claim_order])
+            cols[f"{name}_ptr"], cols[name] = ptr, lookup[values[rows] + 1]
         else:
-            cat = _chronic_cat(rng)
-        codes.append(_dx_code(cat, rng))
-    return tuple(dict.fromkeys(codes))
-
-
-@dataclass
-class _Visit:
-    """A claim before ids are assigned."""
-
-    claim_type: str
-    admit: int
-    discharge: int
-    dx: tuple[str, ...]
-    proc: tuple[str, ...] = ()
-    drg: str | None = None
-    admission_type: str | None = None
-    admission_source: str | None = None
-    disposition: str | None = None
-    facility: str | None = None
-
-
-def _free_span(admit: int, los: int, taken: list[tuple[int, int]]) -> bool:
-    # Two-day buffer so unrelated stays never satisfy the merge rule.
-    return all(admit > e + 2 or admit + los < s - 2 for s, e in taken)
-
-
-def _gen_patient(
-    i: int,
-    cfg: SyntheticConfig,
-    ccs: CcsMap,
-    weights: dict[int, int],
-    rng: Xoshiro256,
-) -> tuple[Beneficiary, list[ClaimRecord], GroundTruth | None]:
-    bid = f"B{i:06d}"
-    rates = WRINKLE_RATES
-
-    under_65 = rng.random() < rates["under_65"]
-    esrd_under_65 = under_65 and rng.random() < rates["esrd_given_under_65"]
-    enroll_gap = rng.random() < rates["enrollment_gap"]
-    long_stay = rng.random() < rates["long_stay"]
-    elective_anchor = rng.random() < rates["elective_anchor"]
-    elective_acute = rng.random() < rates["acute_drg_given_elective"]
-    transfer_chain = rng.random() < rates["transfer_chain"]
-    expired_anchor = rng.random() < rates["expired_anchor"]
-
-    if under_65:
-        age_years = 40 + rng.random() * 24
-        status = "esrd_only" if esrd_under_65 else "disabled"
-    else:
-        age_years = 66 + rng.random() * 28
-        status = "aged_esrd" if rng.random() < 0.05 else "aged_no_esrd"
-    gender = "male" if rng.random() < 0.44 else "female"
-    r = rng.random()
-    for race, cum in (
-        ("white", 0.862),
-        ("black", 0.952),
-        ("hispanic", 0.972),
-        ("asian", 0.985),
-        ("other", 0.993),
-        ("north_american_native", 0.998),
-    ):
-        if r < cum:
-            break
-    else:
-        race = "unknown"
-    dual = rng.random() < 0.17
-
-    admit = iso_to_day("2011-03-01") + rng.randint(0, 240)
-    if long_stay:
-        los = 31 + rng.randint(0, 14)
-    else:
-        los = 1 + rng.poisson(2.2)
-        if rng.random() < 0.15:
-            los += rng.randint(4, 12)
-        los = min(los, 28)
-    discharge = admit + los
-    birth = admit - int(age_years * 365.25) - rng.randint(0, 200)
-
-    chronic = sorted({_chronic_cat(rng) for _ in range(rng.poisson(2.3))})
-
-    visits: list[_Visit] = []
-    taken: list[tuple[int, int]] = [(admit, discharge)]
-
-    n_out = rng.poisson(cfg.mean_claims_per_patient * 0.45)
-    n_ed = rng.poisson(cfg.mean_claims_per_patient * 0.20)
-    for _ in range(n_out):
-        day = admit - rng.randint(1, 365)
-        proc = (_proc_code(rng.choice(_GENERAL_PROC_CATS), rng),) if rng.random() < 0.3 else ()
-        visits.append(_Visit("outpatient", day, day, _history_dx_codes(chronic, rng), proc))
-    for _ in range(n_ed):
-        day = admit - rng.randint(1, 365)
-        visits.append(_Visit("ed", day, day, _history_dx_codes(chronic, rng)))
-
-    for _ in range(min(rng.poisson(0.5), 3)):
-        p_admit = admit - rng.randint(40, 350)
-        p_los = 1 + rng.poisson(1.8)
-        if not _free_span(p_admit, p_los, taken):
-            continue
-        taken.append((p_admit, p_admit + p_los))
-        t = rng.random()
-        p_type = "emergent" if t < 0.35 else ("urgent" if t < 0.5 else "elective")
-        p_drg = rng.choice(_ACUTE_DRGS) if p_type != "elective" else rng.choice(_OTHER_DRGS)
-        d = rng.random()
-        visits.append(
-            _Visit(
-                "inpatient",
-                p_admit,
-                p_admit + p_los,
-                _history_dx_codes(chronic, rng),
-                proc=(_proc_code(rng.choice(_GENERAL_PROC_CATS), rng),) if rng.random() < 0.4 else (),
-                drg=p_drg,
-                admission_type=p_type,
-                admission_source="community",
-                disposition="home" if d < 0.85 else ("snf" if d < 0.95 else "home_health"),
-                facility=f"F{rng.randint(1, 10):02d}",
-            )
-        )
-
-    # Anchor admission.
-    if elective_anchor:
-        anchor_type = "elective"
-        anchor_drg = rng.choice(_ACUTE_DRGS) if elective_acute else rng.choice(_OTHER_DRGS)
-    else:
-        anchor_type = "emergent" if rng.random() < 0.72 else "urgent"
-        anchor_drg = rng.choice(_ACUTE_DRGS) if rng.random() < 0.8 else rng.choice(_OTHER_DRGS)
-    if rng.random() < 0.55:
-        principal = _dx_code(rng.choice(_ACUTE_DX_CATS), rng)
-    else:
-        principal = _dx_code(rng.choice(chronic) if chronic else _chronic_cat(rng), rng)
-    anchor_dx = [principal]
-    for _ in range(1 + rng.poisson(1.6)):
-        cat = rng.choice(chronic) if chronic and rng.random() < 0.65 else _chronic_cat(rng)
-        anchor_dx.append(_dx_code(cat, rng))
-    anchor_proc = [_proc_code(rng.choice(_GENERAL_PROC_CATS), rng) for _ in range(rng.poisson(0.8))]
-    if rng.random() < rates["hac_code"]:
-        if rng.random() < 0.5:
-            anchor_dx.append(_dx_code(rng.choice(_HAC_DX_CATS), rng))
-        else:
-            anchor_proc.append(_proc_code(rng.choice(_HAC_PROC_CATS), rng))
-    s = rng.random()
-    anchor_source = "community" if s < 0.85 else ("snf" if s < 0.95 else "transfer")
-    d = rng.random()
-    anchor_disp = "home" if d < 0.62 else ("home_health" if d < 0.75 else "snf")
-    if expired_anchor:
-        anchor_disp = "expired"
-    anchor_facility = f"F{rng.randint(1, 10):02d}"
-
-    eligible = (
-        not long_stay
-        and not expired_anchor
-        and not enroll_gap
-        and (not under_65 or esrd_under_65)
-        and (not elective_anchor or elective_acute)
-    )
-
-    # Planted signal, computed the same way the feature engine will see it:
-    # dx categories pooled over claims admitted in [admit-365, admit].
-    pooled = {ccs.dx_category(c) for c in anchor_dx}
-    pooled_codes = list(anchor_dx)
-    for v in visits:
-        if admit - 365 <= v.admit <= admit:
-            pooled_codes.extend(v.dx)
-            pooled.update(ccs.dx_category(c) for c in v.dx)
-    charlson = charlson_index(pooled_codes, ccs, weights)
-    ed_12m = sum(1 for v in visits if v.claim_type == "ed" and admit - 365 <= v.admit <= admit - 1)
-
-    truth: GroundTruth | None = None
-    death: int | None = None
-    readmit = False
-    mortality = False
-    if eligible:
-        p_r = 1.0 / (1.0 + math.exp(-cfg.readmit_signal.logit(pooled, charlson, los, ed_12m)))
-        p_m = 1.0 / (1.0 + math.exp(-cfg.mortality_signal.logit(pooled, charlson, los, ed_12m)))
-        readmit = rng.bernoulli(p_r)
-        mortality = rng.bernoulli(p_m)
-        ama = rng.random() < rates["ama"]
-        hospice = mortality and rng.random() < rates["hospice_given_mortality"]
-        if ama:
-            anchor_disp = "ama"
-        if hospice:
-            anchor_disp = "hospice"
-
-        if readmit:
-            delay = rng.randint(1, 15) if mortality else rng.randint(1, 30)
-            r_admit = discharge + delay
-            r_los = 1 + rng.poisson(1.5)
-            r_discharge = r_admit + r_los
-            r_disp = "home"
-            if mortality:
-                death = discharge + rng.randint(delay, 30)
-                if death <= r_discharge:
-                    r_discharge = death
-                    r_disp = "expired"
-            r_dx = [_dx_code(rng.choice(_ACUTE_DX_CATS), rng)]
-            for _ in range(rng.poisson(1.2)):
-                cat = rng.choice(chronic) if chronic and rng.random() < 0.6 else _chronic_cat(rng)
-                r_dx.append(_dx_code(cat, rng))
-            visits.append(
-                _Visit(
-                    "inpatient",
-                    r_admit,
-                    r_discharge,
-                    tuple(dict.fromkeys(r_dx)),
-                    proc=(_proc_code(rng.choice(_GENERAL_PROC_CATS), rng),) if rng.random() < 0.3 else (),
-                    drg=rng.choice(_ACUTE_DRGS),
-                    admission_type="emergent",
-                    admission_source="community",
-                    disposition=r_disp,
-                    facility=f"F{rng.randint(1, 10):02d}",
-                )
-            )
-            taken.append((r_admit, r_discharge))
-        elif rng.random() < rates["planned_decoy"]:
-            # A planned stay inside the window; must not flip the label.
-            pd_admit = discharge + rng.randint(1, 30)
-            pd_los = 1 + rng.randint(0, 2)
-            if rng.random() < 0.5:
-                pd_dx = (_dx_code(rng.choice(chronic) if chronic else 28, rng),)
-                pd_proc = (_proc_code(rng.choice(_PLANNED_PROC_CATS), rng),)
-            else:
-                pd_dx = (_dx_code(rng.choice(_MAINTENANCE_DX_CATS), rng),)
-                pd_proc = ()
-            visits.append(
-                _Visit(
-                    "inpatient",
-                    pd_admit,
-                    pd_admit + pd_los,
-                    pd_dx,
-                    proc=pd_proc,
-                    drg=rng.choice(_OTHER_DRGS),
-                    admission_type="elective",
-                    admission_source="community",
-                    disposition="home",
-                    facility=f"F{rng.randint(1, 10):02d}",
-                )
-            )
-            taken.append((pd_admit, pd_admit + pd_los))
-
-        if mortality and death is None:
-            death = discharge + rng.randint(1, 30)
-        if not mortality and rng.random() < rates["late_death"]:
-            death = discharge + rng.randint(45, 700)
-
-        if rng.random() < rates["late_decoy"]:
-            ld_admit = discharge + rng.randint(35, 90)
-            if (death is None or ld_admit + 4 < death) and _free_span(ld_admit, 3, taken):
-                ld_los = 1 + rng.randint(0, 2)
-                visits.append(
-                    _Visit(
-                        "inpatient",
-                        ld_admit,
-                        ld_admit + ld_los,
-                        _history_dx_codes(chronic, rng),
-                        drg=rng.choice(_ACUTE_DRGS),
-                        admission_type="emergent",
-                        admission_source="community",
-                        disposition="home",
-                        facility=f"F{rng.randint(1, 10):02d}",
-                    )
-                )
-                taken.append((ld_admit, ld_admit + ld_los))
-
-        clean = not hospice and not (ama and mortality)
-        if clean:
-            truth = GroundTruth(
-                beneficiary_id=bid,
-                index_admit_date=admit,
-                index_discharge_date=discharge,
-                readmit_label=readmit,
-                mortality_label=mortality,
-                p_readmit=p_r,
-                p_mortality=p_m,
-                charlson=charlson,
-                los=los,
-                ed_visits_12m=ed_12m,
-                ccs_present=tuple(sorted(pooled)),
-            )
-
-    # Anchor claims, split in two when planting a transfer chain.
-    if transfer_chain and los >= 2 and anchor_disp != "expired":
-        d1 = admit + rng.randint(0, los - 2)
-        a2 = d1 + rng.randint(0, 1)
-        facility_b = f"F{rng.randint(1, 10):02d}"
-        visits.append(
-            _Visit(
-                "inpatient",
-                admit,
-                d1,
-                tuple(dict.fromkeys(anchor_dx)),
-                proc=tuple(dict.fromkeys(anchor_proc)),
-                drg=anchor_drg,
-                admission_type=anchor_type,
-                admission_source=anchor_source,
-                disposition="transfer_acute",
-                facility=anchor_facility,
-            )
-        )
-        visits.append(
-            _Visit(
-                "inpatient",
-                a2,
-                discharge,
-                # Carry the anchor codes so the merged stay pools exactly the
-                # categories the planted signal was computed from.
-                tuple(dict.fromkeys(anchor_dx)),
-                drg=anchor_drg,
-                admission_type="emergent",
-                admission_source="transfer",
-                disposition=anchor_disp,
-                facility=facility_b,
-            )
-        )
-    else:
-        visits.append(
-            _Visit(
-                "inpatient",
-                admit,
-                discharge,
-                tuple(dict.fromkeys(anchor_dx)),
-                proc=tuple(dict.fromkeys(anchor_proc)),
-                drg=anchor_drg,
-                admission_type=anchor_type,
-                admission_source=anchor_source,
-                disposition=anchor_disp,
-                facility=anchor_facility,
-            )
-        )
-
-    if enroll_gap:
-        if rng.random() < 0.5:
-            intervals = ((admit - 800, admit - rng.randint(150, 250)), (admit - rng.randint(50, 120), discharge + 90))
-        else:
-            intervals = ((admit - rng.randint(50, 300), discharge + 90),)
-    else:
-        intervals = ((admit - 800 - rng.randint(0, 60), discharge + 60 + rng.randint(0, 120)),)
-
-    ben = Beneficiary(
-        beneficiary_id=bid,
-        birth_date=birth,
-        gender=gender,
-        race=race,
-        dual_eligible=dual,
-        medicare_status=status,
-        enrollment_intervals=intervals,
-        death_date=death,
-    )
-    ben.validate()
-
-    visits.sort(key=lambda v: (v.admit, v.discharge))
-    claims = []
-    for k, v in enumerate(visits):
-        claim = ClaimRecord(
-            claim_id=f"{bid}-C{k:03d}",
-            beneficiary_id=bid,
-            claim_type=v.claim_type,
-            admit_date=v.admit,
-            discharge_date=v.discharge,
-            dx_codes=v.dx,
-            proc_codes=v.proc,
-            drg=v.drg,
-            admission_type=v.admission_type,
-            admission_source=v.admission_source,
-            discharge_disposition=v.disposition,
-            facility_id=v.facility,
-        )
-        claim.validate()
-        claims.append(claim)
-    return ben, claims, truth
+            cols[name] = lookup[values + 1][claim_order]
+    table = table.view(np.uint8).reshape(len(table), -1)
+    cols["text_ptr"] = _ptr(np.count_nonzero(table, axis=1))
+    cols["text"] = table[table != 0]
+    return {name: np.ascontiguousarray(cols[name], dtype=dtype) for name, (dtype, _) in CLAIM_COLUMNS.items()}
 
 
 def generate_population(cfg: SyntheticConfig) -> SyntheticPopulation:
     """Generates beneficiaries, claims, and ground truth for planted events.
 
     Each patient draws from its own seeded stream, so output is independent
-    of generation order and stable across runs.
+    of generation order and stable across runs. Patients are generated in
+    chunks of `_CHUNK_PATIENTS`, stepped side by side (`_Chunk`), and the
+    columns are checked as `ingest_claims` checks them before they are
+    returned.
     """
     cfg.validate()
-    ccs = CcsMap.synthetic(cfg.dx_vocab, cfg.proc_vocab)
-    weights = load_charlson_weights()
-    beneficiaries: list[Beneficiary] = []
-    claims: list[ClaimRecord] = []
-    truth: list[GroundTruth] = []
-    seeds = (derive_seed(cfg.seed, "patient", i) for i in range(cfg.n_patients))
-    for i, rng in enumerate(Xoshiro256.streams(seeds)):
-        ben, patient_claims, row = _gen_patient(i, cfg, ccs, weights, rng)
-        beneficiaries.append(ben)
-        claims.extend(patient_claims)
-        if row is not None:
-            truth.append(row)
+    chunks = []
+    for first in range(0, cfg.n_patients, _CHUNK_PATIENTS):
+        patients = np.arange(first, min(first + _CHUNK_PATIENTS, cfg.n_patients))
+        chunks.append(_Chunk(patients, cfg).generate())
+    parts = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0] if name != "truth"}
+    truth_cols = {name: np.concatenate([chunk["truth"][name] for chunk in chunks]) for name in chunks[0]["truth"]}
+    cols = _population_columns(parts)
+    check_claim_columns(cols, "the generated claims")
+
+    # Row i's pooled categories, ascending, are cats[bounds[i] : bounds[i + 1]].
+    row, cats = np.nonzero(truth_cols.pop("pooled"))
+    bounds, cats = np.searchsorted(row, np.arange(len(truth_cols["patient"]) + 1)).tolist(), cats.tolist()
+    rows = zip(*(column.tolist() for column in truth_cols.values()))
+    truth = [
+        GroundTruth(f"B{patient:06d}", *fields, tuple(cats[start:end]))
+        for (patient, *fields), start, end in zip(rows, bounds, bounds[1:])
+    ]
     info = {
         "n_patients": cfg.n_patients,
         "seed": cfg.seed,
@@ -982,4 +1142,4 @@ def generate_population(cfg: SyntheticConfig) -> SyntheticPopulation:
         "readmit_rate": (sum(t.readmit_label for t in truth) / len(truth)) if truth else 0.0,
         "mortality_rate": (sum(t.mortality_label for t in truth) / len(truth)) if truth else 0.0,
     }
-    return SyntheticPopulation(beneficiaries=beneficiaries, claims=claims, truth=truth, info=info)
+    return SyntheticPopulation(columns=cols, truth=truth, info=info)

@@ -9,12 +9,12 @@ instead of silently skewing results downstream. `_artifacts` is the one
 list of each stage's inputs and outputs, and `run_stage` runs a stage body
 under that protocol: verify the inputs, run, hash the outputs.
 
-`generate` codes the claims into columns once and writes them as
-`generate/claims.npz`. `cohort` is the one stage that reads and checks
-them; it hands the same columns on as `cohort/population.npz`, with the
-stays and index events it built, and `featurize` computes its features
-from those columns instead of reading the claims or building the cohort
-again. `featurize` hands its events on in one form, the columnar
+`generate` draws the claims straight into columns, checks them as cohort
+will, and writes them as `generate/claims.npz`. `cohort` is the one stage
+that reads them; it hands the same columns on as `cohort/population.npz`,
+with the stays and index events it built, and `featurize` computes its
+features from those columns instead of reading the claims or building the
+cohort again. `featurize` hands its events on in one form, the columnar
 `featurize/events.npz` (an `EventTable`), which every later stage loads
 through `_load_sequences`. `train` builds the frozen matrix of the
 `pretrained` embedding mode itself, for each trial at its `embed_dim`
@@ -49,7 +49,7 @@ import numpy as np
 from . import __version__
 from .baseline import flatten, make_lr_runner
 from .calibration import Calibrator, ece, fit_platt, fit_temperature, nll
-from .claims import SyntheticConfig, claim_columns, generate_population, ingest_claims, write_ground_truth, write_npz
+from .claims import SyntheticConfig, generate_population, ingest_claims, write_ground_truth, write_npz
 from .cohort import POPULATION_MEMBERS, build_cohort, cohort_summary, index_event_lines
 from .errors import (
     CalibrationError,
@@ -415,12 +415,13 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "generate"
     synth = SyntheticConfig(seed=cfg["seed"], **cfg["generate"])
     population = generate_population(synth)
-    write_npz(stage_dir / "claims.npz", claim_columns(population.beneficiaries, population.claims))
+    cols = population.columns
+    write_npz(stage_dir / "claims.npz", cols)
     write_ground_truth(stage_dir / "ground_truth.csv", population.truth)
     CcsMap.synthetic(synth.dx_vocab, synth.proc_vocab).to_csv(stage_dir / "ccs_map.csv")
     _write_json(stage_dir / "generator_info.json", population.info)
     print(
-        f"generate: {len(population.beneficiaries)} patients, {len(population.claims)} claims, "
+        f"generate: {len(cols['beneficiary.beneficiary_id'])} patients, {len(cols['claim.claim_id'])} claims, "
         f"{len(population.truth)} ground-truth events"
     )
 

@@ -154,15 +154,6 @@ def load_charlson_weights(path: str | Path | None = None) -> dict[int, int]:
     return weights
 
 
-def charlson_index(dx_codes, ccs: CcsMap, weights: dict[int, int]) -> int:
-    """Sums weights over the distinct condition groups present in a code set.
-
-    Multiple codes in the same group count once.
-    """
-    cats = {ccs.dx_category(code) for code in dx_codes}
-    return sum(weights.get(cat, 0) for cat in cats)
-
-
 @dataclass(frozen=True)
 class HacRule:
     name: str

@@ -4,24 +4,28 @@ The generator is xoshiro256** seeded through splitmix64, so a (seed, label)
 pair maps to the same stream on any platform and any numpy/BLAS build.  All
 modules that need randomness take an explicit seed and construct their own
 `Xoshiro256` locally; nothing reads global RNG state.
+
+`Xoshiro256Lanes` steps many such streams side by side in numpy, one lane
+per stream, each lane equal draw for draw to its scalar `Xoshiro256`; the
+synthetic generator draws every patient of a chunk through it, with the
+seeds `derive_seeds` folds in numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = 1 << 64
-# `Xoshiro256.streams` steps up to `_LOCKSTEP_STREAMS` streams together for
-# their first `_BLOCK_DRAWS` draws; its numpy block arrays hold 2 * 8 bytes
-# per stream and draw, so about 4 MiB. A synthetic patient takes at most
-# about 255 draws (mean 133), so few streams step on past their block.
-_LOCKSTEP_STREAMS = 1024
-_BLOCK_DRAWS = 256
+
+# Draws a `Xoshiro256Lanes` block grows by, for all lanes at once, when a
+# lane runs past it. A synthetic patient takes about 130 draws at the
+# default 6 claims per patient and few take over 256, so blocks of 128 keep
+# a chunk of 8,192 patients at about 16 MiB of draws; the block grows with
+# `mean_claims_per_patient`.
+_BLOCK_DRAWS = 128
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -33,6 +37,21 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _fold(state: int, label: object) -> int:
+    """One label of `derive_seed` folded into a splitmix64 state."""
+    if isinstance(label, int):
+        tag, data = 0x01, label.to_bytes(16, "little", signed=True)
+    else:
+        tag, data = 0x02, str(label).encode("utf-8")
+    # Tag and length keep label boundaries significant, so
+    # ("ab",) and ("a", "b") land in different streams.
+    state, _ = splitmix64(state ^ tag)
+    state, _ = splitmix64(state ^ len(data))
+    for byte in data:
+        state, _ = splitmix64(state ^ byte)
+    return state
+
+
 def derive_seed(root: int, *labels: object) -> int:
     """Fold string/int labels into a root seed to get independent substreams.
 
@@ -42,17 +61,25 @@ def derive_seed(root: int, *labels: object) -> int:
     """
     state = root & _MASK64
     for label in labels:
-        if isinstance(label, int):
-            tag, data = 0x01, label.to_bytes(16, "little", signed=True)
-        else:
-            tag, data = 0x02, str(label).encode("utf-8")
-        # Tag and length keep label boundaries significant, so
-        # ("ab",) and ("a", "b") land in different streams.
-        state, _ = splitmix64(state ^ tag)
-        state, _ = splitmix64(state ^ len(data))
-        for byte in data:
-            state, _ = splitmix64(state ^ byte)
+        state = _fold(state, label)
     state, out = splitmix64(state)
+    return out
+
+
+def derive_seeds(root: int, label: str, ids: np.ndarray) -> np.ndarray:
+    """`derive_seed(root, label, i)` for each int64 `i` of `ids`, as uint64.
+
+    The shared label is folded once in Python; the ints' 16 little-endian
+    two's-complement bytes are folded over all of them in numpy."""
+    ids = np.asarray(ids, dtype=np.int64)
+    state = np.full(len(ids), _fold(root & _MASK64, label), dtype=np.uint64)
+    low, high = ids.astype(np.uint64), np.where(ids < 0, np.uint64(0xFF), np.uint64(0))
+    state, _ = _np_splitmix64(state ^ np.uint64(0x01))
+    state, _ = _np_splitmix64(state ^ np.uint64(16))
+    for k in range(16):
+        byte = (low >> np.uint64(8 * k)) & np.uint64(0xFF) if k < 8 else high
+        state, _ = _np_splitmix64(state ^ byte)
+    _, out = _np_splitmix64(state)
     return out
 
 
@@ -69,18 +96,12 @@ def _np_splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return state, z ^ (z >> np.uint64(31))
 
 
-def _np_rotl(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
-
-
 class Xoshiro256:
     """xoshiro256** with the usual conversions (uniform, normal, poisson...).
 
     A stream is exact integer arithmetic, so it is byte-for-byte
     reproducible everywhere, which the artifact contracts (identical
-    outputs for identical seeds) care about more than speed. One stream
-    steps in plain Python; `streams` steps many in numpy at once for their
-    first draws, with the same values.
+    outputs for identical seeds) care about more than speed.
     """
 
     def __init__(self, seed: int):
@@ -90,61 +111,8 @@ class Xoshiro256:
             state, out = splitmix64(state)
             self._s.append(out)
         self._spare_normal: float | None = None
-        # Precomputed draws (see `streams`), handed out before `_s` steps.
-        self._block: list[int] = []
-        self._block_f: list[float] = []
-        self._pos = self._end = 0
-
-    @classmethod
-    def streams(cls, seeds: Iterable[int]) -> Iterator["Xoshiro256"]:
-        """One stream per seed, in order, each equal draw for draw to
-        `Xoshiro256(seed)`.
-
-        The streams are seeded and stepped side by side in numpy uint64
-        for their first `_BLOCK_DRAWS` draws, in groups of `_LOCKSTEP_STREAMS`
-        (vectorised independent streams, as in Salmon et al., "Parallel
-        random numbers: as easy as 1, 2, 3", SC 2011). A stream hands out
-        its block, u64 values and the matching `random()` floats, and then
-        steps on alone from the state the block ended in.
-        """
-        seeds = iter(seeds)
-        block = _BLOCK_DRAWS
-        while group := [seed & _MASK64 for seed in itertools.islice(seeds, _LOCKSTEP_STREAMS)]:
-            state = np.array(group, dtype=np.uint64)
-            s = []
-            for _ in range(4):
-                state, out = _np_splitmix64(state)
-                s.append(out)
-            s0, s1, s2, s3 = s
-            draws = np.empty((len(group), block), dtype=np.uint64)
-            for k in range(block):
-                draws[:, k] = _np_rotl(s1 * np.uint64(5), 7) * np.uint64(9)
-                t = s1 << np.uint64(17)
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = _np_rotl(s3, 45)
-            floats = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
-            ends = np.stack([s0, s1, s2, s3], axis=1).tolist()
-            for j, end in enumerate(ends):
-                gen = cls.__new__(cls)
-                gen._s = end
-                gen._spare_normal = None
-                gen._block = draws[j].tolist()
-                gen._block_f = floats[j].tolist()
-                gen._pos, gen._end = 0, block
-                yield gen
 
     def next_u64(self) -> int:
-        pos = self._pos
-        if pos < self._end:
-            self._pos = pos + 1
-            return self._block[pos]
-        return self._step()
-
-    def _step(self) -> int:
         s0, s1, s2, s3 = self._s
         result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
         t = (s1 << 17) & _MASK64
@@ -159,11 +127,7 @@ class Xoshiro256:
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""
-        pos = self._pos
-        if pos < self._end:
-            self._pos = pos + 1
-            return self._block_f[pos]
-        return (self._step() >> 11) * 2.0**-53
+        return (self.next_u64() >> 11) * 2.0**-53
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
@@ -227,3 +191,113 @@ class Xoshiro256:
             if p <= limit:
                 return k
             k += 1
+
+
+class Xoshiro256Lanes:
+    """Many xoshiro256** streams stepped side by side in numpy uint64, one
+    lane per seed, each lane equal draw for draw to `Xoshiro256(seed)`
+    (vectorised independent streams, as in Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC 2011).
+
+    The streams' draws are precomputed as a `(lanes, draws)` block, and each
+    lane reads it at its own cursor. Every conversion takes an index array
+    of the active lanes, draws for those lanes only and advances only their
+    cursors, so lanes may take different paths through a program. When a
+    lane runs past the block, all lanes extend it by `_BLOCK_DRAWS` more
+    steps from the state the block ended in. Every operand is uint64, so
+    numpy 1.x and 2.x (NEP 50) give the same values.
+    """
+
+    def __init__(self, seeds):
+        if not isinstance(seeds, np.ndarray):
+            seeds = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+        state, self._s = seeds.astype(np.uint64), []
+        for _ in range(4):
+            state, out = _np_splitmix64(state)
+            self._s.append(out)
+        # Stored (draws, lanes), so each step writes one contiguous row.
+        self._block = np.empty((0, len(seeds)), dtype=np.uint64)
+        self._cursor = np.zeros(len(seeds), dtype=np.int64)
+        # An upper bound on every cursor: no lane moves more than once a call.
+        self._bound = 0
+
+    def _extend(self) -> None:
+        s0, s1, s2, s3 = self._s
+        rows = np.empty((_BLOCK_DRAWS, len(s0)), dtype=np.uint64)
+        t = np.empty_like(s0)
+        for row in rows:
+            # row = rotl(s1 * 5, 7) * 9, then the state steps; all in place.
+            np.multiply(s1, np.uint64(5), out=row)
+            np.left_shift(row, np.uint64(7), out=t)
+            row >>= np.uint64(57)
+            row |= t
+            row *= np.uint64(9)
+            np.left_shift(s1, np.uint64(17), out=t)
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            np.left_shift(s3, np.uint64(45), out=t)
+            s3 >>= np.uint64(19)
+            s3 |= t
+        self._block = np.concatenate([self._block, rows])
+
+    def next_u64(self, lanes: np.ndarray) -> np.ndarray:
+        self._bound += 1
+        if self._bound > len(self._block):
+            self._bound = int(self._cursor.max(initial=0)) + 1
+            while self._bound > len(self._block):
+                self._extend()
+        cursor = self._cursor[lanes]
+        self._cursor[lanes] = cursor + 1
+        return self._block.ravel()[cursor * len(self._cursor) + lanes]
+
+    def random(self, lanes: np.ndarray) -> np.ndarray:
+        return (self.next_u64(lanes) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def randint(self, lanes: np.ndarray, lo, hi) -> np.ndarray:
+        """`Xoshiro256.randint` per lane, over a range narrower than 2**64:
+        the bounds are ints or int64 arrays with one per lane, and each lane
+        redraws until its own draw is accepted. Values are int64, or uint64
+        when `hi` is an int above the int64 range."""
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        if (hi < lo).any():
+            raise ValueError("empty randint range")
+        # The range's size and its highest accepted draw,
+        # 2**64 - 2**64 % n - 1, in uint64 arithmetic that cannot overflow.
+        n = hi.astype(np.uint64) - lo.astype(np.uint64) + np.uint64(1)
+        top = np.uint64(_MASK64) - (np.uint64(_MASK64) - n + np.uint64(1)) % n
+        u = self.next_u64(lanes)
+        rejected = u > top
+        if rejected.any():
+            top = np.broadcast_to(top, u.shape)
+            redraw = np.flatnonzero(rejected)
+            while redraw.size:
+                u[redraw] = self.next_u64(lanes[redraw])
+                redraw = redraw[u[redraw] > top[redraw]]
+        if hi.dtype == np.uint64:
+            return lo.astype(np.uint64) + u % n
+        return lo + (u % n).astype(np.int64)
+
+    def bernoulli(self, lanes: np.ndarray, p) -> np.ndarray:
+        return self.random(lanes) < p
+
+    def choice(self, lanes: np.ndarray, seq) -> np.ndarray:
+        seq = np.asarray(seq)
+        return seq[self.randint(lanes, 0, len(seq) - 1)]
+
+    def poisson(self, lanes: np.ndarray, lam: float) -> np.ndarray:
+        """`Xoshiro256.poisson` per lane: each lane multiplies its own
+        uniforms until the product falls to exp(-lam)."""
+        if lam <= 0.0:
+            raise ValueError("poisson rate must be > 0")
+        limit = math.exp(-lam)
+        k = np.zeros(len(lanes), dtype=np.int64)
+        p = np.ones(len(lanes))
+        live = np.arange(len(lanes))
+        while live.size:
+            p[live] *= self.random(lanes[live])
+            live = live[p[live] > limit]
+            k[live] += 1
+        return k

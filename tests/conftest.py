@@ -4,17 +4,18 @@ artifacts, built once per session and reused read-only."""
 import numpy as np
 import pytest
 
-from seqfuse.claims import SyntheticConfig, generate_population
+from seqfuse.claims import SyntheticConfig
 from seqfuse.cohort import POPULATION_MEMBERS
 from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import CcsMap, load_bundle
-from tests.reference import checked_cohort
+from tests.reference import checked_cohort, population_records
 
 
 @pytest.fixture(scope="session")
 def small_population():
+    """The generator's columns for 250 patients, read back as records."""
     cfg = SyntheticConfig(n_patients=250, seed=1234)
-    return generate_population(cfg)
+    return population_records(cfg)
 
 
 @pytest.fixture(scope="session")

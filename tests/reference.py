@@ -1,15 +1,19 @@
-"""The record-based definitions of cohort construction and featurization,
-kept as the references the columnar kernels `cohort.build_cohort` and
+"""The record-based definitions of the synthetic generator, cohort
+construction and featurization, kept as the references the columnar
+kernels `claims.generate_population`, `cohort.build_cohort` and
 `features.featurize_events` must equal byte for byte.
 
-Each function here works on record objects, one stay or event at a time,
-the way the kernels' docstrings describe. `reference_cohort` resolves
-stays, screens them and labels both outcomes; `checked_cohort` runs the
-kernel on the same records and checks that the files cohort writes from it
-equal the reference's. `reference_table` assembles per-event visit steps
-and domain vectors into an `EventTable` with the kernel's dtypes, and
+Each function here works on record objects, one patient, stay or event at
+a time, the way the kernels' docstrings describe. `reference_population`
+generates each patient from its own scalar stream, and `claim_columns`
+codes records into the archive's columns; `population_records` reads the
+kernel's columns back as records. `reference_cohort` resolves stays,
+screens them and labels both outcomes; `checked_cohort` runs the kernel on
+the same records and checks that the files cohort writes from it equal the
+reference's. `reference_table` assembles per-event visit steps and domain
+vectors into an `EventTable` with the kernel's dtypes, and
 `read_population_npz` rebuilds the records from the columns of
-`claims.claim_columns`.
+`claim_columns`.
 """
 
 from __future__ import annotations
@@ -20,19 +24,34 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from seqfuse.claims import (
+    _ACUTE_DRGS,
+    _ACUTE_DX_CATS,
     _BEN_TEXT,
     _CLAIM_CODES,
     _CLAIM_TEXT,
+    _GENERAL_PROC_CATS,
+    _HAC_DX_CATS,
+    _HAC_PROC_CATS,
+    _MAINTENANCE_DX_CATS,
+    _OTHER_DRGS,
+    _PLANNED_PROC_CATS,
+    _SYMPTOM_DX_CATS,
     ESRD_STATUSES,
+    WRINKLE_RATES,
     Beneficiary,
     ClaimRecord,
+    GroundTruth,
+    SyntheticConfig,
     _ptr,
-    claim_columns,
     day_to_iso,
+    generate_population,
+    iso_to_day,
     text_words,
     write_npz,
 )
@@ -58,7 +77,516 @@ from seqfuse.features import (
     _z_age_band,
     charlson_band,
 )
-from seqfuse.knowledge import CcsMap, HacRule, KnowledgeBundle, PlannedRules, charlson_index
+from seqfuse.knowledge import CcsMap, HacRule, KnowledgeBundle, PlannedRules, load_charlson_weights
+from seqfuse.rng import Xoshiro256, derive_seed
+
+
+# --- the synthetic population ---------------------------------------------------
+
+
+@dataclass
+class RecordPopulation:
+    beneficiaries: list[Beneficiary]
+    claims: list[ClaimRecord]
+    truth: list[GroundTruth]
+    info: dict
+
+
+def claim_columns(beneficiaries: list[Beneficiary], claims: list[ClaimRecord]) -> dict[str, np.ndarray]:
+    """The records as the columns of `CLAIM_COLUMNS`, beneficiaries sorted
+    by id and claims by (beneficiary_id, admit_date, discharge_date,
+    claim_id): what generate writes and `ingest_claims` reads.
+
+    Every string is an int32 code (-1 for None) into one table of the
+    distinct strings in sorted order, so codes compare as their strings
+    do. The table is stored as UTF-8 bytes (`text`) with CSR offsets
+    (`text_ptr`), which `text_words` decodes. Dates are int32 day numbers,
+    and enrollment intervals and code tuples are CSR rows. The records are
+    not validated again: pass records whose `validate` passed.
+    """
+    bens = sorted(beneficiaries, key=attrgetter("beneficiary_id"))
+    claims = sorted(claims, key=attrgetter("beneficiary_id", "admit_date", "discharge_date", "claim_id"))
+
+    def values(records: list, names: tuple[str, ...]) -> dict[str, list]:
+        return {name: list(map(attrgetter(name), records)) for name in names}
+
+    ben = values(bens, (*_BEN_TEXT, "birth_date", "dual_eligible", "death_date", "enrollment_intervals"))
+    claim = values(claims, (*_CLAIM_TEXT, *_CLAIM_CODES, "admit_date", "discharge_date"))
+    texts = {f"beneficiary.{name}": ben[name] for name in _BEN_TEXT}
+    texts.update({f"claim.{name}": claim[name] for name in _CLAIM_TEXT})
+    intervals = list(chain.from_iterable(ben["enrollment_intervals"]))
+    cols = {
+        "beneficiary.birth_date": np.array(ben["birth_date"], dtype=np.int32),
+        "beneficiary.dual_eligible": np.array(ben["dual_eligible"], dtype=bool),
+        "beneficiary.has_death_date": np.array([day is not None for day in ben["death_date"]], dtype=bool),
+        "beneficiary.death_date": np.array([day or 0 for day in ben["death_date"]], dtype=np.int32),
+        "beneficiary.enrollment_ptr": _ptr(list(map(len, ben["enrollment_intervals"]))),
+        "beneficiary.enrollment": np.array(intervals, dtype=np.int32).reshape(-1, 2),
+        **{f"claim.{name}": np.array(claim[name], dtype=np.int32) for name in ("admit_date", "discharge_date")},
+    }
+    for name in _CLAIM_CODES:
+        cols[f"claim.{name}_ptr"] = _ptr(list(map(len, claim[name])))
+        texts[f"claim.{name}"] = list(chain.from_iterable(claim[name]))
+    words = sorted(set().union(*texts.values()) - {None})
+    code = dict(zip(words, range(len(words))))
+    code[None] = -1
+    for name, strings in texts.items():
+        cols[name] = np.fromiter(map(code.__getitem__, strings), dtype=np.int32, count=len(strings))
+    encoded = [word.encode("utf-8", "surrogatepass") for word in words]
+    cols["text_ptr"] = _ptr(list(map(len, encoded)))
+    cols["text"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return cols
+
+
+
+
+def _dx_code(cat: int, rng: Xoshiro256) -> str:
+    return f"D{cat * 3 + 1 + rng.randint(0, 2):04d}"
+
+
+def _proc_code(cat: int, rng: Xoshiro256) -> str:
+    return f"P{cat * 3 + 1 + rng.randint(0, 2):04d}"
+
+
+def _chronic_cat(rng: Xoshiro256) -> int:
+    if rng.random() < 0.30:
+        return rng.choice(_SYMPTOM_DX_CATS)
+    v = rng.random()
+    if v < 0.72:
+        return rng.randint(0, 9)  # weight-1 Charlson groups
+    if v < 0.92:
+        return rng.randint(10, 13)  # weight-2
+    if v < 0.96:
+        return 14
+    return rng.choice((15, 16))
+
+
+def _history_dx_codes(chronic: list[int], rng: Xoshiro256) -> tuple[str, ...]:
+    n = 1 + rng.poisson(1.2)
+    codes = []
+    for _ in range(n):
+        if chronic and rng.random() < 0.65:
+            cat = rng.choice(chronic)
+        else:
+            cat = _chronic_cat(rng)
+        codes.append(_dx_code(cat, rng))
+    return tuple(dict.fromkeys(codes))
+
+
+@dataclass
+class _Visit:
+    """A claim before ids are assigned."""
+
+    claim_type: str
+    admit: int
+    discharge: int
+    dx: tuple[str, ...]
+    proc: tuple[str, ...] = ()
+    drg: str | None = None
+    admission_type: str | None = None
+    admission_source: str | None = None
+    disposition: str | None = None
+    facility: str | None = None
+
+
+def _free_span(admit: int, los: int, taken: list[tuple[int, int]]) -> bool:
+    # Two-day buffer so unrelated stays never satisfy the merge rule.
+    return all(admit > e + 2 or admit + los < s - 2 for s, e in taken)
+
+
+def _anchor_los(long_stay: bool, rng: Xoshiro256) -> int:
+    if long_stay:
+        return 31 + rng.randint(0, 14)
+    los = 1 + rng.poisson(2.2)
+    if rng.random() < 0.15:
+        los += rng.randint(4, 12)
+    return min(los, 28)
+
+
+def _late_decoy_fits(ld_admit: int, death: int | None, taken: list[tuple[int, int]]) -> bool:
+    return (death is None or ld_admit + 4 < death) and _free_span(ld_admit, 3, taken)
+
+
+def charlson_index(dx_codes, ccs: CcsMap, weights: dict[int, int]) -> int:
+    """Sums weights over the distinct condition groups present in a code set.
+
+    Multiple codes in the same group count once.
+    """
+    cats = {ccs.dx_category(code) for code in dx_codes}
+    return sum(weights.get(cat, 0) for cat in cats)
+
+
+def _gen_patient(
+    i: int,
+    cfg: SyntheticConfig,
+    ccs: CcsMap,
+    weights: dict[int, int],
+    rng: Xoshiro256,
+) -> tuple[Beneficiary, list[ClaimRecord], GroundTruth | None]:
+    bid = f"B{i:06d}"
+    rates = WRINKLE_RATES
+
+    under_65 = rng.random() < rates["under_65"]
+    esrd_under_65 = under_65 and rng.random() < rates["esrd_given_under_65"]
+    enroll_gap = rng.random() < rates["enrollment_gap"]
+    long_stay = rng.random() < rates["long_stay"]
+    elective_anchor = rng.random() < rates["elective_anchor"]
+    elective_acute = rng.random() < rates["acute_drg_given_elective"]
+    transfer_chain = rng.random() < rates["transfer_chain"]
+    expired_anchor = rng.random() < rates["expired_anchor"]
+
+    if under_65:
+        age_years = 40 + rng.random() * 24
+        status = "esrd_only" if esrd_under_65 else "disabled"
+    else:
+        age_years = 66 + rng.random() * 28
+        status = "aged_esrd" if rng.random() < 0.05 else "aged_no_esrd"
+    gender = "male" if rng.random() < 0.44 else "female"
+    r = rng.random()
+    for race, cum in (
+        ("white", 0.862),
+        ("black", 0.952),
+        ("hispanic", 0.972),
+        ("asian", 0.985),
+        ("other", 0.993),
+        ("north_american_native", 0.998),
+    ):
+        if r < cum:
+            break
+    else:
+        race = "unknown"
+    dual = rng.random() < 0.17
+
+    admit = iso_to_day("2011-03-01") + rng.randint(0, 240)
+    los = _anchor_los(long_stay, rng)
+    discharge = admit + los
+    birth = admit - int(age_years * 365.25) - rng.randint(0, 200)
+
+    chronic = sorted({_chronic_cat(rng) for _ in range(rng.poisson(2.3))})
+
+    visits: list[_Visit] = []
+    taken: list[tuple[int, int]] = [(admit, discharge)]
+
+    n_out = rng.poisson(cfg.mean_claims_per_patient * 0.45)
+    n_ed = rng.poisson(cfg.mean_claims_per_patient * 0.20)
+    for _ in range(n_out):
+        day = admit - rng.randint(1, 365)
+        proc = (_proc_code(rng.choice(_GENERAL_PROC_CATS), rng),) if rng.random() < 0.3 else ()
+        visits.append(_Visit("outpatient", day, day, _history_dx_codes(chronic, rng), proc))
+    for _ in range(n_ed):
+        day = admit - rng.randint(1, 365)
+        visits.append(_Visit("ed", day, day, _history_dx_codes(chronic, rng)))
+
+    for _ in range(min(rng.poisson(0.5), 3)):
+        p_admit = admit - rng.randint(40, 350)
+        p_los = 1 + rng.poisson(1.8)
+        if not _free_span(p_admit, p_los, taken):
+            continue
+        taken.append((p_admit, p_admit + p_los))
+        t = rng.random()
+        p_type = "emergent" if t < 0.35 else ("urgent" if t < 0.5 else "elective")
+        p_drg = rng.choice(_ACUTE_DRGS) if p_type != "elective" else rng.choice(_OTHER_DRGS)
+        d = rng.random()
+        visits.append(
+            _Visit(
+                "inpatient",
+                p_admit,
+                p_admit + p_los,
+                _history_dx_codes(chronic, rng),
+                proc=(_proc_code(rng.choice(_GENERAL_PROC_CATS), rng),) if rng.random() < 0.4 else (),
+                drg=p_drg,
+                admission_type=p_type,
+                admission_source="community",
+                disposition="home" if d < 0.85 else ("snf" if d < 0.95 else "home_health"),
+                facility=f"F{rng.randint(1, 10):02d}",
+            )
+        )
+
+    # Anchor admission.
+    if elective_anchor:
+        anchor_type = "elective"
+        anchor_drg = rng.choice(_ACUTE_DRGS) if elective_acute else rng.choice(_OTHER_DRGS)
+    else:
+        anchor_type = "emergent" if rng.random() < 0.72 else "urgent"
+        anchor_drg = rng.choice(_ACUTE_DRGS) if rng.random() < 0.8 else rng.choice(_OTHER_DRGS)
+    if rng.random() < 0.55:
+        principal = _dx_code(rng.choice(_ACUTE_DX_CATS), rng)
+    else:
+        principal = _dx_code(rng.choice(chronic) if chronic else _chronic_cat(rng), rng)
+    anchor_dx = [principal]
+    for _ in range(1 + rng.poisson(1.6)):
+        cat = rng.choice(chronic) if chronic and rng.random() < 0.65 else _chronic_cat(rng)
+        anchor_dx.append(_dx_code(cat, rng))
+    anchor_proc = [_proc_code(rng.choice(_GENERAL_PROC_CATS), rng) for _ in range(rng.poisson(0.8))]
+    if rng.random() < rates["hac_code"]:
+        if rng.random() < 0.5:
+            anchor_dx.append(_dx_code(rng.choice(_HAC_DX_CATS), rng))
+        else:
+            anchor_proc.append(_proc_code(rng.choice(_HAC_PROC_CATS), rng))
+    s = rng.random()
+    anchor_source = "community" if s < 0.85 else ("snf" if s < 0.95 else "transfer")
+    d = rng.random()
+    anchor_disp = "home" if d < 0.62 else ("home_health" if d < 0.75 else "snf")
+    if expired_anchor:
+        anchor_disp = "expired"
+    anchor_facility = f"F{rng.randint(1, 10):02d}"
+
+    eligible = (
+        not long_stay
+        and not expired_anchor
+        and not enroll_gap
+        and (not under_65 or esrd_under_65)
+        and (not elective_anchor or elective_acute)
+    )
+
+    # Planted signal, computed the same way the feature engine will see it:
+    # dx categories pooled over claims admitted in [admit-365, admit].
+    pooled = {ccs.dx_category(c) for c in anchor_dx}
+    pooled_codes = list(anchor_dx)
+    for v in visits:
+        if admit - 365 <= v.admit <= admit:
+            pooled_codes.extend(v.dx)
+            pooled.update(ccs.dx_category(c) for c in v.dx)
+    charlson = charlson_index(pooled_codes, ccs, weights)
+    ed_12m = sum(1 for v in visits if v.claim_type == "ed" and admit - 365 <= v.admit <= admit - 1)
+
+    truth: GroundTruth | None = None
+    death: int | None = None
+    readmit = False
+    mortality = False
+    if eligible:
+        p_r = 1.0 / (1.0 + math.exp(-cfg.readmit_signal.logit(pooled, charlson, los, ed_12m)))
+        p_m = 1.0 / (1.0 + math.exp(-cfg.mortality_signal.logit(pooled, charlson, los, ed_12m)))
+        readmit = rng.bernoulli(p_r)
+        mortality = rng.bernoulli(p_m)
+        ama = rng.random() < rates["ama"]
+        hospice = mortality and rng.random() < rates["hospice_given_mortality"]
+        if ama:
+            anchor_disp = "ama"
+        if hospice:
+            anchor_disp = "hospice"
+
+        if readmit:
+            delay = rng.randint(1, 15) if mortality else rng.randint(1, 30)
+            r_admit = discharge + delay
+            r_los = 1 + rng.poisson(1.5)
+            r_discharge = r_admit + r_los
+            r_disp = "home"
+            if mortality:
+                death = discharge + rng.randint(delay, 30)
+                if death <= r_discharge:
+                    r_discharge = death
+                    r_disp = "expired"
+            r_dx = [_dx_code(rng.choice(_ACUTE_DX_CATS), rng)]
+            for _ in range(rng.poisson(1.2)):
+                cat = rng.choice(chronic) if chronic and rng.random() < 0.6 else _chronic_cat(rng)
+                r_dx.append(_dx_code(cat, rng))
+            visits.append(
+                _Visit(
+                    "inpatient",
+                    r_admit,
+                    r_discharge,
+                    tuple(dict.fromkeys(r_dx)),
+                    proc=(_proc_code(rng.choice(_GENERAL_PROC_CATS), rng),) if rng.random() < 0.3 else (),
+                    drg=rng.choice(_ACUTE_DRGS),
+                    admission_type="emergent",
+                    admission_source="community",
+                    disposition=r_disp,
+                    facility=f"F{rng.randint(1, 10):02d}",
+                )
+            )
+            taken.append((r_admit, r_discharge))
+        elif rng.random() < rates["planned_decoy"]:
+            # A planned stay inside the window; must not flip the label.
+            pd_admit = discharge + rng.randint(1, 30)
+            pd_los = 1 + rng.randint(0, 2)
+            if rng.random() < 0.5:
+                pd_dx = (_dx_code(rng.choice(chronic) if chronic else 28, rng),)
+                pd_proc = (_proc_code(rng.choice(_PLANNED_PROC_CATS), rng),)
+            else:
+                pd_dx = (_dx_code(rng.choice(_MAINTENANCE_DX_CATS), rng),)
+                pd_proc = ()
+            visits.append(
+                _Visit(
+                    "inpatient",
+                    pd_admit,
+                    pd_admit + pd_los,
+                    pd_dx,
+                    proc=pd_proc,
+                    drg=rng.choice(_OTHER_DRGS),
+                    admission_type="elective",
+                    admission_source="community",
+                    disposition="home",
+                    facility=f"F{rng.randint(1, 10):02d}",
+                )
+            )
+            taken.append((pd_admit, pd_admit + pd_los))
+
+        if mortality and death is None:
+            death = discharge + rng.randint(1, 30)
+        if not mortality and rng.random() < rates["late_death"]:
+            death = discharge + rng.randint(45, 700)
+
+        if rng.random() < rates["late_decoy"]:
+            ld_admit = discharge + rng.randint(35, 90)
+            if _late_decoy_fits(ld_admit, death, taken):
+                ld_los = 1 + rng.randint(0, 2)
+                visits.append(
+                    _Visit(
+                        "inpatient",
+                        ld_admit,
+                        ld_admit + ld_los,
+                        _history_dx_codes(chronic, rng),
+                        drg=rng.choice(_ACUTE_DRGS),
+                        admission_type="emergent",
+                        admission_source="community",
+                        disposition="home",
+                        facility=f"F{rng.randint(1, 10):02d}",
+                    )
+                )
+                taken.append((ld_admit, ld_admit + ld_los))
+
+        clean = not hospice and not (ama and mortality)
+        if clean:
+            truth = GroundTruth(
+                beneficiary_id=bid,
+                index_admit_date=admit,
+                index_discharge_date=discharge,
+                readmit_label=readmit,
+                mortality_label=mortality,
+                p_readmit=p_r,
+                p_mortality=p_m,
+                charlson=charlson,
+                los=los,
+                ed_visits_12m=ed_12m,
+                ccs_present=tuple(sorted(pooled)),
+            )
+
+    # Anchor claims, split in two when planting a transfer chain.
+    if transfer_chain and los >= 2 and anchor_disp != "expired":
+        d1 = admit + rng.randint(0, los - 2)
+        a2 = d1 + rng.randint(0, 1)
+        facility_b = f"F{rng.randint(1, 10):02d}"
+        visits.append(
+            _Visit(
+                "inpatient",
+                admit,
+                d1,
+                tuple(dict.fromkeys(anchor_dx)),
+                proc=tuple(dict.fromkeys(anchor_proc)),
+                drg=anchor_drg,
+                admission_type=anchor_type,
+                admission_source=anchor_source,
+                disposition="transfer_acute",
+                facility=anchor_facility,
+            )
+        )
+        visits.append(
+            _Visit(
+                "inpatient",
+                a2,
+                discharge,
+                # Carry the anchor codes so the merged stay pools exactly the
+                # categories the planted signal was computed from.
+                tuple(dict.fromkeys(anchor_dx)),
+                drg=anchor_drg,
+                admission_type="emergent",
+                admission_source="transfer",
+                disposition=anchor_disp,
+                facility=facility_b,
+            )
+        )
+    else:
+        visits.append(
+            _Visit(
+                "inpatient",
+                admit,
+                discharge,
+                tuple(dict.fromkeys(anchor_dx)),
+                proc=tuple(dict.fromkeys(anchor_proc)),
+                drg=anchor_drg,
+                admission_type=anchor_type,
+                admission_source=anchor_source,
+                disposition=anchor_disp,
+                facility=anchor_facility,
+            )
+        )
+
+    if enroll_gap:
+        if rng.random() < 0.5:
+            intervals = ((admit - 800, admit - rng.randint(150, 250)), (admit - rng.randint(50, 120), discharge + 90))
+        else:
+            intervals = ((admit - rng.randint(50, 300), discharge + 90),)
+    else:
+        intervals = ((admit - 800 - rng.randint(0, 60), discharge + 60 + rng.randint(0, 120)),)
+
+    ben = Beneficiary(
+        beneficiary_id=bid,
+        birth_date=birth,
+        gender=gender,
+        race=race,
+        dual_eligible=dual,
+        medicare_status=status,
+        enrollment_intervals=intervals,
+        death_date=death,
+    )
+    ben.validate()
+
+    visits.sort(key=lambda v: (v.admit, v.discharge))
+    claims = []
+    for k, v in enumerate(visits):
+        claim = ClaimRecord(
+            claim_id=f"{bid}-C{k:03d}",
+            beneficiary_id=bid,
+            claim_type=v.claim_type,
+            admit_date=v.admit,
+            discharge_date=v.discharge,
+            dx_codes=v.dx,
+            proc_codes=v.proc,
+            drg=v.drg,
+            admission_type=v.admission_type,
+            admission_source=v.admission_source,
+            discharge_disposition=v.disposition,
+            facility_id=v.facility,
+        )
+        claim.validate()
+        claims.append(claim)
+    return ben, claims, truth
+
+
+def reference_population(cfg: SyntheticConfig) -> RecordPopulation:
+    """The synthetic population, one patient at a time from its own
+    scalar stream: the records `claims.generate_population` must code
+    into the same columns, with the same ground truth and summary."""
+    cfg.validate()
+    ccs = CcsMap.synthetic(cfg.dx_vocab, cfg.proc_vocab)
+    weights = load_charlson_weights()
+    beneficiaries: list[Beneficiary] = []
+    claims: list[ClaimRecord] = []
+    truth: list[GroundTruth] = []
+    for i in range(cfg.n_patients):
+        ben, patient_claims, row = _gen_patient(i, cfg, ccs, weights, Xoshiro256(derive_seed(cfg.seed, "patient", i)))
+        beneficiaries.append(ben)
+        claims.extend(patient_claims)
+        if row is not None:
+            truth.append(row)
+    info = {
+        "n_patients": cfg.n_patients,
+        "seed": cfg.seed,
+        "readmit_signal": cfg.readmit_signal.to_json_obj(),
+        "mortality_signal": cfg.mortality_signal.to_json_obj(),
+        "wrinkle_rates": dict(WRINKLE_RATES),
+        "n_truth_rows": len(truth),
+        "readmit_rate": (sum(t.readmit_label for t in truth) / len(truth)) if truth else 0.0,
+        "mortality_rate": (sum(t.mortality_label for t in truth) / len(truth)) if truth else 0.0,
+    }
+    return RecordPopulation(beneficiaries, claims, truth, info)
+
+
+def population_records(cfg: SyntheticConfig) -> RecordPopulation:
+    """`claims.generate_population` read back as records."""
+    population = generate_population(cfg)
+    return RecordPopulation(*read_population_npz(population.columns), population.truth, population.info)
 
 
 # --- cohort ---------------------------------------------------------------------

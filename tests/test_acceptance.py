@@ -14,7 +14,7 @@ import pytest
 
 from seqfuse.autodiff import Tape, Tensor, backward
 from seqfuse.calibration import fit_platt, fit_temperature
-from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, generate_population, iso_to_day
+from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, iso_to_day
 from seqfuse.cli import default_config, main
 from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import CcsMap, load_bundle
@@ -22,7 +22,7 @@ from seqfuse.metrics import auc, recall_at_top_k, recall_precision_at_threshold
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.rng import Xoshiro256
 from seqfuse.training import make_deep_runner, smote, split_patients
-from tests.reference import checked_cohort
+from tests.reference import checked_cohort, population_records
 
 DAY0 = iso_to_day("2011-03-01")
 
@@ -76,7 +76,7 @@ def planted_world():
     the visit-count and LOS parts of the planted outcome signal are only
     reachable through the domain vector."""
     start = time.monotonic()
-    population = generate_population(SyntheticConfig(n_patients=2000, seed=20110901))
+    population = population_records(SyntheticConfig(n_patients=2000, seed=20110901))
     bundle = load_bundle(CcsMap.synthetic())
     cols, *_ = checked_cohort(
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs

@@ -1,23 +1,23 @@
 """Record validation, the claims archive and its checks, and properties the
-synthetic generator must guarantee (determinism, planted-signal bookkeeping,
-presence of the structural edge cases downstream code screens for)."""
+synthetic generator must guarantee (determinism, equality with the scalar
+reference generator, planted-signal bookkeeping, presence of the structural
+edge cases downstream code screens for)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from seqfuse import claims as claims_module
 from seqfuse.claims import (
     Beneficiary,
     ClaimRecord,
     GroundTruth,
     OutcomeSignal,
     SyntheticConfig,
-    claim_columns,
     day_to_iso,
     default_signals,
     generate_population,
-    _gen_patient,
     ingest_claims,
     iso_to_day,
     read_ground_truth,
@@ -25,9 +25,19 @@ from seqfuse.claims import (
     write_npz,
 )
 from seqfuse.errors import ValidationError
-from seqfuse.knowledge import CcsMap, load_charlson_weights
-from seqfuse.rng import Xoshiro256, derive_seed
-from tests.reference import age_at, covers, read_population_npz
+from seqfuse.rng import Xoshiro256
+from tests.reference import (
+    _anchor_los,
+    _free_span,
+    _late_decoy_fits,
+    _npz_bytes,
+    age_at,
+    claim_columns,
+    covers,
+    population_records,
+    read_population_npz,
+    reference_population,
+)
 
 
 def make_inpatient(**overrides) -> ClaimRecord:
@@ -380,29 +390,49 @@ class TestOutcomeSignal:
         assert mortality.ed_weight > 0 and mortality.los_weight > 0
 
 
+def assert_equals_reference(cfg: SyntheticConfig, reference=None):
+    """The kernel's columns equal `claim_columns` of the scalar reference's
+    records byte for byte, and its ground truth and summary equal the
+    reference's. Returns the kernel's population."""
+    reference = reference or reference_population(cfg)
+    population = generate_population(cfg)
+    assert list(population.columns) == list(claims_module.CLAIM_COLUMNS)
+    assert _npz_bytes(population.columns) == _npz_bytes(claim_columns(reference.beneficiaries, reference.claims))
+    assert population.truth == reference.truth
+    assert population.info == reference.info
+    return population
+
+
+def patient_records(population, patients: int):
+    """The records and ground truth of the first `patients` patients."""
+    ids = {f"B{i:06d}" for i in range(patients)}
+    return (
+        [b for b in population.beneficiaries if b.beneficiary_id in ids],
+        [c for c in population.claims if c.beneficiary_id in ids],
+        [t for t in population.truth if t.beneficiary_id in ids],
+    )
+
+
 class TestGenerator:
     def test_deterministic(self, small_population):
         cfg = SyntheticConfig(n_patients=250, seed=1234)
-        again = generate_population(cfg)
+        again = population_records(cfg)
         assert again.beneficiaries == small_population.beneficiaries
         assert again.claims == small_population.claims
         assert again.truth == small_population.truth
+        assert _npz_bytes(generate_population(cfg).columns) == _npz_bytes(generate_population(cfg).columns)
 
     @pytest.mark.parametrize("n_patients, seed", [(1100, 5), (60, 20110901)])
     def test_equals_one_scalar_stream_per_patient(self, n_patients, seed):
-        cfg = SyntheticConfig(n_patients=n_patients, seed=seed)
-        ccs = CcsMap.synthetic(cfg.dx_vocab, cfg.proc_vocab)
-        weights = load_charlson_weights()
-        beneficiaries, claims, truth = [], [], []
-        for i in range(n_patients):
-            ben, patient_claims, row = _gen_patient(i, cfg, ccs, weights, Xoshiro256(derive_seed(seed, "patient", i)))
-            beneficiaries.append(ben)
-            claims.extend(patient_claims)
-            truth.extend([row] if row is not None else [])
-        population = generate_population(cfg)
-        assert population.beneficiaries == beneficiaries
-        assert population.claims == claims
-        assert population.truth == truth
+        assert_equals_reference(SyntheticConfig(n_patients=n_patients, seed=seed))
+
+    def test_columns_are_checked_before_they_are_returned(self, monkeypatch):
+        def reject(cols, source):
+            raise ValidationError(f"{source}: rejected")
+
+        monkeypatch.setattr(claims_module, "check_claim_columns", reject)
+        with pytest.raises(ValidationError, match="the generated claims: rejected"):
+            generate_population(SyntheticConfig(n_patients=5, seed=1))
 
     def test_every_claim_validates_and_references_a_beneficiary(self, small_population):
         ids = {b.beneficiary_id for b in small_population.beneficiaries}
@@ -470,3 +500,116 @@ class TestGenerator:
             SyntheticConfig(n_patients=5, seed=1, proc_vocab=10).validate()
         with pytest.raises(ValidationError):
             SyntheticConfig(n_patients=5, seed=1, mean_claims_per_patient=0.0).validate()
+
+
+class TestKernelAgainstReference:
+    """`generate_population` (the lockstep kernel) against the scalar
+    generator in `tests/reference.py`, one stream per patient."""
+
+    def test_demo_population(self):
+        assert_equals_reference(SyntheticConfig(n_patients=2000, seed=20110901))
+
+    def test_population_across_chunks(self, monkeypatch):
+        # 5,000 patients in one chunk, then in chunks of 999 (the last one
+        # short), against one reference run.
+        cfg = SyntheticConfig(n_patients=5000, seed=7)
+        reference = reference_population(cfg)
+        assert cfg.n_patients <= claims_module._CHUNK_PATIENTS
+        assert_equals_reference(cfg, reference)
+        monkeypatch.setattr(claims_module, "_CHUNK_PATIENTS", 999)
+        assert_equals_reference(cfg, reference)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"mean_claims_per_patient": 0.5},
+            # Many visits per patient: lanes run past the first block of draws.
+            {"mean_claims_per_patient": 18.0},
+            {"dx_vocab": 120, "proc_vocab": 48},
+        ],
+        ids=["sparse", "dense", "vocab"],
+    )
+    def test_configs_that_move_the_branch_mix(self, changes):
+        assert_equals_reference(SyntheticConfig(n_patients=400, seed=3, **changes))
+
+    @pytest.mark.parametrize("intercept, label", [(40.0, True), (-40.0, False)])
+    def test_signals_that_fix_every_label(self, intercept, label):
+        signal = OutcomeSignal(intercept=intercept, ccs_weights={1: 0.5, 29: 1.0, 99: 2.0}, charlson_weight=0.1)
+        cfg = SyntheticConfig(n_patients=400, seed=3, readmit_signal=signal, mortality_signal=signal)
+        population = assert_equals_reference(cfg)
+        assert population.truth
+        # A readmission or death is planted for every eligible event, or for none.
+        assert {row.readmit_label for row in population.truth} == {label}
+        assert {row.mortality_label for row in population.truth} == {label}
+
+    def test_draws_stay_within_each_patient(self, monkeypatch):
+        # A global max, sort or chunk boundary leaking between lanes would
+        # change the first patients when more patients are generated.
+        small = population_records(SyntheticConfig(n_patients=60, seed=20110901))
+        large = population_records(SyntheticConfig(n_patients=1100, seed=20110901))
+        assert patient_records(large, 60) == (small.beneficiaries, small.claims, small.truth)
+        monkeypatch.setattr(claims_module, "_CHUNK_PATIENTS", 7)
+        chunked = population_records(SyntheticConfig(n_patients=1100, seed=20110901))
+        assert chunked.beneficiaries == large.beneficiaries
+        assert chunked.claims == large.claims and chunked.truth == large.truth
+
+    def test_free_span_at_its_edges(self):
+        # The two-day buffer's edges, which sampled populations rarely reach.
+        taken = [[(100, 104)], [(100, 104), (150, 151)], []]
+        chunk = claims_module._Chunk(np.arange(3), SyntheticConfig(n_patients=3, seed=1))
+        for lane, spans in enumerate(taken):
+            for start, end in spans:
+                chunk.take(np.array([lane]), np.array([start]), np.array([end]))
+        for admit in range(85, 160):
+            for los in (0, 1, 3):
+                got = chunk.free_span(np.arange(3), np.full(3, admit), los).tolist()
+                assert got == [_free_span(admit, los, spans) for spans in taken], (admit, los)
+
+    def test_anchor_los_at_its_cap(self):
+        # Short stays of 28 days or more need Poisson(2.2) >= 15, which
+        # sampled populations almost never draw. Each lane gets injected
+        # draws: k uniforms of 0.99 and a 0 (a Poisson draw of k), then the
+        # `longer` uniform and randint(4, 12)'s draw, or a long stay's draw.
+        def uniform(x):
+            return int(x * 2**53) << 11
+
+        lanes = [[uniform(0.99)] * k + [0, 0, extra] for k, extra in ((14, 8), (15, 7), (15, 8), (16, 8), (20, 8))]
+        lanes += [[uniform(0.99)] * 30 + [0, uniform(0.5)], [14]]
+        long_stay = np.arange(len(lanes)) == len(lanes) - 1
+        draws = [lane + [0] * (40 - len(lane)) for lane in lanes]
+        chunk = claims_module._Chunk(np.arange(len(lanes)), SyntheticConfig(n_patients=len(lanes), seed=1))
+        chunk.rng._block = np.ascontiguousarray(np.array(draws, dtype=np.uint64).T)
+        expected = []
+        for lane, long in zip(draws, long_stay.tolist()):
+            scalar = Xoshiro256(0)
+            scalar.next_u64 = iter(lane).__next__
+            expected.append(_anchor_los(long, scalar))
+        assert expected == [27, 27, 28, 28, 28, 28, 45]
+        assert chunk.anchor_los(long_stay).tolist() == expected
+
+    def test_late_decoy_before_a_death(self):
+        # A death four or five days after the late decoy's admission, which
+        # sampled populations rarely reach, against the scalar rule.
+        assert not _late_decoy_fits(200, 204, []) and _late_decoy_fits(200, 205, [])
+        taken = [[(100, 104)], []]
+        chunk = claims_module._Chunk(np.arange(2), SyntheticConfig(n_patients=2, seed=1))
+        chunk.take(np.array([0]), np.array([100]), np.array([104]))
+        for admit in range(90, 115):
+            for death in (None, admit - 1, admit, admit + 3, admit + 4, admit + 5, admit + 30):
+                days = np.full(2, claims_module._NO_DEATH if death is None else death)
+                got = chunk.late_decoy_fits(np.arange(2), np.full(2, admit), days).tolist()
+                assert got == [_late_decoy_fits(admit, death, spans) for spans in taken], (admit, death)
+
+    def test_ids_wider_than_their_padding(self):
+        # Ids past B999999 or C999 are longer, and sort by their strings.
+        patients = np.array([0, 5, 999_999, 1_000_000, 12_345_678])
+        numbers = np.array([0, 999, 1000, 7, 12_345])
+        ids = claims_module._strings(
+            len(patients), b"B", claims_module._decimal(patients, 6), b"-C", claims_module._decimal(numbers, 3)
+        )
+        assert ids.tolist() == [f"B{p:06d}-C{k:03d}".encode() for p, k in zip(patients.tolist(), numbers.tolist())]
+        assert np.argsort(ids, kind="stable").tolist() == sorted(range(5), key=lambda i: ids[i].decode())
+
+    def test_single_patient(self):
+        population = assert_equals_reference(SyntheticConfig(n_patients=1, seed=20110901))
+        assert len(population.columns["beneficiary.beneficiary_id"]) == 1

@@ -9,10 +9,10 @@ assertions then read the reference's records."""
 import numpy as np
 import pytest
 
-from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, generate_population, iso_to_day, text_words
+from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, iso_to_day, text_words
 from seqfuse.cohort import EXCLUSION_REASONS, age_band
 from seqfuse.knowledge import CcsMap, load_acute_drgs, load_bundle, load_planned_rules
-from tests.reference import checked_cohort, cohort_summary
+from tests.reference import checked_cohort, cohort_summary, population_records
 
 DAY0 = iso_to_day("2011-03-01")
 
@@ -497,7 +497,7 @@ class TestKernelWorlds:
 
 @pytest.mark.parametrize("n_patients, seed", [(2000, 20110901), (5000, 7)])
 def test_whole_populations_equal_the_reference(n_patients, seed):
-    population = generate_population(SyntheticConfig(n_patients=n_patients, seed=seed))
+    population = population_records(SyntheticConfig(n_patients=n_patients, seed=seed))
     bundle = load_bundle(CcsMap.synthetic())
     cols, events, _, audit = checked_cohort(
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqfuse.claims import ClaimRecord, SyntheticConfig, day_to_iso, generate_population, write_npz
+from seqfuse.claims import ClaimRecord, SyntheticConfig, day_to_iso, write_npz
 from seqfuse.cohort import age_band
 from seqfuse.errors import ValidationError
 from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band, featurize_events
@@ -19,6 +19,7 @@ from tests.reference import (
     build_sequence,
     checked_cohort,
     population_columns,
+    population_records,
     reference_cohort,
     reference_table,
 )
@@ -292,7 +293,7 @@ class TestKernelOnHandBuiltWorlds:
 
 @pytest.fixture(scope="module")
 def second_population():
-    return generate_population(SyntheticConfig(n_patients=300, seed=5))
+    return population_records(SyntheticConfig(n_patients=300, seed=5))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import pytest
 from seqfuse.errors import ValidationError
 from seqfuse.knowledge import (
     CcsMap,
-    charlson_index,
     load_acute_drgs,
     load_bundle,
     load_charlson_weights,
@@ -14,7 +13,7 @@ from seqfuse.knowledge import (
     load_hac_rules,
     load_planned_rules,
 )
-from tests.reference import hac_flags
+from tests.reference import charlson_index, hac_flags
 
 
 class TestCcsMap:

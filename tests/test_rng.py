@@ -1,12 +1,14 @@
 """Generator correctness: reference vectors, an independent recurrence
-oracle, and distribution sanity for the conversion helpers."""
+oracle, distribution sanity for the conversion helpers, and lockstep
+streams equal to scalar ones."""
 
 import math
 
+import numpy as np
 import pytest
 
 from seqfuse import rng
-from seqfuse.rng import Xoshiro256, derive_seed, splitmix64
+from seqfuse.rng import Xoshiro256, Xoshiro256Lanes, derive_seed, derive_seeds, splitmix64
 
 _MASK = (1 << 64) - 1
 
@@ -145,44 +147,106 @@ class TestConversions:
         assert abs(hits / 30000 - 0.3) < 0.01
 
 
-def _draw_through_every_conversion(gen):
-    """One pass through each conversion; randint over three quarters of
-    2**64 rejects about a quarter of its draws."""
-    items = list(range(12))
-    gen.shuffle(items)
+def _lane_pass(lanes_rng, lanes, hi):
+    """One pass through each lockstep conversion for `lanes`, with
+    per-lane randint bounds `hi`; randint over three quarters of 2**64
+    rejects about a quarter of its draws. One list per lane."""
+    draws = [
+        lanes_rng.random(lanes),
+        lanes_rng.randint(lanes, 0, 5),
+        lanes_rng.randint(lanes, 0, 3 * 2**62),
+        lanes_rng.randint(lanes, 2, hi + 2),
+        lanes_rng.randint(lanes, hi, 40),
+        lanes_rng.choice(lanes, list("abcdefg")),
+        lanes_rng.poisson(lanes, 2.2),
+        lanes_rng.bernoulli(lanes, 0.3),
+        lanes_rng.next_u64(lanes),
+    ]
+    return [list(row) for row in zip(*(column.tolist() for column in draws))]
+
+
+def _scalar_pass(gen, hi):
+    """`_lane_pass` of one lane, drawn from its scalar stream."""
     return [
         gen.random(),
         gen.randint(0, 5),
         gen.randint(0, 3 * 2**62),
+        gen.randint(2, hi + 2),
+        gen.randint(hi, 40),
         gen.choice("abcdefg"),
-        gen.normal(),
-        gen.normal(1.0, 2.0),
-        gen.normal(),
         gen.poisson(2.2),
-        gen.sample(range(30), 6),
-        items,
         gen.bernoulli(0.3),
         gen.next_u64(),
     ]
 
 
+# A uint64 scalar that overflows, or a uint64 operand promoted to float,
+# warns; as errors, they fail these tests.
+@pytest.mark.filterwarnings("error")
 class TestBulkStreams:
-    def test_equal_to_scalar_streams_over_many_seeds(self):
-        # More seeds than one lock-step group, plus seeds that need masking.
+    def test_equal_to_scalar_streams_over_many_seeds(self, monkeypatch):
+        # More lanes than one block holds draws for, plus seeds that need masking.
+        monkeypatch.setattr(rng, "_BLOCK_DRAWS", 16)
         seeds = [derive_seed(11, "bulk", i) for i in range(1100)] + [0, _MASK, -1, 1 << 70]
-        streams = Xoshiro256.streams(seeds)
-        for seed, bulk in zip(seeds, streams):
-            scalar = Xoshiro256(seed)
-            for _ in range(3):
-                assert _draw_through_every_conversion(bulk) == _draw_through_every_conversion(scalar), seed
-        assert next(streams, None) is None
+        lanes_rng = Xoshiro256Lanes(seeds)
+        scalars = [Xoshiro256(seed) for seed in seeds]
+        every = np.arange(len(seeds))
+        assert len(_lane_pass(Xoshiro256Lanes(seeds), every, every % 11)) == len(seeds)
+        # Some passes leave lanes out, so the lanes' cursors part.
+        for lanes in (every, every[::3], every, every[every % 5 != 2], every):
+            hi = lanes % 11
+            for lane, got, bound in zip(lanes.tolist(), _lane_pass(lanes_rng, lanes, hi), hi.tolist()):
+                assert got == _scalar_pass(scalars[lane], bound), seeds[lane]
 
-    @pytest.mark.parametrize("block", [1, 7, rng._BLOCK_DRAWS])
+    @pytest.mark.parametrize("block", [1, 7, 256])
     def test_draws_past_the_block_continue_bit_for_bit(self, block, monkeypatch):
         monkeypatch.setattr(rng, "_BLOCK_DRAWS", block)
         seeds = [derive_seed(12, "short", i) for i in range(40)]
-        for seed, bulk in zip(seeds, Xoshiro256.streams(seeds)):
+        lanes_rng = Xoshiro256Lanes(seeds)
+        every = np.arange(len(seeds))
+        draws = [lanes_rng.next_u64(every) for _ in range(block + 20)]
+        for lane, seed in enumerate(seeds):
             scalar = Xoshiro256(seed)
-            assert [bulk.next_u64() for _ in range(block + 20)] == [scalar.next_u64() for _ in range(block + 20)]
-            assert _draw_through_every_conversion(bulk) == _draw_through_every_conversion(scalar)
-            assert bulk._s == scalar._s
+            expected = [scalar.next_u64() for _ in range(block + 20)]
+            assert [column[lane] for column in draws] == expected
+            assert _lane_pass(lanes_rng, every[lane : lane + 1], every[lane : lane + 1]) == [_scalar_pass(scalar, lane)]
+
+    def test_lane_cursors_are_independent(self, monkeypatch):
+        # Drawing for one lane leaves the others where they were.
+        monkeypatch.setattr(rng, "_BLOCK_DRAWS", 4)
+        seeds = [derive_seed(13, "cursor", i) for i in range(3)]
+        lanes_rng = Xoshiro256Lanes(seeds)
+        first = lanes_rng.next_u64(np.array([1]))
+        for _ in range(9):
+            lanes_rng.next_u64(np.array([0, 2]))
+        second = lanes_rng.next_u64(np.array([1]))
+        scalar = Xoshiro256(seeds[1])
+        assert first.tolist() + second.tolist() == [scalar.next_u64(), scalar.next_u64()]
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (5, 9), (0, 3 * 2**62)])
+    def test_rejection_threshold_as_scalar(self, lo, hi):
+        # The highest accepted draw and its neighbours, which random draws
+        # almost never hit: each lane rejects exactly what the scalar does.
+        n = hi - lo + 1
+        top = 2**64 - 2**64 % n - 1
+        draws = [top + 1, top, top - 1, _MASK, 5, top + 1, 0] + [7] * 10
+        scalar = Xoshiro256(0)
+        scalar.next_u64 = iter(draws).__next__
+        lanes_rng = Xoshiro256Lanes([0])
+        lanes_rng._block = np.array(draws, dtype=np.uint64)[:, None]
+        lane = np.array([0])
+        assert [lanes_rng.randint(lane, lo, hi).tolist() for _ in range(4)] == [[scalar.randint(lo, hi)] for _ in range(4)]
+
+    def test_empty_range_rejected(self):
+        lanes_rng = Xoshiro256Lanes([1, 2])
+        with pytest.raises(ValueError):
+            lanes_rng.randint(np.arange(2), np.array([0, 3]), np.array([0, 2]))
+        with pytest.raises(ValueError):
+            lanes_rng.poisson(np.arange(2), 0.0)
+
+    @pytest.mark.parametrize("root", [7, 20110901])
+    def test_numpy_seed_fold_equals_derive_seed(self, root):
+        ids = np.arange(10**5)
+        assert derive_seeds(root, "patient", ids).tolist() == [derive_seed(root, "patient", i) for i in range(10**5)]
+        negative = np.array([-1, -(2**63), 2**63 - 1])
+        assert derive_seeds(root, "trial", negative).tolist() == [derive_seed(root, "trial", int(i)) for i in negative]
