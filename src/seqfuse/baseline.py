@@ -147,17 +147,18 @@ def train_lr(
 def make_lr_runner(matrix: np.ndarray, labels: np.ndarray, fold_idx: dict[str, list[int]]):
     """Grid runner for the flat baseline over {l2, smote} configs.
 
-    Standardization uses training-fold moments; oversampling, when enabled,
-    touches only the training fold after standardization.
+    Standardization uses training-fold moments, fitted once for every
+    trial; oversampling, when enabled, touches only the training fold after
+    standardization.
     """
     from .metrics import auc
     from .training import apply_standardizer, fit_standardizer, smote
 
     labels = np.asarray(labels, dtype=np.int64)
+    mean, std = fit_standardizer(matrix[fold_idx["train"]])
+    standardized = apply_standardizer(matrix, mean, std)
 
     def run(config: dict, seed: int) -> dict:
-        mean, std = fit_standardizer(matrix[fold_idx["train"]])
-        standardized = apply_standardizer(matrix, mean, std)
         x_train = standardized[fold_idx["train"]]
         y_train = labels[fold_idx["train"]]
         try:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import zipfile
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -280,25 +278,42 @@ def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
             raise ValidationError(f"{name} holds {len(cols[name])} rows, not {rows[kind]}")
     if cols["beneficiary.enrollment"].shape[1] != 2:
         raise ValidationError("beneficiary.enrollment must hold (start, end) pairs")
-    blob, ptr = cols["text"].tobytes(), cols["text_ptr"].tolist()
+    text, ptr = cols["text"], cols["text_ptr"]
     try:
-        text = blob.decode("utf-8", "surrogatepass")
-        if len(text) == len(blob):  # ASCII: the byte offsets are character offsets
-            words = [text[start:end] for start, end in zip(ptr, ptr[1:])]
-        else:
-            words = [blob[start:end].decode("utf-8", "surrogatepass") for start, end in zip(ptr, ptr[1:])]
+        text.tobytes().decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"the string table is not UTF-8: {exc}") from exc
-    if any(map(operator.ge, words, words[1:])):
+    starts = ptr[:-1][ptr[:-1] < len(text)]
+    if ((text[starts] & 0xC0) == 0x80).any():
+        raise ValidationError("the string table is not UTF-8: a word starts inside a character")
+    # Each word as a NUL-padded fixed-width byte row plus its length. Byte
+    # order is code point order in UTF-8, and the S dtype compares rows as
+    # unsigned bytes but drops trailing NULs, so words order by (row,
+    # length): a word ending in NUL stays above its prefix.
+    lengths = np.diff(ptr)
+    width = max(int(lengths.max(initial=0)), 1)
+    padded = np.zeros((len(lengths), width), dtype=np.uint8)
+    padded[np.arange(width) < lengths[:, None]] = text
+    fixed = padded.view(f"S{width}").ravel()
+    if not ((fixed[:-1] < fixed[1:]) | ((fixed[:-1] == fixed[1:]) & (lengths[:-1] < lengths[1:]))).all():
         raise ValidationError("the string table is not sorted and distinct")
     for name in _TEXT_COLUMNS:
         codes, low = cols[name], -1 if name in _NULLABLE else 0
-        if len(codes) and not (low <= codes.min() and codes.max() < len(words)):
+        if len(codes) and not (low <= codes.min() and codes.max() < len(fixed)):
             raise ValidationError(f"{name} holds codes outside the string table")
 
+    def word(code) -> str | None:
+        return text_words(cols, [code])[code]
+
     def code_of(*strings: str) -> list[int]:
-        found = [bisect_left(words, s) for s in strings]
-        return [code for code, s in zip(found, strings) if code < len(words) and words[code] == s]
+        found = []
+        for string in strings:
+            key = string.encode("utf-8", "surrogatepass")
+            low, high = np.searchsorted(fixed, key, "left"), np.searchsorted(fixed, key, "right")
+            code = low + int(np.searchsorted(lengths[low:high], len(key)))
+            if code < high and lengths[code] == len(key):
+                found.append(code)
+        return found
 
     def check(kind: str, bad: np.ndarray, message: str, owner=None) -> None:
         """Raises naming the first record of `kind` with a `bad` row (or
@@ -306,14 +321,14 @@ def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
         if bad.any():
             row = int(np.argmax(bad))
             record = row if owner is None else owner[row]
-            raise ValidationError(f"{kind} {words[cols[f'{kind}.{kind}_id'][record]]!r}: {message}")
+            raise ValidationError(f"{kind} {word(cols[f'{kind}.{kind}_id'][record])!r}: {message}")
 
     def check_enum(kind: str, name: str, allowed: tuple[str, ...], rows=True) -> None:
         values = cols[f"{kind}.{name}"]
         bad = rows & ~np.isin(values, code_of(*allowed))
         if bad.any():
             value = values[np.argmax(bad)]
-            check(kind, bad, f"{name} {words[value] if value >= 0 else None!r} invalid")
+            check(kind, bad, f"{name} {word(value)!r} invalid")
 
     ben_id, claim_id, claim_ben = cols["beneficiary.beneficiary_id"], cols["claim.claim_id"], cols["claim.beneficiary_id"]
     if np.isin(np.concatenate([ben_id, claim_id, claim_ben]), code_of("")).any():
@@ -349,8 +364,8 @@ def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
     for kind, ids in (("beneficiary", ben_id), ("claim", claim_id)):
         distinct, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
-            raise ValidationError(f"duplicate {kind}_id {words[distinct[np.argmax(counts > 1)]]!r}")
-    orphans = sorted({words[code] for code in claim_ben[~np.isin(claim_ben, ben_id)].tolist()})
+            raise ValidationError(f"duplicate {kind}_id {word(distinct[np.argmax(counts > 1)])!r}")
+    orphans = sorted(text_words(cols, claim_ben[~np.isin(claim_ben, ben_id)]).values())
     if orphans:
         raise ValidationError(f"claims reference unknown beneficiaries: {orphans[:5]}")
     if (np.diff(ben_id) < 0).any():

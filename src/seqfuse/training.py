@@ -25,10 +25,11 @@ from .rng import Xoshiro256, derive_seed
 
 FOLD_NAMES = ("train", "valid", "calibration", "test")
 DEFAULT_FRACTIONS = (0.70, 0.15, 0.05, 0.10)
-# Size of the block of SMOTE's (rows, n_min, d) difference tensor that the
-# neighbour search holds at once: it stays in cache, where one whole
-# (n_min, n_min, d) tensor needs 366 MB at 2,000 patients and 35.5 GiB at
-# 20,000. At least one row is taken per block.
+# The working memory of SMOTE's neighbour search, in bytes: half for the
+# filter's (rows, n_min) blocks of distance bounds, half for the
+# refinement's (pairs, d) differences. At least one row or pair is taken
+# per block. A brute-force search forms (n_min, n_min, d) differences:
+# 366 MB at 2,000 patients, 35.5 GiB at 20,000.
 _SMOTE_BLOCK_BYTES = 8 << 20
 
 
@@ -87,19 +88,78 @@ def apply_standardizer(matrix: np.ndarray, mean: np.ndarray, std: np.ndarray) ->
     return (matrix - mean) / std
 
 
+def _distance_bounds(block: np.ndarray, rows: np.ndarray, sq_block: np.ndarray, sq: np.ndarray):
+    """Lower and upper bounds, (len(block), len(rows)) each, on the squared
+    distances `_nearest_neighbors` ranks by, from one matrix product:
+    approx -/+ delta, where approx = ||a||^2 + ||b||^2 - 2 a.b and
+    `sq_block`, `sq` are the rows' squared norms."""
+    d = rows.shape[1]
+    # With u = 2**-53 and g(m) = m u / (1 - m u), approx and the exact
+    # last-axis sum of (a - b)**2 each lie within 2 g(d + 2) (||a||^2 +
+    # ||b||^2) of the real ||a - b||^2, in whatever order the matrix
+    # product sums (Higham, "Accuracy and Stability of Numerical
+    # Algorithms", 2002, sec. 3.1), so they differ by at most
+    # 4 g(d + 2) (||a||^2 + ||b||^2). delta is 2**12 times 4 g(d + 3) of
+    # the computed norms: the margin covers the norms' own rounding and
+    # that of forming the bounds, and `eta` the absolute error of
+    # subnormal results, at most 2**-1075 per operation.
+    unit = 2.0**-53
+    tau = 2.0**12 * 4 * (d + 3) * unit / (1 - (d + 3) * unit)
+    eta = (4 * d + 8) * 2.0**-1074
+    approx = sq_block[:, None] + sq - 2.0 * (block @ rows.T)
+    delta = (tau * sq_block + eta)[:, None] + tau * sq
+    lower = approx - delta
+    approx += delta
+    return lower, approx
+
+
 def _nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
     """Indices of each row's k nearest other rows by squared Euclidean
-    distance, ties broken by index. Distances are computed one block of
-    rows at a time; each entry is the same per-row sum as the full matrix,
-    so the result does not depend on the block size."""
+    distance, ties broken by index, where a distance is the last-axis sum
+    of `(a - b) ** 2`: the brute-force search's value, bit for bit.
+
+    A filter bounds every distance from one matrix product per block of
+    rows (`_distance_bounds`). Each row keeps as candidates the j whose
+    lower bound is at most the k-th smallest upper bound: the k nearest
+    rows' distances are at most the k-th smallest distance, which is at
+    most that k-th upper bound, and each distance is at least its lower
+    bound, so all k are candidates. The refinement computes each
+    candidate's exact distance and orders the candidates by (distance,
+    index). Both parts are blocked so that, even when every pair is a
+    candidate (all rows far from the origin, or all equal), the search
+    holds about `_SMOTE_BLOCK_BYTES` besides its input and the (n, k)
+    result.
+    """
     n = len(rows)
-    block_rows = max(1, _SMOTE_BLOCK_BYTES // (8 * n * rows.shape[1]))
-    d2 = np.empty((n, n))
-    for start in range(0, n, block_rows):
-        block = rows[start : start + block_rows]
-        d2[start : start + len(block)] = ((block[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="mergesort")[:, :k]
+    sq = (rows * rows).sum(axis=1)
+    # Half the budget for a block's four (rows, n) float64 or intp arrays.
+    block_rows = max(1, _SMOTE_BLOCK_BYTES // (2 * 4 * 8 * n))
+    return np.concatenate(
+        [_block_neighbors(rows, sq, start, start + block_rows, k) for start in range(0, n, block_rows)]
+    )
+
+
+def _block_neighbors(rows: np.ndarray, sq: np.ndarray, start: int, stop: int, k: int) -> np.ndarray:
+    """`_nearest_neighbors` for rows[start:stop], with `sq` the squared
+    norms of `rows`."""
+    block = rows[start:stop]
+    self_pairs = (np.arange(len(block)), np.arange(start, start + len(block)))
+    lower, upper = _distance_bounds(block, rows, sq[start:stop], sq)
+    upper[self_pairs] = np.inf
+    kth_upper = np.partition(upper, k - 1, axis=1)[:, k - 1]
+    candidate = ~(lower > kth_upper[:, None])
+    candidate[self_pairs] = False
+    del lower, upper
+    i, j = np.nonzero(candidate)
+    # The other half of the budget for three (pairs, d) float64 arrays.
+    chunk = max(1, _SMOTE_BLOCK_BYTES // (2 * 3 * 8 * rows.shape[1]))
+    dist = np.empty(len(i))
+    for s in range(0, len(i), chunk):
+        dist[s : s + chunk] = ((block[i[s : s + chunk]] - rows[j[s : s + chunk]]) ** 2).sum(axis=1)
+    order = np.lexsort((j, dist, i))
+    counts = candidate.sum(axis=1)
+    first = np.cumsum(counts) - counts
+    return j[order[first[:, None] + np.arange(k)]]
 
 
 def smote(
@@ -113,7 +173,11 @@ def smote(
     minority row and one of its k nearest minority neighbors.
 
     Original rows come first, unchanged. With target_ratio 1.0 the classes
-    balance exactly.
+    balance exactly. Each new point draws its row, its neighbour's slot and
+    its weight, in that order, from one stream. The neighbour table comes
+    from `_nearest_neighbors`: it equals a brute-force search's table but
+    is built in about `_SMOTE_BLOCK_BYTES` of working memory, not the
+    n_min^2 * d floats a brute-force search forms.
     """
     labels = np.asarray(labels)
     if set(np.unique(labels)) - {0, 1}:
@@ -135,12 +199,10 @@ def smote(
     rng = Xoshiro256(derive_seed(seed, "smote"))
     rows = features[labels == minority]
     neighbors = _nearest_neighbors(rows, k)
-    synthetic = np.empty((n_new, features.shape[1]))
-    for s in range(n_new):
-        i = rng.randint(0, n_min - 1)
-        j = int(neighbors[i][rng.randint(0, k - 1)])
-        lam = rng.random()
-        synthetic[s] = rows[i] + lam * (rows[j] - rows[i])
+    draws = [(rng.randint(0, n_min - 1), rng.randint(0, k - 1), rng.random()) for _ in range(n_new)]
+    i, slot, lam = (np.array(column) for column in zip(*draws))
+    j = neighbors[i, slot]
+    synthetic = rows[i] + lam[:, None] * (rows[j] - rows[i])
     out_x = np.vstack([features, synthetic])
     out_y = np.concatenate([labels, np.full(n_new, minority, dtype=labels.dtype)])
     return out_x, out_y
@@ -322,14 +384,16 @@ def make_deep_runner(
 ):
     """Binds the data and task so grid_search only sees (config, seed).
 
-    Each trial standardizes z on the training fold, trains a fresh model,
-    and reports validation/test AUC plus everything needed to persist the
-    winner. A numerics blow-up returns a failed trial instead of raising.
-    A pretrained trial freezes `random_embedding(input_dim, embed_dim,
+    z is standardized once, on the training fold's moments. Each trial
+    trains a fresh model on it and reports validation/test AUC plus
+    everything needed to persist the winner. A numerics blow-up returns a
+    failed trial instead of raising. A pretrained trial freezes `random_embedding(input_dim, embed_dim,
     embedding_seed)` at its own `embed_dim`.
     """
     labels = np.asarray(labels, dtype=np.float64)
     use_z = fusion != "none"
+    mean, std = fit_standardizer(z[fold_idx["train"]])
+    z_std = apply_standardizer(z, mean, std) if use_z else None
 
     def run(config: dict, seed: int) -> dict:
         model_config = ModelConfig(
@@ -352,8 +416,6 @@ def make_deep_runner(
             w_neg=w_neg,
             optimizer=optimizer,
         )
-        mean, std = fit_standardizer(z[fold_idx["train"]])
-        z_std = apply_standardizer(z, mean, std) if use_z else None
         pretrained = None
         if embedding == "pretrained":
             pretrained = random_embedding(input_dim, model_config.embed_dim, embedding_seed)

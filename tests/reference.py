@@ -13,7 +13,8 @@ the same records and checks that the files cohort writes from it equal the
 reference's. `reference_table` assembles per-event visit steps and domain
 vectors into an `EventTable` with the kernel's dtypes, and
 `read_population_npz` rebuilds the records from the columns of
-`claim_columns`.
+`claim_columns`. `reference_nearest_neighbors` is SMOTE's brute-force
+neighbour search, the table `training._nearest_neighbors` must equal.
 """
 
 from __future__ import annotations
@@ -1304,3 +1305,18 @@ def read_population_npz(cols) -> tuple[list[Beneficiary], list[ClaimRecord]]:
     beneficiaries = list(map(Beneficiary, *(ben[f.name] for f in fields(Beneficiary))))
     claims = list(map(ClaimRecord, *(claim[f.name] for f in fields(ClaimRecord))))
     return beneficiaries, claims
+
+
+def reference_nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each row's k nearest other rows by squared Euclidean
+    distance, ties broken by index, from the full distance matrix. The
+    (rows, n, d) differences are formed 8 MiB at a time; each entry is the
+    same last-axis sum whatever the block size."""
+    n = len(rows)
+    block_rows = max(1, (8 << 20) // (8 * n * rows.shape[1]))
+    d2 = np.empty((n, n))
+    for start in range(0, n, block_rows):
+        block = rows[start : start + block_rows]
+        d2[start : start + len(block)] = ((block[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="mergesort")[:, :k]

@@ -21,6 +21,7 @@ from seqfuse.claims import (
     ingest_claims,
     iso_to_day,
     read_ground_truth,
+    text_words,
     write_ground_truth,
     write_npz,
 )
@@ -257,6 +258,10 @@ class TestPopulationFiles:
         text[0] = 0xFF
         with pytest.raises(ValidationError, match="not UTF-8"):
             ingest_claims(write_claims(tmp_path / "claims.npz", [make_beneficiary()], [make_inpatient()], {"text": text}))
+        # UTF-8 as a whole, but a word boundary splits a character.
+        split = {"text": np.frombuffer("é".encode(), dtype=np.uint8), "text_ptr": np.array([0, 1, 2])}
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", [make_beneficiary()], [], split))
         # Codes compare as strings only if the table is sorted.
         ptr, words = cols["text_ptr"], cols["text"].tobytes()
         first, second = words[ptr[0] : ptr[1]], words[ptr[1] : ptr[2]]
@@ -266,6 +271,22 @@ class TestPopulationFiles:
         changes = {"text": swapped, "text_ptr": swapped_ptr}
         with pytest.raises(ValidationError, match="not sorted and distinct"):
             ingest_claims(write_claims(tmp_path / "claims.npz", [make_beneficiary()], [make_inpatient()], changes))
+
+    def test_word_ending_in_nul_is_distinct_from_its_prefix(self, tmp_path):
+        """'female' and 'female\x00' are two sorted words, and only the
+        first is a gender, though fixed-width byte strings drop trailing
+        NULs and so compare the two as equal."""
+        bens = [make_beneficiary(beneficiary_id="B1"), make_beneficiary(beneficiary_id="B2", gender="female\x00")]
+        cols = claim_columns(bens, [])
+        assert sorted(text_words(cols, cols["beneficiary.gender"]).values()) == ["female", "female\x00"]
+        with pytest.raises(ValidationError, match=r"beneficiary 'B2': gender 'female\\x00' invalid"):
+            ingest_claims(write_claims(tmp_path / "claims.npz", bens, [], cols))
+        # The same two words in the other order, or twice, are not a table.
+        for first, second in ((b"M\x00", b"M"), (b"M", b"M")):
+            text = np.frombuffer(first + second, dtype=np.uint8)
+            changes = {"text": text, "text_ptr": np.array([0, len(first), len(text)])}
+            with pytest.raises(ValidationError, match="not sorted and distinct"):
+                ingest_claims(write_claims(tmp_path / "claims.npz", [make_beneficiary()], [], changes))
 
     @pytest.mark.parametrize(
         "bens, claims, problem",

@@ -1,5 +1,7 @@
 """Fold assignment, oversampling, the training loop, and grid search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from seqfuse.metrics import auc
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.rng import Xoshiro256, derive_seed
 from seqfuse import training
+from seqfuse.baseline import flatten
 from seqfuse.training import (
     FOLD_NAMES,
     TrainSettings,
@@ -22,6 +25,7 @@ from seqfuse.training import (
     split_patients,
     train_model,
 )
+from tests.reference import reference_nearest_neighbors
 
 
 class TestSplitPatients:
@@ -165,12 +169,94 @@ class TestSmote:
         x, y = self._world(n_pos=45, n_neg=10, dim=4)
         rows = x[y == 1]
         rows[7] = rows[3]  # an exact tie, broken by index in both
-        # 7 rows per block: six full blocks and a partial one.
-        monkeypatch.setattr(training, "_SMOTE_BLOCK_BYTES", 7 * 8 * 45 * 4)
-        d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        expected = np.argsort(d2, axis=1, kind="mergesort")[:, :5]
-        np.testing.assert_array_equal(training._nearest_neighbors(rows, 5), expected)
+        # 7 rows per filter block (six full blocks and a partial one) and
+        # 105 pairs per refinement chunk.
+        monkeypatch.setattr(training, "_SMOTE_BLOCK_BYTES", 2 * 4 * 8 * 45 * 7)
+        np.testing.assert_array_equal(training._nearest_neighbors(rows, 5), reference_nearest_neighbors(rows, 5))
+
+    @staticmethod
+    def _neighbor_world(name: str) -> tuple[np.ndarray, int]:
+        """Rows that stress the filter's bound, and the k to search with."""
+        rng = Xoshiro256(derive_seed(31, name))
+        if name == "duplicates":  # exact ties, several copies of a row
+            rows = np.array([[rng.normal() for _ in range(5)] for _ in range(30)])
+            rows[[4, 9, 17]] = rows[2]
+            rows[25] = rows[11]
+            return rows, 5
+        if name == "one-ulp":  # from the origin: 1, 1 + ulp, 1 + ulp, 1 + 2 ulp, 1 + 2 ulp, 4, 9
+            e = 2.0**-26
+            rows = [[0, 0, 0], [1, 0, 0], [1, e, 0], [1, 0, e], [1, e, e], [-1, e, e], [0, 2, 0], [0, 0, -3]]
+            return np.array(rows, dtype=np.float64), 4
+        if name == "offset":  # cancellation makes every pair a candidate
+            return np.array([[1e6 + rng.normal() for _ in range(6)] for _ in range(40)]), 5
+        if name == "identical":
+            return np.full((12, 4), 0.75), 5
+        if name == "k-is-n-1":
+            return np.array([[rng.normal() for _ in range(3)] for _ in range(9)]), 8
+        raise ValueError(name)
+
+    @pytest.mark.parametrize("budget", [None, 1, 2 * 4 * 8 * 40 * 7], ids=["default", "one-row", "several-blocks"])
+    @pytest.mark.parametrize("name", ["duplicates", "one-ulp", "offset", "identical", "k-is-n-1"])
+    def test_neighbors_equal_the_brute_force_search(self, monkeypatch, name, budget):
+        """Every world gives the brute-force table, with the default budget,
+        with one row per filter block and one pair per refinement chunk,
+        and with 7 rows per block where a world has 40 rows (9 where it has
+        30: several full blocks and a partial one)."""
+        rows, k = self._neighbor_world(name)
+        if budget is not None:
+            monkeypatch.setattr(training, "_SMOTE_BLOCK_BYTES", budget)
+        np.testing.assert_array_equal(training._nearest_neighbors(rows, k), reference_nearest_neighbors(rows, k))
+
+    def test_one_ulp_world_orders_by_distance_then_index(self):
+        rows, k = self._neighbor_world("one-ulp")
+        assert training._nearest_neighbors(rows, k)[0].tolist() == [1, 2, 3, 4]
+
+    def test_flattened_rows_of_both_classes(self, small_table, bundle):
+        """The standardized flat table of a generated population, as the LR
+        runner oversamples it: one-hot counts with many exact duplicates."""
+        table, z_names = small_table
+        flat = flatten(table, bundle.ccs.n_dx_columns, bundle.ccs.n_proc_columns, z_names)
+        matrix = apply_standardizer(flat.matrix, *fit_standardizer(flat.matrix))
+        labels = table.label_for("readmission")
+        for cls in (0, 1):
+            rows = matrix[labels == cls]
+            np.testing.assert_array_equal(training._nearest_neighbors(rows, 5), reference_nearest_neighbors(rows, 5))
+
+    @pytest.mark.parametrize("name", ["duplicates", "one-ulp", "offset", "k-is-n-1"])
+    def test_certificate_survives_half_delta_perturbations(self, monkeypatch, name):
+        """Moving every approximate distance by +-delta/2 keeps the true
+        distances inside the filter's bounds, so the table cannot change."""
+        rows, k = self._neighbor_world(name)
+        expected = reference_nearest_neighbors(rows, k)
+        bounds = training._distance_bounds
+        for sign_seed in range(3):
+            rng = Xoshiro256(derive_seed(sign_seed, "perturb"))
+
+            def perturbed(*args):
+                lower, upper = bounds(*args)
+                signs = np.array([[rng.choice((-1.0, 1.0)) for _ in range(lower.shape[1])] for _ in range(len(lower))])
+                shift = signs * (upper - lower) / 4  # delta / 2
+                return lower + shift, upper + shift
+
+            monkeypatch.setattr(training, "_distance_bounds", perturbed)
+            np.testing.assert_array_equal(training._nearest_neighbors(rows, k), expected)
+
+    def test_memory_stays_under_the_block_budget(self, monkeypatch):
+        """A 10^6 offset makes every pair a candidate, yet the search
+        allocates no more than its budget besides the result and a few
+        length-n vectors. (Below numpy's 256-KiB threshold for reusing
+        temporaries in place, the blocks' temporaries would exceed it.)"""
+        budget = 2 << 20
+        monkeypatch.setattr(training, "_SMOTE_BLOCK_BYTES", budget)
+        rng = Xoshiro256(derive_seed(31, "memory"))
+        rows = np.array([[1e6 + rng.normal() for _ in range(20)] for _ in range(600)])
+        tracemalloc.start()
+        try:
+            training._nearest_neighbors(rows, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + 8 * len(rows) * 8
 
     def test_deterministic_in_seed(self):
         x, y = self._world()
