@@ -18,7 +18,6 @@ layout and record one tape entry per call.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import struct
@@ -238,27 +237,27 @@ def tsum(x: Tensor) -> Tensor:
     return _result("sum", out, (x,), vjp)
 
 
-def embedding_lookup(weights: Tensor, index_lists: list[list[int]]) -> Tensor:
-    """Row i of the output is the sum of `weights` rows named by index_lists[i].
+def embedding_lookup(weights: Tensor, indices: np.ndarray, row_of: np.ndarray, n_rows: int) -> Tensor:
+    """Row r of the n_rows-row output is the sum of the `weights` rows
+    indices[k] over every k with row_of[k] == r.
 
     This is the sparse path for multi-hot inputs: equivalent to X @ weights
-    for a binary X whose set bits are the index lists, without densifying X.
-    An empty index list gives a zero row (a padded step).
+    for a binary X whose set bits are the (row_of, indices) pairs, without
+    densifying X. A row no pair names is zero (a padded step).
     """
-    rows = len(index_lists)
-    counts = np.fromiter((len(idxs) for idxs in index_lists), dtype=np.intp, count=rows)
-    flat = np.fromiter(itertools.chain.from_iterable(index_lists), dtype=np.intp, count=int(counts.sum()))
-    if flat.size and (flat.min() < 0 or flat.max() >= weights.shape[0]):
+    indices = np.asarray(indices, dtype=np.intp)
+    row_of = np.asarray(row_of, dtype=np.intp)
+    if indices.size and (indices.min() < 0 or indices.max() >= weights.shape[0]):
         raise DimensionError(
             f"embedding_lookup: index out of range for {weights.shape[0]} rows")
-    row_of = np.repeat(np.arange(rows), counts)
-    # np.add.at accumulates in index order, as a per-row loop would.
-    out = np.zeros((rows, weights.shape[1]))
-    np.add.at(out, row_of, weights.data[flat])
+    # np.add.at accumulates the pairs in the order given, in the output and
+    # in the weight gradient alike.
+    out = np.zeros((n_rows, weights.shape[1]))
+    np.add.at(out, row_of, weights.data[indices])
 
     def vjp(g):
         gw = np.zeros_like(weights.data)
-        np.add.at(gw, flat, g[row_of])
+        np.add.at(gw, indices, g[row_of])
         return (gw,)
 
     return _result("embedding_lookup", out, (weights,), vjp)
@@ -361,7 +360,7 @@ def masked_attention(states: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
     hidden = states.shape[1]
     if states.shape[0] != steps * batch:
         raise DimensionError(f"masked_attention: states {states.shape}, mask {mask.shape}")
-    if not (mask[-1] == 1.0).all():
+    if steps == 0 or not (mask[-1] == 1.0).all():
         raise DimensionError("masked_attention: the last step must be real for every row")
     stacked = states.data.reshape(steps, batch, hidden)
     query = stacked[-1]

@@ -70,9 +70,6 @@ class LrModel:
     def margins(self, matrix: np.ndarray) -> np.ndarray:
         return matrix @ self.weights + self.intercept
 
-    def predict_proba(self, matrix: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.margins(matrix)))
-
 
 def _nll_l2(margins: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
     # log(1 + exp(-m*s)) with the stable split, s = +/-1.

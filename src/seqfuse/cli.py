@@ -16,7 +16,8 @@ with the stays and index events it built, and `featurize` computes its
 features from those columns instead of reading the claims or building the
 cohort again. `featurize` hands its events on in one form, the columnar
 `featurize/events.npz` (an `EventTable`), which every later stage loads
-through `_load_sequences`. `train` builds the frozen matrix of the
+through `_load_sequences`; the deep cells train and predict on rows of that
+table. `train` builds the frozen matrix of the
 `pretrained` embedding mode itself, for each trial at its `embed_dim`
 (`model.random_embedding`), so no stage writes it. `calibrate` keeps each
 cell's uncalibrated scores in `calibrate/raw_scores.npz`, so `evaluate`
@@ -499,7 +500,6 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         },
     )
 
-    steps = table.step_lists() if any(algorithm != "lr" for algorithm, _ in cells) else None
     summary: dict[str, dict] = {}
     trial_rows: list[dict] = []
     for algorithm, mode in cells:
@@ -516,7 +516,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
             axes = {k: list(v) for k, v in train_cfg["lr_grid"].items()}
         else:
             runner = make_deep_runner(
-                steps,
+                table,
                 table.z,
                 labels,
                 fold_idx,
@@ -610,10 +610,8 @@ def _raw_scores_for_cell(
     cell: str,
     table: EventTable,
     features_meta: dict,
-    steps: list[list[list[int]]] | None,
 ) -> np.ndarray:
-    """Uncalibrated margins/logits for every event, in table order; a deep
-    cell predicts from `steps`, the table's step lists."""
+    """Uncalibrated margins/logits for every event, in table order."""
     if algorithm == "lr":
         spec = _read_json(outdir / "train" / "models" / cell / "best" / "model.json")
         flat = flatten(
@@ -626,7 +624,7 @@ def _raw_scores_for_cell(
         return standardized @ np.array(spec["weights"]) + spec["intercept"]
     model, meta = load_model(outdir / "train" / "models" / cell / "best")
     z_std = apply_standardizer(table.z, np.array(meta["z_mean"]), np.array(meta["z_std"]))
-    _, logits, _ = model.predict(steps, z_std if model.config.fusion != "none" else None)
+    _, logits, _ = model.predict(np.arange(len(table)), table, z_std if model.config.fusion != "none" else None)
     return logits
 
 
@@ -641,12 +639,11 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
     if not calib_idx:
         raise ValidationError("calibration fold received no events; adjust train.fractions")
 
-    steps = table.step_lists() if any(algorithm != "lr" for algorithm, _ in cells) else None
     calibrators: dict[str, dict] = {}
     raw_scores: dict[str, np.ndarray] = {}
     for algorithm, mode in cells:
         cell = _cell_name(algorithm, mode)
-        raw = _raw_scores_for_cell(outdir, algorithm, cell, table, features_meta, steps)
+        raw = _raw_scores_for_cell(outdir, algorithm, cell, table, features_meta)
         raw_scores[cell] = raw
         method = cfg["calibrate"]["method_lr" if algorithm == "lr" else "method_deep"]
         fit = fit_platt if method == "platt" else fit_temperature

@@ -10,7 +10,8 @@ name list returned alongside the values always matches positionally.
 operations over the columns cohort writes (`cohort.POPULATION_MEMBERS`),
 not one event at a time, and returns them as an `EventTable`, one row per
 event with its visit steps in CSR form; the featurize stage saves that
-table as `featurize/events.npz`, which every later stage loads.
+table as `featurize/events.npz`, which every later stage loads. The model
+reads a batch as rows of this table, straight from its CSR columns.
 """
 
 from __future__ import annotations
@@ -348,14 +349,6 @@ class EventTable:
             proc_ptr=proc_ptr,
             proc_ccs=self.proc_ccs[proc_rows],
         )
-
-    def step_lists(self) -> list[list[list[int]]]:
-        """Per event, per step, the category indices: the model's input."""
-        flat = self.indices.tolist()
-        idx_ptr = self.idx_ptr.tolist()
-        steps = [flat[idx_ptr[k] : idx_ptr[k + 1]] for k in range(len(idx_ptr) - 1)]
-        step_ptr = self.step_ptr.tolist()
-        return [steps[step_ptr[i] : step_ptr[i + 1]] for i in range(len(self))]
 
     def proc_ccs_membership(self, n_proc_columns: int) -> np.ndarray:
         """(events, n_proc_columns) bool: whether each procedure category

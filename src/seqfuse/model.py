@@ -6,12 +6,13 @@ dot-product attention with the final hidden state as the query. The
 summary fuses with the hand-crafted vector z either before ("early") or
 after ("late") a small tanh MLP, or not at all ("none").
 
-All math runs through the tape engine in 2-D tensors. A batch of mixed
-lengths is left-padded to its longest sequence and carries a (T, B) step
-mask: the whole batch is embedded in one lookup, each GRU layer runs as
-one fused op over all T steps (a padded step leaves the state unchanged),
-and attention gives padded steps a weight of exactly 0. `forward`, `loss`
-and `predict` all take this one padded path.
+All math runs through the tape engine in 2-D tensors. A batch is an int
+array of `EventTable` rows, read from the table's CSR step columns. A
+batch of mixed lengths is left-padded to its longest sequence and carries
+a (T, B) step mask: the whole batch is embedded in one lookup, each GRU
+layer runs as one fused op over all T steps (a padded step leaves the
+state unchanged), and attention gives padded steps a weight of exactly 0.
+`forward`, `loss` and `predict` all take this one padded path.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .autodiff import (
     weighted_bce,
 )
 from .errors import DimensionError, ValidationError
+from .features import EventTable, _csr_take
 from .rng import Xoshiro256, derive_seed
 
 FUSIONS = ("early", "late", "none")
@@ -152,18 +154,17 @@ class SeqFuseModel:
     def trainable(self) -> dict[str, Tensor]:
         return {name: t for name, t in self.params.items() if t.requires_grad}
 
-    def embed(self, step_indices: list[list[int]]) -> Tensor:
-        """Rows of steps for a batch: sum of embedding rows plus bias. An
-        empty index list (a padded step) embeds to the bias alone."""
-        return add(embedding_lookup(self.params["embed.W"], step_indices), self.params["embed.b"])
+    def embed(self, indices: np.ndarray, row_of: np.ndarray, n_rows: int) -> Tensor:
+        """n_rows step rows: each the sum of the embedding rows `indices`
+        names for it (`row_of`) plus the bias. A row with no index (a
+        padded step) embeds to the bias alone."""
+        return add(embedding_lookup(self.params["embed.W"], indices, row_of, n_rows), self.params["embed.b"])
 
-    def gru_step(self, layer: int, x: Tensor, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def gru_step(self, layer: int, x: Tensor, h: Tensor, mask: np.ndarray) -> Tensor:
         """Runs GRU layer `layer` from state h (B x H) over the step-major
-        rows of x, as `gru_sequence` lays them out; without a mask x is one
-        step (T = 1). Returns the state after every step, stacked like x."""
+        rows of x and their (T, B) step mask, as `gru_sequence` lays them
+        out. Returns the state after every step, stacked like x."""
         p = self.params
-        if mask is None:
-            mask = np.ones((1, h.shape[0]))
         return gru_sequence(
             x, h,
             tuple(p[f"gru{layer}.W_{g}"] for g in "rzh"),
@@ -172,22 +173,14 @@ class SeqFuseModel:
             mask,
         )
 
-    def attend(self, states: list[Tensor] | Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        """Scaled dot-product attention; the last state is the query.
+    def attend(self, states: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Scaled dot-product attention over step-major (T*B x H) states and
+        their (T, B) step mask; the last state is the query.
 
-        `states` is a list of T equal-length (B x H) steps, or one stacked
-        step-major (T*B x H) tensor with its (T, B) step mask. Returns
-        (summary, weights); weights rows sum to one and padded steps weigh
-        exactly 0. A length-one sequence passes its single state through
-        untouched.
+        Returns (summary, weights); weights rows sum to one and padded steps
+        weigh exactly 0. A length-one sequence passes its single state
+        through untouched.
         """
-        if isinstance(states, list):
-            if not states:
-                raise ValidationError("attention needs at least one state")
-            mask = np.ones((len(states), states[0].shape[0]))
-            states = states[0] if len(states) == 1 else concat(states, axis=0)
-        elif mask is None:
-            raise ValidationError("stacked states need their (T, B) step mask")
         return masked_attention(states, mask)
 
     def _mlp(self, x: Tensor) -> Tensor:
@@ -215,25 +208,31 @@ class SeqFuseModel:
 
     def _padded_pass(
         self,
-        step_lists: list[list[list[int]]],
+        rows: np.ndarray,
+        table: EventTable,
         z_rows: np.ndarray | None,
     ) -> tuple[Tensor, Tensor, Tensor]:
-        """Left-pads the batch to its longest sequence and runs the network
-        once. Returns (probability, logit, attention B x T_max)."""
-        if not step_lists:
+        """Left-pads the batch of table rows to its longest sequence and runs
+        the network once. Returns (probability, logit, attention B x T_max)."""
+        if len(rows) == 0:
             raise ValidationError("a batch needs at least one sequence")
-        batch = len(step_lists)
-        t_len = max(len(steps) for steps in step_lists)
-        if min(len(steps) for steps in step_lists) == 0:
+        seq_ptr, step_rows = _csr_take(table.step_ptr, np.asarray(rows, dtype=np.int64))
+        lengths = np.diff(seq_ptr)
+        if lengths.min() == 0:
             raise DimensionError("every sequence needs at least one step")
+        batch, t_len = len(lengths), int(lengths.max())
+        # Step k of sequence b is padded step t_len - len(b) + k, row t*B + b.
+        seq_of = np.repeat(np.arange(batch), lengths)
+        t_of = np.arange(len(step_rows)) + np.repeat(t_len - seq_ptr[1:], lengths)
         mask = np.zeros((t_len, batch))
-        rows: list[list[int]] = [[] for _ in range(t_len * batch)]
-        for b, steps in enumerate(step_lists):
-            offset = t_len - len(steps)
-            mask[offset:, b] = 1.0
-            for t, indices in enumerate(steps, start=offset):
-                rows[t * batch + b] = indices
-        x = self.embed(rows)
+        mask[t_of, seq_of] = 1.0
+        idx_ptr, idx_rows = _csr_take(table.idx_ptr, step_rows)
+        row_of = np.repeat(t_of * batch + seq_of, np.diff(idx_ptr))
+        # The pairs in padded-row order, stably, so each step keeps its index
+        # order: the weight gradient's np.add.at sums in this order, which is
+        # the order of the reference layout in tests/reference.py.
+        order = np.argsort(row_of, kind="stable")
+        x = self.embed(table.indices[idx_rows[order]], row_of[order], t_len * batch)
         h0 = Tensor(np.zeros((batch, self.config.hidden_dim)))
         for layer in range(self.config.n_gru_layers):
             x = self.gru_step(layer, x, h0, mask)
@@ -243,63 +242,67 @@ class SeqFuseModel:
 
     def forward(
         self,
-        step_lists: list[list[list[int]]],
+        rows: np.ndarray,
+        table: EventTable,
         z_rows: np.ndarray | None,
     ) -> tuple[Tensor, Tensor, Tensor]:
-        """Full pass for a batch of equal-length sequences.
-
-        `step_lists[b][t]` holds the active input indices of sequence b at
-        step t. Returns (probability, logit, attention weights).
-        """
-        if not step_lists:
+        """Full pass for a batch of table rows whose sequences share one
+        length. Returns (probability, logit, attention weights)."""
+        if len(rows) == 0:
             raise ValidationError("forward needs at least one sequence")
-        t_len = len(step_lists[0])
-        if t_len == 0 or any(len(steps) != t_len for steps in step_lists):
+        lengths = np.diff(table.step_ptr)[rows]
+        if lengths[0] == 0 or (lengths != lengths[0]).any():
             raise DimensionError("all sequences in a batch must share one non-zero length")
-        return self._padded_pass(step_lists, z_rows)
+        return self._padded_pass(rows, table, z_rows)
 
     def loss(
         self,
-        step_lists: list[list[list[int]]],
+        rows: np.ndarray,
+        table: EventTable,
         z_rows: np.ndarray | None,
         labels: np.ndarray,
         w_pos: float = 1.0,
         w_neg: float = 1.0,
     ) -> tuple[Tensor, Tensor]:
-        """Weighted BCE over a mixed-length batch under the active tape.
+        """Weighted BCE over a mixed-length batch of table rows under the
+        active tape.
 
         The batch runs padded as one pass, so the mean is over the whole
-        input batch; the probabilities come back in input order.
+        input batch; the probabilities come back in the order of `rows`.
         """
-        y, _, _ = self._padded_pass(step_lists, z_rows)
+        y, _, _ = self._padded_pass(rows, table, z_rows)
         targets = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
         return weighted_bce(y, targets, w_pos, w_neg), y
 
     def predict(
         self,
-        step_lists: list[list[list[int]]],
+        rows: np.ndarray,
+        table: EventTable,
         z_rows: np.ndarray | None,
         batch_size: int = 256,
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Probabilities, logits, and attention rows in input order.
+        """Probabilities, logits, and attention rows for table rows `rows`,
+        in their order.
 
         Chunks of `batch_size` are taken in length order, so each chunk
         pads little; each attention row is trimmed to its event's length.
         """
-        n = len(step_lists)
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = np.diff(table.step_ptr)[rows]
+        n = len(rows)
         probs = np.zeros(n)
         logits = np.zeros(n)
         attentions: list[np.ndarray] = [np.zeros(0)] * n
-        order = sorted(range(n), key=lambda i: len(step_lists[i]))
+        order = np.argsort(lengths, kind="stable")
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
             z_chunk = z_rows[chunk] if z_rows is not None else None
-            y, logit, attention = self._padded_pass([step_lists[i] for i in chunk], z_chunk)
+            y, logit, attention = self._padded_pass(rows[chunk], table, z_chunk)
             probs[chunk] = y.data[:, 0]
             logits[chunk] = logit.data[:, 0]
             t_len = attention.shape[1]
-            for row, i in enumerate(chunk):
-                attentions[i] = attention.data[row, t_len - len(step_lists[i]) :].copy()
+            for row, i in enumerate(chunk.tolist()):
+                attentions[i] = attention.data[row, t_len - lengths[i] :].copy()
         return probs, logits, attentions
 
 

@@ -149,16 +149,6 @@ class Xoshiro256:
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
-    def sample(self, seq, k: int) -> list:
-        """k distinct elements, order randomized (partial Fisher-Yates)."""
-        if k > len(seq):
-            raise ValueError(f"sample of {k} from {len(seq)} items")
-        pool = list(seq)
-        for i in range(k):
-            j = self.randint(i, len(pool) - 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i)

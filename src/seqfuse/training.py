@@ -19,6 +19,7 @@ import numpy as np
 
 from .autodiff import Adam, Sgd, Tape, backward
 from .errors import MetricUndefinedError, NumericsError, ValidationError
+from .features import EventTable
 from .metrics import auc
 from .model import ModelConfig, SeqFuseModel, random_embedding
 from .rng import Xoshiro256, derive_seed
@@ -239,9 +240,9 @@ class TrainResult:
     failure: str | None = None
 
 
-def _valid_auc(model: SeqFuseModel, steps, z, labels, idx) -> float:
+def _valid_auc(model: SeqFuseModel, table: EventTable, z, labels, idx) -> float:
     z_rows = z[idx] if z is not None else None
-    probs, _, _ = model.predict([steps[i] for i in idx], z_rows)
+    probs, _, _ = model.predict(idx, table, z_rows)
     try:
         return auc(probs, labels[idx])
     except MetricUndefinedError:
@@ -250,7 +251,7 @@ def _valid_auc(model: SeqFuseModel, steps, z, labels, idx) -> float:
 
 def train_model(
     model: SeqFuseModel,
-    steps: list,
+    table: EventTable,
     z: np.ndarray | None,
     labels: np.ndarray,
     train_idx: list[int],
@@ -272,7 +273,7 @@ def train_model(
     opt_cls = Adam if settings.optimizer == "adam" else Sgd
     optimizer = opt_cls(model.trainable(), lr=settings.lr)
     rng = Xoshiro256(derive_seed(seed, "shuffle"))
-    best_auc = _valid_auc(model, steps, z, labels, valid_idx)
+    best_auc = _valid_auc(model, table, z, labels, valid_idx)
     best_epoch = 0
     snapshot = {name: t.data.copy() for name, t in model.params.items()}
     curve = [{"epoch": 0, "train_loss": None, "valid_auc": best_auc}]
@@ -289,7 +290,8 @@ def train_model(
                 z_rows = z[batch] if z is not None else None
                 with Tape() as tape:
                     loss, _ = model.loss(
-                        [steps[i] for i in batch],
+                        batch,
+                        table,
                         z_rows,
                         labels[batch],
                         w_pos=settings.w_pos,
@@ -303,7 +305,7 @@ def train_model(
             status, failure = "failed", str(exc)
             break
         epochs_run = epoch
-        valid_auc = _valid_auc(model, steps, z, labels, valid_idx)
+        valid_auc = _valid_auc(model, table, z, labels, valid_idx)
         curve.append({"epoch": epoch, "train_loss": epoch_loss / len(order), "valid_auc": valid_auc})
         if valid_auc > best_auc + 1e-12:
             best_auc = valid_auc
@@ -367,7 +369,7 @@ def enumerate_grid(axes: dict[str, list]) -> list[dict]:
 
 
 def make_deep_runner(
-    steps: list,
+    table: EventTable,
     z: np.ndarray,
     labels: np.ndarray,
     fold_idx: dict[str, list[int]],
@@ -422,16 +424,14 @@ def make_deep_runner(
         try:
             model = SeqFuseModel(model_config, pretrained_embedding=pretrained)
             result = train_model(
-                model, steps, z_std, labels, fold_idx["train"], fold_idx["valid"], settings, seed
+                model, table, z_std, labels, fold_idx["train"], fold_idx["valid"], settings, seed
             )
         except NumericsError as exc:
             return {"status": "failed", "failure": str(exc)}
         if result.status != "ok":
             return {"status": "failed", "failure": result.failure}
         test_idx = fold_idx["test"]
-        probs, _, _ = model.predict(
-            [steps[i] for i in test_idx], z_std[test_idx] if use_z else None
-        )
+        probs, _, _ = model.predict(test_idx, table, z_std[test_idx] if use_z else None)
         try:
             test_auc = auc(probs, labels[test_idx])
         except MetricUndefinedError:

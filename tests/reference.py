@@ -15,6 +15,12 @@ vectors into an `EventTable` with the kernel's dtypes, and
 `read_population_npz` rebuilds the records from the columns of
 `claim_columns`. `reference_nearest_neighbors` is SMOTE's brute-force
 neighbour search, the table `training._nearest_neighbors` must equal.
+
+`reference_padding` and `reference_embedding_lookup` lay a batch of
+nested step lists out for the model one Python list at a time, the layout
+`SeqFuseModel`'s gathers over an `EventTable`'s CSR columns must equal
+bitwise. `steps_table` and `table_steps` convert between nested step
+lists and those columns.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ from seqfuse.cohort import (
     index_event_lines,
 )
 from seqfuse.cohort import cohort_summary as kernel_cohort_summary
-from seqfuse.errors import ValidationError
+from seqfuse.autodiff import Tensor, _result
+from seqfuse.errors import DimensionError, ValidationError
 from seqfuse.features import (
     SUBGROUP_KEYS,
     EventTable,
@@ -1320,3 +1327,68 @@ def reference_nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
         d2[start : start + len(block)] = ((block[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     return np.argsort(d2, axis=1, kind="mergesort")[:, :k]
+
+
+# --- the model's input layout -------------------------------------------------
+
+
+def steps_table(step_lists: list[list[list[int]]]) -> EventTable:
+    """An `EventTable` whose event i has the visit steps step_lists[i] (each
+    a list of category indices), and placeholders in every other column."""
+    n = len(step_lists)
+    steps = [step for seq in step_lists for step in seq]
+    return EventTable(
+        event_id=np.array([f"E{i}" for i in range(n)], dtype=np.str_),
+        beneficiary_id=np.array([f"B{i}" for i in range(n)], dtype=np.str_),
+        **{name: np.zeros(n, dtype=bool) for name in ("readmit_label", "mortality_label", "mortality_excluded")},
+        z=np.zeros((n, 0)),
+        step_ptr=_ptr([len(seq) for seq in step_lists]),
+        day_offset=np.zeros(len(steps), dtype=np.int64),
+        idx_ptr=_ptr([len(step) for step in steps]),
+        indices=np.array(list(chain.from_iterable(steps)), dtype=np.int64),
+        **{name: np.full(n, "", dtype=np.str_) for name in SUBGROUP_KEYS},
+        proc_ptr=np.zeros(n + 1, dtype=np.int64),
+        proc_ccs=np.zeros(0, dtype=np.int64),
+    )
+
+
+def table_steps(table: EventTable) -> list[list[list[int]]]:
+    """Per event, per step, the category indices of the table's CSR columns."""
+    idx_ptr = table.idx_ptr.tolist()
+    steps = [table.indices[start:end].tolist() for start, end in zip(idx_ptr, idx_ptr[1:])]
+    step_ptr = table.step_ptr.tolist()
+    return [steps[start:end] for start, end in zip(step_ptr, step_ptr[1:])]
+
+
+def reference_padding(step_lists: list[list[list[int]]]) -> tuple[list[list[int]], np.ndarray]:
+    """The batch left-padded to its longest sequence: the index list of each
+    step-major row t*B + b (empty for a padded step) and the (T, B) mask."""
+    batch = len(step_lists)
+    t_len = max(len(steps) for steps in step_lists)
+    mask = np.zeros((t_len, batch))
+    rows: list[list[int]] = [[] for _ in range(t_len * batch)]
+    for b, steps in enumerate(step_lists):
+        offset = t_len - len(steps)
+        mask[offset:, b] = 1.0
+        for t, indices in enumerate(steps, start=offset):
+            rows[t * batch + b] = indices
+    return rows, mask
+
+
+def reference_embedding_lookup(weights: Tensor, index_lists: list[list[int]]) -> Tensor:
+    """Row i is the sum of the `weights` rows named by index_lists[i]."""
+    rows = len(index_lists)
+    counts = np.fromiter((len(idxs) for idxs in index_lists), dtype=np.intp, count=rows)
+    flat = np.fromiter(chain.from_iterable(index_lists), dtype=np.intp, count=int(counts.sum()))
+    if flat.size and (flat.min() < 0 or flat.max() >= weights.shape[0]):
+        raise DimensionError(f"embedding_lookup: index out of range for {weights.shape[0]} rows")
+    row_of = np.repeat(np.arange(rows), counts)
+    out = np.zeros((rows, weights.shape[1]))
+    np.add.at(out, row_of, weights.data[flat])
+
+    def vjp(g):
+        gw = np.zeros_like(weights.data)
+        np.add.at(gw, flat, g[row_of])
+        return (gw,)
+
+    return _result("embedding_lookup", out, (weights,), vjp)

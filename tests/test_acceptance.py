@@ -22,7 +22,7 @@ from seqfuse.metrics import auc, recall_at_top_k, recall_precision_at_threshold
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.rng import Xoshiro256
 from seqfuse.training import make_deep_runner, smote, split_patients
-from tests.reference import checked_cohort, population_records
+from tests.reference import checked_cohort, population_records, steps_table
 
 DAY0 = iso_to_day("2011-03-01")
 
@@ -84,7 +84,6 @@ def planted_world():
     table, _ = featurize_events(cols, bundle, SequenceOptions(include_outpatient=False))
     labels = table.readmit_label.astype(np.float64)
     z = table.z
-    steps = table.step_lists()
     patient_of = table.beneficiary_id.tolist()
 
     positives: dict[str, int] = {}
@@ -96,7 +95,7 @@ def planted_world():
     for i, pid in enumerate(patient_of):
         fold_idx[fold_of[pid]].append(i)
     build_seconds = time.monotonic() - start
-    return steps, z, labels, fold_idx, bundle.ccs.input_dim, build_seconds
+    return table, z, labels, fold_idx, bundle.ccs.input_dim, build_seconds
 
 
 # --- criteria ------------------------------------------------------------------
@@ -115,16 +114,17 @@ def test_c01_gradients_match_central_differences():
         [[rng.randint(0, 11) for _ in range(1 + rng.randint(0, 2))] for _ in range(5)]
         for _ in range(20)
     ]
+    table, rows = steps_table(steps), np.arange(20)
     z = np.array([[rng.normal() for _ in range(6)] for _ in range(20)])
     labels = np.array([float(i % 2) for i in range(20)])
 
     def loss_value() -> float:
         with Tape():
-            loss, _ = model.loss(steps, z, labels, w_pos=2.0)
+            loss, _ = model.loss(rows, table, z, labels, w_pos=2.0)
         return loss.data[0, 0]
 
     with Tape() as tape:
-        loss, _ = model.loss(steps, z, labels, w_pos=2.0)
+        loss, _ = model.loss(rows, table, z, labels, w_pos=2.0)
         backward(tape, loss)
 
     h = 1e-5
@@ -169,12 +169,9 @@ def test_c02_attention_is_a_distribution_and_identity_at_t1():
     worst_gap = 0.0
     for _ in range(100):
         t_len = 1 + rng.randint(0, 5)
-        states = [
-            Tensor(np.array([[rng.normal() * 2.0 for _ in range(8)] for _ in range(100)]))
-            for _ in range(t_len)
-        ]
+        states = Tensor(np.array([[rng.normal() * 2.0 for _ in range(8)] for _ in range(100 * t_len)]))
         with Tape():
-            _, attention = model.attend(states)
+            _, attention = model.attend(states, np.ones((t_len, 100)))
         assert attention.data.min() >= 0.0
         gap = np.abs(attention.data.sum(axis=1) - 1.0).max()
         worst_gap = max(worst_gap, gap)
@@ -185,7 +182,7 @@ def test_c02_attention_is_a_distribution_and_identity_at_t1():
     for _ in range(100):
         state = Tensor(np.array([[rng.normal() * 10.0 ** rng.randint(-8, 8) for _ in range(8)]]))
         with Tape():
-            summary, attention = model.attend([state])
+            summary, attention = model.attend(state, np.ones((1, 1)))
         assert np.array_equal(summary.data, state.data)
         assert attention.data[0, 0] == 1.0
     print(f"criterion 2: {n_rows} rows, worst row-sum gap {worst_gap:.2e}, T=1 exact")
@@ -312,7 +309,7 @@ def test_c06_domain_fusion_beats_sequence_only(planted_world):
     """Criterion 6: on 2,000 patients whose visit-count/LOS signal is hidden
     from the sequence branch, early fusion beats fusion=none by >= 0.03 in
     median-over-5-seeds test AUC, both above 0.5, inside 10 minutes."""
-    steps, z, labels, fold_idx, input_dim, build_seconds = planted_world
+    table, z, labels, fold_idx, input_dim, build_seconds = planted_world
     start = time.monotonic()
     config = {
         "embed_dim": 8, "hidden_dim": 16, "n_gru_layers": 1,
@@ -321,7 +318,7 @@ def test_c06_domain_fusion_beats_sequence_only(planted_world):
     results: dict[str, list[float]] = {}
     for fusion in ("early", "none"):
         runner = make_deep_runner(
-            steps, z, labels, fold_idx,
+            table, z, labels, fold_idx,
             input_dim=input_dim, domain_dim=z.shape[1], fusion=fusion,
             epochs=6, patience=2,
         )
@@ -347,13 +344,13 @@ def test_c07_recall_is_tunable(planted_world):
     """Criterion 7: heavier positive weights trade precision for recall at
     the fixed threshold (non-decreasing, at most one inversion), and
     recall@top-k is non-decreasing in k, reaching 1.0 at k=n."""
-    steps, z, labels, fold_idx, input_dim, _ = planted_world
+    table, z, labels, fold_idx, input_dim, _ = planted_world
     test_idx = fold_idx["test"]
     test_labels = labels[test_idx]
     recalls = []
     last_scores = None
     runner = make_deep_runner(
-        steps, z, labels, fold_idx,
+        table, z, labels, fold_idx,
         input_dim=input_dim, domain_dim=z.shape[1], fusion="early",
         epochs=4, patience=4,
     )
@@ -366,7 +363,7 @@ def test_c07_recall_is_tunable(planted_world):
         assert out["status"] == "ok"
         model = out["model"]
         z_std = (z - out["z_mean"]) / out["z_std"]
-        probs, _, _ = model.predict([steps[i] for i in test_idx], z_std[test_idx])
+        probs, _, _ = model.predict(test_idx, table, z_std[test_idx])
         recall, _ = recall_precision_at_threshold(probs, test_labels, threshold=0.5)
         recalls.append(recall)
         last_scores = probs

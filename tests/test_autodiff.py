@@ -125,9 +125,16 @@ class TestOpGradients:
         w = Tensor(_rand(rng, 6, 4), requires_grad=True)
         # Row 0 repeats across events and inside one event; the gradient
         # must accumulate per occurrence.
-        indices = [[0, 2], [0, 0, 5], [3]]
+        indices = np.array([0, 2, 0, 0, 5, 3])
+        row_of = np.array([0, 0, 1, 1, 1, 2])
         r = Tensor(_rand(rng, 3, 4))
-        check_grads(lambda: tsum(hadamard(embedding_lookup(w, indices), r)), {"w": w})
+        check_grads(lambda: tsum(hadamard(embedding_lookup(w, indices, row_of, 3), r)), {"w": w})
+
+    def test_embedding_lookup_rejects_indices_out_of_range(self, rng):
+        w = Tensor(_rand(rng, 6, 4), requires_grad=True)
+        for bad in (6, -1):
+            with pytest.raises(DimensionError):
+                embedding_lookup(w, np.array([0, bad]), np.array([0, 1]), 2)
 
     def test_weighted_bce(self, rng):
         logits = Tensor(_rand(rng, 6, 1), requires_grad=True)

@@ -22,6 +22,7 @@ from tests.reference import (
     read_population_npz,
     reference_cohort,
     reference_table,
+    table_steps,
 )
 
 
@@ -470,7 +471,7 @@ class TestColumnarArtifacts:
         assert table.mortality_excluded.tolist() == [e.mortality_exclusion is not None for e in eligible]
         assert table.z.dtype == np.float64
         assert table.z.tolist() == list(z)
-        assert table.step_lists() == [[list(step.indices) for step in s] for s in steps]
+        assert table_steps(table) == [[list(step.indices) for step in s] for s in steps]
         assert table.day_offset.tolist() == [step.day_offset for s in steps for step in s]
         charlson = z_names[0].index("charlson_index")
         assert table.age_range.tolist() == [age_band(e.age) for e in eligible]

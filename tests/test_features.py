@@ -22,6 +22,7 @@ from tests.reference import (
     population_records,
     reference_cohort,
     reference_table,
+    table_steps,
 )
 from tests.test_cohort import DAY0, ben, inpatient
 
@@ -69,7 +70,7 @@ def featurize_world(bens, claims, bundle, opts=SequenceOptions()):
 def steps_of(table: EventTable, row: int) -> list[tuple[int, tuple[int, ...]]]:
     """(day offset, category indices) of each step of one event."""
     offsets = table.day_offset[table.step_ptr[row] : table.step_ptr[row + 1]].tolist()
-    return [(offset, tuple(step)) for offset, step in zip(offsets, table.step_lists()[row])]
+    return [(offset, tuple(step)) for offset, step in zip(offsets, table_steps(table)[row])]
 
 
 def z_of(table: EventTable, z_names: list[str], row: int) -> dict[str, float]:
@@ -334,7 +335,7 @@ class TestFeaturizeEvents:
         assert table.event_id.tolist() == [event.event_id for event, _, _, _ in reference]
         assert len(set(table.event_id.tolist())) == len(table)
         assert table.z.shape == (len(table), len(z_names))
-        for steps in table.step_lists():
+        for steps in table_steps(table):
             assert steps
         offsets = np.split(table.day_offset, table.step_ptr[1:-1])
         assert all(o[-1] == 0 and np.all(np.diff(o) >= 0) for o in offsets)
@@ -357,7 +358,7 @@ class TestFeaturizeEvents:
 class TestEventTable:
     def test_step_lists_round_trip(self, small_table, reference):
         table, _ = small_table
-        assert table.step_lists() == [[list(step.indices) for step in steps] for _, _, steps, _ in reference]
+        assert table_steps(table) == [[list(step.indices) for step in steps] for _, _, steps, _ in reference]
         offsets = [step.day_offset for _, _, steps, _ in reference for step in steps]
         assert table.day_offset.tolist() == offsets
 
@@ -397,7 +398,7 @@ class TestEventTable:
         # select keeps the full table's string widths.
         _same_table(table.select(keep), kept, exact=False)
         empty = table.select(np.zeros(len(table), dtype=bool))
-        assert len(empty) == 0 and empty.step_lists() == []
+        assert len(empty) == 0 and table_steps(empty) == []
 
     def test_proc_ccs_membership(self, small_table, reference, bundle):
         table, _ = small_table

@@ -8,7 +8,7 @@ each other where the architecture makes them coincide.
 import numpy as np
 import pytest
 
-from seqfuse.autodiff import Adam, Tape, Tensor, backward
+from seqfuse.autodiff import Adam, Tape, Tensor, add, backward
 from seqfuse.errors import DimensionError, ValidationError
 from seqfuse.model import (
     ModelConfig,
@@ -19,6 +19,7 @@ from seqfuse.model import (
     save_model,
 )
 from seqfuse.rng import Xoshiro256
+from tests.reference import reference_embedding_lookup, reference_padding, steps_table
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -90,7 +91,7 @@ class TestGruStep:
         h = np.array([[rng.normal() for _ in range(cfg.hidden_dim)] for _ in range(3)])
 
         with Tape():
-            out = model.gru_step(0, Tensor(x), Tensor(h))
+            out = model.gru_step(0, Tensor(x), Tensor(h), np.ones((1, 3)))
 
         def sig(a):
             return 1.0 / (1.0 + np.exp(-a))
@@ -112,7 +113,7 @@ class TestGruStep:
         model.params["gru0.b_z"].data[:] = -745.0  # sigmoid underflows to 0.0
         h = np.linspace(-1.0, 1.0, 2 * cfg.hidden_dim).reshape(2, cfg.hidden_dim)
         with Tape():
-            out = model.gru_step(0, Tensor(np.ones((2, cfg.embed_dim))), Tensor(h))
+            out = model.gru_step(0, Tensor(np.ones((2, cfg.embed_dim))), Tensor(h), np.ones((1, 2)))
         assert np.array_equal(out.data, h)
 
 
@@ -122,7 +123,7 @@ class TestAttention:
         model = SeqFuseModel(cfg)
         state = Tensor(np.array([[0.1, -2.0, 3.5, 1e-300, 7.0, -0.25]]))
         with Tape():
-            summary, attention = model.attend([state])
+            summary, attention = model.attend(state, np.ones((1, 1)))
         assert np.array_equal(summary.data, state.data)
         assert attention.data.shape == (1, 1)
         assert attention.data[0, 0] == 1.0
@@ -133,12 +134,11 @@ class TestAttention:
         rng = Xoshiro256(17)
         for _ in range(50):
             t_len = 1 + rng.randint(0, 5)
-            states = [
-                Tensor(np.array([[rng.normal() * 3 for _ in range(cfg.hidden_dim)] for _ in range(4)]))
-                for _ in range(t_len)
-            ]
+            states = Tensor(
+                np.array([[rng.normal() * 3 for _ in range(cfg.hidden_dim)] for _ in range(4 * t_len)])
+            )
             with Tape():
-                _, attention = model.attend(states)
+                _, attention = model.attend(states, np.ones((t_len, 4)))
             assert np.all(attention.data >= 0.0)
             np.testing.assert_allclose(attention.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -152,7 +152,7 @@ class TestAttention:
             for _ in range(4)
         ]
         with Tape():
-            summary, attention = model.attend([Tensor(a) for a in arrays])
+            summary, attention = model.attend(Tensor(np.concatenate(arrays)), np.ones((4, 3)))
 
         stacked = np.stack(arrays, axis=1)  # (batch, T, d)
         query = stacked[:, -1, :]
@@ -163,10 +163,10 @@ class TestAttention:
         np.testing.assert_allclose(attention.data, weights, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(summary.data, expected, rtol=1e-12, atol=1e-14)
 
-    def test_empty_state_list_rejected(self):
+    def test_empty_states_rejected(self):
         model = SeqFuseModel(small_config(fusion="none", domain_dim=0))
-        with pytest.raises(ValidationError):
-            model.attend([])
+        with pytest.raises(DimensionError):
+            model.attend(Tensor(np.zeros((0, 6))), np.zeros((0, 2)))
 
 
 class TestForward:
@@ -175,10 +175,11 @@ class TestForward:
         model = SeqFuseModel(cfg)
         rng = Xoshiro256(31)
         steps = random_steps(rng, 6, 4, cfg.input_dim)
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(6)])
         with Tape():
-            y, logit, attention = model.forward(steps, z)
-        probs, logits, attentions = model.predict(steps, z, batch_size=2)
+            y, logit, attention = model.forward(rows, table, z)
+        probs, logits, attentions = model.predict(rows, table, z, batch_size=2)
         np.testing.assert_array_equal(probs, y.data[:, 0])
         np.testing.assert_array_equal(logits, logit.data[:, 0])
         for i in range(6):
@@ -192,11 +193,12 @@ class TestForward:
         rng = Xoshiro256(37)
         lengths = [3, 1, 4, 1, 3, 2]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
-        probs, _, attentions = model.predict(steps, z, batch_size=4)
+        probs, _, attentions = model.predict(rows, table, z, batch_size=4)
         for i, t in enumerate(lengths):
             with Tape():
-                y_solo, _, _ = model.forward([steps[i]], z[i : i + 1])
+                y_solo, _, _ = model.forward([i], table, z[i : i + 1])
             # Batched matmul reduces in a different order than a solo row,
             # so agreement is to rounding, not bitwise.
             np.testing.assert_allclose(probs[i], y_solo.data[0, 0], rtol=1e-12)
@@ -204,27 +206,30 @@ class TestForward:
 
     def test_forward_rejects_ragged_batches(self):
         model = SeqFuseModel(small_config())
+        table = steps_table([[[0], [1]], [[0]]])
         with pytest.raises(ValidationError):
-            model.forward([], None)
+            model.forward([], table, None)
         with pytest.raises(DimensionError):
-            model.forward([[[0], [1]], [[0]]], np.zeros((2, 4)))
+            model.forward([0, 1], table, np.zeros((2, 4)))
 
     def test_fusion_requires_matching_domain_rows(self):
         model = SeqFuseModel(small_config())
         steps = [[[0], [1]]]
+        table, rows = steps_table(steps), np.arange(len(steps))
         with pytest.raises(ValidationError):
-            model.forward(steps, None)
+            model.forward(rows, table, None)
         with pytest.raises(DimensionError):
-            model.forward(steps, np.zeros((1, 3)))
+            model.forward(rows, table, np.zeros((1, 3)))
 
     def test_stacked_layers_change_the_answer(self):
         rng = Xoshiro256(41)
         steps = random_steps(rng, 3, 3, 12)
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.zeros((3, 4))
         one = SeqFuseModel(small_config(n_gru_layers=1))
         two = SeqFuseModel(small_config(n_gru_layers=2))
-        p1, _, _ = one.predict(steps, z)
-        p2, _, _ = two.predict(steps, z)
+        p1, _, _ = one.predict(rows, table, z)
+        p2, _, _ = two.predict(rows, table, z)
         assert not np.allclose(p1, p2)
 
 
@@ -239,9 +244,10 @@ class TestFusionVariants:
             assert np.array_equal(early.params[name].data, late.params[name].data)
         rng = Xoshiro256(43)
         steps = random_steps(rng, 5, 3, 12)
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(4)] for _ in range(5)])
-        p_early, _, _ = early.predict(steps, z)
-        p_late, _, _ = late.predict(steps, z)
+        p_early, _, _ = early.predict(rows, table, z)
+        p_late, _, _ = late.predict(rows, table, z)
         np.testing.assert_array_equal(p_early, p_late)
 
     def test_zeroed_domain_path_matches_fusion_none_logit_structure(self):
@@ -251,22 +257,24 @@ class TestFusionVariants:
         model = SeqFuseModel(cfg)
         rng = Xoshiro256(47)
         steps = random_steps(rng, 4, 3, cfg.input_dim)
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(4)])
-        _, logits_with, _ = model.predict(steps, z)
+        _, logits_with, _ = model.predict(rows, table, z)
         model.params["out.W"].data[cfg.hidden_dim :, :] = 0.0
-        _, logits_zeroed, _ = model.predict(steps, z)
-        _, logits_no_z, _ = model.predict(steps, np.zeros_like(z))
+        _, logits_zeroed, _ = model.predict(rows, table, z)
+        _, logits_no_z, _ = model.predict(rows, table, np.zeros_like(z))
         assert not np.allclose(logits_with, logits_zeroed)
         np.testing.assert_array_equal(logits_zeroed, logits_no_z)
 
     def test_variants_disagree_in_general(self):
         rng = Xoshiro256(53)
         steps = random_steps(rng, 4, 3, 12)
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(4)] for _ in range(4)])
         outputs = []
         for fusion in ("early", "late"):
             model = SeqFuseModel(small_config(fusion=fusion))
-            p, _, _ = model.predict(steps, z)
+            p, _, _ = model.predict(rows, table, z)
             outputs.append(p)
         assert not np.allclose(outputs[0], outputs[1])
 
@@ -280,13 +288,14 @@ class TestLoss:
         rng = Xoshiro256(59)
         lengths = [2, 1, 2, 3]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
         labels = np.array([1.0, 0.0, 0.0, 1.0])
         w_pos, w_neg = 3.0, 0.5
         with Tape():
-            loss, _ = model.loss(steps, z, labels, w_pos=w_pos, w_neg=w_neg)
+            loss, _ = model.loss(rows, table, z, labels, w_pos=w_pos, w_neg=w_neg)
 
-        probs, _, _ = model.predict(steps, z)
+        probs, _, _ = model.predict(rows, table, z)
         weights = np.where(labels == 1.0, w_pos, w_neg)
         terms = -(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))
         expected = float(np.mean(weights * terms))
@@ -300,11 +309,12 @@ class TestLoss:
         rng = Xoshiro256(61)
         lengths = [2, 1, 3]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
         labels = np.array([1.0, 0.0, 1.0])
 
         with Tape() as tape:
-            loss, _ = model.loss(steps, z, labels, w_pos=2.0)
+            loss, _ = model.loss(rows, table, z, labels, w_pos=2.0)
             backward(tape, loss)
 
         h = 1e-5
@@ -315,10 +325,10 @@ class TestLoss:
                 keep = flat[k]
                 flat[k] = keep + h
                 with Tape():
-                    up, _ = model.loss(steps, z, labels, w_pos=2.0)
+                    up, _ = model.loss(rows, table, z, labels, w_pos=2.0)
                 flat[k] = keep - h
                 with Tape():
-                    down, _ = model.loss(steps, z, labels, w_pos=2.0)
+                    down, _ = model.loss(rows, table, z, labels, w_pos=2.0)
                 flat[k] = keep
                 fd = (up.data[0, 0] - down.data[0, 0]) / (2 * h)
                 got = tensor.grad.reshape(-1)[k]
@@ -334,18 +344,86 @@ class TestPaddedBatches:
         rng = Xoshiro256(73)
         lengths = [3, 1, 4, 1, 2, 4]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
         with Tape():
-            _, y = model.loss(steps, z, np.zeros(len(lengths)))
+            _, y = model.loss(rows, table, z, np.zeros(len(lengths)))
         for i in range(len(lengths)):
             with Tape():
-                y_solo, _, _ = model.forward([steps[i]], z[i : i + 1])
+                y_solo, _, _ = model.forward([i], table, z[i : i + 1])
             np.testing.assert_allclose(y.data[i, 0], y_solo.data[0, 0], rtol=1e-12)
 
     def test_empty_sequence_rejected(self):
         model = SeqFuseModel(small_config())
         with pytest.raises(DimensionError):
-            model.predict([[[0]], []], np.zeros((2, 4)))
+            model.predict([0, 1], steps_table([[[0]], []]), np.zeros((2, 4)))
+
+
+class TestLayoutAgainstReference:
+    """The padded layout `_padded_pass` gathers from the table's CSR columns
+    against the nested-list padding and list lookup of tests/reference.py:
+    the embedded rows, the step mask and the embed.W gradient must be
+    bitwise equal, for rows taken from the table in shuffled order."""
+
+    @staticmethod
+    def _pass(rows, table, z, labels, reference_steps=None):
+        """Loss and backward on a fresh model, recording the embedded rows and
+        the step mask. With `reference_steps` (the rows' step lists), the
+        embedded rows come from the reference layout instead."""
+        model = SeqFuseModel(small_config(n_gru_layers=2))
+        seen = {}
+        plain_embed, plain_attend = model.embed, model.attend
+
+        def embed(*args):
+            if reference_steps is None:
+                seen["x"] = plain_embed(*args)
+            else:
+                index_lists, seen["reference_mask"] = reference_padding(reference_steps)
+                lookup = reference_embedding_lookup(model.params["embed.W"], index_lists)
+                seen["x"] = add(lookup, model.params["embed.b"])
+            return seen["x"]
+
+        def attend(states, mask):
+            seen["mask"] = mask
+            return plain_attend(states, mask)
+
+        model.embed, model.attend = embed, attend
+        with Tape() as tape:
+            loss, _ = model.loss(rows, table, z, labels)
+            backward(tape, loss)
+        return seen, model.params["embed.W"].grad
+
+    def _check(self, step_lists, rng: Xoshiro256, n_rows: int):
+        table = steps_table(step_lists)
+        order = list(range(len(step_lists)))
+        rng.shuffle(order)
+        rows = np.array(order[:n_rows])
+        z = np.array([[rng.normal() for _ in range(4)] for _ in rows])
+        labels = np.array([float(rng.randint(0, 1)) for _ in rows])
+        seen, grad = self._pass(rows, table, z, labels)
+        ref, ref_grad = self._pass(rows, table, z, labels, [step_lists[i] for i in rows])
+        assert np.array_equal(seen["mask"], ref["reference_mask"])
+        assert np.array_equal(seen["x"].data, ref["x"].data)
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ragged_batches_with_empty_steps(self, seed):
+        rng = Xoshiro256(700 + seed)
+        step_lists = [
+            [[rng.randint(0, 11) for _ in range(rng.randint(0, 3))] for _ in range(1 + rng.randint(0, 5))]
+            for _ in range(14)
+        ]
+        step_lists[3] = [[], []]  # a sequence whose steps are all empty
+        self._check(step_lists, rng, n_rows=10)
+
+    def test_one_step_sequences(self):
+        rng = Xoshiro256(711)
+        step_lists = [[[rng.randint(0, 11) for _ in range(rng.randint(0, 3))]] for _ in range(9)]
+        self._check(step_lists, rng, n_rows=9)
+
+    def test_equal_length_batch(self):
+        rng = Xoshiro256(712)
+        self._check(random_steps(rng, 8, 4, 12), rng, n_rows=7)
 
 
 class TestPersistence:
@@ -361,8 +439,9 @@ class TestPersistence:
             assert np.array_equal(again.params[name].data, model.params[name].data)
         rng = Xoshiro256(67)
         steps = random_steps(rng, 3, 2, cfg.input_dim)
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.zeros((3, cfg.domain_dim))
-        np.testing.assert_array_equal(model.predict(steps, z)[0], again.predict(steps, z)[0])
+        np.testing.assert_array_equal(model.predict(rows, table, z)[0], again.predict(rows, table, z)[0])
 
     def test_pretrained_embedding_round_trip_and_freezing(self, tmp_path):
         matrix = random_embedding(input_dim=12, embed_dim=5, seed=3)
@@ -396,12 +475,13 @@ class TestTrainingInteraction:
         before_out = model.params["out.W"].data.copy()
         rng = Xoshiro256(71)
         steps = random_steps(rng, 8, 3, cfg.input_dim)
+        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(8)])
         labels = np.array([1.0, 0.0] * 4)
         opt = Adam(model.trainable(), lr=0.05)
         for _ in range(5):
             with Tape() as tape:
-                loss, _ = model.loss(steps, z, labels)
+                loss, _ = model.loss(rows, table, z, labels)
                 backward(tape, loss)
             opt.step()
             opt.zero_grad()
@@ -412,12 +492,13 @@ class TestTrainingInteraction:
         cfg = small_config(fusion="none", domain_dim=0)
         model = SeqFuseModel(cfg)
         steps = [[[1], [1]], [[2], [2]]] * 4
+        table, rows = steps_table(steps), np.arange(len(steps))
         labels = np.array([1.0, 0.0] * 4)
         opt = Adam(model.trainable(), lr=0.05)
         history = []
         for _ in range(30):
             with Tape() as tape:
-                loss, _ = model.loss(steps, None, labels)
+                loss, _ = model.loss(rows, table, None, labels)
                 backward(tape, loss)
             history.append(loss.data[0, 0])
             opt.step()

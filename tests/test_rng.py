@@ -116,14 +116,6 @@ class TestConversions:
         assert sorted(shuffled) == items
         assert shuffled != items
 
-    def test_sample_distinct(self):
-        gen = Xoshiro256(7)
-        picked = gen.sample(range(50), 10)
-        assert len(set(picked)) == 10
-        assert all(0 <= p < 50 for p in picked)
-        with pytest.raises(ValueError):
-            gen.sample(range(3), 4)
-
     def test_normal_moments(self):
         gen = Xoshiro256(8)
         xs = [gen.normal(2.0, 3.0) for _ in range(40000)]

@@ -25,7 +25,7 @@ from seqfuse.training import (
     split_patients,
     train_model,
 )
-from tests.reference import reference_nearest_neighbors
+from tests.reference import reference_nearest_neighbors, steps_table
 
 
 class TestSplitPatients:
@@ -275,7 +275,7 @@ def _separable_batch(n: int):
         label = i % 2
         steps.append([[1 if label else 2], [1 if label else 2]])
         labels.append(float(label))
-    return steps, np.array(labels)
+    return steps_table(steps), np.array(labels)
 
 
 def _tiny_config(**overrides) -> ModelConfig:
@@ -289,23 +289,23 @@ def _tiny_config(**overrides) -> ModelConfig:
 
 class TestTrainModel:
     def test_learns_a_separable_problem_and_restores_best(self):
-        steps, labels = _separable_batch(40)
+        table, labels = _separable_batch(40)
         model = SeqFuseModel(_tiny_config())
         train_idx = list(range(0, 32))
         valid_idx = list(range(32, 40))
         settings = TrainSettings(lr=0.05, batch_size=8, epochs=20, patience=20)
-        result = train_model(model, steps, None, labels, train_idx, valid_idx, settings, seed=1)
+        result = train_model(model, table, None, labels, train_idx, valid_idx, settings, seed=1)
         assert result.status == "ok"
         assert result.best_valid_auc == 1.0
-        probs, _, _ = model.predict([steps[i] for i in valid_idx], None)
+        probs, _, _ = model.predict(valid_idx, table, None)
         assert auc(probs, labels[valid_idx]) == result.best_valid_auc
 
     def test_curve_starts_at_untrained_baseline(self):
-        steps, labels = _separable_batch(20)
+        table, labels = _separable_batch(20)
         model = SeqFuseModel(_tiny_config())
         settings = TrainSettings(lr=0.05, batch_size=8, epochs=2, patience=5)
         result = train_model(
-            model, steps, None, labels, list(range(16)), list(range(16, 20)), settings, seed=1
+            model, table, None, labels, list(range(16)), list(range(16, 20)), settings, seed=1
         )
         assert result.curve[0] == {
             "epoch": 0,
@@ -318,11 +318,11 @@ class TestTrainModel:
     def test_early_stopping_fires_after_patience_runs_out(self):
         """A learning rate too small to move the ranking means no epoch
         beats the baseline, so training halts after patience + 1 epochs."""
-        steps, labels = _separable_batch(24)
+        table, labels = _separable_batch(24)
         model = SeqFuseModel(_tiny_config())
         settings = TrainSettings(lr=1e-15, batch_size=8, epochs=50, patience=2)
         result = train_model(
-            model, steps, None, labels, list(range(16)), list(range(16, 24)), settings, seed=1
+            model, table, None, labels, list(range(16)), list(range(16, 24)), settings, seed=1
         )
         assert result.status == "ok"
         assert result.epochs_run == settings.patience + 1
@@ -332,12 +332,12 @@ class TestTrainModel:
         """One Adam step at an absurd learning rate pushes weights to
         ~1e160, so the next batch's matmul overflows; the loop must catch
         that, mark the run failed, and restore the last good weights."""
-        steps, labels = _separable_batch(24)
+        table, labels = _separable_batch(24)
         model = SeqFuseModel(_tiny_config())
         settings = TrainSettings(lr=1e160, batch_size=8, epochs=10, patience=10)
         with np.errstate(over="ignore"):
             result = train_model(
-                model, steps, None, labels, list(range(16)), list(range(16, 24)), settings, seed=1
+                model, table, None, labels, list(range(16)), list(range(16, 24)), settings, seed=1
             )
         assert result.status == "failed"
         assert result.failure
@@ -345,11 +345,11 @@ class TestTrainModel:
             assert np.all(np.isfinite(tensor.data))
 
     def test_input_validation(self):
-        steps, labels = _separable_batch(8)
+        table, labels = _separable_batch(8)
         model = SeqFuseModel(_tiny_config())
         good = TrainSettings()
         with pytest.raises(ValidationError):
-            train_model(model, steps, None, labels, [], [0], good, seed=1)
+            train_model(model, table, None, labels, [], [0], good, seed=1)
         with pytest.raises(ValidationError):
             TrainSettings(lr=-1.0).validate()
         with pytest.raises(ValidationError):
@@ -454,7 +454,7 @@ class TestDeepRunner:
             "test": list(range(40, 48)),
         }
         runner = make_deep_runner(
-            steps, z, labels, fold_idx,
+            steps_table(steps), z, labels, fold_idx,
             input_dim=8, domain_dim=2, fusion="early",
             epochs=8, patience=8,
         )
@@ -487,7 +487,7 @@ class TestDeepRunner:
         outs = []
         for z in (z_a, z_b):
             runner = make_deep_runner(
-                steps, z, labels, fold_idx,
+                steps_table(steps), z, labels, fold_idx,
                 input_dim=8, domain_dim=0, fusion="none",
                 epochs=3, patience=3,
             )
