@@ -18,11 +18,8 @@ layout and record one tape entry per call.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 import threading
-from pathlib import Path
 
 import numpy as np
 
@@ -172,17 +169,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result("add", a.data + b.data, (a, b), vjp)
 
 
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"hadamard: {a.shape} * {b.shape}")
-    out = a.data * b.data
-
-    def vjp(g):
-        return g * b.data, g * a.data
-
-    return _result("hadamard", out, (a, b), vjp)
-
-
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     if axis not in (0, 1):
         raise DimensionError(f"concat: axis must be 0 or 1, got {axis}")
@@ -225,16 +211,6 @@ def tanh(x: Tensor) -> Tensor:
         return (g * (1.0 - out * out),)
 
     return _result("tanh", out, (x,), vjp)
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Full reduction to a 1 x 1 scalar."""
-    out = np.array([[x.data.sum()]])
-
-    def vjp(g):
-        return (np.full_like(x.data, g[0, 0]),)
-
-    return _result("sum", out, (x,), vjp)
 
 
 def embedding_lookup(weights: Tensor, indices: np.ndarray, row_of: np.ndarray, n_rows: int) -> Tensor:
@@ -457,43 +433,3 @@ class Adam:
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.zero_grad()
-
-
-# ---------------------------------------------------------------------------
-# checkpoint format: JSON manifest + little-endian float64 blob, row-major
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(directory: str | Path, tensors: dict[str, Tensor | np.ndarray],
-                    meta: dict | None = None) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    blob = bytearray()
-    for name in sorted(tensors):
-        arr = tensors[name]
-        data = arr.data if isinstance(arr, Tensor) else np.asarray(arr, dtype=np.float64)
-        raw = struct.pack(f"<{data.size}d", *data.reshape(-1).tolist())
-        entries.append({"name": name, "shape": list(data.shape), "offset": offset})
-        blob.extend(raw)
-        offset += len(raw)
-    manifest = {"tensors": entries, "meta": meta or {}}
-    (directory / "weights.bin").write_bytes(bytes(blob))
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-
-
-def load_checkpoint(directory: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    blob = (directory / "weights.bin").read_bytes()
-    tensors = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        vals = struct.unpack_from(f"<{count}d", blob, entry["offset"])
-        tensors[entry["name"]] = np.array(vals, dtype=np.float64).reshape(shape)
-    return tensors, manifest.get("meta", {})
-

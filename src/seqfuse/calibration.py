@@ -174,7 +174,9 @@ def fit_platt(
     tol: float = 1e-8,
 ) -> Calibrator:
     """Newton fit of p = sigmoid(a*s + b) against smoothed targets
-    (N+ + 1)/(N+ + 2) and 1/(N- + 2), run to gradient norm <= tol."""
+    (N+ + 1)/(N+ + 2) and 1/(N- + 2), run to gradient norm <= tol. A fold
+    of one class leaves the map at a = 1, b = 0 and says so in `warning`,
+    as `fit_temperature` leaves T at 1."""
     _guard_fold(fold)
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -183,7 +185,15 @@ def fit_platt(
     n_pos = float(labels.sum())
     n_neg = float(len(labels) - n_pos)
     if n_pos == 0 or n_neg == 0:
-        raise CalibrationError("Platt scaling needs both classes on the calibration fold")
+        calibrator = Calibrator(
+            kind="platt",
+            a=1.0,
+            b=0.0,
+            fitted_on=fold,
+            warning="calibration fold holds a single class; Platt map left at a = 1, b = 0",
+        )
+        _fit_stats(scores, labels, calibrator)
+        return calibrator
     t_pos = (n_pos + 1.0) / (n_pos + 2.0)
     t_neg = 1.0 / (n_neg + 2.0)
     targets = np.where(labels == 1, t_pos, t_neg)

@@ -1,19 +1,20 @@
-"""Claim and beneficiary records, their columnar archive, and the
-synthetic population.
+"""The columnar claims archive and the synthetic population.
 
 Dates are integer day numbers (days since 1970-01-01) everywhere; the
-ground-truth CSV carries ISO strings. The records are the vocabulary for
-hand-built claims; the archive `generate/claims.npz` holds the same fields
-as the columns of `CLAIM_COLUMNS`, which `check_claim_columns` checks as
-the record validators would and `ingest_claims` reads back.
+ground-truth CSV carries ISO strings. The archive `generate/claims.npz`
+holds beneficiaries and claims as the columns of `CLAIM_COLUMNS`, written
+by `write_npz`; `check_claim_columns` checks every record in it and
+`ingest_claims` reads it back for cohort. Featurize reads the same file
+again, already checked and hash-verified, for the claims its visit steps
+and counts need.
 
 The synthetic generator plants a known logistic outcome signal per patient
-and reports it back so tests can check that the cohort builder and feature
-engine recover exactly what was planted. It is a numpy kernel: the
-patients of a chunk step side by side, each drawing from its own stream
-(`rng.Xoshiro256Lanes`) exactly the values the one-patient-at-a-time
+and reports it back, as columns, so tests can check that the cohort builder
+and feature engine recover exactly what was planted. It is a numpy kernel:
+the patients of a chunk step side by side, each drawing from its own
+stream (`rng.Xoshiro256Lanes`) exactly the values the one-patient-at-a-time
 reference generator in `tests/reference.py` draws, and their claims go
-straight into the archive's columns without record objects.
+straight into the archive's columns.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def day_to_iso(day: int) -> str:
     return date.fromordinal(day + _EPOCH_ORDINAL).isoformat()
 
 
-# The text fields of each record, each an int32 code column of the
-# archive; `validate` holds them to str (or None).
+# The text fields of beneficiaries and claims, each an int32 code column
+# of the archive.
 _BEN_TEXT = ("beneficiary_id", "gender", "race", "medicare_status")
 _CLAIM_TEXT = (
     "claim_id",
@@ -73,97 +74,6 @@ _CLAIM_TEXT = (
 _CLAIM_CODES = ("dx_codes", "proc_codes")
 # The claim fields only an inpatient claim may fill.
 _INPATIENT_ONLY = ("drg", "admission_type", "admission_source", "discharge_disposition")
-_STR = {str}
-_STR_OR_NONE = {str, type(None)}
-
-
-@dataclass(frozen=True)
-class ClaimRecord:
-    claim_id: str
-    beneficiary_id: str
-    claim_type: str
-    admit_date: int
-    discharge_date: int
-    dx_codes: tuple[str, ...]
-    proc_codes: tuple[str, ...] = ()
-    drg: str | None = None
-    admission_type: str | None = None
-    admission_source: str | None = None
-    discharge_disposition: str | None = None
-    facility_id: str | None = None
-
-    def validate(self) -> None:
-        if not self.claim_id or not self.beneficiary_id:
-            raise ValidationError("claim_id and beneficiary_id must be non-empty")
-        # Type checks for the text fields that the membership checks below
-        # leave open (written as sets of types to keep generation fast).
-        if not set(map(type, (self.claim_id, self.beneficiary_id, *self.dx_codes, *self.proc_codes))) <= _STR:
-            raise ValidationError(f"claim {self.claim_id!r}: claim_id, beneficiary_id, dx_codes and proc_codes must be strings")
-        if not {type(self.drg), type(self.facility_id)} <= _STR_OR_NONE:
-            raise ValidationError(f"claim {self.claim_id!r}: drg and facility_id must be strings")
-        if self.claim_type not in CLAIM_TYPES:
-            raise ValidationError(f"claim {self.claim_id}: claim_type {self.claim_type!r} not in {CLAIM_TYPES}")
-        if self.admit_date > self.discharge_date:
-            raise ValidationError(f"claim {self.claim_id}: admit_date after discharge_date")
-        if self.claim_type == "inpatient":
-            if not self.dx_codes:
-                raise ValidationError(f"claim {self.claim_id}: inpatient claim needs at least one dx code")
-            if self.admission_type not in ADMISSION_TYPES:
-                raise ValidationError(f"claim {self.claim_id}: admission_type {self.admission_type!r} invalid")
-            if self.admission_source not in ADMISSION_SOURCES:
-                raise ValidationError(f"claim {self.claim_id}: admission_source {self.admission_source!r} invalid")
-            if self.discharge_disposition not in DISPOSITIONS:
-                raise ValidationError(
-                    f"claim {self.claim_id}: discharge_disposition {self.discharge_disposition!r} invalid"
-                )
-            if not self.drg:
-                raise ValidationError(f"claim {self.claim_id}: inpatient claim needs a DRG")
-            if not self.facility_id:
-                raise ValidationError(f"claim {self.claim_id}: inpatient claim needs a facility_id")
-        else:
-            # Outpatient and ED claims are point events with no admission fields.
-            if self.admit_date != self.discharge_date:
-                raise ValidationError(f"claim {self.claim_id}: {self.claim_type} claim must be a single-day event")
-            for name in _INPATIENT_ONLY:
-                if getattr(self, name) is not None:
-                    raise ValidationError(f"claim {self.claim_id}: {name} only applies to inpatient claims")
-
-    @property
-    def principal_dx(self) -> str:
-        return self.dx_codes[0]
-
-
-@dataclass(frozen=True)
-class Beneficiary:
-    beneficiary_id: str
-    birth_date: int
-    gender: str
-    race: str
-    dual_eligible: bool
-    medicare_status: str
-    enrollment_intervals: tuple[tuple[int, int], ...]
-    death_date: int | None = None
-
-    def validate(self) -> None:
-        if not self.beneficiary_id or not isinstance(self.beneficiary_id, str):
-            raise ValidationError("beneficiary_id must be a non-empty string")
-        if self.gender not in GENDERS:
-            raise ValidationError(f"beneficiary {self.beneficiary_id}: gender {self.gender!r} invalid")
-        if self.race not in RACES:
-            raise ValidationError(f"beneficiary {self.beneficiary_id}: race {self.race!r} invalid")
-        if self.medicare_status not in MEDICARE_STATUSES:
-            raise ValidationError(f"beneficiary {self.beneficiary_id}: medicare_status {self.medicare_status!r} invalid")
-        if not self.enrollment_intervals:
-            raise ValidationError(f"beneficiary {self.beneficiary_id}: needs at least one enrollment interval")
-        prev_end = None
-        for start, end in self.enrollment_intervals:
-            if start > end:
-                raise ValidationError(f"beneficiary {self.beneficiary_id}: enrollment interval start after end")
-            if prev_end is not None and start <= prev_end:
-                raise ValidationError(f"beneficiary {self.beneficiary_id}: enrollment intervals overlap or are unsorted")
-            prev_end = end
-        if self.death_date is not None and self.death_date < self.birth_date:
-            raise ValidationError(f"beneficiary {self.beneficiary_id}: death before birth")
 
 
 def write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
@@ -256,7 +166,8 @@ def ingest_claims(path: str | Path) -> dict[str, np.ndarray]:
 def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
     """Checks claim columns as generate writes them and cohort reads them:
     the members, dtypes, shapes and CSR pointers; the string table and
-    every code into it; each record as `validate` would; and unique ids,
+    every code into it; each record's field rules (those of the record
+    validators in `tests/reference.py`); and unique ids,
     claims of known beneficiaries only, and the sort order of
     `CLAIM_COLUMNS`. Raises ValidationError, naming `source` for missing
     or unknown members."""
@@ -488,62 +399,32 @@ class SyntheticConfig:
                     raise ValidationError(f"signal field {name} must be finite")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Per planted index event: the labels and the exact generative state,
-    kept for oracle checks. Only events that are eligible and clean for both
-    outcome tasks get a row."""
-
-    beneficiary_id: str
-    index_admit_date: int
-    index_discharge_date: int
-    readmit_label: bool
-    mortality_label: bool
-    p_readmit: float
-    p_mortality: float
-    charlson: int
-    los: int
-    ed_visits_12m: int
-    ccs_present: tuple[int, ...]
-
-
-def write_ground_truth(path: str | Path, rows: list[GroundTruth]) -> None:
-    lines = ["beneficiary_id,index_discharge_date,readmit_label,mortality_label"]
-    for row in rows:
-        lines.append(
-            f"{row.beneficiary_id},{day_to_iso(row.index_discharge_date)},"
-            f"{int(row.readmit_label)},{int(row.mortality_label)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_ground_truth(path: str | Path) -> list[dict]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = "beneficiary_id,index_discharge_date,readmit_label,mortality_label"
-    if not lines or lines[0] != header:
-        raise ValidationError(f"ground truth header must be {header!r}")
-    rows = []
-    for line in lines[1:]:
-        bid, disch, r, m = line.split(",")
-        rows.append(
-            {
-                "beneficiary_id": bid,
-                "index_discharge_date": iso_to_day(disch),
-                "readmit_label": bool(int(r)),
-                "mortality_label": bool(int(m)),
-            }
-        )
-    return rows
-
-
 @dataclass
 class SyntheticPopulation:
     """The generated claims as the columns of `CLAIM_COLUMNS`, the planted
-    events' ground truth and the generator's summary."""
+    events' ground truth and the generator's summary.
+
+    `truth` holds one row per planted event, in patient order; only events
+    that are eligible and clean for both outcome tasks get a row. Its
+    columns: "patient" (the beneficiary's number), "admit" and "discharge"
+    (the index stay's days), "readmit" and "mortality" (the planted
+    labels), "p_readmit" and "p_mortality" (their probabilities),
+    "charlson", "los" and "ed_12m" (the signal's inputs), and "pooled"
+    (per row, 1 for each dx category present)."""
 
     columns: dict[str, np.ndarray]
-    truth: list[GroundTruth]
+    truth: dict[str, np.ndarray]
     info: dict
+
+
+def write_ground_truth(path: str | Path, truth: dict[str, np.ndarray]) -> None:
+    """`generate/ground_truth.csv`: each planted event's beneficiary, index
+    discharge date and labels, from `SyntheticPopulation.truth`."""
+    lines = ["beneficiary_id,index_discharge_date,readmit_label,mortality_label"]
+    columns = (truth[name].tolist() for name in ("patient", "discharge", "readmit", "mortality"))
+    for patient, discharge, readmit, mortality in zip(*columns):
+        lines.append(f"B{patient:06d},{day_to_iso(discharge)},{int(readmit)},{int(mortality)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # Patients generated side by side. A chunk's streams are one (patients,
@@ -1135,26 +1016,18 @@ def generate_population(cfg: SyntheticConfig) -> SyntheticPopulation:
         patients = np.arange(first, min(first + _CHUNK_PATIENTS, cfg.n_patients))
         chunks.append(_Chunk(patients, cfg).generate())
     parts = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0] if name != "truth"}
-    truth_cols = {name: np.concatenate([chunk["truth"][name] for chunk in chunks]) for name in chunks[0]["truth"]}
+    truth = {name: np.concatenate([chunk["truth"][name] for chunk in chunks]) for name in chunks[0]["truth"]}
     cols = _population_columns(parts)
     check_claim_columns(cols, "the generated claims")
-
-    # Row i's pooled categories, ascending, are cats[bounds[i] : bounds[i + 1]].
-    row, cats = np.nonzero(truth_cols.pop("pooled"))
-    bounds, cats = np.searchsorted(row, np.arange(len(truth_cols["patient"]) + 1)).tolist(), cats.tolist()
-    rows = zip(*(column.tolist() for column in truth_cols.values()))
-    truth = [
-        GroundTruth(f"B{patient:06d}", *fields, tuple(cats[start:end]))
-        for (patient, *fields), start, end in zip(rows, bounds, bounds[1:])
-    ]
+    n_truth = len(truth["patient"])
     info = {
         "n_patients": cfg.n_patients,
         "seed": cfg.seed,
         "readmit_signal": cfg.readmit_signal.to_json_obj(),
         "mortality_signal": cfg.mortality_signal.to_json_obj(),
         "wrinkle_rates": dict(WRINKLE_RATES),
-        "n_truth_rows": len(truth),
-        "readmit_rate": (sum(t.readmit_label for t in truth) / len(truth)) if truth else 0.0,
-        "mortality_rate": (sum(t.mortality_label for t in truth) / len(truth)) if truth else 0.0,
+        "n_truth_rows": n_truth,
+        "readmit_rate": int(truth["readmit"].sum()) / n_truth if n_truth else 0.0,
+        "mortality_rate": int(truth["mortality"].sum()) / n_truth if n_truth else 0.0,
     }
     return SyntheticPopulation(columns=cols, truth=truth, info=info)

@@ -9,19 +9,24 @@ instead of silently skewing results downstream. `_artifacts` is the one
 list of each stage's inputs and outputs, and `run_stage` runs a stage body
 under that protocol: verify the inputs, run, hash the outputs.
 
-`generate` draws the claims straight into columns, checks them as cohort
-will, and writes them as `generate/claims.npz`. `cohort` is the one stage
-that reads them; it hands the same columns on as `cohort/population.npz`,
-with the stays and index events it built, and `featurize` computes its
-features from those columns instead of reading the claims or building the
-cohort again. `featurize` hands its events on in one form, the columnar
+Every array a stage hands on goes through `claims.write_npz`. `generate`
+draws the claims straight into columns, checks them as cohort will, and
+writes them as `generate/claims.npz`, with the planted events' ground
+truth. `cohort` checks them again as it reads them (`ingest_claims`) and
+writes only the stays and index events it built to
+`cohort/population.npz`; `featurize` computes its features from the claim
+columns of `generate/claims.npz` and those of `cohort/population.npz`
+together, without checking the claims or building the cohort again.
+`featurize` hands its events on in one form, the columnar
 `featurize/events.npz` (an `EventTable`), which every later stage loads
 through `_load_sequences`; the deep cells train and predict on rows of that
-table. `train` builds the frozen matrix of the
-`pretrained` embedding mode itself, for each trial at its `embed_dim`
-(`model.random_embedding`), so no stage writes it. `calibrate` keeps each
-cell's uncalibrated scores in `calibrate/raw_scores.npz`, so `evaluate`
-scores events without predicting again.
+table. `train` builds the frozen matrix of the `pretrained` embedding mode
+itself, for each trial at its `embed_dim` (`model.random_embedding`), so no
+stage writes it. It saves each cell's best model, LR or deep, as
+`model.json` (its config and the z moments) and `weights.npz` (its
+arrays). `calibrate` keeps each cell's uncalibrated scores in
+`calibrate/raw_scores.npz`, so `evaluate` scores events without predicting
+again.
 
 The config is one JSON object shaped like `default_config()`, which is
 also its schema. `load_config` merges the file over the defaults (into a
@@ -70,7 +75,7 @@ from .metrics import (
     subgroup_report,
     surrogate_importance,
 )
-from .model import EMBEDDINGS as EMBEDDING_MODES, load_model, save_model
+from .model import EMBEDDINGS as EMBEDDING_MODES, load_model
 from .rng import derive_seed
 from .training import apply_standardizer, config_hash, grid_search, make_deep_runner, split_patients
 
@@ -358,10 +363,11 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     `run_stage` verifies the inputs before a stage runs and hashes the
     outputs into its manifest after."""
     cells = _cells(cfg)
-    models: list[str] = []
-    for algorithm, mode in cells:
-        best = f"train/models/{_cell_name(algorithm, mode)}/best"
-        models += [f"{best}/model.json"] if algorithm == "lr" else [f"{best}/manifest.json", f"{best}/weights.bin"]
+    models = [
+        f"train/models/{_cell_name(algorithm, mode)}/best/{name}"
+        for algorithm, mode in cells
+        for name in ("model.json", "weights.npz")
+    ]
     # Report and importance read only the best cell's scores, but the best
     # cell is known only once evaluate has run, so they verify every cell's.
     evaluated = [f"evaluate/scores_{_cell_name(algorithm, mode)}.csv" for algorithm, mode in cells]
@@ -375,13 +381,30 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
             population,
             ["cohort/index_events.jsonl", "cohort/population.npz", "cohort/summary.csv", "cohort/audit.json"],
         ),
-        "featurize": (["cohort/population.npz", "generate/ccs_map.csv"], events),
+        "featurize": (["cohort/population.npz"] + population, events),
         "train": (events, ["train/split.json", "train/trials.csv", "train/summary.json"] + models),
         "calibrate": (events + ["train/split.json"] + models, calibrated),
         "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, evaluated),
         "report": (events + evaluated, ["report/table3.csv", "report/subgroups.csv", "report/report_info.json"]),
         "importance": (events + evaluated, ["importance/importance.csv", "importance/importance.json"]),
     }
+
+
+def _read_npz(path: Path) -> dict[str, np.ndarray]:
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _save_best(model_dir: Path, spec: dict, arrays: dict[str, np.ndarray]) -> None:
+    """A cell's best model: `spec` as `model.json`, its arrays as `weights.npz`."""
+    model_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(model_dir / "model.json", spec)
+    write_npz(model_dir / "weights.npz", arrays)
+
+
+def _load_best(model_dir: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The spec and arrays `_save_best` wrote."""
+    return _read_json(model_dir / "model.json"), _read_npz(model_dir / "weights.npz")
 
 
 def _load_sequences(outdir: Path, task: str) -> tuple[EventTable, dict]:
@@ -423,7 +446,7 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
     _write_json(stage_dir / "generator_info.json", population.info)
     print(
         f"generate: {len(cols['beneficiary.beneficiary_id'])} patients, {len(cols['claim.claim_id'])} claims, "
-        f"{len(population.truth)} ground-truth events"
+        f"{len(population.truth['patient'])} ground-truth events"
     )
 
 
@@ -446,10 +469,12 @@ def stage_featurize(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "featurize"
     bundle = _knowledge_bundle(cfg, outdir)
     opts = SequenceOptions(**cfg["features"])
-    with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
-        cols = {key: npz[key] for key in npz.files}
-    if "event.stay" not in cols:
+    # Generate checked the claims and cohort read them through the same
+    # checks; both files are hash-verified, so they are read as they are.
+    cohort = _read_npz(outdir / "cohort" / "population.npz")
+    if not set(POPULATION_MEMBERS) <= set(cohort):
         raise PrerequisiteError("cohort/population.npz holds no stays or events; rerun `seqfuse cohort`")
+    cols = {**_read_npz(outdir / "generate" / "claims.npz"), **cohort}
     table, z_names = featurize_events(cols, bundle, opts)
     n_dropped = int(cols["event.eligible"].sum()) - len(table)
     if not len(table):
@@ -547,34 +572,20 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         best = result.best
         if best is None:
             raise NumericsError(f"every trial failed for {cell}")
-        model_dir = stage_dir / "models" / cell / "best"
-        model_dir.mkdir(parents=True, exist_ok=True)
+        model = best.payload["model"]
+        spec = {
+            "task": task,
+            "cell": cell,
+            "z_mean": best.payload["z_mean"].tolist(),
+            "z_std": best.payload["z_std"].tolist(),
+            "trial": {"config": best.config, "config_hash": best.config_hash, "seed": best.seed},
+        }
         if algorithm == "lr":
-            lr_model = best.payload["model"]
-            _write_json(
-                model_dir / "model.json",
-                {
-                    "kind": "logistic",
-                    "weights": lr_model.weights.tolist(),
-                    "intercept": lr_model.intercept,
-                    "z_mean": best.payload["z_mean"].tolist(),
-                    "z_std": best.payload["z_std"].tolist(),
-                    "config": best.config,
-                    "task": task,
-                },
-            )
+            arrays = {"weights": model.weights, "intercept": np.float64(model.intercept)}
         else:
-            save_model(
-                model_dir,
-                best.payload["model"],
-                meta={
-                    "task": task,
-                    "cell": cell,
-                    "z_mean": best.payload["z_mean"].tolist(),
-                    "z_std": best.payload["z_std"].tolist(),
-                    "trial": {"config": best.config, "config_hash": best.config_hash, "seed": best.seed},
-                },
-            )
+            spec["model_config"] = model.config.to_json_obj()
+            arrays = {name: tensor.data for name, tensor in model.params.items()}
+        _save_best(stage_dir / "models" / cell / "best", spec, arrays)
         summary[cell] = {
             "algorithm": algorithm,
             "embedding_mode": mode,
@@ -612,19 +623,19 @@ def _raw_scores_for_cell(
     features_meta: dict,
 ) -> np.ndarray:
     """Uncalibrated margins/logits for every event, in table order."""
+    spec, arrays = _load_best(outdir / "train" / "models" / cell / "best")
+    z_mean, z_std = np.array(spec["z_mean"]), np.array(spec["z_std"])
     if algorithm == "lr":
-        spec = _read_json(outdir / "train" / "models" / cell / "best" / "model.json")
         flat = flatten(
             table,
             features_meta["n_dx_columns"],
             features_meta["n_proc_columns"],
             features_meta["z_names"],
         )
-        standardized = apply_standardizer(flat.matrix, np.array(spec["z_mean"]), np.array(spec["z_std"]))
-        return standardized @ np.array(spec["weights"]) + spec["intercept"]
-    model, meta = load_model(outdir / "train" / "models" / cell / "best")
-    z_std = apply_standardizer(table.z, np.array(meta["z_mean"]), np.array(meta["z_std"]))
-    _, logits, _ = model.predict(np.arange(len(table)), table, z_std if model.config.fusion != "none" else None)
+        return apply_standardizer(flat.matrix, z_mean, z_std) @ arrays["weights"] + arrays["intercept"]
+    model = load_model(spec["model_config"], arrays)
+    z_rows = apply_standardizer(table.z, z_mean, z_std) if model.config.fusion != "none" else None
+    _, logits, _ = model.predict(np.arange(len(table)), table, z_rows)
     return logits
 
 
@@ -669,8 +680,7 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     fold_of, fold_idx = _split_folds(outdir, table)
     test_idx = np.array(fold_idx["test"], dtype=np.int64)
     calibrators = _read_json(outdir / "calibrate" / "calibrators.json")["cells"]
-    with np.load(outdir / "calibrate" / "raw_scores.npz", allow_pickle=False) as npz:
-        raw_scores = {cell: npz[cell] for cell in npz.files}
+    raw_scores = _read_npz(outdir / "calibrate" / "raw_scores.npz")
     train_summary = _read_json(outdir / "train" / "summary.json")["cells"]
 
     metrics: dict[str, dict] = {}

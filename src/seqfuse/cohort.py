@@ -7,10 +7,11 @@ against the index-event criteria, and finally eligible events get a
 
 `build_cohort` does all three in one pass of numpy operations over the
 claim columns that `claims.ingest_claims` returns, and adds the stays and
-events as columns. Cohort writes them on as `population.npz`
-(`POPULATION_MEMBERS`), `index_events.jsonl` (`index_event_lines`) and
-`summary.csv` (`cohort_summary`). The record-based definition the kernel
-must equal byte for byte lives in `tests/reference.py`.
+events as columns. Cohort writes only what it added to `population.npz`
+(`POPULATION_MEMBERS`), since the claims stay in `generate/claims.npz`,
+and writes `index_events.jsonl` (`index_event_lines`) and `summary.csv`
+(`cohort_summary`). The record-based definition the kernel must equal byte
+for byte lives in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .claims import _BEN_TEXT, _CLAIM_CODES, _CLAIM_TEXT, ESRD_STATUSES, _ptr, _ranges, day_to_iso, text_words
+from .claims import _CLAIM_CODES, ESRD_STATUSES, _ptr, _ranges, day_to_iso, text_words
 from .knowledge import CcsMap, PlannedRules
 
 EXCLUSION_REASONS = (
@@ -50,24 +51,15 @@ _STAY_TEXT = (
     "discharge_disposition",
 )
 
-# The arrays of `cohort/population.npz`, in the order they are written:
-# the claim columns, then a stay's `all_dx` and `all_proc` exactly as the
-# stays were merged (duplicates kept), and each event's stay row.
+# The arrays of `cohort/population.npz`, in the order they are written: the
+# stays, with a stay's `all_dx` and `all_proc` exactly as the stays were
+# merged (duplicates kept), and each event's stay row. Their strings are
+# codes into the string table of `generate/claims.npz`, which holds the
+# claim columns; featurize reads both files.
 POPULATION_MEMBERS = (
-    *(f"beneficiary.{name}" for name in ("birth_date", "dual_eligible", "has_death_date", "death_date")),
-    "beneficiary.enrollment_ptr",
-    "beneficiary.enrollment",
-    *(f"{kind}.{name}" for kind in ("claim", "stay") for name in ("admit_date", "discharge_date")),
-    "claim.dx_codes_ptr",
-    "claim.proc_codes_ptr",
-    "stay.all_dx_ptr",
-    "stay.all_proc_ptr",
+    *(f"stay.{name}" for name in ("admit_date", "discharge_date", "all_dx_ptr", "all_proc_ptr")),
     *(f"event.{name}" for name in ("stay", "age", "eligible", "readmit_label", "mortality_label", "mortality_excluded")),
-    *(f"beneficiary.{name}" for name in _BEN_TEXT),
-    *(f"claim.{name}" for name in _CLAIM_TEXT + _CLAIM_CODES),
     *(f"stay.{name}" for name in _STAY_TEXT + ("all_dx", "all_proc")),
-    "text_ptr",
-    "text",
 )
 
 

@@ -7,11 +7,13 @@ layout of z is data-driven (see seqfuse/data/domain_spec.json), and the
 name list returned alongside the values always matches positionally.
 
 `featurize_events` builds every event's steps and z in one pass of numpy
-operations over the columns cohort writes (`cohort.POPULATION_MEMBERS`),
-not one event at a time, and returns them as an `EventTable`, one row per
-event with its visit steps in CSR form; the featurize stage saves that
-table as `featurize/events.npz`, which every later stage loads. The model
-reads a batch as rows of this table, straight from its CSR columns.
+operations, not one event at a time, over the claim columns of
+`generate/claims.npz` and the stays and events cohort adds to them
+(`cohort/population.npz`, `cohort.POPULATION_MEMBERS`). It returns them as
+an `EventTable`, one row per event with its visit steps in CSR form; the
+featurize stage saves that table as `featurize/events.npz`, which every
+later stage loads. The model reads a batch as rows of this table, straight
+from its CSR columns.
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ def featurize_events(
     opts: SequenceOptions = SequenceOptions(),
 ) -> tuple[EventTable, list[str]]:
     """The visit steps, z, labels and subgroup attributes of every eligible
-    event in `cols` (`cohort.POPULATION_MEMBERS`), in event order, as one
-    `EventTable`; and the names of z.
+    event in `cols` (the claim columns with the members of
+    `cohort.POPULATION_MEMBERS`), in event order, as one `EventTable`; and
+    the names of z.
 
     An event's steps are the stays and, with `include_outpatient`, the
     outpatient and ED claims that carry a code, admitted in

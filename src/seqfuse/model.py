@@ -28,10 +28,8 @@ from .autodiff import (
     embedding_lookup,
     gru_sequence,
     init_uniform,
-    load_checkpoint,
     masked_attention,
     matmul,
-    save_checkpoint,
     sigmoid,
     tanh,
     weighted_bce,
@@ -306,22 +304,13 @@ class SeqFuseModel:
         return probs, logits, attentions
 
 
-def save_model(directory, model: SeqFuseModel, meta: dict | None = None) -> None:
-    tensors = {name: t.data for name, t in model.params.items()}
-    full_meta = {"model_config": model.config.to_json_obj()}
-    if meta:
-        full_meta.update(meta)
-    save_checkpoint(directory, tensors, full_meta)
-
-
-def load_model(directory) -> tuple[SeqFuseModel, dict]:
-    arrays, meta = load_checkpoint(directory)
-    cfg = ModelConfig.from_json_obj(meta["model_config"])
+def load_model(model_config: dict, arrays: dict[str, np.ndarray]) -> SeqFuseModel:
+    """The model of a `ModelConfig.to_json_obj()` object and its parameter
+    arrays; a pretrained embedding comes back frozen."""
+    cfg = ModelConfig.from_json_obj(model_config)
     frozen = {"embed.W", "embed.b"} if cfg.embedding == "pretrained" else set()
-    params = {
-        name: Tensor(data, requires_grad=name not in frozen) for name, data in arrays.items()
-    }
-    return SeqFuseModel(cfg, params=params), meta
+    params = {name: Tensor(data, requires_grad=name not in frozen) for name, data in arrays.items()}
+    return SeqFuseModel(cfg, params=params)
 
 
 def random_embedding(input_dim: int, embed_dim: int, seed: int) -> np.ndarray:

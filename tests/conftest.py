@@ -4,7 +4,7 @@ artifacts, built once per session and reused read-only."""
 import numpy as np
 import pytest
 
-from seqfuse.claims import SyntheticConfig
+from seqfuse.claims import CLAIM_COLUMNS, SyntheticConfig
 from seqfuse.cohort import POPULATION_MEMBERS
 from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import CcsMap, load_bundle
@@ -44,8 +44,9 @@ def small_cohort(small_checked):
 
 @pytest.fixture(scope="session")
 def small_columns(small_checked):
-    """The population and its cohort as the columns cohort writes."""
-    return {name: small_checked[0][name] for name in POPULATION_MEMBERS}
+    """The claim columns and the stays and events cohort adds: what
+    featurize reads from generate/claims.npz and cohort/population.npz."""
+    return {name: small_checked[0][name] for name in (*CLAIM_COLUMNS, *POPULATION_MEMBERS)}
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,11 @@ vectors into an `EventTable` with the kernel's dtypes, and
 `claim_columns`. `reference_nearest_neighbors` is SMOTE's brute-force
 neighbour search, the table `training._nearest_neighbors` must equal.
 
+The records themselves live here too: `ClaimRecord` and `Beneficiary`,
+whose validators state per record the rules `claims.check_claim_columns`
+checks column-wise, and `GroundTruth`, a planted event's row of the
+generator's truth columns (`truth_records`).
+
 `reference_padding` and `reference_embedding_lookup` lay a batch of
 nested step lists out for the model one Python list at a time, the layout
 `SeqFuseModel`'s gathers over an `EventTable`'s CSR columns must equal
@@ -49,11 +54,17 @@ from seqfuse.claims import (
     _OTHER_DRGS,
     _PLANNED_PROC_CATS,
     _SYMPTOM_DX_CATS,
+    _INPATIENT_ONLY,
+    ADMISSION_SOURCES,
+    ADMISSION_TYPES,
+    CLAIM_COLUMNS,
+    CLAIM_TYPES,
+    DISPOSITIONS,
     ESRD_STATUSES,
+    GENDERS,
+    MEDICARE_STATUSES,
+    RACES,
     WRINKLE_RATES,
-    Beneficiary,
-    ClaimRecord,
-    GroundTruth,
     SyntheticConfig,
     _ptr,
     day_to_iso,
@@ -87,6 +98,135 @@ from seqfuse.features import (
 )
 from seqfuse.knowledge import CcsMap, HacRule, KnowledgeBundle, PlannedRules, load_charlson_weights
 from seqfuse.rng import Xoshiro256, derive_seed
+
+
+# --- records ----------------------------------------------------------------------
+
+_STR = {str}
+_STR_OR_NONE = {str, type(None)}
+
+
+@dataclass(frozen=True)
+class ClaimRecord:
+    claim_id: str
+    beneficiary_id: str
+    claim_type: str
+    admit_date: int
+    discharge_date: int
+    dx_codes: tuple[str, ...]
+    proc_codes: tuple[str, ...] = ()
+    drg: str | None = None
+    admission_type: str | None = None
+    admission_source: str | None = None
+    discharge_disposition: str | None = None
+    facility_id: str | None = None
+
+    def validate(self) -> None:
+        """The rules `claims.check_claim_columns` holds each claim row to."""
+        if not self.claim_id or not self.beneficiary_id:
+            raise ValidationError("claim_id and beneficiary_id must be non-empty")
+        # Type checks for the text fields that the membership checks below
+        # leave open (written as sets of types to keep generation fast).
+        if not set(map(type, (self.claim_id, self.beneficiary_id, *self.dx_codes, *self.proc_codes))) <= _STR:
+            raise ValidationError(f"claim {self.claim_id!r}: claim_id, beneficiary_id, dx_codes and proc_codes must be strings")
+        if not {type(self.drg), type(self.facility_id)} <= _STR_OR_NONE:
+            raise ValidationError(f"claim {self.claim_id!r}: drg and facility_id must be strings")
+        if self.claim_type not in CLAIM_TYPES:
+            raise ValidationError(f"claim {self.claim_id}: claim_type {self.claim_type!r} not in {CLAIM_TYPES}")
+        if self.admit_date > self.discharge_date:
+            raise ValidationError(f"claim {self.claim_id}: admit_date after discharge_date")
+        if self.claim_type == "inpatient":
+            if not self.dx_codes:
+                raise ValidationError(f"claim {self.claim_id}: inpatient claim needs at least one dx code")
+            if self.admission_type not in ADMISSION_TYPES:
+                raise ValidationError(f"claim {self.claim_id}: admission_type {self.admission_type!r} invalid")
+            if self.admission_source not in ADMISSION_SOURCES:
+                raise ValidationError(f"claim {self.claim_id}: admission_source {self.admission_source!r} invalid")
+            if self.discharge_disposition not in DISPOSITIONS:
+                raise ValidationError(
+                    f"claim {self.claim_id}: discharge_disposition {self.discharge_disposition!r} invalid"
+                )
+            if not self.drg:
+                raise ValidationError(f"claim {self.claim_id}: inpatient claim needs a DRG")
+            if not self.facility_id:
+                raise ValidationError(f"claim {self.claim_id}: inpatient claim needs a facility_id")
+        else:
+            # Outpatient and ED claims are point events with no admission fields.
+            if self.admit_date != self.discharge_date:
+                raise ValidationError(f"claim {self.claim_id}: {self.claim_type} claim must be a single-day event")
+            for name in _INPATIENT_ONLY:
+                if getattr(self, name) is not None:
+                    raise ValidationError(f"claim {self.claim_id}: {name} only applies to inpatient claims")
+
+    @property
+    def principal_dx(self) -> str:
+        return self.dx_codes[0]
+
+
+@dataclass(frozen=True)
+class Beneficiary:
+    beneficiary_id: str
+    birth_date: int
+    gender: str
+    race: str
+    dual_eligible: bool
+    medicare_status: str
+    enrollment_intervals: tuple[tuple[int, int], ...]
+    death_date: int | None = None
+
+    def validate(self) -> None:
+        """The rules `claims.check_claim_columns` holds each beneficiary row to."""
+        if not self.beneficiary_id or not isinstance(self.beneficiary_id, str):
+            raise ValidationError("beneficiary_id must be a non-empty string")
+        if self.gender not in GENDERS:
+            raise ValidationError(f"beneficiary {self.beneficiary_id}: gender {self.gender!r} invalid")
+        if self.race not in RACES:
+            raise ValidationError(f"beneficiary {self.beneficiary_id}: race {self.race!r} invalid")
+        if self.medicare_status not in MEDICARE_STATUSES:
+            raise ValidationError(f"beneficiary {self.beneficiary_id}: medicare_status {self.medicare_status!r} invalid")
+        if not self.enrollment_intervals:
+            raise ValidationError(f"beneficiary {self.beneficiary_id}: needs at least one enrollment interval")
+        prev_end = None
+        for start, end in self.enrollment_intervals:
+            if start > end:
+                raise ValidationError(f"beneficiary {self.beneficiary_id}: enrollment interval start after end")
+            if prev_end is not None and start <= prev_end:
+                raise ValidationError(f"beneficiary {self.beneficiary_id}: enrollment intervals overlap or are unsorted")
+            prev_end = end
+        if self.death_date is not None and self.death_date < self.birth_date:
+            raise ValidationError(f"beneficiary {self.beneficiary_id}: death before birth")
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """Per planted index event: the labels and the exact generative state,
+    kept for oracle checks. Only events that are eligible and clean for both
+    outcome tasks get a row."""
+
+    beneficiary_id: str
+    index_admit_date: int
+    index_discharge_date: int
+    readmit_label: bool
+    mortality_label: bool
+    p_readmit: float
+    p_mortality: float
+    charlson: int
+    los: int
+    ed_visits_12m: int
+    ccs_present: tuple[int, ...]
+
+
+def truth_records(truth: dict[str, np.ndarray]) -> list[GroundTruth]:
+    """The ground-truth columns of `SyntheticPopulation.truth` as records."""
+    row, cats = np.nonzero(truth["pooled"])
+    # Row i's pooled categories, ascending, are cats[bounds[i] : bounds[i + 1]].
+    bounds, cats = np.searchsorted(row, np.arange(len(truth["patient"]) + 1)).tolist(), cats.tolist()
+    names = ("patient", "admit", "discharge", "readmit", "mortality", "p_readmit", "p_mortality", "charlson", "los", "ed_12m")
+    rows = zip(*(truth[name].tolist() for name in names))
+    return [
+        GroundTruth(f"B{patient:06d}", *fields, tuple(cats[start:end]))
+        for (patient, *fields), start, end in zip(rows, bounds, bounds[1:])
+    ]
 
 
 # --- the synthetic population ---------------------------------------------------
@@ -594,7 +734,7 @@ def reference_population(cfg: SyntheticConfig) -> RecordPopulation:
 def population_records(cfg: SyntheticConfig) -> RecordPopulation:
     """`claims.generate_population` read back as records."""
     population = generate_population(cfg)
-    return RecordPopulation(*read_population_npz(population.columns), population.truth, population.info)
+    return RecordPopulation(*read_population_npz(population.columns), truth_records(population.truth), population.info)
 
 
 # --- cohort ---------------------------------------------------------------------
@@ -939,7 +1079,8 @@ def population_columns(
     events: list[IndexEvent],
 ) -> dict[str, np.ndarray]:
     """The records and the cohort built from them as columns, each in the
-    order given: the arrays of `cohort/population.npz`, one string at a time.
+    order given: the claim columns with the arrays of
+    `cohort/population.npz`, one string at a time.
 
     Every string is an int32 code (-1 for None) into one table of the
     distinct strings in sorted order, so codes compare as their strings
@@ -1036,8 +1177,10 @@ def checked_cohort(
     events, stays, audit = reference_cohort(bens, claims, rules, ccs, acute_drgs)
     cols, kernel_audit = build_cohort(claim_columns(bens, claims), rules, ccs, acute_drgs)
     expected = population_columns(bens, claims, stays, events)
-    assert list(expected) == list(POPULATION_MEMBERS)
-    assert _npz_bytes({name: cols[name] for name in POPULATION_MEMBERS}) == _npz_bytes(expected)
+    # Cohort writes the stays and events to population.npz; the claim
+    # columns stay in generate/claims.npz, and build_cohort hands them on.
+    assert [name for name in expected if name not in CLAIM_COLUMNS] == list(POPULATION_MEMBERS)
+    assert _npz_bytes({name: cols[name] for name in expected}) == _npz_bytes(expected)
     rows = "".join(json.dumps(event_row(event), sort_keys=True) + "\n" for event in events)
     assert index_event_lines(cols) == rows
     assert kernel_cohort_summary(cols) == cohort_summary(events, {b.beneficiary_id: b for b in bens})

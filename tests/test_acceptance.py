@@ -14,7 +14,7 @@ import pytest
 
 from seqfuse.autodiff import Tape, Tensor, backward
 from seqfuse.calibration import fit_platt, fit_temperature
-from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, iso_to_day
+from seqfuse.claims import SyntheticConfig, iso_to_day
 from seqfuse.cli import default_config, main
 from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import CcsMap, load_bundle
@@ -22,7 +22,7 @@ from seqfuse.metrics import auc, recall_at_top_k, recall_precision_at_threshold
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.rng import Xoshiro256
 from seqfuse.training import make_deep_runner, smote, split_patients
-from tests.reference import checked_cohort, population_records, steps_table
+from tests.reference import Beneficiary, ClaimRecord, checked_cohort, population_records, steps_table
 
 DAY0 = iso_to_day("2011-03-01")
 

@@ -150,9 +150,15 @@ class TestFitPlatt:
         assert cal.stats["n"] == 400
         assert cal.stats["nll_after"] <= cal.stats["nll_before"] + 1e-9
 
-    def test_single_class_is_an_error(self):
-        with pytest.raises(CalibrationError):
-            fit_platt([0.2, 0.4], [1.0, 1.0])
+    def test_single_class_falls_back_with_warning(self):
+        scores = np.array([0.2, -0.4, 1.5])
+        for label in (0.0, 1.0):
+            cal = fit_platt(scores, np.full(3, label))
+            assert (cal.kind, cal.a, cal.b) == ("platt", 1.0, 0.0)
+            assert "single class" in cal.warning
+            assert Calibrator.from_json_obj(cal.to_json_obj()).warning == cal.warning
+            assert cal.apply(scores).tolist() == Calibrator(kind="identity").apply(scores).tolist()
+            assert cal.stats["n"] == 3 and cal.stats["nll_after"] == cal.stats["nll_before"]
 
     def test_refuses_the_test_fold(self):
         with pytest.raises(CalibrationError):

@@ -10,9 +10,6 @@ import pytest
 
 from seqfuse import claims as claims_module
 from seqfuse.claims import (
-    Beneficiary,
-    ClaimRecord,
-    GroundTruth,
     OutcomeSignal,
     SyntheticConfig,
     day_to_iso,
@@ -20,7 +17,6 @@ from seqfuse.claims import (
     generate_population,
     ingest_claims,
     iso_to_day,
-    read_ground_truth,
     text_words,
     write_ground_truth,
     write_npz,
@@ -28,6 +24,8 @@ from seqfuse.claims import (
 from seqfuse.errors import ValidationError
 from seqfuse.rng import Xoshiro256
 from tests.reference import (
+    Beneficiary,
+    ClaimRecord,
     _anchor_los,
     _free_span,
     _late_decoy_fits,
@@ -38,6 +36,7 @@ from tests.reference import (
     population_records,
     read_population_npz,
     reference_population,
+    truth_records,
 )
 
 
@@ -364,34 +363,21 @@ class TestPopulationFiles:
         assert read_population_npz(ingest_claims(path)) == (bens, claims)
 
     def test_ground_truth_header_contract(self, tmp_path):
-        rows = [
-            GroundTruth(
-                beneficiary_id="B1",
-                index_admit_date=100,
-                index_discharge_date=104,
-                readmit_label=True,
-                mortality_label=False,
-                p_readmit=0.4,
-                p_mortality=0.1,
-                charlson=2,
-                los=4,
-                ed_visits_12m=1,
-                ccs_present=(0, 1),
-            )
+        truth = {
+            "patient": np.array([1, 1234567]),
+            "discharge": np.array([104, iso_to_day("2011-09-01")]),
+            "readmit": np.array([True, False]),
+            "mortality": np.array([False, True]),
+        }
+        path = tmp_path / "truth.csv"
+        write_ground_truth(path, truth)
+        assert path.read_text().splitlines() == [
+            "beneficiary_id,index_discharge_date,readmit_label,mortality_label",
+            f"B000001,{day_to_iso(104)},1,0",
+            "B1234567,2011-09-01,0,1",
         ]
-        path = tmp_path / "truth.csv"
-        write_ground_truth(path, rows)
-        first = path.read_text().splitlines()[0]
-        assert first == "beneficiary_id,index_discharge_date,readmit_label,mortality_label"
-        parsed = read_ground_truth(path)
-        assert parsed[0]["beneficiary_id"] == "B1"
-        assert parsed[0]["readmit_label"] == 1
-
-    def test_ground_truth_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "truth.csv"
-        path.write_text("id,date,y1,y2\n")
-        with pytest.raises(ValidationError):
-            read_ground_truth(path)
+        write_ground_truth(path, {name: column[:0] for name, column in truth.items()})
+        assert path.read_text() == "beneficiary_id,index_discharge_date,readmit_label,mortality_label\n"
 
 
 class TestOutcomeSignal:
@@ -419,7 +405,7 @@ def assert_equals_reference(cfg: SyntheticConfig, reference=None):
     population = generate_population(cfg)
     assert list(population.columns) == list(claims_module.CLAIM_COLUMNS)
     assert _npz_bytes(population.columns) == _npz_bytes(claim_columns(reference.beneficiaries, reference.claims))
-    assert population.truth == reference.truth
+    assert truth_records(population.truth) == reference.truth
     assert population.info == reference.info
     return population
 
@@ -558,10 +544,10 @@ class TestKernelAgainstReference:
         signal = OutcomeSignal(intercept=intercept, ccs_weights={1: 0.5, 29: 1.0, 99: 2.0}, charlson_weight=0.1)
         cfg = SyntheticConfig(n_patients=400, seed=3, readmit_signal=signal, mortality_signal=signal)
         population = assert_equals_reference(cfg)
-        assert population.truth
+        assert len(population.truth["patient"])
         # A readmission or death is planted for every eligible event, or for none.
-        assert {row.readmit_label for row in population.truth} == {label}
-        assert {row.mortality_label for row in population.truth} == {label}
+        assert set(population.truth["readmit"].tolist()) == {label}
+        assert set(population.truth["mortality"].tolist()) == {label}
 
     def test_draws_stay_within_each_patient(self, monkeypatch):
         # A global max, sort or chunk boundary leaking between lanes would

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from seqfuse.claims import CLAIM_COLUMNS, write_npz
-from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, default_config, load_config, main, validate_config
-from seqfuse.cohort import age_band
+from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, _load_best, default_config, load_config, main, validate_config
+from seqfuse.cohort import POPULATION_MEMBERS, age_band
 from seqfuse.features import EventTable, SequenceOptions, charlson_band
 from seqfuse.knowledge import CcsMap, load_bundle
 from seqfuse.model import load_model, random_embedding
@@ -24,6 +24,11 @@ from tests.reference import (
     reference_table,
     table_steps,
 )
+
+
+def _best_model(outdir: Path, cell: str):
+    spec, arrays = _load_best(outdir / "train" / "models" / cell / "best")
+    return load_model(spec["model_config"], arrays)
 
 
 def _write_config(path: Path, outdir: Path, **overrides) -> Path:
@@ -217,7 +222,7 @@ class TestConfigHandling:
         assert cfg["train"]["lr_grid"] == {"l2": [0.1], "smote": [True]}
         for stage in ("generate", "cohort", "featurize", "train"):
             assert main([stage, "--config", str(config)]) == 0, stage
-        model, _ = load_model(outdir / "train" / "models" / "early_fusion__linear" / "best")
+        model = _best_model(outdir, "early_fusion__linear")
         assert model.config.mlp_hidden_dims == (16,)
 
     def test_missing_config_file_is_exit_2(self, tmp_path):
@@ -363,9 +368,10 @@ class TestArtifactTable:
             assert set(inputs) <= produced, (stage, sorted(set(inputs) - produced))
             assert all(rel.startswith(f"{stage}/") for rel in outputs), stage
             produced.update(outputs)
-        # 7 cells: LR once, each deep algorithm under both embeddings.
+        # 7 cells: LR once, each deep algorithm under both embeddings; each
+        # cell's model is a model.json and a weights.npz.
         assert sum(rel.startswith("evaluate/scores_") for rel in table["report"][0]) == 7
-        assert len([rel for rel in table["train"][1] if rel.startswith("train/models/")]) == 1 + 6 * 2
+        assert len([rel for rel in table["train"][1] if rel.startswith("train/models/")]) == 7 * 2
 
     def test_manifests_record_exactly_the_table(self, pipeline_run):
         config, outdir = pipeline_run
@@ -415,11 +421,11 @@ class TestPretrainedEmbedding:
         assert sorted(json.loads(t["config"])["embed_dim"] for t in trials) == [8, 12]
         assert {t["status"] for t in trials} == {"ok"}
         input_dim = json.loads((outdir / "featurize" / "features.json").read_text())["input_dim"]
-        frozen, _ = load_model(outdir / "train" / "models" / "rnn__pretrained" / "best")
+        frozen = _best_model(outdir, "rnn__pretrained")
         expected = random_embedding(input_dim, frozen.config.embed_dim, 4242)
         assert not frozen.params["embed.W"].requires_grad
         assert frozen.params["embed.W"].data.tobytes() == expected.tobytes()
-        learned, _ = load_model(outdir / "train" / "models" / "rnn__linear" / "best")
+        learned = _best_model(outdir, "rnn__linear")
         assert learned.params["embed.W"].requires_grad
 
 
@@ -453,7 +459,7 @@ class TestColumnarArtifacts:
         the run's own population, cohort and knowledge bundle."""
         _, outdir = pipeline_run
         table = EventTable.load(outdir / "featurize" / "events.npz")
-        with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
+        with np.load(outdir / "generate" / "claims.npz", allow_pickle=False) as npz:
             beneficiaries, claims = read_population_npz(npz)
         bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
         events, stays, _ = reference_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
@@ -483,17 +489,20 @@ class TestColumnarArtifacts:
         assert np.diff(table.proc_ptr).tolist() == [len(p) for p in procs]
         assert table.proc_ccs.tolist() == [c for p in procs for c in p]
 
-    def test_population_store_equals_the_ingested_records(self, pipeline_run):
+    def test_population_store_holds_only_what_cohort_adds(self, pipeline_run):
+        """The claims are stored once, in generate/claims.npz; the cohort's
+        store holds its stays and events, which code into that file's
+        string table."""
         _, outdir = pipeline_run
         with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
+            assert npz.files == list(POPULATION_MEMBERS)
             stored = {name: npz[name] for name in npz.files}
         with np.load(outdir / "generate" / "claims.npz", allow_pickle=False) as npz:
-            claims = {name: npz[name] for name in npz.files}
-        assert set(claims) == set(CLAIM_COLUMNS) < set(stored)
-        for name, column in claims.items():
-            assert (stored[name].dtype, stored[name].shape) == (column.dtype, column.shape), name
-            assert stored[name].tobytes() == column.tobytes(), name
-        assert read_population_npz(stored) == read_population_npz(claims)
+            assert npz.files == list(CLAIM_COLUMNS)
+            n_words = len(npz["text_ptr"]) - 1
+        assert not set(stored) & set(CLAIM_COLUMNS)
+        for name in ("beneficiary_id", "stay_id", "principal_dx", "all_dx", "all_proc"):
+            assert 0 <= stored[f"stay.{name}"].min() and stored[f"stay.{name}"].max() < n_words, name
 
     def test_featurize_does_not_rebuild_the_cohort(self, pipeline_run, tmp_path, monkeypatch):
         config, outdir = pipeline_run
@@ -513,7 +522,7 @@ class TestColumnarArtifacts:
         shutil.copytree(outdir, copy)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("featurize read generate/claims.npz")
+            raise AssertionError("featurize checked the claims again")
 
         monkeypatch.setattr("seqfuse.cli.ingest_claims", refuse)
         assert main(["featurize", "--config", str(config), "--outdir", str(copy)]) == 0
@@ -590,7 +599,7 @@ class TestExcludeIndexStep:
         table = EventTable.load(outdir / "featurize" / "events.npz")
         assert len(table) == features["n_events"] and np.all(np.diff(table.step_ptr) > 0)
         assert np.all(table.day_offset < 0)
-        with np.load(outdir / "cohort" / "population.npz", allow_pickle=False) as npz:
+        with np.load(outdir / "generate" / "claims.npz", allow_pickle=False) as npz:
             beneficiaries, claims = read_population_npz(npz)
         bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
         events, stays, _ = reference_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)

@@ -9,10 +9,10 @@ assertions then read the reference's records."""
 import numpy as np
 import pytest
 
-from seqfuse.claims import Beneficiary, ClaimRecord, SyntheticConfig, iso_to_day, text_words
+from seqfuse.claims import SyntheticConfig, iso_to_day, text_words
 from seqfuse.cohort import EXCLUSION_REASONS, age_band
 from seqfuse.knowledge import CcsMap, load_acute_drgs, load_bundle, load_planned_rules
-from tests.reference import checked_cohort, cohort_summary, population_records
+from tests.reference import Beneficiary, ClaimRecord, checked_cohort, cohort_summary, population_records
 
 DAY0 = iso_to_day("2011-03-01")
 

@@ -10,11 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqfuse.claims import ClaimRecord, SyntheticConfig, day_to_iso, write_npz
+from seqfuse.claims import SyntheticConfig, day_to_iso, write_npz
 from seqfuse.cohort import age_band
 from seqfuse.errors import ValidationError
 from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band, featurize_events
 from tests.reference import (
+    ClaimRecord,
     build_domain_vector,
     build_sequence,
     checked_cohort,

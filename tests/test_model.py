@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seqfuse.autodiff import Adam, Tape, Tensor, add, backward
+from seqfuse.cli import _load_best, _save_best
 from seqfuse.errors import DimensionError, ValidationError
 from seqfuse.model import (
     ModelConfig,
@@ -16,7 +17,6 @@ from seqfuse.model import (
     init_params,
     load_model,
     random_embedding,
-    save_model,
 )
 from seqfuse.rng import Xoshiro256
 from tests.reference import reference_embedding_lookup, reference_padding, steps_table
@@ -426,17 +426,30 @@ class TestLayoutAgainstReference:
         self._check(random_steps(rng, 8, 4, 12), rng, n_rows=7)
 
 
+def save_and_load(directory, model: SeqFuseModel, meta: dict | None = None) -> tuple[SeqFuseModel, dict]:
+    """The model through the train stage's files: `model.json` and `weights.npz`."""
+    spec = {"model_config": model.config.to_json_obj(), **(meta or {})}
+    _save_best(directory, spec, {name: tensor.data for name, tensor in model.params.items()})
+    spec, arrays = _load_best(directory)
+    return load_model(spec["model_config"], arrays), spec
+
+
 class TestPersistence:
     def test_round_trip_is_bitwise(self, tmp_path):
         cfg = small_config()
         model = SeqFuseModel(cfg)
-        save_model(tmp_path / "m", model, meta={"task": "readmission", "note": 7})
-        again, meta = load_model(tmp_path / "m")
+        again, meta = save_and_load(tmp_path / "m", model, meta={"task": "readmission", "note": 7})
         assert again.config == cfg
         assert meta["task"] == "readmission" and meta["note"] == 7
         assert set(again.params) == set(model.params)
         for name in model.params:
             assert np.array_equal(again.params[name].data, model.params[name].data)
+        arrays = {"w": np.array([[1.5, -2.25], [0.1, 3.75]]), "b": np.array([[0.0, 1e-300]])}
+        _save_best(tmp_path / "ck", {"note": "x"}, arrays)
+        spec, loaded = _load_best(tmp_path / "ck")
+        assert spec == {"note": "x"}
+        for name, value in arrays.items():
+            assert loaded[name].dtype == np.float64 and loaded[name].tobytes() == value.tobytes()
         rng = Xoshiro256(67)
         steps = random_steps(rng, 3, 2, cfg.input_dim)
         table, rows = steps_table(steps), np.arange(len(steps))
@@ -451,8 +464,7 @@ class TestPersistence:
         cfg = small_config(embedding="pretrained")
         model = SeqFuseModel(cfg, pretrained_embedding=matrix)
         assert not model.params["embed.W"].requires_grad
-        save_model(tmp_path / "m", model)
-        again, _ = load_model(tmp_path / "m")
+        again, _ = save_and_load(tmp_path / "m", model)
         assert np.array_equal(again.params["embed.W"].data, matrix)
         assert not again.params["embed.W"].requires_grad
         assert again.params["out.W"].requires_grad
