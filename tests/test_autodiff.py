@@ -1,5 +1,6 @@
 """Gradient checks for every tape op against central finite differences,
-plus optimizer behavior.
+plus optimizer behavior and the bitwise round trip of parameter arrays
+through the model files.
 
 The oracle perturbs raw parameter entries and re-runs the forward pass, so
 it shares no code with the vjp implementations it is checking."""
@@ -27,6 +28,7 @@ from seqfuse.autodiff import (
     tanh,
     weighted_bce,
 )
+from seqfuse.cli import _load_best, _save_best
 from seqfuse.errors import DimensionError, NumericsError
 from seqfuse.rng import Xoshiro256
 
@@ -376,3 +378,18 @@ class TestOptimizers:
         bound = 1.0 / np.sqrt(20)
         assert np.all(np.abs(a.data) <= bound)
         assert a.requires_grad
+
+
+class TestCheckpoints:
+    def test_round_trip_is_bitwise(self, tmp_path):
+        tensors = {
+            "w": np.array([[1.5, -2.25], [0.1, 3.75]]),
+            "b": Tensor(np.array([[0.0, 1e-300]])),
+        }
+        _save_best(tmp_path / "ck", {"note": "x"}, {"w": tensors["w"], "b": tensors["b"].data})
+        meta, arrays = _load_best(tmp_path / "ck")
+        assert meta == {"note": "x"}
+        assert set(arrays) == {"w", "b"}
+        assert arrays["w"].dtype == np.float64 and arrays["b"].dtype == np.float64
+        assert arrays["w"].tobytes() == tensors["w"].tobytes()
+        assert arrays["b"].tobytes() == tensors["b"].data.tobytes()
