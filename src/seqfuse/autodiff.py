@@ -24,7 +24,7 @@ import threading
 import numpy as np
 
 from .errors import DimensionError, NumericsError
-from .rng import Xoshiro256
+from .rng import Xoshiro256, unit_floats
 
 _EPS_BCE = 1e-12
 
@@ -381,9 +381,8 @@ def weighted_bce(y_hat: Tensor, y: np.ndarray, w_pos: float = 1.0, w_neg: float 
 def init_uniform(shape: tuple[int, int], fan_in: int, rng: Xoshiro256) -> Tensor:
     """uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), drawn in row-major order."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    data = np.array(
-        [rng.uniform(-bound, bound) for _ in range(shape[0] * shape[1])]
-    ).reshape(shape)
+    # `rng.uniform(-bound, bound)` per entry: -bound + 2 bound * random().
+    data = (-bound + (bound - -bound) * unit_floats(rng.next_u64s(shape[0] * shape[1]))).reshape(shape)
     return Tensor(data, requires_grad=True)
 
 

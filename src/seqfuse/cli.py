@@ -513,6 +513,11 @@ def stage_train(cfg: dict, outdir: Path) -> None:
     for name in ("train", "valid", "test"):
         if not fold_idx[name]:
             raise ValidationError(f"fold {name!r} received no events; increase the population")
+    if labels.min() != labels.max():
+        for name, idx in fold_idx.items():
+            if idx and labels[idx].min() == labels[idx].max():
+                kind = "positive" if labels[idx[0]] else "negative"
+                warnings.append(f"fold {name!r} has {len(idx)} events, all {kind}")
     _write_json(
         stage_dir / "split.json",
         {

@@ -278,19 +278,21 @@ class SeqFuseModel:
         table: EventTable,
         z_rows: np.ndarray | None,
         batch_size: int = 256,
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Probabilities, logits, and attention rows for table rows `rows`,
-        in their order.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Probabilities, logits, and attention for table rows `rows`, in
+        their order.
 
         Chunks of `batch_size` are taken in length order, so each chunk
-        pads little; each attention row is trimmed to its event's length.
+        pads little. The attention is one (n, T_max) matrix, right-aligned:
+        an event's weights fill its last `length` columns, zeros before.
         """
         rows = np.asarray(rows, dtype=np.int64)
         lengths = np.diff(table.step_ptr)[rows]
         n = len(rows)
         probs = np.zeros(n)
         logits = np.zeros(n)
-        attentions: list[np.ndarray] = [np.zeros(0)] * n
+        t_max = int(lengths.max(initial=0))
+        attentions = np.zeros((n, t_max))
         order = np.argsort(lengths, kind="stable")
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
@@ -298,9 +300,8 @@ class SeqFuseModel:
             y, logit, attention = self._padded_pass(rows[chunk], table, z_chunk)
             probs[chunk] = y.data[:, 0]
             logits[chunk] = logit.data[:, 0]
-            t_len = attention.shape[1]
-            for row, i in enumerate(chunk.tolist()):
-                attentions[i] = attention.data[row, t_len - lengths[i] :].copy()
+            # The chunk is left-padded, so its padded steps already weigh 0.
+            attentions[chunk, t_max - attention.shape[1] :] = attention.data
         return probs, logits, attentions
 
 

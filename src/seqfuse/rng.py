@@ -87,6 +87,19 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+def _highest_accepted(n: np.ndarray) -> np.ndarray:
+    """The highest draw `randint` accepts for a range of n values (uint64,
+    n >= 1): 2**64 - 2**64 % n - 1, in uint64 arithmetic that cannot
+    overflow."""
+    return np.uint64(_MASK64) - (np.uint64(_MASK64) - n + np.uint64(1)) % n
+
+
+def unit_floats(words: np.ndarray) -> np.ndarray:
+    """`Xoshiro256.random`'s conversion of uint64 words: each word's top
+    53 bits over 2**53, a double in [0, 1)."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def _np_splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`splitmix64` over a uint64 array. Every operand is uint64, so numpy
     1.x and 2.x (NEP 50) type the results alike, and products wrap."""
@@ -125,6 +138,48 @@ class Xoshiro256:
         self._s = [s0, s1, s2, s3]
         return result
 
+    def next_u64s(self, k: int) -> np.ndarray:
+        """The next k `next_u64` words as a uint64 array, stepped with the
+        state held in locals."""
+        s0, s1, s2, s3 = self._s
+        out = [0] * k
+        for i in range(k):
+            r = (s1 * 5) & _MASK64
+            out[i] = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        return np.array(out, dtype=np.uint64)
+
+    def randints(self, sizes: np.ndarray) -> np.ndarray:
+        """`randint(0, n - 1)` for each n of `sizes` in turn, as uint64, from
+        one `next_u64s` block; an n of 0 stands for 2**64 and takes the raw
+        word, as `random` does. A draw `randint` would reject (probability
+        about n / 2**64) shifts every later draw, so from the first one the
+        stream is replayed one draw at a time."""
+        sizes = np.asarray(sizes, dtype=np.uint64)
+        raw = sizes == 0
+        n = np.where(raw, np.uint64(1), sizes)
+        top = np.where(raw, np.uint64(_MASK64), _highest_accepted(n))
+        state = list(self._s)
+        u = self.next_u64s(len(sizes))
+        rejected = np.flatnonzero(u > top)
+        if rejected.size:
+            first = int(rejected[0])
+            self._s = state
+            self.next_u64s(first)
+            for i in range(first, len(sizes)):
+                word, highest = self.next_u64(), int(top[i])
+                while word > highest:
+                    word = self.next_u64()
+                u[i] = word
+        return np.where(raw, u, u % n)
+
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
@@ -150,8 +205,11 @@ class Xoshiro256:
         return seq[self.randint(0, len(seq) - 1)]
 
     def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
+        """Fisher-Yates from the last item down: item i swaps with item
+        randint(0, i)."""
+        stops = range(len(items) - 1, 0, -1)
+        swaps = self.randints(np.arange(len(items), 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(stops, swaps):
             items[i], items[j] = items[j], items[i]
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
@@ -244,7 +302,7 @@ class Xoshiro256Lanes:
         return self._block.ravel()[cursor * len(self._cursor) + lanes]
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
-        return (self.next_u64(lanes) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return unit_floats(self.next_u64(lanes))
 
     def randint(self, lanes: np.ndarray, lo, hi) -> np.ndarray:
         """`Xoshiro256.randint` per lane, over a range narrower than 2**64:
@@ -254,10 +312,8 @@ class Xoshiro256Lanes:
         lo, hi = np.asarray(lo), np.asarray(hi)
         if (hi < lo).any():
             raise ValueError("empty randint range")
-        # The range's size and its highest accepted draw,
-        # 2**64 - 2**64 % n - 1, in uint64 arithmetic that cannot overflow.
         n = hi.astype(np.uint64) - lo.astype(np.uint64) + np.uint64(1)
-        top = np.uint64(_MASK64) - (np.uint64(_MASK64) - n + np.uint64(1)) % n
+        top = _highest_accepted(n)
         u = self.next_u64(lanes)
         rejected = u > top
         if rejected.any():

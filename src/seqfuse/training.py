@@ -22,7 +22,7 @@ from .errors import MetricUndefinedError, NumericsError, ValidationError
 from .features import EventTable
 from .metrics import auc
 from .model import ModelConfig, SeqFuseModel, random_embedding
-from .rng import Xoshiro256, derive_seed
+from .rng import Xoshiro256, derive_seed, unit_floats
 
 FOLD_NAMES = ("train", "valid", "calibration", "test")
 DEFAULT_FRACTIONS = (0.70, 0.15, 0.05, 0.10)
@@ -200,8 +200,10 @@ def smote(
     rng = Xoshiro256(derive_seed(seed, "smote"))
     rows = features[labels == minority]
     neighbors = _nearest_neighbors(rows, k)
-    draws = [(rng.randint(0, n_min - 1), rng.randint(0, k - 1), rng.random()) for _ in range(n_new)]
-    i, slot, lam = (np.array(column) for column in zip(*draws))
+    # Each triple's third size, 0, takes the raw word `random` scales.
+    draws = rng.randints(np.tile(np.array([n_min, k, 0], dtype=np.uint64), n_new)).reshape(n_new, 3)
+    i, slot = draws[:, 0].astype(np.int64), draws[:, 1].astype(np.int64)
+    lam = unit_floats(draws[:, 2])
     j = neighbors[i, slot]
     synthetic = rows[i] + lam[:, None] * (rows[j] - rows[i])
     out_x = np.vstack([features, synthetic])

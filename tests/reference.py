@@ -26,6 +26,11 @@ nested step lists out for the model one Python list at a time, the layout
 `SeqFuseModel`'s gathers over an `EventTable`'s CSR columns must equal
 bitwise. `steps_table` and `table_steps` convert between nested step
 lists and those columns.
+
+`reference_train_lr` is the damped-Newton logistic regression with the
+general Hessian X' diag(p (1 - p)) X over every column, all-zero ones
+included: the solver `baseline.train_lr` must match in iterations and,
+to rounding, in weights.
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ from seqfuse.cohort import (
 )
 from seqfuse.cohort import cohort_summary as kernel_cohort_summary
 from seqfuse.autodiff import Tensor, _result
-from seqfuse.errors import DimensionError, ValidationError
+from seqfuse.baseline import LrModel, _nll_l2
+from seqfuse.errors import DimensionError, NumericsError, ValidationError
 from seqfuse.features import (
     SUBGROUP_KEYS,
     EventTable,
@@ -1535,3 +1541,69 @@ def reference_embedding_lookup(weights: Tensor, index_lists: list[list[int]]) ->
         return (gw,)
 
     return _result("embedding_lookup", out, (weights,), vjp)
+
+
+# --- the logistic baseline --------------------------------------------------------
+
+
+def reference_train_lr(
+    matrix: np.ndarray,
+    labels: np.ndarray,
+    l2: float,
+    max_iter: int = 100,
+    tol: float = 1e-8,
+) -> LrModel:
+    """Damped-Newton logistic regression; the intercept is unpenalized.
+
+    Expects standardized columns (fit on the training fold); an all-zero
+    column, the residue of a constant input, keeps weight exactly zero.
+    Requires l2 > 0 so separable data stays bounded.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    if matrix.ndim != 2 or matrix.shape[0] != len(y):
+        raise ValidationError("matrix rows and labels must align")
+    if set(np.unique(y)) - {0.0, 1.0}:
+        raise ValidationError("labels must be 0/1")
+    if l2 <= 0:
+        raise ValidationError("l2 must be positive")
+    n, d = matrix.shape
+    aug = np.hstack([matrix, np.ones((n, 1))])
+    theta = np.zeros(d + 1)
+    penalty = np.concatenate([np.full(d, l2), [0.0]])
+    current = _nll_l2(aug @ theta, y, theta[:d], l2)
+    n_iter = 0
+    converged = False
+    for n_iter in range(1, max_iter + 1):
+        margins = aug @ theta
+        p = 1.0 / (1.0 + np.exp(-margins))
+        grad = aug.T @ (p - y) / n + penalty * theta
+        if np.max(np.abs(grad)) <= tol:
+            converged = True
+            break
+        weights = p * (1.0 - p)
+        hess = (aug.T * weights) @ aug / n + np.diag(penalty)
+        # The intercept row has no penalty; weights > 0 keeps it invertible.
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"Newton system singular at iteration {n_iter}") from exc
+        scale = 1.0
+        for _ in range(30):
+            candidate = theta - scale * step
+            value = _nll_l2(aug @ candidate, y, candidate[:d], l2)
+            if value <= current:
+                theta = candidate
+                current = value
+                break
+            scale *= 0.5
+        else:
+            raise NumericsError(f"line search failed at iteration {n_iter}")
+    else:
+        margins = aug @ theta
+        p = 1.0 / (1.0 + np.exp(-margins))
+        grad = aug.T @ (p - y) / n + penalty * theta
+        converged = bool(np.max(np.abs(grad)) <= tol)
+    if not converged:
+        raise NumericsError(f"logistic regression did not converge in {max_iter} iterations")
+    return LrModel(weights=theta[:d].copy(), intercept=float(theta[d]), n_iter=n_iter, converged=converged)

@@ -379,6 +379,16 @@ class TestOptimizers:
         assert np.all(np.abs(a.data) <= bound)
         assert a.requires_grad
 
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (3, 5), (16, 24)])
+    def test_init_uniform_equals_scalar_uniform_draws(self, shape):
+        bound = 1.0 / np.sqrt(max(shape[0], 1))
+        for seed in range(40):
+            block, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            got = init_uniform(shape, fan_in=shape[0], rng=block).data
+            want = np.array([scalar.uniform(-bound, bound) for _ in range(shape[0] * shape[1])]).reshape(shape)
+            assert got.shape == shape and got.tobytes() == want.tobytes()
+            assert block._s == scalar._s
+
 
 class TestCheckpoints:
     def test_round_trip_is_bitwise(self, tmp_path):

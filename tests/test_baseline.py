@@ -1,13 +1,18 @@
 """Flattening and the regularized logistic baseline."""
 
+import json
+
 import numpy as np
 import pytest
 
 from seqfuse.baseline import flatten, make_lr_runner, train_lr
+from seqfuse.cli import _load_sequences, _split_folds, default_config, main
 from seqfuse.errors import NumericsError, ValidationError
 from seqfuse.claims import _ptr
 from seqfuse.features import SUBGROUP_KEYS, EventTable
 from seqfuse.rng import Xoshiro256
+from seqfuse.training import apply_standardizer, fit_standardizer, smote
+from tests.reference import reference_train_lr
 
 
 def _table(rows: list[tuple[list[tuple[int, ...]], list[float]]]) -> EventTable:
@@ -210,6 +215,79 @@ class TestTrainLr:
         x, y = _logit_world()
         with pytest.raises(NumericsError, match="did not converge"):
             train_lr(x, y, l2=1e-6, max_iter=1)
+
+
+def _assert_matches_reference(x, y, l2, **kwargs):
+    """`train_lr` takes the reference solver's iterations to the same
+    optimum, to rounding, and gives every all-zero column weight 0.0."""
+    got = train_lr(x, y, l2=l2, **kwargs)
+    want = reference_train_lr(x, y, l2=l2, **kwargs)
+    assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
+    assert abs(got.intercept - want.intercept) <= 1e-12
+    dead = ~(x != 0.0).any(axis=0)
+    assert got.weights.shape == (x.shape[1],)
+    assert (got.weights[dead] == 0.0).all() and not np.signbit(got.weights[dead]).any()
+    return got
+
+
+@pytest.fixture(scope="module")
+def demo_training_fold(tmp_path_factory):
+    """The demo config's LR training fold (2,000 patients, seed 20110901):
+    the flattened events of the train fold, standardized on that fold, and
+    their labels."""
+    outdir = tmp_path_factory.mktemp("demo") / "run"
+    cfg = default_config(outdir=str(outdir))
+    cfg["train"]["algorithms"] = ["lr"]
+    config = outdir.parent / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    for stage in ("generate", "cohort", "featurize", "train"):
+        assert main([stage, "--config", str(config)]) == 0
+    table, meta = _load_sequences(outdir, "readmission")
+    flat = flatten(table, meta["n_dx_columns"], meta["n_proc_columns"], meta["z_names"])
+    train = _split_folds(outdir, table)[1]["train"]
+    x = flat.matrix[train]
+    return apply_standardizer(x, *fit_standardizer(x)), table.readmit_label[train].astype(np.float64)
+
+
+class TestTrainLrAgainstReference:
+    @pytest.mark.parametrize("l2", [0.1, 0.01, 1e-4])
+    def test_logit_world(self, l2):
+        _assert_matches_reference(*_logit_world(), l2)
+
+    def test_all_zero_columns_between_live_ones(self):
+        x, y = _logit_world()
+        padded = np.zeros((len(x), 9))
+        padded[:, [1, 4, 5, 7]] = x
+        model = _assert_matches_reference(padded, y, 0.05)
+        np.testing.assert_allclose(model.weights[[1, 4, 5, 7]], train_lr(x, y, l2=0.05).weights, rtol=0, atol=1e-12)
+
+    def test_all_zero_matrix_fits_the_intercept_only(self):
+        _, y = _logit_world()
+        model = _assert_matches_reference(np.zeros((len(y), 5)), y, 0.1)
+        # The gradient tolerance, 1e-8, over p (1 - p) at the optimum.
+        assert abs(model.intercept - np.log(y.mean() / (1.0 - y.mean()))) <= 1e-7
+
+    def test_separable_data(self):
+        x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        _assert_matches_reference(x, np.array([0.0, 0.0, 1.0, 1.0]), 0.1)
+
+    @pytest.mark.parametrize("oversample", [False, True], ids=["plain", "smote"])
+    @pytest.mark.parametrize("l2", [0.1, 0.01])
+    def test_demo_training_fold(self, demo_training_fold, l2, oversample):
+        x, y = demo_training_fold
+        assert (~(x != 0.0).any(axis=0)).sum() > 0
+        if oversample:
+            x, y = smote(x, y, seed=20110901)
+        _assert_matches_reference(x, y, l2)
+
+    def test_iteration_budget_raises_the_same_error(self):
+        x, y = _logit_world()
+        with pytest.raises(NumericsError) as got:
+            train_lr(x, y, l2=1e-6, max_iter=1)
+        with pytest.raises(NumericsError) as want:
+            reference_train_lr(x, y, l2=1e-6, max_iter=1)
+        assert str(got.value) == str(want.value)
 
 
 class TestLrRunner:

@@ -637,3 +637,5 @@ class TestMortalityTask:
         split = json.loads((outdir / "train" / "split.json").read_text())
         n_split = sum(len(v) for v in split["events"].values())
         assert n_split == features["n_events"] - excluded
+        # The run has deaths, but none among the calibration fold's events.
+        assert split["warnings"] == ["fold 'calibration' has 8 events, all negative"]

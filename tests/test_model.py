@@ -182,8 +182,9 @@ class TestForward:
         probs, logits, attentions = model.predict(rows, table, z, batch_size=2)
         np.testing.assert_array_equal(probs, y.data[:, 0])
         np.testing.assert_array_equal(logits, logit.data[:, 0])
-        for i in range(6):
-            np.testing.assert_array_equal(attentions[i], attention.data[i])
+        # One length, so predict's right-aligned matrix is forward's.
+        assert attentions.shape == attention.data.shape
+        np.testing.assert_array_equal(attentions, attention.data)
 
     def test_predict_mixed_lengths_keeps_input_order(self):
         """Bucketing by length must not leak results across positions, and
@@ -196,13 +197,16 @@ class TestForward:
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
         probs, _, attentions = model.predict(rows, table, z, batch_size=4)
+        assert attentions.shape == (len(lengths), max(lengths))
         for i, t in enumerate(lengths):
             with Tape():
-                y_solo, _, _ = model.forward([i], table, z[i : i + 1])
+                y_solo, _, attention_solo = model.forward([i], table, z[i : i + 1])
             # Batched matmul reduces in a different order than a solo row,
             # so agreement is to rounding, not bitwise.
             np.testing.assert_allclose(probs[i], y_solo.data[0, 0], rtol=1e-12)
-            assert attentions[i].shape == (t,)
+            # Event i's t weights fill the row's last t columns.
+            assert (attentions[i, : max(lengths) - t] == 0.0).all()
+            np.testing.assert_allclose(attentions[i, max(lengths) - t :], attention_solo.data[0], rtol=1e-12)
 
     def test_forward_rejects_ragged_batches(self):
         model = SeqFuseModel(small_config())

@@ -185,6 +185,64 @@ def _scalar_pass(gen, hi):
     ]
 
 
+def _scalar_randints(gen, sizes):
+    """`Xoshiro256.randints` drawn one scalar call at a time."""
+    return [gen.next_u64() if n == 0 else gen.randint(0, n - 1) for n in sizes]
+
+
+_BLOCK_SEEDS = [derive_seed(17, "block", i) for i in range(60)]
+
+
+@pytest.mark.filterwarnings("error")
+class TestBlockDraws:
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 1001])
+    def test_words_equal_scalar_draws_and_leave_the_same_state(self, k):
+        for seed in _BLOCK_SEEDS:
+            block, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            words = block.next_u64s(k)
+            assert words.dtype == np.uint64 and words.shape == (k,)
+            assert words.tolist() == [scalar.next_u64() for _ in range(k)]
+            assert block._s == scalar._s
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 301])
+    def test_randints_equal_scalar_randint(self, k):
+        for seed in _BLOCK_SEEDS:
+            pool = [0, 1, 2, 5, 97, 2**32 + 1, 2**64 - 1, 3 * 2**62]
+            sizes = [pool[(seed + i) % len(pool)] for i in range(k)]
+            block, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            got = block.randints(np.array(sizes, dtype=np.uint64))
+            assert got.dtype == np.uint64
+            assert got.tolist() == _scalar_randints(scalar, sizes)
+            assert block._s == scalar._s
+
+    @pytest.mark.parametrize("k", [1, 2, 51])
+    def test_a_range_that_rejects_half_its_draws(self, k):
+        # randint(0, 2**63) accepts a draw below 2**63 + 1 only.
+        rejected = 0
+        for seed in _BLOCK_SEEDS:
+            block, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            words = []
+            step = scalar.next_u64
+            scalar.next_u64 = lambda: words.append(step()) or words[-1]
+            got = block.randints(np.full(k, 2**63 + 1, dtype=np.uint64))
+            assert got.tolist() == [scalar.randint(0, 2**63) for _ in range(k)]
+            assert block._s == scalar._s
+            rejected += len(words) - k
+        assert rejected > 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 257])
+    def test_shuffle_is_the_scalar_fisher_yates(self, n):
+        for seed in _BLOCK_SEEDS:
+            gen, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            items, expected = [f"p{i}" for i in range(n)], [f"p{i}" for i in range(n)]
+            gen.shuffle(items)
+            for i in range(n - 1, 0, -1):
+                j = scalar.randint(0, i)
+                expected[i], expected[j] = expected[j], expected[i]
+            assert items == expected
+            assert gen._s == scalar._s
+
+
 # A uint64 scalar that overflows, or a uint64 operand promoted to float,
 # warns; as errors, they fail these tests.
 @pytest.mark.filterwarnings("error")

@@ -258,6 +258,22 @@ class TestSmote:
             tracemalloc.stop()
         assert peak <= budget + 8 * len(rows) * 8
 
+    @pytest.mark.parametrize("n_pos, n_neg", [(6, 7), (12, 40), (31, 8)])
+    def test_draws_equal_the_scalar_stream(self, n_pos, n_neg):
+        """Each new point's (row, slot, weight), drawn one scalar call at a
+        time from the "smote" stream, gives smote's rows bit for bit."""
+        x, y = self._world(n_pos=n_pos, n_neg=n_neg)
+        minority = int(n_pos < n_neg)
+        rows = x[y == minority]
+        neighbors = reference_nearest_neighbors(rows, 5)
+        n_new = max(n_pos, n_neg) - min(n_pos, n_neg)
+        for seed in range(30):
+            rng = Xoshiro256(derive_seed(seed, "smote"))
+            draws = [(rng.randint(0, len(rows) - 1), rng.randint(0, 4), rng.random()) for _ in range(n_new)]
+            want = np.array([rows[i] + lam * (rows[neighbors[i, slot]] - rows[i]) for i, slot, lam in draws])
+            got = smote(x, y, seed=seed)[0][len(x) :]
+            assert got.tobytes() == want.reshape(n_new, x.shape[1]).tobytes()
+
     def test_deterministic_in_seed(self):
         x, y = self._world()
         a = smote(x, y, seed=9)[0]
