@@ -3,10 +3,10 @@
 Dates are integer day numbers (days since 1970-01-01) everywhere; the
 ground-truth CSV carries ISO strings. The archive `generate/claims.npz`
 holds beneficiaries and claims as the columns of `CLAIM_COLUMNS`, written
-by `write_npz`; `check_claim_columns` checks every record in it and
-`ingest_claims` reads it back for cohort. Featurize reads the same file
-again, already checked and hash-verified, for the claims its visit steps
-and counts need.
+by `write_npz` and read back by `read_npz`; `check_claim_columns` checks
+every record in it, and `ingest_claims` is the two together, for cohort.
+Featurize reads the same file again, already checked and hash-verified,
+for the claims its visit steps and counts need.
 
 The synthetic generator plants a known logistic outcome signal per patient
 and reports it back, as columns, so tests can check that the cohort builder
@@ -88,6 +88,20 @@ def write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
                 np.lib.format.write_array(fh, np.asanyarray(value), allow_pickle=False)
 
 
+def read_npz(path: str | Path) -> dict[str, np.ndarray]:
+    """{name: array} of an archive as `write_npz` writes it. A file that is
+    not such an archive raises ValidationError."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            arrays = {}
+            for info in archive.infolist():
+                with archive.open(info) as fh:
+                    arrays[info.filename.removesuffix(".npy")] = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path}: not a NumPy archive: {exc}") from exc
+    return arrays
+
+
 def _ptr(lengths) -> np.ndarray:
     """CSR row pointers for rows of the given lengths."""
     ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
@@ -151,14 +165,7 @@ def ingest_claims(path: str | Path) -> dict[str, np.ndarray]:
     """Reads the claim columns of an archive and checks them with
     `check_claim_columns`. Any failed check rejects the whole file with a
     ValidationError."""
-    try:
-        with zipfile.ZipFile(path) as archive:
-            cols = {}
-            for info in archive.infolist():
-                with archive.open(info) as fh:
-                    cols[info.filename.removesuffix(".npy")] = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"{path}: not a NumPy archive of claim columns: {exc}") from exc
+    cols = read_npz(path)
     check_claim_columns(cols, str(path))
     return cols
 

@@ -9,14 +9,15 @@ instead of silently skewing results downstream. `_artifacts` is the one
 list of each stage's inputs and outputs, and `run_stage` runs a stage body
 under that protocol: verify the inputs, run, hash the outputs.
 
-Every array a stage hands on goes through `claims.write_npz`. `generate`
-draws the claims straight into columns, checks them as cohort will, and
-writes them as `generate/claims.npz`, with the planted events' ground
-truth. `cohort` checks them again as it reads them (`ingest_claims`) and
-writes only the stays and index events it built to
-`cohort/population.npz`; `featurize` computes its features from the claim
-columns of `generate/claims.npz` and those of `cohort/population.npz`
-together, without checking the claims or building the cohort again.
+Every array a stage hands on goes out through `claims.write_npz` and back
+in through `claims.read_npz`. `generate` draws the claims straight into
+columns, checks them as cohort will, and writes them as
+`generate/claims.npz`, with the planted events' ground truth. `cohort`
+checks them again as it reads them (`ingest_claims`) and writes only the
+stays and index events it built to `cohort/population.npz`; `featurize`
+computes its features from the claim columns of `generate/claims.npz` and
+those of `cohort/population.npz` together, without checking the claims or
+building the cohort again.
 `featurize` hands its events on in one form, the columnar
 `featurize/events.npz` (an `EventTable`), which every later stage loads
 through `_load_sequences`; the deep cells train and predict on rows of that
@@ -55,7 +56,7 @@ import numpy as np
 from . import __version__
 from .baseline import flatten, make_lr_runner
 from .calibration import Calibrator, ece, fit_platt, fit_temperature, nll
-from .claims import SyntheticConfig, generate_population, ingest_claims, write_ground_truth, write_npz
+from .claims import SyntheticConfig, generate_population, ingest_claims, read_npz, write_ground_truth, write_npz
 from .cohort import POPULATION_MEMBERS, build_cohort, cohort_summary, index_event_lines
 from .errors import (
     CalibrationError,
@@ -67,7 +68,7 @@ from .errors import (
     ValidationError,
 )
 from .features import SUBGROUP_KEYS, EventTable, SequenceOptions, featurize_events
-from .knowledge import KNOWLEDGE_FILES, CcsMap, load_bundle
+from .knowledge import CcsMap, load_bundle
 from .metrics import (
     auc,
     recall_at_top_k,
@@ -123,14 +124,11 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
         },
         "calibrate": {"method_deep": "temperature", "method_lr": "platt"},
         "evaluate": {"threshold": 0.5, "top_k": [50], "n_min": 50},
-        "knowledge": {},
     }
 
 
-# Keys a config may leave out: a knowledge table then takes its bundled
-# file. Grid axes with a default value are not among them, because
-# `load_config` fills each one a grid leaves out from `default_config`.
-_OPTIONAL = {f"knowledge.{key}" for key in KNOWLEDGE_FILES}
+# The grid axes a config may leave out: `load_config` fills each one from
+# `default_config`.
 _DEFAULT_AXES = {"grid": ("n_gru_layers", "mlp_hidden_dims", "batch_size", "w_pos"), "lr_grid": ("smote",)}
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
@@ -203,7 +201,7 @@ def _walk(value, schema, path: str, problems: list[str]) -> None:
             key_path = f"{path}.{key}" if path else key
             if key in value:
                 _walk(value[key], like, key_path, problems)
-            elif key_path not in _OPTIONAL:
+            else:
                 problems.append(f"{key_path} is missing")
         return
     start = len(problems)
@@ -222,16 +220,13 @@ def _walk(value, schema, path: str, problems: list[str]) -> None:
 
 def validate_config(cfg: dict) -> list[str]:
     """Every problem with a complete config, all reported together and
-    each naming its key's path. `default_config` is the schema, with the
-    `KNOWLEDGE_FILES` keys under `knowledge`: an object holds only the
-    schema's keys, each required unless `_OPTIONAL` lists it; a list holds
-    values shaped like the schema's first element; a scalar has the
-    schema's type. A value with its type is then checked against
-    `_RANGES`, so a wrong type is one problem rather than a crash."""
-    schema = default_config()
-    schema["knowledge"] = dict.fromkeys(KNOWLEDGE_FILES, "")
+    each naming its key's path. `default_config` is the schema: an object
+    holds exactly the schema's keys; a list holds values shaped like the
+    schema's first element; a scalar has the schema's type. A value with
+    its type is then checked against `_RANGES`, so a wrong type is one
+    problem rather than a crash."""
     problems: list[str] = []
-    _walk(cfg, schema, "", problems)
+    _walk(cfg, default_config(), "", problems)
     return problems
 
 
@@ -258,10 +253,14 @@ def load_config(path: str, outdir: str | None = None) -> dict:
         if isinstance(train, dict) and isinstance(train.get(grid), dict):
             defaults = default_config()["train"][grid]
             train[grid] = {**{axis: defaults[axis] for axis in axes}, **train[grid]}
-    # Configs from older versions may carry two removed keys: `train.jobs`,
-    # which results never depended on, and `features.pretrained_embed_dim`,
+    # Configs from older versions may carry three removed keys: `train.jobs`,
+    # which results never depended on; `features.pretrained_embed_dim`,
     # which had to equal every `train.grid.embed_dim` (the frozen matrix
-    # now takes each trial's own). Both are dropped rather than hashed.
+    # now takes each trial's own); and an empty `knowledge` object, from
+    # when a config could name its own rule tables (a non-empty one is an
+    # unknown key). All three are dropped rather than hashed.
+    if merged.get("knowledge") == {}:
+        del merged["knowledge"]
     if isinstance(train, dict):
         train.pop("jobs", None)
     if isinstance(merged["features"], dict):
@@ -333,10 +332,8 @@ def _read_json(path: Path):
 # --- stage helpers ----------------------------------------------------------
 
 
-def _knowledge_bundle(cfg: dict, outdir: Path):
-    ccs = CcsMap.from_csv(outdir / "generate" / "ccs_map.csv")
-    paths = {k: v for k, v in cfg["knowledge"].items() if v}
-    return load_bundle(ccs, paths)
+def _knowledge_bundle(outdir: Path):
+    return load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
 
 
 def _cells(cfg: dict) -> list[tuple[str, str]]:
@@ -390,11 +387,6 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     }
 
 
-def _read_npz(path: Path) -> dict[str, np.ndarray]:
-    with np.load(path, allow_pickle=False) as npz:
-        return {name: npz[name] for name in npz.files}
-
-
 def _save_best(model_dir: Path, spec: dict, arrays: dict[str, np.ndarray]) -> None:
     """A cell's best model: `spec` as `model.json`, its arrays as `weights.npz`."""
     model_dir.mkdir(parents=True, exist_ok=True)
@@ -404,7 +396,7 @@ def _save_best(model_dir: Path, spec: dict, arrays: dict[str, np.ndarray]) -> No
 
 def _load_best(model_dir: Path) -> tuple[dict, dict[str, np.ndarray]]:
     """The spec and arrays `_save_best` wrote."""
-    return _read_json(model_dir / "model.json"), _read_npz(model_dir / "weights.npz")
+    return _read_json(model_dir / "model.json"), read_npz(model_dir / "weights.npz")
 
 
 def _load_sequences(outdir: Path, task: str) -> tuple[EventTable, dict]:
@@ -453,7 +445,7 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
 def stage_cohort(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "cohort"
     cols = ingest_claims(outdir / "generate" / "claims.npz")
-    bundle = _knowledge_bundle(cfg, outdir)
+    bundle = _knowledge_bundle(outdir)
     cols, audit = build_cohort(cols, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
     write_npz(stage_dir / "population.npz", {name: cols[name] for name in POPULATION_MEMBERS})
     (stage_dir / "index_events.jsonl").write_text(index_event_lines(cols), encoding="utf-8")
@@ -467,14 +459,14 @@ def stage_cohort(cfg: dict, outdir: Path) -> None:
 
 def stage_featurize(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "featurize"
-    bundle = _knowledge_bundle(cfg, outdir)
+    bundle = _knowledge_bundle(outdir)
     opts = SequenceOptions(**cfg["features"])
     # Generate checked the claims and cohort read them through the same
     # checks; both files are hash-verified, so they are read as they are.
-    cohort = _read_npz(outdir / "cohort" / "population.npz")
+    cohort = read_npz(outdir / "cohort" / "population.npz")
     if not set(POPULATION_MEMBERS) <= set(cohort):
         raise PrerequisiteError("cohort/population.npz holds no stays or events; rerun `seqfuse cohort`")
-    cols = {**_read_npz(outdir / "generate" / "claims.npz"), **cohort}
+    cols = {**read_npz(outdir / "generate" / "claims.npz"), **cohort}
     table, z_names = featurize_events(cols, bundle, opts)
     n_dropped = int(cols["event.eligible"].sum()) - len(table)
     if not len(table):
@@ -685,7 +677,7 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     fold_of, fold_idx = _split_folds(outdir, table)
     test_idx = np.array(fold_idx["test"], dtype=np.int64)
     calibrators = _read_json(outdir / "calibrate" / "calibrators.json")["cells"]
-    raw_scores = _read_npz(outdir / "calibrate" / "raw_scores.npz")
+    raw_scores = read_npz(outdir / "calibrate" / "raw_scores.npz")
     train_summary = _read_json(outdir / "train" / "summary.json")["cells"]
 
     metrics: dict[str, dict] = {}

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import _ptr, _ranges, day_to_iso, text_words, write_npz
+from .claims import _ptr, _ranges, day_to_iso, read_npz, text_words, write_npz
 from .cohort import LOOKBACK_DAYS, age_band
 from .errors import ValidationError
 from .knowledge import DomainFeature, KnowledgeBundle
@@ -327,8 +327,8 @@ class EventTable:
 
     @classmethod
     def load(cls, path: Path) -> "EventTable":
-        with np.load(path, allow_pickle=False) as npz:
-            return cls(**{f.name: npz[f.name] for f in fields(cls)})
+        arrays = read_npz(path)
+        return cls(**{f.name: arrays[f.name] for f in fields(cls)})
 
     def label_for(self, task: str) -> np.ndarray:
         if task == "readmission":

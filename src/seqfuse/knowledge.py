@@ -3,9 +3,10 @@
 Everything the pipeline knows about medicine lives here: the CCS-style
 grouper that collapses raw diagnosis/procedure codes into categories, the
 Charlson weights, hospital-acquired-condition rules,
-the planned-readmission screen, and the acute DRG list. Rule tables ship as
-JSON under ``seqfuse/data`` so a deployment against real claims can swap
-them for files derived from the published crosswalks without code changes.
+the planned-readmission screen, and the acute DRG list. The rule tables
+ship as JSON under ``seqfuse/data`` and are the package's own: the
+synthetic generator plants its population against their categories, so no
+other table could describe that data.
 """
 
 from __future__ import annotations
@@ -24,13 +25,6 @@ CODE_TYPES = ("dx", "proc")
 
 def _load_bundled(name: str) -> dict:
     with resources.files("seqfuse.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _load_json(path: str | Path | None, bundled_name: str) -> dict:
-    if path is None:
-        return _load_bundled(bundled_name)
-    with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -140,9 +134,9 @@ class CcsMap:
         Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
-def load_charlson_weights(path: str | Path | None = None) -> dict[int, int]:
+def load_charlson_weights() -> dict[int, int]:
     """Returns {dx CCS category: Charlson weight} for the 17 condition groups."""
-    raw = _load_json(path, "charlson_weights.json")
+    raw = _load_bundled("charlson_weights.json")
     weights: dict[int, int] = {}
     for group in raw["groups"]:
         cat = int(group["ccs_id"])
@@ -161,8 +155,8 @@ class HacRule:
     proc_ccs: frozenset[int]
 
 
-def load_hac_rules(path: str | Path | None = None) -> list[HacRule]:
-    raw = _load_json(path, "hac_rules.json")
+def load_hac_rules() -> list[HacRule]:
+    raw = _load_bundled("hac_rules.json")
     rules = [
         HacRule(
             name=r["name"],
@@ -195,8 +189,8 @@ class PlannedRules:
         return bool(self.planned_proc_ccs & set(proc_ccs_set))
 
 
-def load_planned_rules(path: str | Path | None = None) -> PlannedRules:
-    raw = _load_json(path, "planned_rules.json")
+def load_planned_rules() -> PlannedRules:
+    raw = _load_bundled("planned_rules.json")
     return PlannedRules(
         planned_proc_ccs=frozenset(int(c) for c in raw["planned_proc_ccs"]),
         maintenance_dx_ccs=frozenset(int(c) for c in raw["maintenance_dx_ccs"]),
@@ -204,8 +198,8 @@ def load_planned_rules(path: str | Path | None = None) -> PlannedRules:
     )
 
 
-def load_acute_drgs(path: str | Path | None = None) -> frozenset[str]:
-    raw = _load_json(path, "acute_drgs.json")
+def load_acute_drgs() -> frozenset[str]:
+    raw = _load_bundled("acute_drgs.json")
     return frozenset(raw["acute_drgs"])
 
 
@@ -219,8 +213,8 @@ class DomainFeature:
 ENCODINGS = ("numeric", "binary", "one_hot", "one_hot_dx_ccs", "flags")
 
 
-def load_domain_spec(path: str | Path | None = None) -> list[DomainFeature]:
-    raw = _load_json(path, "domain_spec.json")
+def load_domain_spec() -> list[DomainFeature]:
+    raw = _load_bundled("domain_spec.json")
     features: list[DomainFeature] = []
     for f in raw["features"]:
         enc = f["encoding"]
@@ -235,17 +229,6 @@ def load_domain_spec(path: str | Path | None = None) -> list[DomainFeature]:
     return features
 
 
-# The rule tables a config's `knowledge` section may replace with a file,
-# each with its loader.
-KNOWLEDGE_FILES = {
-    "charlson_weights": load_charlson_weights,
-    "hac_rules": load_hac_rules,
-    "planned_rules": load_planned_rules,
-    "acute_drgs": load_acute_drgs,
-    "domain_spec": load_domain_spec,
-}
-
-
 @dataclass(frozen=True)
 class KnowledgeBundle:
     """All rule tables resolved together, as the pipeline consumes them."""
@@ -258,16 +241,13 @@ class KnowledgeBundle:
     domain_spec: list[DomainFeature]
 
 
-def load_bundle(ccs: CcsMap, paths: dict[str, str | Path] | None = None) -> KnowledgeBundle:
-    """Each table from its file in `paths`, or the bundled one. A file that
-    cannot be read, or whose JSON lacks the fields or types its loader
-    expects, raises ValidationError naming it."""
-    paths = paths or {}
-    tables = {}
-    for key, loader in KNOWLEDGE_FILES.items():
-        try:
-            tables[key] = loader(paths.get(key))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            source = paths.get(key) or "the bundled table"
-            raise ValidationError(f"knowledge.{key}: cannot load {str(source)!r}: {exc!r}") from exc
-    return KnowledgeBundle(ccs=ccs, **tables)
+def load_bundle(ccs: CcsMap) -> KnowledgeBundle:
+    """The bundled rule tables, with the run's code map."""
+    return KnowledgeBundle(
+        ccs=ccs,
+        charlson_weights=load_charlson_weights(),
+        hac_rules=load_hac_rules(),
+        planned_rules=load_planned_rules(),
+        acute_drgs=load_acute_drgs(),
+        domain_spec=load_domain_spec(),
+    )

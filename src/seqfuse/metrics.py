@@ -132,7 +132,9 @@ def surrogate_importance(
     The surrogate is fit on standardized flat features against the model's
     own predictions binarized at the threshold, not against outcomes; its
     weights rank which inputs drive the model's decisions. Rows sort by
-    absolute weight, descending, name ascending on ties.
+    absolute weight as printed to six decimals, descending, name ascending
+    on ties, so weights that print alike (complementary one-hot columns)
+    keep one order whatever their last bits.
     """
     from .baseline import train_lr
     from .training import apply_standardizer, fit_standardizer
@@ -147,7 +149,7 @@ def surrogate_importance(
     if targets.min() == targets.max():
         raise MetricUndefinedError("binarized predictions are single-class; surrogate undefined")
     lr = train_lr(apply_standardizer(matrix, *fit_standardizer(matrix)), targets, l2=l2)
-    order = sorted(range(len(names)), key=lambda i: (-abs(lr.weights[i]), names[i]))
+    order = sorted(range(len(names)), key=lambda i: (-abs(float(f"{lr.weights[i]:.6f}")), names[i]))
     return [
         {"category": categories[i], "feature": names[i], "importance": float(lr.weights[i])}
         for i in order

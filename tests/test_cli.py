@@ -53,10 +53,7 @@ def _write_config(path: Path, outdir: Path, **overrides) -> Path:
     )
     cfg["evaluate"].update({"top_k": [10], "n_min": 5})
     for key, value in overrides.items():
-        if isinstance(value, dict):
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
+        cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
     path.write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
     return path
 
@@ -109,7 +106,6 @@ class TestConfigHandling:
             ("generate", "dx_vocab", "x"),
             ("train", "optimizer", "rmsprop"),
             ("train", "w_neg", -1),
-            ("knowledge", "hac_rules", 5),
             ("features", "exclude_index_step", "false"),
             ("features", "lookback_day", 30),
             ("train", "grid", {**default_config()["train"]["grid"], "lr": ["0.05"]}),
@@ -129,7 +125,7 @@ class TestConfigHandling:
         "overrides, problem",
         [
             ({"generate": 5}, "generate must be a JSON object"),
-            ({"knowledge": ["charlson_weights.json"]}, "knowledge must be a JSON object"),
+            ({"knowledge": ["charlson_weights.json"]}, "unknown config keys: ['knowledge']"),
             ({"train": {"grid": []}}, "train.grid must be a JSON object"),
             ({"train": {"lr_grid": [0.1]}}, "train.lr_grid must be a JSON object"),
             ({"train": {"lr_grid": {"l2": 0.1, "smote": [False]}}}, "train.lr_grid.l2 must be a list"),
@@ -137,8 +133,8 @@ class TestConfigHandling:
                 {"train": {"grid": {**default_config()["train"]["grid"], "batch_size": 32}}},
                 "train.grid.batch_size must be a list",
             ),
-            ({"knowledge": {"hac_rule": "hac_rules.json"}}, "unknown knowledge keys: ['hac_rule']"),
-            ({"knowledge": {"lace_tables": "lace_tables.json"}}, "unknown knowledge keys: ['lace_tables']"),
+            ({"knowledge": {"hac_rules": "hac_rules.json"}}, "unknown config keys: ['knowledge']"),
+            ({"knowledge": {"lace_tables": "lace_tables.json"}}, "unknown config keys: ['knowledge']"),
             ({"features": {"lookback_day": 30}}, "unknown features keys: ['lookback_day']"),
             ({"train": {"optimiser": "sgd"}}, "unknown train keys: ['optimiser']"),
             ({"evaluate": {"topk": [10]}}, "unknown evaluate keys: ['topk']"),
@@ -189,28 +185,12 @@ class TestConfigHandling:
     def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
         cfg = default_config(outdir=str(tmp_path / "run"))
         for key, value in overrides.items():
-            cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+            cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
         assert problem in validate_config(cfg)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["generate", "--config", str(config)]) == 2
         assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize(
-        "content",
-        [None, "{not json", '{"rule": []}', '{"rules": 5}', '{"rules": [{"name": "x", "dx_ccs": ["a"], "proc_ccs": []}]}'],
-        ids=["missing", "not-json", "no-rules", "rules-not-a-list", "category-not-an-integer"],
-    )
-    def test_unreadable_rule_file_is_exit_2(self, pipeline_run, tmp_path, capsys, content):
-        _, outdir = pipeline_run
-        copy = tmp_path / "run"
-        shutil.copytree(outdir / "generate", copy / "generate")
-        rules = tmp_path / "hac_rules.json"
-        if content is not None:
-            rules.write_text(content, encoding="utf-8")
-        config = _write_config(tmp_path / "cfg.json", copy, knowledge={"hac_rules": str(rules)})
-        assert main(["cohort", "--config", str(config)]) == 2
-        assert "knowledge.hac_rules" in capsys.readouterr().err
 
     def test_grid_axes_left_out_take_the_default_config_values(self, tmp_path):
         grid = {"embed_dim": [6], "hidden_dim": [8], "lr": [0.05]}
@@ -253,6 +233,13 @@ class TestConfigHandling:
         config = _write_config(tmp_path / "cfg.json", tmp_path / "run", features={"pretrained_embed_dim": 16})
         cfg = load_config(str(config))
         assert "pretrained_embed_dim" not in cfg["features"]
+        assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
+
+    def test_config_with_the_removed_knowledge_section_loads(self, tmp_path):
+        # Older demo configs wrote "knowledge": {}; it is dropped, not hashed.
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", knowledge={})
+        cfg = load_config(str(config))
+        assert "knowledge" not in cfg
         assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
 
 

@@ -147,9 +147,3 @@ class TestDomainSpecAndBundle:
         bundle = load_bundle(CcsMap.synthetic())
         assert bundle.ccs.input_dim == 44
         assert len(bundle.hac_rules) == 12
-
-    def test_path_override(self, tmp_path):
-        override = tmp_path / "acute.json"
-        override.write_text('{"acute_drgs": ["X999"]}')
-        bundle = load_bundle(CcsMap.synthetic(), {"acute_drgs": override})
-        assert bundle.acute_drgs == frozenset({"X999"})

@@ -1,5 +1,7 @@
 """Discrimination metrics against brute-force oracles and hand examples."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,15 @@ class TestSurrogateImportance:
         assert rows[0]["feature"] == "b"
         assert rows[1]["feature"] == "c"
         assert rows[1]["importance"] < 0
+
+    def test_weights_that_print_alike_sort_by_name(self, monkeypatch):
+        """Complementary one-hot columns get weights equal up to rounding;
+        their order must not hang on bits below the printed six decimals."""
+        weights = np.array([0.1, 0.30000001, -0.30000004])
+        monkeypatch.setattr("seqfuse.baseline.train_lr", lambda x, y, l2: SimpleNamespace(weights=weights))
+        matrix = np.arange(12.0).reshape(4, 3)
+        rows = surrogate_importance(matrix, ["c", "gender=female", "gender=male"], ["x"] * 3, [0.9, 0.1, 0.9, 0.1])
+        assert [r["feature"] for r in rows] == ["gender=female", "gender=male", "c"]
 
     def test_single_class_predictions_undefined(self):
         matrix = np.ones((10, 2))
