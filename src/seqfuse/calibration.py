@@ -8,23 +8,15 @@ flatter every downstream number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .autodiff import _sigmoid
 from .errors import CalibrationError, NumericsError, ValidationError
 
 _CLAMP = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
-    return out
 
 
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -77,27 +69,11 @@ class Calibrator:
         raise ValidationError(f"unknown calibrator kind {self.kind!r}")
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "temperature": self.temperature,
-            "a": self.a,
-            "b": self.b,
-            "fitted_on": self.fitted_on,
-            "stats": self.stats,
-            "warning": self.warning,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Calibrator":
-        return cls(
-            kind=obj["kind"],
-            temperature=obj.get("temperature"),
-            a=obj.get("a"),
-            b=obj.get("b"),
-            fitted_on=obj.get("fitted_on", "calibration"),
-            stats=obj.get("stats", {}),
-            warning=obj.get("warning"),
-        )
+        return cls(**obj)
 
 
 def _guard_fold(fold: str) -> None:

@@ -383,8 +383,6 @@ _OTHER_DRGS = ("DRG101", "DRG102", "DRG103", "DRG104", "DRG105")
 class SyntheticConfig:
     n_patients: int
     seed: int
-    dx_vocab: int = 90
-    proc_vocab: int = 36
     mean_claims_per_patient: float = 6.0
     readmit_signal: OutcomeSignal = field(default_factory=lambda: default_signals()[0])
     mortality_signal: OutcomeSignal = field(default_factory=lambda: default_signals()[1])
@@ -392,12 +390,6 @@ class SyntheticConfig:
     def validate(self) -> None:
         if self.n_patients <= 0:
             raise ValidationError("n_patients must be positive")
-        # The bundled rule tables reference dx categories up to 29 and proc
-        # categories up to 11, three codes per category.
-        if self.dx_vocab < 90:
-            raise ValidationError("dx_vocab must be at least 90 to cover the bundled rule tables")
-        if self.proc_vocab < 36:
-            raise ValidationError("proc_vocab must be at least 36 to cover the bundled rule tables")
         if self.mean_claims_per_patient <= 0:
             raise ValidationError("mean_claims_per_patient must be positive")
         for name in ("intercept", "charlson_weight", "los_weight", "ed_weight"):

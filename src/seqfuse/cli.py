@@ -68,7 +68,7 @@ from .errors import (
     ValidationError,
 )
 from .features import SUBGROUP_KEYS, EventTable, SequenceOptions, featurize_events
-from .knowledge import CcsMap, load_bundle
+from .knowledge import load_bundle
 from .metrics import (
     auc,
     recall_at_top_k,
@@ -94,8 +94,6 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
         "task": "readmission",
         "generate": {
             "n_patients": n_patients,
-            "dx_vocab": 90,
-            "proc_vocab": 36,
             "mean_claims_per_patient": 6.0,
         },
         "features": {
@@ -143,10 +141,6 @@ _RANGES = {
     "outdir": (bool, "must be a non-empty string"),
     "task": (lambda v: v in TASKS, f"must be one of {TASKS}"),
     "generate.n_patients": _POSITIVE,
-    # The bundled rule tables reference dx categories up to 29 and proc
-    # categories up to 11, three codes per category.
-    "generate.dx_vocab": (lambda v: v >= 90, "must be at least 90 to cover the bundled rule tables"),
-    "generate.proc_vocab": (lambda v: v >= 36, "must be at least 36 to cover the bundled rule tables"),
     "generate.mean_claims_per_patient": _POSITIVE,
     "features.lookback_days": _POSITIVE,
     "train.algorithms": (lambda v: v and set(v) <= set(ALGORITHMS), f"must be a non-empty subset of {ALGORITHMS}"),
@@ -253,14 +247,21 @@ def load_config(path: str, outdir: str | None = None) -> dict:
         if isinstance(train, dict) and isinstance(train.get(grid), dict):
             defaults = default_config()["train"][grid]
             train[grid] = {**{axis: defaults[axis] for axis in axes}, **train[grid]}
-    # Configs from older versions may carry three removed keys: `train.jobs`,
+    # Configs from older versions may carry removed keys: `train.jobs`,
     # which results never depended on; `features.pretrained_embed_dim`,
     # which had to equal every `train.grid.embed_dim` (the frozen matrix
-    # now takes each trial's own); and an empty `knowledge` object, from
-    # when a config could name its own rule tables (a non-empty one is an
-    # unknown key). All three are dropped rather than hashed.
+    # now takes each trial's own); an empty `knowledge` object, from when a
+    # config could name its own rule tables; and the `generate` vocabulary
+    # sizes of 90 dx and 36 proc codes, the only codes the generator ever
+    # drew. Each is dropped rather than hashed. Any other `knowledge` object
+    # or vocabulary size is an unknown key.
     if merged.get("knowledge") == {}:
         del merged["knowledge"]
+    generate = merged["generate"]
+    if isinstance(generate, dict):
+        for kind, size in (("dx", 90), ("proc", 36)):
+            if generate.get(f"{kind}_vocab") == size:
+                del generate[f"{kind}_vocab"]
     if isinstance(train, dict):
         train.pop("jobs", None)
     if isinstance(merged["features"], dict):
@@ -332,10 +333,6 @@ def _read_json(path: Path):
 # --- stage helpers ----------------------------------------------------------
 
 
-def _knowledge_bundle(outdir: Path):
-    return load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
-
-
 def _cells(cfg: dict) -> list[tuple[str, str]]:
     """(algorithm, embedding mode) pairs; the flat baseline has no
     embedding, so it runs once under the linear column."""
@@ -369,7 +366,7 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     # cell is known only once evaluate has run, so they verify every cell's.
     evaluated = [f"evaluate/scores_{_cell_name(algorithm, mode)}.csv" for algorithm, mode in cells]
     evaluated.append("evaluate/metrics.json")
-    population = ["generate/claims.npz", "generate/ccs_map.csv"]
+    population = ["generate/claims.npz"]
     events = ["featurize/events.npz", "featurize/features.json"]
     calibrated = ["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
     return {
@@ -434,7 +431,6 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
     cols = population.columns
     write_npz(stage_dir / "claims.npz", cols)
     write_ground_truth(stage_dir / "ground_truth.csv", population.truth)
-    CcsMap.synthetic(synth.dx_vocab, synth.proc_vocab).to_csv(stage_dir / "ccs_map.csv")
     _write_json(stage_dir / "generator_info.json", population.info)
     print(
         f"generate: {len(cols['beneficiary.beneficiary_id'])} patients, {len(cols['claim.claim_id'])} claims, "
@@ -445,7 +441,7 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
 def stage_cohort(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "cohort"
     cols = ingest_claims(outdir / "generate" / "claims.npz")
-    bundle = _knowledge_bundle(outdir)
+    bundle = load_bundle()
     cols, audit = build_cohort(cols, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
     write_npz(stage_dir / "population.npz", {name: cols[name] for name in POPULATION_MEMBERS})
     (stage_dir / "index_events.jsonl").write_text(index_event_lines(cols), encoding="utf-8")
@@ -459,7 +455,7 @@ def stage_cohort(cfg: dict, outdir: Path) -> None:
 
 def stage_featurize(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "featurize"
-    bundle = _knowledge_bundle(outdir)
+    bundle = load_bundle()
     opts = SequenceOptions(**cfg["features"])
     # Generate checked the claims and cohort read them through the same
     # checks; both files are hash-verified, so they are read as they are.

@@ -4,23 +4,19 @@ Everything the pipeline knows about medicine lives here: the CCS-style
 grouper that collapses raw diagnosis/procedure codes into categories, the
 Charlson weights, hospital-acquired-condition rules,
 the planned-readmission screen, and the acute DRG list. The rule tables
-ship as JSON under ``seqfuse/data`` and are the package's own: the
-synthetic generator plants its population against their categories, so no
-other table could describe that data.
+ship as JSON under ``seqfuse/data``. The grouper and the tables are the
+package's own: the synthetic generator draws its codes from the grouper's
+runs and plants its population against the tables' categories, so no
+other map or table could describe that data.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 from .errors import ValidationError
-
-CODE_TYPES = ("dx", "proc")
 
 
 def _load_bundled(name: str) -> dict:
@@ -42,14 +38,6 @@ class CcsMap:
     proc_to_ccs: dict[str, int] = field(default_factory=dict)
     n_dx: int = 0
     n_proc: int = 0
-
-    def __post_init__(self) -> None:
-        for code, cat in self.dx_to_ccs.items():
-            if not 0 <= cat < self.n_dx:
-                raise ValidationError(f"dx code {code!r} maps to category {cat} outside [0, {self.n_dx})")
-        for code, cat in self.proc_to_ccs.items():
-            if not 0 <= cat < self.n_proc:
-                raise ValidationError(f"proc code {code!r} maps to category {cat} outside [0, {self.n_proc})")
 
     # Category ids are local to each code type; "other" sits at the end of
     # the type's own range.
@@ -78,60 +66,19 @@ class CcsMap:
         return self.n_dx_columns + self.n_proc_columns
 
     @classmethod
-    def synthetic(cls, dx_vocab: int = 90, proc_vocab: int = 36, codes_per_category: int = 3) -> "CcsMap":
-        """Builds the demo grouper: codes D0001.. / P0001.. in contiguous runs.
+    def synthetic(cls) -> "CcsMap":
+        """The package's grouper: codes D0001..D0090 and P0001..P0036, three
+        consecutive codes to a category, so 30 dx and 12 proc categories.
 
-        ``codes_per_category`` consecutive codes share one category, so the
-        rule tables bundled with the package can reference stable ids.
+        The generator draws its codes from exactly these runs and the
+        bundled rule tables reference their category ids.
         """
-        if dx_vocab <= 0 or proc_vocab <= 0 or codes_per_category <= 0:
-            raise ValidationError("vocabulary sizes and codes_per_category must be positive")
-        dx = {f"D{i:04d}": (i - 1) // codes_per_category for i in range(1, dx_vocab + 1)}
-        proc = {f"P{i:04d}": (i - 1) // codes_per_category for i in range(1, proc_vocab + 1)}
         return cls(
-            dx_to_ccs=dx,
-            proc_to_ccs=proc,
-            n_dx=(dx_vocab - 1) // codes_per_category + 1,
-            n_proc=(proc_vocab - 1) // codes_per_category + 1,
+            dx_to_ccs={f"D{i:04d}": (i - 1) // 3 for i in range(1, 91)},
+            proc_to_ccs={f"P{i:04d}": (i - 1) // 3 for i in range(1, 37)},
+            n_dx=30,
+            n_proc=12,
         )
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "CcsMap":
-        dx: dict[str, int] = {}
-        proc: dict[str, int] = {}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = {"code", "code_type", "ccs_id"}
-            if reader.fieldnames is None or set(reader.fieldnames) != expected:
-                raise ValidationError(f"CCS map must have columns {sorted(expected)}, got {reader.fieldnames}")
-            for line_no, row in enumerate(reader, start=2):
-                code = row["code"]
-                kind = row["code_type"]
-                if kind not in CODE_TYPES:
-                    raise ValidationError(f"line {line_no}: code_type {kind!r} not in {CODE_TYPES}")
-                try:
-                    cat = int(row["ccs_id"])
-                except ValueError as exc:
-                    raise ValidationError(f"line {line_no}: ccs_id {row['ccs_id']!r} is not an integer") from exc
-                if cat < 0:
-                    raise ValidationError(f"line {line_no}: ccs_id must be non-negative")
-                target = dx if kind == "dx" else proc
-                if code in target and target[code] != cat:
-                    raise ValidationError(f"line {line_no}: code {code!r} mapped to two categories")
-                target[code] = cat
-        n_dx = max(dx.values()) + 1 if dx else 0
-        n_proc = max(proc.values()) + 1 if proc else 0
-        return cls(dx_to_ccs=dx, proc_to_ccs=proc, n_dx=n_dx, n_proc=n_proc)
-
-    def to_csv(self, path: str | Path) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["code", "code_type", "ccs_id"])
-        for code in sorted(self.dx_to_ccs):
-            writer.writerow([code, "dx", self.dx_to_ccs[code]])
-        for code in sorted(self.proc_to_ccs):
-            writer.writerow([code, "proc", self.proc_to_ccs[code]])
-        Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def load_charlson_weights() -> dict[int, int]:
@@ -241,10 +188,10 @@ class KnowledgeBundle:
     domain_spec: list[DomainFeature]
 
 
-def load_bundle(ccs: CcsMap) -> KnowledgeBundle:
-    """The bundled rule tables, with the run's code map."""
+def load_bundle() -> KnowledgeBundle:
+    """The package's grouper and its bundled rule tables."""
     return KnowledgeBundle(
-        ccs=ccs,
+        ccs=CcsMap.synthetic(),
         charlson_weights=load_charlson_weights(),
         hac_rules=load_hac_rules(),
         planned_rules=load_planned_rules(),

@@ -26,15 +26,13 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUC needs both classes present")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Each run of equal sorted scores, positions start..end, shares the
+    # midrank 0.5 * (start + end) + 1.
+    start = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    end = np.append(start[1:], len(scores)) - 1
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     rank_sum_pos = float(ranks[labels == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -7,7 +7,7 @@ import pytest
 from seqfuse.claims import CLAIM_COLUMNS, SyntheticConfig
 from seqfuse.cohort import POPULATION_MEMBERS
 from seqfuse.features import SequenceOptions, featurize_events
-from seqfuse.knowledge import CcsMap, load_bundle
+from seqfuse.knowledge import load_bundle
 from tests.reference import checked_cohort, population_records
 
 
@@ -20,7 +20,7 @@ def small_population():
 
 @pytest.fixture(scope="session")
 def bundle():
-    return load_bundle(CcsMap.synthetic())
+    return load_bundle()
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,9 @@ nested step lists out for the model one Python list at a time, the layout
 bitwise. `steps_table` and `table_steps` convert between nested step
 lists and those columns.
 
+`reference_auc` is the Mann-Whitney AUC with each tie run's midrank found
+by a scalar scan, the value `metrics.auc` must equal bitwise.
+
 `reference_train_lr` is the damped-Newton logistic regression with the
 general Hessian X' diag(p (1 - p)) X over every column, all-zero ones
 included: the solver `baseline.train_lr` must match in iterations and,
@@ -713,7 +716,7 @@ def reference_population(cfg: SyntheticConfig) -> RecordPopulation:
     scalar stream: the records `claims.generate_population` must code
     into the same columns, with the same ground truth and summary."""
     cfg.validate()
-    ccs = CcsMap.synthetic(cfg.dx_vocab, cfg.proc_vocab)
+    ccs = CcsMap.synthetic()
     weights = load_charlson_weights()
     beneficiaries: list[Beneficiary] = []
     claims: list[ClaimRecord] = []
@@ -1476,6 +1479,29 @@ def reference_nearest_neighbors(rows: np.ndarray, k: int) -> np.ndarray:
         d2[start : start + len(block)] = ((block[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     return np.argsort(d2, axis=1, kind="mergesort")[:, :k]
+
+
+# --- discrimination -----------------------------------------------------------
+
+
+def reference_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Mann-Whitney AUC over float64 scores and 0/1 labels of both classes:
+    the sorted scores are scanned run by run, and each run of equal scores
+    at positions i..j takes the midrank 0.5 * (i + j) + 1."""
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum_pos = float(ranks[labels == 1].sum())
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 # --- the model's input layout -------------------------------------------------

@@ -17,7 +17,7 @@ from seqfuse.calibration import fit_platt, fit_temperature
 from seqfuse.claims import SyntheticConfig, iso_to_day
 from seqfuse.cli import default_config, main
 from seqfuse.features import SequenceOptions, featurize_events
-from seqfuse.knowledge import CcsMap, load_bundle
+from seqfuse.knowledge import load_bundle
 from seqfuse.metrics import auc, recall_at_top_k, recall_precision_at_threshold
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.rng import Xoshiro256
@@ -64,7 +64,7 @@ def _stay_claim(bid, admit, los, disposition="home", facility="F01", dx=("D0001"
 
 
 def _cohort(bens, claims):
-    bundle = load_bundle(CcsMap.synthetic())
+    bundle = load_bundle()
     return checked_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)[1:]
 
 
@@ -77,7 +77,7 @@ def planted_world():
     reachable through the domain vector."""
     start = time.monotonic()
     population = population_records(SyntheticConfig(n_patients=2000, seed=20110901))
-    bundle = load_bundle(CcsMap.synthetic())
+    bundle = load_bundle()
     cols, *_ = checked_cohort(
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs
     )

@@ -502,10 +502,6 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             SyntheticConfig(n_patients=0, seed=1).validate()
         with pytest.raises(ValidationError):
-            SyntheticConfig(n_patients=5, seed=1, dx_vocab=30).validate()
-        with pytest.raises(ValidationError):
-            SyntheticConfig(n_patients=5, seed=1, proc_vocab=10).validate()
-        with pytest.raises(ValidationError):
             SyntheticConfig(n_patients=5, seed=1, mean_claims_per_patient=0.0).validate()
 
 
@@ -532,9 +528,8 @@ class TestKernelAgainstReference:
             {"mean_claims_per_patient": 0.5},
             # Many visits per patient: lanes run past the first block of draws.
             {"mean_claims_per_patient": 18.0},
-            {"dx_vocab": 120, "proc_vocab": 48},
         ],
-        ids=["sparse", "dense", "vocab"],
+        ids=["sparse", "dense"],
     )
     def test_configs_that_move_the_branch_mix(self, changes):
         assert_equals_reference(SyntheticConfig(n_patients=400, seed=3, **changes))

@@ -13,7 +13,7 @@ from seqfuse.claims import CLAIM_COLUMNS, write_npz
 from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, _load_best, default_config, load_config, main, validate_config
 from seqfuse.cohort import POPULATION_MEMBERS, age_band
 from seqfuse.features import EventTable, SequenceOptions, charlson_band
-from seqfuse.knowledge import CcsMap, load_bundle
+from seqfuse.knowledge import load_bundle
 from seqfuse.model import load_model, random_embedding
 from seqfuse.training import config_hash
 from tests.reference import (
@@ -103,7 +103,7 @@ class TestConfigHandling:
             ("train", "epochs", "3"),
             ("features", "lookback_days", None),
             ("generate", "n_patients", True),
-            ("generate", "dx_vocab", "x"),
+            ("generate", "mean_claims_per_patient", "x"),
             ("train", "optimizer", "rmsprop"),
             ("train", "w_neg", -1),
             ("features", "exclude_index_step", "false"),
@@ -178,8 +178,8 @@ class TestConfigHandling:
                 "train.lr_grid.l2 must be a non-empty list of positive values",
             ),
             ({"train": {"grid": {"hidden_dim": [8], "lr": [0.05]}}}, "train.grid.embed_dim is missing"),
-            ({"generate": {"dx_vocab": 50}}, "generate.dx_vocab must be at least 90 to cover the bundled rule tables"),
-            ({"generate": {"proc_vocab": 20}}, "generate.proc_vocab must be at least 36 to cover the bundled rule tables"),
+            # Only the 90/36 that older demo configs carry is dropped on load.
+            ({"generate": {"dx_vocab": 120}}, "unknown generate keys: ['dx_vocab']"),
         ],
     )
     def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
@@ -240,6 +240,14 @@ class TestConfigHandling:
         config = _write_config(tmp_path / "cfg.json", tmp_path / "run", knowledge={})
         cfg = load_config(str(config))
         assert "knowledge" not in cfg
+        assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
+
+    def test_config_with_the_removed_vocab_sizes_loads(self, tmp_path):
+        # Older demo configs wrote the generator's only vocabulary, 90 dx
+        # and 36 proc codes; the sizes are dropped, not hashed.
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", generate={"dx_vocab": 90, "proc_vocab": 36})
+        cfg = load_config(str(config))
+        assert "dx_vocab" not in cfg["generate"] and "proc_vocab" not in cfg["generate"]
         assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
 
 
@@ -448,7 +456,7 @@ class TestColumnarArtifacts:
         table = EventTable.load(outdir / "featurize" / "events.npz")
         with np.load(outdir / "generate" / "claims.npz", allow_pickle=False) as npz:
             beneficiaries, claims = read_population_npz(npz)
-        bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
+        bundle = load_bundle()
         events, stays, _ = reference_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         ben_map = {b.beneficiary_id: b for b in beneficiaries}
         eligible = [e for e in events if e.eligible]
@@ -588,7 +596,7 @@ class TestExcludeIndexStep:
         assert np.all(table.day_offset < 0)
         with np.load(outdir / "generate" / "claims.npz", allow_pickle=False) as npz:
             beneficiaries, claims = read_population_npz(npz)
-        bundle = load_bundle(CcsMap.from_csv(outdir / "generate" / "ccs_map.csv"))
+        bundle = load_bundle()
         events, stays, _ = reference_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         expected, _ = reference_table(
             events,

@@ -498,7 +498,7 @@ class TestKernelWorlds:
 @pytest.mark.parametrize("n_patients, seed", [(2000, 20110901), (5000, 7)])
 def test_whole_populations_equal_the_reference(n_patients, seed):
     population = population_records(SyntheticConfig(n_patients=n_patients, seed=seed))
-    bundle = load_bundle(CcsMap.synthetic())
+    bundle = load_bundle()
     cols, events, _, audit = checked_cohort(
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs
     )

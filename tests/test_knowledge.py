@@ -1,9 +1,6 @@
 """Rule-table semantics: the code grouper, comorbidity scoring, HAC flags,
 planned-admission rules, and the domain feature spec."""
 
-import pytest
-
-from seqfuse.errors import ValidationError
 from seqfuse.knowledge import (
     CcsMap,
     load_acute_drgs,
@@ -43,21 +40,6 @@ class TestCcsMap:
         assert dx_indices == set(range(31))
         assert proc_indices == set(range(31, 44))
         assert ccs.input_dim == 44
-
-    def test_csv_round_trip(self, tmp_path):
-        ccs = CcsMap.synthetic()
-        path = tmp_path / "map.csv"
-        ccs.to_csv(path)
-        loaded = CcsMap.from_csv(path)
-        assert loaded.dx_to_ccs == ccs.dx_to_ccs
-        assert loaded.proc_to_ccs == ccs.proc_to_ccs
-        assert (loaded.n_dx, loaded.n_proc) == (ccs.n_dx, ccs.n_proc)
-
-    def test_from_csv_rejects_duplicates(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("code,code_type,ccs_id\nD1,dx,0\nD1,dx,1\n")
-        with pytest.raises(ValidationError):
-            CcsMap.from_csv(path)
 
 
 class TestCharlson:
@@ -144,6 +126,6 @@ class TestDomainSpecAndBundle:
         assert "DRG101" not in drgs
 
     def test_bundle_resolves_all_tables(self):
-        bundle = load_bundle(CcsMap.synthetic())
+        bundle = load_bundle()
         assert bundle.ccs.input_dim == 44
         assert len(bundle.hac_rules) == 12

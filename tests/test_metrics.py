@@ -14,6 +14,7 @@ from seqfuse.metrics import (
     surrogate_importance,
 )
 from seqfuse.rng import Xoshiro256
+from tests.reference import reference_auc
 
 
 def pairwise_auc(scores, labels) -> float:
@@ -60,6 +61,26 @@ class TestAuc:
                 labels[0] = 1 - labels[0]
             expected = pairwise_auc(scores, labels)
             assert abs(auc(scores, labels) - expected) <= 1e-12
+
+    def test_equals_the_scalar_midrank_scan_bitwise(self):
+        """Heavily tied scores: a few levels, runs at both ends, one run
+        over everything, and signed zeros, which compare equal."""
+        rng = Xoshiro256(77)
+        cases = [
+            (np.zeros(9), np.array([0, 1] * 4 + [1])),
+            (np.array([-0.0, 0.0, 0.0, -0.0, 1.0]), np.array([1, 0, 1, 0, 0])),
+        ]
+        for _ in range(300):
+            n = 2 + rng.randint(0, 400)
+            levels = 1 + rng.randint(0, 5)
+            scores = np.array([rng.randint(0, levels) / levels for _ in range(n)])
+            labels = np.array([rng.bernoulli(0.3) for _ in range(n)], dtype=np.int64)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            cases.append((scores, labels))
+        for scores, labels in cases:
+            expected = reference_auc(scores, labels)
+            assert np.float64(auc(scores, labels)).tobytes() == np.float64(expected).tobytes()
 
     def test_single_class_undefined(self):
         with pytest.raises(MetricUndefinedError):
