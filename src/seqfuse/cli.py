@@ -26,8 +26,8 @@ itself, for each trial at its `embed_dim` (`model.random_embedding`), so no
 stage writes it. It saves each cell's best model, LR or deep, as
 `model.json` (its config and the z moments) and `weights.npz` (its
 arrays). `calibrate` keeps each cell's uncalibrated scores in
-`calibrate/raw_scores.npz`, so `evaluate` scores events without predicting
-again.
+`calibrate/raw_scores.npz`; evaluate, report and importance map them
+through the cell's calibrator (`_cell_scores`) without predicting again.
 
 The config is one JSON object shaped like `default_config()`, which is
 also its schema. `load_config` merges the file over the defaults (into a
@@ -120,7 +120,6 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
             },
             "lr_grid": {"l2": [0.1, 0.01], "smote": [True]},
         },
-        "calibrate": {"method_deep": "temperature", "method_lr": "platt"},
         "evaluate": {"threshold": 0.5, "top_k": [50], "n_min": 50},
     }
 
@@ -133,7 +132,6 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _POSITIVE_VALUES = (lambda v: v and min(v) > 0, "must be a non-empty list of positive values")
-_CALIBRATION_METHOD = (lambda v: v in ("temperature", "platt"), "must be 'temperature' or 'platt'")
 
 # {path: (check, message)}: the range of each value, checked only once the
 # value has its schema type.
@@ -164,8 +162,6 @@ _RANGES = {
     ),
     "train.lr_grid.l2": _POSITIVE_VALUES,
     "train.lr_grid.smote": (bool, "must be a non-empty list"),
-    "calibrate.method_deep": _CALIBRATION_METHOD,
-    "calibrate.method_lr": _CALIBRATION_METHOD,
     "evaluate.threshold": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
     "evaluate.top_k": (lambda v: all(k >= 1 for k in v), "must hold integers of at least 1"),
     "evaluate.n_min": (lambda v: v >= 1, "must be at least 1"),
@@ -251,12 +247,14 @@ def load_config(path: str, outdir: str | None = None) -> dict:
     # which results never depended on; `features.pretrained_embed_dim`,
     # which had to equal every `train.grid.embed_dim` (the frozen matrix
     # now takes each trial's own); an empty `knowledge` object, from when a
-    # config could name its own rule tables; and the `generate` vocabulary
+    # config could name its own rule tables; the `generate` vocabulary
     # sizes of 90 dx and 36 proc codes, the only codes the generator ever
-    # drew. Each is dropped rather than hashed. Any other `knowledge` object
-    # or vocabulary size is an unknown key.
-    if merged.get("knowledge") == {}:
-        del merged["knowledge"]
+    # drew; and `calibrate`, naming the one protocol. Each is dropped rather
+    # than hashed. Any other `knowledge` or `calibrate` object or vocabulary
+    # size is an unknown key.
+    for key, removed in (("knowledge", {}), ("calibrate", {"method_deep": "temperature", "method_lr": "platt"})):
+        if merged.get(key) == removed:
+            del merged[key]
     generate = merged["generate"]
     if isinstance(generate, dict):
         for kind, size in (("dx", 90), ("proc", 36)):
@@ -362,13 +360,13 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
         for algorithm, mode in cells
         for name in ("model.json", "weights.npz")
     ]
-    # Report and importance read only the best cell's scores, but the best
-    # cell is known only once evaluate has run, so they verify every cell's.
     evaluated = [f"evaluate/scores_{_cell_name(algorithm, mode)}.csv" for algorithm, mode in cells]
     evaluated.append("evaluate/metrics.json")
     population = ["generate/claims.npz"]
     events = ["featurize/events.npz", "featurize/features.json"]
     calibrated = ["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
+    # Report and importance read the scores of the cell metrics.json names.
+    best_cell = events + calibrated + ["evaluate/metrics.json"]
     return {
         "generate": ([], population + ["generate/ground_truth.csv", "generate/generator_info.json"]),
         "cohort": (
@@ -379,8 +377,11 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
         "train": (events, ["train/split.json", "train/trials.csv", "train/summary.json"] + models),
         "calibrate": (events + ["train/split.json"] + models, calibrated),
         "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, evaluated),
-        "report": (events + evaluated, ["report/table3.csv", "report/subgroups.csv", "report/report_info.json"]),
-        "importance": (events + evaluated, ["importance/importance.csv", "importance/importance.json"]),
+        "report": (
+            best_cell + ["train/split.json"],
+            ["report/table3.csv", "report/subgroups.csv", "report/report_info.json"],
+        ),
+        "importance": (best_cell, ["importance/importance.csv", "importance/importance.json"]),
     }
 
 
@@ -498,9 +499,9 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         positives[pid] = positives.get(pid, 0) + int(label)
     folds, warnings = split_patients(positives, cfg["seed"], tuple(train_cfg["fractions"]))
     _, fold_idx = _fold_indices(table, {pid: name for name, pids in folds.items() for pid in pids})
-    for name in ("train", "valid", "test"):
-        if not fold_idx[name]:
-            raise ValidationError(f"fold {name!r} received no events; increase the population")
+    for name, idx in fold_idx.items():
+        if not idx:
+            raise ValidationError(f"fold {name!r} received no events; increase the population or its fraction")
     if labels.min() != labels.max():
         for name, idx in fold_idx.items():
             if idx and labels[idx].min() == labels[idx].max():
@@ -640,8 +641,6 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
     labels = table.label_for(task).astype(np.float64)
     _, fold_idx = _split_folds(outdir, table)
     calib_idx = fold_idx["calibration"]
-    if not calib_idx:
-        raise ValidationError("calibration fold received no events; adjust train.fractions")
 
     calibrators: dict[str, dict] = {}
     raw_scores: dict[str, np.ndarray] = {}
@@ -649,8 +648,7 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
         cell = _cell_name(algorithm, mode)
         raw = _raw_scores_for_cell(outdir, algorithm, cell, table, features_meta)
         raw_scores[cell] = raw
-        method = cfg["calibrate"]["method_lr" if algorithm == "lr" else "method_deep"]
-        fit = fit_platt if method == "platt" else fit_temperature
+        fit = fit_platt if algorithm == "lr" else fit_temperature
         calibrator = fit(raw[calib_idx], labels[calib_idx], fold="calibration")
         calibrators[cell] = calibrator.to_json_obj()
     _write_json(stage_dir / "calibrators.json", {"task": task, "cells": calibrators})
@@ -663,6 +661,16 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
     print(f"calibrate: {summary}")
 
 
+def _cell_scores(outdir: Path, cell: str) -> tuple[np.ndarray, np.ndarray]:
+    """`cell`'s raw and calibrated scores for the task's events, in table
+    order: its column of calibrate's raw scores, and that column mapped
+    through its calibrator. Evaluate, report and importance read scores
+    only here; evaluate's `scores_<cell>.csv` files are for people."""
+    raw = read_npz(outdir / "calibrate" / "raw_scores.npz")[cell]
+    calibrator = Calibrator.from_json_obj(_read_json(outdir / "calibrate" / "calibrators.json")["cells"][cell])
+    return raw, calibrator.apply(raw)
+
+
 def stage_evaluate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "evaluate"
     task = cfg["task"]
@@ -672,17 +680,13 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     event_ids = table.event_id.tolist()
     fold_of, fold_idx = _split_folds(outdir, table)
     test_idx = np.array(fold_idx["test"], dtype=np.int64)
-    calibrators = _read_json(outdir / "calibrate" / "calibrators.json")["cells"]
-    raw_scores = read_npz(outdir / "calibrate" / "raw_scores.npz")
     train_summary = _read_json(outdir / "train" / "summary.json")["cells"]
 
     metrics: dict[str, dict] = {}
     for algorithm, mode in _cells(cfg):
         cell = _cell_name(algorithm, mode)
-        raw = raw_scores[cell]
-        calibrator = Calibrator.from_json_obj(calibrators[cell])
+        raw, prob_cal = _cell_scores(outdir, cell)
         prob_raw = Calibrator(kind="identity").apply(raw)
-        prob_cal = calibrator.apply(raw)
         scores_path = stage_dir / f"scores_{cell}.csv"
         with open(scores_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -745,17 +749,6 @@ def _fmt(value, digits: int = 4) -> str:
     return "" if value is None else f"{value:.{digits}f}"
 
 
-def _cell_scores(outdir: Path, cell: str, table: EventTable) -> tuple[np.ndarray, np.ndarray]:
-    """The calibrated score evaluate wrote for each of `table`'s events
-    under `cell`, and a mask of the events in the test fold."""
-    by_event: dict[str, tuple[float, bool]] = {}
-    with open(outdir / "evaluate" / f"scores_{cell}.csv", "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            by_event[row["event_id"]] = (float(row["prob_cal"]), row["fold"] == "test")
-    prob_cal, in_test = zip(*(by_event[e] for e in table.event_id.tolist()))
-    return np.array(prob_cal), np.array(in_test, dtype=bool)
-
-
 def stage_report(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "report"
     metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
@@ -792,9 +785,9 @@ def stage_report(cfg: dict, outdir: Path) -> None:
 
     # Subgroup breakdown of the best model's calibrated test-fold scores.
     table, features_meta = _load_sequences(outdir, task)
-    scores, in_test = _cell_scores(outdir, best_cell, table)
+    in_test = np.array(_split_folds(outdir, table)[0]) == "test"
     test = table.select(in_test)
-    scores = scores[in_test]
+    scores = _cell_scores(outdir, best_cell)[1][in_test]
     labels = test.label_for(task).astype(np.int64)
     n_proc_columns = features_meta["n_proc_columns"]
     groups: dict[str, list[str]] = {key: getattr(test, key).tolist() for key in SUBGROUP_KEYS}
@@ -831,7 +824,7 @@ def stage_importance(cfg: dict, outdir: Path) -> None:
     task = cfg["task"]
     threshold = cfg["evaluate"]["threshold"]
     table, features_meta = _load_sequences(outdir, task)
-    scores, _ = _cell_scores(outdir, best_cell, table)
+    _, scores = _cell_scores(outdir, best_cell)
     flat = flatten(
         table,
         features_meta["n_dx_columns"],

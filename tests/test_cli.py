@@ -10,10 +10,21 @@ import numpy as np
 import pytest
 
 from seqfuse.claims import CLAIM_COLUMNS, write_npz
-from seqfuse.cli import ALGORITHMS, STAGES, _artifacts, _load_best, default_config, load_config, main, validate_config
+from seqfuse.cli import (
+    ALGORITHMS,
+    STAGES,
+    _artifacts,
+    _cell_scores,
+    _load_best,
+    default_config,
+    load_config,
+    main,
+    validate_config,
+)
 from seqfuse.cohort import POPULATION_MEMBERS, age_band
-from seqfuse.features import EventTable, SequenceOptions, charlson_band
+from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band
 from seqfuse.knowledge import load_bundle
+from seqfuse.metrics import subgroup_report
 from seqfuse.model import load_model, random_embedding
 from seqfuse.training import config_hash
 from tests.reference import (
@@ -180,6 +191,9 @@ class TestConfigHandling:
             ({"train": {"grid": {"hidden_dim": [8], "lr": [0.05]}}}, "train.grid.embed_dim is missing"),
             # Only the 90/36 that older demo configs carry is dropped on load.
             ({"generate": {"dx_vocab": 120}}, "unknown generate keys: ['dx_vocab']"),
+            # Only the protocol's own calibrate object is dropped on load.
+            ({"calibrate": {"method_deep": "platt", "method_lr": "platt"}}, "unknown config keys: ['calibrate']"),
+            ({"calibrate": {"method_deep": "temperature"}}, "unknown config keys: ['calibrate']"),
         ],
     )
     def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
@@ -250,6 +264,15 @@ class TestConfigHandling:
         assert "dx_vocab" not in cfg["generate"] and "proc_vocab" not in cfg["generate"]
         assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
 
+    def test_config_with_the_removed_calibrate_section_loads(self, tmp_path):
+        # Older demo configs named the one calibration protocol; the object
+        # is dropped, not hashed.
+        calibrate = {"method_deep": "temperature", "method_lr": "platt"}
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", calibrate=calibrate)
+        cfg = load_config(str(config))
+        assert "calibrate" not in cfg
+        assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
+
 
 class TestPipelineArtifacts:
     def test_every_stage_leaves_a_manifest(self, pipeline_run):
@@ -311,6 +334,16 @@ class TestPipelineArtifacts:
             assert r["label"] in ("0", "1")
             assert 0.0 <= float(r["prob_cal"]) <= 1.0
 
+    def test_scores_csv_prints_the_one_score_definition(self, pipeline_run):
+        _, outdir = pipeline_run
+        metrics = json.loads((outdir / "evaluate" / "metrics.json").read_text())
+        for cell in metrics["cells"]:
+            raw, prob_cal = _cell_scores(outdir, cell)
+            with open(outdir / "evaluate" / f"scores_{cell}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["raw"] for r in rows] == [f"{v:.10g}" for v in raw], cell
+            assert [r["prob_cal"] for r in rows] == [f"{v:.10g}" for v in prob_cal], cell
+
     def test_metrics_align_with_summary(self, pipeline_run):
         _, outdir = pipeline_run
         metrics = json.loads((outdir / "evaluate" / "metrics.json").read_text())
@@ -340,6 +373,41 @@ class TestPipelineArtifacts:
         charlson = {r["group"] for r in rows if r["partition"] == "charlson_band"}
         assert charlson <= {"0-2", "3-5", "6+"}
 
+    def test_subgroups_score_the_best_cells_test_fold(self, pipeline_run, tmp_path, monkeypatch):
+        """Report scores the best cell's test-fold rows of evaluate's printed
+        scores file, and its rows recompute from them."""
+        config, outdir = pipeline_run
+        best = json.loads((outdir / "evaluate" / "metrics.json").read_text())["best_cell"]
+        with open(outdir / "evaluate" / f"scores_{best}.csv", newline="") as fh:
+            test = [r for r in csv.DictReader(fh) if r["fold"] == "test"]
+        table = EventTable.load(outdir / "featurize" / "events.npz")
+        row_of = {event_id: i for i, event_id in enumerate(table.event_id.tolist())}
+        rows = [row_of[r["event_id"]] for r in test]
+        expected = subgroup_report(
+            np.array([float(r["prob_cal"]) for r in test]),
+            np.array([int(r["label"]) for r in test]),
+            {key: getattr(table, key)[rows].tolist() for key in SUBGROUP_KEYS},
+            n_min=5,
+        )
+        seen = []
+
+        def spy(scores, *args, **kwargs):
+            seen.append(scores)
+            return subgroup_report(scores, *args, **kwargs)
+
+        monkeypatch.setattr("seqfuse.cli.subgroup_report", spy)
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        assert main(["report", "--config", str(config), "--outdir", str(copy)]) == 0
+        assert [f"{score:.10g}" for score in seen[0]] == [r["prob_cal"] for r in test]
+        with open(outdir / "report" / "subgroups.csv", newline="") as fh:
+            report = [r for r in csv.DictReader(fh) if r["partition"] in SUBGROUP_KEYS]
+        assert [(r["partition"], r["group"]) for r in report] == [(e["partition"], e["group"]) for e in expected]
+        for row, e in zip(report, expected):
+            assert int(row["n"]) == e["n"]
+            for key in ("prevalence", "auc", "recall"):
+                assert row[key] == ("" if e[key] is None else f"{e[key]:.4f}"), (row["group"], key)
+
     def test_importance_is_ranked(self, pipeline_run):
         _, outdir = pipeline_run
         with open(outdir / "importance" / "importance.csv", newline="") as fh:
@@ -349,6 +417,10 @@ class TestPipelineArtifacts:
         assert {"category", "feature", "importance"} <= set(rows[0])
         note = json.loads((outdir / "importance" / "importance.json").read_text())
         assert "binarized" in note["explains"]
+        with open(outdir / "evaluate" / f"scores_{note['cell']}.csv", newline="") as fh:
+            scores = [float(r["prob_cal"]) for r in csv.DictReader(fh)]
+        assert note["n_events"] == len(scores)
+        assert note["n_predicted_positive"] == sum(score >= 0.5 for score in scores)
 
 
 class TestArtifactTable:
@@ -364,8 +436,11 @@ class TestArtifactTable:
             assert all(rel.startswith(f"{stage}/") for rel in outputs), stage
             produced.update(outputs)
         # 7 cells: LR once, each deep algorithm under both embeddings; each
-        # cell's model is a model.json and a weights.npz.
-        assert sum(rel.startswith("evaluate/scores_") for rel in table["report"][0]) == 7
+        # cell's model is a model.json and a weights.npz. Evaluate writes
+        # each cell's scores file for people to read; no stage reads one.
+        assert sum(rel.startswith("evaluate/scores_") for rel in table["evaluate"][1]) == 7
+        for stage in ("report", "importance"):
+            assert not [rel for rel in table[stage][0] if rel.startswith("evaluate/scores_")], stage
         assert len([rel for rel in table["train"][1] if rel.startswith("train/models/")]) == 7 * 2
 
     def test_manifests_record_exactly_the_table(self, pipeline_run):
@@ -385,6 +460,17 @@ class TestArtifactTable:
         for stage in STAGES:
             present = {p.relative_to(outdir).as_posix() for p in (outdir / stage).rglob("*") if p.is_file()}
             assert present == {*table[stage][1], f"{stage}/manifest.json"}, stage
+
+    def test_report_and_importance_do_not_read_the_scores_files(self, pipeline_run, tmp_path):
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        for path in (copy / "evaluate").glob("scores_*.csv"):
+            path.unlink()
+        for stage in ("report", "importance"):
+            assert main([stage, "--config", str(config), "--outdir", str(copy)]) == 0, stage
+            for path in sorted((outdir / stage).iterdir()):
+                assert (copy / stage / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_each_tampered_input_is_exit_3_until_restored(self, pipeline_run, tmp_path):
         config, outdir = pipeline_run
@@ -422,6 +508,20 @@ class TestPretrainedEmbedding:
         assert frozen.params["embed.W"].data.tobytes() == expected.tobytes()
         learned = _best_model(outdir, "rnn__linear")
         assert learned.params["embed.W"].requires_grad
+
+
+class TestEmptyFold:
+    def test_empty_calibration_fold_is_exit_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("seqfuse.cli.grid_search", refuse)
+        outdir = tmp_path / "run"
+        config = _write_config(tmp_path / "cfg.json", outdir, train={"fractions": [0.75, 0.15, 0.0, 0.10]})
+        assert main(["pipeline", "--config", str(config)]) == 2
+        assert "fold 'calibration' received no events" in capsys.readouterr().err
+        assert not (outdir / "train" / "models").exists()
+        assert not (outdir / "train" / "split.json").exists()
 
 
 class TestRerunsAndTampering:
@@ -568,12 +668,20 @@ class TestColumnarArtifacts:
         assert main(["train", "--config", str(config)]) == 0
 
     def test_tampered_raw_scores_are_exit_3(self, tmp_path):
+        """Evaluate, report and importance all take a cell's scores from
+        calibrate's two files, so a changed byte in either stops all three."""
         config = _write_config(tmp_path / "cfg.json", tmp_path / "run")
-        for stage in ("generate", "cohort", "featurize", "train", "calibrate"):
+        for stage in ("generate", "cohort", "featurize", "train", "calibrate", "evaluate"):
             assert main([stage, "--config", str(config)]) == 0
-        raw = tmp_path / "run" / "calibrate" / "raw_scores.npz"
-        raw.write_bytes(raw.read_bytes() + b"\0")
-        assert main(["evaluate", "--config", str(config)]) == 3
+        for name in ("raw_scores.npz", "calibrators.json"):
+            path = tmp_path / "run" / "calibrate" / name
+            original = path.read_bytes()
+            path.write_bytes(original + b"\0")
+            for stage in ("evaluate", "report", "importance"):
+                assert main([stage, "--config", str(config)]) == 3, (name, stage)
+            path.write_bytes(original)
+        for stage in ("report", "importance"):
+            assert main([stage, "--config", str(config)]) == 0, stage
 
 
 class TestExcludeIndexStep:
@@ -634,3 +742,5 @@ class TestMortalityTask:
         assert n_split == features["n_events"] - excluded
         # The run has deaths, but none among the calibration fold's events.
         assert split["warnings"] == ["fold 'calibration' has 8 events, all negative"]
+        report_info = json.loads((outdir / "report" / "report_info.json").read_text())
+        assert report_info["n_test_events"] == len(split["events"]["test"])
