@@ -169,21 +169,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result("add", a.data + b.data, (a, b), vjp)
 
 
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    if axis not in (0, 1):
-        raise DimensionError(f"concat: axis must be 0 or 1, got {axis}")
-    other = 1 - axis
-    widths = [t.shape[axis] for t in tensors]
-    if len({t.shape[other] for t in tensors}) != 1:
-        raise DimensionError(
-            f"concat: mismatched shapes {[t.shape for t in tensors]} on axis {axis}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    edges = np.cumsum([0] + widths)
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Joins tensors with one row count side by side, along axis 1."""
+    if len({t.shape[0] for t in tensors}) != 1:
+        raise DimensionError(f"concat: mismatched row counts {[t.shape for t in tensors]}")
+    out = np.concatenate([t.data for t in tensors], axis=1)
+    edges = np.cumsum([0] + [t.shape[1] for t in tensors])
 
     def vjp(g):
-        if axis == 1:
-            return tuple(g[:, edges[i]:edges[i + 1]] for i in range(len(tensors)))
-        return tuple(g[edges[i]:edges[i + 1], :] for i in range(len(tensors)))
+        return tuple(g[:, edges[i]:edges[i + 1]] for i in range(len(tensors)))
 
     return _result("concat", out, tuple(tensors), vjp)
 
@@ -358,16 +352,16 @@ def masked_attention(states: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
     return _result("masked_attention", summary, (states,), vjp), Tensor(weights.T.copy())
 
 
-def weighted_bce(y_hat: Tensor, y: np.ndarray, w_pos: float = 1.0, w_neg: float = 1.0) -> Tensor:
-    """-mean(w_pos*y*log(p) + w_neg*(1-y)*log(1-p)), p clamped to [eps, 1-eps]."""
+def weighted_bce(y_hat: Tensor, y: np.ndarray, w_pos: float = 1.0) -> Tensor:
+    """-mean(w_pos*y*log(p) + (1-y)*log(1-p)), p clamped to [eps, 1-eps]."""
     y = np.asarray(y, dtype=np.float64).reshape(y_hat.shape)
     p = np.clip(y_hat.data, _EPS_BCE, 1.0 - _EPS_BCE)
     n = p.size
-    loss = -(w_pos * y * np.log(p) + w_neg * (1.0 - y) * np.log1p(-p)).sum() / n
+    loss = -(w_pos * y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum() / n
 
     def vjp(g):
         interior = (y_hat.data > _EPS_BCE) & (y_hat.data < 1.0 - _EPS_BCE)
-        d = -(w_pos * y / p - w_neg * (1.0 - y) / (1.0 - p)) / n
+        d = -(w_pos * y / p - (1.0 - y) / (1.0 - p)) / n
         return (g[0, 0] * d * interior,)
 
     return _result("weighted_bce", np.array([[loss]]), (y_hat,), vjp)
@@ -381,7 +375,8 @@ def weighted_bce(y_hat: Tensor, y: np.ndarray, w_pos: float = 1.0, w_neg: float 
 def init_uniform(shape: tuple[int, int], fan_in: int, rng: Xoshiro256) -> Tensor:
     """uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), drawn in row-major order."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    # `rng.uniform(-bound, bound)` per entry: -bound + 2 bound * random().
+    # tests/reference.py's `ReferenceXoshiro256.uniform(-bound, bound)` per
+    # entry: -bound + 2 bound * random().
     data = (-bound + (bound - -bound) * unit_floats(rng.next_u64s(shape[0] * shape[1]))).reshape(shape)
     return Tensor(data, requires_grad=True)
 

@@ -108,7 +108,6 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
             "epochs": 15,
             "patience": 3,
             "optimizer": "adam",
-            "w_neg": 1.0,
             "grid": {
                 "embed_dim": [16],
                 "hidden_dim": [24],
@@ -153,7 +152,6 @@ _RANGES = {
     "train.epochs": _POSITIVE,
     "train.patience": (lambda v: v >= 0, "must be non-negative"),
     "train.optimizer": (lambda v: v in ("adam", "sgd"), "must be 'adam' or 'sgd'"),
-    "train.w_neg": _POSITIVE,
     **{f"train.grid.{axis}": _POSITIVE_VALUES for axis in ("embed_dim", "hidden_dim", "lr", "batch_size", "w_pos")},
     "train.grid.n_gru_layers": (lambda v: v and min(v) >= 1, "must be a non-empty list of values of at least 1"),
     "train.grid.mlp_hidden_dims": (
@@ -165,6 +163,31 @@ _RANGES = {
     "evaluate.threshold": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
     "evaluate.top_k": (lambda v: all(k >= 1 for k in v), "must hold integers of at least 1"),
     "evaluate.n_min": (lambda v: v >= 1, "must be at least 1"),
+}
+
+
+_ANY = object()
+
+# {path: value} of the keys that configs from older versions may carry. A
+# key holding its value here (of the schema's type, so `true` is not 1.0),
+# or any value where that is `_ANY`, is dropped rather than hashed; any
+# other value stays, an unknown key.
+_REMOVED_KEYS = {
+    # Results never depended on the worker count.
+    "train.jobs": _ANY,
+    # It had to equal every `train.grid.embed_dim`; the frozen matrix now
+    # takes each trial's own.
+    "features.pretrained_embed_dim": _ANY,
+    # From when a config could name its own rule tables.
+    "knowledge": {},
+    # The only vocabulary the generator ever drew: 90 dx and 36 proc codes.
+    "generate.dx_vocab": 90,
+    "generate.proc_vocab": 36,
+    # The one calibration protocol.
+    "calibrate": {"method_deep": "temperature", "method_lr": "platt"},
+    # Under Adam, (w_pos, w_neg) trains like (w_pos / w_neg, 1), which the
+    # grid's `w_pos` axis already spans.
+    "train.w_neg": 1.0,
 }
 
 
@@ -243,27 +266,13 @@ def load_config(path: str, outdir: str | None = None) -> dict:
         if isinstance(train, dict) and isinstance(train.get(grid), dict):
             defaults = default_config()["train"][grid]
             train[grid] = {**{axis: defaults[axis] for axis in axes}, **train[grid]}
-    # Configs from older versions may carry removed keys: `train.jobs`,
-    # which results never depended on; `features.pretrained_embed_dim`,
-    # which had to equal every `train.grid.embed_dim` (the frozen matrix
-    # now takes each trial's own); an empty `knowledge` object, from when a
-    # config could name its own rule tables; the `generate` vocabulary
-    # sizes of 90 dx and 36 proc codes, the only codes the generator ever
-    # drew; and `calibrate`, naming the one protocol. Each is dropped rather
-    # than hashed. Any other `knowledge` or `calibrate` object or vocabulary
-    # size is an unknown key.
-    for key, removed in (("knowledge", {}), ("calibrate", {"method_deep": "temperature", "method_lr": "platt"})):
-        if merged.get(key) == removed:
-            del merged[key]
-    generate = merged["generate"]
-    if isinstance(generate, dict):
-        for kind, size in (("dx", 90), ("proc", 36)):
-            if generate.get(f"{kind}_vocab") == size:
-                del generate[f"{kind}_vocab"]
-    if isinstance(train, dict):
-        train.pop("jobs", None)
-    if isinstance(merged["features"], dict):
-        merged["features"].pop("pretrained_embed_dim", None)
+    for path, dropped in _REMOVED_KEYS.items():
+        section, _, key = path.rpartition(".")
+        holder = merged[section] if section else merged
+        if isinstance(holder, dict) and key in holder:
+            value = holder[key]
+            if dropped is _ANY or (_has_type(value, dropped) and value == dropped):
+                del holder[key]
     problems = validate_config(merged)
     if problems:
         raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
@@ -416,9 +425,21 @@ def _fold_indices(table: EventTable, patient_folds: dict[str, str]) -> tuple[lis
     return fold_of, fold_idx
 
 
-def _split_folds(outdir: Path, table: EventTable) -> tuple[list[str], dict[str, list[int]]]:
-    """`_fold_indices` under the patient split that train recorded."""
-    split = _read_json(outdir / "train" / "split.json")
+def _read_for_task(outdir: Path, rel: str, task: str) -> dict:
+    """An earlier stage's JSON file `rel`, which must record the config's
+    task: a stage run under another task would mix two tasks' labels."""
+    obj = _read_json(outdir / rel)
+    if obj["task"] != task:
+        producer = rel.split("/")[0]
+        raise PrerequisiteError(
+            f"{rel} is for task {obj['task']!r}, not the config's {task!r}; rerun `seqfuse {producer}`"
+        )
+    return obj
+
+
+def _split_folds(outdir: Path, table: EventTable, task: str) -> tuple[list[str], dict[str, list[int]]]:
+    """`_fold_indices` under the patient split that train recorded for `task`."""
+    split = _read_for_task(outdir, "train/split.json", task)
     return _fold_indices(table, {pid: name for name, pids in split["patients"].items() for pid in pids})
 
 
@@ -546,7 +567,6 @@ def stage_train(cfg: dict, outdir: Path) -> None:
                 embedding_seed=cfg["seed"],
                 epochs=train_cfg["epochs"],
                 patience=train_cfg["patience"],
-                w_neg=train_cfg["w_neg"],
                 optimizer=train_cfg["optimizer"],
             )
             axes = {k: list(v) for k, v in train_cfg["grid"].items()}
@@ -639,7 +659,7 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
     cells = _cells(cfg)
     table, features_meta = _load_sequences(outdir, task)
     labels = table.label_for(task).astype(np.float64)
-    _, fold_idx = _split_folds(outdir, table)
+    _, fold_idx = _split_folds(outdir, table, task)
     calib_idx = fold_idx["calibration"]
 
     calibrators: dict[str, dict] = {}
@@ -661,13 +681,13 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
     print(f"calibrate: {summary}")
 
 
-def _cell_scores(outdir: Path, cell: str) -> tuple[np.ndarray, np.ndarray]:
-    """`cell`'s raw and calibrated scores for the task's events, in table
+def _cell_scores(outdir: Path, cell: str, task: str) -> tuple[np.ndarray, np.ndarray]:
+    """`cell`'s raw and calibrated scores for `task`'s events, in table
     order: its column of calibrate's raw scores, and that column mapped
     through its calibrator. Evaluate, report and importance read scores
     only here; evaluate's `scores_<cell>.csv` files are for people."""
     raw = read_npz(outdir / "calibrate" / "raw_scores.npz")[cell]
-    calibrator = Calibrator.from_json_obj(_read_json(outdir / "calibrate" / "calibrators.json")["cells"][cell])
+    calibrator = Calibrator.from_json_obj(_read_for_task(outdir, "calibrate/calibrators.json", task)["cells"][cell])
     return raw, calibrator.apply(raw)
 
 
@@ -678,14 +698,14 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     table, _ = _load_sequences(outdir, task)
     labels = table.label_for(task).astype(np.int64)
     event_ids = table.event_id.tolist()
-    fold_of, fold_idx = _split_folds(outdir, table)
+    fold_of, fold_idx = _split_folds(outdir, table, task)
     test_idx = np.array(fold_idx["test"], dtype=np.int64)
     train_summary = _read_json(outdir / "train" / "summary.json")["cells"]
 
     metrics: dict[str, dict] = {}
     for algorithm, mode in _cells(cfg):
         cell = _cell_name(algorithm, mode)
-        raw, prob_cal = _cell_scores(outdir, cell)
+        raw, prob_cal = _cell_scores(outdir, cell, task)
         prob_raw = Calibrator(kind="identity").apply(raw)
         scores_path = stage_dir / f"scores_{cell}.csv"
         with open(scores_path, "w", encoding="utf-8", newline="") as fh:
@@ -751,9 +771,9 @@ def _fmt(value, digits: int = 4) -> str:
 
 def stage_report(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "report"
-    metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
-    best_cell = metrics_all["best_cell"]
     task = cfg["task"]
+    metrics_all = _read_for_task(outdir, "evaluate/metrics.json", task)
+    best_cell = metrics_all["best_cell"]
     cells = metrics_all["cells"]
     modes = [m for m in EMBEDDING_MODES if m in cfg["train"]["embedding_modes"]]
 
@@ -785,9 +805,9 @@ def stage_report(cfg: dict, outdir: Path) -> None:
 
     # Subgroup breakdown of the best model's calibrated test-fold scores.
     table, features_meta = _load_sequences(outdir, task)
-    in_test = np.array(_split_folds(outdir, table)[0]) == "test"
+    in_test = np.array(_split_folds(outdir, table, task)[0]) == "test"
     test = table.select(in_test)
-    scores = _cell_scores(outdir, best_cell)[1][in_test]
+    scores = _cell_scores(outdir, best_cell, task)[1][in_test]
     labels = test.label_for(task).astype(np.int64)
     n_proc_columns = features_meta["n_proc_columns"]
     groups: dict[str, list[str]] = {key: getattr(test, key).tolist() for key in SUBGROUP_KEYS}
@@ -820,11 +840,11 @@ def stage_report(cfg: dict, outdir: Path) -> None:
 
 def stage_importance(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "importance"
-    best_cell = _read_json(outdir / "evaluate" / "metrics.json")["best_cell"]
     task = cfg["task"]
+    best_cell = _read_for_task(outdir, "evaluate/metrics.json", task)["best_cell"]
     threshold = cfg["evaluate"]["threshold"]
     table, features_meta = _load_sequences(outdir, task)
-    _, scores = _cell_scores(outdir, best_cell)
+    _, scores = _cell_scores(outdir, best_cell, task)
     flat = flatten(
         table,
         features_meta["n_dx_columns"],

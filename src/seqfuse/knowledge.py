@@ -126,15 +126,6 @@ class PlannedRules:
     maintenance_dx_ccs: frozenset[int]
     acute_override_dx_ccs: frozenset[int]
 
-    def is_planned(self, principal_dx_ccs: int, proc_ccs_set) -> bool:
-        """Planned iff a planned procedure or maintenance principal dx is
-        present, and the principal dx is not an acute override."""
-        if principal_dx_ccs in self.acute_override_dx_ccs:
-            return False
-        if principal_dx_ccs in self.maintenance_dx_ccs:
-            return True
-        return bool(self.planned_proc_ccs & set(proc_ccs_set))
-
 
 def load_planned_rules() -> PlannedRules:
     raw = _load_bundled("planned_rules.json")

@@ -198,9 +198,9 @@ class SeqFuseModel:
                 raise DimensionError(f"z shape {z_rows.shape} != ({summary.shape[0]}, {cfg.domain_dim})")
             z_tensor = Tensor(np.array(z_rows, dtype=np.float64))
             if cfg.fusion == "early":
-                fused = self._mlp(concat([summary, z_tensor], axis=1))
+                fused = self._mlp(concat([summary, z_tensor]))
             else:
-                fused = concat([summary, self._mlp(z_tensor)], axis=1)
+                fused = concat([summary, self._mlp(z_tensor)])
         logit = add(matmul(fused, self.params["out.W"]), self.params["out.b"])
         return sigmoid(logit), logit
 
@@ -260,7 +260,6 @@ class SeqFuseModel:
         z_rows: np.ndarray | None,
         labels: np.ndarray,
         w_pos: float = 1.0,
-        w_neg: float = 1.0,
     ) -> tuple[Tensor, Tensor]:
         """Weighted BCE over a mixed-length batch of table rows under the
         active tape.
@@ -270,7 +269,7 @@ class SeqFuseModel:
         """
         y, _, _ = self._padded_pass(rows, table, z_rows)
         targets = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-        return weighted_bce(y, targets, w_pos, w_neg), y
+        return weighted_bce(y, targets, w_pos), y
 
     def predict(
         self,

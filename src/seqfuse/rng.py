@@ -110,7 +110,10 @@ def _np_splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Xoshiro256:
-    """xoshiro256** with the usual conversions (uniform, normal, poisson...).
+    """xoshiro256** with its conversions to [0, 1) doubles, integers and
+    discrete draws. `uniform` over a range and Box-Muller `normal`, which
+    only tests draw through, live in tests/reference.py's
+    `ReferenceXoshiro256`.
 
     A stream is exact integer arithmetic, so it is byte-for-byte
     reproducible everywhere, which the artifact contracts (identical
@@ -123,7 +126,6 @@ class Xoshiro256:
         for _ in range(4):
             state, out = splitmix64(state)
             self._s.append(out)
-        self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
@@ -184,9 +186,6 @@ class Xoshiro256:
         """Uniform double in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection-sampled so it is unbiased."""
         if hi < lo:
@@ -211,21 +210,6 @@ class Xoshiro256:
         swaps = self.randints(np.arange(len(items), 1, -1, dtype=np.uint64)).tolist()
         for i, j in zip(stops, swaps):
             items[i], items[j] = items[j], items[i]
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Box-Muller, caching the spare deviate."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return mu + sigma * z
-        while True:
-            u1 = self.random()
-            if u1 > 0.0:
-                break
-        u2 = self.random()
-        r = math.sqrt(-2.0 * math.log(u1))
-        self._spare_normal = r * math.sin(2.0 * math.pi * u2)
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
 
     def poisson(self, lam: float) -> int:
         """Knuth's product method; fine for the small rates used here."""

@@ -218,7 +218,6 @@ class TrainSettings:
     epochs: int = 30
     patience: int = 5
     w_pos: float = 1.0
-    w_neg: float = 1.0
     optimizer: str = "adam"
 
     def validate(self) -> None:
@@ -226,8 +225,8 @@ class TrainSettings:
             raise ValidationError("lr, batch_size, and epochs must be positive")
         if self.patience < 0:
             raise ValidationError("patience must be non-negative")
-        if self.w_pos <= 0 or self.w_neg <= 0:
-            raise ValidationError("class weights must be positive")
+        if self.w_pos <= 0:
+            raise ValidationError("w_pos must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"optimizer {self.optimizer!r} must be 'adam' or 'sgd'")
 
@@ -291,14 +290,7 @@ def train_model(
                 batch = order[start : start + settings.batch_size]
                 z_rows = z[batch] if z is not None else None
                 with Tape() as tape:
-                    loss, _ = model.loss(
-                        batch,
-                        table,
-                        z_rows,
-                        labels[batch],
-                        w_pos=settings.w_pos,
-                        w_neg=settings.w_neg,
-                    )
+                    loss, _ = model.loss(batch, table, z_rows, labels[batch], w_pos=settings.w_pos)
                     backward(tape, loss)
                 optimizer.step()
                 optimizer.zero_grad()
@@ -383,7 +375,6 @@ def make_deep_runner(
     embedding_seed: int = 0,
     epochs: int = 30,
     patience: int = 5,
-    w_neg: float = 1.0,
     optimizer: str = "adam",
 ):
     """Binds the data and task so grid_search only sees (config, seed).
@@ -417,7 +408,6 @@ def make_deep_runner(
             epochs=epochs,
             patience=patience,
             w_pos=float(config["w_pos"]),
-            w_neg=w_neg,
             optimizer=optimizer,
         )
         pretrained = None

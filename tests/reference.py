@@ -34,6 +34,12 @@ by a scalar scan, the value `metrics.auc` must equal bitwise.
 general Hessian X' diag(p (1 - p)) X over every column, all-zero ones
 included: the solver `baseline.train_lr` must match in iterations and,
 to rounding, in weights.
+
+`ReferenceXoshiro256` adds the float conversions tests draw their data
+through, `uniform` and Box-Muller `normal`, to the package's stream;
+`init_uniform` must equal `uniform` draw for draw. `is_planned` states per
+stay the planned-readmission rule that `cohort.build_cohort` applies
+column-wise.
 """
 
 from __future__ import annotations
@@ -920,6 +926,16 @@ def select_index_events(
     return events
 
 
+def is_planned(rules: PlannedRules, principal_dx_ccs: int, proc_ccs_set) -> bool:
+    """Planned iff a planned procedure or maintenance principal dx is
+    present, and the principal dx is not an acute override."""
+    if principal_dx_ccs in rules.acute_override_dx_ccs:
+        return False
+    if principal_dx_ccs in rules.maintenance_dx_ccs:
+        return True
+    return bool(rules.planned_proc_ccs & set(proc_ccs_set))
+
+
 def label_readmission(
     events: list[IndexEvent],
     stays: list[InpatientStay],
@@ -956,7 +972,7 @@ def label_readmission(
             continue
         principal_ccs = ccs.dx_category(candidate.principal_dx)
         proc_ccs = {ccs.proc_category(p) for p in candidate.all_proc}
-        planned = rules.is_planned(principal_ccs, proc_ccs)
+        planned = is_planned(rules, principal_ccs, proc_ccs)
         event.readmit_label = not planned
         if event.readmit_label:
             key = (candidate.beneficiary_id, candidate.stay_id)
@@ -1633,3 +1649,32 @@ def reference_train_lr(
     if not converged:
         raise NumericsError(f"logistic regression did not converge in {max_iter} iterations")
     return LrModel(weights=theta[:d].copy(), intercept=float(theta[d]), n_iter=n_iter, converged=converged)
+
+
+# --- the test-data stream -------------------------------------------------------
+
+
+class ReferenceXoshiro256(Xoshiro256):
+    """`Xoshiro256` plus the float conversions only tests draw through."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self._spare_normal: float | None = None
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        """Box-Muller, caching the spare deviate."""
+        if self._spare_normal is not None:
+            z = self._spare_normal
+            self._spare_normal = None
+            return mu + sigma * z
+        while True:
+            u1 = self.random()
+            if u1 > 0.0:
+                break
+        u2 = self.random()
+        r = math.sqrt(-2.0 * math.log(u1))
+        self._spare_normal = r * math.sin(2.0 * math.pi * u2)
+        return mu + sigma * r * math.cos(2.0 * math.pi * u2)

@@ -10,9 +10,8 @@ from seqfuse.cli import _load_sequences, _split_folds, default_config, main
 from seqfuse.errors import NumericsError, ValidationError
 from seqfuse.claims import _ptr
 from seqfuse.features import SUBGROUP_KEYS, EventTable
-from seqfuse.rng import Xoshiro256
 from seqfuse.training import apply_standardizer, fit_standardizer, smote
-from tests.reference import reference_train_lr
+from tests.reference import ReferenceXoshiro256, reference_train_lr
 
 
 def _table(rows: list[tuple[list[tuple[int, ...]], list[float]]]) -> EventTable:
@@ -155,7 +154,7 @@ class TestFlattenKernel:
 
 
 def _logit_world(n=300, d=4, seed=21, true_w=(1.5, -2.0, 0.0, 0.5), true_b=-0.3):
-    rng = Xoshiro256(seed)
+    rng = ReferenceXoshiro256(seed)
     x = np.array([[rng.normal() for _ in range(d)] for _ in range(n)])
     logits = x @ np.array(true_w) + true_b
     y = np.array([rng.bernoulli(p) for p in 1.0 / (1.0 + np.exp(-logits))], dtype=np.float64)
@@ -245,7 +244,7 @@ def demo_training_fold(tmp_path_factory):
         assert main([stage, "--config", str(config)]) == 0
     table, meta = _load_sequences(outdir, "readmission")
     flat = flatten(table, meta["n_dx_columns"], meta["n_proc_columns"], meta["z_names"])
-    train = _split_folds(outdir, table)[1]["train"]
+    train = _split_folds(outdir, table, "readmission")[1]["train"]
     x = flat.matrix[train]
     return apply_standardizer(x, *fit_standardizer(x)), table.readmit_label[train].astype(np.float64)
 

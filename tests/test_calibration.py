@@ -9,7 +9,7 @@ import pytest
 from seqfuse.calibration import Calibrator, ece, fit_platt, fit_temperature, nll
 from seqfuse.errors import CalibrationError, ValidationError
 from seqfuse.metrics import auc
-from seqfuse.rng import Xoshiro256
+from tests.reference import ReferenceXoshiro256
 
 
 def _sigmoid(x):
@@ -18,7 +18,7 @@ def _sigmoid(x):
 
 def _bernoulli_world(n: int, seed: int, scale: float = 1.0):
     """Logits and labels drawn from the exactly-calibrated model."""
-    rng = Xoshiro256(seed)
+    rng = ReferenceXoshiro256(seed)
     logits = np.array([rng.normal() * 1.5 for _ in range(n)])
     labels = np.array([float(rng.bernoulli(p)) for p in _sigmoid(logits)])
     return logits * scale, labels
@@ -137,7 +137,7 @@ class TestFitPlatt:
         assert abs(cal.b - 0.0) <= 0.1
 
     def test_recovers_a_planted_affine_map(self):
-        rng = Xoshiro256(17)
+        rng = ReferenceXoshiro256(17)
         scores = np.array([rng.normal() * 2 for _ in range(4000)])
         labels = np.array([float(rng.bernoulli(p)) for p in _sigmoid(0.7 * scores - 0.4)])
         cal = fit_platt(scores, labels)

@@ -69,6 +69,21 @@ def _write_config(path: Path, outdir: Path, **overrides) -> Path:
     return path
 
 
+# Keys that configs from older versions carry, with a value they wrote: each
+# must be dropped on load (`cli._REMOVED_KEYS`). Other values of the keys
+# dropped only at that value are among `test_malformed_shape_is_exit_2`'s
+# cases.
+_OLD_VALUES = {
+    "calibrate": {"method_deep": "temperature", "method_lr": "platt"},
+    "features.pretrained_embed_dim": 16,
+    "generate.dx_vocab": 90,
+    "generate.proc_vocab": 36,
+    "knowledge": {},
+    "train.jobs": 1,
+    "train.w_neg": 1.0,
+}
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -194,6 +209,10 @@ class TestConfigHandling:
             # Only the protocol's own calibrate object is dropped on load.
             ({"calibrate": {"method_deep": "platt", "method_lr": "platt"}}, "unknown config keys: ['calibrate']"),
             ({"calibrate": {"method_deep": "temperature"}}, "unknown config keys: ['calibrate']"),
+            ({"generate": {"proc_vocab": 40}}, "unknown generate keys: ['proc_vocab']"),
+            # Only an older config's w_neg of 1.0 is dropped, and `true` is not 1.0.
+            ({"train": {"w_neg": 0.5}}, "unknown train keys: ['w_neg']"),
+            ({"train": {"w_neg": True}}, "unknown train keys: ['w_neg']"),
         ],
     )
     def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
@@ -236,41 +255,12 @@ class TestConfigHandling:
         cfg = load_config(str(config), outdir=str(tmp_path / "b"))
         assert cfg["outdir"] == str(tmp_path / "b")
 
-    def test_config_with_the_removed_jobs_key_loads(self, tmp_path):
-        # Older demo configs wrote "jobs": 1; it is dropped, not hashed.
-        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", train={"jobs": 1})
+    @pytest.mark.parametrize("path", sorted(_OLD_VALUES))
+    def test_a_removed_key_is_dropped_before_hashing(self, tmp_path, path):
+        section, _, key = path.rpartition(".")
+        override = {section: {key: _OLD_VALUES[path]}} if section else {key: _OLD_VALUES[path]}
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", **override)
         cfg = load_config(str(config))
-        assert "jobs" not in cfg["train"]
-        assert cfg == load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run")))
-
-    def test_config_with_the_removed_pretrained_embed_dim_loads(self, tmp_path):
-        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", features={"pretrained_embed_dim": 16})
-        cfg = load_config(str(config))
-        assert "pretrained_embed_dim" not in cfg["features"]
-        assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
-
-    def test_config_with_the_removed_knowledge_section_loads(self, tmp_path):
-        # Older demo configs wrote "knowledge": {}; it is dropped, not hashed.
-        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", knowledge={})
-        cfg = load_config(str(config))
-        assert "knowledge" not in cfg
-        assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
-
-    def test_config_with_the_removed_vocab_sizes_loads(self, tmp_path):
-        # Older demo configs wrote the generator's only vocabulary, 90 dx
-        # and 36 proc codes; the sizes are dropped, not hashed.
-        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", generate={"dx_vocab": 90, "proc_vocab": 36})
-        cfg = load_config(str(config))
-        assert "dx_vocab" not in cfg["generate"] and "proc_vocab" not in cfg["generate"]
-        assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
-
-    def test_config_with_the_removed_calibrate_section_loads(self, tmp_path):
-        # Older demo configs named the one calibration protocol; the object
-        # is dropped, not hashed.
-        calibrate = {"method_deep": "temperature", "method_lr": "platt"}
-        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", calibrate=calibrate)
-        cfg = load_config(str(config))
-        assert "calibrate" not in cfg
         assert config_hash(cfg) == config_hash(load_config(str(_write_config(tmp_path / "new.json", tmp_path / "run"))))
 
 
@@ -338,7 +328,7 @@ class TestPipelineArtifacts:
         _, outdir = pipeline_run
         metrics = json.loads((outdir / "evaluate" / "metrics.json").read_text())
         for cell in metrics["cells"]:
-            raw, prob_cal = _cell_scores(outdir, cell)
+            raw, prob_cal = _cell_scores(outdir, cell, "readmission")
             with open(outdir / "evaluate" / f"scores_{cell}.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert [r["raw"] for r in rows] == [f"{v:.10g}" for v in raw], cell
@@ -546,6 +536,33 @@ class TestRerunsAndTampering:
         assert main(["generate", "--config", str(config)]) == 0
         assert main(["cohort", "--config", str(config)]) == 0
 
+
+
+class TestTaskMismatch:
+    def test_a_stage_under_another_task_than_its_inputs_is_exit_3(self, pipeline_run, tmp_path, capsys):
+        _, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        mortality = _write_config(tmp_path / "mortality.json", copy, task="mortality")
+        for stage, rel in (
+            ("calibrate", "train/split.json"),
+            ("evaluate", "train/split.json"),
+            ("report", "evaluate/metrics.json"),
+            ("importance", "evaluate/metrics.json"),
+        ):
+            assert main([stage, "--config", str(mortality)]) == 3, stage
+            assert f"{rel} is for task 'readmission', not the config's 'mortality'" in capsys.readouterr().err
+        # Retrained under mortality, the split no longer matches the
+        # readmission metrics that report reads alongside it, nor the
+        # readmission scores that calibrate wrote before.
+        lr_only = _write_config(tmp_path / "lr.json", copy, task="mortality", train={"algorithms": ["lr"]})
+        assert main(["train", "--config", str(lr_only)]) == 0
+        readmission = _write_config(tmp_path / "readmission.json", copy)
+        capsys.readouterr()
+        assert main(["report", "--config", str(readmission)]) == 3
+        assert "train/split.json is for task 'mortality', not the config's 'readmission'" in capsys.readouterr().err
+        assert main(["evaluate", "--config", str(lr_only)]) == 3
+        assert "calibrate/calibrators.json is for task 'readmission'" in capsys.readouterr().err
 
 
 class TestColumnarArtifacts:

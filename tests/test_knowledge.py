@@ -10,7 +10,7 @@ from seqfuse.knowledge import (
     load_hac_rules,
     load_planned_rules,
 )
-from tests.reference import charlson_index, hac_flags
+from tests.reference import charlson_index, hac_flags, is_planned
 
 
 class TestCcsMap:
@@ -103,12 +103,12 @@ class TestPlannedRules:
         rules = load_planned_rules()
         # Acute override beats everything; maintenance principal dx and
         # planned procedures each suffice on their own.
-        assert rules.is_planned(17, {4}) is False
-        assert rules.is_planned(19, set()) is True
-        assert rules.is_planned(0, {4}) is True
-        assert rules.is_planned(0, {5, 0}) is True
-        assert rules.is_planned(0, {0, 1}) is False
-        assert rules.is_planned(17, set()) is False
+        assert is_planned(rules, 17, {4}) is False
+        assert is_planned(rules, 19, set()) is True
+        assert is_planned(rules, 0, {4}) is True
+        assert is_planned(rules, 0, {5, 0}) is True
+        assert is_planned(rules, 0, {0, 1}) is False
+        assert is_planned(rules, 17, set()) is False
 
 
 class TestDomainSpecAndBundle:

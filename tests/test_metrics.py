@@ -14,7 +14,7 @@ from seqfuse.metrics import (
     surrogate_importance,
 )
 from seqfuse.rng import Xoshiro256
-from tests.reference import reference_auc
+from tests.reference import ReferenceXoshiro256, reference_auc
 
 
 def pairwise_auc(scores, labels) -> float:
@@ -204,7 +204,7 @@ class TestSurrogateImportance:
     def test_recovers_the_planted_driver(self):
         """The model only looks at column 0; the surrogate must rank it
         first with a positive weight."""
-        rng = Xoshiro256(11)
+        rng = ReferenceXoshiro256(11)
         n = 400
         matrix = np.array([[rng.normal() for _ in range(4)] for _ in range(n)])
         model_scores = 1.0 / (1.0 + np.exp(-3.0 * matrix[:, 0]))
@@ -217,7 +217,7 @@ class TestSurrogateImportance:
         assert abs(rows[0]["importance"]) > 3 * abs(rows[1]["importance"])
 
     def test_sorted_by_absolute_weight(self):
-        rng = Xoshiro256(13)
+        rng = ReferenceXoshiro256(13)
         n = 300
         matrix = np.array([[rng.normal() for _ in range(3)] for _ in range(n)])
         model_scores = 1.0 / (1.0 + np.exp(-(2.0 * matrix[:, 1] - 1.5 * matrix[:, 2])))

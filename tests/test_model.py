@@ -19,7 +19,7 @@ from seqfuse.model import (
     random_embedding,
 )
 from seqfuse.rng import Xoshiro256
-from tests.reference import reference_embedding_lookup, reference_padding, steps_table
+from tests.reference import ReferenceXoshiro256, reference_embedding_lookup, reference_padding, steps_table
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -86,7 +86,7 @@ class TestGruStep:
         """r, z, h_tilde, and the convex update recomputed outside the tape."""
         cfg = small_config(fusion="none", domain_dim=0)
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(5)
+        rng = ReferenceXoshiro256(5)
         x = np.array([[rng.normal() for _ in range(cfg.embed_dim)] for _ in range(3)])
         h = np.array([[rng.normal() for _ in range(cfg.hidden_dim)] for _ in range(3)])
 
@@ -131,7 +131,7 @@ class TestAttention:
     def test_weights_are_a_distribution(self):
         cfg = small_config(fusion="none", domain_dim=0)
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(17)
+        rng = ReferenceXoshiro256(17)
         for _ in range(50):
             t_len = 1 + rng.randint(0, 5)
             states = Tensor(
@@ -146,7 +146,7 @@ class TestAttention:
         """softmax(q . h_t / sqrt(d)) and the weighted state sum."""
         cfg = small_config(fusion="none", domain_dim=0)
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(23)
+        rng = ReferenceXoshiro256(23)
         arrays = [
             np.array([[rng.normal() for _ in range(cfg.hidden_dim)] for _ in range(3)])
             for _ in range(4)
@@ -173,7 +173,7 @@ class TestForward:
     def test_predict_agrees_with_forward(self):
         cfg = small_config()
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(31)
+        rng = ReferenceXoshiro256(31)
         steps = random_steps(rng, 6, 4, cfg.input_dim)
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(6)])
@@ -191,7 +191,7 @@ class TestForward:
         each event must score identically to a solo forward pass."""
         cfg = small_config()
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(37)
+        rng = ReferenceXoshiro256(37)
         lengths = [3, 1, 4, 1, 3, 2]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
         table, rows = steps_table(steps), np.arange(len(steps))
@@ -246,7 +246,7 @@ class TestFusionVariants:
         late = SeqFuseModel(small_config(fusion="late", mlp_hidden_dims=()))
         for name in early.params:
             assert np.array_equal(early.params[name].data, late.params[name].data)
-        rng = Xoshiro256(43)
+        rng = ReferenceXoshiro256(43)
         steps = random_steps(rng, 5, 3, 12)
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(4)] for _ in range(5)])
@@ -259,7 +259,7 @@ class TestFusionVariants:
         with the sequence branch alone."""
         cfg = small_config(fusion="late", mlp_hidden_dims=())
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(47)
+        rng = ReferenceXoshiro256(47)
         steps = random_steps(rng, 4, 3, cfg.input_dim)
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(4)])
@@ -271,7 +271,7 @@ class TestFusionVariants:
         np.testing.assert_array_equal(logits_zeroed, logits_no_z)
 
     def test_variants_disagree_in_general(self):
-        rng = Xoshiro256(53)
+        rng = ReferenceXoshiro256(53)
         steps = random_steps(rng, 4, 3, 12)
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(4)] for _ in range(4)])
@@ -289,18 +289,18 @@ class TestLoss:
         per-sequence forward passes."""
         cfg = small_config()
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(59)
+        rng = ReferenceXoshiro256(59)
         lengths = [2, 1, 2, 3]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
         labels = np.array([1.0, 0.0, 0.0, 1.0])
-        w_pos, w_neg = 3.0, 0.5
+        w_pos = 3.0
         with Tape():
-            loss, _ = model.loss(rows, table, z, labels, w_pos=w_pos, w_neg=w_neg)
+            loss, _ = model.loss(rows, table, z, labels, w_pos=w_pos)
 
         probs, _, _ = model.predict(rows, table, z)
-        weights = np.where(labels == 1.0, w_pos, w_neg)
+        weights = np.where(labels == 1.0, w_pos, 1.0)
         terms = -(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))
         expected = float(np.mean(weights * terms))
         np.testing.assert_allclose(loss.data[0, 0], expected, rtol=1e-12)
@@ -310,7 +310,7 @@ class TestLoss:
         tensor from every block of the network."""
         cfg = small_config(mlp_hidden_dims=(3,))
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(61)
+        rng = ReferenceXoshiro256(61)
         lengths = [2, 1, 3]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
         table, rows = steps_table(steps), np.arange(len(steps))
@@ -345,7 +345,7 @@ class TestPaddedBatches:
         probability, in input order, matches a solo pass to rounding."""
         cfg = small_config(n_gru_layers=2)
         model = SeqFuseModel(cfg)
-        rng = Xoshiro256(73)
+        rng = ReferenceXoshiro256(73)
         lengths = [3, 1, 4, 1, 2, 4]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
         table, rows = steps_table(steps), np.arange(len(steps))
@@ -397,7 +397,7 @@ class TestLayoutAgainstReference:
             backward(tape, loss)
         return seen, model.params["embed.W"].grad
 
-    def _check(self, step_lists, rng: Xoshiro256, n_rows: int):
+    def _check(self, step_lists, rng: ReferenceXoshiro256, n_rows: int):
         table = steps_table(step_lists)
         order = list(range(len(step_lists)))
         rng.shuffle(order)
@@ -412,7 +412,7 @@ class TestLayoutAgainstReference:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_ragged_batches_with_empty_steps(self, seed):
-        rng = Xoshiro256(700 + seed)
+        rng = ReferenceXoshiro256(700 + seed)
         step_lists = [
             [[rng.randint(0, 11) for _ in range(rng.randint(0, 3))] for _ in range(1 + rng.randint(0, 5))]
             for _ in range(14)
@@ -421,12 +421,12 @@ class TestLayoutAgainstReference:
         self._check(step_lists, rng, n_rows=10)
 
     def test_one_step_sequences(self):
-        rng = Xoshiro256(711)
+        rng = ReferenceXoshiro256(711)
         step_lists = [[[rng.randint(0, 11) for _ in range(rng.randint(0, 3))]] for _ in range(9)]
         self._check(step_lists, rng, n_rows=9)
 
     def test_equal_length_batch(self):
-        rng = Xoshiro256(712)
+        rng = ReferenceXoshiro256(712)
         self._check(random_steps(rng, 8, 4, 12), rng, n_rows=7)
 
 
@@ -483,7 +483,7 @@ class TestTrainingInteraction:
         )
         model = SeqFuseModel(cfg, pretrained_embedding=matrix)
         before_out = model.params["out.W"].data.copy()
-        rng = Xoshiro256(71)
+        rng = ReferenceXoshiro256(71)
         steps = random_steps(rng, 8, 3, cfg.input_dim)
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(8)])

@@ -38,17 +38,24 @@ def test_every_import_is_used(path):
 
 def _unreferenced(sources: dict[str, str]) -> list[str]:
     """The top-level functions and classes of the modules in `sources`
-    ({module: source}) that no module refers to: no `Name`, `Attribute` or
-    import alias anywhere in them names it. Methods are not scanned."""
+    ({module: source}), and the methods of those classes, that no module
+    refers to: no `Name`, `Attribute` or import alias anywhere in them
+    names it. A method is matched by its name alone, whatever the object
+    it is looked up on; dunder methods, which Python calls, are skipped."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined: list[str] = []
     referenced: set[str] = set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [
-            f"{module}.{node.name}"
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        ]
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    f"{module}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, functions) and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -56,18 +63,42 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    return sorted(name for name in defined if name.split(".", 1)[1] not in referenced)
+    return sorted(name for name in defined if name.rsplit(".", 1)[1] not in referenced)
 
 
 def test_the_scan_sees_unreferenced_definitions():
     sources = {
-        "a": "def used(): pass\ndef attr(): pass\ndef imported(): pass\nclass Unused:\n    def method(self): used()\ndef lone(): pass\n",
+        "a": "def used(): pass\ndef attr(): pass\ndef imported(): pass\nclass Unused:\n    def __init__(self): used()\ndef lone(): pass\n",
         "b": "from a import imported\nimport a\na.attr()\nx = 'lone'\n",
     }
     assert _unreferenced(sources) == ["a.Unused", "a.lone"]
 
 
+def test_the_scan_sees_unreferenced_methods():
+    sources = {
+        "a": (
+            "class Used:\n"
+            "    def __init__(self): pass\n"
+            "    def called(self): pass\n"
+            "    def passed(self): pass\n"
+            "    def lone(self): pass\n"
+            "    def elsewhere(self): pass\n"
+            "Used().called()\n"
+            "f = Used.passed\n"
+        ),
+        "b": "import a\nx = a.Used()\nx.elsewhere()\n",
+    }
+    assert _unreferenced(sources) == ["a.Used.lone"]
+
+
+# `SeqFuseModel.forward` has no caller in the package, but the benchmark's
+# tracer wraps it by name (its entry in `PATCHES`, perfbench/tracing.py).
+# It goes with that entry and the `model.forward.calls_per_step` metric in
+# the benchmark revision, ROADMAP item 2.
+_NO_CALLER_EXEMPT = ["model.SeqFuseModel.forward"]
+
+
 def test_every_definition_has_a_caller_in_the_package():
     """Code that only tests call belongs with the tests."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    assert _unreferenced(sources) == []
+    assert _unreferenced(sources) == _NO_CALLER_EXEMPT

@@ -25,7 +25,7 @@ from seqfuse.training import (
     split_patients,
     train_model,
 )
-from tests.reference import reference_nearest_neighbors, steps_table
+from tests.reference import ReferenceXoshiro256, reference_nearest_neighbors, steps_table
 
 
 class TestSplitPatients:
@@ -96,7 +96,7 @@ class TestStandardizer:
 
 class TestSmote:
     def _world(self, n_pos=12, n_neg=40, dim=3, seed=77):
-        rng = Xoshiro256(seed)
+        rng = ReferenceXoshiro256(seed)
         x = np.array([[rng.normal() for _ in range(dim)] for _ in range(n_pos + n_neg)])
         y = np.array([1] * n_pos + [0] * n_neg)
         return x, y
@@ -177,7 +177,7 @@ class TestSmote:
     @staticmethod
     def _neighbor_world(name: str) -> tuple[np.ndarray, int]:
         """Rows that stress the filter's bound, and the k to search with."""
-        rng = Xoshiro256(derive_seed(31, name))
+        rng = ReferenceXoshiro256(derive_seed(31, name))
         if name == "duplicates":  # exact ties, several copies of a row
             rows = np.array([[rng.normal() for _ in range(5)] for _ in range(30)])
             rows[[4, 9, 17]] = rows[2]
@@ -248,7 +248,7 @@ class TestSmote:
         temporaries in place, the blocks' temporaries would exceed it.)"""
         budget = 2 << 20
         monkeypatch.setattr(training, "_SMOTE_BLOCK_BYTES", budget)
-        rng = Xoshiro256(derive_seed(31, "memory"))
+        rng = ReferenceXoshiro256(derive_seed(31, "memory"))
         rows = np.array([[1e6 + rng.normal() for _ in range(20)] for _ in range(600)])
         tracemalloc.start()
         try:
@@ -453,7 +453,7 @@ class TestGridSearch:
 
 class TestDeepRunner:
     def test_end_to_end_trial_payload(self):
-        rng = Xoshiro256(101)
+        rng = ReferenceXoshiro256(101)
         n = 48
         steps = []
         labels = np.zeros(n)
