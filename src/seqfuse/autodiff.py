@@ -245,11 +245,14 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
         r = sigmoid(x W_r + h U_r + b_r),  z = sigmoid(x W_z + h U_z + b_z)
         h~ = tanh(x W_h + (r * h) U_h + b_h),  h' = h + (m * z) * (h~ - h)
 
-    so a padded step (m = 0) leaves h bit-unchanged. The input projection
-    x [W_r|W_z|W_h] + b runs once for all rows; each step then multiplies
-    by [U_r|U_z] and U_h. The gate pre-activations are checked for
-    non-finite values here, because sigmoid and tanh would squash an
-    overflow into a finite output.
+    so a padded step (m = 0) leaves h bit-unchanged. Only the work that
+    depends on the previous step runs inside the step loops (Appleyard et
+    al., arXiv:1604.01946): the input projection x [W_r|W_z|W_h] + b runs
+    once for all rows, each step adds h [U_r|U_z] and (r * h) U_h to it in
+    place, and the backward pass forms the U gradients as two products over
+    all T*B rows after its loop. The pre-activations are checked for
+    non-finite values once, after the loop, because sigmoid and tanh would
+    squash an overflow into a finite output.
     """
     mask = np.asarray(mask, dtype=np.float64)
     steps, batch = mask.shape
@@ -263,44 +266,52 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     w_all = np.concatenate([t.data for t in w], axis=1)
     u_rz = np.concatenate([u[0].data, u[1].data], axis=1)
     u_h = u[2].data
-    xw = (x.data @ w_all + np.concatenate([t.data for t in b], axis=1)).reshape(steps, batch, 3 * hidden)
-    _check_finite("gru_sequence input projection", xw)
+    # Every step's pre-activations r | z | h~, built up in place.
+    pre = (x.data @ w_all + np.concatenate([t.data for t in b], axis=1)).reshape(steps, batch, 3 * hidden)
+    m_all = mask[:, :, None]
     states = np.empty((steps + 1, batch, hidden))
     states[0] = h0.data
     gates = np.empty((steps, batch, 2 * hidden))  # r | z
+    rh = np.empty((steps, batch, hidden))  # r * h, U_h's input
     cand = np.empty((steps, batch, hidden))
-    pre = np.empty((batch, 3 * hidden))
-    for t in range(steps):
-        h = states[t]
-        np.add(xw[t, :, :2 * hidden], h @ u_rz, out=pre[:, :2 * hidden])
-        gates[t] = _sigmoid(pre[:, :2 * hidden])
-        r = gates[t, :, :hidden]
-        np.add(xw[t, :, 2 * hidden:], (r * h) @ u_h, out=pre[:, 2 * hidden:])
-        _check_finite("gru_sequence pre-activation", pre)
-        cand[t] = np.tanh(pre[:, 2 * hidden:])
-        states[t + 1] = h + (mask[t][:, None] * gates[t, :, hidden:]) * (cand[t] - h)
+    # A non-finite step carries on to the end of the loop, where the check
+    # reports it; its arithmetic must not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            h, pre_rz, pre_h = states[t], pre[t, :, :2 * hidden], pre[t, :, 2 * hidden:]
+            np.add(pre_rz, h @ u_rz, out=pre_rz)
+            gates[t] = _sigmoid(pre_rz)
+            np.multiply(gates[t, :, :hidden], h, out=rh[t])
+            np.add(pre_h, rh[t] @ u_h, out=pre_h)
+            np.tanh(pre_h, out=cand[t])
+            step = np.subtract(cand[t], h, out=states[t + 1])
+            step *= m_all[t] * gates[t, :, hidden:]
+            step += h
+    _check_finite("gru_sequence pre-activation", pre)
 
     def vjp(g):
         g = g.reshape(steps, batch, hidden)
+        h_prev = states[:-1]
+        r, z = gates[:, :, :hidden], gates[:, :, hidden:]
+        mz = m_all * z
+        # Each step's gradient through a gate is dh times a factor that
+        # does not depend on dh: formed here for all T steps at once.
+        f_h = mz * (1.0 - cand * cand)
+        f_r = h_prev * r * (1.0 - r)
+        f_z = m_all * (cand - h_prev) * z * (1.0 - z)
+        keep = 1.0 - mz
         d_pre = np.empty((steps, batch, 3 * hidden))
-        d_u_rz = np.zeros_like(u_rz)
-        d_u_h = np.zeros_like(u_h)
         dh = np.zeros((batch, hidden))
         for t in reversed(range(steps)):
-            dh = dh + g[t]
-            h = states[t]
-            r, z, c = gates[t, :, :hidden], gates[t, :, hidden:], cand[t]
-            m = mask[t][:, None]
-            da_h = dh * m * z * (1.0 - c * c)
+            dh += g[t]
+            da_h = np.multiply(dh, f_h[t], out=d_pre[t, :, 2 * hidden:])
             d_rh = da_h @ u_h.T
-            d_u_h += (r * h).T @ da_h
-            d_pre[t, :, :hidden] = d_rh * h * r * (1.0 - r)
-            d_pre[t, :, hidden:2 * hidden] = dh * m * (c - h) * z * (1.0 - z)
-            d_pre[t, :, 2 * hidden:] = da_h
-            d_rz = d_pre[t, :, :2 * hidden]
-            d_u_rz += h.T @ d_rz
-            dh = dh * (1.0 - m * z) + d_rh * r + d_rz @ u_rz.T
+            np.multiply(d_rh, f_r[t], out=d_pre[t, :, :hidden])
+            np.multiply(dh, f_z[t], out=d_pre[t, :, hidden:2 * hidden])
+            dh = dh * keep[t] + d_rh * r[t] + d_pre[t, :, :2 * hidden] @ u_rz.T
         d_pre = d_pre.reshape(steps * batch, 3 * hidden)
+        d_u_rz = h_prev.reshape(steps * batch, hidden).T @ d_pre[:, :2 * hidden]
+        d_u_h = rh.reshape(steps * batch, hidden).T @ d_pre[:, 2 * hidden:]
         d_w = x.data.T @ d_pre
         d_b = d_pre.sum(axis=0, keepdims=True)
         cols = [slice(k * hidden, (k + 1) * hidden) for k in range(3)]
@@ -397,6 +408,14 @@ class Sgd:
 
 
 class Adam:
+    """Adam with bias correction (Kingma & Ba, ICLR 2015).
+
+    The moments of all parameters live in two flat buffers, in the order
+    of `params`, so a step is one vectorised update over every gradient
+    rather than one per tensor. A frozen parameter, or one with no
+    gradient, is skipped: its data and moments stay as they are.
+    """
+
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
@@ -405,24 +424,33 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self._edges = np.cumsum([0] + [p.data.size for p in params.values()])
+        self._m = np.zeros(self._edges[-1])
+        self._v = np.zeros(self._edges[-1])
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            if not p.requires_grad or p._grad is None:
-                continue
-            g = p._grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        live = [(i, p) for i, p in enumerate(self.params.values()) if p.requires_grad and p._grad is not None]
+        if not live:
+            return
+        g = np.concatenate([p._grad.ravel() for _, p in live])
+        m, v, rows = self._m, self._v, None
+        if len(live) < len(self.params):
+            rows = np.concatenate([np.arange(self._edges[i], self._edges[i + 1]) for i, _ in live])
+            m, v = m[rows], v[rows]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        if rows is not None:
+            self._m[rows], self._v[rows] = m, v
+        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        start = 0
+        for _, p in live:
+            p.data -= update[start:start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
 
     def zero_grad(self) -> None:
         for t in self.params.values():

@@ -233,6 +233,13 @@ def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
                 found.append(code)
         return found
 
+    def member(codes: np.ndarray, allowed) -> np.ndarray:
+        """Whether each code is one of `allowed`, gathered from a table
+        indexed by code; its last slot stands for the null code -1."""
+        table = np.zeros(len(fixed) + 1, dtype=bool)
+        table[allowed] = True
+        return table[codes]
+
     def check(kind: str, bad: np.ndarray, message: str, owner=None) -> None:
         """Raises naming the first record of `kind` with a `bad` row (or
         the record `owner` maps the first bad row to)."""
@@ -243,13 +250,13 @@ def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
 
     def check_enum(kind: str, name: str, allowed: tuple[str, ...], rows=True) -> None:
         values = cols[f"{kind}.{name}"]
-        bad = rows & ~np.isin(values, code_of(*allowed))
+        bad = rows & ~member(values, code_of(*allowed))
         if bad.any():
             value = values[np.argmax(bad)]
             check(kind, bad, f"{name} {word(value)!r} invalid")
 
     ben_id, claim_id, claim_ben = cols["beneficiary.beneficiary_id"], cols["claim.claim_id"], cols["claim.beneficiary_id"]
-    if np.isin(np.concatenate([ben_id, claim_id, claim_ben]), code_of("")).any():
+    if member(np.concatenate([ben_id, claim_id, claim_ben]), code_of("")).any():
         raise ValidationError("beneficiary_id and claim_id must be non-empty")
     for name, allowed in (("gender", GENDERS), ("race", RACES), ("medicare_status", MEDICARE_STATUSES)):
         check_enum("beneficiary", name, allowed)
@@ -265,7 +272,7 @@ def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
     check_enum("claim", "claim_type", CLAIM_TYPES)
     admit, discharge = cols["claim.admit_date"], cols["claim.discharge_date"]
     check("claim", admit > discharge, "admit_date after discharge_date")
-    inpatient = np.isin(cols["claim.claim_type"], code_of("inpatient"))
+    inpatient = member(cols["claim.claim_type"], code_of("inpatient"))
     check("claim", inpatient & (np.diff(cols["claim.dx_codes_ptr"]) == 0), "inpatient claim needs at least one dx code")
     for name, allowed in (
         ("admission_type", ADMISSION_TYPES),
@@ -274,7 +281,7 @@ def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
     ):
         check_enum("claim", name, allowed, inpatient)
     for name in ("drg", "facility_id"):
-        check("claim", inpatient & np.isin(cols[f"claim.{name}"], [-1, *code_of("")]), f"inpatient claim needs a {name}")
+        check("claim", inpatient & member(cols[f"claim.{name}"], [-1, *code_of("")]), f"inpatient claim needs a {name}")
     check("claim", ~inpatient & (admit != discharge), "outpatient and ED claims must be single-day events")
     for name in _INPATIENT_ONLY:
         check("claim", ~inpatient & (cols[f"claim.{name}"] >= 0), f"{name} only applies to inpatient claims")
@@ -283,7 +290,7 @@ def check_claim_columns(cols: dict[str, np.ndarray], source: str) -> None:
         distinct, counts = np.unique(ids, return_counts=True)
         if (counts > 1).any():
             raise ValidationError(f"duplicate {kind}_id {word(distinct[np.argmax(counts > 1)])!r}")
-    orphans = sorted(text_words(cols, claim_ben[~np.isin(claim_ben, ben_id)]).values())
+    orphans = sorted(text_words(cols, claim_ben[~member(claim_ben, ben_id)]).values())
     if orphans:
         raise ValidationError(f"claims reference unknown beneficiaries: {orphans[:5]}")
     if (np.diff(ben_id) < 0).any():

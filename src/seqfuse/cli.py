@@ -383,7 +383,10 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
             ["cohort/index_events.jsonl", "cohort/population.npz", "cohort/summary.csv", "cohort/audit.json"],
         ),
         "featurize": (["cohort/population.npz"] + population, events),
-        "train": (events, ["train/split.json", "train/trials.csv", "train/summary.json"] + models),
+        "train": (
+            events,
+            ["train/split.json", "train/trials.csv", "train/curves.jsonl", "train/summary.json"] + models,
+        ),
         "calibrate": (events + ["train/split.json"] + models, calibrated),
         "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, evaluated),
         "report": (
@@ -542,6 +545,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
 
     summary: dict[str, dict] = {}
     trial_rows: list[dict] = []
+    curve_rows: list[dict] = []
     for algorithm, mode in cells:
         cell = _cell_name(algorithm, mode)
         cell_seed_label = f"{task}/{cell}"
@@ -583,6 +587,10 @@ def stage_train(cfg: dict, outdir: Path) -> None:
                     "config": json.dumps(trial.config, sort_keys=True),
                 }
             )
+            curve_rows += [
+                {"cell": cell, "config_hash": trial.config_hash, "seed": trial.seed, **point}
+                for point in trial.payload.get("curve", [])
+            ]
         best = result.best
         if best is None:
             raise NumericsError(f"every trial failed for {cell}")
@@ -624,6 +632,9 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         )
         writer.writeheader()
         writer.writerows(trial_rows)
+    (stage_dir / "curves.jsonl").write_text(
+        "".join(json.dumps(row, sort_keys=True) + "\n" for row in curve_rows), encoding="utf-8"
+    )
     _write_json(stage_dir / "summary.json", {"task": task, "cells": summary})
     best_aucs = ", ".join(f"{c}={s['best']['valid_auc']:.3f}" for c, s in summary.items())
     print(f"train: best valid AUC by cell: {best_aucs}")

@@ -27,6 +27,12 @@ nested step lists out for the model one Python list at a time, the layout
 bitwise. `steps_table` and `table_steps` convert between nested step
 lists and those columns.
 
+`reference_gru_sequence` is the GRU layer op with every product inside
+its step loops and a finiteness check at every step, and `ReferenceAdam`
+the optimizer with one moment pair per tensor: `autodiff.gru_sequence`
+must equal the first's forward bitwise and its gradients to rounding, and
+`autodiff.Adam` the second's updates bitwise.
+
 `reference_auc` is the Mann-Whitney AUC with each tie run's midrank found
 by a scalar scan, the value `metrics.auc` must equal bitwise.
 
@@ -100,7 +106,7 @@ from seqfuse.cohort import (
     index_event_lines,
 )
 from seqfuse.cohort import cohort_summary as kernel_cohort_summary
-from seqfuse.autodiff import Tensor, _result
+from seqfuse.autodiff import Tensor, _check_finite, _result, _sigmoid
 from seqfuse.baseline import LrModel, _nll_l2
 from seqfuse.errors import DimensionError, NumericsError, ValidationError
 from seqfuse.features import (
@@ -1583,6 +1589,125 @@ def reference_embedding_lookup(weights: Tensor, index_lists: list[list[int]]) ->
         return (gw,)
 
     return _result("embedding_lookup", out, (weights,), vjp)
+
+
+# --- the recurrent layer and the optimizer -----------------------------------
+
+
+def reference_gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
+                           u: tuple[Tensor, Tensor, Tensor], b: tuple[Tensor, Tensor, Tensor],
+                           mask: np.ndarray) -> Tensor:
+    """`autodiff.gru_sequence` with every product inside its step loops:
+    all T steps of one GRU layer as one op, returning every step's state.
+
+    x is (T*B) x n step-major, h0 the B x H initial state, w/u/b the
+    (r, z, h) input weights, recurrent weights and biases, mask (T, B).
+    With m the mask entry of a row:
+
+        r = sigmoid(x W_r + h U_r + b_r),  z = sigmoid(x W_z + h U_z + b_z)
+        h~ = tanh(x W_h + (r * h) U_h + b_h),  h' = h + (m * z) * (h~ - h)
+
+    so a padded step (m = 0) leaves h bit-unchanged. The input projection
+    x [W_r|W_z|W_h] + b runs once for all rows; each step then multiplies
+    by [U_r|U_z] and U_h, and the backward pass accumulates the U
+    gradients step by step. The gate pre-activations are checked for
+    non-finite values at every step.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    steps, batch = mask.shape
+    hidden = h0.shape[1]
+    if h0.shape[0] != batch or x.shape[0] != steps * batch:
+        raise DimensionError(f"gru_sequence: x {x.shape}, h0 {h0.shape}, mask {mask.shape}")
+    if (any(t.shape != (x.shape[1], hidden) for t in w)
+            or any(t.shape != (hidden, hidden) for t in u)
+            or any(t.shape != (1, hidden) for t in b)):
+        raise DimensionError(f"gru_sequence: weight shapes do not match x {x.shape}, h0 {h0.shape}")
+    w_all = np.concatenate([t.data for t in w], axis=1)
+    u_rz = np.concatenate([u[0].data, u[1].data], axis=1)
+    u_h = u[2].data
+    xw = (x.data @ w_all + np.concatenate([t.data for t in b], axis=1)).reshape(steps, batch, 3 * hidden)
+    _check_finite("gru_sequence input projection", xw)
+    states = np.empty((steps + 1, batch, hidden))
+    states[0] = h0.data
+    gates = np.empty((steps, batch, 2 * hidden))  # r | z
+    cand = np.empty((steps, batch, hidden))
+    pre = np.empty((batch, 3 * hidden))
+    for t in range(steps):
+        h = states[t]
+        np.add(xw[t, :, :2 * hidden], h @ u_rz, out=pre[:, :2 * hidden])
+        gates[t] = _sigmoid(pre[:, :2 * hidden])
+        r = gates[t, :, :hidden]
+        np.add(xw[t, :, 2 * hidden:], (r * h) @ u_h, out=pre[:, 2 * hidden:])
+        _check_finite("gru_sequence pre-activation", pre)
+        cand[t] = np.tanh(pre[:, 2 * hidden:])
+        states[t + 1] = h + (mask[t][:, None] * gates[t, :, hidden:]) * (cand[t] - h)
+
+    def vjp(g):
+        g = g.reshape(steps, batch, hidden)
+        d_pre = np.empty((steps, batch, 3 * hidden))
+        d_u_rz = np.zeros_like(u_rz)
+        d_u_h = np.zeros_like(u_h)
+        dh = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            dh = dh + g[t]
+            h = states[t]
+            r, z, c = gates[t, :, :hidden], gates[t, :, hidden:], cand[t]
+            m = mask[t][:, None]
+            da_h = dh * m * z * (1.0 - c * c)
+            d_rh = da_h @ u_h.T
+            d_u_h += (r * h).T @ da_h
+            d_pre[t, :, :hidden] = d_rh * h * r * (1.0 - r)
+            d_pre[t, :, hidden:2 * hidden] = dh * m * (c - h) * z * (1.0 - z)
+            d_pre[t, :, 2 * hidden:] = da_h
+            d_rz = d_pre[t, :, :2 * hidden]
+            d_u_rz += h.T @ d_rz
+            dh = dh * (1.0 - m * z) + d_rh * r + d_rz @ u_rz.T
+        d_pre = d_pre.reshape(steps * batch, 3 * hidden)
+        d_w = x.data.T @ d_pre
+        d_b = d_pre.sum(axis=0, keepdims=True)
+        cols = [slice(k * hidden, (k + 1) * hidden) for k in range(3)]
+        return (
+            d_pre @ w_all.T if x.requires_grad else None,
+            dh if h0.requires_grad else None,
+            *(d_w[:, c] for c in cols),
+            d_u_rz[:, cols[0]], d_u_rz[:, cols[1]], d_u_h,
+            *(d_b[:, c] for c in cols),
+        )
+
+    out = states[1:].reshape(steps * batch, hidden)
+    return _result("gru_sequence", out, (x, h0, *w, *u, *b), vjp)
+
+
+class ReferenceAdam:
+    """`autodiff.Adam` with one moment pair per tensor, updated tensor by
+    tensor; a frozen tensor, or one with no gradient, is skipped."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self._v = {k: np.zeros_like(v.data) for k, v in params.items()}
+
+    def step(self) -> None:
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            if not p.requires_grad or p._grad is None:
+                continue
+            g = p._grad
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 # --- the logistic baseline --------------------------------------------------------

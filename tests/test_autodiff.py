@@ -6,6 +6,7 @@ The oracle perturbs raw parameter entries and re-runs the forward pass, so
 it shares no code with the vjp implementations it is checking."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from seqfuse.autodiff import (
 from seqfuse.cli import _load_best, _save_best
 from seqfuse.errors import DimensionError, NumericsError
 from seqfuse.rng import Xoshiro256
-from tests.reference import ReferenceXoshiro256
+from tests.reference import ReferenceAdam, ReferenceXoshiro256, reference_gru_sequence
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -232,6 +233,103 @@ class TestFusedOps:
         weights[kind][gate].data[:] = 1e308
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
             gru_sequence(Tensor(np.ones((steps * batch, 3))), Tensor(np.ones((batch, 4))), *weights, _MASK)
+
+
+def _left_padded_mask(lengths, steps):
+    return (np.arange(steps)[:, None] >= steps - np.asarray(lengths)[None, :]).astype(np.float64)
+
+
+def _gru_run(op, data, mask):
+    """Runs `op` (gru_sequence or its reference) on fresh tensors holding
+    `data` under a weighted-sum loss; returns the output and every input's
+    gradient, by name."""
+    tensors = {name: Tensor(array.copy(), requires_grad=True) for name, array in data.items() if name != "r"}
+    with Tape() as tape:
+        out = op(
+            tensors["x"], tensors["h0"],
+            tuple(tensors[f"W_{g}"] for g in "rzh"),
+            tuple(tensors[f"U_{g}"] for g in "rzh"),
+            tuple(tensors[f"b_{g}"] for g in "rzh"),
+            mask,
+        )
+        loss = tsum(hadamard(out, Tensor(data["r"])))
+    backward(tape, loss)
+    return out.data, {name: t.grad for name, t in tensors.items()}
+
+
+class TestKernelsAgainstReferences:
+    """The GRU op and Adam against `tests/reference.py`'s step-by-step
+    forms: the forward and the optimizer bitwise, the GRU's gradients to
+    rounding (its U gradients are summed over all T*B rows at once, not
+    step by step)."""
+
+    @pytest.mark.parametrize(
+        "lengths, n_in, hidden",
+        [
+            ([4, 2, 1], 3, 4),
+            ([1] * 5, 2, 3),
+            ([9], 4, 2),
+            ([3] * 6, 5, 5),
+            ([14, 1, 7, 7, 3, 12, 5, 2, 9, 11, 4, 6, 8, 10, 13, 2] * 2, 16, 24),
+        ],
+        ids=["padded", "one-step", "one-row", "unpadded", "demo-shape"],
+    )
+    def test_gru_sequence_matches_the_reference(self, lengths, n_in, hidden):
+        rng = np.random.default_rng(len(lengths) * 100 + hidden)
+        steps, batch = max(lengths), len(lengths)
+        mask = _left_padded_mask(lengths, steps)
+        data = {
+            "x": rng.normal(size=(steps * batch, n_in)),
+            "h0": rng.normal(size=(batch, hidden)),
+            "r": rng.normal(size=(steps * batch, hidden)),
+            **{f"W_{g}": rng.normal(size=(n_in, hidden)) for g in "rzh"},
+            **{f"U_{g}": rng.normal(size=(hidden, hidden)) for g in "rzh"},
+            **{f"b_{g}": rng.normal(size=(1, hidden)) for g in "rzh"},
+        }
+        out, grads = _gru_run(gru_sequence, data, mask)
+        ref_out, ref_grads = _gru_run(reference_gru_sequence, data, mask)
+        assert out.tobytes() == ref_out.tobytes()
+        for name, ref in ref_grads.items():
+            scale = np.abs(ref).max()
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("kind, gate", [(1, 0), (1, 2)], ids=["h_U_r", "rh_U_h"])
+    def test_a_nonfinite_step_raises_without_numpy_warnings(self, rng, kind, gate):
+        """The op runs its loop to the end before checking the
+        pre-activations, so the steps after an overflow must not warn."""
+        steps, batch = _MASK.shape
+        weights = _gru_weights(rng, 3, 4)
+        weights[2][0].data[:] = 50.0
+        weights[kind][gate].data[:] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="pre-activation"):
+                gru_sequence(Tensor(np.ones((steps * batch, 3))), Tensor(np.ones((batch, 4))), *weights, _MASK)
+
+    def test_adam_matches_the_per_tensor_reference(self, rng):
+        """Over several steps, with a frozen tensor that carries a stray
+        gradient and a live one that has a gradient only on some steps:
+        both are skipped, their data and moments unchanged, until the live
+        one gets a gradient."""
+        shapes = {"w": (3, 4), "frozen": (2, 2), "idle": (1, 3), "b": (1, 5)}
+
+        def make():
+            return {name: Tensor(_rand(ReferenceXoshiro256(len(name)), *shape), requires_grad=name != "frozen")
+                    for name, shape in shapes.items()}
+
+        params, ref_params = make(), make()
+        opt, ref = Adam(params, lr=0.05), ReferenceAdam(ref_params, lr=0.05)
+        for step in range(7):
+            for ps in (params, ref_params):
+                for name, p in ps.items():
+                    p.zero_grad()
+                    if name != "idle" or step in (3, 4, 6):
+                        p._grad = p.data * (step + 1.0) - 0.5
+            opt.step()
+            ref.step()
+            for name in shapes:
+                assert params[name].data.tobytes() == ref_params[name].data.tobytes(), (step, name)
+        assert params["frozen"].data.tobytes() == make()["frozen"].data.tobytes()
 
 
 class TestBackwardMechanics:

@@ -313,6 +313,25 @@ class TestPipelineArtifacts:
             assert cell["n_failed"] == 0
             assert (outdir / "train" / "models" / name / "best").is_dir()
 
+    def test_learning_curves_hold_one_row_per_deep_trial_epoch(self, pipeline_run):
+        _, outdir = pipeline_run
+        lines = (outdir / "train" / "curves.jsonl").read_text(encoding="utf-8").splitlines()
+        rows = [json.loads(line) for line in lines]
+        with open(outdir / "train" / "trials.csv", newline="") as fh:
+            trial = next(t for t in csv.DictReader(fh) if t["cell"] == "early_fusion__linear")
+        assert [row["epoch"] for row in rows] == list(range(len(rows)))
+        assert len(rows) >= 2
+        for row in rows:
+            assert set(row) == {"cell", "config_hash", "seed", "epoch", "train_loss", "valid_auc"}
+            assert (row["cell"], row["config_hash"], str(row["seed"])) == (
+                "early_fusion__linear", trial["config_hash"], trial["seed"],
+            )
+            assert 0.0 <= row["valid_auc"] <= 1.0
+        assert rows[0]["train_loss"] is None
+        assert all(row["train_loss"] > 0 for row in rows[1:])
+        # The best epoch's valid AUC is the trial's.
+        assert max(row["valid_auc"] for row in rows) == float(trial["valid_auc"])
+
     def test_scores_csv_schema(self, pipeline_run):
         _, outdir = pipeline_run
         with open(outdir / "evaluate" / "scores_early_fusion__linear.csv", newline="") as fh:

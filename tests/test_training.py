@@ -1,11 +1,20 @@
 """Fold assignment, oversampling, the training loop, and grid search."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqfuse import cli
+from seqfuse.claims import CLAIM_COLUMNS, SyntheticConfig, generate_population
+from seqfuse.cohort import POPULATION_MEMBERS, build_cohort
 from seqfuse.errors import ValidationError
+from seqfuse.features import SequenceOptions, featurize_events
+from seqfuse.knowledge import load_bundle
 from seqfuse.metrics import auc
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.rng import Xoshiro256, derive_seed
@@ -16,6 +25,7 @@ from seqfuse.training import (
     TrainSettings,
     Trial,
     apply_standardizer,
+    batch_schedule,
     config_hash,
     enumerate_grid,
     fit_standardizer,
@@ -372,6 +382,118 @@ class TestTrainModel:
             TrainSettings(optimizer="rmsprop").validate()
         with pytest.raises(ValidationError):
             TrainSettings(w_pos=0.0).validate()
+
+
+def population_folds(n_patients: int, seed: int):
+    """The demo config's readmission events for a generated population of
+    `n_patients` drawn from `seed`, as `train` splits them: (table,
+    labels, fold indices)."""
+    cfg = cli.default_config(n_patients=n_patients, seed=seed)
+    bundle = load_bundle()
+    cols = generate_population(SyntheticConfig(seed=seed, **cfg["generate"])).columns
+    cols, _ = build_cohort(cols, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+    cols = {name: cols[name] for name in (*CLAIM_COLUMNS, *POPULATION_MEMBERS)}
+    table, _ = featurize_events(cols, bundle, SequenceOptions(**cfg["features"]))
+    labels = table.label_for("readmission").astype(np.float64)
+    positives: dict[str, int] = {}
+    for pid, label in zip(table.beneficiary_id.tolist(), labels):
+        positives[pid] = positives.get(pid, 0) + int(label)
+    folds, _ = split_patients(positives, seed, tuple(cfg["train"]["fractions"]))
+    _, fold_idx = cli._fold_indices(table, {pid: name for name, pids in folds.items() for pid in pids})
+    return table, labels, fold_idx
+
+
+class TestBatchSchedule:
+    """`batch_schedule` on the training fold of `demo-2k`'s first
+    population (the demo config at 2,000 patients, seed 20110901), with the
+    seed of its early-fusion trial."""
+
+    SEED = 20110901
+    BATCH = 32
+
+    @pytest.fixture(scope="class")
+    def fold(self):
+        table, _, fold_idx = population_folds(2000, self.SEED)
+        grid = enumerate_grid(cli.default_config()["train"]["grid"])
+        assert len(grid) == 1
+        trial_seed = derive_seed(derive_seed(self.SEED, "readmission/early_fusion__linear"), "trial", config_hash(grid[0]))
+        return fold_idx["train"], np.diff(table.step_ptr), trial_seed
+
+    def test_each_epoch_partitions_the_rows_into_length_sorted_batches(self, fold):
+        rows, lengths, seed = fold
+        schedule = batch_schedule(rows, lengths, self.BATCH, seed)
+        previous = None
+        for _ in range(4):
+            batches = next(schedule)
+            assert sorted(np.concatenate(batches).tolist()) == sorted(rows)
+            # Every batch but the longest-history one is full, and each
+            # spans one stretch of the sorted lengths.
+            assert [len(b) for b in batches].count(self.BATCH) == len(rows) // self.BATCH
+            t_max = [int(lengths[b].max()) for b in batches]
+            assert sum(t_max) == 342
+            spans = sorted((int(lengths[b].min()), int(lengths[b].max())) for b in batches)
+            assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+            # The batch order is shuffled, not length-monotone.
+            assert t_max != sorted(t_max) and t_max != sorted(t_max, reverse=True)
+            assert [b.tobytes() for b in batches] != previous
+            previous = [b.tobytes() for b in batches]
+
+    def test_shuffled_batches_pad_to_almost_twice_the_steps(self, fold):
+        """The first epoch's order before sorting, from the same stream:
+        cut as it is, its batches run 647 GRU steps (a shuffled batch of 32
+        here runs about 10.5, so an epoch about 637 on average) against the
+        sorted order's 342."""
+        rows, lengths, seed = fold
+        assert len(rows) == 1924 and int(lengths[rows].sum()) == 10369
+        rng = Xoshiro256(derive_seed(seed, "shuffle"))
+        order = list(rows)
+        rng.shuffle(order)
+        padded = sum(int(lengths[order[s : s + self.BATCH]].max()) for s in range(0, len(order), self.BATCH))
+        assert padded == 647
+
+    def test_same_seed_same_batches(self, fold):
+        rows, lengths, seed = fold
+        runs = [batch_schedule(rows, lengths, self.BATCH, s) for s in (seed, seed, seed + 1)]
+        for _ in range(3):
+            a, b, c = (next(run) for run in runs)
+            assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+            assert [x.tobytes() for x in a] != [x.tobytes() for x in c]
+
+
+# Trains one 1-epoch early-fusion trial of the demo grid on conftest's
+# 250-patient population and writes its weights to argv[1].
+_THREADS_TRIAL = """
+import sys
+from seqfuse import cli
+from seqfuse.claims import write_npz
+from seqfuse.knowledge import load_bundle
+from seqfuse.training import enumerate_grid, make_deep_runner
+from tests.test_training import population_folds
+
+table, labels, fold_idx = population_folds(250, 1234)
+runner = make_deep_runner(
+    table, table.z, labels, fold_idx, input_dim=load_bundle().ccs.input_dim, domain_dim=table.z.shape[1],
+    fusion="early", epochs=1, patience=1,
+)
+out = runner(enumerate_grid(cli.default_config()["train"]["grid"])[0], seed=7)
+assert out["status"] == "ok", out
+write_npz(sys.argv[1], {name: t.data for name, t in out["model"].params.items()})
+"""
+
+
+def test_deep_trial_weights_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The GRU's weight gradients are products over every padded row of a
+    batch, large enough for a threaded BLAS to split; the weights must
+    still be the same bytes at 1 and at 4 threads."""
+    root = Path(__file__).resolve().parent.parent
+    written = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        env.update({name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        path = tmp_path / f"threads-{threads}.npz"
+        subprocess.run([sys.executable, "-c", _THREADS_TRIAL, str(path)], env=env, cwd=root, check=True, timeout=300)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 class TestConfigHash:
