@@ -184,9 +184,13 @@ def concat(tensors: list[Tensor]) -> Tensor:
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-d)) for d >= 0 and exp(d) / (1 + exp(d)) below, so exp
-    # never overflows.
+    # never overflows. e <= 1, so max(e, d >= 0) is 1 where d >= 0 and e
+    # elsewhere: the numerator without np.where's slow select. A NaN stays
+    # NaN, and -0.0 counts as d >= 0.
     e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0, e) / (1.0 + e)
+    num = np.maximum(e, d >= 0, dtype=np.float64)
+    num /= 1.0 + e
+    return num
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -207,6 +211,21 @@ def tanh(x: Tensor) -> Tensor:
     return _result("tanh", out, (x,), vjp)
 
 
+def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row r of the n_rows-row result is the sum of values[k] over every k
+    with rows[k] == r, added in k order, as np.add.at adds.
+
+    One np.bincount over the flat (row * width + column) keys: bincount
+    adds its weights in input order, so each entry's sum is np.add.at's,
+    bit for bit, without np.add.at's per-pair dispatch.
+    """
+    width = values.shape[1]
+    keys = (rows[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(keys, weights=values.ravel(), minlength=n_rows * width)
+    # With no pairs at all, bincount returns integer zeros.
+    return sums.astype(np.float64, copy=False).reshape(n_rows, width)
+
+
 def embedding_lookup(weights: Tensor, indices: np.ndarray, row_of: np.ndarray, n_rows: int) -> Tensor:
     """Row r of the n_rows-row output is the sum of the `weights` rows
     indices[k] over every k with row_of[k] == r.
@@ -220,15 +239,10 @@ def embedding_lookup(weights: Tensor, indices: np.ndarray, row_of: np.ndarray, n
     if indices.size and (indices.min() < 0 or indices.max() >= weights.shape[0]):
         raise DimensionError(
             f"embedding_lookup: index out of range for {weights.shape[0]} rows")
-    # np.add.at accumulates the pairs in the order given, in the output and
-    # in the weight gradient alike.
-    out = np.zeros((n_rows, weights.shape[1]))
-    np.add.at(out, row_of, weights.data[indices])
+    out = _row_sums(row_of, weights.data[indices], n_rows)
 
     def vjp(g):
-        gw = np.zeros_like(weights.data)
-        np.add.at(gw, indices, g[row_of])
-        return (gw,)
+        return (_row_sums(indices, g[row_of], weights.shape[0]),)
 
     return _result("embedding_lookup", out, (weights,), vjp)
 
@@ -266,9 +280,15 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     w_all = np.concatenate([t.data for t in w], axis=1)
     u_rz = np.concatenate([u[0].data, u[1].data], axis=1)
     u_h = u[2].data
-    # Every step's pre-activations r | z | h~, built up in place.
-    pre = (x.data @ w_all + np.concatenate([t.data for t in b], axis=1)).reshape(steps, batch, 3 * hidden)
+    proj = x.data @ w_all + np.concatenate([t.data for t in b], axis=1)
+    # Every step's pre-activations, r | z and h~, each in its own contiguous
+    # buffer and built up in place: numpy's ops on a strided view of the
+    # (T, B, 3H) projection cost several times their contiguous form.
+    pre_rz = np.ascontiguousarray(proj[:, :2 * hidden]).reshape(steps, batch, 2 * hidden)
+    pre_h = np.ascontiguousarray(proj[:, 2 * hidden:]).reshape(steps, batch, hidden)
     m_all = mask[:, :, None]
+    # A real step's m * z is z, so those steps skip the multiply.
+    unpadded = (mask == 1.0).all(axis=1)
     states = np.empty((steps + 1, batch, hidden))
     states[0] = h0.data
     gates = np.empty((steps, batch, 2 * hidden))  # r | z
@@ -278,21 +298,22 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     # reports it; its arithmetic must not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            h, pre_rz, pre_h = states[t], pre[t, :, :2 * hidden], pre[t, :, 2 * hidden:]
-            np.add(pre_rz, h @ u_rz, out=pre_rz)
-            gates[t] = _sigmoid(pre_rz)
+            h, a_rz, a_h = states[t], pre_rz[t], pre_h[t]
+            np.add(a_rz, h @ u_rz, out=a_rz)
+            gates[t] = _sigmoid(a_rz)
             np.multiply(gates[t, :, :hidden], h, out=rh[t])
-            np.add(pre_h, rh[t] @ u_h, out=pre_h)
-            np.tanh(pre_h, out=cand[t])
+            np.add(a_h, rh[t] @ u_h, out=a_h)
+            np.tanh(a_h, out=cand[t])
             step = np.subtract(cand[t], h, out=states[t + 1])
-            step *= m_all[t] * gates[t, :, hidden:]
+            step *= gates[t, :, hidden:] if unpadded[t] else m_all[t] * gates[t, :, hidden:]
             step += h
-    _check_finite("gru_sequence pre-activation", pre)
+    _check_finite("gru_sequence pre-activation", pre_rz)
+    _check_finite("gru_sequence pre-activation", pre_h)
 
     def vjp(g):
         g = g.reshape(steps, batch, hidden)
         h_prev = states[:-1]
-        r, z = gates[:, :, :hidden], gates[:, :, hidden:]
+        r, z = np.ascontiguousarray(gates[:, :, :hidden]), gates[:, :, hidden:]
         mz = m_all * z
         # Each step's gradient through a gate is dh times a factor that
         # does not depend on dh: formed here for all T steps at once.
@@ -300,18 +321,19 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
         f_r = h_prev * r * (1.0 - r)
         f_z = m_all * (cand - h_prev) * z * (1.0 - z)
         keep = 1.0 - mz
-        d_pre = np.empty((steps, batch, 3 * hidden))
+        d_rz = np.empty((steps, batch, 2 * hidden))
+        d_h = np.empty((steps, batch, hidden))
         dh = np.zeros((batch, hidden))
         for t in reversed(range(steps)):
             dh += g[t]
-            da_h = np.multiply(dh, f_h[t], out=d_pre[t, :, 2 * hidden:])
+            da_h = np.multiply(dh, f_h[t], out=d_h[t])
             d_rh = da_h @ u_h.T
-            np.multiply(d_rh, f_r[t], out=d_pre[t, :, :hidden])
-            np.multiply(dh, f_z[t], out=d_pre[t, :, hidden:2 * hidden])
-            dh = dh * keep[t] + d_rh * r[t] + d_pre[t, :, :2 * hidden] @ u_rz.T
-        d_pre = d_pre.reshape(steps * batch, 3 * hidden)
-        d_u_rz = h_prev.reshape(steps * batch, hidden).T @ d_pre[:, :2 * hidden]
-        d_u_h = rh.reshape(steps * batch, hidden).T @ d_pre[:, 2 * hidden:]
+            np.multiply(d_rh, f_r[t], out=d_rz[t, :, :hidden])
+            np.multiply(dh, f_z[t], out=d_rz[t, :, hidden:])
+            dh = dh * keep[t] + d_rh * r[t] + d_rz[t] @ u_rz.T
+        d_pre = np.concatenate([d_rz, d_h], axis=2).reshape(steps * batch, 3 * hidden)
+        d_u_rz = h_prev.reshape(steps * batch, hidden).T @ d_rz.reshape(steps * batch, 2 * hidden)
+        d_u_h = rh.reshape(steps * batch, hidden).T @ d_h.reshape(steps * batch, hidden)
         d_w = x.data.T @ d_pre
         d_b = d_pre.sum(axis=0, keepdims=True)
         cols = [slice(k * hidden, (k + 1) * hidden) for k in range(3)]

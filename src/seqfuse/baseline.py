@@ -39,8 +39,8 @@ def flatten(table: EventTable, n_dx_columns: int, n_proc_columns: int, z_names: 
         raise ValidationError(f"sequence index {indices[outside][0]} outside input dim {input_dim}")
     n_steps = np.diff(table.step_ptr)
     index_event = np.repeat(np.repeat(np.arange(n), n_steps), np.diff(table.idx_ptr))
-    counts = np.zeros((n, input_dim))
-    np.add.at(counts, (index_event, indices), 1.0)
+    counts = np.bincount(index_event * input_dim + indices, minlength=n * input_dim)
+    counts = counts.astype(np.float64).reshape(n, input_dim)
     matrix = np.zeros((n, 2 * input_dim + len(z_names)))
     matrix[:, 0 : 2 * input_dim : 2] = counts
     matrix[:, 1 : 2 * input_dim : 2] = counts / n_steps[:, None]
@@ -158,18 +158,24 @@ def make_lr_runner(matrix: np.ndarray, labels: np.ndarray, fold_idx: dict[str, l
     standardization.
     """
     from .metrics import auc
-    from .training import apply_standardizer, fit_standardizer, smote
+    from .training import apply_standardizer, fit_standardizer, smote, smote_neighbors
 
     labels = np.asarray(labels, dtype=np.int64)
     mean, std = fit_standardizer(matrix[fold_idx["train"]])
     standardized = apply_standardizer(matrix, mean, std)
+    # SMOTE's neighbour table depends on the training fold alone: the first
+    # SMOTE trial builds it, and every SMOTE trial draws from it.
+    neighbors = None
 
     def run(config: dict, seed: int) -> dict:
+        nonlocal neighbors
         x_train = standardized[fold_idx["train"]]
         y_train = labels[fold_idx["train"]]
         try:
             if config["smote"]:
-                x_train, y_train = smote(x_train, y_train, seed=seed)
+                if neighbors is None:
+                    neighbors = smote_neighbors(x_train, y_train)
+                x_train, y_train = smote(x_train, y_train, seed=seed, neighbors=neighbors)
             model = train_lr(x_train, y_train, l2=float(config["l2"]))
         except (NumericsError, ValidationError) as exc:
             return {"status": "failed", "failure": str(exc)}

@@ -227,8 +227,9 @@ class SeqFuseModel:
         idx_ptr, idx_rows = _csr_take(table.idx_ptr, step_rows)
         row_of = np.repeat(t_of * batch + seq_of, np.diff(idx_ptr))
         # The pairs in padded-row order, stably, so each step keeps its index
-        # order: the weight gradient's np.add.at sums in this order, which is
-        # the order of the reference layout in tests/reference.py.
+        # order: the lookup's sums (np.bincount, in input order) add the pairs
+        # in this order, which is the order of the reference layout in
+        # tests/reference.py.
         order = np.argsort(row_of, kind="stable")
         x = self.embed(table.indices[idx_rows[order]], row_of[order], t_len * batch)
         h0 = Tensor(np.zeros((batch, self.config.hidden_dim)))

@@ -163,24 +163,9 @@ def _block_neighbors(rows: np.ndarray, sq: np.ndarray, start: int, stop: int, k:
     return j[order[first[:, None] + np.arange(k)]]
 
 
-def smote(
-    features: np.ndarray,
-    labels: np.ndarray,
-    seed: int,
-    k: int = 5,
-    target_ratio: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic minority oversampling: new points interpolate between a
-    minority row and one of its k nearest minority neighbors.
-
-    Original rows come first, unchanged. With target_ratio 1.0 the classes
-    balance exactly. Each new point draws its row, its neighbour's slot and
-    its weight, in that order, from one stream. The neighbour table comes
-    from `_nearest_neighbors`: it equals a brute-force search's table but
-    is built in about `_SMOTE_BLOCK_BYTES` of working memory, not the
-    n_min^2 * d floats a brute-force search forms.
-    """
-    labels = np.asarray(labels)
+def _smote_plan(labels: np.ndarray, k: int, target_ratio: float) -> tuple[int, int, int]:
+    """(minority class, minority rows, new rows) of a `smote` call; raises
+    what `smote` raises for its labels and k."""
     if set(np.unique(labels)) - {0, 1}:
         raise ValidationError("labels must be 0/1")
     n_pos = int(labels.sum())
@@ -190,16 +175,55 @@ def smote(
     minority = 1 if n_pos < n_neg else 0
     n_min = min(n_pos, n_neg)
     n_new = int(round(target_ratio * max(n_pos, n_neg))) - n_min
-    if n_new <= 0:
-        return features.copy(), labels.copy()
-    if n_min < k + 1:
+    if n_new > 0 and n_min < k + 1:
         raise ValidationError(
             f"SMOTE with k={k} needs at least {k + 1} minority rows, got {n_min}; "
             "lower k or rebalance by duplication"
         )
+    return minority, n_min, n_new
+
+
+def smote_neighbors(features: np.ndarray, labels: np.ndarray, k: int = 5, target_ratio: float = 1.0) -> np.ndarray:
+    """The neighbour table `smote` draws from for these arguments: each
+    minority row's k nearest other minority rows, or no rows when `smote`
+    adds none. It depends on the features and labels alone, so a runner
+    that oversamples one fold in several trials builds it once and hands
+    it to every `smote` call."""
+    labels = np.asarray(labels)
+    minority, _, n_new = _smote_plan(labels, k, target_ratio)
+    if n_new <= 0:
+        return np.empty((0, k), dtype=np.intp)
+    return _nearest_neighbors(features[labels == minority], k)
+
+
+def smote(
+    features: np.ndarray,
+    labels: np.ndarray,
+    seed: int,
+    k: int = 5,
+    target_ratio: float = 1.0,
+    neighbors: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic minority oversampling: new points interpolate between a
+    minority row and one of its k nearest minority neighbors.
+
+    Original rows come first, unchanged. With target_ratio 1.0 the classes
+    balance exactly. Each new point draws its row, its neighbour's slot and
+    its weight, in that order, from one stream. The neighbour table is
+    `neighbors` when given, which must be `smote_neighbors` of the same
+    features, labels, k and ratio, and is built here otherwise. It comes
+    from `_nearest_neighbors`: it equals a brute-force search's table but
+    is built in about `_SMOTE_BLOCK_BYTES` of working memory, not the
+    n_min^2 * d floats a brute-force search forms.
+    """
+    labels = np.asarray(labels)
+    minority, n_min, n_new = _smote_plan(labels, k, target_ratio)
+    if n_new <= 0:
+        return features.copy(), labels.copy()
     rng = Xoshiro256(derive_seed(seed, "smote"))
     rows = features[labels == minority]
-    neighbors = _nearest_neighbors(rows, k)
+    if neighbors is None:
+        neighbors = _nearest_neighbors(rows, k)
     # Each triple's third size, 0, takes the raw word `random` scales.
     draws = rng.randints(np.tile(np.array([n_min, k, 0], dtype=np.uint64), n_new)).reshape(n_new, 3)
     i, slot = draws[:, 0].astype(np.int64), draws[:, 1].astype(np.int64)

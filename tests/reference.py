@@ -27,6 +27,12 @@ nested step lists out for the model one Python list at a time, the layout
 bitwise. `steps_table` and `table_steps` convert between nested step
 lists and those columns.
 
+`reference_pair_lookup` is `autodiff.embedding_lookup` with its output
+and weight gradient summed pair by pair in np.add.at, the sums its
+np.bincount form must equal bitwise, and `reference_sigmoid` the logistic
+function with an np.where select, which `autodiff._sigmoid` must equal
+bitwise.
+
 `reference_gru_sequence` is the GRU layer op with every product inside
 its step loops and a finiteness check at every step, and `ReferenceAdam`
 the optimizer with one moment pair per tensor: `autodiff.gru_sequence`
@@ -106,7 +112,7 @@ from seqfuse.cohort import (
     index_event_lines,
 )
 from seqfuse.cohort import cohort_summary as kernel_cohort_summary
-from seqfuse.autodiff import Tensor, _check_finite, _result, _sigmoid
+from seqfuse.autodiff import Tensor, _check_finite, _result
 from seqfuse.baseline import LrModel, _nll_l2
 from seqfuse.errors import DimensionError, NumericsError, ValidationError
 from seqfuse.features import (
@@ -1577,21 +1583,35 @@ def reference_embedding_lookup(weights: Tensor, index_lists: list[list[int]]) ->
     rows = len(index_lists)
     counts = np.fromiter((len(idxs) for idxs in index_lists), dtype=np.intp, count=rows)
     flat = np.fromiter(chain.from_iterable(index_lists), dtype=np.intp, count=int(counts.sum()))
-    if flat.size and (flat.min() < 0 or flat.max() >= weights.shape[0]):
+    return reference_pair_lookup(weights, flat, np.repeat(np.arange(rows), counts), rows)
+
+
+def reference_pair_lookup(weights: Tensor, indices: np.ndarray, row_of: np.ndarray, n_rows: int) -> Tensor:
+    """`autodiff.embedding_lookup` with its sums in np.add.at: the output
+    adds the pairs' weight rows, and the weight gradient the pairs' output
+    gradient rows, one pair at a time in the order given."""
+    if indices.size and (indices.min() < 0 or indices.max() >= weights.shape[0]):
         raise DimensionError(f"embedding_lookup: index out of range for {weights.shape[0]} rows")
-    row_of = np.repeat(np.arange(rows), counts)
-    out = np.zeros((rows, weights.shape[1]))
-    np.add.at(out, row_of, weights.data[flat])
+    out = np.zeros((n_rows, weights.shape[1]))
+    np.add.at(out, row_of, weights.data[indices])
 
     def vjp(g):
         gw = np.zeros_like(weights.data)
-        np.add.at(gw, flat, g[row_of])
+        np.add.at(gw, indices, g[row_of])
         return (gw,)
 
     return _result("embedding_lookup", out, (weights,), vjp)
 
 
 # --- the recurrent layer and the optimizer -----------------------------------
+
+
+def reference_sigmoid(d: np.ndarray) -> np.ndarray:
+    """The logistic function with an np.where select: 1 / (1 + exp(-d))
+    for d >= 0 and exp(d) / (1 + exp(d)) below, so exp never overflows.
+    `autodiff._sigmoid` must equal it bitwise."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
 
 
 def reference_gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
@@ -1635,7 +1655,7 @@ def reference_gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tenso
     for t in range(steps):
         h = states[t]
         np.add(xw[t, :, :2 * hidden], h @ u_rz, out=pre[:, :2 * hidden])
-        gates[t] = _sigmoid(pre[:, :2 * hidden])
+        gates[t] = reference_sigmoid(pre[:, :2 * hidden])
         r = gates[t, :, :hidden]
         np.add(xw[t, :, 2 * hidden:], (r * h) @ u_h, out=pre[:, 2 * hidden:])
         _check_finite("gru_sequence pre-activation", pre)

@@ -17,6 +17,7 @@ from seqfuse.autodiff import (
     Tape,
     Tensor,
     _result,
+    _sigmoid,
     add,
     backward,
     concat,
@@ -32,7 +33,13 @@ from seqfuse.autodiff import (
 from seqfuse.cli import _load_best, _save_best
 from seqfuse.errors import DimensionError, NumericsError
 from seqfuse.rng import Xoshiro256
-from tests.reference import ReferenceAdam, ReferenceXoshiro256, reference_gru_sequence
+from tests.reference import (
+    ReferenceAdam,
+    ReferenceXoshiro256,
+    reference_gru_sequence,
+    reference_pair_lookup,
+    reference_sigmoid,
+)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -261,7 +268,51 @@ class TestKernelsAgainstReferences:
     """The GRU op and Adam against `tests/reference.py`'s step-by-step
     forms: the forward and the optimizer bitwise, the GRU's gradients to
     rounding (its U gradients are summed over all T*B rows at once, not
-    step by step)."""
+    step by step). The sigmoid and the embedding sums against their
+    np.where and np.add.at forms, bitwise."""
+
+    def test_sigmoid_matches_the_reference(self):
+        tiny = np.finfo(np.float64).tiny
+        special = np.array([
+            0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+            5e-324, -5e-324, tiny / 2, -tiny / 2, tiny, -tiny,
+            745.0, -745.0, 800.0, -800.0,
+        ])
+        grid = np.linspace(-40.0, 40.0, 4001)
+        strided = np.random.default_rng(5).normal(scale=20.0, size=(12, 10))[::3, 1::2]
+        assert not strided.flags.c_contiguous
+        with np.errstate(invalid="ignore"):
+            for d in (special, grid, strided, np.float64(0.3), np.float64(-0.0)):
+                got, want = _sigmoid(d), reference_sigmoid(d)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "n_weights, width, n_rows, n_pairs",
+        [(7, 5, 9, 40), (44, 24, 96, 300), (3, 2, 4, 0), (5, 1, 1, 12)],
+        ids=["small", "demo-width", "no-pairs", "one-row"],
+    )
+    def test_embedding_lookup_matches_the_np_add_at_reference(self, n_weights, width, n_rows, n_pairs):
+        """Pairs in no particular row order, rows named many times or not
+        at all: both sums must add the pairs in the order given."""
+        rng = np.random.default_rng(n_weights * 1000 + n_pairs)
+        indices = rng.integers(0, n_weights, size=n_pairs)
+        row_of = rng.integers(0, n_rows, size=n_pairs)
+        data = rng.normal(size=(n_weights, width)) * 10.0 ** rng.integers(-8, 8, size=(n_weights, 1))
+        upstream = rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-8, 8, size=(n_rows, 1))
+
+        def run(op):
+            weights = Tensor(data.copy(), requires_grad=True)
+            with Tape() as tape:
+                out = op(weights, indices, row_of, n_rows)
+                loss = tsum(hadamard(out, Tensor(upstream)))
+            backward(tape, loss)
+            return out.data, weights.grad
+
+        out, grad = run(embedding_lookup)
+        ref_out, ref_grad = run(reference_pair_lookup)
+        assert out.tobytes() == ref_out.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
     @pytest.mark.parametrize(
         "lengths, n_in, hidden",

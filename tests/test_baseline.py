@@ -10,6 +10,7 @@ from seqfuse.cli import _load_sequences, _split_folds, default_config, main
 from seqfuse.errors import NumericsError, ValidationError
 from seqfuse.claims import _ptr
 from seqfuse.features import SUBGROUP_KEYS, EventTable
+from seqfuse import training
 from seqfuse.training import apply_standardizer, fit_standardizer, smote
 from tests.reference import ReferenceXoshiro256, reference_train_lr
 
@@ -315,6 +316,34 @@ class TestLrRunner:
         balanced = runner({"l2": 0.1, "smote": True}, seed=9)
         assert plain["status"] == balanced["status"] == "ok"
         assert not np.array_equal(plain["model"].weights, balanced["model"].weights)
+
+    def test_smote_trials_share_one_neighbour_search(self, monkeypatch):
+        """Two SMOTE trials search the training fold's neighbours once,
+        and each fits what a trial that runs `smote` alone fits."""
+        x, y = _logit_world(n=400, seed=43)
+        y[: int(0.85 * len(y))] = (np.arange(int(0.85 * len(y))) % 5 == 0).astype(np.float64)
+        folds = self._folds(len(y))
+        searches = []
+        search = training._nearest_neighbors
+
+        def counted(rows, k):
+            searches.append(len(rows))
+            return search(rows, k)
+
+        monkeypatch.setattr(training, "_nearest_neighbors", counted)
+        runner = make_lr_runner(x, y, folds)
+        trials = [({"l2": 0.1, "smote": True}, 9), ({"l2": 0.01, "smote": True}, 10)]
+        outs = [runner(config, seed) for config, seed in trials]
+        assert len(searches) == 1
+        mean, std = fit_standardizer(x[folds["train"]])
+        for (config, seed), out in zip(trials, outs):
+            x_train, y_train = smote(apply_standardizer(x[folds["train"]], mean, std),
+                                     y[folds["train"]].astype(np.int64), seed=seed)
+            alone = train_lr(x_train, y_train, l2=config["l2"])
+            assert out["status"] == "ok"
+            assert out["model"].weights.tobytes() == alone.weights.tobytes()
+            assert out["model"].intercept == alone.intercept
+        assert len(searches) == 3
 
     def test_bad_config_reports_failure(self):
         x, y = _logit_world(n=100)

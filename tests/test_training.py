@@ -32,6 +32,7 @@ from seqfuse.training import (
     grid_search,
     make_deep_runner,
     smote,
+    smote_neighbors,
     split_patients,
     train_model,
 )
@@ -174,6 +175,22 @@ class TestSmote:
             smote(x, np.array([1, 1, 1, 1]), seed=1)
         with pytest.raises(ValidationError):
             smote(x, np.array([0, 1, 2, 1]), seed=1)
+
+    def test_a_shared_neighbour_table_changes_nothing(self):
+        """`smote_neighbors` raises what `smote` raises, gives no rows when
+        `smote` adds none, and `smote` with its table returns the same
+        bytes as `smote` alone."""
+        x, y = self._world(n_pos=4, n_neg=40)
+        with pytest.raises(ValidationError, match="k=5"):
+            smote_neighbors(x, y)
+        x, y = self._world(n_pos=3, n_neg=3)
+        assert smote_neighbors(x, y).shape == (0, 5)
+        x, y = self._world()
+        table = smote_neighbors(x, y)
+        for seed in (1, 2):
+            shared, alone = smote(x, y, seed, neighbors=table), smote(x, y, seed)
+            assert shared[0].tobytes() == alone[0].tobytes()
+            assert shared[1].tobytes() == alone[1].tobytes()
 
     def test_blocked_neighbors_match_full_distance_matrix(self, monkeypatch):
         x, y = self._world(n_pos=45, n_neg=10, dim=4)
