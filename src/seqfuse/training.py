@@ -164,8 +164,8 @@ def _block_neighbors(rows: np.ndarray, sq: np.ndarray, start: int, stop: int, k:
 
 
 def _smote_plan(labels: np.ndarray, k: int, target_ratio: float) -> tuple[int, int, int]:
-    """(minority class, minority rows, new rows) of a `smote` call; raises
-    what `smote` raises for its labels and k."""
+    """(minority class, minority row count, new row count) of a `smote`
+    call; raises what `smote` raises for its labels and k."""
     if set(np.unique(labels)) - {0, 1}:
         raise ValidationError("labels must be 0/1")
     n_pos = int(labels.sum())
@@ -186,9 +186,9 @@ def _smote_plan(labels: np.ndarray, k: int, target_ratio: float) -> tuple[int, i
 def smote_neighbors(features: np.ndarray, labels: np.ndarray, k: int = 5, target_ratio: float = 1.0) -> np.ndarray:
     """The neighbour table `smote` draws from for these arguments: each
     minority row's k nearest other minority rows, or no rows when `smote`
-    adds none. It depends on the features and labels alone, so a runner
-    that oversamples one fold in several trials builds it once and hands
-    it to every `smote` call."""
+    adds none. It takes nothing from the seed, so a runner that
+    oversamples one fold in several trials builds it once and hands it to
+    every `smote` call."""
     labels = np.asarray(labels)
     minority, _, n_new = _smote_plan(labels, k, target_ratio)
     if n_new <= 0:
