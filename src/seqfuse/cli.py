@@ -19,15 +19,21 @@ computes its features from the claim columns of `generate/claims.npz` and
 those of `cohort/population.npz` together, without checking the claims or
 building the cohort again.
 `featurize` hands its events on in one form, the columnar
-`featurize/events.npz` (an `EventTable`), which every later stage loads
-through `_load_sequences`; the deep cells train and predict on rows of that
+`featurize/events.npz` (an `EventTable`). Every later stage reads the run
+once, through `_load_sequences`: the task's events, featurize's metadata,
+the 0/1 labels and the flat table (`RunData.flat`). Train places the
+events in folds from its own patient split; calibrate, evaluate and report
+match the per-fold event lists of `train/split.json` against the table's
+event ids, and exit 3 when the lists name other events (featurize ran
+again since train). The deep cells train and predict on rows of the
 table. `train` builds the frozen matrix of the `pretrained` embedding mode
 itself, for each trial at its `embed_dim` (`model.random_embedding`), so no
 stage writes it. It saves each cell's best model, LR or deep, as
 `model.json` (its config and the z moments) and `weights.npz` (its
 arrays). `calibrate` keeps each cell's uncalibrated scores in
 `calibrate/raw_scores.npz`; evaluate, report and importance map them
-through the cell's calibrator (`_cell_scores`) without predicting again.
+through the cell's calibrator (`_cell_scores`) without predicting again,
+and exit 3 when a column does not hold one score per event.
 
 The config is one JSON object shaped like `default_config()`, which is
 also its schema. `load_config` merges the file over the defaults (into a
@@ -48,13 +54,13 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baseline import flatten, make_lr_runner
+from .baseline import FlatTable, flatten, make_lr_runner
 from .calibration import Calibrator, ece, fit_platt, fit_temperature, nll
 from .claims import SyntheticConfig, generate_population, ingest_claims, read_npz, write_ground_truth, write_npz
 from .cohort import POPULATION_MEMBERS, build_cohort, cohort_summary, index_event_lines
@@ -78,7 +84,7 @@ from .metrics import (
 )
 from .model import EMBEDDINGS as EMBEDDING_MODES, load_model
 from .rng import derive_seed
-from .training import apply_standardizer, config_hash, grid_search, make_deep_runner, split_patients
+from .training import FOLD_NAMES, apply_standardizer, config_hash, grid_search, make_deep_runner, split_patients
 
 STAGES = ("generate", "cohort", "featurize", "train", "calibrate", "evaluate", "report", "importance")
 TASKS = ("readmission", "mortality")
@@ -409,25 +415,6 @@ def _load_best(model_dir: Path) -> tuple[dict, dict[str, np.ndarray]]:
     return _read_json(model_dir / "model.json"), read_npz(model_dir / "weights.npz")
 
 
-def _load_sequences(outdir: Path, task: str) -> tuple[EventTable, dict]:
-    """The task's events, from featurize's columnar store, and the
-    featurize metadata. The mortality task drops its excluded events."""
-    features_meta = _read_json(outdir / "featurize" / "features.json")
-    table = EventTable.load(outdir / "featurize" / "events.npz")
-    if task == "mortality":
-        table = table.select(~table.mortality_excluded)
-    return table, features_meta
-
-
-def _fold_indices(table: EventTable, patient_folds: dict[str, str]) -> tuple[list[str], dict[str, list[int]]]:
-    """Each event's fold, and the event indices in each fold."""
-    fold_of = [patient_folds[pid] for pid in table.beneficiary_id.tolist()]
-    fold_idx: dict[str, list[int]] = {name: [] for name in ("train", "valid", "calibration", "test")}
-    for i, name in enumerate(fold_of):
-        fold_idx[name].append(i)
-    return fold_of, fold_idx
-
-
 def _read_for_task(outdir: Path, rel: str, task: str) -> dict:
     """An earlier stage's JSON file `rel`, which must record the config's
     task: a stage run under another task would mix two tasks' labels."""
@@ -440,10 +427,54 @@ def _read_for_task(outdir: Path, rel: str, task: str) -> dict:
     return obj
 
 
-def _split_folds(outdir: Path, table: EventTable, task: str) -> tuple[list[str], dict[str, list[int]]]:
-    """`_fold_indices` under the patient split that train recorded for `task`."""
-    split = _read_for_task(outdir, "train/split.json", task)
-    return _fold_indices(table, {pid: name for name, pids in split["patients"].items() for pid in pids})
+@dataclass(eq=False)
+class RunData:
+    """A run as the stages after featurize read it: `task`'s events,
+    featurize's metadata, each event's 0/1 label and, once placed, its
+    fold."""
+
+    task: str
+    table: EventTable
+    meta: dict
+    labels: np.ndarray
+    fold_of: np.ndarray | None = None
+    folds: dict[str, list[int]] | None = None
+
+    def place(self, fold_of: np.ndarray) -> None:
+        """Puts event i in fold `fold_of[i]`; `folds` then lists each
+        fold's rows in table order."""
+        self.fold_of = fold_of
+        self.folds = {name: np.flatnonzero(fold_of == name).tolist() for name in FOLD_NAMES}
+
+    def flat(self) -> FlatTable:
+        return flatten(self.table, self.meta["n_dx_columns"], self.meta["n_proc_columns"], self.meta["z_names"])
+
+
+def _load_sequences(outdir: Path, task: str, split: bool) -> RunData:
+    """The one reader of a run for the stages after featurize: `task`'s
+    events from featurize's columnar store (the mortality task drops its
+    excluded events), featurize's metadata and the labels. With `split`,
+    each event is placed in the fold whose `train/split.json` list names
+    it; the lists must name exactly these events, or the split was made
+    for another featurize run."""
+    meta = _read_json(outdir / "featurize" / "features.json")
+    table = EventTable.load(outdir / "featurize" / "events.npz")
+    if task == "mortality":
+        table = table.select(~table.mortality_excluded)
+    run = RunData(task, table, meta, table.label_for(task).astype(np.int64))
+    if split:
+        events = _read_for_task(outdir, "train/split.json", task)["events"]
+        listed = np.array([event for ids in events.values() for event in ids], dtype=np.str_)
+        names = np.repeat(list(events), [len(ids) for ids in events.values()])
+        listed_order, table_order = np.argsort(listed), np.argsort(table.event_id)
+        if len(listed) != len(table) or (listed[listed_order] != table.event_id[table_order]).any():
+            raise PrerequisiteError(
+                "train/split.json lists other events than featurize/events.npz; rerun `seqfuse train`"
+            )
+        fold_of = np.empty(len(table), dtype=names.dtype)
+        fold_of[table_order] = names[listed_order]
+        run.place(fold_of)
+    return run
 
 
 # --- stages ------------------------------------------------------------------
@@ -514,15 +545,16 @@ def stage_train(cfg: dict, outdir: Path) -> None:
     task = cfg["task"]
     train_cfg = cfg["train"]
     cells = _cells(cfg)
-    table, features_meta = _load_sequences(outdir, task)
-    labels = table.label_for(task).astype(np.float64)
-    event_ids = table.event_id.tolist()
+    run = _load_sequences(outdir, task, split=False)
+    table, labels = run.table, run.labels
 
     positives: dict[str, int] = {}
-    for pid, label in zip(table.beneficiary_id.tolist(), labels):
-        positives[pid] = positives.get(pid, 0) + int(label)
+    for pid, label in zip(table.beneficiary_id.tolist(), labels.tolist()):
+        positives[pid] = positives.get(pid, 0) + label
     folds, warnings = split_patients(positives, cfg["seed"], tuple(train_cfg["fractions"]))
-    _, fold_idx = _fold_indices(table, {pid: name for name, pids in folds.items() for pid in pids})
+    fold_of_patient = {pid: name for name, pids in folds.items() for pid in pids}
+    run.place(np.array([fold_of_patient[pid] for pid in table.beneficiary_id.tolist()]))
+    fold_idx = run.folds
     for name, idx in fold_idx.items():
         if not idx:
             raise ValidationError(f"fold {name!r} received no events; increase the population or its fraction")
@@ -539,7 +571,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
             "fractions": train_cfg["fractions"],
             "warnings": warnings,
             "patients": folds,
-            "events": {name: [event_ids[i] for i in idx] for name, idx in fold_idx.items()},
+            "events": {name: table.event_id[idx].tolist() for name, idx in fold_idx.items()},
         },
     )
 
@@ -550,13 +582,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         cell = _cell_name(algorithm, mode)
         cell_seed_label = f"{task}/{cell}"
         if algorithm == "lr":
-            flat = flatten(
-                table,
-                features_meta["n_dx_columns"],
-                features_meta["n_proc_columns"],
-                features_meta["z_names"],
-            )
-            runner = make_lr_runner(flat.matrix, labels.astype(np.int64), fold_idx)
+            runner = make_lr_runner(run.flat().matrix, labels, fold_idx)
             axes = {k: list(v) for k, v in train_cfg["lr_grid"].items()}
         else:
             runner = make_deep_runner(
@@ -564,7 +590,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
                 table.z,
                 labels,
                 fold_idx,
-                input_dim=features_meta["input_dim"],
+                input_dim=run.meta["input_dim"],
                 domain_dim=table.z.shape[1],
                 fusion=FUSION_OF[algorithm],
                 embedding=mode,
@@ -640,27 +666,15 @@ def stage_train(cfg: dict, outdir: Path) -> None:
     print(f"train: best valid AUC by cell: {best_aucs}")
 
 
-def _raw_scores_for_cell(
-    outdir: Path,
-    algorithm: str,
-    cell: str,
-    table: EventTable,
-    features_meta: dict,
-) -> np.ndarray:
+def _raw_scores_for_cell(outdir: Path, algorithm: str, cell: str, run: RunData) -> np.ndarray:
     """Uncalibrated margins/logits for every event, in table order."""
     spec, arrays = _load_best(outdir / "train" / "models" / cell / "best")
     z_mean, z_std = np.array(spec["z_mean"]), np.array(spec["z_std"])
     if algorithm == "lr":
-        flat = flatten(
-            table,
-            features_meta["n_dx_columns"],
-            features_meta["n_proc_columns"],
-            features_meta["z_names"],
-        )
-        return apply_standardizer(flat.matrix, z_mean, z_std) @ arrays["weights"] + arrays["intercept"]
+        return apply_standardizer(run.flat().matrix, z_mean, z_std) @ arrays["weights"] + arrays["intercept"]
     model = load_model(spec["model_config"], arrays)
-    z_rows = apply_standardizer(table.z, z_mean, z_std) if model.config.fusion != "none" else None
-    _, logits, _ = model.predict(np.arange(len(table)), table, z_rows)
+    z_rows = apply_standardizer(run.table.z, z_mean, z_std) if model.config.fusion != "none" else None
+    _, logits, _ = model.predict(np.arange(len(run.table)), run.table, z_rows)
     return logits
 
 
@@ -668,19 +682,17 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "calibrate"
     task = cfg["task"]
     cells = _cells(cfg)
-    table, features_meta = _load_sequences(outdir, task)
-    labels = table.label_for(task).astype(np.float64)
-    _, fold_idx = _split_folds(outdir, table, task)
-    calib_idx = fold_idx["calibration"]
+    run = _load_sequences(outdir, task, split=True)
+    calib_idx = run.folds["calibration"]
 
     calibrators: dict[str, dict] = {}
     raw_scores: dict[str, np.ndarray] = {}
     for algorithm, mode in cells:
         cell = _cell_name(algorithm, mode)
-        raw = _raw_scores_for_cell(outdir, algorithm, cell, table, features_meta)
+        raw = _raw_scores_for_cell(outdir, algorithm, cell, run)
         raw_scores[cell] = raw
         fit = fit_platt if algorithm == "lr" else fit_temperature
-        calibrator = fit(raw[calib_idx], labels[calib_idx], fold="calibration")
+        calibrator = fit(raw[calib_idx], run.labels[calib_idx], fold="calibration")
         calibrators[cell] = calibrator.to_json_obj()
     _write_json(stage_dir / "calibrators.json", {"task": task, "cells": calibrators})
     write_npz(stage_dir / "raw_scores.npz", raw_scores)
@@ -692,31 +704,36 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
     print(f"calibrate: {summary}")
 
 
-def _cell_scores(outdir: Path, cell: str, task: str) -> tuple[np.ndarray, np.ndarray]:
-    """`cell`'s raw and calibrated scores for `task`'s events, in table
-    order: its column of calibrate's raw scores, and that column mapped
-    through its calibrator. Evaluate, report and importance read scores
-    only here; evaluate's `scores_<cell>.csv` files are for people."""
+def _cell_scores(outdir: Path, cell: str, run: RunData) -> tuple[np.ndarray, np.ndarray]:
+    """`cell`'s raw and calibrated scores for `run`'s events, in table
+    order: its column of calibrate's raw scores, which must hold one score
+    per event, and that column mapped through its calibrator. Evaluate,
+    report and importance read scores only here; evaluate's
+    `scores_<cell>.csv` files are for people."""
+    calibrator = _read_for_task(outdir, "calibrate/calibrators.json", run.task)["cells"][cell]
     raw = read_npz(outdir / "calibrate" / "raw_scores.npz")[cell]
-    calibrator = Calibrator.from_json_obj(_read_for_task(outdir, "calibrate/calibrators.json", task)["cells"][cell])
-    return raw, calibrator.apply(raw)
+    if len(raw) != len(run.table):
+        raise PrerequisiteError(
+            f"calibrate/raw_scores.npz holds {len(raw)} scores for {cell}, but featurize/events.npz "
+            f"has {len(run.table)} events; rerun `seqfuse calibrate`"
+        )
+    return raw, Calibrator.from_json_obj(calibrator).apply(raw)
 
 
 def stage_evaluate(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "evaluate"
     task = cfg["task"]
     threshold = cfg["evaluate"]["threshold"]
-    table, _ = _load_sequences(outdir, task)
-    labels = table.label_for(task).astype(np.int64)
-    event_ids = table.event_id.tolist()
-    fold_of, fold_idx = _split_folds(outdir, table, task)
-    test_idx = np.array(fold_idx["test"], dtype=np.int64)
+    run = _load_sequences(outdir, task, split=True)
+    labels = run.labels
+    event_ids, fold_of = run.table.event_id.tolist(), run.fold_of.tolist()
+    test_idx = run.folds["test"]
     train_summary = _read_json(outdir / "train" / "summary.json")["cells"]
 
     metrics: dict[str, dict] = {}
     for algorithm, mode in _cells(cfg):
         cell = _cell_name(algorithm, mode)
-        raw, prob_cal = _cell_scores(outdir, cell, task)
+        raw, prob_cal = _cell_scores(outdir, cell, run)
         prob_raw = Calibrator(kind="identity").apply(raw)
         scores_path = stage_dir / f"scores_{cell}.csv"
         with open(scores_path, "w", encoding="utf-8", newline="") as fh:
@@ -786,6 +803,9 @@ def stage_report(cfg: dict, outdir: Path) -> None:
     metrics_all = _read_for_task(outdir, "evaluate/metrics.json", task)
     best_cell = metrics_all["best_cell"]
     cells = metrics_all["cells"]
+    run = _load_sequences(outdir, task, split=True)
+    in_test = run.fold_of == "test"
+    scores = _cell_scores(outdir, best_cell, run)[1][in_test]
     modes = [m for m in EMBEDDING_MODES if m in cfg["train"]["embedding_modes"]]
 
     header = ["Algorithm"]
@@ -815,12 +835,9 @@ def stage_report(cfg: dict, outdir: Path) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
     # Subgroup breakdown of the best model's calibrated test-fold scores.
-    table, features_meta = _load_sequences(outdir, task)
-    in_test = np.array(_split_folds(outdir, table, task)[0]) == "test"
-    test = table.select(in_test)
-    scores = _cell_scores(outdir, best_cell, task)[1][in_test]
-    labels = test.label_for(task).astype(np.int64)
-    n_proc_columns = features_meta["n_proc_columns"]
+    test = run.table.select(in_test)
+    labels = run.labels[in_test]
+    n_proc_columns = run.meta["n_proc_columns"]
     groups: dict[str, list[str]] = {key: getattr(test, key).tolist() for key in SUBGROUP_KEYS}
     member = test.proc_ccs_membership(n_proc_columns)
     for cat in range(n_proc_columns):
@@ -854,14 +871,9 @@ def stage_importance(cfg: dict, outdir: Path) -> None:
     task = cfg["task"]
     best_cell = _read_for_task(outdir, "evaluate/metrics.json", task)["best_cell"]
     threshold = cfg["evaluate"]["threshold"]
-    table, features_meta = _load_sequences(outdir, task)
-    _, scores = _cell_scores(outdir, best_cell, task)
-    flat = flatten(
-        table,
-        features_meta["n_dx_columns"],
-        features_meta["n_proc_columns"],
-        features_meta["z_names"],
-    )
+    run = _load_sequences(outdir, task, split=False)
+    _, scores = _cell_scores(outdir, best_cell, run)
+    flat = run.flat()
     rows = surrogate_importance(flat.matrix, flat.names, flat.categories, scores, threshold=threshold)
     with open(stage_dir / "importance.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -878,7 +890,7 @@ def stage_importance(cfg: dict, outdir: Path) -> None:
                 f"predictions binarized at {threshold}; importances rank what drives "
                 "the model, not outcome associations"
             ),
-            "n_events": len(table),
+            "n_events": len(run.table),
             "n_predicted_positive": int((scores >= threshold).sum()),
         },
     )

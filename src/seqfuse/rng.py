@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_TWO64 = 1 << 64
 
 # Draws a `Xoshiro256Lanes` block grows by, for all lanes at once, when a
 # lane runs past it. At the default 6 claims per patient a synthetic
@@ -95,8 +94,8 @@ def _highest_accepted(n: np.ndarray) -> np.ndarray:
 
 
 def unit_floats(words: np.ndarray) -> np.ndarray:
-    """`Xoshiro256.random`'s conversion of uint64 words: each word's top
-    53 bits over 2**53, a double in [0, 1)."""
+    """uint64 words as doubles in [0, 1): each word's top 53 bits over
+    2**53."""
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -110,9 +109,10 @@ def _np_splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Xoshiro256:
-    """xoshiro256** with its conversions to [0, 1) doubles, integers and
-    discrete draws. `uniform` over a range and Box-Muller `normal`, which
-    only tests draw through, live in tests/reference.py's
+    """xoshiro256** with the draws the package takes from one stream:
+    words, bounded integers and shuffles. The scalar conversions that only
+    tests draw through (`random`, `randint`, `bernoulli`, `choice`,
+    `poisson`, `uniform`, `normal`) live in tests/reference.py's
     `ReferenceXoshiro256`.
 
     A stream is exact integer arithmetic, so it is byte-for-byte
@@ -159,11 +159,12 @@ class Xoshiro256:
         return np.array(out, dtype=np.uint64)
 
     def randints(self, sizes: np.ndarray) -> np.ndarray:
-        """`randint(0, n - 1)` for each n of `sizes` in turn, as uint64, from
-        one `next_u64s` block; an n of 0 stands for 2**64 and takes the raw
-        word, as `random` does. A draw `randint` would reject (probability
-        about n / 2**64) shifts every later draw, so from the first one the
-        stream is replayed one draw at a time."""
+        """A uniform integer in [0, n) for each n of `sizes` in turn, as
+        uint64, from one `next_u64s` block; an n of 0 stands for 2**64 and
+        takes the raw word. Each draw is rejection-sampled: a word above the
+        highest multiple of n below 2**64 is redrawn. A rejected word
+        (probability about n / 2**64) shifts every later draw, so from the
+        first one the stream is replayed one draw at a time."""
         sizes = np.asarray(sizes, dtype=np.uint64)
         raw = sizes == 0
         n = np.where(raw, np.uint64(1), sizes)
@@ -182,27 +183,6 @@ class Xoshiro256:
                 u[i] = word
         return np.where(raw, u, u % n)
 
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], rejection-sampled so it is unbiased."""
-        if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        n = hi - lo + 1
-        limit = _TWO64 - _TWO64 % n
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return lo + u % n
-
-    def bernoulli(self, p: float) -> bool:
-        return self.random() < p
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def shuffle(self, items: list) -> None:
         """Fisher-Yates from the last item down: item i swaps with item
         randint(0, i)."""
@@ -211,25 +191,13 @@ class Xoshiro256:
         for i, j in zip(stops, swaps):
             items[i], items[j] = items[j], items[i]
 
-    def poisson(self, lam: float) -> int:
-        """Knuth's product method; fine for the small rates used here."""
-        if lam <= 0.0:
-            raise ValueError("poisson rate must be > 0")
-        limit = math.exp(-lam)
-        k = 0
-        p = 1.0
-        while True:
-            p *= self.random()
-            if p <= limit:
-                return k
-            k += 1
-
 
 class Xoshiro256Lanes:
     """Many xoshiro256** streams stepped side by side in numpy uint64, one
-    lane per seed, each lane equal draw for draw to `Xoshiro256(seed)`
-    (vectorised independent streams, as in Salmon et al., "Parallel random
-    numbers: as easy as 1, 2, 3", SC 2011).
+    lane per seed, each lane equal draw for draw to `Xoshiro256(seed)`,
+    and conversion for conversion to tests/reference.py's
+    `ReferenceXoshiro256(seed)` (vectorised independent streams, as in
+    Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 
     The streams' draws are precomputed as a `(lanes, draws)` block, and each
     lane reads it at its own cursor. Every conversion takes an index array
@@ -289,7 +257,7 @@ class Xoshiro256Lanes:
         return unit_floats(self.next_u64(lanes))
 
     def randint(self, lanes: np.ndarray, lo, hi) -> np.ndarray:
-        """`Xoshiro256.randint` per lane, over a range narrower than 2**64:
+        """The scalar `randint` per lane, over a range narrower than 2**64:
         the bounds are ints or int64 arrays with one per lane, and each lane
         redraws until its own draw is accepted. Values are int64, or uint64
         when `hi` is an int above the int64 range."""
@@ -318,7 +286,7 @@ class Xoshiro256Lanes:
         return seq[self.randint(lanes, 0, len(seq) - 1)]
 
     def poisson(self, lanes: np.ndarray, lam: float) -> np.ndarray:
-        """`Xoshiro256.poisson` per lane: each lane multiplies its own
+        """The scalar `poisson` per lane: each lane multiplies its own
         uniforms until the product falls to exp(-lam)."""
         if lam <= 0.0:
             raise ValueError("poisson rate must be > 0")

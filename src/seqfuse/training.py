@@ -414,11 +414,11 @@ def make_deep_runner(
     input_dim: int,
     domain_dim: int,
     fusion: str,
-    embedding: str = "linear",
-    embedding_seed: int = 0,
-    epochs: int = 30,
-    patience: int = 5,
-    optimizer: str = "adam",
+    embedding: str,
+    embedding_seed: int,
+    epochs: int,
+    patience: int,
+    optimizer: str,
 ):
     """Binds the data and task so grid_search only sees (config, seed).
 

@@ -47,9 +47,11 @@ general Hessian X' diag(p (1 - p)) X over every column, all-zero ones
 included: the solver `baseline.train_lr` must match in iterations and,
 to rounding, in weights.
 
-`ReferenceXoshiro256` adds the float conversions tests draw their data
-through, `uniform` and Box-Muller `normal`, to the package's stream;
-`init_uniform` must equal `uniform` draw for draw. `is_planned` states per
+`ReferenceXoshiro256` adds the scalar conversions that only tests and the
+reference generator draw through (`random`, `randint`, `bernoulli`,
+`choice`, `poisson`, `uniform` and Box-Muller `normal`) to the package's
+stream; each `Xoshiro256Lanes` lane must equal them draw for draw, and
+`init_uniform` must equal `uniform`. `is_planned` states per
 stay the planned-readmission rule that `cohort.build_cohort` applies
 column-wise.
 """
@@ -315,15 +317,15 @@ def claim_columns(beneficiaries: list[Beneficiary], claims: list[ClaimRecord]) -
 
 
 
-def _dx_code(cat: int, rng: Xoshiro256) -> str:
+def _dx_code(cat: int, rng: ReferenceXoshiro256) -> str:
     return f"D{cat * 3 + 1 + rng.randint(0, 2):04d}"
 
 
-def _proc_code(cat: int, rng: Xoshiro256) -> str:
+def _proc_code(cat: int, rng: ReferenceXoshiro256) -> str:
     return f"P{cat * 3 + 1 + rng.randint(0, 2):04d}"
 
 
-def _chronic_cat(rng: Xoshiro256) -> int:
+def _chronic_cat(rng: ReferenceXoshiro256) -> int:
     if rng.random() < 0.30:
         return rng.choice(_SYMPTOM_DX_CATS)
     v = rng.random()
@@ -336,7 +338,7 @@ def _chronic_cat(rng: Xoshiro256) -> int:
     return rng.choice((15, 16))
 
 
-def _history_dx_codes(chronic: list[int], rng: Xoshiro256) -> tuple[str, ...]:
+def _history_dx_codes(chronic: list[int], rng: ReferenceXoshiro256) -> tuple[str, ...]:
     n = 1 + rng.poisson(1.2)
     codes = []
     for _ in range(n):
@@ -369,7 +371,7 @@ def _free_span(admit: int, los: int, taken: list[tuple[int, int]]) -> bool:
     return all(admit > e + 2 or admit + los < s - 2 for s, e in taken)
 
 
-def _anchor_los(long_stay: bool, rng: Xoshiro256) -> int:
+def _anchor_los(long_stay: bool, rng: ReferenceXoshiro256) -> int:
     if long_stay:
         return 31 + rng.randint(0, 14)
     los = 1 + rng.poisson(2.2)
@@ -396,7 +398,7 @@ def _gen_patient(
     cfg: SyntheticConfig,
     ccs: CcsMap,
     weights: dict[int, int],
-    rng: Xoshiro256,
+    rng: ReferenceXoshiro256,
 ) -> tuple[Beneficiary, list[ClaimRecord], GroundTruth | None]:
     bid = f"B{i:06d}"
     rates = WRINKLE_RATES
@@ -740,7 +742,9 @@ def reference_population(cfg: SyntheticConfig) -> RecordPopulation:
     claims: list[ClaimRecord] = []
     truth: list[GroundTruth] = []
     for i in range(cfg.n_patients):
-        ben, patient_claims, row = _gen_patient(i, cfg, ccs, weights, Xoshiro256(derive_seed(cfg.seed, "patient", i)))
+        ben, patient_claims, row = _gen_patient(
+            i, cfg, ccs, weights, ReferenceXoshiro256(derive_seed(cfg.seed, "patient", i))
+        )
         beneficiaries.append(ben)
         claims.extend(patient_claims)
         if row is not None:
@@ -1800,11 +1804,45 @@ def reference_train_lr(
 
 
 class ReferenceXoshiro256(Xoshiro256):
-    """`Xoshiro256` plus the float conversions only tests draw through."""
+    """`Xoshiro256` plus the scalar conversions only tests draw through."""
 
     def __init__(self, seed: int):
         super().__init__(seed)
         self._spare_normal: float | None = None
+
+    def random(self) -> float:
+        """Uniform double in [0, 1) with 53 bits of precision."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def randint(self, lo: int, hi: int) -> int:
+        """Uniform integer in [lo, hi], rejection-sampled so it is unbiased."""
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        n = hi - lo + 1
+        limit = (1 << 64) - (1 << 64) % n
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return lo + u % n
+
+    def bernoulli(self, p: float) -> bool:
+        return self.random() < p
+
+    def choice(self, seq):
+        return seq[self.randint(0, len(seq) - 1)]
+
+    def poisson(self, lam: float) -> int:
+        """Knuth's product method; fine for the small rates used here."""
+        if lam <= 0.0:
+            raise ValueError("poisson rate must be > 0")
+        limit = math.exp(-lam)
+        k = 0
+        p = 1.0
+        while True:
+            p *= self.random()
+            if p <= limit:
+                return k
+            k += 1
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()

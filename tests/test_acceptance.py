@@ -20,7 +20,6 @@ from seqfuse.features import SequenceOptions, featurize_events
 from seqfuse.knowledge import load_bundle
 from seqfuse.metrics import auc, recall_at_top_k, recall_precision_at_threshold
 from seqfuse.model import ModelConfig, SeqFuseModel
-from seqfuse.rng import Xoshiro256
 from seqfuse.training import make_deep_runner, smote, split_patients
 from tests.reference import (
     Beneficiary,
@@ -258,7 +257,7 @@ def test_c04_auc_equals_pair_counting_oracle():
     """Criterion 4: the rank-based AUC matches the O(n^2) definition within
     1e-12 on 1,000 random score/label sets that include ties."""
     start = time.monotonic()
-    rng = Xoshiro256(4)
+    rng = ReferenceXoshiro256(4)
     worst = 0.0
     for trial in range(1000):
         n = 2 + rng.randint(0, 78)
@@ -326,8 +325,8 @@ def test_c06_domain_fusion_beats_sequence_only(planted_world):
     for fusion in ("early", "none"):
         runner = make_deep_runner(
             table, z, labels, fold_idx,
-            input_dim=input_dim, domain_dim=z.shape[1], fusion=fusion,
-            epochs=6, patience=2,
+            input_dim=input_dim, domain_dim=z.shape[1], fusion=fusion, embedding="linear", embedding_seed=0,
+            epochs=6, patience=2, optimizer="adam",
         )
         results[fusion] = []
         for seed in (101, 102, 103, 104, 105):
@@ -358,8 +357,8 @@ def test_c07_recall_is_tunable(planted_world):
     last_scores = None
     runner = make_deep_runner(
         table, z, labels, fold_idx,
-        input_dim=input_dim, domain_dim=z.shape[1], fusion="early",
-        epochs=4, patience=4,
+        input_dim=input_dim, domain_dim=z.shape[1], fusion="early", embedding="linear", embedding_seed=0,
+        epochs=4, patience=4, optimizer="adam",
     )
     for w_pos in (1.0, 2.0, 4.0, 8.0):
         out = runner(

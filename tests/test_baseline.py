@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqfuse.baseline import flatten, make_lr_runner, train_lr
-from seqfuse.cli import _load_sequences, _split_folds, default_config, main
+from seqfuse.cli import _load_sequences, default_config, main
 from seqfuse.errors import NumericsError, ValidationError
 from seqfuse.claims import _ptr
 from seqfuse.features import SUBGROUP_KEYS, EventTable
@@ -243,11 +243,10 @@ def demo_training_fold(tmp_path_factory):
     config.write_text(json.dumps(cfg), encoding="utf-8")
     for stage in ("generate", "cohort", "featurize", "train"):
         assert main([stage, "--config", str(config)]) == 0
-    table, meta = _load_sequences(outdir, "readmission")
-    flat = flatten(table, meta["n_dx_columns"], meta["n_proc_columns"], meta["z_names"])
-    train = _split_folds(outdir, table, "readmission")[1]["train"]
-    x = flat.matrix[train]
-    return apply_standardizer(x, *fit_standardizer(x)), table.readmit_label[train].astype(np.float64)
+    run = _load_sequences(outdir, "readmission", split=True)
+    train = run.folds["train"]
+    x = run.flat().matrix[train]
+    return apply_standardizer(x, *fit_standardizer(x)), run.labels[train].astype(np.float64)
 
 
 class TestTrainLrAgainstReference:

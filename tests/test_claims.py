@@ -22,10 +22,10 @@ from seqfuse.claims import (
     write_npz,
 )
 from seqfuse.errors import ValidationError
-from seqfuse.rng import Xoshiro256
 from tests.reference import (
     Beneficiary,
     ClaimRecord,
+    ReferenceXoshiro256,
     _anchor_los,
     _free_span,
     _late_decoy_fits,
@@ -583,7 +583,7 @@ class TestKernelAgainstReference:
         chunk.rng._block = np.ascontiguousarray(np.array(draws, dtype=np.uint64).T)
         expected = []
         for lane, long in zip(draws, long_stay.tolist()):
-            scalar = Xoshiro256(0)
+            scalar = ReferenceXoshiro256(0)
             scalar.next_u64 = iter(lane).__next__
             expected.append(_anchor_los(long, scalar))
         assert expected == [27, 27, 28, 28, 28, 28, 45]

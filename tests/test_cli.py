@@ -16,6 +16,7 @@ from seqfuse.cli import (
     _artifacts,
     _cell_scores,
     _load_best,
+    _load_sequences,
     default_config,
     load_config,
     main,
@@ -26,7 +27,7 @@ from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlso
 from seqfuse.knowledge import load_bundle
 from seqfuse.metrics import subgroup_report
 from seqfuse.model import load_model, random_embedding
-from seqfuse.training import config_hash
+from seqfuse.training import FOLD_NAMES, config_hash
 from tests.reference import (
     build_domain_vector,
     build_sequence,
@@ -298,6 +299,18 @@ class TestPipelineArtifacts:
         by_fold = {name: len(ids) for name, ids in split["events"].items()}
         assert by_fold["train"] > by_fold["test"] > 0
 
+    def test_reader_places_each_event_in_its_patients_fold(self, pipeline_run):
+        """The reader matches split.json's event lists; the patient lists
+        beside them must give the same folds."""
+        _, outdir = pipeline_run
+        run = _load_sequences(outdir, "readmission", split=True)
+        split = json.loads((outdir / "train" / "split.json").read_text())
+        fold_of_patient = {pid: name for name, pids in split["patients"].items() for pid in pids}
+        fold_of = [fold_of_patient[pid] for pid in run.table.beneficiary_id.tolist()]
+        assert run.fold_of.tolist() == fold_of
+        assert run.folds == {name: [i for i, fold in enumerate(fold_of) if fold == name] for name in FOLD_NAMES}
+        assert all(run.folds.values())
+
     def test_grid_trials_recorded_per_cell(self, pipeline_run):
         _, outdir = pipeline_run
         with open(outdir / "train" / "trials.csv", newline="") as fh:
@@ -346,8 +359,9 @@ class TestPipelineArtifacts:
     def test_scores_csv_prints_the_one_score_definition(self, pipeline_run):
         _, outdir = pipeline_run
         metrics = json.loads((outdir / "evaluate" / "metrics.json").read_text())
+        run = _load_sequences(outdir, "readmission", split=False)
         for cell in metrics["cells"]:
-            raw, prob_cal = _cell_scores(outdir, cell, "readmission")
+            raw, prob_cal = _cell_scores(outdir, cell, run)
             with open(outdir / "evaluate" / f"scores_{cell}.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert [r["raw"] for r in rows] == [f"{v:.10g}" for v in raw], cell
@@ -718,6 +732,49 @@ class TestColumnarArtifacts:
             path.write_bytes(original)
         for stage in ("report", "importance"):
             assert main([stage, "--config", str(config)]) == 0, stage
+
+
+class TestStaleEvents:
+    """Featurize rerun on a finished run (300 patients, seed 7, one epoch
+    of LR and early fusion) under the other `exclude_index_step`: 17 of
+    the run's 427 events have no visit step before the index stay, so
+    train's split and calibrate's scores are for other events than
+    featurize's store."""
+
+    @pytest.mark.parametrize("exclude_first", [True, False], ids=["events_added", "events_dropped"])
+    def test_every_reading_stage_is_exit_3_and_writes_nothing(self, tmp_path, capsys, exclude_first):
+        outdir = tmp_path / "run"
+        configs = []
+        for exclude in (exclude_first, not exclude_first):
+            cfg = default_config(outdir=str(outdir), n_patients=300, seed=7)
+            cfg["train"].update({"algorithms": ["lr", "early_fusion"], "epochs": 1})
+            cfg["features"]["exclude_index_step"] = exclude
+            path = tmp_path / f"exclude_{exclude}.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            configs.append(str(path))
+        assert main(["pipeline", "--config", configs[0]]) == 0
+        assert main(["featurize", "--config", configs[1]]) == 0
+        n_events = json.loads((outdir / "featurize" / "features.json").read_text())["n_events"]
+        n_scored = 427 + 410 - n_events
+        assert n_events == (427 if exclude_first else 410)
+        best_cell = json.loads((outdir / "evaluate" / "metrics.json").read_text())["best_cell"]
+        stale_split = "train/split.json lists other events than featurize/events.npz; rerun `seqfuse train`"
+        expected = {
+            "calibrate": stale_split,
+            "evaluate": stale_split,
+            "report": stale_split,
+            "importance": (
+                f"calibrate/raw_scores.npz holds {n_scored} scores for {best_cell}, "
+                f"but featurize/events.npz has {n_events} events; rerun `seqfuse calibrate`"
+            ),
+        }
+        capsys.readouterr()
+        for stage, message in expected.items():
+            files = sorted((outdir / stage).iterdir())
+            before = [_sha(path) for path in files]
+            assert main([stage, "--config", configs[1]]) == 3, stage
+            assert message in capsys.readouterr().err, stage
+            assert sorted((outdir / stage).iterdir()) == files and [_sha(path) for path in files] == before, stage
 
 
 class TestExcludeIndexStep:

@@ -13,7 +13,6 @@ from seqfuse.metrics import (
     subgroup_report,
     surrogate_importance,
 )
-from seqfuse.rng import Xoshiro256
 from tests.reference import ReferenceXoshiro256, reference_auc
 
 
@@ -52,7 +51,7 @@ class TestAuc:
 
     def test_matches_pairwise_oracle_with_ties(self):
         """Random score sets, quantized so ties occur often."""
-        rng = Xoshiro256(2024)
+        rng = ReferenceXoshiro256(2024)
         for _ in range(200):
             n = 2 + rng.randint(0, 38)
             scores = np.array([rng.randint(0, 9) / 9.0 for _ in range(n)])
@@ -65,7 +64,7 @@ class TestAuc:
     def test_equals_the_scalar_midrank_scan_bitwise(self):
         """Heavily tied scores: a few levels, runs at both ends, one run
         over everything, and signed zeros, which compare equal."""
-        rng = Xoshiro256(77)
+        rng = ReferenceXoshiro256(77)
         cases = [
             (np.zeros(9), np.array([0, 1] * 4 + [1])),
             (np.array([-0.0, 0.0, 0.0, -0.0, 1.0]), np.array([1, 0, 1, 0, 0])),
@@ -133,7 +132,7 @@ class TestRecallAtTopK:
         assert recall_at_top_k(scores, [0, 0, 1, 0], k=2) == 0.0
 
     def test_k_equals_n_captures_everything(self):
-        rng = Xoshiro256(7)
+        rng = ReferenceXoshiro256(7)
         scores = [rng.random() for _ in range(20)]
         labels = [1, 0] * 10
         assert recall_at_top_k(scores, labels, k=20) == 1.0

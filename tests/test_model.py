@@ -18,7 +18,6 @@ from seqfuse.model import (
     load_model,
     random_embedding,
 )
-from seqfuse.rng import Xoshiro256
 from tests.reference import ReferenceXoshiro256, reference_embedding_lookup, reference_padding, steps_table
 
 
@@ -38,7 +37,7 @@ def small_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def random_steps(rng: Xoshiro256, n_seq: int, t_len: int, input_dim: int) -> list:
+def random_steps(rng: ReferenceXoshiro256, n_seq: int, t_len: int, input_dim: int) -> list:
     out = []
     for _ in range(n_seq):
         seq = []
@@ -226,7 +225,7 @@ class TestForward:
             model.forward(rows, table, np.zeros((1, 3)))
 
     def test_stacked_layers_change_the_answer(self):
-        rng = Xoshiro256(41)
+        rng = ReferenceXoshiro256(41)
         steps = random_steps(rng, 3, 3, 12)
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.zeros((3, 4))
@@ -448,7 +447,7 @@ class TestPersistence:
         assert set(again.params) == set(model.params)
         for name in model.params:
             assert np.array_equal(again.params[name].data, model.params[name].data)
-        rng = Xoshiro256(67)
+        rng = ReferenceXoshiro256(67)
         steps = random_steps(rng, 3, 2, cfg.input_dim)
         table, rows = steps_table(steps), np.arange(len(steps))
         z = np.zeros((3, cfg.domain_dim))

@@ -99,13 +99,13 @@ class TestXoshiroStream:
 
 class TestConversions:
     def test_random_unit_interval(self):
-        gen = Xoshiro256(3)
+        gen = ReferenceXoshiro256(3)
         xs = [gen.random() for _ in range(20000)]
         assert all(0.0 <= x < 1.0 for x in xs)
         assert abs(sum(xs) / len(xs) - 0.5) < 0.01
 
     def test_randint_hits_all_values_unbiased(self):
-        gen = Xoshiro256(4)
+        gen = ReferenceXoshiro256(4)
         counts = [0] * 6
         n = 60000
         for _ in range(n):
@@ -115,7 +115,7 @@ class TestConversions:
             assert abs(c - n / 6) < 5 * math.sqrt(n / 6)
 
     def test_randint_bounds_inclusive(self):
-        gen = Xoshiro256(5)
+        gen = ReferenceXoshiro256(5)
         values = {gen.randint(2, 3) for _ in range(200)}
         assert values == {2, 3}
         assert gen.randint(7, 7) == 7
@@ -139,7 +139,7 @@ class TestConversions:
         assert abs(var - 9.0) < 0.3
 
     def test_poisson_moments(self):
-        gen = Xoshiro256(10)
+        gen = ReferenceXoshiro256(10)
         xs = [gen.poisson(2.2) for _ in range(30000)]
         mean = sum(xs) / len(xs)
         var = sum((x - mean) ** 2 for x in xs) / len(xs)
@@ -148,7 +148,7 @@ class TestConversions:
         assert all(isinstance(x, int) and x >= 0 for x in xs)
 
     def test_bernoulli_rate(self):
-        gen = Xoshiro256(11)
+        gen = ReferenceXoshiro256(11)
         hits = sum(gen.bernoulli(0.3) for _ in range(30000))
         assert abs(hits / 30000 - 0.3) < 0.01
 
@@ -187,7 +187,7 @@ def _scalar_pass(gen, hi):
 
 
 def _scalar_randints(gen, sizes):
-    """`Xoshiro256.randints` drawn one scalar call at a time."""
+    """`Xoshiro256.randints` drawn one `ReferenceXoshiro256` call at a time."""
     return [gen.next_u64() if n == 0 else gen.randint(0, n - 1) for n in sizes]
 
 
@@ -210,7 +210,7 @@ class TestBlockDraws:
         for seed in _BLOCK_SEEDS:
             pool = [0, 1, 2, 5, 97, 2**32 + 1, 2**64 - 1, 3 * 2**62]
             sizes = [pool[(seed + i) % len(pool)] for i in range(k)]
-            block, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            block, scalar = Xoshiro256(seed), ReferenceXoshiro256(seed)
             got = block.randints(np.array(sizes, dtype=np.uint64))
             assert got.dtype == np.uint64
             assert got.tolist() == _scalar_randints(scalar, sizes)
@@ -221,7 +221,7 @@ class TestBlockDraws:
         # randint(0, 2**63) accepts a draw below 2**63 + 1 only.
         rejected = 0
         for seed in _BLOCK_SEEDS:
-            block, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            block, scalar = Xoshiro256(seed), ReferenceXoshiro256(seed)
             words = []
             step = scalar.next_u64
             scalar.next_u64 = lambda: words.append(step()) or words[-1]
@@ -234,7 +234,7 @@ class TestBlockDraws:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 257])
     def test_shuffle_is_the_scalar_fisher_yates(self, n):
         for seed in _BLOCK_SEEDS:
-            gen, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            gen, scalar = Xoshiro256(seed), ReferenceXoshiro256(seed)
             items, expected = [f"p{i}" for i in range(n)], [f"p{i}" for i in range(n)]
             gen.shuffle(items)
             for i in range(n - 1, 0, -1):
@@ -253,7 +253,7 @@ class TestBulkStreams:
         monkeypatch.setattr(rng, "_BLOCK_DRAWS", 16)
         seeds = [derive_seed(11, "bulk", i) for i in range(1100)] + [0, _MASK, -1, 1 << 70]
         lanes_rng = Xoshiro256Lanes(seeds)
-        scalars = [Xoshiro256(seed) for seed in seeds]
+        scalars = [ReferenceXoshiro256(seed) for seed in seeds]
         every = np.arange(len(seeds))
         assert len(_lane_pass(Xoshiro256Lanes(seeds), every, every % 11)) == len(seeds)
         # Some passes leave lanes out, so the lanes' cursors part.
@@ -270,7 +270,7 @@ class TestBulkStreams:
         every = np.arange(len(seeds))
         draws = [lanes_rng.next_u64(every) for _ in range(block + 20)]
         for lane, seed in enumerate(seeds):
-            scalar = Xoshiro256(seed)
+            scalar = ReferenceXoshiro256(seed)
             expected = [scalar.next_u64() for _ in range(block + 20)]
             assert [column[lane] for column in draws] == expected
             assert _lane_pass(lanes_rng, every[lane : lane + 1], every[lane : lane + 1]) == [_scalar_pass(scalar, lane)]
@@ -294,7 +294,7 @@ class TestBulkStreams:
         n = hi - lo + 1
         top = 2**64 - 2**64 % n - 1
         draws = [top + 1, top, top - 1, _MASK, 5, top + 1, 0] + [7] * 10
-        scalar = Xoshiro256(0)
+        scalar = ReferenceXoshiro256(0)
         scalar.next_u64 = iter(draws).__next__
         lanes_rng = Xoshiro256Lanes([0])
         lanes_rng._block = np.array(draws, dtype=np.uint64)[:, None]

@@ -257,7 +257,7 @@ class TestSmote:
         expected = reference_nearest_neighbors(rows, k)
         bounds = training._distance_bounds
         for sign_seed in range(3):
-            rng = Xoshiro256(derive_seed(sign_seed, "perturb"))
+            rng = ReferenceXoshiro256(derive_seed(sign_seed, "perturb"))
 
             def perturbed(*args):
                 lower, upper = bounds(*args)
@@ -295,7 +295,7 @@ class TestSmote:
         neighbors = reference_nearest_neighbors(rows, 5)
         n_new = max(n_pos, n_neg) - min(n_pos, n_neg)
         for seed in range(30):
-            rng = Xoshiro256(derive_seed(seed, "smote"))
+            rng = ReferenceXoshiro256(derive_seed(seed, "smote"))
             draws = [(rng.randint(0, len(rows) - 1), rng.randint(0, 4), rng.random()) for _ in range(n_new)]
             want = np.array([rows[i] + lam * (rows[neighbors[i, slot]] - rows[i]) for i, slot, lam in draws])
             got = smote(x, y, seed=seed)[0][len(x) :]
@@ -416,8 +416,10 @@ def population_folds(n_patients: int, seed: int):
     for pid, label in zip(table.beneficiary_id.tolist(), labels):
         positives[pid] = positives.get(pid, 0) + int(label)
     folds, _ = split_patients(positives, seed, tuple(cfg["train"]["fractions"]))
-    _, fold_idx = cli._fold_indices(table, {pid: name for name, pids in folds.items() for pid in pids})
-    return table, labels, fold_idx
+    fold_of_patient = {pid: name for name, pids in folds.items() for pid in pids}
+    run = cli.RunData("readmission", table, {}, labels)
+    run.place(np.array([fold_of_patient[pid] for pid in table.beneficiary_id.tolist()]))
+    return table, labels, run.folds
 
 
 class TestBatchSchedule:
@@ -490,7 +492,7 @@ from tests.test_training import population_folds
 table, labels, fold_idx = population_folds(250, 1234)
 runner = make_deep_runner(
     table, table.z, labels, fold_idx, input_dim=load_bundle().ccs.input_dim, domain_dim=table.z.shape[1],
-    fusion="early", epochs=1, patience=1,
+    fusion="early", embedding="linear", embedding_seed=0, epochs=1, patience=1, optimizer="adam",
 )
 out = runner(enumerate_grid(cli.default_config()["train"]["grid"])[0], seed=7)
 assert out["status"] == "ok", out
@@ -610,8 +612,8 @@ class TestDeepRunner:
         }
         runner = make_deep_runner(
             steps_table(steps), z, labels, fold_idx,
-            input_dim=8, domain_dim=2, fusion="early",
-            epochs=8, patience=8,
+            input_dim=8, domain_dim=2, fusion="early", embedding="linear", embedding_seed=0,
+            epochs=8, patience=8, optimizer="adam",
         )
         out = runner(
             {"embed_dim": 4, "hidden_dim": 4, "n_gru_layers": 1, "lr": 0.05, "batch_size": 8,
@@ -643,8 +645,8 @@ class TestDeepRunner:
         for z in (z_a, z_b):
             runner = make_deep_runner(
                 steps_table(steps), z, labels, fold_idx,
-                input_dim=8, domain_dim=0, fusion="none",
-                epochs=3, patience=3,
+                input_dim=8, domain_dim=0, fusion="none", embedding="linear", embedding_seed=0,
+                epochs=3, patience=3, optimizer="adam",
             )
             config = {"embed_dim": 4, "hidden_dim": 4, "n_gru_layers": 1, "mlp_hidden_dims": [], "lr": 0.05,
                       "batch_size": 32, "w_pos": 1.0}
