@@ -3,11 +3,11 @@ evaluate, report, importance, or the whole chain at once.
 
 Every stage reads one JSON config, writes into its own subdirectory of the
 run directory, and records a manifest with SHA-256 hashes of everything it
-read and wrote. A stage refuses to run when an input does not match the
-hash its producer recorded, so stale or hand-edited artifacts fail loudly
-instead of silently skewing results downstream. `_artifacts` is the one
-list of each stage's inputs and outputs, and `run_stage` runs a stage body
-under that protocol: verify the inputs, run, hash the outputs.
+read and wrote. `require_inputs` is the one staleness rule: each input must
+match its producer's manifest, and each manifest upstream must record the
+hashes its inputs' producers declare now, or the stage exits 3 naming the
+earliest stale stage. `run_stage` runs a stage body under that protocol
+over `_artifacts`, the one list of each stage's inputs and outputs.
 
 Every array a stage hands on goes out through `claims.write_npz` and back
 in through `claims.read_npz`. `generate` draws the claims straight into
@@ -22,18 +22,16 @@ building the cohort again.
 `featurize/events.npz` (an `EventTable`). Every later stage reads the run
 once, through `_load_sequences`: the task's events, featurize's metadata,
 the 0/1 labels and the flat table (`RunData.flat`). Train places the
-events in folds from its own patient split; calibrate, evaluate and report
-match the per-fold event lists of `train/split.json` against the table's
-event ids, and exit 3 when the lists name other events (featurize ran
-again since train). The deep cells train and predict on rows of the
-table. `train` builds the frozen matrix of the `pretrained` embedding mode
-itself, for each trial at its `embed_dim` (`model.random_embedding`), so no
-stage writes it. It saves each cell's best model, LR or deep, as
-`model.json` (its config and the z moments) and `weights.npz` (its
-arrays). `calibrate` keeps each cell's uncalibrated scores in
-`calibrate/raw_scores.npz`; evaluate, report and importance map them
-through the cell's calibrator (`_cell_scores`) without predicting again,
-and exit 3 when a column does not hold one score per event.
+events in folds from its own patient split; later stages take the folds
+from `train/split.json`, which must be for the config's task. The deep
+cells train and predict on rows of the table. `train` builds the frozen
+matrix of the `pretrained` embedding mode itself, for each trial at its
+`embed_dim` (`model.random_embedding`), so no stage writes it. It saves
+each cell's best model, LR or deep, as `model.json` (its config and the z
+moments) and `weights.npz` (its arrays). `calibrate` keeps each cell's
+uncalibrated scores in `calibrate/raw_scores.npz`; evaluate, report and
+importance map them through the cell's calibrator (`_cell_scores`) without
+predicting again.
 
 The config is one JSON object shaped like `default_config()`, which is
 also its schema. `load_config` merges the file over the defaults (into a
@@ -311,27 +309,51 @@ def write_manifest(outdir: Path, stage: str, cfg: dict, inputs: dict[str, str], 
 
 
 def require_inputs(outdir: Path, relpaths: list[str]) -> dict[str, str]:
-    """Verifies each input against its producing stage's manifest and
-    returns {relpath: hash} for recording in the consumer's manifest."""
+    """The one staleness rule: each input must match the hash its producer's
+    manifest declares, and each manifest upstream must record the hashes its
+    inputs' producers declare now, compared manifest to manifest, so only the
+    inputs are hashed. Returns {relpath: hash} for the consumer's manifest."""
+    manifests: dict[str, dict] = {}
+
+    def declared(rel: str) -> str | None:
+        stage = rel.split("/", 1)[0]
+        if stage not in manifests:
+            path = outdir / stage / "manifest.json"
+            if not path.is_file():
+                raise PrerequisiteError(f"missing {path}; run `seqfuse {stage}` first")
+            try:
+                manifests[stage] = json.loads(path.read_text(encoding="utf-8"))
+                shaped = all(isinstance(manifests[stage][key], dict) for key in ("inputs", "outputs"))
+            except (ValueError, TypeError, KeyError):  # not UTF-8 or JSON, or not a manifest's shape
+                shaped = False
+            if not shaped:
+                raise PrerequisiteError(f"{path} is not a stage manifest; rerun `seqfuse {stage}`")
+        return manifests[stage]["outputs"].get(rel)
+
     verified: dict[str, str] = {}
     for rel in sorted(relpaths):
         producer = rel.split("/", 1)[0]
-        manifest_path = outdir / producer / "manifest.json"
-        if not manifest_path.is_file():
-            raise PrerequisiteError(f"missing {manifest_path}; run `seqfuse {producer}` first")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        declared = manifest.get("outputs", {}).get(rel)
-        if declared is None:
+        if declared(rel) is None:
             raise PrerequisiteError(f"stage {producer!r} does not declare output {rel!r}; rerun it")
-        live_path = outdir / rel
-        if not live_path.is_file():
+        if not (outdir / rel).is_file():
             raise PrerequisiteError(f"missing artifact {rel!r}; rerun `seqfuse {producer}`")
-        live = _sha256(live_path)
-        if live != declared:
+        verified[rel] = _sha256(outdir / rel)
+        if verified[rel] != declared(rel):
             raise PrerequisiteError(
                 f"artifact {rel!r} does not match the hash recorded by stage {producer!r}; rerun it"
             )
-        verified[rel] = live
+    # Walked backwards, STAGES reaches each upstream manifest after `declared`
+    # loads it. The earliest stale stage is named, with its first stale input.
+    stale = [
+        (stage, rel)
+        for stage in reversed(STAGES) if stage in manifests
+        for rel, recorded in sorted(manifests[stage]["inputs"].items()) if declared(rel) != recorded
+    ]
+    if stale:
+        stage, rel = min(stale, key=lambda pair: (STAGES.index(pair[0]), pair[1]))
+        raise PrerequisiteError(
+            f"stage {stage!r} read a {rel} that {rel.split('/', 1)[0]!r} has rewritten since; rerun `seqfuse {stage}`"
+        )
     return verified
 
 
@@ -381,7 +403,7 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     events = ["featurize/events.npz", "featurize/features.json"]
     calibrated = ["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
     # Report and importance read the scores of the cell metrics.json names.
-    best_cell = events + calibrated + ["evaluate/metrics.json"]
+    best_cell = events + calibrated + ["evaluate/metrics.json", "train/split.json"]
     return {
         "generate": ([], population + ["generate/ground_truth.csv", "generate/generator_info.json"]),
         "cohort": (
@@ -395,10 +417,7 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
         ),
         "calibrate": (events + ["train/split.json"] + models, calibrated),
         "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, evaluated),
-        "report": (
-            best_cell + ["train/split.json"],
-            ["report/table3.csv", "report/subgroups.csv", "report/report_info.json"],
-        ),
+        "report": (best_cell, ["report/table3.csv", "report/subgroups.csv", "report/report_info.json"]),
         "importance": (best_cell, ["importance/importance.csv", "importance/importance.json"]),
     }
 
@@ -415,25 +434,12 @@ def _load_best(model_dir: Path) -> tuple[dict, dict[str, np.ndarray]]:
     return _read_json(model_dir / "model.json"), read_npz(model_dir / "weights.npz")
 
 
-def _read_for_task(outdir: Path, rel: str, task: str) -> dict:
-    """An earlier stage's JSON file `rel`, which must record the config's
-    task: a stage run under another task would mix two tasks' labels."""
-    obj = _read_json(outdir / rel)
-    if obj["task"] != task:
-        producer = rel.split("/")[0]
-        raise PrerequisiteError(
-            f"{rel} is for task {obj['task']!r}, not the config's {task!r}; rerun `seqfuse {producer}`"
-        )
-    return obj
-
-
 @dataclass(eq=False)
 class RunData:
-    """A run as the stages after featurize read it: `task`'s events,
+    """A run as the stages after featurize read it: the task's events,
     featurize's metadata, each event's 0/1 label and, once placed, its
     fold."""
 
-    task: str
     table: EventTable
     meta: dict
     labels: np.ndarray
@@ -455,24 +461,24 @@ def _load_sequences(outdir: Path, task: str, split: bool) -> RunData:
     events from featurize's columnar store (the mortality task drops its
     excluded events), featurize's metadata and the labels. With `split`,
     each event is placed in the fold whose `train/split.json` list names
-    it; the lists must name exactly these events, or the split was made
-    for another featurize run."""
+    it; the split must be for `task`, the one check of the config's task.
+    `require_inputs` has checked that it lists these events."""
     meta = _read_json(outdir / "featurize" / "features.json")
     table = EventTable.load(outdir / "featurize" / "events.npz")
     if task == "mortality":
         table = table.select(~table.mortality_excluded)
-    run = RunData(task, table, meta, table.label_for(task).astype(np.int64))
+    run = RunData(table, meta, table.label_for(task).astype(np.int64))
     if split:
-        events = _read_for_task(outdir, "train/split.json", task)["events"]
+        split_json = _read_json(outdir / "train" / "split.json")
+        if split_json["task"] != task:
+            raise PrerequisiteError(
+                f"train/split.json is for task {split_json['task']!r}, not the config's {task!r}; rerun `seqfuse train`"
+            )
+        events = split_json["events"]
         listed = np.array([event for ids in events.values() for event in ids], dtype=np.str_)
         names = np.repeat(list(events), [len(ids) for ids in events.values()])
-        listed_order, table_order = np.argsort(listed), np.argsort(table.event_id)
-        if len(listed) != len(table) or (listed[listed_order] != table.event_id[table_order]).any():
-            raise PrerequisiteError(
-                "train/split.json lists other events than featurize/events.npz; rerun `seqfuse train`"
-            )
         fold_of = np.empty(len(table), dtype=names.dtype)
-        fold_of[table_order] = names[listed_order]
+        fold_of[np.argsort(table.event_id)] = names[np.argsort(listed)]
         run.place(fold_of)
     return run
 
@@ -619,7 +625,8 @@ def stage_train(cfg: dict, outdir: Path) -> None:
             ]
         best = result.best
         if best is None:
-            raise NumericsError(f"every trial failed for {cell}")
+            reasons = "; ".join(dict.fromkeys(trial.payload["failure"] for trial in result.trials))
+            raise NumericsError(f"every trial failed for {cell}: {reasons}")
         model = best.payload["model"]
         spec = {
             "task": task,
@@ -704,19 +711,12 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
     print(f"calibrate: {summary}")
 
 
-def _cell_scores(outdir: Path, cell: str, run: RunData) -> tuple[np.ndarray, np.ndarray]:
-    """`cell`'s raw and calibrated scores for `run`'s events, in table
-    order: its column of calibrate's raw scores, which must hold one score
-    per event, and that column mapped through its calibrator. Evaluate,
-    report and importance read scores only here; evaluate's
-    `scores_<cell>.csv` files are for people."""
-    calibrator = _read_for_task(outdir, "calibrate/calibrators.json", run.task)["cells"][cell]
+def _cell_scores(outdir: Path, cell: str) -> tuple[np.ndarray, np.ndarray]:
+    """`cell`'s column of calibrate's raw scores (the task's events, in table
+    order) and that column mapped through its calibrator. Evaluate, report
+    and importance read scores only here; `scores_<cell>.csv` is for people."""
+    calibrator = _read_json(outdir / "calibrate" / "calibrators.json")["cells"][cell]
     raw = read_npz(outdir / "calibrate" / "raw_scores.npz")[cell]
-    if len(raw) != len(run.table):
-        raise PrerequisiteError(
-            f"calibrate/raw_scores.npz holds {len(raw)} scores for {cell}, but featurize/events.npz "
-            f"has {len(run.table)} events; rerun `seqfuse calibrate`"
-        )
     return raw, Calibrator.from_json_obj(calibrator).apply(raw)
 
 
@@ -733,7 +733,7 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     metrics: dict[str, dict] = {}
     for algorithm, mode in _cells(cfg):
         cell = _cell_name(algorithm, mode)
-        raw, prob_cal = _cell_scores(outdir, cell, run)
+        raw, prob_cal = _cell_scores(outdir, cell)
         prob_raw = Calibrator(kind="identity").apply(raw)
         scores_path = stage_dir / f"scores_{cell}.csv"
         with open(scores_path, "w", encoding="utf-8", newline="") as fh:
@@ -800,12 +800,12 @@ def _fmt(value, digits: int = 4) -> str:
 def stage_report(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "report"
     task = cfg["task"]
-    metrics_all = _read_for_task(outdir, "evaluate/metrics.json", task)
+    metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
     best_cell = metrics_all["best_cell"]
     cells = metrics_all["cells"]
     run = _load_sequences(outdir, task, split=True)
     in_test = run.fold_of == "test"
-    scores = _cell_scores(outdir, best_cell, run)[1][in_test]
+    scores = _cell_scores(outdir, best_cell)[1][in_test]
     modes = [m for m in EMBEDDING_MODES if m in cfg["train"]["embedding_modes"]]
 
     header = ["Algorithm"]
@@ -869,10 +869,10 @@ def stage_report(cfg: dict, outdir: Path) -> None:
 def stage_importance(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "importance"
     task = cfg["task"]
-    best_cell = _read_for_task(outdir, "evaluate/metrics.json", task)["best_cell"]
+    best_cell = _read_json(outdir / "evaluate" / "metrics.json")["best_cell"]
     threshold = cfg["evaluate"]["threshold"]
-    run = _load_sequences(outdir, task, split=False)
-    _, scores = _cell_scores(outdir, best_cell, run)
+    run = _load_sequences(outdir, task, split=True)
+    _, scores = _cell_scores(outdir, best_cell)
     flat = run.flat()
     rows = surrogate_importance(flat.matrix, flat.names, flat.categories, scores, threshold=threshold)
     with open(stage_dir / "importance.csv", "w", encoding="utf-8", newline="") as fh:

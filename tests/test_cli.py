@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqfuse import cli
 from seqfuse.claims import CLAIM_COLUMNS, write_npz
 from seqfuse.cli import (
     ALGORITHMS,
@@ -23,6 +24,7 @@ from seqfuse.cli import (
     validate_config,
 )
 from seqfuse.cohort import POPULATION_MEMBERS, age_band
+from seqfuse.errors import NumericsError
 from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band
 from seqfuse.knowledge import load_bundle
 from seqfuse.metrics import subgroup_report
@@ -359,9 +361,8 @@ class TestPipelineArtifacts:
     def test_scores_csv_prints_the_one_score_definition(self, pipeline_run):
         _, outdir = pipeline_run
         metrics = json.loads((outdir / "evaluate" / "metrics.json").read_text())
-        run = _load_sequences(outdir, "readmission", split=False)
         for cell in metrics["cells"]:
-            raw, prob_cal = _cell_scores(outdir, cell, run)
+            raw, prob_cal = _cell_scores(outdir, cell)
             with open(outdir / "evaluate" / f"scores_{cell}.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert [r["raw"] for r in rows] == [f"{v:.10g}" for v in raw], cell
@@ -509,6 +510,26 @@ class TestArtifactTable:
                 (copy / rel).write_bytes(original)
                 assert main(argv) == 0, (stage, rel)
 
+    def test_a_stage_hashes_only_its_direct_inputs_and_outputs(self, pipeline_run, tmp_path, monkeypatch):
+        """Upstream of its inputs, `require_inputs` compares manifests and
+        reads no other artifact."""
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        table = _artifacts(load_config(str(config)))
+        hashed = []
+
+        def spy(path):
+            hashed.append(path.relative_to(copy).as_posix())
+            return _sha(path)
+
+        monkeypatch.setattr(cli, "_sha256", spy)
+        for stage in STAGES:
+            hashed.clear()
+            assert main([stage, "--config", str(config), "--outdir", str(copy)]) == 0, stage
+            assert sorted(hashed) == sorted(table[stage][0] + table[stage][1]), stage
+            assert (copy / stage / "manifest.json").read_bytes() == (outdir / stage / "manifest.json").read_bytes()
+
 
 class TestPretrainedEmbedding:
     def test_pretrained_cells_search_embed_dim_over_a_frozen_seeded_matrix(self, tmp_path):
@@ -547,6 +568,25 @@ class TestEmptyFold:
         assert not (outdir / "train" / "split.json").exists()
 
 
+class TestFailedCell:
+    def test_every_trial_failing_is_exit_4_naming_each_reason_once(self, pipeline_run, tmp_path, monkeypatch, capsys):
+        _, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+
+        def fail(x, y, l2):
+            raise NumericsError("Hessian is singular" if l2 < 0.05 else f"diverged at l2={l2}")
+
+        monkeypatch.setattr("seqfuse.baseline.train_lr", fail)
+        lr_grid = {"l2": [0.1, 0.01, 0.001], "smote": [False]}
+        config = _write_config(tmp_path / "cfg.json", copy, train={"algorithms": ["lr"], "lr_grid": lr_grid})
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "every trial failed for lr__linear: " in err
+        assert err.count("Hessian is singular") == 1 and err.count("diverged at l2=0.1") == 1
+
+
 class TestRerunsAndTampering:
     def test_stage_rerun_is_byte_identical(self, pipeline_run):
         config, outdir = pipeline_run
@@ -569,6 +609,30 @@ class TestRerunsAndTampering:
         assert main(["generate", "--config", str(config)]) == 0
         assert main(["cohort", "--config", str(config)]) == 0
 
+    @pytest.mark.parametrize(
+        "producer, text",
+        [
+            ("train", b"{not json"),
+            ("train", b"\xff\xfe"),
+            ("train", b"[]"),
+            ("train", b'["inputs", "outputs"]'),
+            ("train", b'{"outputs": {}}'),
+            ("train", b'{"inputs": [], "outputs": {}}'),
+            ("cohort", b"{not json"),
+            ("cohort", b'{"inputs": {}, "outputs": null}'),
+        ],
+    )
+    def test_a_malformed_manifest_is_exit_3_naming_its_stage(self, pipeline_run, tmp_path, capsys, producer, text):
+        """A direct input's producer (train) or one upstream of it (cohort)."""
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        (copy / producer / "manifest.json").write_bytes(text)
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(config), "--outdir", str(copy)]) == 3
+        assert f"is not a stage manifest; rerun `seqfuse {producer}`" in capsys.readouterr().err
+        for path in sorted((outdir / "calibrate").iterdir()):
+            assert (copy / "calibrate" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestTaskMismatch:
@@ -580,8 +644,8 @@ class TestTaskMismatch:
         for stage, rel in (
             ("calibrate", "train/split.json"),
             ("evaluate", "train/split.json"),
-            ("report", "evaluate/metrics.json"),
-            ("importance", "evaluate/metrics.json"),
+            ("report", "train/split.json"),
+            ("importance", "train/split.json"),
         ):
             assert main([stage, "--config", str(mortality)]) == 3, stage
             assert f"{rel} is for task 'readmission', not the config's 'mortality'" in capsys.readouterr().err
@@ -592,10 +656,11 @@ class TestTaskMismatch:
         assert main(["train", "--config", str(lr_only)]) == 0
         readmission = _write_config(tmp_path / "readmission.json", copy)
         capsys.readouterr()
+        stale_calibrate = "stage 'calibrate' read a train/models/early_fusion__linear/best/model.json that 'train'"
         assert main(["report", "--config", str(readmission)]) == 3
-        assert "train/split.json is for task 'mortality', not the config's 'readmission'" in capsys.readouterr().err
+        assert stale_calibrate in capsys.readouterr().err
         assert main(["evaluate", "--config", str(lr_only)]) == 3
-        assert "calibrate/calibrators.json is for task 'readmission'" in capsys.readouterr().err
+        assert stale_calibrate in capsys.readouterr().err
 
 
 class TestColumnarArtifacts:
@@ -755,19 +820,11 @@ class TestStaleEvents:
         assert main(["pipeline", "--config", configs[0]]) == 0
         assert main(["featurize", "--config", configs[1]]) == 0
         n_events = json.loads((outdir / "featurize" / "features.json").read_text())["n_events"]
-        n_scored = 427 + 410 - n_events
         assert n_events == (427 if exclude_first else 410)
-        best_cell = json.loads((outdir / "evaluate" / "metrics.json").read_text())["best_cell"]
-        stale_split = "train/split.json lists other events than featurize/events.npz; rerun `seqfuse train`"
-        expected = {
-            "calibrate": stale_split,
-            "evaluate": stale_split,
-            "report": stale_split,
-            "importance": (
-                f"calibrate/raw_scores.npz holds {n_scored} scores for {best_cell}, "
-                f"but featurize/events.npz has {n_events} events; rerun `seqfuse calibrate`"
-            ),
-        }
+        stale_train = (
+            "stage 'train' read a featurize/events.npz that 'featurize' has rewritten since; rerun `seqfuse train`"
+        )
+        expected = {stage: stale_train for stage in ("calibrate", "evaluate", "report", "importance")}
         capsys.readouterr()
         for stage, message in expected.items():
             files = sorted((outdir / stage).iterdir())
@@ -775,6 +832,72 @@ class TestStaleEvents:
             assert main([stage, "--config", configs[1]]) == 3, stage
             assert message in capsys.readouterr().err, stage
             assert sorted((outdir / stage).iterdir()) == files and [_sha(path) for path in files] == before, stage
+
+
+class TestStaleChain:
+    """A stage rerun on a finished run (300 patients, seed 7, one epoch of
+    LR and early fusion) leaves every later stage's manifest recording
+    inputs that are no longer there. Each later stage must then exit 3
+    naming the earliest stale stage, and leave its own directory as it
+    was."""
+
+    @staticmethod
+    def _config(path: Path, outdir: Path, **overrides) -> str:
+        cfg = default_config(outdir=str(outdir), n_patients=300, seed=7)
+        cfg["train"].update({"algorithms": ["lr", "early_fusion"], "epochs": 1})
+        for key, value in overrides.items():
+            cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("seven")
+        assert main(["pipeline", "--config", self._config(root / "cfg.json", root / "run")]) == 0
+        return root / "run"
+
+    @pytest.fixture
+    def copy(self, finished, tmp_path):
+        shutil.copytree(finished, tmp_path / "run")
+        return tmp_path / "run"
+
+    @staticmethod
+    def _refused(outdir: Path, config: str, stages, stale: str, capsys) -> None:
+        capsys.readouterr()
+        for stage in stages:
+            files = sorted((outdir / stage).rglob("*"))
+            before = [_sha(path) for path in files if path.is_file()]
+            assert main([stage, "--config", config]) == 3, stage
+            err = capsys.readouterr().err
+            assert f"error: stage {stale!r} read a " in err and f"; rerun `seqfuse {stale}`" in err, (stage, err)
+            assert sorted((outdir / stage).rglob("*")) == files, stage
+            assert [_sha(path) for path in files if path.is_file()] == before, stage
+
+    def test_train_rerun_under_other_fractions_stops_the_stages_after_calibrate(self, copy, tmp_path, capsys):
+        config = self._config(tmp_path / "cfg.json", copy, train={"fractions": [0.40, 0.15, 0.05, 0.40]})
+        assert main(["train", "--config", config]) == 0
+        self._refused(copy, config, ("evaluate", "report", "importance"), "calibrate", capsys)
+
+    def test_featurize_rerun_with_the_same_events_stops_the_stages_after_train(self, copy, tmp_path, capsys):
+        events = copy / "featurize" / "events.npz"
+        before = _sha(events)
+        config = self._config(tmp_path / "cfg.json", copy, features={"lookback_days": 90})
+        assert main(["featurize", "--config", config]) == 0
+        assert json.loads((copy / "featurize" / "features.json").read_text())["n_events"] == 427
+        assert _sha(events) != before
+        self._refused(copy, config, ("calibrate", "evaluate", "report", "importance"), "train", capsys)
+
+    def test_generate_rerun_under_another_seed_stops_train(self, copy, tmp_path, capsys):
+        config = self._config(tmp_path / "cfg.json", copy, seed=8)
+        assert main(["generate", "--config", config]) == 0
+        self._refused(copy, config, ("train",), "cohort", capsys)
+
+    def test_evaluate_rerun_at_another_threshold_is_not_stale(self, copy, tmp_path):
+        """The chain compares artifacts, not config hashes."""
+        config = self._config(tmp_path / "cfg.json", copy, evaluate={"threshold": 0.3})
+        for stage in ("evaluate", "report", "importance"):
+            assert main([stage, "--config", config]) == 0, stage
+        assert json.loads((copy / "evaluate" / "metrics.json").read_text())["threshold"] == 0.3
 
 
 class TestExcludeIndexStep:
