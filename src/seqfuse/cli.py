@@ -31,7 +31,8 @@ each cell's best model, LR or deep, as `model.json` (its config and the z
 moments) and `weights.npz` (its arrays). `calibrate` keeps each cell's
 uncalibrated scores in `calibrate/raw_scores.npz`; evaluate, report and
 importance map them through the cell's calibrator (`_cell_scores`) without
-predicting again.
+predicting again. No stage writes what only people read: `show` prints the
+index events or a cell's per-event scores on demand, from current inputs.
 
 The config is one JSON object shaped like `default_config()`, which is
 also its schema. `load_config` merges the file over the defaults (into a
@@ -51,8 +52,10 @@ import argparse
 import csv
 import hashlib
 import json
+import shutil
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -397,8 +400,6 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
         for algorithm, mode in cells
         for name in ("model.json", "weights.npz")
     ]
-    evaluated = [f"evaluate/scores_{_cell_name(algorithm, mode)}.csv" for algorithm, mode in cells]
-    evaluated.append("evaluate/metrics.json")
     population = ["generate/claims.npz"]
     events = ["featurize/events.npz", "featurize/features.json"]
     calibrated = ["calibrate/calibrators.json", "calibrate/raw_scores.npz"]
@@ -406,17 +407,14 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     best_cell = events + calibrated + ["evaluate/metrics.json", "train/split.json"]
     return {
         "generate": ([], population + ["generate/ground_truth.csv", "generate/generator_info.json"]),
-        "cohort": (
-            population,
-            ["cohort/index_events.jsonl", "cohort/population.npz", "cohort/summary.csv", "cohort/audit.json"],
-        ),
+        "cohort": (population, ["cohort/population.npz", "cohort/summary.csv", "cohort/audit.json"]),
         "featurize": (["cohort/population.npz"] + population, events),
         "train": (
             events,
             ["train/split.json", "train/trials.csv", "train/curves.jsonl", "train/summary.json"] + models,
         ),
         "calibrate": (events + ["train/split.json"] + models, calibrated),
-        "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, evaluated),
+        "evaluate": (events + ["train/split.json", "train/summary.json"] + calibrated, ["evaluate/metrics.json"]),
         "report": (best_cell, ["report/table3.csv", "report/subgroups.csv", "report/report_info.json"]),
         "importance": (best_cell, ["importance/importance.csv", "importance/importance.json"]),
     }
@@ -437,20 +435,22 @@ def _load_best(model_dir: Path) -> tuple[dict, dict[str, np.ndarray]]:
 @dataclass(eq=False)
 class RunData:
     """A run as the stages after featurize read it: the task's events,
-    featurize's metadata, each event's 0/1 label and, once placed, its
-    fold."""
+    featurize's metadata, each event's 0/1 label and its fold, set by train
+    or placed from `split_events` when `fold_of` or `folds` is first read."""
 
     table: EventTable
     meta: dict
     labels: np.ndarray
-    fold_of: np.ndarray | None = None
-    folds: dict[str, list[int]] | None = None
+    split_events: dict[str, list[str]] | None = None
 
-    def place(self, fold_of: np.ndarray) -> None:
-        """Puts event i in fold `fold_of[i]`; `folds` then lists each
-        fold's rows in table order."""
-        self.fold_of = fold_of
-        self.folds = {name: np.flatnonzero(fold_of == name).tolist() for name in FOLD_NAMES}
+    @cached_property
+    def fold_of(self) -> np.ndarray:
+        fold_of_event = {event: name for name, ids in self.split_events.items() for event in ids}
+        return np.array([fold_of_event[event] for event in self.table.event_id.tolist()])
+
+    @cached_property
+    def folds(self) -> dict[str, list[int]]:
+        return {name: np.flatnonzero(self.fold_of == name).tolist() for name in FOLD_NAMES}
 
     def flat(self) -> FlatTable:
         return flatten(self.table, self.meta["n_dx_columns"], self.meta["n_proc_columns"], self.meta["z_names"])
@@ -459,10 +459,9 @@ class RunData:
 def _load_sequences(outdir: Path, task: str, split: bool) -> RunData:
     """The one reader of a run for the stages after featurize: `task`'s
     events from featurize's columnar store (the mortality task drops its
-    excluded events), featurize's metadata and the labels. With `split`,
-    each event is placed in the fold whose `train/split.json` list names
-    it; the split must be for `task`, the one check of the config's task.
-    `require_inputs` has checked that it lists these events."""
+    excluded events), featurize's metadata and the labels. With `split`, the
+    folds come from `train/split.json`'s event lists, which `require_inputs`
+    has checked; the split must be for `task`, the one check of the task."""
     meta = _read_json(outdir / "featurize" / "features.json")
     table = EventTable.load(outdir / "featurize" / "events.npz")
     if task == "mortality":
@@ -474,12 +473,7 @@ def _load_sequences(outdir: Path, task: str, split: bool) -> RunData:
             raise PrerequisiteError(
                 f"train/split.json is for task {split_json['task']!r}, not the config's {task!r}; rerun `seqfuse train`"
             )
-        events = split_json["events"]
-        listed = np.array([event for ids in events.values() for event in ids], dtype=np.str_)
-        names = np.repeat(list(events), [len(ids) for ids in events.values()])
-        fold_of = np.empty(len(table), dtype=names.dtype)
-        fold_of[np.argsort(table.event_id)] = names[np.argsort(listed)]
-        run.place(fold_of)
+        run.split_events = split_json["events"]
     return run
 
 
@@ -500,13 +494,18 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
     )
 
 
-def stage_cohort(cfg: dict, outdir: Path) -> None:
-    stage_dir = outdir / "cohort"
+def _cohort_columns(outdir: Path) -> tuple[dict[str, np.ndarray], dict]:
+    """The cohort and its audit, built from `generate/claims.npz`: what
+    `cohort` writes and `show events` prints."""
     cols = ingest_claims(outdir / "generate" / "claims.npz")
     bundle = load_bundle()
-    cols, audit = build_cohort(cols, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+    return build_cohort(cols, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
+
+
+def stage_cohort(cfg: dict, outdir: Path) -> None:
+    stage_dir = outdir / "cohort"
+    cols, audit = _cohort_columns(outdir)
     write_npz(stage_dir / "population.npz", {name: cols[name] for name in POPULATION_MEMBERS})
-    (stage_dir / "index_events.jsonl").write_text(index_event_lines(cols), encoding="utf-8")
     (stage_dir / "summary.csv").write_text(cohort_summary(cols), encoding="utf-8")
     _write_json(stage_dir / "audit.json", audit)
     print(
@@ -559,7 +558,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         positives[pid] = positives.get(pid, 0) + label
     folds, warnings = split_patients(positives, cfg["seed"], tuple(train_cfg["fractions"]))
     fold_of_patient = {pid: name for name, pids in folds.items() for pid in pids}
-    run.place(np.array([fold_of_patient[pid] for pid in table.beneficiary_id.tolist()]))
+    run.fold_of = np.array([fold_of_patient[pid] for pid in table.beneficiary_id.tolist()])
     fold_idx = run.folds
     for name, idx in fold_idx.items():
         if not idx:
@@ -713,8 +712,8 @@ def stage_calibrate(cfg: dict, outdir: Path) -> None:
 
 def _cell_scores(outdir: Path, cell: str) -> tuple[np.ndarray, np.ndarray]:
     """`cell`'s column of calibrate's raw scores (the task's events, in table
-    order) and that column mapped through its calibrator. Evaluate, report
-    and importance read scores only here; `scores_<cell>.csv` is for people."""
+    order) and that column mapped through its calibrator. Evaluate, report,
+    importance and `show scores` read scores only here."""
     calibrator = _read_json(outdir / "calibrate" / "calibrators.json")["cells"][cell]
     raw = read_npz(outdir / "calibrate" / "raw_scores.npz")[cell]
     return raw, Calibrator.from_json_obj(calibrator).apply(raw)
@@ -725,8 +724,6 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     task = cfg["task"]
     threshold = cfg["evaluate"]["threshold"]
     run = _load_sequences(outdir, task, split=True)
-    labels = run.labels
-    event_ids, fold_of = run.table.event_id.tolist(), run.fold_of.tolist()
     test_idx = run.folds["test"]
     train_summary = _read_json(outdir / "train" / "summary.json")["cells"]
 
@@ -734,25 +731,9 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     for algorithm, mode in _cells(cfg):
         cell = _cell_name(algorithm, mode)
         raw, prob_cal = _cell_scores(outdir, cell)
-        prob_raw = Calibrator(kind="identity").apply(raw)
-        scores_path = stage_dir / f"scores_{cell}.csv"
-        with open(scores_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["event_id", "fold", "label", "raw", "prob_raw", "prob_cal"])
-            for i, event_id in enumerate(event_ids):
-                writer.writerow(
-                    [
-                        event_id,
-                        fold_of[i],
-                        labels[i],
-                        f"{raw[i]:.10g}",
-                        f"{prob_raw[i]:.10g}",
-                        f"{prob_cal[i]:.10g}",
-                    ]
-                )
-        test_labels = labels[test_idx]
+        test_labels = run.labels[test_idx]
         test_cal = prob_cal[test_idx]
-        test_raw_prob = prob_raw[test_idx]
+        test_raw_prob = Calibrator(kind="identity").apply(raw[test_idx])
         try:
             recall, precision = recall_precision_at_threshold(test_cal, test_labels, threshold)
         except MetricUndefinedError:
@@ -817,19 +798,9 @@ def stage_report(cfg: dict, outdir: Path) -> None:
             continue
         row = [ALGORITHM_LABELS[algorithm]]
         for mode in modes:
-            cell = _cell_name(algorithm, "linear" if algorithm == "lr" else mode)
-            if algorithm == "lr" and mode != "linear":
-                row += ["", "", ""]  # the flat baseline has no embedding
-                continue
-            m = cells.get(cell)
-            if m is None:
-                row += ["", "", ""]
-            else:
-                row += [
-                    _fmt(m["top_test_auc_mean"]),
-                    _fmt(m["top_test_auc_std"]),
-                    _fmt(m["recall_at_threshold"]),
-                ]
+            # Blank where the cell did not run: the flat baseline has no embedding, so only lr__linear.
+            m = cells.get(_cell_name(algorithm, mode))
+            row += [_fmt(m[key]) if m else "" for key in ("top_test_auc_mean", "top_test_auc_std", "recall_at_threshold")]
         rows.append(row)
     with open(stage_dir / "table3.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -897,6 +868,28 @@ def stage_importance(cfg: dict, outdir: Path) -> None:
     print(f"importance: {len(rows)} features ranked from cell {best_cell}")
 
 
+def show(cfg: dict, target: str, cell: str | None) -> None:
+    """Prints the cohort's index events as JSON lines, rebuilt from the claims,
+    or `cell`'s per-event scores as CSV, once `require_inputs` passes on what
+    featurize, or evaluate, reads."""
+    outdir = Path(cfg["outdir"])
+    if target == "events":
+        require_inputs(outdir, _artifacts(cfg)["featurize"][0])
+        sys.stdout.write(index_event_lines(_cohort_columns(outdir)[0]))
+        return
+    cells = [_cell_name(algorithm, mode) for algorithm, mode in _cells(cfg)]
+    if cell not in cells:
+        raise ValidationError(f"unknown cell {cell!r}; the config's cells are {', '.join(cells)}")
+    require_inputs(outdir, _artifacts(cfg)["evaluate"][0])
+    run = _load_sequences(outdir, cfg["task"], split=True)
+    raw, prob_cal = _cell_scores(outdir, cell)
+    columns = (run.table.event_id, run.fold_of, run.labels, raw, Calibrator(kind="identity").apply(raw), prob_cal)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["event_id", "fold", "label", "raw", "prob_raw", "prob_cal"])
+    for event_id, fold, label, *scores in zip(*(column.tolist() for column in columns)):
+        writer.writerow([event_id, fold, label, *(f"{score:.10g}" for score in scores)])
+
+
 STAGE_FUNCS = {
     "generate": stage_generate,
     "cohort": stage_cohort,
@@ -911,12 +904,23 @@ STAGE_FUNCS = {
 
 def run_stage(stage: str, cfg: dict) -> None:
     """Runs one stage body under the manifest protocol: verify its declared
-    inputs, make its directory, run it, and record its declared outputs."""
+    inputs, run it in an empty directory, and record its declared outputs.
+    The earlier directory is put back if the body fails, changing no file."""
     outdir = Path(cfg["outdir"])
     inputs, outputs = _artifacts(cfg)[stage]
     verified = require_inputs(outdir, inputs)
-    (outdir / stage).mkdir(parents=True, exist_ok=True)
-    STAGE_FUNCS[stage](cfg, outdir)
+    stage_dir, kept = outdir / stage, outdir / f".{stage}.kept"
+    shutil.rmtree(kept, ignore_errors=True)
+    stage_dir.mkdir(parents=True, exist_ok=True)
+    stage_dir.rename(kept)
+    stage_dir.mkdir()
+    try:
+        STAGE_FUNCS[stage](cfg, outdir)
+    except BaseException:
+        shutil.rmtree(stage_dir)
+        kept.rename(stage_dir)
+        raise
+    shutil.rmtree(kept)
     write_manifest(outdir, stage, cfg, inputs=verified, outputs=outputs)
 
 
@@ -938,6 +942,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "pipeline" else "run all stages in order")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--outdir", default=None, help="override the config's run directory")
+    targets = sub.add_parser("show", help="print what no stage reads back").add_subparsers(dest="target", required=True)
+    events = targets.add_parser("events", help="the cohort's index events as JSON lines")
+    scores = targets.add_parser("scores", help="one cell's per-event scores as CSV")
+    scores.add_argument("cell", help="a cell of the config, such as lr__linear")
+    for p in (events, scores):
+        p.add_argument("--config", required=True, help="path to the JSON config")
     return parser
 
 
@@ -955,7 +965,10 @@ def main(argv: list[str] | None = None) -> int:
                 Path(args.out).write_text(text, encoding="utf-8")
                 print(f"wrote {args.out}")
             return 0
-        cfg = load_config(args.config, outdir=args.outdir)
+        cfg = load_config(args.config, outdir=getattr(args, "outdir", None))
+        if args.command == "show":
+            show(cfg, args.target, getattr(args, "cell", None))
+            return 0
         for stage in STAGES if args.command == "pipeline" else (args.command,):
             run_stage(stage, cfg)
         return 0

@@ -9,9 +9,9 @@ against the index-event criteria, and finally eligible events get a
 claim columns that `claims.ingest_claims` returns, and adds the stays and
 events as columns. Cohort writes only what it added to `population.npz`
 (`POPULATION_MEMBERS`), since the claims stay in `generate/claims.npz`,
-and writes `index_events.jsonl` (`index_event_lines`) and `summary.csv`
-(`cohort_summary`). The record-based definition the kernel must equal byte
-for byte lives in `tests/reference.py`.
+and `summary.csv` (`cohort_summary`); `seqfuse show events` prints each
+event as one JSON line (`index_event_lines`). The record-based definition
+the kernel must equal byte for byte lives in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -250,9 +250,9 @@ def _counts(names: tuple[str, ...], index: np.ndarray) -> dict[str, int]:
 
 
 def index_event_lines(cols) -> str:
-    """`cohort/index_events.jsonl`: each event of `build_cohort` as one
-    JSON object with sorted keys; a label or exclusion the event does not
-    have reads null."""
+    """What `seqfuse show events` prints: each event of `build_cohort` as
+    one JSON object with sorted keys; a label or exclusion the event does
+    not have reads null."""
     stay = cols["event.stay"]
     ben, stay_id = cols["stay.beneficiary_id"][stay], cols["stay.stay_id"][stay]
     # `json.dumps` of a string, without its dispatch.

@@ -9,12 +9,13 @@ generates each patient from its own scalar stream, and `claim_columns`
 codes records into the archive's columns; `population_records` reads the
 kernel's columns back as records. `reference_cohort` resolves stays,
 screens them and labels both outcomes; `checked_cohort` runs the kernel on
-the same records and checks that the files cohort writes from it equal the
-reference's. `reference_table` assembles per-event visit steps and domain
-vectors into an `EventTable` with the kernel's dtypes, and
-`read_population_npz` rebuilds the records from the columns of
-`claim_columns`. `reference_nearest_neighbors` is SMOTE's brute-force
-neighbour search, the table `training._nearest_neighbors` must equal.
+the same records and checks that the files cohort writes from it, and the
+events `seqfuse show events` prints, equal the reference's.
+`reference_table` assembles per-event visit steps and domain vectors into
+an `EventTable` with the kernel's dtypes, and `read_population_npz`
+rebuilds the records from the columns of `claim_columns`.
+`reference_nearest_neighbors` is SMOTE's brute-force neighbour search, the
+table `training._nearest_neighbors` must equal.
 
 The records themselves live here too: `ClaimRecord` and `Beneficiary`,
 whose validators state per record the rules `claims.check_claim_columns`
@@ -46,6 +47,10 @@ by a scalar scan, the value `metrics.auc` must equal bitwise.
 general Hessian X' diag(p (1 - p)) X over every column, all-zero ones
 included: the solver `baseline.train_lr` must match in iterations and,
 to rounding, in weights.
+
+`scores_csv` is the per-event scores file evaluate once wrote for each
+cell, read straight from a run's files, event by event: what
+`seqfuse show scores <cell>` must print byte for byte.
 
 `ReferenceXoshiro256` adds the scalar conversions that only tests and the
 reference generator draw through (`random`, `randint`, `bernoulli`,
@@ -116,6 +121,7 @@ from seqfuse.cohort import (
 from seqfuse.cohort import cohort_summary as kernel_cohort_summary
 from seqfuse.autodiff import Tensor, _check_finite, _result
 from seqfuse.baseline import LrModel, _nll_l2
+from seqfuse.calibration import Calibrator
 from seqfuse.errors import DimensionError, NumericsError, ValidationError
 from seqfuse.features import (
     SUBGROUP_KEYS,
@@ -1179,7 +1185,7 @@ def population_columns(
 
 
 def event_row(event: IndexEvent) -> dict:
-    """One line of `cohort/index_events.jsonl`, before JSON encoding."""
+    """One line of `seqfuse show events`, before JSON encoding."""
     return {
         "event_id": event.event_id,
         "beneficiary_id": event.stay.beneficiary_id,
@@ -1210,9 +1216,9 @@ def checked_cohort(
     acute_drgs: frozenset[str],
 ) -> tuple[dict[str, np.ndarray], list[IndexEvent], list[InpatientStay], dict]:
     """The kernel's cohort columns for records (`build_cohort` over
-    `claim_columns`), after checking that the four files cohort writes
-    from them equal the reference's byte for byte; and the reference's
-    events, stays and audit."""
+    `claim_columns`), after checking that the three files cohort writes
+    from them, and the events `seqfuse show events` prints, equal the
+    reference's byte for byte; and the reference's events, stays and audit."""
     bens = sorted(beneficiaries, key=lambda b: b.beneficiary_id)
     claims = sorted(claims, key=lambda c: (c.beneficiary_id, c.admit_date, c.discharge_date, c.claim_id))
     events, stays, audit = reference_cohort(bens, claims, rules, ccs, acute_drgs)
@@ -1798,6 +1804,42 @@ def reference_train_lr(
     if not converged:
         raise NumericsError(f"logistic regression did not converge in {max_iter} iterations")
     return LrModel(weights=theta[:d].copy(), intercept=float(theta[d]), n_iter=n_iter, converged=converged)
+
+
+# --- the scores people read ------------------------------------------------------
+
+
+def scores_csv(outdir, task: str, cell: str) -> str:
+    """`cell`'s scores of `task`'s events, one CSV row each in featurize's
+    order: the event, its fold from `train/split.json`'s event lists, its
+    label, its raw score from `calibrate/raw_scores.npz`, and that score
+    through the identity and through the cell's calibrator."""
+    table = EventTable.load(outdir / "featurize" / "events.npz")
+    if task == "mortality":
+        table = table.select(~table.mortality_excluded)
+    labels = table.label_for(task).astype(np.int64)
+    split = json.loads((outdir / "train" / "split.json").read_text(encoding="utf-8"))
+    fold_of = {event_id: fold for fold, ids in split["events"].items() for event_id in ids}
+    with np.load(outdir / "calibrate" / "raw_scores.npz", allow_pickle=False) as npz:
+        raw = npz[cell]
+    calibrators = json.loads((outdir / "calibrate" / "calibrators.json").read_text(encoding="utf-8"))
+    prob_raw = Calibrator(kind="identity").apply(raw)
+    prob_cal = Calibrator.from_json_obj(calibrators["cells"][cell]).apply(raw)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["event_id", "fold", "label", "raw", "prob_raw", "prob_cal"])
+    for i, event_id in enumerate(table.event_id.tolist()):
+        writer.writerow(
+            [
+                event_id,
+                fold_of[event_id],
+                labels[i],
+                f"{raw[i]:.10g}",
+                f"{prob_raw[i]:.10g}",
+                f"{prob_cal[i]:.10g}",
+            ]
+        )
+    return buf.getvalue()
 
 
 # --- the test-data stream -------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import shutil
 from pathlib import Path
@@ -36,6 +37,7 @@ from tests.reference import (
     read_population_npz,
     reference_cohort,
     reference_table,
+    scores_csv,
     table_steps,
 )
 
@@ -98,6 +100,17 @@ def pipeline_run(tmp_path_factory):
 
 def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _show(capsys, *argv: str) -> str:
+    """What `seqfuse show ...` prints, once it exits 0."""
+    capsys.readouterr()
+    assert main(["show", *argv]) == 0, argv
+    return capsys.readouterr().out
+
+
+def _shown_scores(capsys, config: Path, cell: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(_show(capsys, "scores", cell, "--config", str(config)))))
 
 
 class TestDemoConfig:
@@ -281,10 +294,10 @@ class TestPipelineArtifacts:
                 assert _sha(outdir / rel) == digest, rel
         assert len(hashes) == 1  # one experiment, one identity
 
-    def test_featurize_covers_the_eligible_cohort(self, pipeline_run):
-        _, outdir = pipeline_run
-        with open(outdir / "cohort" / "index_events.jsonl") as fh:
-            eligible = [row["event_id"] for row in map(json.loads, fh) if row["exclusion_reason"] is None]
+    def test_featurize_covers_the_eligible_cohort(self, pipeline_run, capsys):
+        config, outdir = pipeline_run
+        rows = map(json.loads, _show(capsys, "events", "--config", str(config)).splitlines())
+        eligible = [row["event_id"] for row in rows if row["exclusion_reason"] is None]
         table = EventTable.load(outdir / "featurize" / "events.npz")
         features = json.loads((outdir / "featurize" / "features.json").read_text())
         assert len(table) == features["n_events"] == len(eligible)
@@ -347,24 +360,27 @@ class TestPipelineArtifacts:
         # The best epoch's valid AUC is the trial's.
         assert max(row["valid_auc"] for row in rows) == float(trial["valid_auc"])
 
-    def test_scores_csv_schema(self, pipeline_run):
-        _, outdir = pipeline_run
-        with open(outdir / "evaluate" / "scores_early_fusion__linear.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+    def test_scores_csv_schema(self, pipeline_run, capsys):
+        config, outdir = pipeline_run
+        rows = _shown_scores(capsys, config, "early_fusion__linear")
         assert rows and set(rows[0]) == {"event_id", "fold", "label", "raw", "prob_raw", "prob_cal"}
+        assert len(rows) == json.loads((outdir / "featurize" / "features.json").read_text())["n_events"]
         folds = {r["fold"] for r in rows}
         assert folds <= {"train", "valid", "calibration", "test"}
         for r in rows[:20]:
             assert r["label"] in ("0", "1")
             assert 0.0 <= float(r["prob_cal"]) <= 1.0
 
-    def test_scores_csv_prints_the_one_score_definition(self, pipeline_run):
-        _, outdir = pipeline_run
+    def test_scores_csv_prints_the_one_score_definition(self, pipeline_run, capsys):
+        """`show scores` prints, byte for byte, the file evaluate once wrote
+        (`scores_csv`), from the scores `_cell_scores` defines."""
+        config, outdir = pipeline_run
         metrics = json.loads((outdir / "evaluate" / "metrics.json").read_text())
         for cell in metrics["cells"]:
             raw, prob_cal = _cell_scores(outdir, cell)
-            with open(outdir / "evaluate" / f"scores_{cell}.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
+            shown = _show(capsys, "scores", cell, "--config", str(config))
+            assert shown == scores_csv(outdir, "readmission", cell), cell
+            rows = list(csv.DictReader(io.StringIO(shown)))
             assert [r["raw"] for r in rows] == [f"{v:.10g}" for v in raw], cell
             assert [r["prob_cal"] for r in rows] == [f"{v:.10g}" for v in prob_cal], cell
 
@@ -397,13 +413,12 @@ class TestPipelineArtifacts:
         charlson = {r["group"] for r in rows if r["partition"] == "charlson_band"}
         assert charlson <= {"0-2", "3-5", "6+"}
 
-    def test_subgroups_score_the_best_cells_test_fold(self, pipeline_run, tmp_path, monkeypatch):
-        """Report scores the best cell's test-fold rows of evaluate's printed
-        scores file, and its rows recompute from them."""
+    def test_subgroups_score_the_best_cells_test_fold(self, pipeline_run, tmp_path, monkeypatch, capsys):
+        """Report scores the best cell's test-fold rows of the scores `show`
+        prints, and its rows recompute from them."""
         config, outdir = pipeline_run
         best = json.loads((outdir / "evaluate" / "metrics.json").read_text())["best_cell"]
-        with open(outdir / "evaluate" / f"scores_{best}.csv", newline="") as fh:
-            test = [r for r in csv.DictReader(fh) if r["fold"] == "test"]
+        test = [r for r in _shown_scores(capsys, config, best) if r["fold"] == "test"]
         table = EventTable.load(outdir / "featurize" / "events.npz")
         row_of = {event_id: i for i, event_id in enumerate(table.event_id.tolist())}
         rows = [row_of[r["event_id"]] for r in test]
@@ -441,10 +456,40 @@ class TestPipelineArtifacts:
         assert {"category", "feature", "importance"} <= set(rows[0])
         note = json.loads((outdir / "importance" / "importance.json").read_text())
         assert "binarized" in note["explains"]
-        with open(outdir / "evaluate" / f"scores_{note['cell']}.csv", newline="") as fh:
-            scores = [float(r["prob_cal"]) for r in csv.DictReader(fh)]
+        _, scores = _cell_scores(outdir, note["cell"])
         assert note["n_events"] == len(scores)
         assert note["n_predicted_positive"] == sum(score >= 0.5 for score in scores)
+
+
+class TestShow:
+    def test_a_cell_the_config_does_not_have_is_exit_2_listing_its_cells(self, pipeline_run, capsys):
+        config, _ = pipeline_run
+        capsys.readouterr()
+        assert main(["show", "scores", "late_fusion__linear", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert "the config's cells are lr__linear, early_fusion__linear" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, producer", [(["events"], "cohort"), (["scores", "lr__linear"], "calibrate")], ids=["events", "scores"]
+    )
+    def test_a_run_without_its_inputs_is_exit_3_naming_the_stage(self, tmp_path, capsys, argv, producer):
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run")
+        if producer == "calibrate":
+            for stage in ("generate", "cohort", "featurize", "train"):
+                assert main([stage, "--config", str(config)]) == 0, stage
+        capsys.readouterr()
+        assert main(["show", *argv, "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert f"run `seqfuse {producer}` first" in captured.err
+        assert captured.out == ""
+
+    def test_show_writes_no_file(self, pipeline_run, capsys):
+        config, outdir = pipeline_run
+        before = {path: _sha(path) for path in sorted(outdir.rglob("*")) if path.is_file()}
+        _show(capsys, "events", "--config", str(config))
+        _show(capsys, "scores", "lr__linear", "--config", str(config))
+        assert {path: _sha(path) for path in sorted(outdir.rglob("*")) if path.is_file()} == before
 
 
 class TestArtifactTable:
@@ -460,10 +505,11 @@ class TestArtifactTable:
             assert all(rel.startswith(f"{stage}/") for rel in outputs), stage
             produced.update(outputs)
         # 7 cells: LR once, each deep algorithm under both embeddings; each
-        # cell's model is a model.json and a weights.npz. Evaluate writes
-        # each cell's scores file for people to read; no stage reads one.
-        assert sum(rel.startswith("evaluate/scores_") for rel in table["evaluate"][1]) == 7
-        for stage in ("report", "importance"):
+        # cell's model is a model.json and a weights.npz. No stage writes a
+        # scores file or the index events: `seqfuse show` prints them.
+        assert table["evaluate"][1] == ["evaluate/metrics.json"]
+        assert "cohort/index_events.jsonl" not in table["cohort"][1]
+        for stage in STAGES:
             assert not [rel for rel in table[stage][0] if rel.startswith("evaluate/scores_")], stage
         assert len([rel for rel in table["train"][1] if rel.startswith("train/models/")]) == 7 * 2
 
@@ -484,17 +530,6 @@ class TestArtifactTable:
         for stage in STAGES:
             present = {p.relative_to(outdir).as_posix() for p in (outdir / stage).rglob("*") if p.is_file()}
             assert present == {*table[stage][1], f"{stage}/manifest.json"}, stage
-
-    def test_report_and_importance_do_not_read_the_scores_files(self, pipeline_run, tmp_path):
-        config, outdir = pipeline_run
-        copy = tmp_path / "run"
-        shutil.copytree(outdir, copy)
-        for path in (copy / "evaluate").glob("scores_*.csv"):
-            path.unlink()
-        for stage in ("report", "importance"):
-            assert main([stage, "--config", str(config), "--outdir", str(copy)]) == 0, stage
-            for path in sorted((outdir / stage).iterdir()):
-                assert (copy / stage / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_each_tampered_input_is_exit_3_until_restored(self, pipeline_run, tmp_path):
         config, outdir = pipeline_run
@@ -590,7 +625,7 @@ class TestFailedCell:
 class TestRerunsAndTampering:
     def test_stage_rerun_is_byte_identical(self, pipeline_run):
         config, outdir = pipeline_run
-        targets = [outdir / "cohort" / "index_events.jsonl", outdir / "cohort" / "manifest.json"]
+        targets = [outdir / "cohort" / "population.npz", outdir / "cohort" / "manifest.json"]
         before = [_sha(p) for p in targets]
         assert main(["cohort", "--config", str(config)]) == 0
         assert [_sha(p) for p in targets] == before
@@ -886,11 +921,44 @@ class TestStaleChain:
         assert json.loads((copy / "featurize" / "features.json").read_text())["n_events"] == 427
         assert _sha(events) != before
         self._refused(copy, config, ("calibrate", "evaluate", "report", "importance"), "train", capsys)
+        # The scores of the old features are not printed against the new ones.
+        assert main(["show", "scores", "lr__linear", "--config", config]) == 3
+        captured = capsys.readouterr()
+        assert "error: stage 'train' read a featurize/events.npz" in captured.err and captured.out == ""
 
     def test_generate_rerun_under_another_seed_stops_train(self, copy, tmp_path, capsys):
         config = self._config(tmp_path / "cfg.json", copy, seed=8)
         assert main(["generate", "--config", config]) == 0
         self._refused(copy, config, ("train",), "cohort", capsys)
+        # Nor are another population's events printed as the run's cohort.
+        assert main(["show", "events", "--config", config]) == 3
+        captured = capsys.readouterr()
+        assert "error: stage 'cohort' read a generate/claims.npz" in captured.err and captured.out == ""
+
+    def test_a_rerun_with_fewer_cells_leaves_only_the_declared_outputs(self, copy, tmp_path):
+        """Each stage runs in an emptied directory, so the cell a rerun
+        drops leaves no model or score behind."""
+        config = self._config(tmp_path / "cfg.json", copy, train={"algorithms": ["lr"]})
+        assert (copy / "train" / "models" / "early_fusion__linear").is_dir()
+        assert main(["pipeline", "--config", config]) == 0
+        table = _artifacts(load_config(config))
+        for stage in STAGES:
+            present = {p.relative_to(copy).as_posix() for p in (copy / stage).rglob("*") if p.is_file()}
+            assert present == {*table[stage][1], f"{stage}/manifest.json"}, stage
+        assert not (copy / "train" / "models" / "early_fusion__linear").exists()
+        assert sorted(p.name for p in copy.iterdir()) == sorted(STAGES)
+
+    def test_a_stage_its_body_refuses_changes_no_file(self, copy, tmp_path, capsys):
+        """The task check runs inside the stage body, after the directory
+        is emptied; the refused stage's files are put back as they were."""
+        config = self._config(tmp_path / "cfg.json", copy, task="mortality")
+        files = sorted((copy / "calibrate").rglob("*"))
+        before = [_sha(path) for path in files]
+        capsys.readouterr()
+        assert main(["calibrate", "--config", config]) == 3
+        assert "train/split.json is for task 'readmission'" in capsys.readouterr().err
+        assert sorted((copy / "calibrate").rglob("*")) == files and [_sha(path) for path in files] == before
+        assert sorted(p.name for p in copy.iterdir()) == sorted(STAGES)
 
     def test_evaluate_rerun_at_another_threshold_is_not_stale(self, copy, tmp_path):
         """The chain compares artifacts, not config hashes."""
@@ -936,7 +1004,7 @@ class TestExcludeIndexStep:
 
 
 class TestMortalityTask:
-    def test_pipeline_runs_for_the_second_task(self, tmp_path):
+    def test_pipeline_runs_for_the_second_task(self, tmp_path, capsys):
         outdir = tmp_path / "run"
         config = _write_config(
             tmp_path / "cfg.json",
@@ -950,8 +1018,7 @@ class TestMortalityTask:
         metrics = json.loads((outdir / "evaluate" / "metrics.json").read_text())
         assert metrics["best_cell"] == "lr__linear"
         features = json.loads((outdir / "featurize" / "features.json").read_text())
-        with open(outdir / "cohort" / "index_events.jsonl") as fh:
-            rows = [json.loads(line) for line in fh]
+        rows = [json.loads(line) for line in _show(capsys, "events", "--config", str(config)).splitlines()]
         excluded = sum(r["exclusion_reason"] is None and r["mortality_exclusion"] is not None for r in rows)
         split = json.loads((outdir / "train" / "split.json").read_text())
         n_split = sum(len(v) for v in split["events"].values())
@@ -960,3 +1027,6 @@ class TestMortalityTask:
         assert split["warnings"] == ["fold 'calibration' has 8 events, all negative"]
         report_info = json.loads((outdir / "report" / "report_info.json").read_text())
         assert report_info["n_test_events"] == len(split["events"]["test"])
+        shown = _show(capsys, "scores", "lr__linear", "--config", str(config))
+        assert shown == scores_csv(outdir, "mortality", "lr__linear")
+        assert len(shown.splitlines()) == n_split + 1

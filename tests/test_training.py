@@ -418,7 +418,7 @@ def population_folds(n_patients: int, seed: int):
     folds, _ = split_patients(positives, seed, tuple(cfg["train"]["fractions"]))
     fold_of_patient = {pid: name for name, pids in folds.items() for pid in pids}
     run = cli.RunData(table, {}, labels)
-    run.place(np.array([fold_of_patient[pid] for pid in table.beneficiary_id.tolist()]))
+    run.fold_of = np.array([fold_of_patient[pid] for pid in table.beneficiary_id.tolist()])
     return table, labels, run.folds
 
 
