@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricUndefinedError, NumericsError, ValidationError
+from .errors import NumericsError, ValidationError
 from .features import EventTable
 
 
@@ -157,8 +157,7 @@ def make_lr_runner(matrix: np.ndarray, labels: np.ndarray, fold_idx: dict[str, l
     trial; oversampling, when enabled, touches only the training fold after
     standardization.
     """
-    from .metrics import auc
-    from .training import apply_standardizer, fit_standardizer, smote, smote_neighbors
+    from .training import apply_standardizer, fit_standardizer, fold_auc, smote, smote_neighbors
 
     labels = np.asarray(labels, dtype=np.int64)
     mean, std = fit_standardizer(matrix[fold_idx["train"]])
@@ -179,18 +178,11 @@ def make_lr_runner(matrix: np.ndarray, labels: np.ndarray, fold_idx: dict[str, l
             model = train_lr(x_train, y_train, l2=float(config["l2"]))
         except (NumericsError, ValidationError) as exc:
             return {"status": "failed", "failure": str(exc)}
-
-        def fold_auc(name: str) -> float:
-            idx = fold_idx[name]
-            try:
-                return auc(model.margins(standardized[idx]), labels[idx])
-            except MetricUndefinedError:
-                return 0.5
-
+        valid, test = fold_idx["valid"], fold_idx["test"]
         return {
             "status": "ok",
-            "valid_auc": fold_auc("valid"),
-            "test_auc": fold_auc("test"),
+            "valid_auc": fold_auc(model.margins(standardized[valid]), labels[valid]),
+            "test_auc": fold_auc(model.margins(standardized[test]), labels[test]),
             "model": model,
             "z_mean": mean,
             "z_std": std,

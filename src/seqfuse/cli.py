@@ -114,7 +114,6 @@ def default_config(outdir: str = "runs/demo", n_patients: int = 2000, seed: int 
             "fractions": [0.70, 0.15, 0.05, 0.10],
             "epochs": 15,
             "patience": 3,
-            "optimizer": "adam",
             "grid": {
                 "embed_dim": [16],
                 "hidden_dim": [24],
@@ -158,7 +157,6 @@ _RANGES = {
     ),
     "train.epochs": _POSITIVE,
     "train.patience": (lambda v: v >= 0, "must be non-negative"),
-    "train.optimizer": (lambda v: v in ("adam", "sgd"), "must be 'adam' or 'sgd'"),
     **{f"train.grid.{axis}": _POSITIVE_VALUES for axis in ("embed_dim", "hidden_dim", "lr", "batch_size", "w_pos")},
     "train.grid.n_gru_layers": (lambda v: v and min(v) >= 1, "must be a non-empty list of values of at least 1"),
     "train.grid.mlp_hidden_dims": (
@@ -195,6 +193,8 @@ _REMOVED_KEYS = {
     # Under Adam, (w_pos, w_neg) trains like (w_pos / w_neg, 1), which the
     # grid's `w_pos` axis already spans.
     "train.w_neg": 1.0,
+    # The one optimizer training uses.
+    "train.optimizer": "adam",
 }
 
 
@@ -602,7 +602,6 @@ def stage_train(cfg: dict, outdir: Path) -> None:
                 embedding_seed=cfg["seed"],
                 epochs=train_cfg["epochs"],
                 patience=train_cfg["patience"],
-                optimizer=train_cfg["optimizer"],
             )
             axes = {k: list(v) for k, v in train_cfg["grid"].items()}
         result = grid_search(axes, runner, derive_seed(cfg["seed"], cell_seed_label))
@@ -714,9 +713,16 @@ def _cell_scores(outdir: Path, cell: str) -> tuple[np.ndarray, np.ndarray]:
     """`cell`'s column of calibrate's raw scores (the task's events, in table
     order) and that column mapped through its calibrator. Evaluate, report,
     importance and `show scores` read scores only here."""
-    calibrator = _read_json(outdir / "calibrate" / "calibrators.json")["cells"][cell]
+    calibrators = _read_json(outdir / "calibrate" / "calibrators.json")["cells"]
+    if cell not in calibrators:
+        raise _untrained("calibrate/calibrators.json", cell)
     raw = read_npz(outdir / "calibrate" / "raw_scores.npz")[cell]
-    return raw, Calibrator.from_json_obj(calibrator).apply(raw)
+    return raw, Calibrator.from_json_obj(calibrators[cell]).apply(raw)
+
+
+def _untrained(rel: str, cell: str) -> PrerequisiteError:
+    """The error for a cell of the config that the run never trained."""
+    return PrerequisiteError(f"{rel} has no cell {cell!r}; rerun `seqfuse train` and the stages after it")
 
 
 def stage_evaluate(cfg: dict, outdir: Path) -> None:
@@ -784,6 +790,9 @@ def stage_report(cfg: dict, outdir: Path) -> None:
     metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
     best_cell = metrics_all["best_cell"]
     cells = metrics_all["cells"]
+    for cell in [_cell_name(algorithm, mode) for algorithm, mode in _cells(cfg)]:
+        if cell not in cells:
+            raise _untrained("evaluate/metrics.json", cell)
     run = _load_sequences(outdir, task, split=True)
     in_test = run.fold_of == "test"
     scores = _cell_scores(outdir, best_cell)[1][in_test]
@@ -798,7 +807,7 @@ def stage_report(cfg: dict, outdir: Path) -> None:
             continue
         row = [ALGORITHM_LABELS[algorithm]]
         for mode in modes:
-            # Blank where the cell did not run: the flat baseline has no embedding, so only lr__linear.
+            # Blank for LR under modes other than linear: the flat baseline has no embedding.
             m = cells.get(_cell_name(algorithm, mode))
             row += [_fmt(m[key]) if m else "" for key in ("top_test_auc_mean", "top_test_auc_std", "recall_at_threshold")]
         rows.append(row)
@@ -809,11 +818,11 @@ def stage_report(cfg: dict, outdir: Path) -> None:
     test = run.table.select(in_test)
     labels = run.labels[in_test]
     n_proc_columns = run.meta["n_proc_columns"]
-    groups: dict[str, list[str]] = {key: getattr(test, key).tolist() for key in SUBGROUP_KEYS}
+    groups = {key: getattr(test, key) for key in SUBGROUP_KEYS}
     member = test.proc_ccs_membership(n_proc_columns)
     for cat in range(n_proc_columns):
         label = "other" if cat == n_proc_columns - 1 else str(cat)
-        groups[f"proc_ccs_{label}"] = np.where(member[:, cat], "present", "absent").tolist()
+        groups[f"proc_ccs_{label}"] = np.where(member[:, cat], "present", "absent")
     report_rows = subgroup_report(scores, labels, groups, n_min=cfg["evaluate"]["n_min"], threshold=cfg["evaluate"]["threshold"])
     with open(stage_dir / "subgroups.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

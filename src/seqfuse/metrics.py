@@ -73,13 +73,14 @@ def recall_at_top_k(scores, labels, k: int) -> float:
 def subgroup_report(
     scores,
     labels,
-    groups: dict[str, list[str]],
+    groups: dict[str, np.ndarray],
     n_min: int = 50,
     threshold: float = 0.5,
 ) -> list[dict]:
     """Per-partition, per-group metrics over one scored event set.
 
-    `groups` maps partition name to one group value per event. Groups where
+    `groups` maps partition name to one group value per event, an array or
+    a list; each partition's groups come in sorted order. Groups where
     AUC or recall is undefined get None there; groups smaller than n_min
     are flagged, not dropped. Group sizes within a partition sum to the
     full event count.
@@ -87,11 +88,11 @@ def subgroup_report(
     scores, labels = _check_scores_labels(scores, labels)
     rows: list[dict] = []
     for partition in sorted(groups):
-        values = groups[partition]
+        values = np.asarray(groups[partition])
         if len(values) != len(scores):
             raise ValidationError(f"partition {partition!r} has {len(values)} values for {len(scores)} events")
-        for group in sorted(set(values)):
-            mask = np.array([v == group for v in values])
+        for group in np.unique(values).tolist():
+            mask = values == group
             n = int(mask.sum())
             sub_scores, sub_labels = scores[mask], labels[mask]
             prevalence = float(sub_labels.mean())

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, Sgd, Tape, backward
+from .autodiff import Adam, Tape, backward
 from .errors import MetricUndefinedError, NumericsError, ValidationError
 from .features import EventTable
 from .metrics import auc
@@ -235,36 +235,6 @@ def smote(
     return out_x, out_y
 
 
-@dataclass
-class TrainSettings:
-    lr: float = 1e-2
-    batch_size: int = 32
-    epochs: int = 30
-    patience: int = 5
-    w_pos: float = 1.0
-    optimizer: str = "adam"
-
-    def validate(self) -> None:
-        if self.lr <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValidationError("lr, batch_size, and epochs must be positive")
-        if self.patience < 0:
-            raise ValidationError("patience must be non-negative")
-        if self.w_pos <= 0:
-            raise ValidationError("w_pos must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"optimizer {self.optimizer!r} must be 'adam' or 'sgd'")
-
-
-@dataclass
-class TrainResult:
-    status: str
-    best_valid_auc: float
-    best_epoch: int
-    epochs_run: int
-    curve: list[dict] = field(default_factory=list)
-    failure: str | None = None
-
-
 def batch_schedule(rows: list[int], lengths: np.ndarray, batch_size: int, seed: int):
     """Yields each epoch's minibatches of `rows`, as int arrays.
 
@@ -286,13 +256,18 @@ def batch_schedule(rows: list[int], lengths: np.ndarray, batch_size: int, seed: 
         yield batches
 
 
-def _valid_auc(model: SeqFuseModel, table: EventTable, z, labels, idx) -> float:
-    z_rows = z[idx] if z is not None else None
-    probs, _, _ = model.predict(idx, table, z_rows)
+def fold_auc(scores, labels) -> float:
+    """A fold's AUC, or 0.5 when the fold holds one class: how every trial
+    scores its validation and test folds."""
     try:
-        return auc(probs, labels[idx])
+        return auc(scores, labels)
     except MetricUndefinedError:
         return 0.5
+
+
+def _model_auc(model: SeqFuseModel, table: EventTable, z, labels, idx) -> float:
+    probs, _, _ = model.predict(idx, table, z[idx] if z is not None else None)
+    return fold_auc(probs, labels[idx])
 
 
 def train_model(
@@ -302,68 +277,71 @@ def train_model(
     labels: np.ndarray,
     train_idx: list[int],
     valid_idx: list[int],
-    settings: TrainSettings,
+    *,
+    lr: float,
+    batch_size: int,
+    epochs: int,
+    patience: int,
+    w_pos: float,
     seed: int,
-) -> TrainResult:
-    """Minibatch training with early stopping on validation AUC, on the
-    length-sorted batches of `batch_schedule`.
+) -> dict:
+    """Minibatch Adam training with early stopping on validation AUC, on
+    the length-sorted batches of `batch_schedule`.
 
     The best-epoch weights are restored into the model before returning.
     With patience p, training stops after p+1 consecutive epochs without
     improvement. A non-finite loss marks the run failed instead of raising;
-    the model keeps the best weights seen before the blow-up.
+    the model keeps the best weights seen before the blow-up. Returns the
+    `status` ("ok" or "failed"), the best `valid_auc` (None when failed),
+    the `curve` (one point per epoch run, epoch 0 the untrained model) and
+    the `failure` message (None when ok).
     """
-    settings.validate()
+    if lr <= 0 or batch_size <= 0 or epochs <= 0:
+        raise ValidationError("lr, batch_size, and epochs must be positive")
+    if patience < 0:
+        raise ValidationError("patience must be non-negative")
+    if w_pos <= 0:
+        raise ValidationError("w_pos must be positive")
     if not train_idx or not valid_idx:
         raise ValidationError("train and valid folds must be non-empty")
     labels = np.asarray(labels, dtype=np.float64)
-    opt_cls = Adam if settings.optimizer == "adam" else Sgd
-    optimizer = opt_cls(model.trainable(), lr=settings.lr)
-    schedule = batch_schedule(train_idx, np.diff(table.step_ptr), settings.batch_size, seed)
-    best_auc = _valid_auc(model, table, z, labels, valid_idx)
-    best_epoch = 0
+    optimizer = Adam(model.trainable(), lr=lr)
+    schedule = batch_schedule(train_idx, np.diff(table.step_ptr), batch_size, seed)
+    best_auc = _model_auc(model, table, z, labels, valid_idx)
     snapshot = {name: t.data.copy() for name, t in model.params.items()}
     curve = [{"epoch": 0, "train_loss": None, "valid_auc": best_auc}]
     no_improve = 0
-    status, failure = "ok", None
-    epochs_run = 0
-    for epoch in range(1, settings.epochs + 1):
+    failure = None
+    for epoch in range(1, epochs + 1):
         epoch_loss = 0.0
         try:
             for batch in next(schedule):
                 z_rows = z[batch] if z is not None else None
                 with Tape() as tape:
-                    loss, _ = model.loss(batch, table, z_rows, labels[batch], w_pos=settings.w_pos)
+                    loss, _ = model.loss(batch, table, z_rows, labels[batch], w_pos=w_pos)
                     backward(tape, loss)
                 optimizer.step()
                 optimizer.zero_grad()
                 epoch_loss += loss.item() * len(batch)
         except NumericsError as exc:
-            status, failure = "failed", str(exc)
+            failure = str(exc)
             break
-        epochs_run = epoch
-        valid_auc = _valid_auc(model, table, z, labels, valid_idx)
+        valid_auc = _model_auc(model, table, z, labels, valid_idx)
         curve.append({"epoch": epoch, "train_loss": epoch_loss / len(train_idx), "valid_auc": valid_auc})
         if valid_auc > best_auc + 1e-12:
             best_auc = valid_auc
-            best_epoch = epoch
             snapshot = {name: t.data.copy() for name, t in model.params.items()}
             no_improve = 0
         else:
             no_improve += 1
-            if no_improve > settings.patience:
+            if no_improve > patience:
                 break
     for name, tensor in model.params.items():
         tensor.data = snapshot[name]
         tensor.zero_grad()
-    return TrainResult(
-        status=status,
-        best_valid_auc=best_auc,
-        best_epoch=best_epoch,
-        epochs_run=epochs_run,
-        curve=curve,
-        failure=failure,
-    )
+    if failure is not None:
+        return {"status": "failed", "valid_auc": None, "curve": curve, "failure": failure}
+    return {"status": "ok", "valid_auc": best_auc, "curve": curve, "failure": None}
 
 
 def config_hash(config: dict) -> str:
@@ -418,20 +396,19 @@ def make_deep_runner(
     embedding_seed: int,
     epochs: int,
     patience: int,
-    optimizer: str,
 ):
     """Binds the data and task so grid_search only sees (config, seed).
 
     z is standardized once, on the training fold's moments. Each trial
-    trains a fresh model on it and reports validation/test AUC plus
-    everything needed to persist the winner. A numerics blow-up returns a
-    failed trial instead of raising. A pretrained trial freezes `random_embedding(input_dim, embed_dim,
+    trains a fresh model on it and returns `train_model`'s dict, plus, when
+    it trained, the test AUC and everything needed to persist the winner.
+    A numerics blow-up returns a failed trial instead of raising. A
+    pretrained trial freezes `random_embedding(input_dim, embed_dim,
     embedding_seed)` at its own `embed_dim`.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    use_z = fusion != "none"
     mean, std = fit_standardizer(z[fold_idx["train"]])
-    z_std = apply_standardizer(z, mean, std) if use_z else None
+    z_std = apply_standardizer(z, mean, std) if fusion != "none" else None
 
     def run(config: dict, seed: int) -> dict:
         model_config = ModelConfig(
@@ -445,43 +422,22 @@ def make_deep_runner(
             embedding=embedding,
             seed=seed,
         )
-        settings = TrainSettings(
-            lr=float(config["lr"]),
-            batch_size=int(config["batch_size"]),
-            epochs=epochs,
-            patience=patience,
-            w_pos=float(config["w_pos"]),
-            optimizer=optimizer,
-        )
         pretrained = None
         if embedding == "pretrained":
             pretrained = random_embedding(input_dim, model_config.embed_dim, embedding_seed)
         try:
             model = SeqFuseModel(model_config, pretrained_embedding=pretrained)
             result = train_model(
-                model, table, z_std, labels, fold_idx["train"], fold_idx["valid"], settings, seed
+                model, table, z_std, labels, fold_idx["train"], fold_idx["valid"],
+                lr=float(config["lr"]), batch_size=int(config["batch_size"]), epochs=epochs,
+                patience=patience, w_pos=float(config["w_pos"]), seed=seed,
             )
         except NumericsError as exc:
             return {"status": "failed", "failure": str(exc)}
-        if result.status != "ok":
-            return {"status": "failed", "failure": result.failure, "curve": result.curve}
-        test_idx = fold_idx["test"]
-        probs, _, _ = model.predict(test_idx, table, z_std[test_idx] if use_z else None)
-        try:
-            test_auc = auc(probs, labels[test_idx])
-        except MetricUndefinedError:
-            test_auc = 0.5
-        return {
-            "status": "ok",
-            "valid_auc": result.best_valid_auc,
-            "test_auc": test_auc,
-            "model": model,
-            "z_mean": mean,
-            "z_std": std,
-            "best_epoch": result.best_epoch,
-            "epochs_run": result.epochs_run,
-            "curve": result.curve,
-        }
+        if result["status"] == "ok":
+            test_auc = _model_auc(model, table, z_std, labels, fold_idx["test"])
+            result.update(test_auc=test_auc, model=model, z_mean=mean, z_std=std)
+        return result
 
     return run
 

@@ -326,7 +326,7 @@ def test_c06_domain_fusion_beats_sequence_only(planted_world):
         runner = make_deep_runner(
             table, z, labels, fold_idx,
             input_dim=input_dim, domain_dim=z.shape[1], fusion=fusion, embedding="linear", embedding_seed=0,
-            epochs=6, patience=2, optimizer="adam",
+            epochs=6, patience=2,
         )
         results[fusion] = []
         for seed in (101, 102, 103, 104, 105):
@@ -358,7 +358,7 @@ def test_c07_recall_is_tunable(planted_world):
     runner = make_deep_runner(
         table, z, labels, fold_idx,
         input_dim=input_dim, domain_dim=z.shape[1], fusion="early", embedding="linear", embedding_seed=0,
-        epochs=4, patience=4, optimizer="adam",
+        epochs=4, patience=4,
     )
     for w_pos in (1.0, 2.0, 4.0, 8.0):
         out = runner(

@@ -85,6 +85,7 @@ _OLD_VALUES = {
     "generate.proc_vocab": 36,
     "knowledge": {},
     "train.jobs": 1,
+    "train.optimizer": "adam",
     "train.w_neg": 1.0,
 }
 
@@ -229,6 +230,8 @@ class TestConfigHandling:
             # Only an older config's w_neg of 1.0 is dropped, and `true` is not 1.0.
             ({"train": {"w_neg": 0.5}}, "unknown train keys: ['w_neg']"),
             ({"train": {"w_neg": True}}, "unknown train keys: ['w_neg']"),
+            # Only an older config's "adam" is dropped: training has no SGD.
+            ({"train": {"optimizer": "sgd"}}, "unknown train keys: ['optimizer']"),
         ],
     )
     def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
@@ -947,6 +950,24 @@ class TestStaleChain:
             assert present == {*table[stage][1], f"{stage}/manifest.json"}, stage
         assert not (copy / "train" / "models" / "early_fusion__linear").exists()
         assert sorted(p.name for p in copy.iterdir()) == sorted(STAGES)
+
+    def test_a_cell_the_run_never_trained_is_exit_3_naming_train(self, copy, tmp_path, capsys):
+        """A run trained for LR alone, read under a config that also names
+        early fusion: evaluate, report and `show scores` of that cell exit
+        3, print nothing and change no file, rather than fail on a missing
+        key or report a blank row."""
+        assert main(["pipeline", "--config", self._config(tmp_path / "lr.json", copy, train={"algorithms": ["lr"]})]) == 0
+        config = self._config(tmp_path / "cfg.json", copy)
+        files = sorted(copy.rglob("*"))
+        before = [_sha(path) for path in files if path.is_file()]
+        for argv in (["evaluate"], ["report"], ["show", "scores", "early_fusion__linear"]):
+            capsys.readouterr()
+            assert main([*argv, "--config", config]) == 3, argv
+            captured = capsys.readouterr()
+            assert "has no cell 'early_fusion__linear'; rerun `seqfuse train`" in captured.err, (argv, captured.err)
+            assert captured.out == "", argv
+        assert sorted(copy.rglob("*")) == files
+        assert [_sha(path) for path in files if path.is_file()] == before
 
     def test_a_stage_its_body_refuses_changes_no_file(self, copy, tmp_path, capsys):
         """The task check runs inside the stage body, after the directory

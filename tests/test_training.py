@@ -22,7 +22,6 @@ from seqfuse import training
 from seqfuse.baseline import flatten
 from seqfuse.training import (
     FOLD_NAMES,
-    TrainSettings,
     Trial,
     apply_standardizer,
     batch_schedule,
@@ -336,40 +335,44 @@ class TestTrainModel:
         model = SeqFuseModel(_tiny_config())
         train_idx = list(range(0, 32))
         valid_idx = list(range(32, 40))
-        settings = TrainSettings(lr=0.05, batch_size=8, epochs=20, patience=20)
-        result = train_model(model, table, None, labels, train_idx, valid_idx, settings, seed=1)
-        assert result.status == "ok"
-        assert result.best_valid_auc == 1.0
+        result = train_model(
+            model, table, None, labels, train_idx, valid_idx,
+            lr=0.05, batch_size=8, epochs=20, patience=20, w_pos=1.0, seed=1,
+        )
+        assert result["status"] == "ok"
+        assert result["failure"] is None
+        assert result["valid_auc"] == 1.0
         probs, _, _ = model.predict(valid_idx, table, None)
-        assert auc(probs, labels[valid_idx]) == result.best_valid_auc
+        assert auc(probs, labels[valid_idx]) == result["valid_auc"]
 
     def test_curve_starts_at_untrained_baseline(self):
         table, labels = _separable_batch(20)
         model = SeqFuseModel(_tiny_config())
-        settings = TrainSettings(lr=0.05, batch_size=8, epochs=2, patience=5)
         result = train_model(
-            model, table, None, labels, list(range(16)), list(range(16, 20)), settings, seed=1
+            model, table, None, labels, list(range(16)), list(range(16, 20)),
+            lr=0.05, batch_size=8, epochs=2, patience=5, w_pos=1.0, seed=1,
         )
-        assert result.curve[0] == {
-            "epoch": 0,
-            "train_loss": None,
-            "valid_auc": result.curve[0]["valid_auc"],
-        }
-        assert [c["epoch"] for c in result.curve] == list(range(len(result.curve)))
-        assert all(c["train_loss"] > 0 for c in result.curve[1:])
+        curve = result["curve"]
+        assert curve[0] == {"epoch": 0, "train_loss": None, "valid_auc": curve[0]["valid_auc"]}
+        assert [c["epoch"] for c in curve] == list(range(len(curve)))
+        assert all(c["train_loss"] > 0 for c in curve[1:])
 
     def test_early_stopping_fires_after_patience_runs_out(self):
         """A learning rate too small to move the ranking means no epoch
         beats the baseline, so training halts after patience + 1 epochs."""
         table, labels = _separable_batch(24)
         model = SeqFuseModel(_tiny_config())
-        settings = TrainSettings(lr=1e-15, batch_size=8, epochs=50, patience=2)
+        patience = 2
         result = train_model(
-            model, table, None, labels, list(range(16)), list(range(16, 24)), settings, seed=1
+            model, table, None, labels, list(range(16)), list(range(16, 24)),
+            lr=1e-15, batch_size=8, epochs=50, patience=patience, w_pos=1.0, seed=1,
         )
-        assert result.status == "ok"
-        assert result.epochs_run == settings.patience + 1
-        assert result.best_epoch == 0
+        assert result["status"] == "ok"
+        curve = result["curve"]
+        # The epochs run, and the best epoch: none beats epoch 0.
+        assert curve[-1]["epoch"] == patience + 1
+        assert max(c["valid_auc"] for c in curve[1:]) <= curve[0]["valid_auc"] + 1e-12
+        assert result["valid_auc"] == curve[0]["valid_auc"]
 
     def test_divergence_is_reported_not_raised(self):
         """One Adam step at an absurd learning rate pushes weights to
@@ -377,28 +380,27 @@ class TestTrainModel:
         that, mark the run failed, and restore the last good weights."""
         table, labels = _separable_batch(24)
         model = SeqFuseModel(_tiny_config())
-        settings = TrainSettings(lr=1e160, batch_size=8, epochs=10, patience=10)
         with np.errstate(over="ignore"):
             result = train_model(
-                model, table, None, labels, list(range(16)), list(range(16, 24)), settings, seed=1
+                model, table, None, labels, list(range(16)), list(range(16, 24)),
+                lr=1e160, batch_size=8, epochs=10, patience=10, w_pos=1.0, seed=1,
             )
-        assert result.status == "failed"
-        assert result.failure
+        assert result["status"] == "failed"
+        assert result["failure"]
+        assert result["valid_auc"] is None
         for tensor in model.params.values():
             assert np.all(np.isfinite(tensor.data))
 
     def test_input_validation(self):
         table, labels = _separable_batch(8)
         model = SeqFuseModel(_tiny_config())
-        good = TrainSettings()
-        with pytest.raises(ValidationError):
-            train_model(model, table, None, labels, [], [0], good, seed=1)
-        with pytest.raises(ValidationError):
-            TrainSettings(lr=-1.0).validate()
-        with pytest.raises(ValidationError):
-            TrainSettings(optimizer="rmsprop").validate()
-        with pytest.raises(ValidationError):
-            TrainSettings(w_pos=0.0).validate()
+        good = dict(lr=1e-2, batch_size=32, epochs=30, patience=5, w_pos=1.0, seed=1)
+        with pytest.raises(ValidationError, match="folds must be non-empty"):
+            train_model(model, table, None, labels, [], [0], **good)
+        with pytest.raises(ValidationError, match="lr, batch_size, and epochs must be positive"):
+            train_model(model, table, None, labels, [0], [1], **{**good, "lr": -1.0})
+        with pytest.raises(ValidationError, match="w_pos must be positive"):
+            train_model(model, table, None, labels, [0], [1], **{**good, "w_pos": 0.0})
 
 
 def population_folds(n_patients: int, seed: int):
@@ -492,7 +494,7 @@ from tests.test_training import population_folds
 table, labels, fold_idx = population_folds(250, 1234)
 runner = make_deep_runner(
     table, table.z, labels, fold_idx, input_dim=load_bundle().ccs.input_dim, domain_dim=table.z.shape[1],
-    fusion="early", embedding="linear", embedding_seed=0, epochs=1, patience=1, optimizer="adam",
+    fusion="early", embedding="linear", embedding_seed=0, epochs=1, patience=1,
 )
 out = runner(enumerate_grid(cli.default_config()["train"]["grid"])[0], seed=7)
 assert out["status"] == "ok", out
@@ -613,7 +615,7 @@ class TestDeepRunner:
         runner = make_deep_runner(
             steps_table(steps), z, labels, fold_idx,
             input_dim=8, domain_dim=2, fusion="early", embedding="linear", embedding_seed=0,
-            epochs=8, patience=8, optimizer="adam",
+            epochs=8, patience=8,
         )
         out = runner(
             {"embed_dim": 4, "hidden_dim": 4, "n_gru_layers": 1, "lr": 0.05, "batch_size": 8,
@@ -626,8 +628,9 @@ class TestDeepRunner:
         assert out["model"].config.fusion == "early"
         # Standardizer moments come from the training fold only.
         np.testing.assert_allclose(out["z_mean"], z[fold_idx["train"]].mean(axis=0))
-        assert out["epochs_run"] >= out["best_epoch"]
-        assert len(out["curve"]) == out["epochs_run"] + 1
+        # One curve point per epoch run, from epoch 0; the best is among them.
+        assert [c["epoch"] for c in out["curve"]] == list(range(len(out["curve"])))
+        assert out["valid_auc"] == max(c["valid_auc"] for c in out["curve"])
 
     def test_fusion_none_ignores_domain_columns(self):
         n = 24
@@ -646,7 +649,7 @@ class TestDeepRunner:
             runner = make_deep_runner(
                 steps_table(steps), z, labels, fold_idx,
                 input_dim=8, domain_dim=0, fusion="none", embedding="linear", embedding_seed=0,
-                epochs=3, patience=3, optimizer="adam",
+                epochs=3, patience=3,
             )
             config = {"embed_dim": 4, "hidden_dim": 4, "n_gru_layers": 1, "mlp_hidden_dims": [], "lr": 0.05,
                       "batch_size": 32, "w_pos": 1.0}
