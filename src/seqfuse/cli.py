@@ -54,7 +54,7 @@ import hashlib
 import json
 import shutil
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -592,11 +592,9 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         else:
             runner = make_deep_runner(
                 table,
-                table.z,
                 labels,
                 fold_idx,
                 input_dim=run.meta["input_dim"],
-                domain_dim=table.z.shape[1],
                 fusion=FUSION_OF[algorithm],
                 embedding=mode,
                 embedding_seed=cfg["seed"],
@@ -678,8 +676,8 @@ def _raw_scores_for_cell(outdir: Path, algorithm: str, cell: str, run: RunData) 
     if algorithm == "lr":
         return apply_standardizer(run.flat().matrix, z_mean, z_std) @ arrays["weights"] + arrays["intercept"]
     model = load_model(spec["model_config"], arrays)
-    z_rows = apply_standardizer(run.table.z, z_mean, z_std) if model.config.fusion != "none" else None
-    _, logits, _ = model.predict(np.arange(len(run.table)), run.table, z_rows)
+    table = replace(run.table, z=apply_standardizer(run.table.z, z_mean, z_std))
+    _, logits, _ = model.predict(np.arange(len(table)), table)
     return logits
 
 
@@ -723,6 +721,16 @@ def _cell_scores(outdir: Path, cell: str) -> tuple[np.ndarray, np.ndarray]:
 def _untrained(rel: str, cell: str) -> PrerequisiteError:
     """The error for a cell of the config that the run never trained."""
     return PrerequisiteError(f"{rel} has no cell {cell!r}; rerun `seqfuse train` and the stages after it")
+
+
+def _evaluated(cfg: dict, outdir: Path) -> dict:
+    """Evaluate's `metrics.json`, once it holds every cell of the config:
+    report and importance read it here, before they write anything."""
+    metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
+    for cell in [_cell_name(algorithm, mode) for algorithm, mode in _cells(cfg)]:
+        if cell not in metrics_all["cells"]:
+            raise _untrained("evaluate/metrics.json", cell)
+    return metrics_all
 
 
 def stage_evaluate(cfg: dict, outdir: Path) -> None:
@@ -787,12 +795,9 @@ def _fmt(value, digits: int = 4) -> str:
 def stage_report(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "report"
     task = cfg["task"]
-    metrics_all = _read_json(outdir / "evaluate" / "metrics.json")
+    metrics_all = _evaluated(cfg, outdir)
     best_cell = metrics_all["best_cell"]
     cells = metrics_all["cells"]
-    for cell in [_cell_name(algorithm, mode) for algorithm, mode in _cells(cfg)]:
-        if cell not in cells:
-            raise _untrained("evaluate/metrics.json", cell)
     run = _load_sequences(outdir, task, split=True)
     in_test = run.fold_of == "test"
     scores = _cell_scores(outdir, best_cell)[1][in_test]
@@ -849,7 +854,7 @@ def stage_report(cfg: dict, outdir: Path) -> None:
 def stage_importance(cfg: dict, outdir: Path) -> None:
     stage_dir = outdir / "importance"
     task = cfg["task"]
-    best_cell = _read_json(outdir / "evaluate" / "metrics.json")["best_cell"]
+    best_cell = _evaluated(cfg, outdir)["best_cell"]
     threshold = cfg["evaluate"]["threshold"]
     run = _load_sequences(outdir, task, split=True)
     _, scores = _cell_scores(outdir, best_cell)

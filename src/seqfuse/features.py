@@ -71,14 +71,13 @@ def _domain_names(bundle: KnowledgeBundle) -> list[str]:
 
 
 def _encode(feature: DomainFeature, value, n_dx_columns: int) -> list[float]:
-    """One feature's block of z for one value. Unknown categorical values
-    land in the feature's reserved (other) slot."""
+    """One feature's block of z for one value of a scalar encoding (flags
+    come as a block already). Unknown categorical values land in the
+    feature's reserved (other) slot."""
     if feature.encoding == "numeric":
         return [float(value)]
     if feature.encoding == "binary":
         return [1.0 if value else 0.0]
-    if feature.encoding == "flags":
-        return [float(f) for f in value]
     if feature.encoding == "one_hot":
         levels = feature.levels
         vec = [0.0] * (len(levels) + 1)
@@ -160,7 +159,7 @@ def featurize_events(
     types = text_words(cols, claim_type)
     outpatient = np.isin(claim_type, [code for code, word in types.items() if word == "outpatient"])
     ed = np.isin(claim_type, [code for code, word in types.items() if word == "ed"])
-    dx_index = lookup(ccs.dx_index, "claim.dx_codes", "stay.all_dx", "stay.principal_dx")
+    dx_index = lookup(ccs.dx_category, "claim.dx_codes", "stay.all_dx", "stay.principal_dx")
     proc_index = lookup(ccs.proc_index, "claim.proc_codes", "stay.all_proc")
     stay_member = _membership(cols, "stay", "all_dx", "all_proc", dx_index, proc_index, width)
     claim_member = _membership(cols, "claim", "dx_codes", "proc_codes", dx_index, proc_index, width)
@@ -258,8 +257,8 @@ def featurize_events(
         if feature.name not in raw:
             raise ValidationError(f"domain spec references unknown feature {feature.name!r}")
         values, convert = raw[feature.name]
-        if feature.encoding == "flags" and values.ndim == 2:
-            blocks.append(values.astype(np.float64))  # `_encode`'s float(f) of each 0/1 flag
+        if feature.encoding == "flags":
+            blocks.append(values.astype(np.float64))  # one 0/1 column per HAC rule
             continue
         distinct, inverse = np.unique(values, return_inverse=True)
         encoded = [_encode(feature, convert(v) if convert else v, ccs.n_dx_columns) for v in distinct.tolist()]

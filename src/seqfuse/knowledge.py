@@ -40,15 +40,13 @@ class CcsMap:
     n_proc: int = 0
 
     # Category ids are local to each code type; "other" sits at the end of
-    # the type's own range.
+    # the type's own range. Diagnosis categories come first in the input
+    # space, so a dx category is its own index there.
     def dx_category(self, code: str) -> int:
         return self.dx_to_ccs.get(code, self.n_dx)
 
     def proc_category(self, code: str) -> int:
         return self.proc_to_ccs.get(code, self.n_proc)
-
-    def dx_index(self, code: str) -> int:
-        return self.dx_category(code)
 
     def proc_index(self, code: str) -> int:
         return self.n_dx + 1 + self.proc_category(code)

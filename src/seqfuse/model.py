@@ -7,12 +7,13 @@ summary fuses with the hand-crafted vector z either before ("early") or
 after ("late") a small tanh MLP, or not at all ("none").
 
 All math runs through the tape engine in 2-D tensors. A batch is an int
-array of `EventTable` rows, read from the table's CSR step columns. A
-batch of mixed lengths is left-padded to its longest sequence and carries
-a (T, B) step mask: the whole batch is embedded in one lookup, each GRU
-layer runs as one fused op over all T steps (a padded step leaves the
-state unchanged), and attention gives padded steps a weight of exactly 0.
-`forward`, `loss` and `predict` all take this one padded path.
+array of `EventTable` rows: `forward` reads their steps from the table's
+CSR step columns and their z from `table.z`. A batch of mixed lengths is
+left-padded to its longest sequence and carries a (T, B) step mask: the
+whole batch is embedded in one lookup, each GRU layer runs as one fused op
+over all T steps (a padded step leaves the state unchanged), and attention
+gives padded steps a weight of exactly 0. `loss` and `predict` both run
+this one padded pass.
 """
 
 from __future__ import annotations
@@ -186,14 +187,13 @@ class SeqFuseModel:
             x = tanh(add(matmul(x, self.params[f"mlp.{i}.W"]), self.params[f"mlp.{i}.b"]))
         return x
 
-    def fuse_and_output(self, summary: Tensor, z_rows: np.ndarray | None) -> tuple[Tensor, Tensor]:
-        """Returns (probability, logit) for a batch of summaries."""
+    def fuse_and_output(self, summary: Tensor, z_rows: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Returns (probability, logit) for a batch of summaries and their
+        rows of z."""
         cfg = self.config
         if cfg.fusion == "none":
             fused = summary
         else:
-            if z_rows is None:
-                raise ValidationError(f"fusion {cfg.fusion!r} requires domain features")
             if z_rows.shape != (summary.shape[0], cfg.domain_dim):
                 raise DimensionError(f"z shape {z_rows.shape} != ({summary.shape[0]}, {cfg.domain_dim})")
             z_tensor = Tensor(np.array(z_rows, dtype=np.float64))
@@ -204,17 +204,14 @@ class SeqFuseModel:
         logit = add(matmul(fused, self.params["out.W"]), self.params["out.b"])
         return sigmoid(logit), logit
 
-    def _padded_pass(
-        self,
-        rows: np.ndarray,
-        table: EventTable,
-        z_rows: np.ndarray | None,
-    ) -> tuple[Tensor, Tensor, Tensor]:
+    def forward(self, rows: np.ndarray, table: EventTable) -> tuple[Tensor, Tensor, Tensor]:
         """Left-pads the batch of table rows to its longest sequence and runs
-        the network once. Returns (probability, logit, attention B x T_max)."""
+        the network once on their steps and z. Returns (probability, logit,
+        attention B x T_max)."""
         if len(rows) == 0:
             raise ValidationError("a batch needs at least one sequence")
-        seq_ptr, step_rows = _csr_take(table.step_ptr, np.asarray(rows, dtype=np.int64))
+        rows = np.asarray(rows, dtype=np.int64)
+        seq_ptr, step_rows = _csr_take(table.step_ptr, rows)
         lengths = np.diff(seq_ptr)
         if lengths.min() == 0:
             raise DimensionError("every sequence needs at least one step")
@@ -236,48 +233,22 @@ class SeqFuseModel:
         for layer in range(self.config.n_gru_layers):
             x = self.gru_step(layer, x, h0, mask)
         summary, attention = self.attend(x, mask)
-        y, logit = self.fuse_and_output(summary, z_rows)
+        y, logit = self.fuse_and_output(summary, table.z[rows])
         return y, logit, attention
 
-    def forward(
-        self,
-        rows: np.ndarray,
-        table: EventTable,
-        z_rows: np.ndarray | None,
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """Full pass for a batch of table rows whose sequences share one
-        length. Returns (probability, logit, attention weights)."""
-        if len(rows) == 0:
-            raise ValidationError("forward needs at least one sequence")
-        lengths = np.diff(table.step_ptr)[rows]
-        if lengths[0] == 0 or (lengths != lengths[0]).any():
-            raise DimensionError("all sequences in a batch must share one non-zero length")
-        return self._padded_pass(rows, table, z_rows)
-
-    def loss(
-        self,
-        rows: np.ndarray,
-        table: EventTable,
-        z_rows: np.ndarray | None,
-        labels: np.ndarray,
-        w_pos: float = 1.0,
-    ) -> tuple[Tensor, Tensor]:
+    def loss(self, rows: np.ndarray, table: EventTable, labels: np.ndarray, w_pos: float) -> tuple[Tensor, Tensor]:
         """Weighted BCE over a mixed-length batch of table rows under the
         active tape.
 
         The batch runs padded as one pass, so the mean is over the whole
         input batch; the probabilities come back in the order of `rows`.
         """
-        y, _, _ = self._padded_pass(rows, table, z_rows)
+        y, _, _ = self.forward(rows, table)
         targets = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
         return weighted_bce(y, targets, w_pos), y
 
     def predict(
-        self,
-        rows: np.ndarray,
-        table: EventTable,
-        z_rows: np.ndarray | None,
-        batch_size: int = 256,
+        self, rows: np.ndarray, table: EventTable, batch_size: int = 256
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Probabilities, logits, and attention for table rows `rows`, in
         their order.
@@ -296,8 +267,7 @@ class SeqFuseModel:
         order = np.argsort(lengths, kind="stable")
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
-            z_chunk = z_rows[chunk] if z_rows is not None else None
-            y, logit, attention = self._padded_pass(rows[chunk], table, z_chunk)
+            y, logit, attention = self.forward(rows[chunk], table)
             probs[chunk] = y.data[:, 0]
             logits[chunk] = logit.data[:, 0]
             # The chunk is left-padded, so its padded steps already weigh 0.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -265,15 +265,14 @@ def fold_auc(scores, labels) -> float:
         return 0.5
 
 
-def _model_auc(model: SeqFuseModel, table: EventTable, z, labels, idx) -> float:
-    probs, _, _ = model.predict(idx, table, z[idx] if z is not None else None)
+def _model_auc(model: SeqFuseModel, table: EventTable, labels, idx) -> float:
+    probs, _, _ = model.predict(idx, table)
     return fold_auc(probs, labels[idx])
 
 
 def train_model(
     model: SeqFuseModel,
     table: EventTable,
-    z: np.ndarray | None,
     labels: np.ndarray,
     train_idx: list[int],
     valid_idx: list[int],
@@ -286,7 +285,8 @@ def train_model(
     seed: int,
 ) -> dict:
     """Minibatch Adam training with early stopping on validation AUC, on
-    the length-sorted batches of `batch_schedule`.
+    the length-sorted batches of `batch_schedule`. The model reads each
+    batch, steps and z, from the rows of `table`.
 
     The best-epoch weights are restored into the model before returning.
     With patience p, training stops after p+1 consecutive epochs without
@@ -307,7 +307,7 @@ def train_model(
     labels = np.asarray(labels, dtype=np.float64)
     optimizer = Adam(model.trainable(), lr=lr)
     schedule = batch_schedule(train_idx, np.diff(table.step_ptr), batch_size, seed)
-    best_auc = _model_auc(model, table, z, labels, valid_idx)
+    best_auc = _model_auc(model, table, labels, valid_idx)
     snapshot = {name: t.data.copy() for name, t in model.params.items()}
     curve = [{"epoch": 0, "train_loss": None, "valid_auc": best_auc}]
     no_improve = 0
@@ -316,9 +316,8 @@ def train_model(
         epoch_loss = 0.0
         try:
             for batch in next(schedule):
-                z_rows = z[batch] if z is not None else None
                 with Tape() as tape:
-                    loss, _ = model.loss(batch, table, z_rows, labels[batch], w_pos=w_pos)
+                    loss, _ = model.loss(batch, table, labels[batch], w_pos)
                     backward(tape, loss)
                 optimizer.step()
                 optimizer.zero_grad()
@@ -326,7 +325,7 @@ def train_model(
         except NumericsError as exc:
             failure = str(exc)
             break
-        valid_auc = _model_auc(model, table, z, labels, valid_idx)
+        valid_auc = _model_auc(model, table, labels, valid_idx)
         curve.append({"epoch": epoch, "train_loss": epoch_loss / len(train_idx), "valid_auc": valid_auc})
         if valid_auc > best_auc + 1e-12:
             best_auc = valid_auc
@@ -385,12 +384,10 @@ def enumerate_grid(axes: dict[str, list]) -> list[dict]:
 
 def make_deep_runner(
     table: EventTable,
-    z: np.ndarray,
     labels: np.ndarray,
     fold_idx: dict[str, list[int]],
     *,
     input_dim: int,
-    domain_dim: int,
     fusion: str,
     embedding: str,
     embedding_seed: int,
@@ -399,23 +396,24 @@ def make_deep_runner(
 ):
     """Binds the data and task so grid_search only sees (config, seed).
 
-    z is standardized once, on the training fold's moments. Each trial
-    trains a fresh model on it and returns `train_model`'s dict, plus, when
-    it trained, the test AUC and everything needed to persist the winner.
+    The table's z is standardized once, on the training fold's moments,
+    into a copy of the table that every trial reads. Each trial trains a
+    fresh model and returns `train_model`'s dict, plus, when it trained,
+    the test AUC and everything needed to persist the winner.
     A numerics blow-up returns a failed trial instead of raising. A
     pretrained trial freezes `random_embedding(input_dim, embed_dim,
     embedding_seed)` at its own `embed_dim`.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    mean, std = fit_standardizer(z[fold_idx["train"]])
-    z_std = apply_standardizer(z, mean, std) if fusion != "none" else None
+    mean, std = fit_standardizer(table.z[fold_idx["train"]])
+    table = replace(table, z=apply_standardizer(table.z, mean, std))
 
     def run(config: dict, seed: int) -> dict:
         model_config = ModelConfig(
             input_dim=input_dim,
             embed_dim=int(config["embed_dim"]),
             hidden_dim=int(config["hidden_dim"]),
-            domain_dim=domain_dim,
+            domain_dim=table.z.shape[1],
             n_gru_layers=int(config["n_gru_layers"]),
             fusion=fusion,
             mlp_hidden_dims=tuple(config["mlp_hidden_dims"]),
@@ -428,14 +426,14 @@ def make_deep_runner(
         try:
             model = SeqFuseModel(model_config, pretrained_embedding=pretrained)
             result = train_model(
-                model, table, z_std, labels, fold_idx["train"], fold_idx["valid"],
+                model, table, labels, fold_idx["train"], fold_idx["valid"],
                 lr=float(config["lr"]), batch_size=int(config["batch_size"]), epochs=epochs,
                 patience=patience, w_pos=float(config["w_pos"]), seed=seed,
             )
         except NumericsError as exc:
             return {"status": "failed", "failure": str(exc)}
         if result["status"] == "ok":
-            test_auc = _model_auc(model, table, z_std, labels, fold_idx["test"])
+            test_auc = _model_auc(model, table, labels, fold_idx["test"])
             result.update(test_auc=test_auc, model=model, z_mean=mean, z_std=std)
         return result
 

@@ -1261,13 +1261,13 @@ class SequenceStep:
 
 
 def _stay_indices(stay: InpatientStay, ccs: CcsMap) -> tuple[int, ...]:
-    indices = {ccs.dx_index(c) for c in stay.all_dx}
+    indices = {ccs.dx_category(c) for c in stay.all_dx}
     indices.update(ccs.proc_index(p) for p in stay.all_proc)
     return tuple(sorted(indices))
 
 
 def _claim_indices(claim: ClaimRecord, ccs: CcsMap) -> tuple[int, ...]:
-    indices = {ccs.dx_index(c) for c in claim.dx_codes}
+    indices = {ccs.dx_category(c) for c in claim.dx_codes}
     indices.update(ccs.proc_index(p) for p in claim.proc_codes)
     return tuple(sorted(indices))
 
@@ -1545,16 +1545,17 @@ def reference_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 # --- the model's input layout -------------------------------------------------
 
 
-def steps_table(step_lists: list[list[list[int]]]) -> EventTable:
+def steps_table(step_lists: list[list[list[int]]], z: np.ndarray | None = None) -> EventTable:
     """An `EventTable` whose event i has the visit steps step_lists[i] (each
-    a list of category indices), and placeholders in every other column."""
+    a list of category indices) and z row z[i] (no columns when z is None),
+    and placeholders in every other column."""
     n = len(step_lists)
     steps = [step for seq in step_lists for step in seq]
     return EventTable(
         event_id=np.array([f"E{i}" for i in range(n)], dtype=np.str_),
         beneficiary_id=np.array([f"B{i}" for i in range(n)], dtype=np.str_),
         **{name: np.zeros(n, dtype=bool) for name in ("readmit_label", "mortality_label", "mortality_excluded")},
-        z=np.zeros((n, 0)),
+        z=np.zeros((n, 0)) if z is None else np.asarray(z, dtype=np.float64),
         step_ptr=_ptr([len(seq) for seq in step_lists]),
         day_offset=np.zeros(len(steps), dtype=np.int64),
         idx_ptr=_ptr([len(step) for step in steps]),

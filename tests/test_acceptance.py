@@ -7,6 +7,7 @@ criterion; each test also prints the measured numbers behind its verdict.
 import csv
 import json
 import time
+from dataclasses import replace
 from statistics import median
 
 import numpy as np
@@ -89,7 +90,6 @@ def planted_world():
     )
     table, _ = featurize_events(cols, bundle, SequenceOptions(include_outpatient=False))
     labels = table.readmit_label.astype(np.float64)
-    z = table.z
     patient_of = table.beneficiary_id.tolist()
 
     positives: dict[str, int] = {}
@@ -101,7 +101,7 @@ def planted_world():
     for i, pid in enumerate(patient_of):
         fold_idx[fold_of[pid]].append(i)
     build_seconds = time.monotonic() - start
-    return table, z, labels, fold_idx, bundle.ccs.input_dim, build_seconds
+    return table, labels, fold_idx, bundle.ccs.input_dim, build_seconds
 
 
 # --- criteria ------------------------------------------------------------------
@@ -120,17 +120,17 @@ def test_c01_gradients_match_central_differences():
         [[rng.randint(0, 11) for _ in range(1 + rng.randint(0, 2))] for _ in range(5)]
         for _ in range(20)
     ]
-    table, rows = steps_table(steps), np.arange(20)
     z = np.array([[rng.normal() for _ in range(6)] for _ in range(20)])
+    table, rows = steps_table(steps, z), np.arange(20)
     labels = np.array([float(i % 2) for i in range(20)])
 
     def loss_value() -> float:
         with Tape():
-            loss, _ = model.loss(rows, table, z, labels, w_pos=2.0)
+            loss, _ = model.loss(rows, table, labels, 2.0)
         return loss.data[0, 0]
 
     with Tape() as tape:
-        loss, _ = model.loss(rows, table, z, labels, w_pos=2.0)
+        loss, _ = model.loss(rows, table, labels, 2.0)
         backward(tape, loss)
 
     h = 1e-5
@@ -315,7 +315,7 @@ def test_c06_domain_fusion_beats_sequence_only(planted_world):
     """Criterion 6: on 2,000 patients whose visit-count/LOS signal is hidden
     from the sequence branch, early fusion beats fusion=none by >= 0.03 in
     median-over-5-seeds test AUC, both above 0.5, inside 10 minutes."""
-    table, z, labels, fold_idx, input_dim, build_seconds = planted_world
+    table, labels, fold_idx, input_dim, build_seconds = planted_world
     start = time.monotonic()
     config = {
         "embed_dim": 8, "hidden_dim": 16, "n_gru_layers": 1,
@@ -324,8 +324,8 @@ def test_c06_domain_fusion_beats_sequence_only(planted_world):
     results: dict[str, list[float]] = {}
     for fusion in ("early", "none"):
         runner = make_deep_runner(
-            table, z, labels, fold_idx,
-            input_dim=input_dim, domain_dim=z.shape[1], fusion=fusion, embedding="linear", embedding_seed=0,
+            table, labels, fold_idx,
+            input_dim=input_dim, fusion=fusion, embedding="linear", embedding_seed=0,
             epochs=6, patience=2,
         )
         results[fusion] = []
@@ -350,14 +350,14 @@ def test_c07_recall_is_tunable(planted_world):
     """Criterion 7: heavier positive weights trade precision for recall at
     the fixed threshold (non-decreasing, at most one inversion), and
     recall@top-k is non-decreasing in k, reaching 1.0 at k=n."""
-    table, z, labels, fold_idx, input_dim, _ = planted_world
+    table, labels, fold_idx, input_dim, _ = planted_world
     test_idx = fold_idx["test"]
     test_labels = labels[test_idx]
     recalls = []
     last_scores = None
     runner = make_deep_runner(
-        table, z, labels, fold_idx,
-        input_dim=input_dim, domain_dim=z.shape[1], fusion="early", embedding="linear", embedding_seed=0,
+        table, labels, fold_idx,
+        input_dim=input_dim, fusion="early", embedding="linear", embedding_seed=0,
         epochs=4, patience=4,
     )
     for w_pos in (1.0, 2.0, 4.0, 8.0):
@@ -368,8 +368,8 @@ def test_c07_recall_is_tunable(planted_world):
         )
         assert out["status"] == "ok"
         model = out["model"]
-        z_std = (z - out["z_mean"]) / out["z_std"]
-        probs, _, _ = model.predict(test_idx, table, z_std[test_idx])
+        z_std = (table.z - out["z_mean"]) / out["z_std"]
+        probs, _, _ = model.predict(test_idx, replace(table, z=z_std))
         recall, _ = recall_precision_at_threshold(probs, test_labels, threshold=0.5)
         recalls.append(recall)
         last_scores = probs

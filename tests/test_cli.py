@@ -953,14 +953,14 @@ class TestStaleChain:
 
     def test_a_cell_the_run_never_trained_is_exit_3_naming_train(self, copy, tmp_path, capsys):
         """A run trained for LR alone, read under a config that also names
-        early fusion: evaluate, report and `show scores` of that cell exit
-        3, print nothing and change no file, rather than fail on a missing
-        key or report a blank row."""
+        early fusion: evaluate, report, importance and `show scores` of that
+        cell exit 3, print nothing and change no file, rather than fail on a
+        missing key, report a blank row or rank features from another cell."""
         assert main(["pipeline", "--config", self._config(tmp_path / "lr.json", copy, train={"algorithms": ["lr"]})]) == 0
         config = self._config(tmp_path / "cfg.json", copy)
         files = sorted(copy.rglob("*"))
         before = [_sha(path) for path in files if path.is_file()]
-        for argv in (["evaluate"], ["report"], ["show", "scores", "early_fusion__linear"]):
+        for argv in (["evaluate"], ["report"], ["importance"], ["show", "scores", "early_fusion__linear"]):
             capsys.readouterr()
             assert main([*argv, "--config", config]) == 3, argv
             captured = capsys.readouterr()

@@ -174,11 +174,11 @@ class TestForward:
         model = SeqFuseModel(cfg)
         rng = ReferenceXoshiro256(31)
         steps = random_steps(rng, 6, 4, cfg.input_dim)
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(6)])
+        table, rows = steps_table(steps, z), np.arange(len(steps))
         with Tape():
-            y, logit, attention = model.forward(rows, table, z)
-        probs, logits, attentions = model.predict(rows, table, z, batch_size=2)
+            y, logit, attention = model.forward(rows, table)
+        probs, logits, attentions = model.predict(rows, table, batch_size=2)
         np.testing.assert_array_equal(probs, y.data[:, 0])
         np.testing.assert_array_equal(logits, logit.data[:, 0])
         # One length, so predict's right-aligned matrix is forward's.
@@ -193,13 +193,13 @@ class TestForward:
         rng = ReferenceXoshiro256(37)
         lengths = [3, 1, 4, 1, 3, 2]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
-        probs, _, attentions = model.predict(rows, table, z, batch_size=4)
+        table, rows = steps_table(steps, z), np.arange(len(steps))
+        probs, _, attentions = model.predict(rows, table, batch_size=4)
         assert attentions.shape == (len(lengths), max(lengths))
         for i, t in enumerate(lengths):
             with Tape():
-                y_solo, _, attention_solo = model.forward([i], table, z[i : i + 1])
+                y_solo, _, attention_solo = model.forward([i], table)
             # Batched matmul reduces in a different order than a solo row,
             # so agreement is to rounding, not bitwise.
             np.testing.assert_allclose(probs[i], y_solo.data[0, 0], rtol=1e-12)
@@ -207,32 +207,28 @@ class TestForward:
             assert (attentions[i, : max(lengths) - t] == 0.0).all()
             np.testing.assert_allclose(attentions[i, max(lengths) - t :], attention_solo.data[0], rtol=1e-12)
 
-    def test_forward_rejects_ragged_batches(self):
+    def test_forward_rejects_an_empty_batch(self):
         model = SeqFuseModel(small_config())
         table = steps_table([[[0], [1]], [[0]]])
         with pytest.raises(ValidationError):
-            model.forward([], table, None)
-        with pytest.raises(DimensionError):
-            model.forward([0, 1], table, np.zeros((2, 4)))
+            model.forward([], table)
 
     def test_fusion_requires_matching_domain_rows(self):
         model = SeqFuseModel(small_config())
         steps = [[[0], [1]]]
-        table, rows = steps_table(steps), np.arange(len(steps))
-        with pytest.raises(ValidationError):
-            model.forward(rows, table, None)
+        table, rows = steps_table(steps, np.zeros((1, 3))), np.arange(len(steps))
         with pytest.raises(DimensionError):
-            model.forward(rows, table, np.zeros((1, 3)))
+            model.forward(rows, table)
 
     def test_stacked_layers_change_the_answer(self):
         rng = ReferenceXoshiro256(41)
         steps = random_steps(rng, 3, 3, 12)
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.zeros((3, 4))
+        table, rows = steps_table(steps, z), np.arange(len(steps))
         one = SeqFuseModel(small_config(n_gru_layers=1))
         two = SeqFuseModel(small_config(n_gru_layers=2))
-        p1, _, _ = one.predict(rows, table, z)
-        p2, _, _ = two.predict(rows, table, z)
+        p1, _, _ = one.predict(rows, table)
+        p2, _, _ = two.predict(rows, table)
         assert not np.allclose(p1, p2)
 
 
@@ -247,10 +243,10 @@ class TestFusionVariants:
             assert np.array_equal(early.params[name].data, late.params[name].data)
         rng = ReferenceXoshiro256(43)
         steps = random_steps(rng, 5, 3, 12)
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(4)] for _ in range(5)])
-        p_early, _, _ = early.predict(rows, table, z)
-        p_late, _, _ = late.predict(rows, table, z)
+        table, rows = steps_table(steps, z), np.arange(len(steps))
+        p_early, _, _ = early.predict(rows, table)
+        p_late, _, _ = late.predict(rows, table)
         np.testing.assert_array_equal(p_early, p_late)
 
     def test_zeroed_domain_path_matches_fusion_none_logit_structure(self):
@@ -260,24 +256,24 @@ class TestFusionVariants:
         model = SeqFuseModel(cfg)
         rng = ReferenceXoshiro256(47)
         steps = random_steps(rng, 4, 3, cfg.input_dim)
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(4)])
-        _, logits_with, _ = model.predict(rows, table, z)
+        table, rows = steps_table(steps, z), np.arange(len(steps))
+        _, logits_with, _ = model.predict(rows, table)
         model.params["out.W"].data[cfg.hidden_dim :, :] = 0.0
-        _, logits_zeroed, _ = model.predict(rows, table, z)
-        _, logits_no_z, _ = model.predict(rows, table, np.zeros_like(z))
+        _, logits_zeroed, _ = model.predict(rows, table)
+        _, logits_no_z, _ = model.predict(rows, steps_table(steps, np.zeros_like(z)))
         assert not np.allclose(logits_with, logits_zeroed)
         np.testing.assert_array_equal(logits_zeroed, logits_no_z)
 
     def test_variants_disagree_in_general(self):
         rng = ReferenceXoshiro256(53)
         steps = random_steps(rng, 4, 3, 12)
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(4)] for _ in range(4)])
+        table, rows = steps_table(steps, z), np.arange(len(steps))
         outputs = []
         for fusion in ("early", "late"):
             model = SeqFuseModel(small_config(fusion=fusion))
-            p, _, _ = model.predict(rows, table, z)
+            p, _, _ = model.predict(rows, table)
             outputs.append(p)
         assert not np.allclose(outputs[0], outputs[1])
 
@@ -291,14 +287,14 @@ class TestLoss:
         rng = ReferenceXoshiro256(59)
         lengths = [2, 1, 2, 3]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
+        table, rows = steps_table(steps, z), np.arange(len(steps))
         labels = np.array([1.0, 0.0, 0.0, 1.0])
         w_pos = 3.0
         with Tape():
-            loss, _ = model.loss(rows, table, z, labels, w_pos=w_pos)
+            loss, _ = model.loss(rows, table, labels, w_pos)
 
-        probs, _, _ = model.predict(rows, table, z)
+        probs, _, _ = model.predict(rows, table)
         weights = np.where(labels == 1.0, w_pos, 1.0)
         terms = -(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))
         expected = float(np.mean(weights * terms))
@@ -312,12 +308,12 @@ class TestLoss:
         rng = ReferenceXoshiro256(61)
         lengths = [2, 1, 3]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
+        table, rows = steps_table(steps, z), np.arange(len(steps))
         labels = np.array([1.0, 0.0, 1.0])
 
         with Tape() as tape:
-            loss, _ = model.loss(rows, table, z, labels, w_pos=2.0)
+            loss, _ = model.loss(rows, table, labels, 2.0)
             backward(tape, loss)
 
         h = 1e-5
@@ -328,10 +324,10 @@ class TestLoss:
                 keep = flat[k]
                 flat[k] = keep + h
                 with Tape():
-                    up, _ = model.loss(rows, table, z, labels, w_pos=2.0)
+                    up, _ = model.loss(rows, table, labels, 2.0)
                 flat[k] = keep - h
                 with Tape():
-                    down, _ = model.loss(rows, table, z, labels, w_pos=2.0)
+                    down, _ = model.loss(rows, table, labels, 2.0)
                 flat[k] = keep
                 fd = (up.data[0, 0] - down.data[0, 0]) / (2 * h)
                 got = tensor.grad.reshape(-1)[k]
@@ -347,29 +343,29 @@ class TestPaddedBatches:
         rng = ReferenceXoshiro256(73)
         lengths = [3, 1, 4, 1, 2, 4]
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
+        table, rows = steps_table(steps, z), np.arange(len(steps))
         with Tape():
-            _, y = model.loss(rows, table, z, np.zeros(len(lengths)))
+            _, y = model.loss(rows, table, np.zeros(len(lengths)), 1.0)
         for i in range(len(lengths)):
             with Tape():
-                y_solo, _, _ = model.forward([i], table, z[i : i + 1])
+                y_solo, _, _ = model.forward([i], table)
             np.testing.assert_allclose(y.data[i, 0], y_solo.data[0, 0], rtol=1e-12)
 
     def test_empty_sequence_rejected(self):
         model = SeqFuseModel(small_config())
         with pytest.raises(DimensionError):
-            model.predict([0, 1], steps_table([[[0]], []]), np.zeros((2, 4)))
+            model.predict([0, 1], steps_table([[[0]], []], np.zeros((2, 4))))
 
 
 class TestLayoutAgainstReference:
-    """The padded layout `_padded_pass` gathers from the table's CSR columns
+    """The padded layout `forward` gathers from the table's CSR columns
     against the nested-list padding and list lookup of tests/reference.py:
     the embedded rows, the step mask and the embed.W gradient must be
     bitwise equal, for rows taken from the table in shuffled order."""
 
     @staticmethod
-    def _pass(rows, table, z, labels, reference_steps=None):
+    def _pass(rows, table, labels, reference_steps=None):
         """Loss and backward on a fresh model, recording the embedded rows and
         the step mask. With `reference_steps` (the rows' step lists), the
         embedded rows come from the reference layout instead."""
@@ -392,19 +388,20 @@ class TestLayoutAgainstReference:
 
         model.embed, model.attend = embed, attend
         with Tape() as tape:
-            loss, _ = model.loss(rows, table, z, labels)
+            loss, _ = model.loss(rows, table, labels, 1.0)
             backward(tape, loss)
         return seen, model.params["embed.W"].grad
 
     def _check(self, step_lists, rng: ReferenceXoshiro256, n_rows: int):
-        table = steps_table(step_lists)
         order = list(range(len(step_lists)))
         rng.shuffle(order)
         rows = np.array(order[:n_rows])
-        z = np.array([[rng.normal() for _ in range(4)] for _ in rows])
+        z = np.zeros((len(step_lists), 4))
+        z[rows] = [[rng.normal() for _ in range(4)] for _ in rows]
+        table = steps_table(step_lists, z)
         labels = np.array([float(rng.randint(0, 1)) for _ in rows])
-        seen, grad = self._pass(rows, table, z, labels)
-        ref, ref_grad = self._pass(rows, table, z, labels, [step_lists[i] for i in rows])
+        seen, grad = self._pass(rows, table, labels)
+        ref, ref_grad = self._pass(rows, table, labels, [step_lists[i] for i in rows])
         assert np.array_equal(seen["mask"], ref["reference_mask"])
         assert np.array_equal(seen["x"].data, ref["x"].data)
         assert np.array_equal(grad, ref_grad)
@@ -449,9 +446,8 @@ class TestPersistence:
             assert np.array_equal(again.params[name].data, model.params[name].data)
         rng = ReferenceXoshiro256(67)
         steps = random_steps(rng, 3, 2, cfg.input_dim)
-        table, rows = steps_table(steps), np.arange(len(steps))
-        z = np.zeros((3, cfg.domain_dim))
-        np.testing.assert_array_equal(model.predict(rows, table, z)[0], again.predict(rows, table, z)[0])
+        table, rows = steps_table(steps, np.zeros((3, cfg.domain_dim))), np.arange(len(steps))
+        np.testing.assert_array_equal(model.predict(rows, table)[0], again.predict(rows, table)[0])
 
     def test_pretrained_embedding_round_trip_and_freezing(self, tmp_path):
         matrix = random_embedding(input_dim=12, embed_dim=5, seed=3)
@@ -484,13 +480,13 @@ class TestTrainingInteraction:
         before_out = model.params["out.W"].data.copy()
         rng = ReferenceXoshiro256(71)
         steps = random_steps(rng, 8, 3, cfg.input_dim)
-        table, rows = steps_table(steps), np.arange(len(steps))
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in range(8)])
+        table, rows = steps_table(steps, z), np.arange(len(steps))
         labels = np.array([1.0, 0.0] * 4)
         opt = Adam(model.trainable(), lr=0.05)
         for _ in range(5):
             with Tape() as tape:
-                loss, _ = model.loss(rows, table, z, labels)
+                loss, _ = model.loss(rows, table, labels, 1.0)
                 backward(tape, loss)
             opt.step()
             opt.zero_grad()
@@ -507,7 +503,7 @@ class TestTrainingInteraction:
         history = []
         for _ in range(30):
             with Tape() as tape:
-                loss, _ = model.loss(rows, table, None, labels)
+                loss, _ = model.loss(rows, table, labels, 1.0)
                 backward(tape, loss)
             history.append(loss.data[0, 0])
             opt.step()

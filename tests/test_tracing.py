@@ -50,9 +50,9 @@ def test_measured_values_count_events_and_tape_records():
     rows = np.array([2, 0, 4])
     tracer = tracing.Tracer("test")
     with tracer.patched():
-        model.predict(rows, table, None)
+        model.predict(rows, table)
         with Tape() as tape:
-            loss, _ = model.loss(rows, table, None, np.array([1.0, 0.0, 1.0]))
+            loss, _ = model.loss(rows, table, np.array([1.0, 0.0, 1.0]), 1.0)
             training.backward(tape, loss)
     values = {span[tracing.NAME]: span[tracing.VALUE] for span in tracer.spans}
     assert values["model.predict"] == len(rows)

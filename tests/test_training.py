@@ -336,20 +336,20 @@ class TestTrainModel:
         train_idx = list(range(0, 32))
         valid_idx = list(range(32, 40))
         result = train_model(
-            model, table, None, labels, train_idx, valid_idx,
+            model, table, labels, train_idx, valid_idx,
             lr=0.05, batch_size=8, epochs=20, patience=20, w_pos=1.0, seed=1,
         )
         assert result["status"] == "ok"
         assert result["failure"] is None
         assert result["valid_auc"] == 1.0
-        probs, _, _ = model.predict(valid_idx, table, None)
+        probs, _, _ = model.predict(valid_idx, table)
         assert auc(probs, labels[valid_idx]) == result["valid_auc"]
 
     def test_curve_starts_at_untrained_baseline(self):
         table, labels = _separable_batch(20)
         model = SeqFuseModel(_tiny_config())
         result = train_model(
-            model, table, None, labels, list(range(16)), list(range(16, 20)),
+            model, table, labels, list(range(16)), list(range(16, 20)),
             lr=0.05, batch_size=8, epochs=2, patience=5, w_pos=1.0, seed=1,
         )
         curve = result["curve"]
@@ -364,7 +364,7 @@ class TestTrainModel:
         model = SeqFuseModel(_tiny_config())
         patience = 2
         result = train_model(
-            model, table, None, labels, list(range(16)), list(range(16, 24)),
+            model, table, labels, list(range(16)), list(range(16, 24)),
             lr=1e-15, batch_size=8, epochs=50, patience=patience, w_pos=1.0, seed=1,
         )
         assert result["status"] == "ok"
@@ -382,7 +382,7 @@ class TestTrainModel:
         model = SeqFuseModel(_tiny_config())
         with np.errstate(over="ignore"):
             result = train_model(
-                model, table, None, labels, list(range(16)), list(range(16, 24)),
+                model, table, labels, list(range(16)), list(range(16, 24)),
                 lr=1e160, batch_size=8, epochs=10, patience=10, w_pos=1.0, seed=1,
             )
         assert result["status"] == "failed"
@@ -396,11 +396,11 @@ class TestTrainModel:
         model = SeqFuseModel(_tiny_config())
         good = dict(lr=1e-2, batch_size=32, epochs=30, patience=5, w_pos=1.0, seed=1)
         with pytest.raises(ValidationError, match="folds must be non-empty"):
-            train_model(model, table, None, labels, [], [0], **good)
+            train_model(model, table, labels, [], [0], **good)
         with pytest.raises(ValidationError, match="lr, batch_size, and epochs must be positive"):
-            train_model(model, table, None, labels, [0], [1], **{**good, "lr": -1.0})
+            train_model(model, table, labels, [0], [1], **{**good, "lr": -1.0})
         with pytest.raises(ValidationError, match="w_pos must be positive"):
-            train_model(model, table, None, labels, [0], [1], **{**good, "w_pos": 0.0})
+            train_model(model, table, labels, [0], [1], **{**good, "w_pos": 0.0})
 
 
 def population_folds(n_patients: int, seed: int):
@@ -493,7 +493,7 @@ from tests.test_training import population_folds
 
 table, labels, fold_idx = population_folds(250, 1234)
 runner = make_deep_runner(
-    table, table.z, labels, fold_idx, input_dim=load_bundle().ccs.input_dim, domain_dim=table.z.shape[1],
+    table, labels, fold_idx, input_dim=load_bundle().ccs.input_dim,
     fusion="early", embedding="linear", embedding_seed=0, epochs=1, patience=1,
 )
 out = runner(enumerate_grid(cli.default_config()["train"]["grid"])[0], seed=7)
@@ -613,8 +613,8 @@ class TestDeepRunner:
             "test": list(range(40, 48)),
         }
         runner = make_deep_runner(
-            steps_table(steps), z, labels, fold_idx,
-            input_dim=8, domain_dim=2, fusion="early", embedding="linear", embedding_seed=0,
+            steps_table(steps, z), labels, fold_idx,
+            input_dim=8, fusion="early", embedding="linear", embedding_seed=0,
             epochs=8, patience=8,
         )
         out = runner(
@@ -647,8 +647,8 @@ class TestDeepRunner:
         outs = []
         for z in (z_a, z_b):
             runner = make_deep_runner(
-                steps_table(steps), z, labels, fold_idx,
-                input_dim=8, domain_dim=0, fusion="none", embedding="linear", embedding_seed=0,
+                steps_table(steps, z), labels, fold_idx,
+                input_dim=8, fusion="none", embedding="linear", embedding_seed=0,
                 epochs=3, patience=3,
             )
             config = {"embed_dim": 4, "hidden_dim": 4, "n_gru_layers": 1, "mlp_hidden_dims": [], "lr": 0.05,
