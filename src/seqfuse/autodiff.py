@@ -46,12 +46,6 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    @property
-    def grad(self) -> np.ndarray | None:
-        if self._grad is None and self.requires_grad:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
-
     def zero_grad(self) -> None:
         self._grad = None
 
@@ -113,7 +107,7 @@ def _result(op_name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from `loss`.
+    """Populate `_grad` on every requires_grad tensor reachable from `loss`.
 
     Gradients accumulate (+=) across fan-out and across repeated calls;
     records are visited once, in reverse execution order.
@@ -385,7 +379,7 @@ def masked_attention(states: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
     return _result("masked_attention", summary, (states,), vjp), Tensor(weights.T.copy())
 
 
-def weighted_bce(y_hat: Tensor, y: np.ndarray, w_pos: float = 1.0) -> Tensor:
+def weighted_bce(y_hat: Tensor, y: np.ndarray, w_pos: float) -> Tensor:
     """-mean(w_pos*y*log(p) + (1-y)*log(1-p)), p clamped to [eps, 1-eps]."""
     y = np.asarray(y, dtype=np.float64).reshape(y_hat.shape)
     p = np.clip(y_hat.data, _EPS_BCE, 1.0 - _EPS_BCE)

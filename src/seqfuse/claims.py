@@ -317,14 +317,6 @@ class OutcomeSignal:
     los_weight: float = 0.0
     ed_weight: float = 0.0
 
-    def logit(self, ccs_present: set[int], charlson: int, los: int, ed_visits: int) -> float:
-        value = self.intercept
-        value += sum(w for cat, w in self.ccs_weights.items() if cat in ccs_present)
-        value += self.charlson_weight * charlson
-        value += self.los_weight * los
-        value += self.ed_weight * ed_visits
-        return value
-
     def to_json_obj(self) -> dict:
         return {
             "intercept": self.intercept,
@@ -900,9 +892,10 @@ class _Chunk:
 
 
 def _probability(signal: OutcomeSignal, pooled: np.ndarray, charlson, los, ed_visits) -> np.ndarray:
-    """`1 / (1 + exp(-signal.logit(...)))` per row, with the logit's float
-    additions in `logit`'s order and `math.exp`, so each value equals the
-    scalar one bit for bit."""
+    """`1 / (1 + exp(-logit))` per row, with `signal`'s logit summed as
+    the intercept plus the sum of the present categories' weights, then the
+    Charlson, LOS and ED terms in that order, and `math.exp`, so each value
+    equals the scalar form in `tests/reference.py` bit for bit."""
     weights = np.zeros(len(pooled))
     for cat, weight in signal.ccs_weights.items():
         if 0 <= cat < _N_DX_CATS:

@@ -21,9 +21,11 @@ building the cohort again.
 `featurize` hands its events on in one form, the columnar
 `featurize/events.npz` (an `EventTable`). Every later stage reads the run
 once, through `_load_sequences`: the task's events, featurize's metadata,
-the 0/1 labels and the flat table (`RunData.flat`). Train places the
-events in folds from its own patient split; later stages take the folds
-from `train/split.json`, which must be for the config's task. The deep
+the 0/1 labels and the flat table (`RunData.flat`). Every stage places
+each event in its patient's fold (`RunData.fold_of`): train from its own
+split, later stages from `train/split.json`'s patient lists, which must be
+for the config's task. Train writes its trial rows, curves, summary and
+best models straight from the grid's trial records. The deep
 cells train and predict on rows of the table. `train` builds the frozen
 matrix of the `pretrained` embedding mode itself, for each trial at its
 `embed_dim` (`model.random_embedding`), so no stage writes it. It saves
@@ -85,7 +87,15 @@ from .metrics import (
 )
 from .model import EMBEDDINGS as EMBEDDING_MODES, load_model
 from .rng import derive_seed
-from .training import FOLD_NAMES, apply_standardizer, config_hash, grid_search, make_deep_runner, split_patients
+from .training import (
+    FOLD_NAMES,
+    apply_standardizer,
+    config_hash,
+    grid_search,
+    make_deep_runner,
+    split_patients,
+    top_trials,
+)
 
 STAGES = ("generate", "cohort", "featurize", "train", "calibrate", "evaluate", "report", "importance")
 TASKS = ("readmission", "mortality")
@@ -368,6 +378,12 @@ def _read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _write_csv(path: Path, rows) -> None:
+    """Writes `rows`, the header row first, as CSV lines ending in a bare newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 # --- stage helpers ----------------------------------------------------------
 
 
@@ -435,18 +451,18 @@ def _load_best(model_dir: Path) -> tuple[dict, dict[str, np.ndarray]]:
 @dataclass(eq=False)
 class RunData:
     """A run as the stages after featurize read it: the task's events,
-    featurize's metadata, each event's 0/1 label and its fold, set by train
-    or placed from `split_events` when `fold_of` or `folds` is first read."""
+    featurize's metadata, each event's 0/1 label and each fold's patients,
+    through which `fold_of` and `folds` place the events when first read."""
 
     table: EventTable
     meta: dict
     labels: np.ndarray
-    split_events: dict[str, list[str]] | None = None
+    patients: dict[str, list[str]] | None = None
 
     @cached_property
     def fold_of(self) -> np.ndarray:
-        fold_of_event = {event: name for name, ids in self.split_events.items() for event in ids}
-        return np.array([fold_of_event[event] for event in self.table.event_id.tolist()])
+        fold_of_patient = {pid: name for name, pids in self.patients.items() for pid in pids}
+        return np.array([fold_of_patient[pid] for pid in self.table.beneficiary_id.tolist()])
 
     @cached_property
     def folds(self) -> dict[str, list[int]]:
@@ -460,7 +476,7 @@ def _load_sequences(outdir: Path, task: str, split: bool) -> RunData:
     """The one reader of a run for the stages after featurize: `task`'s
     events from featurize's columnar store (the mortality task drops its
     excluded events), featurize's metadata and the labels. With `split`, the
-    folds come from `train/split.json`'s event lists, which `require_inputs`
+    folds' patients come from `train/split.json`, which `require_inputs`
     has checked; the split must be for `task`, the one check of the task."""
     meta = _read_json(outdir / "featurize" / "features.json")
     table = EventTable.load(outdir / "featurize" / "events.npz")
@@ -473,7 +489,7 @@ def _load_sequences(outdir: Path, task: str, split: bool) -> RunData:
             raise PrerequisiteError(
                 f"train/split.json is for task {split_json['task']!r}, not the config's {task!r}; rerun `seqfuse train`"
             )
-        run.split_events = split_json["events"]
+        run.patients = split_json["patients"]
     return run
 
 
@@ -556,9 +572,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
     positives: dict[str, int] = {}
     for pid, label in zip(table.beneficiary_id.tolist(), labels.tolist()):
         positives[pid] = positives.get(pid, 0) + label
-    folds, warnings = split_patients(positives, cfg["seed"], tuple(train_cfg["fractions"]))
-    fold_of_patient = {pid: name for name, pids in folds.items() for pid in pids}
-    run.fold_of = np.array([fold_of_patient[pid] for pid in table.beneficiary_id.tolist()])
+    run.patients, warnings = split_patients(positives, cfg["seed"], tuple(train_cfg["fractions"]))
     fold_idx = run.folds
     for name, idx in fold_idx.items():
         if not idx:
@@ -575,13 +589,12 @@ def stage_train(cfg: dict, outdir: Path) -> None:
             "seed": cfg["seed"],
             "fractions": train_cfg["fractions"],
             "warnings": warnings,
-            "patients": folds,
-            "events": {name: table.event_id[idx].tolist() for name, idx in fold_idx.items()},
+            "patients": run.patients,
         },
     )
 
     summary: dict[str, dict] = {}
-    trial_rows: list[dict] = []
+    trial_rows = [["cell", "config_hash", "status", "valid_auc", "test_auc", "seed", "config"]]
     curve_rows: list[dict] = []
     for algorithm, mode in cells:
         cell = _cell_name(algorithm, mode)
@@ -602,34 +615,25 @@ def stage_train(cfg: dict, outdir: Path) -> None:
                 patience=train_cfg["patience"],
             )
             axes = {k: list(v) for k, v in train_cfg["grid"].items()}
-        result = grid_search(axes, runner, derive_seed(cfg["seed"], cell_seed_label))
-        for trial in result.trials:
-            trial_rows.append(
-                {
-                    "cell": cell,
-                    "config_hash": trial.config_hash,
-                    "status": trial.status,
-                    "valid_auc": trial.valid_auc,
-                    "test_auc": trial.test_auc,
-                    "seed": trial.seed,
-                    "config": json.dumps(trial.config, sort_keys=True),
-                }
-            )
-            curve_rows += [
-                {"cell": cell, "config_hash": trial.config_hash, "seed": trial.seed, **point}
-                for point in trial.payload.get("curve", [])
-            ]
-        best = result.best
-        if best is None:
-            reasons = "; ".join(dict.fromkeys(trial.payload["failure"] for trial in result.trials))
+        trials = grid_search(axes, runner, derive_seed(cfg["seed"], cell_seed_label))
+        for trial in trials:
+            h, seed = trial["config_hash"], trial["seed"]
+            config = json.dumps(trial["config"], sort_keys=True)
+            trial_rows.append([cell, h, trial["status"], trial.get("valid_auc"), trial.get("test_auc"), seed, config])
+            curve_rows += [{"cell": cell, "config_hash": h, "seed": seed, **point} for point in trial.get("curve", [])]
+        top = top_trials(trials)
+        if top is None:
+            reasons = "; ".join(dict.fromkeys(trial["failure"] for trial in trials))
             raise NumericsError(f"every trial failed for {cell}: {reasons}")
-        model = best.payload["model"]
+        ranked, top_mean, top_std = top
+        best = ranked[0]
+        model = best["model"]
         spec = {
             "task": task,
             "cell": cell,
-            "z_mean": best.payload["z_mean"].tolist(),
-            "z_std": best.payload["z_std"].tolist(),
-            "trial": {"config": best.config, "config_hash": best.config_hash, "seed": best.seed},
+            "z_mean": best["z_mean"].tolist(),
+            "z_std": best["z_std"].tolist(),
+            "trial": {key: best[key] for key in ("config", "config_hash", "seed")},
         }
         if algorithm == "lr":
             arrays = {"weights": model.weights, "intercept": np.float64(model.intercept)}
@@ -640,27 +644,15 @@ def stage_train(cfg: dict, outdir: Path) -> None:
         summary[cell] = {
             "algorithm": algorithm,
             "embedding_mode": mode,
-            "n_trials": len(result.trials),
-            "n_failed": sum(1 for t in result.trials if t.status != "ok"),
-            "top_test_auc_mean": result.top_test_mean,
-            "top_test_auc_std": result.top_test_std,
-            "n_top": result.n_top,
-            "best": {
-                "config": best.config,
-                "config_hash": best.config_hash,
-                "valid_auc": best.valid_auc,
-                "test_auc": best.test_auc,
-            },
+            "n_trials": len(trials),
+            "n_failed": sum(1 for t in trials if t["status"] != "ok"),
+            "top_test_auc_mean": top_mean,
+            "top_test_auc_std": top_std,
+            "n_top": len(ranked),
+            "best": {key: best[key] for key in ("config", "config_hash", "valid_auc", "test_auc")},
         }
 
-    with open(stage_dir / "trials.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["cell", "config_hash", "status", "valid_auc", "test_auc", "seed", "config"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(trial_rows)
+    _write_csv(stage_dir / "trials.csv", trial_rows)
     (stage_dir / "curves.jsonl").write_text(
         "".join(json.dumps(row, sort_keys=True) + "\n" for row in curve_rows), encoding="utf-8"
     )
@@ -777,13 +769,9 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     deep_cells = [c for c in metrics if metrics[c]["algorithm"] != "lr"]
     pool = deep_cells or list(metrics)
     best_cell = max(pool, key=lambda c: (metrics[c]["best_valid_auc"], c))
-    payload = {
-        "task": task,
-        "threshold": threshold,
-        "cells": metrics,
-        "best_cell": best_cell,
-    }
-    _write_json(stage_dir / "metrics.json", payload)
+    _write_json(
+        stage_dir / "metrics.json", {"task": task, "threshold": threshold, "cells": metrics, "best_cell": best_cell}
+    )
     lines = ", ".join(f"{cell}: AUC {m['auc']:.3f}" for cell, m in metrics.items())
     print(f"evaluate [{task}]: {lines}")
 
@@ -816,8 +804,7 @@ def stage_report(cfg: dict, outdir: Path) -> None:
             m = cells.get(_cell_name(algorithm, mode))
             row += [_fmt(m[key]) if m else "" for key in ("top_test_auc_mean", "top_test_auc_std", "recall_at_threshold")]
         rows.append(row)
-    with open(stage_dir / "table3.csv", "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    _write_csv(stage_dir / "table3.csv", rows)
 
     # Subgroup breakdown of the best model's calibrated test-fold scores.
     test = run.table.select(in_test)
@@ -829,21 +816,15 @@ def stage_report(cfg: dict, outdir: Path) -> None:
         label = "other" if cat == n_proc_columns - 1 else str(cat)
         groups[f"proc_ccs_{label}"] = np.where(member[:, cat], "present", "absent")
     report_rows = subgroup_report(scores, labels, groups, n_min=cfg["evaluate"]["n_min"], threshold=cfg["evaluate"]["threshold"])
-    with open(stage_dir / "subgroups.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["partition", "group", "n", "prevalence", "auc", "recall", "small_n"])
-        for row in report_rows:
-            writer.writerow(
-                [
-                    row["partition"],
-                    row["group"],
-                    row["n"],
-                    _fmt(row["prevalence"]),
-                    _fmt(row["auc"]),
-                    _fmt(row["recall"]),
-                    int(row["small_n"]),
-                ]
-            )
+    _write_csv(
+        stage_dir / "subgroups.csv",
+        [["partition", "group", "n", "prevalence", "auc", "recall", "small_n"]]
+        + [
+            [row["partition"], row["group"], row["n"], *(_fmt(row[key]) for key in ("prevalence", "auc", "recall")),
+             int(row["small_n"])]
+            for row in report_rows
+        ],
+    )
     _write_json(
         stage_dir / "report_info.json",
         {"task": task, "best_cell": best_cell, "n_test_events": len(test)},
@@ -860,11 +841,11 @@ def stage_importance(cfg: dict, outdir: Path) -> None:
     _, scores = _cell_scores(outdir, best_cell)
     flat = run.flat()
     rows = surrogate_importance(flat.matrix, flat.names, flat.categories, scores, threshold=threshold)
-    with open(stage_dir / "importance.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category", "feature", "importance"])
-        for row in rows:
-            writer.writerow([row["category"], row["feature"], f"{row['importance']:.6f}"])
+    _write_csv(
+        stage_dir / "importance.csv",
+        [["category", "feature", "importance"]]
+        + [[row["category"], row["feature"], f"{row['importance']:.6f}"] for row in rows],
+    )
     _write_json(
         stage_dir / "importance.json",
         {

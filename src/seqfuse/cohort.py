@@ -20,7 +20,6 @@ import csv
 import io
 import json
 from collections import Counter
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -255,26 +254,23 @@ def index_event_lines(cols) -> str:
     not have reads null."""
     stay = cols["event.stay"]
     ben, stay_id = cols["stay.beneficiary_id"][stay], cols["stay.stay_id"][stay]
-    # `json.dumps` of a string, without its dispatch.
-    quoted = {code: encode_basestring_ascii(word) for code, word in text_words(cols, np.concatenate([ben, stay_id])).items()}
     readmit_stay = cols["event.readmit_stay"]
     credited = np.where(readmit_stay >= 0, cols["stay.stay_id"][readmit_stay], -1)
-    quoted[-1] = "null"
+    word = text_words(cols, np.concatenate([ben, stay_id, credited])).__getitem__
     eligible = cols["event.eligible"].tolist()
 
-    def label(name: str) -> list[str]:
-        return [("true" if value else "false") if ok else "null" for value, ok in zip(cols[name].tolist(), eligible)]
+    def label(name: str) -> list[bool | None]:
+        return [bool(value) if ok else None for value, ok in zip(cols[name].tolist(), eligible)]
 
-    def named(names: tuple[str, ...], index: np.ndarray) -> list[str]:
-        return [json.dumps(names[i]) if i >= 0 else "null" for i in index.tolist()]
+    def named(names: tuple[str, ...], index: np.ndarray) -> list[str | None]:
+        return [names[i] if i >= 0 else None for i in index.tolist()]
 
-    admit, discharge = cols["stay.admit_date"][stay].tolist(), cols["stay.discharge_date"][stay].tolist()
     lines = []
     for b, s, a, d, age, reason, readmit, credit, mortality, mortality_reason in zip(
         ben.tolist(),
         stay_id.tolist(),
-        admit,
-        discharge,
+        cols["stay.admit_date"][stay].tolist(),
+        cols["stay.discharge_date"][stay].tolist(),
         cols["event.age"].tolist(),
         named(EXCLUSION_REASONS, cols["event.exclusion"]),
         label("event.readmit_label"),
@@ -282,14 +278,22 @@ def index_event_lines(cols) -> str:
         label("event.mortality_label"),
         named(MORTALITY_EXCLUSIONS, cols["event.mortality_exclusion"]),
     ):
-        a_iso, d_iso = day_to_iso(a), day_to_iso(d)
-        lines.append(
-            f'{{"admit_date": "{a_iso}", "age": {age}, "beneficiary_id": {quoted[b]}, '
-            f'"discharge_date": "{d_iso}", "event_id": {quoted[b][:-1]}@{a_iso}", '
-            f'"exclusion_reason": {reason}, "los": {d - a}, "mortality_exclusion": {mortality_reason}, '
-            f'"mortality_label": {mortality}, "readmit_label": {readmit}, '
-            f'"readmit_stay_id": {quoted[credit]}, "stay_id": {quoted[s]}}}\n'
-        )
+        admit = day_to_iso(a)
+        event = {
+            "admit_date": admit,
+            "age": age,
+            "beneficiary_id": word(b),
+            "discharge_date": day_to_iso(d),
+            "event_id": f"{word(b)}@{admit}",
+            "exclusion_reason": reason,
+            "los": d - a,
+            "mortality_exclusion": mortality_reason,
+            "mortality_label": mortality,
+            "readmit_label": readmit,
+            "readmit_stay_id": word(credit),
+            "stay_id": word(s),
+        }
+        lines.append(json.dumps(event, sort_keys=True) + "\n")
     return "".join(lines)
 
 

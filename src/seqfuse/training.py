@@ -3,9 +3,10 @@
 Splitting is patient-level and stratified by each patient's count of
 positive events (0, 1, 2+), with largest-remainder rounding so every fold
 lands within one patient of its exact share. All shuffling and trial seeds
-derive from one root seed, and grid results are ranked by validation AUC
-with the config hash as the tiebreak, so search output is independent of
-execution order.
+derive from one root seed. `grid_search` records each trial as a plain
+dict, its runner's result with the config, config hash and seed, and
+`top_trials` ranks a cell's ok trials by validation AUC with the config
+hash as the tiebreak, so search output is independent of execution order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .rng import Xoshiro256, derive_seed, unit_floats
 
 FOLD_NAMES = ("train", "valid", "calibration", "test")
 DEFAULT_FRACTIONS = (0.70, 0.15, 0.05, 0.10)
+# Table 3 reports each cell's mean and std of test AUC over this many of
+# its best trials by validation AUC.
+TOP_N = 10
 # The working memory of SMOTE's neighbour search, in bytes: half for the
 # filter's (rows, n_min) blocks of distance bounds, half for the
 # refinement's (pairs, d) differences. At least one row or pair is taken
@@ -348,30 +352,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
-class Trial:
-    config: dict
-    config_hash: str
-    seed: int
-    status: str
-    valid_auc: float | None
-    test_auc: float | None
-    payload: dict = field(default_factory=dict)
-
-
-@dataclass
-class GridSearchResult:
-    trials: list[Trial]
-    ranked: list[Trial]
-    top_test_mean: float | None
-    top_test_std: float | None
-    n_top: int
-
-    @property
-    def best(self) -> Trial | None:
-        return self.ranked[0] if self.ranked else None
-
-
 def enumerate_grid(axes: dict[str, list]) -> list[dict]:
     if not axes:
         return [{}]
@@ -440,49 +420,29 @@ def make_deep_runner(
     return run
 
 
-def grid_search(
-    axes: dict[str, list],
-    run_trial,
-    base_seed: int,
-    top_n: int = 10,
-) -> GridSearchResult:
-    """Runs every config in the grid; ranking ignores execution order.
-
-    `run_trial(config, seed)` returns a dict with at least status,
-    valid_auc, and test_auc. Each trial's seed derives from the root seed
-    and its config hash. Failed trials are kept for the record but excluded
-    from ranking and from the top-N summary.
-    """
+def grid_search(axes: dict[str, list], run_trial, base_seed: int) -> list[dict]:
+    """Runs every config in the grid, returning one record per trial in
+    grid order: `run_trial(config, seed)`'s dict plus the trial's `config`,
+    `config_hash` and `seed`. Each seed derives from the root seed and the
+    config hash, so no trial depends on the order the grid runs in."""
     configs = enumerate_grid(axes)
     hashes = [config_hash(c) for c in configs]
     if len(set(hashes)) != len(hashes):
         raise ValidationError("duplicate configs in grid")
-    seeds = [derive_seed(base_seed, "trial", h) for h in hashes]
-
-    outputs = [run_trial(config, seed) for config, seed in zip(configs, seeds)]
-
     trials = []
-    for config, h, seed, out in zip(configs, hashes, seeds, outputs):
-        payload = {k: v for k, v in out.items() if k not in ("status", "valid_auc", "test_auc")}
-        trials.append(
-            Trial(
-                config=config,
-                config_hash=h,
-                seed=seed,
-                status=out["status"],
-                valid_auc=out.get("valid_auc"),
-                test_auc=out.get("test_auc"),
-                payload=payload,
-            )
-        )
-    ranked = sorted(
-        (t for t in trials if t.status == "ok"),
-        key=lambda t: (-t.valid_auc, t.config_hash),
-    )
-    top = ranked[:top_n]
-    if top:
-        values = np.array([t.test_auc for t in top], dtype=np.float64)
-        mean, std = float(values.mean()), float(values.std())
-    else:
-        mean, std = None, None
-    return GridSearchResult(trials=trials, ranked=ranked, top_test_mean=mean, top_test_std=std, n_top=len(top))
+    for config, h in zip(configs, hashes):
+        seed = derive_seed(base_seed, "trial", h)
+        trials.append({**run_trial(config, seed), "config": config, "config_hash": h, "seed": seed})
+    return trials
+
+
+def top_trials(trials: list[dict]) -> tuple[list[dict], float, float] | None:
+    """A cell's ok trials ranked by validation AUC, ties broken by config
+    hash, cut to the best `TOP_N`, with the mean and std of their test
+    AUCs: what Table 3 reports. None when no trial is ok."""
+    ranked = sorted((t for t in trials if t["status"] == "ok"), key=lambda t: (-t["valid_auc"], t["config_hash"]))
+    if not ranked:
+        return None
+    top = ranked[:TOP_N]
+    values = np.array([t["test_auc"] for t in top], dtype=np.float64)
+    return top, float(values.mean()), float(values.std())

@@ -98,6 +98,7 @@ from seqfuse.claims import (
     MEDICARE_STATUSES,
     RACES,
     WRINKLE_RATES,
+    OutcomeSignal,
     SyntheticConfig,
     _ptr,
     day_to_iso,
@@ -399,6 +400,17 @@ def charlson_index(dx_codes, ccs: CcsMap, weights: dict[int, int]) -> int:
     return sum(weights.get(cat, 0) for cat in cats)
 
 
+def logit(signal: OutcomeSignal, ccs_present: set[int], charlson: int, los: int, ed_visits: int) -> float:
+    """The logit an `OutcomeSignal` plants, term by term in its docstring's
+    order: the scalar form `claims._probability` must equal bit for bit."""
+    value = signal.intercept
+    value += sum(w for cat, w in signal.ccs_weights.items() if cat in ccs_present)
+    value += signal.charlson_weight * charlson
+    value += signal.los_weight * los
+    value += signal.ed_weight * ed_visits
+    return value
+
+
 def _gen_patient(
     i: int,
     cfg: SyntheticConfig,
@@ -538,8 +550,8 @@ def _gen_patient(
     readmit = False
     mortality = False
     if eligible:
-        p_r = 1.0 / (1.0 + math.exp(-cfg.readmit_signal.logit(pooled, charlson, los, ed_12m)))
-        p_m = 1.0 / (1.0 + math.exp(-cfg.mortality_signal.logit(pooled, charlson, los, ed_12m)))
+        p_r = 1.0 / (1.0 + math.exp(-logit(cfg.readmit_signal, pooled, charlson, los, ed_12m)))
+        p_m = 1.0 / (1.0 + math.exp(-logit(cfg.mortality_signal, pooled, charlson, los, ed_12m)))
         readmit = rng.bernoulli(p_r)
         mortality = rng.bernoulli(p_m)
         ama = rng.random() < rates["ama"]
@@ -1614,6 +1626,14 @@ def reference_pair_lookup(weights: Tensor, indices: np.ndarray, row_of: np.ndarr
     return _result("embedding_lookup", out, (weights,), vjp)
 
 
+def grad_of(tensor: Tensor) -> np.ndarray | None:
+    """What `backward` accumulated on `tensor`: zeros when it reached the
+    tensor with no gradient, None for a frozen tensor."""
+    if tensor._grad is None and tensor.requires_grad:
+        return np.zeros_like(tensor.data)
+    return tensor._grad
+
+
 # --- the recurrent layer and the optimizer -----------------------------------
 
 
@@ -1812,7 +1832,7 @@ def reference_train_lr(
 
 def scores_csv(outdir, task: str, cell: str) -> str:
     """`cell`'s scores of `task`'s events, one CSV row each in featurize's
-    order: the event, its fold from `train/split.json`'s event lists, its
+    order: the event, its patient's fold from `train/split.json`, its
     label, its raw score from `calibrate/raw_scores.npz`, and that score
     through the identity and through the cell's calibrator."""
     table = EventTable.load(outdir / "featurize" / "events.npz")
@@ -1820,7 +1840,8 @@ def scores_csv(outdir, task: str, cell: str) -> str:
         table = table.select(~table.mortality_excluded)
     labels = table.label_for(task).astype(np.int64)
     split = json.loads((outdir / "train" / "split.json").read_text(encoding="utf-8"))
-    fold_of = {event_id: fold for fold, ids in split["events"].items() for event_id in ids}
+    fold_of = {pid: fold for fold, pids in split["patients"].items() for pid in pids}
+    patients = table.beneficiary_id.tolist()
     with np.load(outdir / "calibrate" / "raw_scores.npz", allow_pickle=False) as npz:
         raw = npz[cell]
     calibrators = json.loads((outdir / "calibrate" / "calibrators.json").read_text(encoding="utf-8"))
@@ -1833,7 +1854,7 @@ def scores_csv(outdir, task: str, cell: str) -> str:
         writer.writerow(
             [
                 event_id,
-                fold_of[event_id],
+                fold_of[patients[i]],
                 labels[i],
                 f"{raw[i]:.10g}",
                 f"{prob_raw[i]:.10g}",

@@ -27,6 +27,7 @@ from tests.reference import (
     ClaimRecord,
     ReferenceXoshiro256,
     checked_cohort,
+    grad_of,
     population_records,
     steps_table,
 )
@@ -138,7 +139,7 @@ def test_c01_gradients_match_central_differences():
     n_entries = 0
     for name, tensor in model.params.items():
         flat = tensor.data.reshape(-1)
-        grads = tensor.grad.reshape(-1)
+        grads = grad_of(tensor).reshape(-1)
         for k in range(flat.size):
             keep = flat[k]
             flat[k] = keep + h

@@ -36,6 +36,7 @@ from seqfuse.rng import Xoshiro256
 from tests.reference import (
     ReferenceAdam,
     ReferenceXoshiro256,
+    grad_of,
     reference_gru_sequence,
     reference_pair_lookup,
     reference_sigmoid,
@@ -87,7 +88,7 @@ def check_grads(build_loss, params: dict[str, Tensor], rtol=1e-5, atol=1e-8):
     backward(tape, loss)
     for name, p in params.items():
         numeric = fd_grad(lambda: build_loss().item(), p.data)
-        np.testing.assert_allclose(p.grad, numeric, rtol=rtol, atol=atol, err_msg=name)
+        np.testing.assert_allclose(grad_of(p), numeric, rtol=rtol, atol=atol, err_msg=name)
 
 
 def _rand(rng, *shape):
@@ -261,7 +262,7 @@ def _gru_run(op, data, mask):
         )
         loss = tsum(hadamard(out, Tensor(data["r"])))
     backward(tape, loss)
-    return out.data, {name: t.grad for name, t in tensors.items()}
+    return out.data, {name: grad_of(t) for name, t in tensors.items()}
 
 
 class TestKernelsAgainstReferences:
@@ -307,7 +308,7 @@ class TestKernelsAgainstReferences:
                 out = op(weights, indices, row_of, n_rows)
                 loss = tsum(hadamard(out, Tensor(upstream)))
             backward(tape, loss)
-            return out.data, weights.grad
+            return out.data, grad_of(weights)
 
         out, grad = run(embedding_lookup)
         ref_out, ref_grad = run(reference_pair_lookup)
@@ -389,7 +390,7 @@ class TestBackwardMechanics:
         with Tape() as tape:
             loss = tsum(add(hadamard(x, x), x))  # d/dx = 2x + 1
         backward(tape, loss)
-        np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0, rtol=1e-12)
+        np.testing.assert_allclose(grad_of(x), 2.0 * x.data + 1.0, rtol=1e-12)
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
@@ -397,7 +398,7 @@ class TestBackwardMechanics:
             with Tape() as tape:
                 loss = tsum(add(add(x, x), x))
             backward(tape, loss)
-        np.testing.assert_allclose(x.grad, 6.0 * np.ones((1, 2)))
+        np.testing.assert_allclose(grad_of(x), 6.0 * np.ones((1, 2)))
         x.zero_grad()
         assert x._grad is None
 
@@ -408,7 +409,7 @@ class TestBackwardMechanics:
             loss = tsum(hadamard(x, frozen))
         backward(tape, loss)
         assert frozen._grad is None
-        assert x.grad is not None
+        assert grad_of(x) is not None
 
     def test_tapes_on_two_threads_record_only_their_own_ops(self):
         """Each thread records on its own innermost tape, even while the
@@ -446,7 +447,7 @@ class TestBackwardMechanics:
             assert len(outputs) == 3 and outputs[0] is y and outputs[2] is loss
             own = {id(x), *map(id, outputs)}
             assert all(id(t) in own for rec in tape.records for t in rec[1])
-            np.testing.assert_allclose(x.grad, 4.0 * x.data, rtol=1e-12)  # d/dx sum(2x * x)
+            np.testing.assert_allclose(grad_of(x), 4.0 * x.data, rtol=1e-12)  # d/dx sum(2x * x)
 
     def test_loss_must_be_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -33,6 +33,7 @@ from tests.reference import (
     age_at,
     claim_columns,
     covers,
+    logit,
     population_records,
     read_population_npz,
     reference_population,
@@ -385,9 +386,9 @@ class TestOutcomeSignal:
         signal = OutcomeSignal(
             intercept=-1.0, ccs_weights={3: 0.5, 7: 0.25}, charlson_weight=0.1, los_weight=0.2, ed_weight=0.3
         )
-        assert signal.logit(set(), 0, 0, 0) == -1.0
-        assert signal.logit({3}, 0, 0, 0) == pytest.approx(-0.5)
-        assert signal.logit({3, 7, 9}, 2, 5, 1) == pytest.approx(-1.0 + 0.75 + 0.2 + 1.0 + 0.3)
+        assert logit(signal, set(), 0, 0, 0) == -1.0
+        assert logit(signal, {3}, 0, 0, 0) == pytest.approx(-0.5)
+        assert logit(signal, {3, 7, 9}, 2, 5, 1) == pytest.approx(-1.0 + 0.75 + 0.2 + 1.0 + 0.3)
 
     def test_default_signals_fire_outside_the_sequence(self):
         readmit, mortality = default_signals()
@@ -453,8 +454,8 @@ class TestGenerator:
         readmit, mortality = default_signals()
         for row in small_population.truth:
             present = set(row.ccs_present)
-            p_r = 1.0 / (1.0 + math.exp(-readmit.logit(present, row.charlson, row.los, row.ed_visits_12m)))
-            p_m = 1.0 / (1.0 + math.exp(-mortality.logit(present, row.charlson, row.los, row.ed_visits_12m)))
+            p_r = 1.0 / (1.0 + math.exp(-logit(readmit, present, row.charlson, row.los, row.ed_visits_12m)))
+            p_m = 1.0 / (1.0 + math.exp(-logit(mortality, present, row.charlson, row.los, row.ed_visits_12m)))
             assert row.p_readmit == pytest.approx(p_r, rel=1e-12)
             assert row.p_mortality == pytest.approx(p_m, rel=1e-12)
 

@@ -314,12 +314,14 @@ class TestPipelineArtifacts:
         for fold in split["patients"].values():
             seen.extend(fold)
         assert len(seen) == len(set(seen))
-        by_fold = {name: len(ids) for name, ids in split["events"].items()}
+        run = _load_sequences(outdir, "readmission", split=True)
+        assert set(seen) == set(run.table.beneficiary_id.tolist())
+        by_fold = {name: len(idx) for name, idx in run.folds.items()}
         assert by_fold["train"] > by_fold["test"] > 0
 
     def test_reader_places_each_event_in_its_patients_fold(self, pipeline_run):
-        """The reader matches split.json's event lists; the patient lists
-        beside them must give the same folds."""
+        """The reader places each event in the fold that split.json's
+        patient lists give its patient."""
         _, outdir = pipeline_run
         run = _load_sequences(outdir, "readmission", split=True)
         split = json.loads((outdir / "train" / "split.json").read_text())
@@ -1042,12 +1044,43 @@ class TestMortalityTask:
         rows = [json.loads(line) for line in _show(capsys, "events", "--config", str(config)).splitlines()]
         excluded = sum(r["exclusion_reason"] is None and r["mortality_exclusion"] is not None for r in rows)
         split = json.loads((outdir / "train" / "split.json").read_text())
-        n_split = sum(len(v) for v in split["events"].values())
+        fold_of = _load_sequences(outdir, "mortality", split=True).fold_of
+        n_split = len(fold_of)
         assert n_split == features["n_events"] - excluded
         # The run has deaths, but none among the calibration fold's events.
         assert split["warnings"] == ["fold 'calibration' has 8 events, all negative"]
         report_info = json.loads((outdir / "report" / "report_info.json").read_text())
-        assert report_info["n_test_events"] == len(split["events"]["test"])
+        assert report_info["n_test_events"] == (fold_of == "test").sum()
         shown = _show(capsys, "scores", "lr__linear", "--config", str(config))
         assert shown == scores_csv(outdir, "mortality", "lr__linear")
         assert len(shown.splitlines()) == n_split + 1
+
+
+class TestFoldPlacement:
+    @pytest.mark.parametrize("task", ["readmission", "mortality"])
+    def test_every_reading_stage_places_events_where_train_did(self, tmp_path, monkeypatch, capsys, task):
+        """`train/split.json` holds each fold's patients and nothing per
+        event, and every stage that reads the run after train, and `show
+        scores`, reads it once and places each event in the fold train put
+        it in."""
+        config = str(_write_config(tmp_path / "cfg.json", tmp_path / "run", task=task, train={"algorithms": ["lr"]}))
+        load, loaded = cli._load_sequences, []
+
+        def recording(*args, **kwargs):
+            loaded.append(load(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load_sequences", recording)
+        placed = {}
+        for argv in [[stage] for stage in STAGES] + [["show", "scores", "lr__linear"]]:
+            loaded.clear()
+            assert main([*argv, "--config", config]) == 0, argv
+            placed[argv[0]] = [run.fold_of.tolist() for run in loaded]
+        capsys.readouterr()
+        split = json.loads((tmp_path / "run" / "train" / "split.json").read_text())
+        assert sorted(split) == ["fractions", "patients", "seed", "task", "warnings"]
+        assert split["task"] == task
+        (train,) = placed["train"]
+        assert set(train) == set(FOLD_NAMES)
+        for stage in ("calibrate", "evaluate", "report", "importance", "show"):
+            assert placed[stage] == [train], stage

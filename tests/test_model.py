@@ -18,7 +18,13 @@ from seqfuse.model import (
     load_model,
     random_embedding,
 )
-from tests.reference import ReferenceXoshiro256, reference_embedding_lookup, reference_padding, steps_table
+from tests.reference import (
+    ReferenceXoshiro256,
+    grad_of,
+    reference_embedding_lookup,
+    reference_padding,
+    steps_table,
+)
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -330,7 +336,7 @@ class TestLoss:
                     down, _ = model.loss(rows, table, labels, 2.0)
                 flat[k] = keep
                 fd = (up.data[0, 0] - down.data[0, 0]) / (2 * h)
-                got = tensor.grad.reshape(-1)[k]
+                got = grad_of(tensor).reshape(-1)[k]
                 assert abs(got - fd) <= 1e-4 * max(1.0, abs(fd)), (name, k, got, fd)
 
 
@@ -390,7 +396,7 @@ class TestLayoutAgainstReference:
         with Tape() as tape:
             loss, _ = model.loss(rows, table, labels, 1.0)
             backward(tape, loss)
-        return seen, model.params["embed.W"].grad
+        return seen, grad_of(model.params["embed.W"])
 
     def _check(self, step_lists, rng: ReferenceXoshiro256, n_rows: int):
         order = list(range(len(step_lists)))

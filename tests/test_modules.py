@@ -39,31 +39,39 @@ def test_every_import_is_used(path):
 def _unreferenced(sources: dict[str, str]) -> list[str]:
     """The top-level functions and classes of the modules in `sources`
     ({module: source}), and the methods of those classes, that no module
-    refers to: no `Name`, `Attribute` or import alias anywhere in them
-    names it. A method is matched by its name alone, whatever the object
-    it is looked up on; dunder methods, which Python calls, are skipped."""
+    refers to. A function or class is referred to by any `Name`,
+    `Attribute` or import alias that names it; a method only by an
+    `Attribute` or import alias, so a local variable of the same name does
+    not hide a dead one. A method is matched by its name alone, whatever
+    the object it is looked up on; dunder methods, which Python calls, are
+    skipped."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined: list[str] = []
-    referenced: set[str] = set()
+    methods: list[str] = []
+    names: set[str] = set()
+    attributes: set[str] = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (*functions, ast.ClassDef)):
                 defined.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                defined += [
+                methods += [
                     f"{module}.{node.name}.{item.name}"
                     for item in node.body
                     if isinstance(item, functions) and not (item.name.startswith("__") and item.name.endswith("__"))
                 ]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                referenced.add(node.name)
-    return sorted(name for name in defined if name.rsplit(".", 1)[1] not in referenced)
+                attributes.add(node.name)
+    referenced = names | attributes
+    unreferenced = [name for name in defined if name.rsplit(".", 1)[1] not in referenced]
+    unreferenced += [name for name in methods if name.rsplit(".", 1)[1] not in attributes]
+    return sorted(unreferenced)
 
 
 def test_the_scan_sees_unreferenced_definitions():
@@ -83,12 +91,13 @@ def test_the_scan_sees_unreferenced_methods():
             "    def passed(self): pass\n"
             "    def lone(self): pass\n"
             "    def elsewhere(self): pass\n"
+            "    def shadowed(self): pass\n"
             "Used().called()\n"
             "f = Used.passed\n"
         ),
-        "b": "import a\nx = a.Used()\nx.elsewhere()\n",
+        "b": "import a\nx = a.Used()\nx.elsewhere()\nshadowed = 1\nprint(shadowed)\n",
     }
-    assert _unreferenced(sources) == ["a.Used.lone"]
+    assert _unreferenced(sources) == ["a.Used.lone", "a.Used.shadowed"]
 
 
 # `autodiff.Sgd` has no caller in the package (training uses Adam), but

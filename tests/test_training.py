@@ -22,7 +22,6 @@ from seqfuse import training
 from seqfuse.baseline import flatten
 from seqfuse.training import (
     FOLD_NAMES,
-    Trial,
     apply_standardizer,
     batch_schedule,
     config_hash,
@@ -33,6 +32,7 @@ from seqfuse.training import (
     smote,
     smote_neighbors,
     split_patients,
+    top_trials,
     train_model,
 )
 from tests.reference import ReferenceXoshiro256, reference_nearest_neighbors, steps_table
@@ -551,47 +551,48 @@ class TestGridSearch:
         }
 
     def test_ranking_and_top_summary(self):
-        axes = {"lr": [0.0, 1.0, 2.0], "width": [1, 2]}
-        result = grid_search(axes, self._stub, base_seed=42, top_n=3)
-        assert len(result.trials) == 6
-        assert sum(t.status == "failed" for t in result.trials) == 2
-        assert len(result.ranked) == 4
-        valid = [t.valid_auc for t in result.ranked]
-        assert valid == sorted(valid, reverse=True)
-        assert result.best.config == {"lr": 2.0, "width": 2}
-        assert result.n_top == 3
-        top_test = [t.test_auc for t in result.ranked[:3]]
-        np.testing.assert_allclose(result.top_test_mean, np.mean(top_test))
-        np.testing.assert_allclose(result.top_test_std, np.std(top_test))
+        # 15 of the 18 trials are ok, so the cut to the top 10 shows.
+        axes = {"lr": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "width": [1, 2, 3]}
+        trials = grid_search(axes, self._stub, base_seed=42)
+        assert [t["config"] for t in trials] == enumerate_grid(axes)
+        assert sum(t["status"] == "failed" for t in trials) == 3
+        top, mean, std = top_trials(trials)
+        ok = [t for t in trials if t["status"] == "ok"]
+        assert len(top) == training.TOP_N == 10
+        assert top == sorted(ok, key=lambda t: -t["valid_auc"])[:10]
+        assert top[0]["config"] == {"lr": 5.0, "width": 3}
+        top_test = [t["test_auc"] for t in top]
+        np.testing.assert_allclose(mean, np.mean(top_test))
+        np.testing.assert_allclose(std, np.std(top_test))
 
     def test_tie_break_is_config_hash(self):
-        axes = {"lr": [1.0], "width": [1, 2]}
+        axes = {"lr": [1.0], "width": [1, 2, 3, 4]}
 
         def tied(config, seed):
             return {"status": "ok", "valid_auc": 0.7, "test_auc": 0.6}
 
-        result = grid_search(axes, tied, base_seed=1)
-        hashes = [t.config_hash for t in result.ranked]
-        assert hashes == sorted(hashes)
+        top, _, _ = top_trials(grid_search(axes, tied, base_seed=1))
+        hashes = [t["config_hash"] for t in top]
+        assert len(hashes) == 4 and hashes == sorted(hashes)
 
     def test_trial_seeds_derive_from_config_hash(self):
-        axes = {"lr": [1.0, 2.0], "width": [1]}
-        result = grid_search(axes, self._stub, base_seed=7)
-        for trial in result.trials:
-            expected = derive_seed(7, "trial", trial.config_hash)
-            assert trial.seed == expected
-            if trial.status == "ok":
-                assert trial.payload["seed_seen"] == expected
+        axes = {"lr": [0.0, 1.0, 2.0], "width": [1]}
+        trials = grid_search(axes, self._stub, base_seed=7)
+        for trial in trials:
+            assert trial["config_hash"] == config_hash(trial["config"])
+            expected = derive_seed(7, "trial", trial["config_hash"])
+            assert trial["seed"] == expected
+            if trial["status"] == "ok":
+                assert trial["seed_seen"] == expected
 
     def test_duplicate_configs_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             grid_search({"lr": [1.0, 1.0]}, self._stub, base_seed=1)
 
     def test_all_failed_leaves_summary_empty(self):
-        result = grid_search({"lr": [0.0]}, self._stub, base_seed=1)
-        assert result.best is None
-        assert result.top_test_mean is None and result.top_test_std is None
-        assert result.n_top == 0
+        trials = grid_search({"lr": [0.0]}, self._stub, base_seed=1)
+        assert [t["failure"] for t in trials] == ["diverged"]
+        assert top_trials(trials) is None
 
 
 class TestDeepRunner:
