@@ -48,9 +48,10 @@ def ece(probs, labels, n_bins: int = 10) -> float:
 
 @dataclass
 class Calibrator:
-    """A fitted monotone map from raw margins/logits to probabilities."""
+    """A fitted monotone map from raw margins/logits to probabilities;
+    `Calibrator(**obj)` rebuilds one from its `to_json_obj`."""
 
-    kind: str  # temperature | platt | identity
+    kind: str  # temperature | platt
     temperature: float | None = None
     a: float | None = None
     b: float | None = None
@@ -64,16 +65,10 @@ class Calibrator:
             return _sigmoid(raw / self.temperature)
         if self.kind == "platt":
             return _sigmoid(self.a * raw + self.b)
-        if self.kind == "identity":
-            return _sigmoid(raw)
         raise ValidationError(f"unknown calibrator kind {self.kind!r}")
 
     def to_json_obj(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Calibrator":
-        return cls(**obj)
 
 
 def _guard_fold(fold: str) -> None:

@@ -1,16 +1,18 @@
 """The columnar claims archive and the synthetic population.
 
-Dates are integer day numbers (days since 1970-01-01) everywhere; the
-ground-truth CSV carries ISO strings. The archive `generate/claims.npz`
-holds beneficiaries and claims as the columns of `CLAIM_COLUMNS`, written
-by `write_npz` and read back by `read_npz`; `check_claim_columns` checks
-every record in it, and `ingest_claims` is the two together, for cohort.
-Featurize reads the same file again, already checked and hash-verified,
-for the claims its visit steps and counts need.
+Dates are integer day numbers (days since 1970-01-01) everywhere. The
+archive `generate/claims.npz` holds beneficiaries and claims as the
+columns of `CLAIM_COLUMNS`, written by `write_npz` and read back by
+`read_npz`; `check_claim_columns` checks every record in it, and
+`ingest_claims` is the two together, for cohort. Featurize reads the same
+file again, already checked and hash-verified, for the claims its visit
+steps and counts need. Cohort and featurize turn string codes into what
+they ask of a word in one way, `code_table`.
 
 The synthetic generator plants a known logistic outcome signal per patient
 and reports it back, as columns, so tests can check that the cohort builder
-and feature engine recover exactly what was planted. It is a numpy kernel:
+and feature engine recover exactly what was planted; generate writes the
+columns of `TRUTH_COLUMNS` as `generate/truth.npz`. It is a numpy kernel:
 the patients of a chunk step side by side, each drawing from its own
 stream (`rng.Xoshiro256Lanes`) exactly the values the one-patient-at-a-time
 reference generator in `tests/reference.py` draws, and their claims go
@@ -46,8 +48,8 @@ MEDICARE_STATUSES = ("aged_no_esrd", "aged_esrd", "disabled", "esrd_only")
 ESRD_STATUSES = frozenset({"aged_esrd", "esrd_only"})
 
 
-# Event ids and the ground truth convert many dates of a few distinct days;
-# the caches are bounded all the same.
+# Event ids convert many dates of a few distinct days; the caches are
+# bounded all the same.
 @functools.lru_cache(maxsize=1 << 16)
 def iso_to_day(text: str) -> int:
     return date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
@@ -142,12 +144,22 @@ CLAIM_COLUMNS = {
 def text_words(cols, codes) -> dict[int, str | None]:
     """{code: string} for the given codes of the archive's string table;
     code -1 reads None."""
-    blob = cols["text"].tobytes()
-    ptr = cols["text_ptr"].tolist()
+    blob, ptr, codes = cols["text"].tobytes(), cols["text_ptr"], np.unique(codes)
     return {
-        code: None if code < 0 else blob[ptr[code] : ptr[code + 1]].decode("utf-8", "surrogatepass")
-        for code in np.unique(codes).tolist()
+        code: None if code < 0 else blob[start:end].decode("utf-8", "surrogatepass")
+        for code, start, end in zip(codes.tolist(), ptr[codes].tolist(), ptr[codes + 1].tolist())
     }
+
+
+def code_table(cols, codes, convert, dtype=bool) -> np.ndarray:
+    """`convert(word)` of each code among `codes`, as an array indexed by
+    code; a code not asked for reads zero. Its last slot stands for the
+    null code -1 (whose word is None), so `table[column]` looks up a whole
+    column."""
+    table = np.zeros(len(cols["text_ptr"]), dtype=dtype)
+    for code, word in text_words(cols, codes).items():
+        table[code] = convert(word)
+    return table
 
 
 # The text columns, each an int32 code per row (per code, for the code
@@ -397,6 +409,10 @@ class SyntheticConfig:
                     raise ValidationError(f"signal field {name} must be finite")
 
 
+# The ground-truth columns generate writes to `generate/truth.npz`, in order.
+TRUTH_COLUMNS = ("patient", "admit", "discharge", "readmit", "mortality", "p_readmit", "p_mortality")
+
+
 @dataclass
 class SyntheticPopulation:
     """The generated claims as the columns of `CLAIM_COLUMNS`, the planted
@@ -413,16 +429,6 @@ class SyntheticPopulation:
     columns: dict[str, np.ndarray]
     truth: dict[str, np.ndarray]
     info: dict
-
-
-def write_ground_truth(path: str | Path, truth: dict[str, np.ndarray]) -> None:
-    """`generate/ground_truth.csv`: each planted event's beneficiary, index
-    discharge date and labels, from `SyntheticPopulation.truth`."""
-    lines = ["beneficiary_id,index_discharge_date,readmit_label,mortality_label"]
-    columns = (truth[name].tolist() for name in ("patient", "discharge", "readmit", "mortality"))
-    for patient, discharge, readmit, mortality in zip(*columns):
-        lines.append(f"B{patient:06d},{day_to_iso(discharge)},{int(readmit)},{int(mortality)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # Patients generated side by side. A chunk's streams are one (patients,

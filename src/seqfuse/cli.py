@@ -44,7 +44,8 @@ types, then each value's range (`_RANGES`). A stage body reads `cfg[...]`
 directly and keeps no defaults of its own, and neither do the grid
 runners.
 
-Exit codes: 0 success, 2 invalid input or config, 3 missing/stale
+Exit codes: 0 success, 1 standard output closed by its reader (as by
+`seqfuse show ... | head`), 2 invalid input or config, 3 missing/stale
 prerequisite artifacts, 4 numerical failure.
 """
 
@@ -54,6 +55,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import shutil
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -63,19 +65,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import _sigmoid
 from .baseline import FlatTable, flatten, make_lr_runner
 from .calibration import Calibrator, ece, fit_platt, fit_temperature, nll
-from .claims import SyntheticConfig, generate_population, ingest_claims, read_npz, write_ground_truth, write_npz
+from .claims import TRUTH_COLUMNS, SyntheticConfig, generate_population, ingest_claims, read_npz, write_npz
 from .cohort import POPULATION_MEMBERS, build_cohort, cohort_summary, index_event_lines
-from .errors import (
-    CalibrationError,
-    MetricUndefinedError,
-    NumericsError,
-    ParseError,
-    PrerequisiteError,
-    SeqfuseError,
-    ValidationError,
-)
+from .errors import MetricUndefinedError, NumericsError, ParseError, PrerequisiteError, SeqfuseError, ValidationError
 from .features import SUBGROUP_KEYS, EventTable, SequenceOptions, featurize_events
 from .knowledge import load_bundle
 from .metrics import (
@@ -290,10 +285,15 @@ def load_config(path: str, outdir: str | None = None) -> dict:
             value = holder[key]
             if dropped is _ANY or (_has_type(value, dropped) and value == dropped):
                 del holder[key]
-    problems = validate_config(merged)
+    return _valid(merged)
+
+
+def _valid(cfg: dict) -> dict:
+    """`cfg`, once `validate_config` finds no problem with it."""
+    problems = validate_config(cfg)
     if problems:
         raise ValidationError("invalid config:\n  " + "\n  ".join(problems))
-    return merged
+    return cfg
 
 
 # --- manifests -------------------------------------------------------------
@@ -422,7 +422,7 @@ def _artifacts(cfg: dict) -> dict[str, tuple[list[str], list[str]]]:
     # Report and importance read the scores of the cell metrics.json names.
     best_cell = events + calibrated + ["evaluate/metrics.json", "train/split.json"]
     return {
-        "generate": ([], population + ["generate/ground_truth.csv", "generate/generator_info.json"]),
+        "generate": ([], population + ["generate/truth.npz", "generate/generator_info.json"]),
         "cohort": (population, ["cohort/population.npz", "cohort/summary.csv", "cohort/audit.json"]),
         "featurize": (["cohort/population.npz"] + population, events),
         "train": (
@@ -502,7 +502,7 @@ def stage_generate(cfg: dict, outdir: Path) -> None:
     population = generate_population(synth)
     cols = population.columns
     write_npz(stage_dir / "claims.npz", cols)
-    write_ground_truth(stage_dir / "ground_truth.csv", population.truth)
+    write_npz(stage_dir / "truth.npz", {name: population.truth[name] for name in TRUTH_COLUMNS})
     _write_json(stage_dir / "generator_info.json", population.info)
     print(
         f"generate: {len(cols['beneficiary.beneficiary_id'])} patients, {len(cols['claim.claim_id'])} claims, "
@@ -707,7 +707,7 @@ def _cell_scores(outdir: Path, cell: str) -> tuple[np.ndarray, np.ndarray]:
     if cell not in calibrators:
         raise _untrained("calibrate/calibrators.json", cell)
     raw = read_npz(outdir / "calibrate" / "raw_scores.npz")[cell]
-    return raw, Calibrator.from_json_obj(calibrators[cell]).apply(raw)
+    return raw, Calibrator(**calibrators[cell]).apply(raw)
 
 
 def _untrained(rel: str, cell: str) -> PrerequisiteError:
@@ -739,7 +739,7 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
         raw, prob_cal = _cell_scores(outdir, cell)
         test_labels = run.labels[test_idx]
         test_cal = prob_cal[test_idx]
-        test_raw_prob = Calibrator(kind="identity").apply(raw[test_idx])
+        test_raw_prob = _sigmoid(raw[test_idx])
         try:
             recall, precision = recall_precision_at_threshold(test_cal, test_labels, threshold)
         except MetricUndefinedError:
@@ -878,7 +878,7 @@ def show(cfg: dict, target: str, cell: str | None) -> None:
     require_inputs(outdir, _artifacts(cfg)["evaluate"][0])
     run = _load_sequences(outdir, cfg["task"], split=True)
     raw, prob_cal = _cell_scores(outdir, cell)
-    columns = (run.table.event_id, run.fold_of, run.labels, raw, Calibrator(kind="identity").apply(raw), prob_cal)
+    columns = (run.table.event_id, run.fold_of, run.labels, raw, _sigmoid(raw), prob_cal)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["event_id", "fold", "label", "raw", "prob_raw", "prob_cal"])
     for event_id, fold, label, *scores in zip(*(column.tolist() for column in columns)):
@@ -951,7 +951,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "demo-config":
-            cfg = default_config(outdir=args.outdir, n_patients=args.patients, seed=args.seed)
+            cfg = _valid(default_config(outdir=args.outdir, n_patients=args.patients, seed=args.seed))
             text = json.dumps(cfg, indent=2, sort_keys=True) + "\n"
             if args.out == "-":
                 sys.stdout.write(text)
@@ -959,21 +959,28 @@ def main(argv: list[str] | None = None) -> int:
                 Path(args.out).parent.mkdir(parents=True, exist_ok=True)
                 Path(args.out).write_text(text, encoding="utf-8")
                 print(f"wrote {args.out}")
-            return 0
-        cfg = load_config(args.config, outdir=getattr(args, "outdir", None))
-        if args.command == "show":
-            show(cfg, args.target, getattr(args, "cell", None))
-            return 0
-        for stage in STAGES if args.command == "pipeline" else (args.command,):
-            run_stage(stage, cfg)
+        else:
+            cfg = load_config(args.config, outdir=getattr(args, "outdir", None))
+            if args.command == "show":
+                show(cfg, args.target, getattr(args, "cell", None))
+            else:
+                for stage in STAGES if args.command == "pipeline" else (args.command,):
+                    run_stage(stage, cfg)
+        # A reader that closed the pipe early must surface here, not at exit.
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # As Python's `signal` docs advise: what is left to write goes to
+        # devnull, so the flush at exit raises nothing, and the exit is 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PrerequisiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NumericsError, MetricUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, CalibrationError, SeqfuseError) as exc:
+    except SeqfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .claims import _CLAIM_CODES, ESRD_STATUSES, _ptr, _ranges, day_to_iso, text_words
+from .claims import _CLAIM_CODES, ESRD_STATUSES, _ptr, _ranges, code_table, day_to_iso, text_words
 from .knowledge import CcsMap, PlannedRules
 
 EXCLUSION_REASONS = (
@@ -97,11 +97,11 @@ def build_cohort(
     def has(name: str, words, rows=slice(None)) -> np.ndarray:
         """Whether each row of column `name` holds one of `words`."""
         values = cols[name][rows]
-        return np.isin(values, [code for code, word in text_words(cols, values).items() if word in words])
+        return code_table(cols, values, words.__contains__)[values]
 
     def in_category(name: str, category, allowed: frozenset[int]) -> np.ndarray:
         """Whether each code of column `name` falls in a category of `allowed`."""
-        return has(name, {word for word in text_words(cols, cols[name]).values() if category(word) in allowed})
+        return code_table(cols, cols[name], lambda word: category(word) in allowed)[cols[name]]
 
     # Stays. Claims come sorted by beneficiary and admission, so a claim
     # that starts a stay starts after every earlier discharge of its

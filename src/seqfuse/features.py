@@ -3,8 +3,11 @@
 Each eligible index event becomes a sequence of multi-hot visit steps over
 CCS category indices plus a fixed-width vector z of demographic, index-stay,
 utilization, comorbidity, and hospital-acquired-condition features. The
-layout of z is data-driven (see seqfuse/data/domain_spec.json), and the
-name list returned alongside the values always matches positionally.
+layout of z is data-driven (see seqfuse/data/domain_spec.json): `_encode`
+is the one place that turns a feature's values into its named block of z,
+so the name list returned alongside the values always matches
+positionally. String codes become categories and claim types through
+`claims.code_table`, as in cohort.
 
 `featurize_events` builds every event's steps and z in one pass of numpy
 operations, not one event at a time, over the claim columns of
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import _ptr, _ranges, day_to_iso, read_npz, text_words, write_npz
+from .claims import _ptr, _ranges, code_table, day_to_iso, read_npz, text_words, write_npz
 from .cohort import LOOKBACK_DAYS, age_band
 from .errors import ValidationError
 from .knowledge import DomainFeature, KnowledgeBundle
@@ -52,40 +55,27 @@ def _z_age_band(age: int) -> str:
     return f"{low}-{low + 4}"
 
 
-def _feature_names(feature: DomainFeature, bundle: KnowledgeBundle) -> list[str]:
-    """The column names of one feature's block of z."""
+def _encode(feature: DomainFeature, values, bundle: KnowledgeBundle) -> tuple[list[str], np.ndarray]:
+    """One feature's column names in z, and its block of z: a row per
+    value (a value of `flags` is its row of 0/1 flags, one per HAC rule).
+    Unknown categorical values land in the feature's reserved (other) slot."""
     if feature.encoding in ("numeric", "binary"):
-        return [feature.name]
-    if feature.encoding == "one_hot":
-        return [f"{feature.name}={level}" for level in feature.levels] + [f"{feature.name}=(other)"]
-    if feature.encoding == "one_hot_dx_ccs":
-        return [f"{feature.name}={cat}" for cat in range(bundle.ccs.n_dx)] + [f"{feature.name}=(other)"]
+        column = np.asarray(values, dtype=np.float64 if feature.encoding == "numeric" else bool)
+        return [feature.name], column.astype(np.float64).reshape(-1, 1)
     if feature.encoding == "flags":
-        return [f"{feature.name}[{rule.name}]" for rule in bundle.hac_rules]
-    raise ValidationError(f"feature {feature.name!r}: unknown encoding {feature.encoding!r}")
-
-
-def _domain_names(bundle: KnowledgeBundle) -> list[str]:
-    """The column names of z, in the layout `_encode` fills."""
-    return [name for feature in bundle.domain_spec for name in _feature_names(feature, bundle)]
-
-
-def _encode(feature: DomainFeature, value, n_dx_columns: int) -> list[float]:
-    """One feature's block of z for one value of a scalar encoding (flags
-    come as a block already). Unknown categorical values land in the
-    feature's reserved (other) slot."""
-    if feature.encoding == "numeric":
-        return [float(value)]
-    if feature.encoding == "binary":
-        return [1.0 if value else 0.0]
+        names = [f"{feature.name}[{rule.name}]" for rule in bundle.hac_rules]
+        return names, np.asarray(values, dtype=np.float64).reshape(len(values), len(names))
     if feature.encoding == "one_hot":
         levels = feature.levels
-        vec = [0.0] * (len(levels) + 1)
-        vec[levels.index(str(value)) if str(value) in levels else -1] = 1.0
+        slots = [levels.index(str(value)) if str(value) in levels else len(levels) for value in values]
+    elif feature.encoding == "one_hot_dx_ccs":
+        levels = range(bundle.ccs.n_dx)
+        slots = np.asarray(values, dtype=np.int64)
     else:
-        vec = [0.0] * n_dx_columns
-        vec[int(value)] = 1.0
-    return vec
+        raise ValidationError(f"feature {feature.name!r}: unknown encoding {feature.encoding!r}")
+    block = np.zeros((len(slots), len(levels) + 1))
+    block[np.arange(len(slots)), slots] = 1.0
+    return [f"{feature.name}={level}" for level in (*levels, "(other)")], block
 
 
 def charlson_band(charlson: int) -> str:
@@ -148,19 +138,13 @@ def featurize_events(
     ccs = bundle.ccs
     width = ccs.input_dim
 
-    def lookup(convert, *names: str) -> np.ndarray:
-        # Each code's value under `convert`, computed once per distinct code.
-        table = np.zeros(len(cols["text_ptr"]), dtype=np.int64)
-        for code, word in text_words(cols, np.concatenate([cols[name] for name in names])).items():
-            table[code] = convert(word)
-        return table
-
     claim_type = cols["claim.claim_type"]
-    types = text_words(cols, claim_type)
-    outpatient = np.isin(claim_type, [code for code, word in types.items() if word == "outpatient"])
-    ed = np.isin(claim_type, [code for code, word in types.items() if word == "ed"])
-    dx_index = lookup(ccs.dx_category, "claim.dx_codes", "stay.all_dx", "stay.principal_dx")
-    proc_index = lookup(ccs.proc_index, "claim.proc_codes", "stay.all_proc")
+    outpatient = code_table(cols, claim_type, lambda word: word == "outpatient")[claim_type]
+    ed = code_table(cols, claim_type, lambda word: word == "ed")[claim_type]
+    dx_codes = np.concatenate([cols[name] for name in ("claim.dx_codes", "stay.all_dx", "stay.principal_dx")])
+    dx_index = code_table(cols, dx_codes, ccs.dx_category, np.int64)
+    proc_codes = np.concatenate([cols["claim.proc_codes"], cols["stay.all_proc"]])
+    proc_index = code_table(cols, proc_codes, ccs.proc_index, np.int64)
     stay_member = _membership(cols, "stay", "all_dx", "all_proc", dx_index, proc_index, width)
     claim_member = _membership(cols, "claim", "dx_codes", "proc_codes", dx_index, proc_index, width)
     stay_ben, claim_ben = cols["stay.beneficiary_id"], cols["claim.beneficiary_id"]
@@ -205,9 +189,7 @@ def featurize_events(
     events, stay, admit = events[n_steps > 0], stay[n_steps > 0], admit[n_steps > 0]
     n = len(events)
     ben = stay_ben[stay]
-    ben_row = np.zeros(len(cols["text_ptr"]), dtype=np.int64)
-    ben_row[cols["beneficiary.beneficiary_id"]] = np.arange(len(cols["beneficiary.beneficiary_id"]))
-    ben_row = ben_row[ben]
+    ben_row = np.searchsorted(cols["beneficiary.beneficiary_id"], ben)
     ev, other = _pairs(ben, stay_ben)
     day = stay_admit[other]
     n_inpatient = np.bincount(ev[(admit[ev] - LOOKBACK_DAYS <= day) & (day < admit[ev])], minlength=n)
@@ -230,7 +212,7 @@ def featurize_events(
         flags[:, k] = dx_member[:, dx_cats].any(axis=1) | proc_member[:, proc_cats].any(axis=1)
 
     # Per feature of the spec: its value per event, and how a distinct value
-    # converts to what `_encode` takes (None: as it is).
+    # converts to what `_encode` takes (None: the values go as they are).
     coded = {name: cols[f"beneficiary.{name}"][ben_row] for name in ("gender", "race", "medicare_status")}
     stay_text = ("admission_type", "admission_source", "discharge_disposition", "drg")
     coded.update({name: cols[f"stay.{name}"][stay] for name in stay_text})
@@ -251,19 +233,19 @@ def featurize_events(
             "hac_flags": (flags, None),
         }
     )
-    z_names = _domain_names(bundle)
-    blocks = []
+    z_names, blocks = [], []
     for feature in bundle.domain_spec:
         if feature.name not in raw:
             raise ValidationError(f"domain spec references unknown feature {feature.name!r}")
         values, convert = raw[feature.name]
-        if feature.encoding == "flags":
-            blocks.append(values.astype(np.float64))  # one 0/1 column per HAC rule
-            continue
-        distinct, inverse = np.unique(values, return_inverse=True)
-        encoded = [_encode(feature, convert(v) if convert else v, ccs.n_dx_columns) for v in distinct.tolist()]
-        block_width = len(_feature_names(feature, bundle))
-        blocks.append(np.array(encoded, dtype=np.float64).reshape(len(distinct), block_width)[inverse.reshape(-1)])
+        if convert is None:
+            names, block = _encode(feature, values, bundle)
+        else:  # each distinct value converts and encodes once
+            distinct, inverse = np.unique(values, return_inverse=True)
+            names, block = _encode(feature, [convert(v) for v in distinct.tolist()], bundle)
+            block = block[inverse.reshape(-1)]
+        z_names += names
+        blocks.append(block)
     proc_rows, proc_cats = np.nonzero(proc_member)
     return EventTable(
         event_id=np.array([f"{word(b)}@{day_to_iso(d)}" for b, d in zip(ben.tolist(), admit.tolist())], dtype=np.str_),

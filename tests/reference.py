@@ -128,7 +128,7 @@ from seqfuse.features import (
     SUBGROUP_KEYS,
     EventTable,
     SequenceOptions,
-    _domain_names,
+    _encode,
     _z_age_band,
     charlson_band,
 )
@@ -1347,7 +1347,13 @@ def build_domain_vector(
     plus the index stay. Unknown categorical values land in each feature's
     reserved (other) slot.
     """
-    return _domain_values(event, beneficiary, claims, stays, bundle), _domain_names(bundle)
+    return _domain_values(event, beneficiary, claims, stays, bundle), _z_names(bundle)
+
+
+def _z_names(bundle: KnowledgeBundle) -> list[str]:
+    """The column names of z, feature by feature, as the kernel's encoder
+    names them."""
+    return [name for feature in bundle.domain_spec for name in _encode(feature, [], bundle)[0]]
 
 
 def _domain_values(
@@ -1439,7 +1445,7 @@ def reference_table(
     for stay in stays:
         stays_by_ben.setdefault(stay.beneficiary_id, []).append(stay)
 
-    z_names = _domain_names(bundle)
+    z_names = _z_names(bundle)
     charlson_at = z_names.index("charlson_index")
     cols: dict[str, list] = {f.name: [] for f in fields(EventTable)}
     for event in events:
@@ -1834,7 +1840,7 @@ def scores_csv(outdir, task: str, cell: str) -> str:
     """`cell`'s scores of `task`'s events, one CSV row each in featurize's
     order: the event, its patient's fold from `train/split.json`, its
     label, its raw score from `calibrate/raw_scores.npz`, and that score
-    through the identity and through the cell's calibrator."""
+    through the logistic function alone and through the cell's calibrator."""
     table = EventTable.load(outdir / "featurize" / "events.npz")
     if task == "mortality":
         table = table.select(~table.mortality_excluded)
@@ -1845,8 +1851,8 @@ def scores_csv(outdir, task: str, cell: str) -> str:
     with np.load(outdir / "calibrate" / "raw_scores.npz", allow_pickle=False) as npz:
         raw = npz[cell]
     calibrators = json.loads((outdir / "calibrate" / "calibrators.json").read_text(encoding="utf-8"))
-    prob_raw = Calibrator(kind="identity").apply(raw)
-    prob_cal = Calibrator.from_json_obj(calibrators["cells"][cell]).apply(raw)
+    prob_raw = reference_sigmoid(raw)
+    prob_cal = Calibrator(**calibrators["cells"][cell]).apply(raw)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["event_id", "fold", "label", "raw", "prob_raw", "prob_cal"])

@@ -9,7 +9,7 @@ import pytest
 from seqfuse.calibration import Calibrator, ece, fit_platt, fit_temperature, nll
 from seqfuse.errors import CalibrationError, ValidationError
 from seqfuse.metrics import auc
-from tests.reference import ReferenceXoshiro256
+from tests.reference import ReferenceXoshiro256, reference_sigmoid
 
 
 def _sigmoid(x):
@@ -76,20 +76,17 @@ class TestCalibratorApply:
         cal = Calibrator(kind="platt", a=0.5, b=-1.0)
         np.testing.assert_allclose(cal.apply([4.0]), _sigmoid([1.0]))
 
-    def test_identity_map(self):
-        cal = Calibrator(kind="identity")
-        np.testing.assert_allclose(cal.apply([0.3]), _sigmoid([0.3]))
-
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            Calibrator(kind="isotonic").apply([0.5])
+        for kind in ("isotonic", "identity"):
+            with pytest.raises(ValidationError):
+                Calibrator(kind=kind).apply([0.5])
 
     def test_json_round_trip(self):
         cal = Calibrator(
             kind="platt", a=1.25, b=-0.5, fitted_on="calibration",
             stats={"n": 10, "nll_before": 0.7}, warning=None,
         )
-        again = Calibrator.from_json_obj(cal.to_json_obj())
+        again = Calibrator(**cal.to_json_obj())
         assert again == cal
 
 
@@ -156,8 +153,8 @@ class TestFitPlatt:
             cal = fit_platt(scores, np.full(3, label))
             assert (cal.kind, cal.a, cal.b) == ("platt", 1.0, 0.0)
             assert "single class" in cal.warning
-            assert Calibrator.from_json_obj(cal.to_json_obj()).warning == cal.warning
-            assert cal.apply(scores).tolist() == Calibrator(kind="identity").apply(scores).tolist()
+            assert Calibrator(**cal.to_json_obj()).warning == cal.warning
+            assert cal.apply(scores).tolist() == reference_sigmoid(scores).tolist()
             assert cal.stats["n"] == 3 and cal.stats["nll_after"] == cal.stats["nll_before"]
 
     def test_refuses_the_test_fold(self):

@@ -3,6 +3,7 @@ synthetic generator must guarantee (determinism, equality with the scalar
 reference generator, planted-signal bookkeeping, presence of the structural
 edge cases downstream code screens for)."""
 
+import json
 import math
 
 import numpy as np
@@ -12,15 +13,16 @@ from seqfuse import claims as claims_module
 from seqfuse.claims import (
     OutcomeSignal,
     SyntheticConfig,
+    code_table,
     day_to_iso,
     default_signals,
     generate_population,
     ingest_claims,
     iso_to_day,
     text_words,
-    write_ground_truth,
     write_npz,
 )
+from seqfuse.cli import main
 from seqfuse.errors import ValidationError
 from tests.reference import (
     Beneficiary,
@@ -363,22 +365,48 @@ class TestPopulationFiles:
         assert read_population_npz(claim_columns(bens[:1], [])) == (bens[:1], [])
         assert read_population_npz(ingest_claims(path)) == (bens, claims)
 
-    def test_ground_truth_header_contract(self, tmp_path):
-        truth = {
-            "patient": np.array([1, 1234567]),
-            "discharge": np.array([104, iso_to_day("2011-09-01")]),
-            "readmit": np.array([True, False]),
-            "mortality": np.array([False, True]),
-        }
-        path = tmp_path / "truth.csv"
-        write_ground_truth(path, truth)
-        assert path.read_text().splitlines() == [
-            "beneficiary_id,index_discharge_date,readmit_label,mortality_label",
-            f"B000001,{day_to_iso(104)},1,0",
-            "B1234567,2011-09-01,0,1",
+    def test_truth_archive(self, tmp_path):
+        """Generate writes the planted events' truth as `generate/truth.npz`:
+        exactly these seven columns, in order, each the generator's column
+        in dtype and bytes, and its rows are the reference generator's."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"outdir": str(tmp_path / "run"), "seed": 7, "generate": {"n_patients": 60}}))
+        assert main(["generate", "--config", str(config)]) == 0
+        cfg = SyntheticConfig(n_patients=60, seed=7)
+        truth = generate_population(cfg).truth
+        names = ["patient", "admit", "discharge", "readmit", "mortality", "p_readmit", "p_mortality"]
+        with np.load(tmp_path / "run" / "generate" / "truth.npz", allow_pickle=False) as npz:
+            assert npz.files == names
+            archive = {name: npz[name] for name in names}
+        for name in names:
+            assert archive[name].dtype == truth[name].dtype and archive[name].tobytes() == truth[name].tobytes(), name
+        rows = [(f"B{patient:06d}", *fields) for patient, *fields in zip(*(archive[name].tolist() for name in names))]
+        expected = [
+            (t.beneficiary_id, t.index_admit_date, t.index_discharge_date, t.readmit_label, t.mortality_label,
+             t.p_readmit, t.p_mortality)
+            for t in reference_population(cfg).truth
         ]
-        write_ground_truth(path, {name: column[:0] for name, column in truth.items()})
-        assert path.read_text() == "beneficiary_id,index_discharge_date,readmit_label,mortality_label\n"
+        assert rows == expected and rows
+
+
+class TestCodeTable:
+    # A hand-built string table: code 0 "F", 1 "female", 2 "female\x00", 3 "male".
+    COLS = {"text": np.frombuffer(b"Ffemalefemale\x00male", dtype=np.uint8), "text_ptr": np.array([0, 1, 7, 14, 18])}
+    COLUMN = np.array([3, -1, 2, 3, 1], dtype=np.int32)
+
+    def test_converts_the_codes_asked_for(self):
+        """Each code among those asked for holds its word's value, the last
+        slot the value of None (the null code -1), and every other code 0."""
+        table = code_table(self.COLS, self.COLUMN, lambda word: -9 if word is None else len(word), np.int64)
+        assert table.dtype == np.int64
+        assert table.tolist() == [0, 6, 7, 4, -9]
+        assert table[self.COLUMN].tolist() == [4, -9, 7, 4, 6]
+
+    def test_word_ending_in_nul_is_its_own_word(self):
+        table = code_table(self.COLS, self.COLUMN, ("female",).__contains__)
+        assert table.dtype == bool
+        assert table.tolist() == [False, True, False, False, False]
+        assert table[self.COLUMN].tolist() == [False, False, False, False, True]
 
 
 class TestOutcomeSignal:

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +130,20 @@ class TestDemoConfig:
         assert main(["demo-config"]) == 0
         cfg = json.loads(capsys.readouterr().out)
         assert cfg["task"] == "readmission"
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [(["--patients", "0"], "generate.n_patients must be positive"), (["--outdir", ""], "outdir must be a non-empty")],
+        ids=["patients", "outdir"],
+    )
+    def test_a_config_no_stage_would_run_is_exit_2_and_not_written(self, tmp_path, capsys, argv, problem):
+        out = tmp_path / "cfg.json"
+        capsys.readouterr()
+        assert main(["demo-config", "--out", str(out), *argv]) == 2
+        assert main(["demo-config", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count(problem) == 2 and captured.out == ""
+        assert not out.exists()
 
 
 class TestConfigHandling:
@@ -488,6 +505,25 @@ class TestShow:
         captured = capsys.readouterr()
         assert f"run `seqfuse {producer}` first" in captured.err
         assert captured.out == ""
+
+    def test_a_reader_that_closes_the_pipe_early_is_exit_1_without_a_traceback(self, tmp_path):
+        """`seqfuse show scores lr__linear ... | head -n 1`: the reader takes
+        one line and closes the pipe while show still has rows to write
+        (more than a pipe holds), so show's next write fails."""
+        config = _write_config(
+            tmp_path / "cfg.json", tmp_path / "run", generate={"n_patients": 1500}, train={"algorithms": ["lr"]}
+        )
+        assert main(["pipeline", "--config", str(config)]) == 0
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        argv = [sys.executable, "-m", "seqfuse.cli", "show", "scores", "lr__linear", "--config", str(config)]
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=300) == 1
+        assert first == b"event_id,fold,label,raw,prob_raw,prob_cal\n" and err == b""
 
     def test_show_writes_no_file(self, pipeline_run, capsys):
         config, outdir = pipeline_run
