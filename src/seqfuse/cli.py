@@ -744,10 +744,11 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
             recall, precision = recall_precision_at_threshold(test_cal, test_labels, threshold)
         except MetricUndefinedError:
             recall, precision = None, None
-        top_k = {}
-        for k in cfg["evaluate"]["top_k"]:
-            if 1 <= k <= len(test_idx):
-                top_k[str(k)] = recall_at_top_k(test_cal, test_labels, k)
+        # A k beyond the test fold has no top k: it reads null.
+        top_k = {
+            str(k): recall_at_top_k(test_cal, test_labels, k) if k <= len(test_idx) else None
+            for k in cfg["evaluate"]["top_k"]
+        }
         metrics[cell] = {
             "algorithm": algorithm,
             "embedding_mode": mode,

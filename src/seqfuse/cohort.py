@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .claims import _CLAIM_CODES, ESRD_STATUSES, _ptr, _ranges, code_table, day_to_iso, text_words
+from .claims import _CLAIM_CODES, ESRD_STATUSES, GENDERS, RACES, _ptr, _ranges, code_table, day_to_iso, text_words
 from .knowledge import CcsMap, PlannedRules
 
 EXCLUSION_REASONS = (
@@ -298,31 +298,19 @@ def index_event_lines(cols) -> str:
 
 
 AGE_BANDS = ("Unknown", "<65", "65~69", "70~74", "75~79", "80~84", ">85")
+# Where each age band after the first starts.
+_AGE_CUTS = (65, 70, 75, 80, 85)
+
+
+def age_band_index(age) -> np.ndarray:
+    """Which age band each age falls in: 0 under 65, then one band per
+    five years, and 5 from 85 on. The subgroup labels (`age_band`) and
+    z's age block label the same bands."""
+    return np.searchsorted(_AGE_CUTS, age, side="right")
 
 
 def age_band(age: int) -> str:
-    if age < 65:
-        return "<65"
-    if age < 70:
-        return "65~69"
-    if age < 75:
-        return "70~74"
-    if age < 80:
-        return "75~79"
-    if age < 85:
-        return "80~84"
-    return ">85"
-
-
-_RACE_LABELS = (
-    ("Unknown", "unknown"),
-    ("White", "white"),
-    ("Black", "black"),
-    ("Other", "other"),
-    ("Asian", "asian"),
-    ("Hispanic", "hispanic"),
-    ("North American Native", "north_american_native"),
-)
+    return AGE_BANDS[1 + int(age_band_index(age))]
 
 
 def cohort_summary(cols) -> str:
@@ -340,7 +328,7 @@ def cohort_summary(cols) -> str:
         return Counter(map(text_words(cols, codes).__getitem__, codes.tolist()))
 
     race_counts, gender_counts = counts("race"), counts("gender")
-    age_counts = Counter(map(age_band, cols["event.age"][events[first]].tolist()))
+    age_counts = Counter(AGE_BANDS[1 + band] for band in age_band_index(cols["event.age"][events[first]]).tolist())
 
     def pct(n: int) -> str:
         return f"{(100.0 * n / total):.2f}%" if total else "0.00%"
@@ -349,13 +337,13 @@ def cohort_summary(cols) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["Total beneficiaries", total])
 
-    race_values = [race_counts.get(key, 0) for _, key in _RACE_LABELS]
-    writer.writerow(["Race"] + [label for label, _ in _RACE_LABELS] + ["Total"])
+    race_values = [race_counts.get(race, 0) for race in RACES]
+    writer.writerow(["Race"] + [race.replace("_", " ").title() for race in RACES] + ["Total"])
     writer.writerow(["Counts"] + race_values + [total])
     writer.writerow(["Percentage"] + [pct(v) for v in race_values] + [pct(total)])
 
-    gender_values = [gender_counts.get("male", 0), gender_counts.get("female", 0)]
-    writer.writerow(["Gender", "Male", "Female", "Total"])
+    gender_values = [gender_counts.get(gender, 0) for gender in GENDERS]
+    writer.writerow(["Gender"] + [gender.title() for gender in GENDERS] + ["Total"])
     writer.writerow(["Counts"] + gender_values + [total])
     writer.writerow(["Percentage"] + [pct(v) for v in gender_values] + [pct(total)])
 

@@ -2,11 +2,13 @@
 
 Each eligible index event becomes a sequence of multi-hot visit steps over
 CCS category indices plus a fixed-width vector z of demographic, index-stay,
-utilization, comorbidity, and hospital-acquired-condition features. The
-layout of z is data-driven (see seqfuse/data/domain_spec.json): `_encode`
-is the one place that turns a feature's values into its named block of z,
-so the name list returned alongside the values always matches
-positionally. String codes become categories and claim types through
+utilization, comorbidity, and hospital-acquired-condition features. z is
+laid out once, in `featurize_events`, as a list of named blocks whose
+one-hot levels are the vocabularies the package already names: the enum
+tuples of `claims` that `check_claim_columns` enforces, the acute DRGs,
+the CCS map's diagnosis categories and the HAC rules. Each block carries
+its own column names, so the names always match z positionally. String
+codes become categories, claim types and one-hot slots through
 `claims.code_table`, as in cohort.
 
 `featurize_events` builds every event's steps and z in one pass of numpy
@@ -26,10 +28,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .claims import _ptr, _ranges, code_table, day_to_iso, read_npz, text_words, write_npz
-from .cohort import LOOKBACK_DAYS, age_band
+from .claims import (
+    ADMISSION_SOURCES,
+    ADMISSION_TYPES,
+    DISPOSITIONS,
+    GENDERS,
+    MEDICARE_STATUSES,
+    RACES,
+    _ptr,
+    _ranges,
+    code_table,
+    day_to_iso,
+    read_npz,
+    text_words,
+    write_npz,
+)
+from .cohort import LOOKBACK_DAYS, age_band, age_band_index
 from .errors import ValidationError
-from .knowledge import DomainFeature, KnowledgeBundle
+from .knowledge import KnowledgeBundle
 
 __all__ = [
     "SequenceOptions",
@@ -46,36 +62,27 @@ class SequenceOptions:
     lookback_days: int = 365
 
 
-def _z_age_band(age: int) -> str:
-    if age < 65:
-        return "<65"
-    if age >= 85:
-        return "85+"
-    low = (age // 5) * 5
-    return f"{low}-{low + 4}"
+# z's age block: the bands of `cohort.age_band_index`, labelled as z names them.
+_Z_AGE_BANDS = ("<65", "65-69", "70-74", "75-79", "80-84", "85+")
 
 
-def _encode(feature: DomainFeature, values, bundle: KnowledgeBundle) -> tuple[list[str], np.ndarray]:
-    """One feature's column names in z, and its block of z: a row per
-    value (a value of `flags` is its row of 0/1 flags, one per HAC rule).
-    Unknown categorical values land in the feature's reserved (other) slot."""
-    if feature.encoding in ("numeric", "binary"):
-        column = np.asarray(values, dtype=np.float64 if feature.encoding == "numeric" else bool)
-        return [feature.name], column.astype(np.float64).reshape(-1, 1)
-    if feature.encoding == "flags":
-        names = [f"{feature.name}[{rule.name}]" for rule in bundle.hac_rules]
-        return names, np.asarray(values, dtype=np.float64).reshape(len(values), len(names))
-    if feature.encoding == "one_hot":
-        levels = feature.levels
-        slots = [levels.index(str(value)) if str(value) in levels else len(levels) for value in values]
-    elif feature.encoding == "one_hot_dx_ccs":
-        levels = range(bundle.ccs.n_dx)
-        slots = np.asarray(values, dtype=np.int64)
-    else:
-        raise ValidationError(f"feature {feature.name!r}: unknown encoding {feature.encoding!r}")
+def _one_hot(name: str, levels, slots: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """A one-hot block of z, a row per slot, and its column names: one per
+    level, then the reserved (other) slot `len(levels)`."""
     block = np.zeros((len(slots), len(levels) + 1))
     block[np.arange(len(slots)), slots] = 1.0
-    return [f"{feature.name}={level}" for level in (*levels, "(other)")], block
+    return [f"{name}={level}" for level in (*levels, "(other)")], block
+
+
+def _text_one_hot(cols, name: str, codes: np.ndarray, levels: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """The one-hot block of a text column's codes; a word outside `levels`
+    (or None) lands in (other)."""
+    slot = code_table(cols, codes, lambda word: levels.index(word) if word in levels else len(levels), np.int64)
+    return _one_hot(name, levels, slot[codes])
+
+
+def _column(name: str, values) -> tuple[list[str], np.ndarray]:
+    return [name], np.asarray(values, dtype=np.float64).reshape(-1, 1)
 
 
 def charlson_band(charlson: int) -> str:
@@ -211,54 +218,42 @@ def featurize_events(
         proc_cats = [cat for cat in sorted(rule.proc_ccs) if 0 <= cat < ccs.n_proc_columns]
         flags[:, k] = dx_member[:, dx_cats].any(axis=1) | proc_member[:, proc_cats].any(axis=1)
 
-    # Per feature of the spec: its value per event, and how a distinct value
-    # converts to what `_encode` takes (None: the values go as they are).
+    # z, block by block.
     coded = {name: cols[f"beneficiary.{name}"][ben_row] for name in ("gender", "race", "medicare_status")}
-    stay_text = ("admission_type", "admission_source", "discharge_disposition", "drg")
-    coded.update({name: cols[f"stay.{name}"][stay] for name in stay_text})
     word = text_words(cols, np.concatenate([ben, *coded.values()])).__getitem__
     age = cols["event.age"][events]
-    raw = {name: (values, word) for name, values in coded.items()}
-    raw.update(
-        {
-            "age_range": (age, _z_age_band),
-            "dual_eligible": (cols["beneficiary.dual_eligible"][ben_row], None),
-            "length_of_stay": (cols["stay.discharge_date"][stay] - cols["stay.admit_date"][stay], None),
-            "discharge_dx_ccs": (dx_index[cols["stay.principal_dx"][stay]], None),
-            "n_dx_codes_index": (np.diff(cols["stay.all_dx_ptr"])[stay], None),
-            "inpatient_admissions_12m": (n_inpatient, None),
-            "outpatient_visits_12m": (n_outpatient, None),
-            "ed_visits_12m": (n_ed, None),
-            "charlson_index": (charlson, None),
-            "hac_flags": (flags, None),
-        }
-    )
-    z_names, blocks = [], []
-    for feature in bundle.domain_spec:
-        if feature.name not in raw:
-            raise ValidationError(f"domain spec references unknown feature {feature.name!r}")
-        values, convert = raw[feature.name]
-        if convert is None:
-            names, block = _encode(feature, values, bundle)
-        else:  # each distinct value converts and encodes once
-            distinct, inverse = np.unique(values, return_inverse=True)
-            names, block = _encode(feature, [convert(v) for v in distinct.tolist()], bundle)
-            block = block[inverse.reshape(-1)]
-        z_names += names
-        blocks.append(block)
+    blocks = [
+        _one_hot("age_range", _Z_AGE_BANDS, age_band_index(age)),
+        _text_one_hot(cols, "gender", coded["gender"], GENDERS),
+        _text_one_hot(cols, "race", coded["race"], RACES),
+        _column("dual_eligible", cols["beneficiary.dual_eligible"][ben_row]),
+        _text_one_hot(cols, "medicare_status", coded["medicare_status"], MEDICARE_STATUSES),
+        _column("length_of_stay", cols["stay.discharge_date"][stay] - cols["stay.admit_date"][stay]),
+        _text_one_hot(cols, "admission_type", cols["stay.admission_type"][stay], ADMISSION_TYPES),
+        _text_one_hot(cols, "admission_source", cols["stay.admission_source"][stay], ADMISSION_SOURCES),
+        _text_one_hot(cols, "discharge_disposition", cols["stay.discharge_disposition"][stay], DISPOSITIONS),
+        _text_one_hot(cols, "drg", cols["stay.drg"][stay], tuple(sorted(bundle.acute_drgs))),
+        _one_hot("discharge_dx_ccs", range(ccs.n_dx), dx_index[cols["stay.principal_dx"][stay]]),
+        _column("n_dx_codes_index", np.diff(cols["stay.all_dx_ptr"])[stay]),
+        _column("inpatient_admissions_12m", n_inpatient),
+        _column("outpatient_visits_12m", n_outpatient),
+        _column("ed_visits_12m", n_ed),
+        _column("charlson_index", charlson),
+        ([f"hac_flags[{rule.name}]" for rule in bundle.hac_rules], flags.astype(np.float64)),
+    ]
     proc_rows, proc_cats = np.nonzero(proc_member)
     return EventTable(
         event_id=np.array([f"{word(b)}@{day_to_iso(d)}" for b, d in zip(ben.tolist(), admit.tolist())], dtype=np.str_),
         beneficiary_id=_strings(ben, word),
         **{name: cols[f"event.{name}"][events] for name in ("readmit_label", "mortality_label", "mortality_excluded")},
-        z=np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0)),
+        z=np.concatenate([block for _, block in blocks], axis=1),
         **steps,
         age_range=_strings(age, age_band),
         **{name: _strings(coded[name], word) for name in ("gender", "race", "medicare_status")},
         charlson_band=_strings(charlson, charlson_band),
         proc_ptr=_ptr(np.bincount(proc_rows, minlength=n)),
         proc_ccs=proc_cats.astype(np.int64),
-    ), z_names
+    ), [name for names, _ in blocks for name in names]
 
 
 # --- columnar form ------------------------------------------------------------
@@ -304,12 +299,19 @@ class EventTable:
         return len(self.event_id)
 
     def save(self, path: Path) -> None:
-        write_npz(path, {f.name: getattr(self, f.name) for f in fields(self)})
+        """Writes the columns with `write_npz`; z, whose every column is a
+        0/1 indicator or a count, goes as int16, which `load` reads back
+        as the same float64 values."""
+        with np.errstate(invalid="ignore"):
+            z = self.z.astype(np.int16)
+        if not np.array_equal(z, self.z):
+            raise ValidationError(f"{path}: z holds values int16 does not store exactly")
+        write_npz(path, {f.name: z if f.name == "z" else getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def load(cls, path: Path) -> "EventTable":
         arrays = read_npz(path)
-        return cls(**{f.name: arrays[f.name] for f in fields(cls)})
+        return cls(**{f.name: arrays[f.name] for f in fields(cls)} | {"z": arrays["z"].astype(np.float64)})
 
     def label_for(self, task: str) -> np.ndarray:
         if task == "readmission":

@@ -2,12 +2,14 @@
 
 Everything the pipeline knows about medicine lives here: the CCS-style
 grouper that collapses raw diagnosis/procedure codes into categories, the
-Charlson weights, hospital-acquired-condition rules,
-the planned-readmission screen, and the acute DRG list. The rule tables
-ship as JSON under ``seqfuse/data``. The grouper and the tables are the
-package's own: the synthetic generator draws its codes from the grouper's
-runs and plants its population against the tables' categories, so no
-other map or table could describe that data.
+Charlson weights, hospital-acquired-condition rules, the
+planned-readmission screen, and the acute DRG list. The rule tables ship
+as JSON under ``seqfuse/data``, each file read by one `_load_bundled`
+call. The domain vector's layout is not a table: `features` lays z out in
+code, over these tables and the claim vocabularies of `claims`. The
+grouper and the tables are the package's own: the synthetic generator
+draws its codes from the grouper's runs and plants its population against
+the tables' categories, so no other map or table could describe that data.
 """
 
 from __future__ import annotations
@@ -140,32 +142,6 @@ def load_acute_drgs() -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class DomainFeature:
-    name: str
-    encoding: str
-    levels: tuple[str, ...] = ()
-
-
-ENCODINGS = ("numeric", "binary", "one_hot", "one_hot_dx_ccs", "flags")
-
-
-def load_domain_spec() -> list[DomainFeature]:
-    raw = _load_bundled("domain_spec.json")
-    features: list[DomainFeature] = []
-    for f in raw["features"]:
-        enc = f["encoding"]
-        if enc not in ENCODINGS:
-            raise ValidationError(f"feature {f['name']!r}: unknown encoding {enc!r}")
-        levels = tuple(f.get("levels", ()))
-        if enc == "one_hot" and not levels:
-            raise ValidationError(f"feature {f['name']!r}: one_hot encoding needs levels")
-        features.append(DomainFeature(name=f["name"], encoding=enc, levels=levels))
-    if len({f.name for f in features}) != len(features):
-        raise ValidationError("domain feature names must be unique")
-    return features
-
-
-@dataclass(frozen=True)
 class KnowledgeBundle:
     """All rule tables resolved together, as the pipeline consumes them."""
 
@@ -174,7 +150,6 @@ class KnowledgeBundle:
     hac_rules: list[HacRule]
     planned_rules: PlannedRules
     acute_drgs: frozenset[str]
-    domain_spec: list[DomainFeature]
 
 
 def load_bundle() -> KnowledgeBundle:
@@ -185,5 +160,4 @@ def load_bundle() -> KnowledgeBundle:
         hac_rules=load_hac_rules(),
         planned_rules=load_planned_rules(),
         acute_drgs=load_acute_drgs(),
-        domain_spec=load_domain_spec(),
     )

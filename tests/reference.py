@@ -108,7 +108,6 @@ from seqfuse.claims import (
     write_npz,
 )
 from seqfuse.cohort import (
-    _RACE_LABELS,
     _STAY_TEXT,
     AGE_BANDS,
     LOOKBACK_DAYS,
@@ -128,8 +127,6 @@ from seqfuse.features import (
     SUBGROUP_KEYS,
     EventTable,
     SequenceOptions,
-    _encode,
-    _z_age_band,
     charlson_band,
 )
 from seqfuse.knowledge import CcsMap, HacRule, KnowledgeBundle, PlannedRules, load_charlson_weights
@@ -1082,8 +1079,17 @@ def cohort_summary(events: list[IndexEvent], beneficiaries: dict[str, Beneficiar
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["Total beneficiaries", total])
 
-    race_values = [race_counts.get(key, 0) for _, key in _RACE_LABELS]
-    writer.writerow(["Race"] + [label for label, _ in _RACE_LABELS] + ["Total"])
+    race_labels = (
+        ("Unknown", "unknown"),
+        ("White", "white"),
+        ("Black", "black"),
+        ("Other", "other"),
+        ("Asian", "asian"),
+        ("Hispanic", "hispanic"),
+        ("North American Native", "north_american_native"),
+    )
+    race_values = [race_counts.get(key, 0) for _, key in race_labels]
+    writer.writerow(["Race"] + [label for label, _ in race_labels] + ["Total"])
     writer.writerow(["Counts"] + race_values + [total])
     writer.writerow(["Percentage"] + [pct(v) for v in race_values] + [pct(total)])
 
@@ -1257,13 +1263,76 @@ def hac_flags(dx_cats, proc_cats, rules: list[HacRule]) -> list[int]:
     return [1 if (dx & rule.dx_ccs or proc & rule.proc_ccs) else 0 for rule in rules]
 
 
-def _one_hot(value: str, levels: tuple[str, ...]) -> list[float]:
+def _one_hot(value, levels: tuple) -> list[float]:
     vec = [0.0] * (len(levels) + 1)
     try:
         vec[levels.index(value)] = 1.0
     except ValueError:
         vec[-1] = 1.0
     return vec
+
+
+# z's blocks in order, spelt out here rather than read from the code under
+# test: (name, levels). A block of no levels is one column; `hac_flags` is
+# one 0/1 column per HAC rule, named `hac_flags[rule]`; any other block is
+# one-hot over its levels plus a trailing (other) slot, named `name=level`.
+Z_BLOCKS = (
+    ("age_range", ("<65", "65-69", "70-74", "75-79", "80-84", "85+")),
+    ("gender", ("male", "female")),
+    ("race", ("unknown", "white", "black", "other", "asian", "hispanic", "north_american_native")),
+    ("dual_eligible", ()),
+    ("medicare_status", ("aged_no_esrd", "aged_esrd", "disabled", "esrd_only")),
+    ("length_of_stay", ()),
+    ("admission_type", ("emergent", "urgent", "elective")),
+    ("admission_source", ("community", "transfer", "snf")),
+    ("discharge_disposition", ("home", "home_health", "snf", "transfer_acute", "hospice", "ama", "expired")),
+    ("drg", ("DRG001", "DRG002", "DRG003", "DRG004", "DRG005")),
+    ("discharge_dx_ccs", tuple(range(30))),
+    ("n_dx_codes_index", ()),
+    ("inpatient_admissions_12m", ()),
+    ("outpatient_visits_12m", ()),
+    ("ed_visits_12m", ()),
+    ("charlson_index", ()),
+    (
+        "hac_flags",
+        (
+            "Foreign Object Retained After Surgery",
+            "Air Embolism",
+            "Blood Incompatibility",
+            "Stage III and IV Pressure Ulcers",
+            "Falls and Trauma",
+            "Manifestations of Poor Glycemic Control",
+            "Catheter-Associated Urinary Tract Infection",
+            "Vascular Catheter-Associated Infection",
+            "Surgical Site Infection, Mediastinitis, Following Coronary Artery Bypass Graft",
+            "Surgical Site Infection Following Bariatric Surgery for Obesity",
+            "Surgical Site Infection Following Certain Orthopedic Procedures",
+            "Deep Vein Thrombosis and Pulmonary Embolism Following Certain Orthopedic Procedures",
+        ),
+    ),
+)
+
+
+def reference_z_names() -> list[str]:
+    """The column names of z, block by block."""
+    names = []
+    for name, levels in Z_BLOCKS:
+        if not levels:
+            names.append(name)
+        elif name == "hac_flags":
+            names += [f"{name}[{rule}]" for rule in levels]
+        else:
+            names += [f"{name}={level}" for level in (*levels, "(other)")]
+    return names
+
+
+def _z_age_band(age: int) -> str:
+    if age < 65:
+        return "<65"
+    if age >= 85:
+        return "85+"
+    low = (age // 5) * 5
+    return f"{low}-{low + 4}"
 
 
 @dataclass(frozen=True)
@@ -1347,13 +1416,7 @@ def build_domain_vector(
     plus the index stay. Unknown categorical values land in each feature's
     reserved (other) slot.
     """
-    return _domain_values(event, beneficiary, claims, stays, bundle), _z_names(bundle)
-
-
-def _z_names(bundle: KnowledgeBundle) -> list[str]:
-    """The column names of z, feature by feature, as the kernel's encoder
-    names them."""
-    return [name for feature in bundle.domain_spec for name in _encode(feature, [], bundle)[0]]
+    return _domain_values(event, beneficiary, claims, stays, bundle), reference_z_names()
 
 
 def _domain_values(
@@ -1407,24 +1470,13 @@ def _domain_values(
     }
 
     values: list[float] = []
-    for feature in bundle.domain_spec:
-        if feature.name not in raw:
-            raise ValidationError(f"domain spec references unknown feature {feature.name!r}")
-        value = raw[feature.name]
-        if feature.encoding == "numeric":
-            values.append(float(value))
-        elif feature.encoding == "binary":
-            values.append(1.0 if value else 0.0)
-        elif feature.encoding == "one_hot":
-            values.extend(_one_hot(str(value), feature.levels))
-        elif feature.encoding == "one_hot_dx_ccs":
-            vec = [0.0] * ccs.n_dx_columns
-            vec[int(value)] = 1.0
-            values.extend(vec)
-        elif feature.encoding == "flags":
-            values.extend(float(f) for f in value)
+    for name, levels in Z_BLOCKS:
+        if not levels:
+            values.append(float(raw[name]))
+        elif name == "hac_flags":
+            values.extend(float(flag) for flag in raw[name])
         else:
-            raise ValidationError(f"feature {feature.name!r}: unknown encoding {feature.encoding!r}")
+            values.extend(_one_hot(raw[name], levels))
     return values
 
 
@@ -1445,8 +1497,8 @@ def reference_table(
     for stay in stays:
         stays_by_ben.setdefault(stay.beneficiary_id, []).append(stay)
 
-    z_names = _z_names(bundle)
-    charlson_at = z_names.index("charlson_index")
+    names = reference_z_names()
+    charlson_at = names.index("charlson_index")
     cols: dict[str, list] = {f.name: [] for f in fields(EventTable)}
     for event in events:
         if not event.eligible:
@@ -1460,7 +1512,7 @@ def reference_table(
             continue
         ben = beneficiaries[bid]
         z = _domain_values(event, ben, ben_claims, ben_stays, bundle)
-        assert len(z) == len(z_names)
+        assert len(z) == len(names)
         procs = sorted({bundle.ccs.proc_category(p) for p in event.stay.all_proc})
         row = {
             "event_id": event.event_id,
@@ -1489,8 +1541,8 @@ def reference_table(
         **{name: np.array(cols[name], dtype=np.str_) for name in ("event_id", "beneficiary_id", *SUBGROUP_KEYS)},
         **{name: np.array(cols[name], dtype=np.int64) for name in ("day_offset", "indices", "proc_ccs")},
         **{name: _ptr(cols[name]) for name in ("step_ptr", "idx_ptr", "proc_ptr")},
-        z=np.array(cols["z"], dtype=np.float64).reshape(len(cols["z"]), len(z_names)),
-    ), z_names
+        z=np.array(cols["z"], dtype=np.float64).reshape(len(cols["z"]), len(names)),
+    ), names
 
 
 def read_population_npz(cols) -> tuple[list[Beneficiary], list[ClaimRecord]]:

@@ -416,6 +416,17 @@ class TestPipelineArtifacts:
             assert 0.0 <= cell["auc"] <= 1.0
             assert cell["recall_at_top_k"]["10"] >= 0.0
 
+    def test_top_k_beyond_the_test_fold_reads_null(self, pipeline_run, tmp_path):
+        _, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        config = _write_config(tmp_path / "config.json", copy, evaluate={"top_k": [10, 100000]})
+        assert main(["evaluate", "--config", str(config)]) == 0
+        before = json.loads((outdir / "evaluate" / "metrics.json").read_text())["cells"]
+        after = json.loads((copy / "evaluate" / "metrics.json").read_text())["cells"]
+        for cell, metrics in after.items():
+            assert metrics["recall_at_top_k"] == {"10": before[cell]["recall_at_top_k"]["10"], "100000": None}, cell
+
     def test_table3_layout(self, pipeline_run):
         _, outdir = pipeline_run
         with open(outdir / "report" / "table3.csv", newline="") as fh:

@@ -10,11 +10,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqfuse.claims import SyntheticConfig, day_to_iso, write_npz
+from seqfuse.claims import (
+    ADMISSION_SOURCES,
+    ADMISSION_TYPES,
+    DISPOSITIONS,
+    GENDERS,
+    MEDICARE_STATUSES,
+    RACES,
+    SyntheticConfig,
+    day_to_iso,
+    read_npz,
+    write_npz,
+)
 from seqfuse.cohort import age_band
 from seqfuse.errors import ValidationError
 from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band, featurize_events
+from seqfuse.knowledge import load_acute_drgs
 from tests.reference import (
+    Z_BLOCKS,
     ClaimRecord,
     build_domain_vector,
     build_sequence,
@@ -23,6 +36,7 @@ from tests.reference import (
     population_records,
     reference_cohort,
     reference_table,
+    reference_z_names,
     table_steps,
 )
 from tests.test_cohort import DAY0, ben, inpatient
@@ -176,6 +190,28 @@ class TestDomainVector:
             group = [v for n, v in at.items() if n.startswith(prefix)]
             assert sum(group) == 1.0, prefix
             assert set(group) <= {0.0, 1.0}
+
+    def test_layout_is_the_reference_layout(self, small_table):
+        _, names = small_table
+        assert names == reference_z_names()
+        assert len(names) == 95
+        assert names[0].startswith("age_range=")
+        assert "charlson_index" in names
+        assert any(name.startswith("hac_flags[") for name in names)
+        assert len(names) == len(set(names))
+
+    def test_text_blocks_are_the_enforced_vocabularies(self):
+        # The words `check_claim_columns` accepts in each text column, and
+        # the acute DRGs of the index screen: a word added there must get
+        # its own slot in z, not fold into (other).
+        levels = dict(Z_BLOCKS)
+        assert levels["gender"] == GENDERS
+        assert levels["race"] == RACES
+        assert levels["medicare_status"] == MEDICARE_STATUSES
+        assert levels["admission_type"] == ADMISSION_TYPES
+        assert levels["admission_source"] == ADMISSION_SOURCES
+        assert levels["discharge_disposition"] == DISPOSITIONS
+        assert levels["drg"] == tuple(sorted(load_acute_drgs()))
 
     def test_charlson_band_edges(self):
         assert charlson_band(0) == "0-2"
@@ -417,6 +453,18 @@ class TestEventTable:
         _same_table(EventTable.load(tmp_path / "a.npz"), table)
         EventTable.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_z_is_stored_as_int16_and_loads_exactly(self, small_table, tmp_path):
+        table, _ = small_table
+        table.save(tmp_path / "a.npz")
+        assert read_npz(tmp_path / "a.npz")["z"].dtype == np.int16
+        z = EventTable.load(tmp_path / "a.npz").z
+        assert z.dtype == np.float64 and z.tobytes() == table.z.tobytes()
+        for bad in (0.5, np.nan, np.inf, 40000.0):
+            z = table.z.copy()
+            z[0, 0] = bad
+            with pytest.raises(ValidationError, match="z holds"):
+                replace(table, z=z).save(tmp_path / "b.npz")
 
     def test_write_npz_members_carry_no_clock(self, tmp_path):
         write_npz(tmp_path / "x.npz", {"a": np.arange(3), "b": np.array(["x", "yz"])})

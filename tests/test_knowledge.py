@@ -1,12 +1,11 @@
 """Rule-table semantics: the code grouper, comorbidity scoring, HAC flags,
-planned-admission rules, and the domain feature spec."""
+planned-admission rules, and the acute DRG list."""
 
 from seqfuse.knowledge import (
     CcsMap,
     load_acute_drgs,
     load_bundle,
     load_charlson_weights,
-    load_domain_spec,
     load_hac_rules,
     load_planned_rules,
 )
@@ -110,15 +109,7 @@ class TestPlannedRules:
         assert is_planned(rules, 17, set()) is False
 
 
-class TestDomainSpecAndBundle:
-    def test_spec_shape(self):
-        spec = load_domain_spec()
-        names = [f.name for f in spec]
-        assert names[0] == "age_range"
-        assert "charlson_index" in names
-        assert "hac_flags" in names
-        assert len(names) == len(set(names))
-
+class TestAcuteDrgsAndBundle:
     def test_acute_drgs(self):
         drgs = load_acute_drgs()
         assert "DRG001" in drgs

@@ -111,3 +111,25 @@ def test_every_definition_has_a_caller_in_the_package():
     """Code that only tests call belongs with the tests."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _unreferenced(sources) == _NO_CALLER_EXEMPT
+
+
+def _bundled_names(sources: list[str]) -> set[str]:
+    """The string arguments of every `_load_bundled(...)` call in `sources`."""
+    names: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_load_bundled":
+                names.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
+    return names
+
+
+def test_the_scan_sees_bundled_names():
+    sources = ["x = _load_bundled('a.json')\n_load_bundled(name)\n", "def f(): return _load_bundled('b.json')\nload('c.json')\n"]
+    assert _bundled_names(sources) == {"a.json", "b.json"}
+
+
+def test_every_bundled_file_is_read():
+    """A table nothing reads does not stay committed."""
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    files = {path.name for path in (PACKAGE / "data").iterdir() if path.is_file()}
+    assert sorted(files - _bundled_names(sources)) == []
