@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .knowledge import load_charlson_weights
+from .knowledge import load_acute_drgs, load_charlson_weights, load_hac_rules, load_planned_rules
 from .rng import Xoshiro256Lanes, derive_seeds
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -58,6 +58,11 @@ def iso_to_day(text: str) -> int:
 @functools.lru_cache(maxsize=1 << 16)
 def day_to_iso(day: int) -> str:
     return date.fromordinal(day + _EPOCH_ORDINAL).isoformat()
+
+
+def event_id(beneficiary: str, admit_day: int) -> str:
+    """An index event's id, as `show events` and `show scores` print it."""
+    return f"{beneficiary}@{day_to_iso(admit_day)}"
 
 
 # The text fields of beneficiaries and claims, each an int32 code column
@@ -379,14 +384,16 @@ WRINKLE_RATES: dict[str, float] = {
     "late_death": 0.03,
 }
 
-_ACUTE_DX_CATS = (17, 18)
-_MAINTENANCE_DX_CATS = (19, 20)
-_PLANNED_PROC_CATS = (4, 5)
+# The rule tables' categories and DRGs; HAC dx 10 is Charlson, not planted.
+_PLANNED = load_planned_rules()
+_ACUTE_DX_CATS = tuple(sorted(_PLANNED.acute_override_dx_ccs))
+_MAINTENANCE_DX_CATS = tuple(sorted(_PLANNED.maintenance_dx_ccs))
+_PLANNED_PROC_CATS = tuple(sorted(_PLANNED.planned_proc_ccs))
 _GENERAL_PROC_CATS = (0, 1, 2, 3)
 _HAC_DX_CATS = (21, 22, 23, 24, 25, 26, 27)
-_HAC_PROC_CATS = (6, 8, 9, 10, 11)
+_HAC_PROC_CATS = tuple(sorted(frozenset().union(*(rule.proc_ccs for rule in load_hac_rules()))))
 _SYMPTOM_DX_CATS = (28, 29)
-_ACUTE_DRGS = ("DRG001", "DRG002", "DRG003", "DRG004", "DRG005")
+_ACUTE_DRGS = tuple(sorted(load_acute_drgs()))
 _OTHER_DRGS = ("DRG101", "DRG102", "DRG103", "DRG104", "DRG105")
 
 

@@ -34,7 +34,8 @@ moments) and `weights.npz` (its arrays). `calibrate` keeps each cell's
 uncalibrated scores in `calibrate/raw_scores.npz`; evaluate, report and
 importance map them through the cell's calibrator (`_cell_scores`) without
 predicting again. No stage writes what only people read: `show` prints the
-index events or a cell's per-event scores on demand, from current inputs.
+index events or a cell's per-event scores on demand, from current inputs,
+naming each event by `claims.event_id`.
 
 The config is one JSON object shaped like `default_config()`, which is
 also its schema. `load_config` merges the file over the defaults (into a
@@ -71,7 +72,7 @@ from .calibration import Calibrator, ece, fit_platt, fit_temperature, nll
 from .claims import TRUTH_COLUMNS, SyntheticConfig, generate_population, ingest_claims, read_npz, write_npz
 from .cohort import POPULATION_MEMBERS, build_cohort, cohort_summary, index_event_lines
 from .errors import MetricUndefinedError, NumericsError, ParseError, PrerequisiteError, SeqfuseError, ValidationError
-from .features import SUBGROUP_KEYS, EventTable, SequenceOptions, featurize_events
+from .features import EventTable, SequenceOptions, featurize_events
 from .knowledge import load_bundle
 from .metrics import (
     auc,
@@ -811,7 +812,7 @@ def stage_report(cfg: dict, outdir: Path) -> None:
     test = run.table.select(in_test)
     labels = run.labels[in_test]
     n_proc_columns = run.meta["n_proc_columns"]
-    groups = {key: getattr(test, key) for key in SUBGROUP_KEYS}
+    groups = test.subgroups(run.meta["z_names"])
     member = test.proc_ccs_membership(n_proc_columns)
     for cat in range(n_proc_columns):
         label = "other" if cat == n_proc_columns - 1 else str(cat)
@@ -879,10 +880,10 @@ def show(cfg: dict, target: str, cell: str | None) -> None:
     require_inputs(outdir, _artifacts(cfg)["evaluate"][0])
     run = _load_sequences(outdir, cfg["task"], split=True)
     raw, prob_cal = _cell_scores(outdir, cell)
-    columns = (run.table.event_id, run.fold_of, run.labels, raw, _sigmoid(raw), prob_cal)
+    columns = (run.fold_of, run.labels, raw, _sigmoid(raw), prob_cal)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["event_id", "fold", "label", "raw", "prob_raw", "prob_cal"])
-    for event_id, fold, label, *scores in zip(*(column.tolist() for column in columns)):
+    for event_id, fold, label, *scores in zip(run.table.event_ids(), *(column.tolist() for column in columns)):
         writer.writerow([event_id, fold, label, *(f"{score:.10g}" for score in scores)])
 
 

@@ -9,9 +9,9 @@ against the index-event criteria, and finally eligible events get a
 claim columns that `claims.ingest_claims` returns, and adds the stays and
 events as columns. Cohort writes only what it added to `population.npz`
 (`POPULATION_MEMBERS`), since the claims stay in `generate/claims.npz`,
-and `summary.csv` (`cohort_summary`); `seqfuse show events` prints each
-event as one JSON line (`index_event_lines`). The record-based definition
-the kernel must equal byte for byte lives in `tests/reference.py`.
+and `summary.csv` (`cohort_summary`); `show events` prints the events as JSON
+lines (`index_event_lines`), named by `claims.event_id`. The record-based
+definition the kernel must equal byte for byte lives in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .claims import _CLAIM_CODES, ESRD_STATUSES, GENDERS, RACES, _ptr, _ranges, code_table, day_to_iso, text_words
+from .claims import _CLAIM_CODES, ESRD_STATUSES, GENDERS, RACES, _ptr, _ranges, code_table, day_to_iso, event_id, text_words
 from .knowledge import CcsMap, PlannedRules
 
 EXCLUSION_REASONS = (
@@ -278,13 +278,12 @@ def index_event_lines(cols) -> str:
         label("event.mortality_label"),
         named(MORTALITY_EXCLUSIONS, cols["event.mortality_exclusion"]),
     ):
-        admit = day_to_iso(a)
         event = {
-            "admit_date": admit,
+            "admit_date": day_to_iso(a),
             "age": age,
             "beneficiary_id": word(b),
             "discharge_date": day_to_iso(d),
-            "event_id": f"{word(b)}@{admit}",
+            "event_id": event_id(word(b), a),
             "exclusion_reason": reason,
             "los": d - a,
             "mortality_exclusion": mortality_reason,
@@ -304,13 +303,9 @@ _AGE_CUTS = (65, 70, 75, 80, 85)
 
 def age_band_index(age) -> np.ndarray:
     """Which age band each age falls in: 0 under 65, then one band per
-    five years, and 5 from 85 on. The subgroup labels (`age_band`) and
-    z's age block label the same bands."""
+    five years, and 5 from 85 on. The subgroup labels (`AGE_BANDS[1:]`)
+    and z's age block label the same bands."""
     return np.searchsorted(_AGE_CUTS, age, side="right")
-
-
-def age_band(age: int) -> str:
-    return AGE_BANDS[1 + int(age_band_index(age))]
 
 
 def cohort_summary(cols) -> str:

@@ -14,11 +14,11 @@ codes become categories, claim types and one-hot slots through
 `featurize_events` builds every event's steps and z in one pass of numpy
 operations, not one event at a time, over the claim columns of
 `generate/claims.npz` and the stays and events cohort adds to them
-(`cohort/population.npz`, `cohort.POPULATION_MEMBERS`). It returns them as
-an `EventTable`, one row per event with its visit steps in CSR form; the
-featurize stage saves that table as `featurize/events.npz`, which every
-later stage loads. The model reads a batch as rows of this table, straight
-from its CSR columns.
+(`cohort/population.npz`, `cohort.POPULATION_MEMBERS`). It returns an
+`EventTable`: a row per event with its patient, admission day, labels, z and
+CSR visit steps, which featurize saves as `featurize/events.npz` for every
+later stage. Subgroups are not stored; `EventTable.subgroups` reads them back
+from z. The model reads a batch as rows of this table.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from .claims import (
     _ptr,
     _ranges,
     code_table,
-    day_to_iso,
+    event_id,
     read_npz,
     text_words,
     write_npz,
 )
-from .cohort import LOOKBACK_DAYS, age_band, age_band_index
-from .errors import ValidationError
+from .cohort import AGE_BANDS, LOOKBACK_DAYS, age_band_index
+from .errors import PrerequisiteError, ValidationError
 from .knowledge import KnowledgeBundle
 
 __all__ = [
@@ -64,6 +64,9 @@ class SequenceOptions:
 
 # z's age block: the bands of `cohort.age_band_index`, labelled as z names them.
 _Z_AGE_BANDS = ("<65", "65-69", "70-74", "75-79", "80-84", "85+")
+# `EventTable.subgroups` labels these blocks' slots, then charlson_index's band.
+_SUBGROUP_LABELS = dict(age_range=AGE_BANDS[1:], gender=GENDERS, race=RACES, medicare_status=MEDICARE_STATUSES)
+SUBGROUP_KEYS = (*_SUBGROUP_LABELS, "charlson_band")
 
 
 def _one_hot(name: str, levels, slots: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -126,10 +129,9 @@ def featurize_events(
     bundle: KnowledgeBundle,
     opts: SequenceOptions = SequenceOptions(),
 ) -> tuple[EventTable, list[str]]:
-    """The visit steps, z, labels and subgroup attributes of every eligible
-    event in `cols` (the claim columns with the members of
-    `cohort.POPULATION_MEMBERS`), in event order, as one `EventTable`; and
-    the names of z.
+    """The visit steps, z and labels of every eligible event in `cols`
+    (the claim columns with the members of `cohort.POPULATION_MEMBERS`), in
+    event order, as one `EventTable`; and the names of z.
 
     An event's steps are the stays and, with `include_outpatient`, the
     outpatient and ED claims that carry a code, admitted in
@@ -219,15 +221,12 @@ def featurize_events(
         flags[:, k] = dx_member[:, dx_cats].any(axis=1) | proc_member[:, proc_cats].any(axis=1)
 
     # z, block by block.
-    coded = {name: cols[f"beneficiary.{name}"][ben_row] for name in ("gender", "race", "medicare_status")}
-    word = text_words(cols, np.concatenate([ben, *coded.values()])).__getitem__
-    age = cols["event.age"][events]
     blocks = [
-        _one_hot("age_range", _Z_AGE_BANDS, age_band_index(age)),
-        _text_one_hot(cols, "gender", coded["gender"], GENDERS),
-        _text_one_hot(cols, "race", coded["race"], RACES),
+        _one_hot("age_range", _Z_AGE_BANDS, age_band_index(cols["event.age"][events])),
+        _text_one_hot(cols, "gender", cols["beneficiary.gender"][ben_row], GENDERS),
+        _text_one_hot(cols, "race", cols["beneficiary.race"][ben_row], RACES),
         _column("dual_eligible", cols["beneficiary.dual_eligible"][ben_row]),
-        _text_one_hot(cols, "medicare_status", coded["medicare_status"], MEDICARE_STATUSES),
+        _text_one_hot(cols, "medicare_status", cols["beneficiary.medicare_status"][ben_row], MEDICARE_STATUSES),
         _column("length_of_stay", cols["stay.discharge_date"][stay] - cols["stay.admit_date"][stay]),
         _text_one_hot(cols, "admission_type", cols["stay.admission_type"][stay], ADMISSION_TYPES),
         _text_one_hot(cols, "admission_source", cols["stay.admission_source"][stay], ADMISSION_SOURCES),
@@ -243,14 +242,11 @@ def featurize_events(
     ]
     proc_rows, proc_cats = np.nonzero(proc_member)
     return EventTable(
-        event_id=np.array([f"{word(b)}@{day_to_iso(d)}" for b, d in zip(ben.tolist(), admit.tolist())], dtype=np.str_),
-        beneficiary_id=_strings(ben, word),
+        beneficiary_id=_strings(ben, text_words(cols, ben).__getitem__),
+        admit=admit.astype(np.int32),
         **{name: cols[f"event.{name}"][events] for name in ("readmit_label", "mortality_label", "mortality_excluded")},
         z=np.concatenate([block for _, block in blocks], axis=1),
         **steps,
-        age_range=_strings(age, age_band),
-        **{name: _strings(coded[name], word) for name in ("gender", "race", "medicare_status")},
-        charlson_band=_strings(charlson, charlson_band),
         proc_ptr=_ptr(np.bincount(proc_rows, minlength=n)),
         proc_ccs=proc_cats.astype(np.int64),
     ), [name for names, _ in blocks for name in names]
@@ -258,7 +254,6 @@ def featurize_events(
 
 # --- columnar form ------------------------------------------------------------
 
-SUBGROUP_KEYS = ("age_range", "gender", "race", "medicare_status", "charlson_band")
 # EventTable columns indexed by step, index or procedure rather than by event.
 _CSR_COLUMNS = ("step_ptr", "day_offset", "idx_ptr", "indices", "proc_ptr", "proc_ccs")
 
@@ -271,14 +266,14 @@ def _csr_take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(eq=False)
 class EventTable:
-    """Featurized events as columns: one row per event, visit steps and
-    procedure categories in CSR form. Event i's steps are rows
+    """Featurized events as columns, one row per event: the index stay its
+    patient entered on day `admit`. Event i's CSR steps are rows
     step_ptr[i]:step_ptr[i+1] of `day_offset`; step k's category indices
     are indices[idx_ptr[k]:idx_ptr[k+1]], and event i's index-stay
     procedure categories are proc_ccs[proc_ptr[i]:proc_ptr[i+1]]."""
 
-    event_id: np.ndarray
     beneficiary_id: np.ndarray
+    admit: np.ndarray
     readmit_label: np.ndarray
     mortality_label: np.ndarray
     mortality_excluded: np.ndarray
@@ -287,16 +282,11 @@ class EventTable:
     day_offset: np.ndarray
     idx_ptr: np.ndarray
     indices: np.ndarray
-    age_range: np.ndarray
-    gender: np.ndarray
-    race: np.ndarray
-    medicare_status: np.ndarray
-    charlson_band: np.ndarray
     proc_ptr: np.ndarray
     proc_ccs: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.event_id)
+        return len(self.beneficiary_id)
 
     def save(self, path: Path) -> None:
         """Writes the columns with `write_npz`; z, whose every column is a
@@ -310,8 +300,24 @@ class EventTable:
 
     @classmethod
     def load(cls, path: Path) -> "EventTable":
-        arrays = read_npz(path)
-        return cls(**{f.name: arrays[f.name] for f in fields(cls)} | {"z": arrays["z"].astype(np.float64)})
+        """What `save` wrote; other members, as an older featurize's, raise PrerequisiteError."""
+        arrays, names = read_npz(path), {f.name for f in fields(cls)}
+        if arrays.keys() != names:
+            missing, extra = sorted(names - arrays.keys()), sorted(arrays.keys() - names)
+            raise PrerequisiteError(f"{path}: missing {missing}, extra {extra}; rerun `seqfuse featurize`")
+        return cls(**arrays | {"z": arrays["z"].astype(np.float64)})
+
+    def event_ids(self) -> list[str]:
+        return [event_id(b, a) for b, a in zip(self.beneficiary_id.tolist(), self.admit.tolist())]
+
+    def subgroups(self, z_names: list[str]) -> dict[str, np.ndarray]:
+        """Each event's group in every `SUBGROUP_KEYS` partition, read back
+        from the raw z that `z_names` names."""
+        groups = {}
+        for name, labels in _SUBGROUP_LABELS.items():
+            groups[name] = np.array(labels)[self.z[:, [n.startswith(f"{name}=") for n in z_names]].argmax(axis=1)]
+        groups["charlson_band"] = _strings(self.z[:, z_names.index("charlson_index")], charlson_band)
+        return groups
 
     def label_for(self, task: str) -> np.ndarray:
         if task == "readmission":

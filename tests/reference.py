@@ -12,8 +12,10 @@ screens them and labels both outcomes; `checked_cohort` runs the kernel on
 the same records and checks that the files cohort writes from it, and the
 events `seqfuse show events` prints, equal the reference's.
 `reference_table` assembles per-event visit steps and domain vectors into
-an `EventTable` with the kernel's dtypes, and `read_population_npz`
-rebuilds the records from the columns of `claim_columns`.
+an `EventTable` with the kernel's dtypes, and each event's subgroup labels
+from its records (what `EventTable.subgroups` must read back from z);
+`read_population_npz` rebuilds the records from the columns of
+`claim_columns`.
 `reference_nearest_neighbors` is SMOTE's brute-force neighbour search, the
 table `training._nearest_neighbors` must equal.
 
@@ -114,7 +116,6 @@ from seqfuse.cohort import (
     MAX_LOS_DAYS,
     POPULATION_MEMBERS,
     READMIT_WINDOW_DAYS,
-    age_band,
     build_cohort,
     index_event_lines,
 )
@@ -1335,6 +1336,17 @@ def _z_age_band(age: int) -> str:
     return f"{low}-{low + 4}"
 
 
+def age_band(age: int) -> str:
+    """The subgroup label of an age, one of `cohort.AGE_BANDS` after
+    "Unknown": the bands of z's age block, spelt as the reports spell them."""
+    if age < 65:
+        return "<65"
+    if age >= 85:
+        return ">85"
+    low = (age // 5) * 5
+    return f"{low}~{low + 4}"
+
+
 @dataclass(frozen=True)
 class SequenceStep:
     day_offset: int
@@ -1487,9 +1499,10 @@ def reference_table(
     stays: list[InpatientStay],
     bundle: KnowledgeBundle,
     opts: SequenceOptions = SequenceOptions(),
-) -> tuple[EventTable, list[str]]:
+) -> tuple[EventTable, list[str], dict[str, np.ndarray]]:
     """Every eligible event with a visit step, featurized one at a time,
-    as an `EventTable` with the kernel's dtypes; and the names of z."""
+    as an `EventTable` with the kernel's dtypes; the names of z; and each
+    event's label in every `SUBGROUP_KEYS` partition, from its records."""
     claims_by_ben: dict[str, list[ClaimRecord]] = {}
     for claim in claims:
         claims_by_ben.setdefault(claim.beneficiary_id, []).append(claim)
@@ -1499,7 +1512,7 @@ def reference_table(
 
     names = reference_z_names()
     charlson_at = names.index("charlson_index")
-    cols: dict[str, list] = {f.name: [] for f in fields(EventTable)}
+    cols: dict[str, list] = {name: [] for name in (*(f.name for f in fields(EventTable)), *SUBGROUP_KEYS)}
     for event in events:
         if not event.eligible:
             continue
@@ -1515,8 +1528,8 @@ def reference_table(
         assert len(z) == len(names)
         procs = sorted({bundle.ccs.proc_category(p) for p in event.stay.all_proc})
         row = {
-            "event_id": event.event_id,
             "beneficiary_id": ben.beneficiary_id,
+            "admit": event.stay.admit_date,
             "readmit_label": bool(event.readmit_label),
             "mortality_label": bool(event.mortality_label),
             "mortality_excluded": event.mortality_exclusion is not None,
@@ -1538,11 +1551,12 @@ def reference_table(
         cols["proc_ccs"].extend(procs)
     return EventTable(
         **{name: np.array(cols[name], dtype=bool) for name in ("readmit_label", "mortality_label", "mortality_excluded")},
-        **{name: np.array(cols[name], dtype=np.str_) for name in ("event_id", "beneficiary_id", *SUBGROUP_KEYS)},
+        beneficiary_id=np.array(cols["beneficiary_id"], dtype=np.str_),
+        admit=np.array(cols["admit"], dtype=np.int32),
         **{name: np.array(cols[name], dtype=np.int64) for name in ("day_offset", "indices", "proc_ccs")},
         **{name: _ptr(cols[name]) for name in ("step_ptr", "idx_ptr", "proc_ptr")},
         z=np.array(cols["z"], dtype=np.float64).reshape(len(cols["z"]), len(names)),
-    ), names
+    ), names, {name: np.array(cols[name], dtype=np.str_) for name in SUBGROUP_KEYS}
 
 
 def read_population_npz(cols) -> tuple[list[Beneficiary], list[ClaimRecord]]:
@@ -1622,15 +1636,14 @@ def steps_table(step_lists: list[list[list[int]]], z: np.ndarray | None = None) 
     n = len(step_lists)
     steps = [step for seq in step_lists for step in seq]
     return EventTable(
-        event_id=np.array([f"E{i}" for i in range(n)], dtype=np.str_),
         beneficiary_id=np.array([f"B{i}" for i in range(n)], dtype=np.str_),
+        admit=np.zeros(n, dtype=np.int32),
         **{name: np.zeros(n, dtype=bool) for name in ("readmit_label", "mortality_label", "mortality_excluded")},
         z=np.zeros((n, 0)) if z is None else np.asarray(z, dtype=np.float64),
         step_ptr=_ptr([len(seq) for seq in step_lists]),
         day_offset=np.zeros(len(steps), dtype=np.int64),
         idx_ptr=_ptr([len(step) for step in steps]),
         indices=np.array(list(chain.from_iterable(steps)), dtype=np.int64),
-        **{name: np.full(n, "", dtype=np.str_) for name in SUBGROUP_KEYS},
         proc_ptr=np.zeros(n + 1, dtype=np.int64),
         proc_ccs=np.zeros(0, dtype=np.int64),
     )
@@ -1908,7 +1921,7 @@ def scores_csv(outdir, task: str, cell: str) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["event_id", "fold", "label", "raw", "prob_raw", "prob_cal"])
-    for i, event_id in enumerate(table.event_id.tolist()):
+    for i, event_id in enumerate(table.event_ids()):
         writer.writerow(
             [
                 event_id,

@@ -9,7 +9,7 @@ from seqfuse.baseline import flatten, make_lr_runner, train_lr
 from seqfuse.cli import _load_sequences, default_config, main
 from seqfuse.errors import NumericsError, ValidationError
 from seqfuse.claims import _ptr
-from seqfuse.features import SUBGROUP_KEYS, EventTable
+from seqfuse.features import EventTable
 from seqfuse import training
 from seqfuse.training import apply_standardizer, fit_standardizer, smote
 from tests.reference import ReferenceXoshiro256, reference_train_lr
@@ -21,8 +21,8 @@ def _table(rows: list[tuple[list[tuple[int, ...]], list[float]]]) -> EventTable:
     n = len(rows)
     steps = [step for event_steps, _ in rows for step in event_steps]
     return EventTable(
-        event_id=np.array([f"E{i}" for i in range(n)], dtype=np.str_),
         beneficiary_id=np.array(["B1"] * n, dtype=np.str_),
+        admit=np.arange(n, dtype=np.int32),
         readmit_label=np.zeros(n, dtype=bool),
         mortality_label=np.zeros(n, dtype=bool),
         mortality_excluded=np.zeros(n, dtype=bool),
@@ -31,7 +31,6 @@ def _table(rows: list[tuple[list[tuple[int, ...]], list[float]]]) -> EventTable:
         day_offset=np.zeros(len(steps), dtype=np.int64),
         idx_ptr=_ptr([len(step) for step in steps]),
         indices=np.array([index for step in steps for index in step], dtype=np.int64),
-        **{key: np.array([""] * n, dtype=np.str_) for key in SUBGROUP_KEYS},
         proc_ptr=np.zeros(n + 1, dtype=np.int64),
         proc_ccs=np.zeros(0, dtype=np.int64),
     )

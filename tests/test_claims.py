@@ -24,6 +24,7 @@ from seqfuse.claims import (
 )
 from seqfuse.cli import main
 from seqfuse.errors import ValidationError
+from seqfuse.knowledge import load_acute_drgs, load_hac_rules, load_planned_rules
 from tests.reference import (
     Beneficiary,
     ClaimRecord,
@@ -461,6 +462,20 @@ class TestGenerator:
     @pytest.mark.parametrize("n_patients, seed", [(1100, 5), (60, 20110901)])
     def test_equals_one_scalar_stream_per_patient(self, n_patients, seed):
         assert_equals_reference(SyntheticConfig(n_patients=n_patients, seed=seed))
+
+    def test_planted_categories_are_the_rule_tables(self):
+        """The categories and DRGs the generator plants are read from the
+        bundled tables. Its HAC dx categories stay its own, a subset of the
+        HAC rules', which also hold 10, a Charlson category."""
+        planned, hac_rules = load_planned_rules(), load_hac_rules()
+        assert claims_module._ACUTE_DX_CATS == tuple(sorted(planned.acute_override_dx_ccs))
+        assert claims_module._MAINTENANCE_DX_CATS == tuple(sorted(planned.maintenance_dx_ccs))
+        assert claims_module._PLANNED_PROC_CATS == tuple(sorted(planned.planned_proc_ccs))
+        assert claims_module._HAC_PROC_CATS == tuple(sorted(set().union(*(rule.proc_ccs for rule in hac_rules))))
+        assert claims_module._ACUTE_DRGS == tuple(sorted(load_acute_drgs()))
+        hac_dx = set().union(*(rule.dx_ccs for rule in hac_rules))
+        assert set(claims_module._HAC_DX_CATS) <= hac_dx
+        assert hac_dx - set(claims_module._HAC_DX_CATS) == {10}
 
     def test_columns_are_checked_before_they_are_returned(self, monkeypatch):
         def reject(cols, source):

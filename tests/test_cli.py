@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from seqfuse import cli
-from seqfuse.claims import CLAIM_COLUMNS, write_npz
+from seqfuse.claims import CLAIM_COLUMNS, read_npz, write_npz
 from seqfuse.cli import (
     ALGORITHMS,
     STAGES,
@@ -27,7 +27,7 @@ from seqfuse.cli import (
     main,
     validate_config,
 )
-from seqfuse.cohort import POPULATION_MEMBERS, age_band
+from seqfuse.cohort import POPULATION_MEMBERS
 from seqfuse.errors import NumericsError
 from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band
 from seqfuse.knowledge import load_bundle
@@ -35,6 +35,7 @@ from seqfuse.metrics import subgroup_report
 from seqfuse.model import load_model, random_embedding
 from seqfuse.training import FOLD_NAMES, config_hash
 from tests.reference import (
+    age_band,
     build_domain_vector,
     build_sequence,
     read_population_npz,
@@ -321,7 +322,7 @@ class TestPipelineArtifacts:
         table = EventTable.load(outdir / "featurize" / "events.npz")
         features = json.loads((outdir / "featurize" / "features.json").read_text())
         assert len(table) == features["n_events"] == len(eligible)
-        assert table.event_id.tolist() == eligible
+        assert table.event_ids() == eligible
         assert features["input_dim"] == features["n_dx_columns"] + features["n_proc_columns"]
 
     def test_split_is_patient_disjoint_and_complete(self, pipeline_run):
@@ -453,12 +454,13 @@ class TestPipelineArtifacts:
         best = json.loads((outdir / "evaluate" / "metrics.json").read_text())["best_cell"]
         test = [r for r in _shown_scores(capsys, config, best) if r["fold"] == "test"]
         table = EventTable.load(outdir / "featurize" / "events.npz")
-        row_of = {event_id: i for i, event_id in enumerate(table.event_id.tolist())}
+        z_names = json.loads((outdir / "featurize" / "features.json").read_text())["z_names"]
+        row_of = {event_id: i for i, event_id in enumerate(table.event_ids())}
         rows = [row_of[r["event_id"]] for r in test]
         expected = subgroup_report(
             np.array([float(r["prob_cal"]) for r in test]),
             np.array([int(r["label"]) for r in test]),
-            {key: getattr(table, key)[rows].tolist() for key in SUBGROUP_KEYS},
+            {key: values[rows].tolist() for key, values in table.subgroups(z_names).items()},
             n_min=5,
         )
         seen = []
@@ -765,8 +767,10 @@ class TestColumnarArtifacts:
         steps = [build_sequence(e, claims, stays, bundle.ccs) for e in eligible]
         bens = [ben_map[e.stay.beneficiary_id] for e in eligible]
         z, z_names = zip(*(build_domain_vector(e, b, claims, stays, bundle) for e, b in zip(eligible, bens)))
-        assert table.event_id.tolist() == [e.event_id for e in eligible]
+        assert table.event_ids() == [e.event_id for e in eligible]
         assert table.beneficiary_id.tolist() == [b.beneficiary_id for b in bens]
+        assert table.admit.dtype == np.int32
+        assert table.admit.tolist() == [e.stay.admit_date for e in eligible]
         for flag in ("readmit_label", "mortality_label", "mortality_excluded"):
             assert getattr(table, flag).dtype == bool
         assert table.readmit_label.tolist() == [bool(e.readmit_label) for e in eligible]
@@ -777,14 +781,27 @@ class TestColumnarArtifacts:
         assert table_steps(table) == [[list(step.indices) for step in s] for s in steps]
         assert table.day_offset.tolist() == [step.day_offset for s in steps for step in s]
         charlson = z_names[0].index("charlson_index")
-        assert table.age_range.tolist() == [age_band(e.age) for e in eligible]
-        assert table.gender.tolist() == [b.gender for b in bens]
-        assert table.race.tolist() == [b.race for b in bens]
-        assert table.medicare_status.tolist() == [b.medicare_status for b in bens]
-        assert table.charlson_band.tolist() == [charlson_band(int(row[charlson])) for row in z]
+        groups = table.subgroups(list(z_names[0]))
+        assert groups["age_range"].tolist() == [age_band(e.age) for e in eligible]
+        assert groups["gender"].tolist() == [b.gender for b in bens]
+        assert groups["race"].tolist() == [b.race for b in bens]
+        assert groups["medicare_status"].tolist() == [b.medicare_status for b in bens]
+        assert groups["charlson_band"].tolist() == [charlson_band(int(row[charlson])) for row in z]
         procs = [sorted({bundle.ccs.proc_category(p) for p in e.stay.all_proc}) for e in eligible]
         assert np.diff(table.proc_ptr).tolist() == [len(p) for p in procs]
         assert table.proc_ccs.tolist() == [c for p in procs for c in p]
+
+    def test_event_store_holds_no_text_but_the_patient(self, pipeline_run):
+        """events.npz stores each fact once: no event id and no subgroup
+        label, which the patient, `admit` and z give."""
+        _, outdir = pipeline_run
+        arrays = read_npz(outdir / "featurize" / "events.npz")
+        assert list(arrays) == [
+            "beneficiary_id", "admit", "readmit_label", "mortality_label", "mortality_excluded", "z",
+            "step_ptr", "day_offset", "idx_ptr", "indices", "proc_ptr", "proc_ccs",
+        ]
+        assert [name for name, array in arrays.items() if array.dtype.kind not in "biuf"] == ["beneficiary_id"]
+        assert arrays["admit"].dtype == np.int32
 
     def test_population_store_holds_only_what_cohort_adds(self, pipeline_run):
         """The claims are stored once, in generate/claims.npz; the cohort's
@@ -838,6 +855,28 @@ class TestColumnarArtifacts:
         manifest["outputs"]["cohort/population.npz"] = _sha(store)
         (copy / "cohort" / "manifest.json").write_text(json.dumps(manifest))
         assert main(["featurize", "--config", str(config), "--outdir", str(copy)]) == 3
+
+    def test_event_store_from_an_older_featurize_is_exit_3(self, pipeline_run, tmp_path, capsys):
+        """An events.npz with a text event id and the five subgroup columns
+        in place of `admit`, which featurize's manifest records: train stops
+        at loading it and names what to rerun."""
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        store = copy / "featurize" / "events.npz"
+        table = EventTable.load(store)
+        z_names = json.loads((copy / "featurize" / "features.json").read_text())["z_names"]
+        arrays = read_npz(store)
+        del arrays["admit"]
+        write_npz(store, {"event_id": np.array(table.event_ids()), **arrays, **table.subgroups(z_names)})
+        manifest = json.loads((copy / "featurize" / "manifest.json").read_text())
+        manifest["outputs"]["featurize/events.npz"] = _sha(store)
+        (copy / "featurize" / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--outdir", str(copy)]) == 3
+        err = capsys.readouterr().err
+        assert "missing ['admit']" in err and "'event_id'" in err and "rerun `seqfuse featurize`" in err
+        assert "Traceback" not in err
 
     def test_featurize_rerun_is_byte_identical(self, pipeline_run):
         config, outdir = pipeline_run
@@ -1060,7 +1099,7 @@ class TestExcludeIndexStep:
             beneficiaries, claims = read_population_npz(npz)
         bundle = load_bundle()
         events, stays, _ = reference_cohort(beneficiaries, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
-        expected, _ = reference_table(
+        expected, _, groups = reference_table(
             events,
             {b.beneficiary_id: b for b in beneficiaries},
             claims,
@@ -1068,9 +1107,11 @@ class TestExcludeIndexStep:
             bundle,
             SequenceOptions(exclude_index_step=True),
         )
-        assert table.event_id.tolist() == expected.event_id.tolist()
+        assert table.event_ids() == expected.event_ids()
         assert table.z.tobytes() == expected.z.tobytes()
         assert table.indices.tolist() == expected.indices.tolist()
+        z_names = features["z_names"]
+        assert {k: v.tolist() for k, v in table.subgroups(z_names).items()} == {k: v.tolist() for k, v in groups.items()}
 
 
 class TestMortalityTask:

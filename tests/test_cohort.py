@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from seqfuse.claims import SyntheticConfig, iso_to_day, text_words
-from seqfuse.cohort import EXCLUSION_REASONS, age_band
+from seqfuse.cohort import AGE_BANDS, EXCLUSION_REASONS, age_band_index
 from seqfuse.knowledge import CcsMap, load_acute_drgs, load_bundle, load_planned_rules
-from tests.reference import Beneficiary, ClaimRecord, checked_cohort, cohort_summary, population_records
+from tests.reference import Beneficiary, ClaimRecord, age_band, checked_cohort, cohort_summary, population_records
 
 DAY0 = iso_to_day("2011-03-01")
 
@@ -364,6 +364,9 @@ class TestSummaryAndAudit:
         assert age_band(74) == "70~74"
         assert age_band(84) == "80~84"
         assert age_band(85) == ">85"
+        # The reference's labels are the kernel's bands, at every age.
+        ages = np.arange(40, 111)
+        assert [age_band(age) for age in ages.tolist()] == [AGE_BANDS[1 + band] for band in age_band_index(ages).tolist()]
 
 
 class TestOverlapGuard:

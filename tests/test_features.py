@@ -22,13 +22,14 @@ from seqfuse.claims import (
     read_npz,
     write_npz,
 )
-from seqfuse.cohort import age_band
-from seqfuse.errors import ValidationError
+from seqfuse.cohort import AGE_BANDS
+from seqfuse.errors import PrerequisiteError, ValidationError
 from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band, featurize_events
 from seqfuse.knowledge import load_acute_drgs
 from tests.reference import (
     Z_BLOCKS,
     ClaimRecord,
+    age_band,
     build_domain_vector,
     build_sequence,
     checked_cohort,
@@ -68,17 +69,28 @@ def _same_table(a: EventTable, b: EventTable, exact: bool = True) -> None:
             np.testing.assert_array_equal(left, right, err_msg=name)
 
 
+def _same_groups(table: EventTable, z_names: list[str], expected: dict[str, np.ndarray]) -> None:
+    """`table.subgroups` equals `expected` (from `reference_table`), in
+    partitions, order and values."""
+    groups = table.subgroups(z_names)
+    assert list(groups) == list(SUBGROUP_KEYS) == list(expected)
+    for key in SUBGROUP_KEYS:
+        assert groups[key].dtype.kind == "U" and groups[key].tolist() == expected[key].tolist(), key
+
+
 def featurize_world(bens, claims, bundle, opts=SequenceOptions()):
     """The kernel's table for hand-built records, after checking that it
-    equals the per-event reference byte for byte (and the cohort kernel's
-    columns it reads equal the record-based cohort's)."""
+    equals the per-event reference byte for byte, its subgroups the
+    reference's labels (and the cohort kernel's columns it reads equal the
+    record-based cohort's)."""
     cols, events, stays, _ = checked_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
     table, z_names = featurize_events(cols, bundle, opts)
-    expected, expected_names = reference_table(
+    expected, expected_names, groups = reference_table(
         events, {b.beneficiary_id: b for b in bens}, claims, stays, bundle, opts
     )
     _same_table(table, expected)
     assert z_names == expected_names
+    _same_groups(table, z_names, groups)
     return table, z_names
 
 
@@ -93,7 +105,7 @@ def z_of(table: EventTable, z_names: list[str], row: int) -> dict[str, float]:
 
 
 def row_at(table: EventTable, bid: str, admit: int) -> int:
-    return table.event_id.tolist().index(f"{bid}@{day_to_iso(admit)}")
+    return table.event_ids().index(f"{bid}@{day_to_iso(admit)}")
 
 
 @pytest.fixture(scope="module")
@@ -319,13 +331,14 @@ class TestKernelOnHandBuiltWorlds:
             inpatient(bid="B3", admit=DAY0, los=3),
             inpatient(bid="B4", admit=DAY0, los=3),
         ]
-        table, _ = featurize_world(bens, claims, bundle)
+        table, z_names = featurize_world(bens, claims, bundle)
         assert table.mortality_excluded.tolist() == [True, False, True, False, False]
         events, stays, _ = reference_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         kept = [e for e in events if e.mortality_exclusion is None]
-        expected, _ = reference_table(kept, {b.beneficiary_id: b for b in bens}, claims, stays, bundle)
+        expected, _, groups = reference_table(kept, {b.beneficiary_id: b for b in bens}, claims, stays, bundle)
         selected = table.select(~table.mortality_excluded)
         _same_table(selected, expected)
+        _same_groups(selected, z_names, groups)
         assert selected.mortality_label.tolist() == [False, True, False]
 
 
@@ -369,8 +382,8 @@ class TestFeaturizeEvents:
         table, z_names = small_table
         events, _, _ = small_cohort
         assert len(table) == sum(1 for e in events if e.eligible) == len(reference)
-        assert table.event_id.tolist() == [event.event_id for event, _, _, _ in reference]
-        assert len(set(table.event_id.tolist())) == len(table)
+        assert table.event_ids() == [event.event_id for event, _, _, _ in reference]
+        assert len(set(table.event_ids())) == len(table)
         assert table.z.shape == (len(table), len(z_names))
         for steps in table_steps(table):
             assert steps
@@ -390,6 +403,44 @@ class TestFeaturizeEvents:
         table, _ = small_table
         with pytest.raises(ValidationError):
             table.label_for("los")
+
+
+class TestSubgroups:
+    """`EventTable.subgroups` reads each event's age band, gender, race,
+    Medicare status and Charlson band back from z: the labels the reference
+    featurization takes from the event's records."""
+
+    @pytest.mark.parametrize("exclude_index_step", [False, True])
+    def test_readmission_events(self, small_columns, small_population, small_cohort, bundle, exclude_index_step):
+        opts = SequenceOptions(exclude_index_step=exclude_index_step)
+        table, z_names = featurize_events(small_columns, bundle, opts)
+        events, stays, _ = small_cohort
+        bens = {b.beneficiary_id: b for b in small_population.beneficiaries}
+        _, _, expected = reference_table(events, bens, small_population.claims, stays, bundle, opts)
+        _same_groups(table, z_names, expected)
+
+    def test_mortality_events_after_select(self, small_table, small_population, small_cohort, bundle):
+        table, z_names = small_table
+        events, stays, _ = small_cohort
+        kept = [e for e in events if e.mortality_exclusion is None]
+        bens = {b.beneficiary_id: b for b in small_population.beneficiaries}
+        _, _, expected = reference_table(kept, bens, small_population.claims, stays, bundle)
+        _same_groups(table.select(~table.mortality_excluded), z_names, expected)
+
+    def test_age_slots_are_the_report_bands(self, bundle):
+        """z's age slots, each side of every cut, map to `cohort.AGE_BANDS[1:]`."""
+        ages = [64, 65, 69, 70, 84, 85, 99]
+        # Admitted on 1 March, born on 15 January: `age` years old.
+        bens = [ben(bid=f"B{i}", birth_year=2011 - age, status="aged_esrd") for i, age in enumerate(ages)]
+        claims = [inpatient(bid=f"B{i}") for i in range(len(ages))]
+        table, z_names = featurize_world(bens, claims, bundle)
+        slots = [name for name in z_names if name.startswith("age_range=")]
+        assert [slots[slot] for slot in table.z[:, : len(slots)].argmax(axis=1).tolist()] == [
+            f"age_range={band}" for band in ("<65", "65-69", "65-69", "70-74", "80-84", "85+", "85+")
+        ]
+        labels = table.subgroups(z_names)["age_range"].tolist()
+        assert labels == ["<65", "65~69", "65~69", "70~74", "80~84", ">85", ">85"]
+        assert labels == [AGE_BANDS[1:][band] for band in (0, 1, 1, 2, 4, 5, 5)]
 
 
 class TestEventTable:
@@ -413,8 +464,9 @@ class TestEventTable:
             "charlson_band": [charlson_band(int(z[charlson])) for _, _, _, z in reference],
         }
         assert set(expected) == set(SUBGROUP_KEYS)
+        groups = table.subgroups(z_names)
         for key, values in expected.items():
-            assert getattr(table, key).tolist() == values, key
+            assert groups[key].tolist() == values, key
         with pytest.raises(ValidationError):
             table.label_for("discharge")
 
@@ -453,6 +505,21 @@ class TestEventTable:
         _same_table(EventTable.load(tmp_path / "a.npz"), table)
         EventTable.load(tmp_path / "a.npz").save(tmp_path / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_an_archive_of_other_members_is_a_prerequisite_error(self, small_table, tmp_path):
+        """An events.npz as an older featurize wrote it: a text event id and
+        the five subgroup columns, and no `admit`."""
+        table, z_names = small_table
+        table.save(tmp_path / "a.npz")
+        arrays = read_npz(tmp_path / "a.npz")
+        del arrays["admit"]
+        write_npz(tmp_path / "a.npz", {"event_id": np.array(table.event_ids()), **arrays, **table.subgroups(z_names)})
+        with pytest.raises(PrerequisiteError) as caught:
+            EventTable.load(tmp_path / "a.npz")
+        message = str(caught.value)
+        assert "missing ['admit']" in message
+        assert f"extra {sorted(['event_id', *SUBGROUP_KEYS])}" in message
+        assert "rerun `seqfuse featurize`" in message
 
     def test_z_is_stored_as_int16_and_loads_exactly(self, small_table, tmp_path):
         table, _ = small_table
