@@ -6,9 +6,9 @@ an input requires grad, append a (output, inputs, vjp) record. `backward`
 walks the records in reverse and accumulates gradients with +=, so running
 it twice without a grad reset doubles every gradient — callers reset.
 
-Broadcasting is deliberately restricted: `add` accepts a 1 x n row vector
-as its second argument (bias); everything else wants exact shapes so
-mistakes surface as DimensionError, not silent broadcast.
+There is no general broadcast: a bias is a 1 x n row that `affine` and
+`embedding_lookup` add to every output row themselves, and every other op
+wants exact shapes, so mistakes surface as DimensionError.
 
 Sequences of T steps over a batch of B rows are stacked step-major into
 one (T*B) x n tensor, row t*B + b, with a (T, B) array marking real steps
@@ -139,28 +139,17 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w plus the 1 x n bias row b on every row, as one op."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise DimensionError(f"affine: {x.shape} @ {w.shape} + {b.shape}")
+    out = x.data @ w.data
+    out += b.data
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0, keepdims=True)
 
-    return _result("matmul", out, (a, b), vjp)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; b may be a 1 x n row vector broadcast over a's rows."""
-    if a.shape == b.shape:
-        def vjp(g):
-            return g, g
-    elif b.shape == (1, a.shape[1]):
-        def vjp(g):
-            return g, g.sum(axis=0, keepdims=True)
-    else:
-        raise DimensionError(f"add: {a.shape} + {b.shape}")
-    return _result("add", a.data + b.data, (a, b), vjp)
+    return _result("affine", out, (x, w, b), vjp)
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
@@ -220,25 +209,29 @@ def _row_sums(rows: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False).reshape(n_rows, width)
 
 
-def embedding_lookup(weights: Tensor, indices: np.ndarray, row_of: np.ndarray, n_rows: int) -> Tensor:
+def embedding_lookup(weights: Tensor, bias: Tensor, indices: np.ndarray, row_of: np.ndarray,
+                     n_rows: int) -> Tensor:
     """Row r of the n_rows-row output is the sum of the `weights` rows
-    indices[k] over every k with row_of[k] == r.
+    indices[k] over every k with row_of[k] == r, plus the 1 x n bias row.
 
     This is the sparse path for multi-hot inputs: equivalent to X @ weights
-    for a binary X whose set bits are the (row_of, indices) pairs, without
-    densifying X. A row no pair names is zero (a padded step).
+    + bias for a binary X whose set bits are the (row_of, indices) pairs,
+    without densifying X. A row no pair names is the bias (a padded step).
     """
     indices = np.asarray(indices, dtype=np.intp)
     row_of = np.asarray(row_of, dtype=np.intp)
     if indices.size and (indices.min() < 0 or indices.max() >= weights.shape[0]):
         raise DimensionError(
             f"embedding_lookup: index out of range for {weights.shape[0]} rows")
+    if bias.shape != (1, weights.shape[1]):
+        raise DimensionError(f"embedding_lookup: bias {bias.shape} for weights {weights.shape}")
     out = _row_sums(row_of, weights.data[indices], n_rows)
+    out += bias.data
 
     def vjp(g):
-        return (_row_sums(indices, g[row_of], weights.shape[0]),)
+        return _row_sums(indices, g[row_of], weights.shape[0]), g.sum(axis=0, keepdims=True)
 
-    return _result("embedding_lookup", out, (weights,), vjp)
+    return _result("embedding_lookup", out, (weights, bias), vjp)
 
 
 def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
@@ -274,7 +267,8 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     w_all = np.concatenate([t.data for t in w], axis=1)
     u_rz = np.concatenate([u[0].data, u[1].data], axis=1)
     u_h = u[2].data
-    proj = x.data @ w_all + np.concatenate([t.data for t in b], axis=1)
+    proj = x.data @ w_all
+    proj += np.concatenate([t.data for t in b], axis=1)
     # Every step's pre-activations, r | z and h~, each in its own contiguous
     # buffer and built up in place: numpy's ops on a strided view of the
     # (T, B, 3H) projection cost several times their contiguous form.

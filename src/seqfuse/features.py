@@ -258,6 +258,12 @@ def featurize_events(
 _CSR_COLUMNS = ("step_ptr", "day_offset", "idx_ptr", "indices", "proc_ptr", "proc_ccs")
 
 
+def _narrowest(values: np.ndarray) -> np.ndarray:
+    """Integer `values` as the narrowest integer dtype that holds them all."""
+    lo, hi = (values.min(), values.max()) if values.size else (0, 0)
+    return values.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)))
+
+
 def _csr_take(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pointer array of CSR rows `rows`, and the positions of their
     elements in the original value array."""
@@ -289,14 +295,15 @@ class EventTable:
         return len(self.beneficiary_id)
 
     def save(self, path: Path) -> None:
-        """Writes the columns with `write_npz`; z, whose every column is a
-        0/1 indicator or a count, goes as int16, which `load` reads back
-        as the same float64 values."""
+        """Writes the columns with `write_npz`; z (indicators and counts)
+        and the CSR columns go at the narrowest integer dtype that holds
+        each exactly, and `load` widens them back to float64 and int64."""
         with np.errstate(invalid="ignore"):
-            z = self.z.astype(np.int16)
+            z = self.z.astype(np.int64)
         if not np.array_equal(z, self.z):
-            raise ValidationError(f"{path}: z holds values int16 does not store exactly")
-        write_npz(path, {f.name: z if f.name == "z" else getattr(self, f.name) for f in fields(self)})
+            raise ValidationError(f"{path}: z holds values an integer does not store exactly")
+        columns = {f.name: getattr(self, f.name) for f in fields(self)} | {"z": z}
+        write_npz(path, columns | {name: _narrowest(columns[name]) for name in ("z", *_CSR_COLUMNS)})
 
     @classmethod
     def load(cls, path: Path) -> "EventTable":
@@ -305,7 +312,8 @@ class EventTable:
         if arrays.keys() != names:
             missing, extra = sorted(names - arrays.keys()), sorted(arrays.keys() - names)
             raise PrerequisiteError(f"{path}: missing {missing}, extra {extra}; rerun `seqfuse featurize`")
-        return cls(**arrays | {"z": arrays["z"].astype(np.float64)})
+        wide = {name: arrays[name].astype(np.int64) for name in _CSR_COLUMNS}
+        return cls(**arrays | wide | {"z": arrays["z"].astype(np.float64)})
 
     def event_ids(self) -> list[str]:
         return [event_id(b, a) for b, a in zip(self.beneficiary_id.tolist(), self.admit.tolist())]

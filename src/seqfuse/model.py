@@ -24,13 +24,12 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
+    affine,
     concat,
     embedding_lookup,
     gru_sequence,
     init_uniform,
     masked_attention,
-    matmul,
     sigmoid,
     tanh,
     weighted_bce,
@@ -157,7 +156,7 @@ class SeqFuseModel:
         """n_rows step rows: each the sum of the embedding rows `indices`
         names for it (`row_of`) plus the bias. A row with no index (a
         padded step) embeds to the bias alone."""
-        return add(embedding_lookup(self.params["embed.W"], indices, row_of, n_rows), self.params["embed.b"])
+        return embedding_lookup(self.params["embed.W"], self.params["embed.b"], indices, row_of, n_rows)
 
     def gru_step(self, layer: int, x: Tensor, h: Tensor, mask: np.ndarray) -> Tensor:
         """Runs GRU layer `layer` from state h (B x H) over the step-major
@@ -184,7 +183,7 @@ class SeqFuseModel:
 
     def _mlp(self, x: Tensor) -> Tensor:
         for i in range(len(self.config.mlp_hidden_dims)):
-            x = tanh(add(matmul(x, self.params[f"mlp.{i}.W"]), self.params[f"mlp.{i}.b"]))
+            x = tanh(affine(x, self.params[f"mlp.{i}.W"], self.params[f"mlp.{i}.b"]))
         return x
 
     def fuse_and_output(self, summary: Tensor, z_rows: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -196,12 +195,11 @@ class SeqFuseModel:
         else:
             if z_rows.shape != (summary.shape[0], cfg.domain_dim):
                 raise DimensionError(f"z shape {z_rows.shape} != ({summary.shape[0]}, {cfg.domain_dim})")
-            z_tensor = Tensor(np.array(z_rows, dtype=np.float64))
             if cfg.fusion == "early":
-                fused = self._mlp(concat([summary, z_tensor]))
+                fused = self._mlp(concat([summary, Tensor(z_rows)]))
             else:
-                fused = concat([summary, self._mlp(z_tensor)])
-        logit = add(matmul(fused, self.params["out.W"]), self.params["out.b"])
+                fused = concat([summary, self._mlp(Tensor(z_rows))])
+        logit = affine(fused, self.params["out.W"], self.params["out.b"])
         return sigmoid(logit), logit
 
     def forward(self, rows: np.ndarray, table: EventTable) -> tuple[Tensor, Tensor, Tensor]:

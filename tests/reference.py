@@ -30,11 +30,13 @@ nested step lists out for the model one Python list at a time, the layout
 bitwise. `steps_table` and `table_steps` convert between nested step
 lists and those columns.
 
-`reference_pair_lookup` is `autodiff.embedding_lookup` with its output
-and weight gradient summed pair by pair in np.add.at, the sums its
-np.bincount form must equal bitwise, and `reference_sigmoid` the logistic
-function with an np.where select, which `autodiff._sigmoid` must equal
-bitwise.
+`reference_pair_lookup` is `autodiff.embedding_lookup` without its bias,
+with its output and weight gradient summed pair by pair in np.add.at, the
+sums its np.bincount form must equal bitwise, and `reference_sigmoid` the
+logistic function with an np.where select, which `autodiff._sigmoid` must
+equal bitwise. `matmul` and `add` are a dense layer's product and bias
+as two tape ops: the composition that `autodiff.affine` and the biased
+`autodiff.embedding_lookup` must equal bitwise, forward and backward.
 
 `reference_gru_sequence` is the GRU layer op with every product inside
 its step loops and a finiteness check at every step, and `ReferenceAdam`
@@ -1695,6 +1697,30 @@ def reference_pair_lookup(weights: Tensor, indices: np.ndarray, row_of: np.ndarr
         return (gw,)
 
     return _result("embedding_lookup", out, (weights,), vjp)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b."""
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul: {a.shape} @ {b.shape}")
+
+    def vjp(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return _result("matmul", a.data @ b.data, (a, b), vjp)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise add; b may be a 1 x n row vector broadcast over a's rows."""
+    if a.shape == b.shape:
+        def vjp(g):
+            return g, g
+    elif b.shape == (1, a.shape[1]):
+        def vjp(g):
+            return g, g.sum(axis=0, keepdims=True)
+    else:
+        raise DimensionError(f"add: {a.shape} + {b.shape}")
+    return _result("add", a.data + b.data, (a, b), vjp)
 
 
 def grad_of(tensor: Tensor) -> np.ndarray | None:

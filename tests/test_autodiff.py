@@ -18,14 +18,13 @@ from seqfuse.autodiff import (
     Tensor,
     _result,
     _sigmoid,
-    add,
+    affine,
     backward,
     concat,
     embedding_lookup,
     gru_sequence,
     init_uniform,
     masked_attention,
-    matmul,
     sigmoid,
     tanh,
     weighted_bce,
@@ -36,7 +35,9 @@ from seqfuse.rng import Xoshiro256
 from tests.reference import (
     ReferenceAdam,
     ReferenceXoshiro256,
+    add,
     grad_of,
+    matmul,
     reference_gru_sequence,
     reference_pair_lookup,
     reference_sigmoid,
@@ -101,6 +102,16 @@ def rng():
 
 
 class TestOpGradients:
+    def test_affine(self, rng):
+        x = Tensor(_rand(rng, 5, 3), requires_grad=True)
+        w = Tensor(_rand(rng, 3, 4), requires_grad=True)
+        b = Tensor(_rand(rng, 1, 4), requires_grad=True)
+        r = Tensor(_rand(rng, 5, 4))
+        check_grads(lambda: tsum(hadamard(affine(x, w, b), r)), {"x": x, "w": w, "b": b})
+
+    # The test-side matmul and add below are the composition affine and
+    # the biased embedding lookup must equal bitwise, so they are checked
+    # against the oracle too.
     def test_matmul(self, rng):
         a = Tensor(_rand(rng, 2, 3), requires_grad=True)
         b = Tensor(_rand(rng, 3, 4), requires_grad=True)
@@ -144,18 +155,20 @@ class TestOpGradients:
 
     def test_embedding_lookup_with_repeats(self, rng):
         w = Tensor(_rand(rng, 6, 4), requires_grad=True)
+        b = Tensor(_rand(rng, 1, 4), requires_grad=True)
         # Row 0 repeats across events and inside one event; the gradient
-        # must accumulate per occurrence.
+        # must accumulate per occurrence. Row 3 has no pair: it is the bias.
         indices = np.array([0, 2, 0, 0, 5, 3])
         row_of = np.array([0, 0, 1, 1, 1, 2])
-        r = Tensor(_rand(rng, 3, 4))
-        check_grads(lambda: tsum(hadamard(embedding_lookup(w, indices, row_of, 3), r)), {"w": w})
+        r = Tensor(_rand(rng, 4, 4))
+        check_grads(lambda: tsum(hadamard(embedding_lookup(w, b, indices, row_of, 4), r)), {"w": w, "b": b})
 
     def test_embedding_lookup_rejects_indices_out_of_range(self, rng):
         w = Tensor(_rand(rng, 6, 4), requires_grad=True)
+        b = Tensor(_rand(rng, 1, 4), requires_grad=True)
         for bad in (6, -1):
             with pytest.raises(DimensionError):
-                embedding_lookup(w, np.array([0, bad]), np.array([0, 1]), 2)
+                embedding_lookup(w, b, np.array([0, bad]), np.array([0, 1]), 2)
 
     def test_weighted_bce(self, rng):
         logits = Tensor(_rand(rng, 6, 1), requires_grad=True)
@@ -302,18 +315,44 @@ class TestKernelsAgainstReferences:
         data = rng.normal(size=(n_weights, width)) * 10.0 ** rng.integers(-8, 8, size=(n_weights, 1))
         upstream = rng.normal(size=(n_rows, width)) * 10.0 ** rng.integers(-8, 8, size=(n_rows, 1))
 
+        bias_data = rng.normal(size=(1, width))
+
         def run(op):
-            weights = Tensor(data.copy(), requires_grad=True)
+            weights, bias = Tensor(data.copy(), requires_grad=True), Tensor(bias_data.copy(), requires_grad=True)
             with Tape() as tape:
-                out = op(weights, indices, row_of, n_rows)
+                out = op(weights, bias)
                 loss = tsum(hadamard(out, Tensor(upstream)))
             backward(tape, loss)
-            return out.data, grad_of(weights)
+            return out.data, grad_of(weights), grad_of(bias)
 
-        out, grad = run(embedding_lookup)
-        ref_out, ref_grad = run(reference_pair_lookup)
-        assert out.tobytes() == ref_out.tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
+        got = run(lambda w, b: embedding_lookup(w, b, indices, row_of, n_rows))
+        want = run(lambda w, b: add(reference_pair_lookup(w, indices, row_of, n_rows), b))
+        for left, right in zip(got, want):
+            assert left.tobytes() == right.tobytes()
+
+    @pytest.mark.parametrize("batch", [256, 37, 1], ids=["full", "ragged", "one-row"])
+    def test_affine_matches_matmul_then_add(self, batch):
+        """On the head's shapes (early fusion's summary | z into the MLP,
+        and the MLP into the one-unit output), the op and both its inputs'
+        and its bias's gradients equal the two-op composition bitwise."""
+        rng = np.random.default_rng(batch)
+        for n_in, n_out in ((24 + 150, 32), (32, 1)):
+            data = {"x": rng.normal(size=(batch, n_in)), "w": rng.normal(size=(n_in, n_out)),
+                    "b": rng.normal(size=(1, n_out))}
+            upstream = Tensor(rng.normal(size=(batch, n_out)))
+
+            def run(op):
+                x, w, b = (Tensor(data[k].copy(), requires_grad=True) for k in "xwb")
+                with Tape() as tape:
+                    out = op(x, w, b)
+                    loss = tsum(hadamard(out, upstream))
+                backward(tape, loss)
+                return out.data, grad_of(x), grad_of(w), grad_of(b)
+
+            got = run(affine)
+            want = run(lambda x, w, b: add(matmul(x, w), b))
+            for left, right in zip(got, want):
+                assert left.tobytes() == right.tobytes(), (n_in, n_out)
 
     @pytest.mark.parametrize(
         "lengths, n_in, hidden",
@@ -457,10 +496,14 @@ class TestBackwardMechanics:
             backward(tape, out)
 
     def test_shape_mismatches_raise(self):
-        with pytest.raises(DimensionError):
-            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-        with pytest.raises(DimensionError):
-            add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        with pytest.raises(DimensionError, match="affine"):
+            affine(x, Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))))
+        for bias in ((1, 3), (2, 4), (4, 1)):
+            with pytest.raises(DimensionError, match="affine"):
+                affine(x, w, Tensor(np.ones(bias)))
+        with pytest.raises(DimensionError, match="bias"):
+            embedding_lookup(w, Tensor(np.ones((2, 4))), np.array([0]), np.array([0]), 1)
         with pytest.raises(DimensionError):
             hadamard(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
         with pytest.raises(DimensionError):

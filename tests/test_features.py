@@ -38,6 +38,7 @@ from tests.reference import (
     reference_cohort,
     reference_table,
     reference_z_names,
+    steps_table,
     table_steps,
 )
 from tests.test_cohort import DAY0, ben, inpatient
@@ -521,17 +522,38 @@ class TestEventTable:
         assert f"extra {sorted(['event_id', *SUBGROUP_KEYS])}" in message
         assert "rerun `seqfuse featurize`" in message
 
-    def test_z_is_stored_as_int16_and_loads_exactly(self, small_table, tmp_path):
+    def test_integer_columns_are_stored_narrow_and_load_exactly(self, small_table, tmp_path):
+        """z and the CSR columns go at the narrowest integer width that
+        holds each (z's indicators and counts stay below 256 here, and there
+        are 1,824 steps and 4,182 indices); `load` widens them back to the
+        table's float64 z and int64 columns, bit for bit."""
         table, _ = small_table
         table.save(tmp_path / "a.npz")
-        assert read_npz(tmp_path / "a.npz")["z"].dtype == np.int16
-        z = EventTable.load(tmp_path / "a.npz").z
-        assert z.dtype == np.float64 and z.tobytes() == table.z.tobytes()
-        for bad in (0.5, np.nan, np.inf, 40000.0):
+        stored = read_npz(tmp_path / "a.npz")
+        assert {name: stored[name].dtype for name in ("z", "step_ptr", "day_offset", "idx_ptr", "indices",
+                                                       "proc_ptr", "proc_ccs")} == {
+            "z": np.uint8, "step_ptr": np.uint16, "day_offset": np.int16, "idx_ptr": np.uint16,
+            "indices": np.uint8, "proc_ptr": np.uint8, "proc_ccs": np.uint8,
+        }
+        _same_table(EventTable.load(tmp_path / "a.npz"), table)
+        for bad in (0.5, np.nan, np.inf):
             z = table.z.copy()
             z[0, 0] = bad
             with pytest.raises(ValidationError, match="z holds"):
                 replace(table, z=z).save(tmp_path / "b.npz")
+
+    def test_wide_values_and_empty_columns_round_trip(self, tmp_path):
+        """A day_offset down to -40,000 needs int32 and an idx_ptr past
+        65,535 uint32; a table with no procedures and no z columns saves
+        too. Each column loads back as it was saved."""
+        table = replace(steps_table([[[1] * 70_000, [2, 3]], [[4]]]), day_offset=np.array([-40_000, -1, 0]))
+        table.save(tmp_path / "a.npz")
+        stored = read_npz(tmp_path / "a.npz")
+        assert (stored["day_offset"].dtype, stored["idx_ptr"].dtype) == (np.int32, np.uint32)
+        assert stored["proc_ccs"].size == 0 and stored["z"].size == 0
+        loaded = EventTable.load(tmp_path / "a.npz")
+        _same_table(loaded, table)
+        assert loaded.idx_ptr.dtype == loaded.day_offset.dtype == np.int64
 
     def test_write_npz_members_carry_no_clock(self, tmp_path):
         write_npz(tmp_path / "x.npz", {"a": np.arange(3), "b": np.array(["x", "yz"])})

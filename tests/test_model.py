@@ -8,7 +8,7 @@ each other where the architecture makes them coincide.
 import numpy as np
 import pytest
 
-from seqfuse.autodiff import Adam, Tape, Tensor, add, backward
+from seqfuse.autodiff import Adam, Tape, Tensor, backward
 from seqfuse.cli import _load_best, _save_best
 from seqfuse.errors import DimensionError, ValidationError
 from seqfuse.model import (
@@ -20,6 +20,7 @@ from seqfuse.model import (
 )
 from tests.reference import (
     ReferenceXoshiro256,
+    add,
     grad_of,
     reference_embedding_lookup,
     reference_padding,
@@ -323,7 +324,7 @@ class TestLoss:
             backward(tape, loss)
 
         h = 1e-5
-        for name in ("embed.W", "gru0.U_h", "mlp.0.W", "out.W", "out.b"):
+        for name in ("embed.W", "embed.b", "gru0.U_h", "mlp.0.W", "mlp.0.b", "out.W", "out.b"):
             tensor = model.params[name]
             flat = tensor.data.reshape(-1)
             for k in range(0, flat.size, max(1, flat.size // 5)):
@@ -338,6 +339,37 @@ class TestLoss:
                 fd = (up.data[0, 0] - down.data[0, 0]) / (2 * h)
                 got = grad_of(tensor).reshape(-1)[k]
                 assert abs(got - fd) <= 1e-4 * max(1.0, abs(fd)), (name, k, got, fd)
+
+
+_HEAD = {
+    "early": ["concat", "affine", "tanh", "affine"],
+    "late": ["affine", "tanh", "concat", "affine"],
+    "none": ["affine"],
+}
+
+
+class TestTape:
+    @pytest.mark.parametrize(
+        "overrides, n_records",
+        [({}, 9), ({"fusion": "late"}, 9), ({"fusion": "none", "domain_dim": 0}, 6), ({"embedding": "pretrained"}, 8)],
+        ids=["early", "late", "rnn", "pretrained"],
+    )
+    def test_a_training_step_records_one_entry_per_layer(self, overrides, n_records):
+        """Embedding, GRU, attention, each dense layer with its bias, each
+        activation and the loss are one tape record each; a frozen
+        embedding records none."""
+        cfg = small_config(**overrides)
+        model = SeqFuseModel(cfg, pretrained_embedding=random_embedding(cfg.input_dim, cfg.embed_dim, 5))
+        rng = ReferenceXoshiro256(67)
+        steps = random_steps(rng, 4, 3, cfg.input_dim)
+        z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in steps])
+        with Tape() as tape:
+            loss, _ = model.loss(np.arange(4), steps_table(steps, z), np.array([1.0, 0.0, 0.0, 1.0]), 1.0)
+            backward(tape, loss)
+        ops = [vjp.__qualname__.split(".")[0] for _, _, vjp in tape.records]
+        embed = [] if cfg.embedding == "pretrained" else ["embedding_lookup"]
+        assert ops == embed + ["gru_sequence", "masked_attention", *_HEAD[cfg.fusion], "sigmoid", "weighted_bce"]
+        assert len(ops) == n_records
 
 
 class TestPaddedBatches:
