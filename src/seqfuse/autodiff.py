@@ -234,13 +234,12 @@ def embedding_lookup(weights: Tensor, bias: Tensor, indices: np.ndarray, row_of:
     return _result("embedding_lookup", out, (weights, bias), vjp)
 
 
-def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
-                 u: tuple[Tensor, Tensor, Tensor], b: tuple[Tensor, Tensor, Tensor],
+def gru_sequence(x: Tensor, h0: Tensor, w: Tensor, u_rz: Tensor, u_h: Tensor, b: Tensor,
                  mask: np.ndarray) -> Tensor:
     """All T steps of one GRU layer as one op; returns every step's state.
 
-    x is (T*B) x n step-major, h0 the B x H initial state, w/u/b the
-    (r, z, h) input weights, recurrent weights and biases, mask (T, B).
+    x is (T*B) x n step-major, h0 the B x H initial state, mask (T, B), and
+    w, u_rz, u_h, b the stored [W_r|W_z|W_h], [U_r|U_z], U_h and [b_r|b_z|b_h].
     With m the mask entry of a row:
 
         r = sigmoid(x W_r + h U_r + b_r),  z = sigmoid(x W_z + h U_z + b_z)
@@ -248,27 +247,23 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
 
     so a padded step (m = 0) leaves h bit-unchanged. Only the work that
     depends on the previous step runs inside the step loops (Appleyard et
-    al., arXiv:1604.01946): the input projection x [W_r|W_z|W_h] + b runs
-    once for all rows, each step adds h [U_r|U_z] and (r * h) U_h to it in
-    place, and the backward pass forms the U gradients as two products over
-    all T*B rows after its loop. The pre-activations are checked for
-    non-finite values once, after the loop, because sigmoid and tanh would
-    squash an overflow into a finite output.
+    al., arXiv:1604.01946): the input projection x w + b runs once for all
+    rows, each step adds h u_rz and (r * h) u_h to it in place, and the
+    backward pass forms the u gradients as two products over all T*B rows
+    after its loop. The pre-activations are checked for non-finite values
+    once, after the loop, because sigmoid and tanh would squash an overflow
+    into a finite output.
     """
     mask = np.asarray(mask, dtype=np.float64)
     steps, batch = mask.shape
     hidden = h0.shape[1]
     if h0.shape[0] != batch or x.shape[0] != steps * batch:
         raise DimensionError(f"gru_sequence: x {x.shape}, h0 {h0.shape}, mask {mask.shape}")
-    if (any(t.shape != (x.shape[1], hidden) for t in w)
-            or any(t.shape != (hidden, hidden) for t in u)
-            or any(t.shape != (1, hidden) for t in b)):
+    if (w.shape != (x.shape[1], 3 * hidden) or u_rz.shape != (hidden, 2 * hidden)
+            or u_h.shape != (hidden, hidden) or b.shape != (1, 3 * hidden)):
         raise DimensionError(f"gru_sequence: weight shapes do not match x {x.shape}, h0 {h0.shape}")
-    w_all = np.concatenate([t.data for t in w], axis=1)
-    u_rz = np.concatenate([u[0].data, u[1].data], axis=1)
-    u_h = u[2].data
-    proj = x.data @ w_all
-    proj += np.concatenate([t.data for t in b], axis=1)
+    proj = x.data @ w.data
+    proj += b.data
     # Every step's pre-activations, r | z and h~, each in its own contiguous
     # buffer and built up in place: numpy's ops on a strided view of the
     # (T, B, 3H) projection cost several times their contiguous form.
@@ -287,10 +282,10 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             h, a_rz, a_h = states[t], pre_rz[t], pre_h[t]
-            np.add(a_rz, h @ u_rz, out=a_rz)
+            np.add(a_rz, h @ u_rz.data, out=a_rz)
             gates[t] = _sigmoid(a_rz)
             np.multiply(gates[t, :, :hidden], h, out=rh[t])
-            np.add(a_h, rh[t] @ u_h, out=a_h)
+            np.add(a_h, rh[t] @ u_h.data, out=a_h)
             np.tanh(a_h, out=cand[t])
             step = np.subtract(cand[t], h, out=states[t + 1])
             step *= gates[t, :, hidden:] if unpadded[t] else m_all[t] * gates[t, :, hidden:]
@@ -315,26 +310,22 @@ def gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],
         for t in reversed(range(steps)):
             dh += g[t]
             da_h = np.multiply(dh, f_h[t], out=d_h[t])
-            d_rh = da_h @ u_h.T
+            d_rh = da_h @ u_h.data.T
             np.multiply(d_rh, f_r[t], out=d_rz[t, :, :hidden])
             np.multiply(dh, f_z[t], out=d_rz[t, :, hidden:])
-            dh = dh * keep[t] + d_rh * r[t] + d_rz[t] @ u_rz.T
+            dh = dh * keep[t] + d_rh * r[t] + d_rz[t] @ u_rz.data.T
         d_pre = np.concatenate([d_rz, d_h], axis=2).reshape(steps * batch, 3 * hidden)
-        d_u_rz = h_prev.reshape(steps * batch, hidden).T @ d_rz.reshape(steps * batch, 2 * hidden)
-        d_u_h = rh.reshape(steps * batch, hidden).T @ d_h.reshape(steps * batch, hidden)
-        d_w = x.data.T @ d_pre
-        d_b = d_pre.sum(axis=0, keepdims=True)
-        cols = [slice(k * hidden, (k + 1) * hidden) for k in range(3)]
         return (
-            d_pre @ w_all.T if x.requires_grad else None,
+            d_pre @ w.data.T if x.requires_grad else None,
             dh if h0.requires_grad else None,
-            *(d_w[:, c] for c in cols),
-            d_u_rz[:, cols[0]], d_u_rz[:, cols[1]], d_u_h,
-            *(d_b[:, c] for c in cols),
+            x.data.T @ d_pre,
+            h_prev.reshape(steps * batch, hidden).T @ d_rz.reshape(steps * batch, 2 * hidden),
+            rh.reshape(steps * batch, hidden).T @ d_h.reshape(steps * batch, hidden),
+            d_pre.sum(axis=0, keepdims=True),
         )
 
     out = states[1:].reshape(steps * batch, hidden)
-    return _result("gru_sequence", out, (x, h0, *w, *u, *b), vjp)
+    return _result("gru_sequence", out, (x, h0, w, u_rz, u_h, b), vjp)
 
 
 def masked_attention(states: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:

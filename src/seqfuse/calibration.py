@@ -137,6 +137,14 @@ def fit_temperature(
     return calibrator
 
 
+def _unit_platt(scores: np.ndarray, labels: np.ndarray, fold: str, reason: str) -> Calibrator:
+    """The map a = 1, b = 0, with `reason` in its warning."""
+    calibrator = Calibrator(kind="platt", a=1.0, b=0.0, fitted_on=fold,
+                            warning=f"{reason}; Platt map left at a = 1, b = 0")
+    _fit_stats(scores, labels, calibrator)
+    return calibrator
+
+
 def fit_platt(
     scores,
     labels,
@@ -146,8 +154,9 @@ def fit_platt(
 ) -> Calibrator:
     """Newton fit of p = sigmoid(a*s + b) against smoothed targets
     (N+ + 1)/(N+ + 2) and 1/(N- + 2), run to gradient norm <= tol. A fold
-    of one class leaves the map at a = 1, b = 0 and says so in `warning`,
-    as `fit_temperature` leaves T at 1."""
+    of one class, or a fitted slope a <= 0 (which would reverse the ranking
+    and so every AUC), leaves the map at a = 1, b = 0 and says so in
+    `warning`, as `fit_temperature` leaves T at 1."""
     _guard_fold(fold)
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -156,15 +165,7 @@ def fit_platt(
     n_pos = float(labels.sum())
     n_neg = float(len(labels) - n_pos)
     if n_pos == 0 or n_neg == 0:
-        calibrator = Calibrator(
-            kind="platt",
-            a=1.0,
-            b=0.0,
-            fitted_on=fold,
-            warning="calibration fold holds a single class; Platt map left at a = 1, b = 0",
-        )
-        _fit_stats(scores, labels, calibrator)
-        return calibrator
+        return _unit_platt(scores, labels, fold, "calibration fold holds a single class")
     t_pos = (n_pos + 1.0) / (n_pos + 2.0)
     t_neg = 1.0 / (n_neg + 2.0)
     targets = np.where(labels == 1, t_pos, t_neg)
@@ -213,6 +214,8 @@ def fit_platt(
         )
     if grad_norm > tol:
         raise NumericsError(f"Platt scaling stopped at gradient norm {grad_norm:.3e} > {tol:.0e}")
+    if a <= 0.0:
+        return _unit_platt(scores, labels, fold, f"fitted Platt slope a = {a:.6g} <= 0 would reverse the ranking")
     calibrator = Calibrator(kind="platt", a=float(a), b=float(b), fitted_on=fold)
     _fit_stats(scores, labels, calibrator)
     return calibrator

@@ -39,3 +39,11 @@ class CalibrationError(SeqfuseError):
 
 class PrerequisiteError(SeqfuseError):
     """A pipeline stage's upstream artifact is missing or hash-stale."""
+
+
+def require_names(source: str, names, expected, stage: str) -> None:
+    """Raises PrerequisiteError, naming what `source` lacks or holds beyond
+    the names `expected` and the stage to rerun, unless it holds them."""
+    if names != expected:
+        missing, extra = sorted(expected - names), sorted(names - expected)
+        raise PrerequisiteError(f"{source}: missing {missing}, extra {extra}; rerun `seqfuse {stage}`")

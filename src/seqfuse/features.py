@@ -44,7 +44,7 @@ from .claims import (
     write_npz,
 )
 from .cohort import AGE_BANDS, LOOKBACK_DAYS, age_band_index
-from .errors import PrerequisiteError, ValidationError
+from .errors import ValidationError, require_names
 from .knowledge import KnowledgeBundle
 
 __all__ = [
@@ -308,10 +308,8 @@ class EventTable:
     @classmethod
     def load(cls, path: Path) -> "EventTable":
         """What `save` wrote; other members, as an older featurize's, raise PrerequisiteError."""
-        arrays, names = read_npz(path), {f.name for f in fields(cls)}
-        if arrays.keys() != names:
-            missing, extra = sorted(names - arrays.keys()), sorted(arrays.keys() - names)
-            raise PrerequisiteError(f"{path}: missing {missing}, extra {extra}; rerun `seqfuse featurize`")
+        arrays = read_npz(path)
+        require_names(str(path), arrays.keys(), {f.name for f in fields(cls)}, "featurize")
         wide = {name: arrays[name].astype(np.int64) for name in _CSR_COLUMNS}
         return cls(**arrays | wide | {"z": arrays["z"].astype(np.float64)})
 

@@ -18,7 +18,7 @@ this one padded pass.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .autodiff import (
     tanh,
     weighted_bce,
 )
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, require_names
 from .features import EventTable, _csr_take
 from .rng import Xoshiro256, derive_seed
 
@@ -48,11 +48,11 @@ class ModelConfig:
     embed_dim: int
     hidden_dim: int
     domain_dim: int
-    n_gru_layers: int = 1
-    fusion: str = "early"
-    mlp_hidden_dims: tuple[int, ...] = (32,)
-    embedding: str = "linear"
-    seed: int = 0
+    n_gru_layers: int
+    fusion: str
+    mlp_hidden_dims: tuple[int, ...]
+    embedding: str
+    seed: int
 
     def validate(self) -> None:
         for name in ("input_dim", "embed_dim", "hidden_dim"):
@@ -78,9 +78,7 @@ class ModelConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelConfig":
-        obj = dict(obj)
-        obj["mlp_hidden_dims"] = tuple(obj.get("mlp_hidden_dims", ()))
-        cfg = cls(**obj)
+        cfg = cls(**obj | {"mlp_hidden_dims": tuple(obj["mlp_hidden_dims"])})
         cfg.validate()
         return cfg
 
@@ -100,7 +98,10 @@ def _output_input_dim(cfg: ModelConfig) -> int:
 
 def init_params(cfg: ModelConfig, pretrained_embedding: np.ndarray | None = None) -> dict[str, Tensor]:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) per tensor, in a fixed order
-    from one seeded stream, so a config and seed pin every weight."""
+    from one seeded stream, so a config and seed pin every weight. GRU layer
+    l is `gru{l}.W` (in x 3H), `.U_rz` (H x 2H), `.U_h` and `.b` (1 x 3H),
+    the layout `gru_sequence` computes with (columns r | z | h): each gate's
+    W, U and b are drawn in turn, r then z then h, and joined column-wise."""
     cfg.validate()
     rng = Xoshiro256(derive_seed(cfg.seed, "init"))
     params: dict[str, Tensor] = {}
@@ -119,12 +120,13 @@ def init_params(cfg: ModelConfig, pretrained_embedding: np.ndarray | None = None
         params["embed.W"] = init_uniform((cfg.input_dim, cfg.embed_dim), cfg.input_dim, rng)
         params["embed.b"] = init_uniform((1, cfg.embed_dim), cfg.input_dim, rng)
 
+    h = cfg.hidden_dim
     for layer in range(cfg.n_gru_layers):
-        in_dim = cfg.embed_dim if layer == 0 else cfg.hidden_dim
-        for gate in ("r", "z", "h"):
-            params[f"gru{layer}.W_{gate}"] = init_uniform((in_dim, cfg.hidden_dim), in_dim, rng)
-            params[f"gru{layer}.U_{gate}"] = init_uniform((cfg.hidden_dim, cfg.hidden_dim), cfg.hidden_dim, rng)
-            params[f"gru{layer}.b_{gate}"] = init_uniform((1, cfg.hidden_dim), cfg.hidden_dim, rng)
+        n_in = cfg.embed_dim if layer == 0 else h
+        shapes = (((n_in, h), n_in), ((h, h), h), ((1, h), h))  # W, U, b and their fan-in
+        w, u, b = zip(*[[init_uniform(shape, fan_in, rng).data for shape, fan_in in shapes] for _gate in "rzh"])
+        for name, data in (("W", np.hstack(w)), ("U_rz", np.hstack(u[:2])), ("U_h", u[2]), ("b", np.hstack(b))):
+            params[f"gru{layer}.{name}"] = Tensor(data, requires_grad=True)
 
     if cfg.fusion != "none":
         k = _mlp_input_dim(cfg)
@@ -162,14 +164,8 @@ class SeqFuseModel:
         """Runs GRU layer `layer` from state h (B x H) over the step-major
         rows of x and their (T, B) step mask, as `gru_sequence` lays them
         out. Returns the state after every step, stacked like x."""
-        p = self.params
-        return gru_sequence(
-            x, h,
-            tuple(p[f"gru{layer}.W_{g}"] for g in "rzh"),
-            tuple(p[f"gru{layer}.U_{g}"] for g in "rzh"),
-            tuple(p[f"gru{layer}.b_{g}"] for g in "rzh"),
-            mask,
-        )
+        w, u_rz, u_h, b = (self.params[f"gru{layer}.{name}"] for name in ("W", "U_rz", "U_h", "b"))
+        return gru_sequence(x, h, w, u_rz, u_h, b, mask)
 
     def attend(self, states: Tensor, mask: np.ndarray) -> tuple[Tensor, Tensor]:
         """Scaled dot-product attention over step-major (T*B x H) states and
@@ -275,11 +271,14 @@ class SeqFuseModel:
 
 def load_model(model_config: dict, arrays: dict[str, np.ndarray]) -> SeqFuseModel:
     """The model of a `ModelConfig.to_json_obj()` object and its parameter
-    arrays; a pretrained embedding comes back frozen."""
+    arrays, named as `init_params` names them; a pretrained embedding comes
+    back frozen. A missing or unknown field or array, as an older train's
+    per-gate GRU arrays, raises PrerequisiteError naming the stage to rerun."""
+    require_names("model.json", model_config.keys(), {f.name for f in fields(ModelConfig)}, "train")
     cfg = ModelConfig.from_json_obj(model_config)
-    frozen = {"embed.W", "embed.b"} if cfg.embedding == "pretrained" else set()
-    params = {name: Tensor(data, requires_grad=name not in frozen) for name, data in arrays.items()}
-    return SeqFuseModel(cfg, params=params)
+    layout = init_params(cfg, np.zeros((cfg.input_dim, cfg.embed_dim)))
+    require_names("weights.npz", arrays.keys(), layout.keys(), "train")
+    return SeqFuseModel(cfg, {name: Tensor(arrays[name], requires_grad=t.requires_grad) for name, t in layout.items()})
 
 
 def random_embedding(input_dim: int, embed_dim: int, seed: int) -> np.ndarray:

@@ -39,10 +39,13 @@ as two tape ops: the composition that `autodiff.affine` and the biased
 `autodiff.embedding_lookup` must equal bitwise, forward and backward.
 
 `reference_gru_sequence` is the GRU layer op with every product inside
-its step loops and a finiteness check at every step, and `ReferenceAdam`
-the optimizer with one moment pair per tensor: `autodiff.gru_sequence`
-must equal the first's forward bitwise and its gradients to rounding, and
-`autodiff.Adam` the second's updates bitwise.
+its step loops and a finiteness check at every step, taking each gate's
+weights as its own tensor, and `ReferenceAdam` the optimizer with one
+moment pair per tensor: `autodiff.gru_sequence` must equal the first's
+forward bitwise and its gradients to rounding, and `autodiff.Adam` the
+second's updates bitwise. `fused_gru_arrays` joins a layer's per-gate
+arrays into the four the model stores, and `gru_gate_blocks` slices them
+back.
 
 `reference_auc` is the Mann-Whitney AUC with each tie run's midrank found
 by a scalar scan, the value `metrics.auc` must equal bitwise.
@@ -1740,6 +1743,34 @@ def reference_sigmoid(d: np.ndarray) -> np.ndarray:
     `autodiff._sigmoid` must equal it bitwise."""
     e = np.exp(-np.abs(d))
     return np.where(d >= 0, 1.0, e) / (1.0 + e)
+
+
+GRU_ARRAYS = ("W", "U_rz", "U_h", "b")
+
+
+def fused_gru_arrays(per_gate: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A layer's per-gate arrays, named `W_r` ... `b_h`, joined column-wise
+    in gate order r | z | h into the `GRU_ARRAYS` the model stores."""
+    return {
+        "W": np.concatenate([per_gate[f"W_{g}"] for g in "rzh"], axis=1),
+        "U_rz": np.concatenate([per_gate["U_r"], per_gate["U_z"]], axis=1),
+        "U_h": per_gate["U_h"],
+        "b": np.concatenate([per_gate[f"b_{g}"] for g in "rzh"], axis=1),
+    }
+
+
+def gru_gate_blocks(fused: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each gate's block of a layer's `GRU_ARRAYS`, named `W_r` ... `b_h`:
+    views, so writing to a block writes to the fused array."""
+    hidden = fused["U_h"].shape[0]
+    cols = {g: slice(k * hidden, (k + 1) * hidden) for k, g in enumerate("rzh")}
+    return {
+        **{f"W_{g}": fused["W"][:, c] for g, c in cols.items()},
+        "U_r": fused["U_rz"][:, cols["r"]],
+        "U_z": fused["U_rz"][:, cols["z"]],
+        "U_h": fused["U_h"],
+        **{f"b_{g}": fused["b"][:, c] for g, c in cols.items()},
+    }
 
 
 def reference_gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tensor],

@@ -113,7 +113,7 @@ def test_c01_gradients_match_central_differences():
     start = time.monotonic()
     cfg = ModelConfig(
         input_dim=12, embed_dim=8, hidden_dim=8, domain_dim=6,
-        n_gru_layers=1, fusion="early", mlp_hidden_dims=(8,), seed=404,
+        n_gru_layers=1, fusion="early", mlp_hidden_dims=(8,), embedding="linear", seed=404,
     )
     model = SeqFuseModel(cfg)
     rng = ReferenceXoshiro256(11)
@@ -169,7 +169,8 @@ def test_c02_attention_is_a_distribution_and_identity_at_t1():
     """Criterion 2: weights non-negative and summing to 1 within 1e-12 over
     10,000 inputs; a single-step sequence passes its state through exactly."""
     model = SeqFuseModel(
-        ModelConfig(input_dim=4, embed_dim=4, hidden_dim=8, domain_dim=0, fusion="none", seed=2)
+        ModelConfig(input_dim=4, embed_dim=4, hidden_dim=8, domain_dim=0, n_gru_layers=1, fusion="none",
+                    mlp_hidden_dims=(), embedding="linear", seed=2)
     )
     rng = ReferenceXoshiro256(22)
     n_rows = 0

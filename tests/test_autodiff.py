@@ -33,10 +33,13 @@ from seqfuse.cli import _load_best, _save_best
 from seqfuse.errors import DimensionError, NumericsError
 from seqfuse.rng import Xoshiro256
 from tests.reference import (
+    GRU_ARRAYS,
     ReferenceAdam,
     ReferenceXoshiro256,
     add,
+    fused_gru_arrays,
     grad_of,
+    gru_gate_blocks,
     matmul,
     reference_gru_sequence,
     reference_pair_lookup,
@@ -194,15 +197,21 @@ _MASK = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 
 
 
 def _gru_weights(rng, n_in, hidden):
-    def make(rows, cols):
-        return tuple(Tensor(_rand(rng, rows, cols), requires_grad=True) for _ in range(3))
+    """A layer's `GRU_ARRAYS` as tensors: the per-gate arrays drawn W_r,
+    W_z, W_h, then U and b the same way, and joined."""
+    per_gate = {f"{kind}_{gate}": _rand(rng, rows, hidden)
+                for kind, rows in (("W", n_in), ("U", hidden), ("b", 1)) for gate in "rzh"}
+    fused = fused_gru_arrays(per_gate)
+    return tuple(Tensor(fused[name], requires_grad=True) for name in GRU_ARRAYS)
 
-    return make(n_in, hidden), make(hidden, hidden), make(1, hidden)
+
+def _gate_blocks(weights):
+    """Each gate's block of a layer's weight tensors, as views."""
+    return gru_gate_blocks({name: t.data for name, t in zip(GRU_ARRAYS, weights)})
 
 
 def _named(prefix, weights):
-    w, u, b = weights
-    return {f"{prefix}.{kind}_{gate}": t for kind, ts in zip("WUb", (w, u, b)) for gate, t in zip("rzh", ts)}
+    return {f"{prefix}.{name}": t for name, t in zip(GRU_ARRAYS, weights)}
 
 
 class TestFusedOps:
@@ -244,14 +253,14 @@ class TestFusedOps:
         with pytest.raises(DimensionError):
             masked_attention(out, _MASK[::-1])
 
-    @pytest.mark.parametrize("kind, gate", [(0, 0), (1, 0), (1, 2)], ids=["x_W_r", "h_U_r", "rh_U_h"])
-    def test_gru_overflow_inside_the_op_raises(self, rng, kind, gate):
+    @pytest.mark.parametrize("block", ["W_r", "U_r", "U_h"], ids=["x_W_r", "h_U_r", "rh_U_h"])
+    def test_gru_overflow_inside_the_op_raises(self, rng, block):
         """sigmoid and tanh map an infinite pre-activation to a finite
         state, so the op itself must report the overflow."""
         steps, batch = _MASK.shape
         weights = _gru_weights(rng, 3, 4)
-        weights[2][0].data[:] = 50.0  # b_r: r = 1, so r * h = h
-        weights[kind][gate].data[:] = 1e308
+        _gate_blocks(weights)["b_r"][:] = 50.0  # r = 1, so r * h = h
+        _gate_blocks(weights)[block][:] = 1e308
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
             gru_sequence(Tensor(np.ones((steps * batch, 3))), Tensor(np.ones((batch, 4))), *weights, _MASK)
 
@@ -263,19 +272,25 @@ def _left_padded_mask(lengths, steps):
 def _gru_run(op, data, mask):
     """Runs `op` (gru_sequence or its reference) on fresh tensors holding
     `data` under a weighted-sum loss; returns the output and every input's
-    gradient, by name."""
-    tensors = {name: Tensor(array.copy(), requires_grad=True) for name, array in data.items() if name != "r"}
+    gradient, by name. gru_sequence takes data's per-gate weights joined
+    into its four arrays, and its weight gradients come back sliced per
+    gate; the reference takes and returns them per gate."""
+    fused = op is gru_sequence
+    weights = {name: array for name, array in data.items() if name not in ("x", "h0", "r")}
+    inputs = {"x": data["x"], "h0": data["h0"], **(fused_gru_arrays(weights) if fused else weights)}
+    tensors = {name: Tensor(array.copy(), requires_grad=True) for name, array in inputs.items()}
+    if fused:
+        args = tuple(tensors[name] for name in GRU_ARRAYS)
+    else:
+        args = tuple(tuple(tensors[f"{kind}_{g}"] for g in "rzh") for kind in "WUb")
     with Tape() as tape:
-        out = op(
-            tensors["x"], tensors["h0"],
-            tuple(tensors[f"W_{g}"] for g in "rzh"),
-            tuple(tensors[f"U_{g}"] for g in "rzh"),
-            tuple(tensors[f"b_{g}"] for g in "rzh"),
-            mask,
-        )
+        out = op(tensors["x"], tensors["h0"], *args, mask)
         loss = tsum(hadamard(out, Tensor(data["r"])))
     backward(tape, loss)
-    return out.data, {name: grad_of(t) for name, t in tensors.items()}
+    grads = {name: grad_of(t) for name, t in tensors.items()}
+    if fused:
+        grads = {"x": grads["x"], "h0": grads["h0"], **gru_gate_blocks(grads)}
+    return out.data, grads
 
 
 class TestKernelsAgainstReferences:
@@ -384,14 +399,14 @@ class TestKernelsAgainstReferences:
             scale = np.abs(ref).max()
             assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
 
-    @pytest.mark.parametrize("kind, gate", [(1, 0), (1, 2)], ids=["h_U_r", "rh_U_h"])
-    def test_a_nonfinite_step_raises_without_numpy_warnings(self, rng, kind, gate):
+    @pytest.mark.parametrize("block", ["U_r", "U_h"], ids=["h_U_r", "rh_U_h"])
+    def test_a_nonfinite_step_raises_without_numpy_warnings(self, rng, block):
         """The op runs its loop to the end before checking the
         pre-activations, so the steps after an overflow must not warn."""
         steps, batch = _MASK.shape
         weights = _gru_weights(rng, 3, 4)
-        weights[2][0].data[:] = 50.0
-        weights[kind][gate].data[:] = 1e308
+        _gate_blocks(weights)["b_r"][:] = 50.0
+        _gate_blocks(weights)[block][:] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match="pre-activation"):

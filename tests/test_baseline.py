@@ -231,10 +231,9 @@ def _assert_matches_reference(x, y, l2, **kwargs):
 
 
 @pytest.fixture(scope="module")
-def demo_training_fold(tmp_path_factory):
-    """The demo config's LR training fold (2,000 patients, seed 20110901):
-    the flattened events of the train fold, standardized on that fold, and
-    their labels."""
+def demo_run(tmp_path_factory):
+    """The demo config's run (2,000 patients, seed 20110901) through train,
+    LR only, as the later stages read it: its flat table and its folds."""
     outdir = tmp_path_factory.mktemp("demo") / "run"
     cfg = default_config(outdir=str(outdir))
     cfg["train"]["algorithms"] = ["lr"]
@@ -243,9 +242,28 @@ def demo_training_fold(tmp_path_factory):
     for stage in ("generate", "cohort", "featurize", "train"):
         assert main([stage, "--config", str(config)]) == 0
     run = _load_sequences(outdir, "readmission", split=True)
-    train = run.folds["train"]
-    x = run.flat().matrix[train]
-    return apply_standardizer(x, *fit_standardizer(x)), run.labels[train].astype(np.float64)
+    return run.flat().matrix, run.labels, run.folds
+
+
+@pytest.fixture(scope="module")
+def demo_training_fold(demo_run):
+    """The demo config's LR training fold: the flattened events of the
+    train fold, standardized on that fold, and their labels."""
+    matrix, labels, folds = demo_run
+    train = folds["train"]
+    x = matrix[train]
+    return apply_standardizer(x, *fit_standardizer(x)), labels[train].astype(np.float64)
+
+
+def test_no_test_fold_row_repeats_a_training_row(demo_run):
+    """Leakage check on the demo population: no flattened row of the test
+    fold equals a training-fold row byte for byte, so the split keeps
+    patients apart and no two events flatten to one row across it."""
+    matrix, _, folds = demo_run
+    train = {row.tobytes() for row in matrix[folds["train"]]}
+    test = matrix[folds["test"]]
+    assert len(train) > 0 and len(test) > 0
+    assert [i for i, row in enumerate(test) if row.tobytes() in train] == []
 
 
 class TestTrainLrAgainstReference:

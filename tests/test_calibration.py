@@ -2,6 +2,7 @@
 hard refusal to fit on the test fold."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,25 @@ class TestFitPlatt:
             assert Calibrator(**cal.to_json_obj()).warning == cal.warning
             assert cal.apply(scores).tolist() == reference_sigmoid(scores).tolist()
             assert cal.stats["n"] == 3 and cal.stats["nll_after"] == cal.stats["nll_before"]
+
+    def test_a_reversing_slope_keeps_the_identity_map(self):
+        """Scores anti-correlated with the labels fit a slope below 0, which
+        would turn the calibrated AUC into 1 - AUC: the map stays a = 1,
+        b = 0, so the calibrated AUC is the raw one, and the warning names
+        the slope."""
+        rng = ReferenceXoshiro256(23)
+        scores = np.array([rng.normal() * 2 for _ in range(1000)])
+        labels = np.array([float(rng.bernoulli(p)) for p in _sigmoid(-0.8 * scores)])
+        raw_auc = auc(scores, labels)
+        assert raw_auc < 0.5
+        cal = fit_platt(scores, labels)
+        assert (cal.kind, cal.a, cal.b) == ("platt", 1.0, 0.0)
+        assert auc(cal.apply(scores), labels) == raw_auc
+        slope = float(re.search(r"slope a = (\S+) <= 0", cal.warning).group(1))
+        assert -1.0 < slope < -0.6
+        assert cal.warning.endswith("Platt map left at a = 1, b = 0")
+        assert Calibrator(**cal.to_json_obj()).warning == cal.warning
+        assert cal.stats["nll_after"] == cal.stats["nll_before"]
 
     def test_refuses_the_test_fold(self):
         with pytest.raises(CalibrationError):

@@ -35,9 +35,11 @@ from seqfuse.metrics import subgroup_report
 from seqfuse.model import load_model, random_embedding
 from seqfuse.training import FOLD_NAMES, config_hash
 from tests.reference import (
+    GRU_ARRAYS,
     age_band,
     build_domain_vector,
     build_sequence,
+    gru_gate_blocks,
     read_population_npz,
     reference_cohort,
     reference_table,
@@ -877,6 +879,39 @@ class TestColumnarArtifacts:
         err = capsys.readouterr().err
         assert "missing ['admit']" in err and "'event_id'" in err and "rerun `seqfuse featurize`" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("older", ["per_gate_weights", "model_json_without_a_field"])
+    def test_a_checkpoint_from_an_older_train_is_exit_3(self, pipeline_run, tmp_path, capsys, older):
+        """A best model whose weights.npz holds each GRU gate's arrays apart
+        (`gru0.W_r` ... `gru0.b_h`), or whose model.json lacks a field,
+        which train's manifest records: calibrate stops at loading it,
+        names what to rerun and leaves calibrate/ as it was."""
+        config, outdir = pipeline_run
+        copy = tmp_path / "run"
+        shutil.copytree(outdir, copy)
+        best = copy / "train" / "models" / "early_fusion__linear" / "best"
+        if older == "per_gate_weights":
+            target = best / "weights.npz"
+            arrays = read_npz(target)
+            fused = {name: arrays.pop(f"gru0.{name}") for name in GRU_ARRAYS}
+            write_npz(target, {**arrays, **{f"gru0.{name}": block for name, block in gru_gate_blocks(fused).items()}})
+        else:
+            target = best / "model.json"
+            spec = json.loads(target.read_text())
+            del spec["model_config"]["mlp_hidden_dims"]
+            target.write_text(json.dumps(spec))
+        manifest = json.loads((copy / "train" / "manifest.json").read_text())
+        manifest["outputs"][f"train/models/early_fusion__linear/best/{target.name}"] = _sha(target)
+        (copy / "train" / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(config), "--outdir", str(copy)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: {target.name}: missing [" in err and "rerun `seqfuse train`" in err
+        assert "Traceback" not in err
+        kept = sorted(path.name for path in (copy / "calibrate").iterdir())
+        assert kept == sorted(path.name for path in (outdir / "calibrate").iterdir())
+        for path in sorted((outdir / "calibrate").iterdir()):
+            assert (copy / "calibrate" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_featurize_rerun_is_byte_identical(self, pipeline_run):
         config, outdir = pipeline_run

@@ -5,12 +5,14 @@ transcriptions of the same equations, and the fusion variants against
 each other where the architecture makes them coincide.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from seqfuse.autodiff import Adam, Tape, Tensor, backward
 from seqfuse.cli import _load_best, _save_best
-from seqfuse.errors import DimensionError, ValidationError
+from seqfuse.errors import DimensionError, PrerequisiteError, ValidationError
 from seqfuse.model import (
     ModelConfig,
     SeqFuseModel,
@@ -18,10 +20,14 @@ from seqfuse.model import (
     load_model,
     random_embedding,
 )
+from seqfuse.rng import derive_seed
 from tests.reference import (
+    GRU_ARRAYS,
     ReferenceXoshiro256,
     add,
+    fused_gru_arrays,
     grad_of,
+    gru_gate_blocks,
     reference_embedding_lookup,
     reference_padding,
     steps_table,
@@ -86,6 +92,39 @@ class TestConfig:
         c = init_params(small_config(seed=100))
         assert not np.array_equal(a["out.W"].data, c["out.W"].data)
 
+    def test_gru_arrays_join_the_per_gate_draws(self):
+        """Both layers of a two-layer GRU: each stored array is the init
+        stream's per-gate uniforms, drawn W, U, b for r, then z, then h,
+        joined column-wise; the head's draws follow them."""
+        cfg = small_config(n_gru_layers=2)
+        params = init_params(cfg)
+        rng = ReferenceXoshiro256(derive_seed(cfg.seed, "init"))
+
+        def draw(rows, cols, fan_in):
+            bound = 1.0 / math.sqrt(fan_in)
+            return np.array([rng.uniform(-bound, bound) for _ in range(rows * cols)]).reshape(rows, cols)
+
+        hidden, k = cfg.hidden_dim, cfg.hidden_dim + cfg.domain_dim
+        want = {"embed.W": draw(cfg.input_dim, cfg.embed_dim, cfg.input_dim)}
+        want["embed.b"] = draw(1, cfg.embed_dim, cfg.input_dim)
+        for layer, n_in in enumerate((cfg.embed_dim, hidden)):
+            per_gate = {}
+            for g in "rzh":
+                per_gate[f"W_{g}"] = draw(n_in, hidden, n_in)
+                per_gate[f"U_{g}"] = draw(hidden, hidden, hidden)
+                per_gate[f"b_{g}"] = draw(1, hidden, hidden)
+            want.update({f"gru{layer}.{name}": array for name, array in fused_gru_arrays(per_gate).items()})
+        want.update({"mlp.0.W": draw(k, 7, k), "mlp.0.b": draw(1, 7, k), "out.W": draw(7, 1, 7), "out.b": draw(1, 1, 7)})
+        assert list(params) == list(want)
+        for name, array in want.items():
+            assert params[name].data.tobytes() == array.tobytes(), name
+            assert params[name].data.flags.c_contiguous, name
+
+
+def _gate_blocks(model: SeqFuseModel, layer: int) -> dict[str, np.ndarray]:
+    """Each gate's block of GRU layer `layer`'s arrays, as views."""
+    return gru_gate_blocks({name: model.params[f"gru{layer}.{name}"].data for name in GRU_ARRAYS})
+
 
 class TestGruStep:
     def test_matches_numpy_transcription(self):
@@ -102,10 +141,10 @@ class TestGruStep:
         def sig(a):
             return 1.0 / (1.0 + np.exp(-a))
 
-        p = {name: t.data for name, t in model.params.items()}
-        r = sig(x @ p["gru0.W_r"] + h @ p["gru0.U_r"] + p["gru0.b_r"])
-        z = sig(x @ p["gru0.W_z"] + h @ p["gru0.U_z"] + p["gru0.b_z"])
-        h_tilde = np.tanh(x @ p["gru0.W_h"] + (r * h) @ p["gru0.U_h"] + p["gru0.b_h"])
+        p = _gate_blocks(model, 0)
+        r = sig(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
+        z = sig(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
+        h_tilde = np.tanh(x @ p["W_h"] + (r * h) @ p["U_h"] + p["b_h"])
         expected = (1.0 - z) * h + z * h_tilde
         np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-14)
 
@@ -114,9 +153,10 @@ class TestGruStep:
         up to the h + z*(h_tilde - h) arithmetic."""
         cfg = small_config(fusion="none", domain_dim=0)
         model = SeqFuseModel(cfg)
-        model.params["gru0.W_z"].data[:] = 0.0
-        model.params["gru0.U_z"].data[:] = 0.0
-        model.params["gru0.b_z"].data[:] = -745.0  # sigmoid underflows to 0.0
+        p = _gate_blocks(model, 0)
+        p["W_z"][:] = 0.0
+        p["U_z"][:] = 0.0
+        p["b_z"][:] = -745.0  # sigmoid underflows to 0.0
         h = np.linspace(-1.0, 1.0, 2 * cfg.hidden_dim).reshape(2, cfg.hidden_dim)
         with Tape():
             out = model.gru_step(0, Tensor(np.ones((2, cfg.embed_dim))), Tensor(h), np.ones((1, 2)))
@@ -499,6 +539,24 @@ class TestPersistence:
         assert np.array_equal(again.params["embed.W"].data, matrix)
         assert not again.params["embed.W"].requires_grad
         assert again.params["out.W"].requires_grad
+
+    def test_an_older_checkpoint_is_a_prerequisite_error(self):
+        """Per-gate GRU arrays (an older train's) or a model config that
+        lacks a field: each names what is missing and the stage to rerun."""
+        cfg = small_config(n_gru_layers=2)
+        arrays = {name: t.data for name, t in init_params(cfg).items()}
+        per_gate = {name: array for name, array in arrays.items() if not name.startswith("gru")}
+        for layer in range(2):
+            blocks = gru_gate_blocks({name: arrays[f"gru{layer}.{name}"] for name in GRU_ARRAYS})
+            per_gate.update({f"gru{layer}.{name}": block.copy() for name, block in blocks.items()})
+        message = r"^weights\.npz: missing \['gru0\.U_rz', 'gru0\.W', 'gru0\.b', .*\], extra \['gru0\.U_r', .*; rerun"
+        with pytest.raises(PrerequisiteError, match=message):
+            load_model(cfg.to_json_obj(), per_gate)
+        for field in ("mlp_hidden_dims", "seed"):
+            spec = {key: value for key, value in cfg.to_json_obj().items() if key != field}
+            with pytest.raises(PrerequisiteError, match=rf"^model\.json: missing \['{field}'\], extra \[\]; rerun"):
+                load_model(spec, arrays)
+        assert list(load_model(cfg.to_json_obj(), arrays).params) == list(arrays)
 
     def test_pretrained_requires_matrix_of_right_shape(self):
         cfg = small_config(embedding="pretrained")

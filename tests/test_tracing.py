@@ -45,7 +45,8 @@ def test_measured_values_count_events_and_tape_records():
     tracing = _load_tracing()
     table = steps_table([[[1], [2, 3]], [[0]], [[4], [], [5]], [[1, 1]], [[2], [3]]])
     model = SeqFuseModel(
-        ModelConfig(input_dim=6, embed_dim=3, hidden_dim=4, domain_dim=0, fusion="none", mlp_hidden_dims=())
+        ModelConfig(input_dim=6, embed_dim=3, hidden_dim=4, domain_dim=0, n_gru_layers=1, fusion="none",
+                    mlp_hidden_dims=(), embedding="linear", seed=0)
     )
     rows = np.array([2, 0, 4])
     tracer = tracing.Tracer("test")

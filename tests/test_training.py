@@ -322,8 +322,8 @@ def _separable_batch(n: int):
 
 def _tiny_config(**overrides) -> ModelConfig:
     base = dict(
-        input_dim=8, embed_dim=4, hidden_dim=4, domain_dim=0,
-        fusion="none", mlp_hidden_dims=(), seed=13,
+        input_dim=8, embed_dim=4, hidden_dim=4, domain_dim=0, n_gru_layers=1,
+        fusion="none", mlp_hidden_dims=(), embedding="linear", seed=13,
     )
     base.update(overrides)
     return ModelConfig(**base)
