@@ -399,21 +399,15 @@ _OTHER_DRGS = ("DRG101", "DRG102", "DRG103", "DRG104", "DRG105")
 
 @dataclass
 class SyntheticConfig:
+    """What `generate_population` draws. The values are taken as given: the
+    run's config rules (`cli._RANGES`) check the population size and mean
+    claim count at load, and the signals are `default_signals`."""
+
     n_patients: int
     seed: int
     mean_claims_per_patient: float = 6.0
     readmit_signal: OutcomeSignal = field(default_factory=lambda: default_signals()[0])
     mortality_signal: OutcomeSignal = field(default_factory=lambda: default_signals()[1])
-
-    def validate(self) -> None:
-        if self.n_patients <= 0:
-            raise ValidationError("n_patients must be positive")
-        if self.mean_claims_per_patient <= 0:
-            raise ValidationError("mean_claims_per_patient must be positive")
-        for name in ("intercept", "charlson_weight", "los_weight", "ed_weight"):
-            for signal in (self.readmit_signal, self.mortality_signal):
-                if not math.isfinite(getattr(signal, name)):
-                    raise ValidationError(f"signal field {name} must be finite")
 
 
 # The ground-truth columns generate writes to `generate/truth.npz`, in order.
@@ -1022,7 +1016,6 @@ def generate_population(cfg: SyntheticConfig) -> SyntheticPopulation:
     columns are checked as `ingest_claims` checks them before they are
     returned.
     """
-    cfg.validate()
     chunks = []
     for first in range(0, cfg.n_patients, _CHUNK_PATIENTS):
         patients = np.arange(first, min(first + _CHUNK_PATIENTS, cfg.n_patients))

@@ -43,7 +43,7 @@ grid, the axes of `_DEFAULT_AXES` it leaves out), and `validate_config`
 walks the result against that shape before any stage runs: unknown keys,
 types, then each value's range (`_RANGES`). A stage body reads `cfg[...]`
 directly and keeps no defaults of its own, and neither do the grid
-runners.
+runners; the library functions they call take the checked values as given.
 
 Exit codes: 0 success, 1 standard output closed by its reader (as by
 `seqfuse show ... | head`), 2 invalid input or config, 3 missing/stale
@@ -141,39 +141,57 @@ _DEFAULT_AXES = {"grid": ("n_gru_layers", "mlp_hidden_dims", "batch_size", "w_po
 
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_POSITIVE_VALUES = (lambda v: v and min(v) > 0, "must be a non-empty list of positive values")
+# A list of choices (the cells' algorithms and embedding modes, each grid
+# axis, the top-k cutoffs) lists each value once, by Python equality, so 2
+# and 2.0 are one value. `train.fractions` and the widths of one
+# `mlp_hidden_dims` entry are positional and may repeat one.
+_ONCE = (lambda v: all(x not in v[:i] for i, x in enumerate(v)), "must list each value once")
 
-# {path: (check, message)}: the range of each value, checked only once the
-# value has its schema type.
+
+def _choices(check, message: str) -> tuple:
+    """The rules of a list of choices: `check` over the list, then `_ONCE`."""
+    return (check, message), _ONCE
+
+
+_POSITIVE = ((lambda v: v > 0, "must be positive"),)
+_POSITIVE_VALUES = _choices(lambda v: v and min(v) > 0, "must be a non-empty list of positive values")
+
+# {path: rules}: the range of each value, checked only once the value has
+# its schema type. A rule is (check, message), and the first that fails is
+# the value's one problem. Library functions take checked values as given.
 _RANGES = {
-    "outdir": (bool, "must be a non-empty string"),
-    "task": (lambda v: v in TASKS, f"must be one of {TASKS}"),
+    "outdir": ((bool, "must be a non-empty string"),),
+    "task": ((lambda v: v in TASKS, f"must be one of {TASKS}"),),
     "generate.n_patients": _POSITIVE,
     "generate.mean_claims_per_patient": _POSITIVE,
     "features.lookback_days": _POSITIVE,
-    "train.algorithms": (lambda v: v and set(v) <= set(ALGORITHMS), f"must be a non-empty subset of {ALGORITHMS}"),
-    "train.embedding_modes": (
-        lambda v: v and set(v) <= set(EMBEDDING_MODES),
-        f"must be a non-empty subset of {EMBEDDING_MODES}",
+    "train.algorithms": _choices(
+        lambda v: v and set(v) <= set(ALGORITHMS), f"must be a non-empty subset of {ALGORITHMS}"
+    ),
+    "train.embedding_modes": _choices(
+        lambda v: v and set(v) <= set(EMBEDDING_MODES), f"must be a non-empty subset of {EMBEDDING_MODES}"
     ),
     "train.fractions": (
-        lambda v: len(v) == 4 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
-        "must be four non-negative numbers summing to 1",
+        (
+            lambda v: len(v) == 4 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
+            "must be four non-negative numbers summing to 1",
+        ),
     ),
     "train.epochs": _POSITIVE,
-    "train.patience": (lambda v: v >= 0, "must be non-negative"),
+    "train.patience": ((lambda v: v >= 0, "must be non-negative"),),
     **{f"train.grid.{axis}": _POSITIVE_VALUES for axis in ("embed_dim", "hidden_dim", "lr", "batch_size", "w_pos")},
-    "train.grid.n_gru_layers": (lambda v: v and min(v) >= 1, "must be a non-empty list of values of at least 1"),
-    "train.grid.mlp_hidden_dims": (
+    "train.grid.n_gru_layers": _choices(
+        lambda v: v and min(v) >= 1, "must be a non-empty list of values of at least 1"
+    ),
+    "train.grid.mlp_hidden_dims": _choices(
         lambda v: v and all(width > 0 for dims in v for width in dims),
         "must be a non-empty list of lists of positive widths",
     ),
     "train.lr_grid.l2": _POSITIVE_VALUES,
-    "train.lr_grid.smote": (bool, "must be a non-empty list"),
-    "evaluate.threshold": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
-    "evaluate.top_k": (lambda v: all(k >= 1 for k in v), "must hold integers of at least 1"),
-    "evaluate.n_min": (lambda v: v >= 1, "must be at least 1"),
+    "train.lr_grid.smote": _choices(bool, "must be a non-empty list"),
+    "evaluate.threshold": ((lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),),
+    "evaluate.top_k": _choices(lambda v: all(k >= 1 for k in v), "must hold integers of at least 1"),
+    "evaluate.n_min": ((lambda v: v >= 1, "must be at least 1"),),
 }
 
 
@@ -239,9 +257,10 @@ def _walk(value, schema, path: str, problems: list[str]) -> None:
                 _walk(item, schema[0], f"{path}[{i}]", problems)
     elif not _has_type(value, schema):
         problems.append(f"{path} must be {_TYPE_NAMES[type(schema)]}")
-    rule = _RANGES.get(path)
-    if rule and len(problems) == start and not rule[0](value):
-        problems.append(f"{path} {rule[1]}")
+    if len(problems) == start:
+        failed = next((message for check, message in _RANGES.get(path, ()) if not check(value)), None)
+        if failed:
+            problems.append(f"{path} {failed}")
 
 
 def validate_config(cfg: dict) -> list[str]:
@@ -902,22 +921,26 @@ STAGE_FUNCS = {
 def run_stage(stage: str, cfg: dict) -> None:
     """Runs one stage body under the manifest protocol: verify its declared
     inputs, run it in an empty directory, and record its declared outputs.
-    The earlier directory is put back if the body fails, changing no file."""
+    If the body fails, the stage directory is removed and the earlier one,
+    if there was one, put back, changing no file."""
     outdir = Path(cfg["outdir"])
     inputs, outputs = _artifacts(cfg)[stage]
     verified = require_inputs(outdir, inputs)
     stage_dir, kept = outdir / stage, outdir / f".{stage}.kept"
     shutil.rmtree(kept, ignore_errors=True)
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    stage_dir.rename(kept)
-    stage_dir.mkdir()
+    rerun = stage_dir.exists()
+    if rerun:
+        stage_dir.rename(kept)
+    stage_dir.mkdir(parents=True)
     try:
         STAGE_FUNCS[stage](cfg, outdir)
     except BaseException:
         shutil.rmtree(stage_dir)
-        kept.rename(stage_dir)
+        if rerun:
+            kept.rename(stage_dir)
         raise
-    shutil.rmtree(kept)
+    if rerun:
+        shutil.rmtree(kept)
     write_manifest(outdir, stage, cfg, inputs=verified, outputs=outputs)
 
 
@@ -929,11 +952,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = default_config()
     demo = sub.add_parser("demo-config", help="write a ready-to-run configuration")
     demo.add_argument("--out", default="-", help="path for the config JSON ('-' for stdout)")
-    demo.add_argument("--outdir", default="runs/demo", help="run directory the config points at")
-    demo.add_argument("--patients", type=int, default=2000, help="synthetic population size")
-    demo.add_argument("--seed", type=int, default=20110901, help="root seed")
+    demo.add_argument("--outdir", default=defaults["outdir"], help="run directory the config points at")
+    demo.add_argument(
+        "--patients", type=int, default=defaults["generate"]["n_patients"], help="synthetic population size"
+    )
+    demo.add_argument("--seed", type=int, default=defaults["seed"], help="root seed")
 
     for name in (*STAGES, "pipeline"):
         p = sub.add_parser(name, help=f"run the {name} stage" if name != "pipeline" else "run all stages in order")

@@ -38,12 +38,15 @@ from .errors import DimensionError, ValidationError, require_names
 from .features import EventTable, _csr_take
 from .rng import Xoshiro256, derive_seed
 
-FUSIONS = ("early", "late", "none")
 EMBEDDINGS = ("linear", "pretrained")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """One network's shape, taken as given: its grid values, fusion and
+    embedding come from a config checked at load (`cli._RANGES`), and
+    `input_dim` and `domain_dim` from featurize."""
+
     input_dim: int
     embed_dim: int
     hidden_dim: int
@@ -54,23 +57,6 @@ class ModelConfig:
     embedding: str
     seed: int
 
-    def validate(self) -> None:
-        for name in ("input_dim", "embed_dim", "hidden_dim"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.domain_dim < 0:
-            raise ValidationError("domain_dim must be non-negative")
-        if self.n_gru_layers < 1:
-            raise ValidationError("n_gru_layers must be at least 1")
-        if self.fusion not in FUSIONS:
-            raise ValidationError(f"fusion {self.fusion!r} not in {FUSIONS}")
-        if self.fusion != "none" and self.domain_dim == 0:
-            raise ValidationError("fusion with domain features requires domain_dim > 0")
-        if any(h <= 0 for h in self.mlp_hidden_dims):
-            raise ValidationError("mlp_hidden_dims must be positive")
-        if self.embedding not in EMBEDDINGS:
-            raise ValidationError(f"embedding {self.embedding!r} not in {EMBEDDINGS}")
-
     def to_json_obj(self) -> dict:
         obj = asdict(self)
         obj["mlp_hidden_dims"] = list(self.mlp_hidden_dims)
@@ -78,9 +64,7 @@ class ModelConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelConfig":
-        cfg = cls(**obj | {"mlp_hidden_dims": tuple(obj["mlp_hidden_dims"])})
-        cfg.validate()
-        return cfg
+        return cls(**obj | {"mlp_hidden_dims": tuple(obj["mlp_hidden_dims"])})
 
 
 def _mlp_input_dim(cfg: ModelConfig) -> int:
@@ -102,7 +86,6 @@ def init_params(cfg: ModelConfig, pretrained_embedding: np.ndarray | None = None
     l is `gru{l}.W` (in x 3H), `.U_rz` (H x 2H), `.U_h` and `.b` (1 x 3H),
     the layout `gru_sequence` computes with (columns r | z | h): each gate's
     W, U and b are drawn in turn, r then z then h, and joined column-wise."""
-    cfg.validate()
     rng = Xoshiro256(derive_seed(cfg.seed, "init"))
     params: dict[str, Tensor] = {}
 
@@ -147,7 +130,6 @@ class SeqFuseModel:
         params: dict[str, Tensor] | None = None,
         pretrained_embedding: np.ndarray | None = None,
     ):
-        config.validate()
         self.config = config
         self.params = params if params is not None else init_params(config, pretrained_embedding)
 

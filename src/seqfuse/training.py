@@ -47,12 +47,10 @@ def split_patients(
 
     Within a stratum, patients are shuffled and quotas are filled by
     largest remainder, so each fold holds floor or ceil of its exact share.
-    Returns the fold lists and warnings for empty strata.
+    `fractions` are taken as given: four non-negative shares summing to 1,
+    as the config's `train.fractions` rule checks at load. Returns the fold
+    lists and warnings for empty strata.
     """
-    if len(fractions) != len(FOLD_NAMES):
-        raise ValidationError(f"need {len(FOLD_NAMES)} fractions, got {len(fractions)}")
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ValidationError("fold fractions must be non-negative and sum to 1")
     strata: dict[int, list[str]] = {0: [], 1: [], 2: []}
     for pid in sorted(positive_events):
         strata[min(positive_events[pid], 2)].append(pid)
@@ -299,15 +297,11 @@ def train_model(
     `status` ("ok" or "failed"), the best `valid_auc` (None when failed),
     the `curve` (one point per epoch run, epoch 0 the untrained model) and
     the `failure` message (None when ok).
+
+    The arguments are taken as given: the config rules checked at load
+    keep the hyperparameters in range, and `train` refuses an empty fold
+    before any trial runs.
     """
-    if lr <= 0 or batch_size <= 0 or epochs <= 0:
-        raise ValidationError("lr, batch_size, and epochs must be positive")
-    if patience < 0:
-        raise ValidationError("patience must be non-negative")
-    if w_pos <= 0:
-        raise ValidationError("w_pos must be positive")
-    if not train_idx or not valid_idx:
-        raise ValidationError("train and valid folds must be non-empty")
     labels = np.asarray(labels, dtype=np.float64)
     optimizer = Adam(model.trainable(), lr=lr)
     schedule = batch_schedule(train_idx, np.diff(table.step_ptr), batch_size, seed)
@@ -353,12 +347,11 @@ def config_hash(config: dict) -> str:
 
 
 def enumerate_grid(axes: dict[str, list]) -> list[dict]:
+    """Every config of the grid, keys sorted, last key varying fastest. An
+    empty axis gives no config; the config rules refuse one at load."""
     if not axes:
         return [{}]
     keys = sorted(axes)
-    for key in keys:
-        if not axes[key]:
-            raise ValidationError(f"grid axis {key!r} is empty")
     return [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
 
 
@@ -424,13 +417,12 @@ def grid_search(axes: dict[str, list], run_trial, base_seed: int) -> list[dict]:
     """Runs every config in the grid, returning one record per trial in
     grid order: `run_trial(config, seed)`'s dict plus the trial's `config`,
     `config_hash` and `seed`. Each seed derives from the root seed and the
-    config hash, so no trial depends on the order the grid runs in."""
-    configs = enumerate_grid(axes)
-    hashes = [config_hash(c) for c in configs]
-    if len(set(hashes)) != len(hashes):
-        raise ValidationError("duplicate configs in grid")
+    config hash, so no trial depends on the order the grid runs in. Each
+    axis lists each value once, as the config rules check at load, so no
+    two trials share a config."""
     trials = []
-    for config, h in zip(configs, hashes):
+    for config in enumerate_grid(axes):
+        h = config_hash(config)
         seed = derive_seed(base_seed, "trial", h)
         trials.append({**run_trial(config, seed), "config": config, "config_hash": h, "seed": seed})
     return trials

@@ -756,7 +756,6 @@ def reference_population(cfg: SyntheticConfig) -> RecordPopulation:
     """The synthetic population, one patient at a time from its own
     scalar stream: the records `claims.generate_population` must code
     into the same columns, with the same ground truth and summary."""
-    cfg.validate()
     ccs = CcsMap.synthetic()
     weights = load_charlson_weights()
     beneficiaries: list[Beneficiary] = []

@@ -542,12 +542,6 @@ class TestGenerator:
         assert 0.0 < info["mortality_rate"] < 1.0
         assert "readmit_signal" in info and "wrinkle_rates" in info
 
-    def test_config_guards(self):
-        with pytest.raises(ValidationError):
-            SyntheticConfig(n_patients=0, seed=1).validate()
-        with pytest.raises(ValidationError):
-            SyntheticConfig(n_patients=5, seed=1, mean_claims_per_patient=0.0).validate()
-
 
 class TestKernelAgainstReference:
     """`generate_population` (the lockstep kernel) against the scalar

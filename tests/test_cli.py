@@ -80,6 +80,12 @@ def _write_config(path: Path, outdir: Path, **overrides) -> Path:
     return path
 
 
+def _grid(**axes) -> dict:
+    """Overrides that set these `train.grid` axes and keep the others at
+    their `default_config` values."""
+    return {"train": {"grid": {**default_config()["train"]["grid"], **axes}}}
+
+
 # Keys that configs from older versions carry, with a value they wrote: each
 # must be dropped on load (`cli._REMOVED_KEYS`). Other values of the keys
 # dropped only at that value are among `test_malformed_shape_is_exit_2`'s
@@ -133,6 +139,11 @@ class TestDemoConfig:
         assert main(["demo-config"]) == 0
         cfg = json.loads(capsys.readouterr().out)
         assert cfg["task"] == "readmission"
+
+    def test_no_flags_print_the_default_config(self, capsys):
+        capsys.readouterr()
+        assert main(["demo-config"]) == 0
+        assert json.loads(capsys.readouterr().out) == default_config()
 
     @pytest.mark.parametrize(
         "argv, problem",
@@ -252,17 +263,77 @@ class TestConfigHandling:
             ({"train": {"w_neg": True}}, "unknown train keys: ['w_neg']"),
             # Only an older config's "adam" is dropped: training has no SGD.
             ({"train": {"optimizer": "sgd"}}, "unknown train keys: ['optimizer']"),
+            # Each range rule of `cli._RANGES` not named above.
+            ({"outdir": ""}, "outdir must be a non-empty string"),
+            ({"task": "discharge"}, "task must be one of ('readmission', 'mortality')"),
+            ({"generate": {"n_patients": 0}}, "generate.n_patients must be positive"),
+            ({"generate": {"mean_claims_per_patient": 0.0}}, "generate.mean_claims_per_patient must be positive"),
+            ({"features": {"lookback_days": 0}}, "features.lookback_days must be positive"),
+            (
+                {"train": {"algorithms": ["middle_fusion"]}},
+                f"train.algorithms must be a non-empty subset of {ALGORITHMS}",
+            ),
+            ({"train": {"algorithms": []}}, f"train.algorithms must be a non-empty subset of {ALGORITHMS}"),
+            (
+                {"train": {"embedding_modes": ["glove"]}},
+                "train.embedding_modes must be a non-empty subset of ('linear', 'pretrained')",
+            ),
+            (
+                {"train": {"fractions": [0.5, 0.5, 0.5, -0.5]}},
+                "train.fractions must be four non-negative numbers summing to 1",
+            ),
+            (
+                {"train": {"fractions": [0.25, 0.25, 0.5]}},
+                "train.fractions must be four non-negative numbers summing to 1",
+            ),
+            ({"train": {"epochs": 0}}, "train.epochs must be positive"),
+            ({"train": {"patience": -1}}, "train.patience must be non-negative"),
+            (_grid(hidden_dim=[0]), "train.grid.hidden_dim must be a non-empty list of positive values"),
+            (_grid(w_pos=[0.0]), "train.grid.w_pos must be a non-empty list of positive values"),
+            ({"train": {"lr_grid": {"l2": [0.1], "smote": []}}}, "train.lr_grid.smote must be a non-empty list"),
+            ({"evaluate": {"threshold": 1.0}}, "evaluate.threshold must be in (0, 1)"),
+            ({"evaluate": {"top_k": [0]}}, "evaluate.top_k must hold integers of at least 1"),
+            ({"evaluate": {"n_min": 0}}, "evaluate.n_min must be at least 1"),
+            # An empty axis would give the cell no trial.
+            (_grid(embed_dim=[]), "train.grid.embed_dim must be a non-empty list of positive values"),
+            # A list of choices lists each value once, by Python equality: a
+            # repeat would train one trial or one cell twice.
+            (_grid(lr=[0.02, 0.02]), "train.grid.lr must list each value once"),
+            (_grid(w_pos=[2, 2.0]), "train.grid.w_pos must list each value once"),
+            (_grid(mlp_hidden_dims=[[16], [16]]), "train.grid.mlp_hidden_dims must list each value once"),
+            (
+                {"train": {"lr_grid": {"l2": [0.1], "smote": [True, True]}}},
+                "train.lr_grid.smote must list each value once",
+            ),
+            ({"train": {"embedding_modes": ["linear", "linear"]}}, "train.embedding_modes must list each value once"),
+            ({"train": {"algorithms": ["lr", "early_fusion", "lr"]}}, "train.algorithms must list each value once"),
+            ({"evaluate": {"top_k": [50, 10, 50]}}, "evaluate.top_k must list each value once"),
         ],
     )
-    def test_malformed_shape_is_exit_2(self, tmp_path, overrides, problem):
+    def test_malformed_shape_is_exit_2(self, tmp_path, capsys, overrides, problem):
         cfg = default_config(outdir=str(tmp_path / "run"))
         for key, value in overrides.items():
             cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
         assert problem in validate_config(cfg)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(cfg), encoding="utf-8")
+        capsys.readouterr()
         assert main(["generate", "--config", str(config)]) == 2
+        assert problem in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"train": {"fractions": [0.4, 0.4, 0.1, 0.1]}}, _grid(mlp_hidden_dims=[[16, 16]])],
+        ids=["fractions", "mlp_hidden_dims"],
+    )
+    def test_a_positional_list_may_repeat_a_value(self, tmp_path, overrides):
+        """`train.fractions` gives each fold its share in turn, and one
+        `mlp_hidden_dims` entry the width of each layer: [[16, 16]] is a
+        two-layer head."""
+        config = _write_config(tmp_path / "cfg.json", tmp_path / "run", **overrides)
+        train = load_config(str(config))["train"]
+        assert all(train[key] == value for key, value in overrides["train"].items())
 
     def test_grid_axes_left_out_take_the_default_config_values(self, tmp_path):
         grid = {"embed_dim": [6], "hidden_dim": [8], "lr": [0.05]}
@@ -657,6 +728,8 @@ class TestEmptyFold:
         assert "fold 'calibration' received no events" in capsys.readouterr().err
         assert not (outdir / "train" / "models").exists()
         assert not (outdir / "train" / "split.json").exists()
+        # Train failed on its first run, so it leaves no directory behind.
+        assert sorted(path.name for path in outdir.iterdir()) == ["cohort", "featurize", "generate"]
 
 
 class TestFailedCell:
@@ -676,6 +749,12 @@ class TestFailedCell:
         err = capsys.readouterr().err
         assert "every trial failed for lr__linear: " in err
         assert err.count("Hessian is singular") == 1 and err.count("diverged at l2=0.1") == 1
+        # The failed rerun put the earlier train/ back as it was.
+        assert sorted(path.name for path in copy.iterdir()) == sorted(path.name for path in outdir.iterdir())
+        files = sorted(path.relative_to(outdir) for path in (outdir / "train").rglob("*"))
+        assert sorted(path.relative_to(copy) for path in (copy / "train").rglob("*")) == files
+        for rel in files:
+            assert (outdir / rel).is_dir() or (copy / rel).read_bytes() == (outdir / rel).read_bytes(), rel
 
 
 class TestRerunsAndTampering:

@@ -62,23 +62,6 @@ def random_steps(rng: ReferenceXoshiro256, n_seq: int, t_len: int, input_dim: in
 
 
 class TestConfig:
-    def test_validate_rejects_bad_values(self):
-        with pytest.raises(ValidationError):
-            small_config(hidden_dim=0).validate()
-        with pytest.raises(ValidationError):
-            small_config(fusion="middle").validate()
-        with pytest.raises(ValidationError):
-            small_config(n_gru_layers=0).validate()
-        with pytest.raises(ValidationError):
-            small_config(fusion="early", domain_dim=0).validate()
-        with pytest.raises(ValidationError):
-            small_config(mlp_hidden_dims=(8, 0)).validate()
-        with pytest.raises(ValidationError):
-            small_config(embedding="glove").validate()
-
-    def test_fusion_none_allows_zero_domain_dim(self):
-        small_config(fusion="none", domain_dim=0).validate()
-
     def test_json_round_trip(self):
         cfg = small_config(mlp_hidden_dims=(3, 2))
         again = ModelConfig.from_json_obj(cfg.to_json_obj())

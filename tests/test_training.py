@@ -82,12 +82,6 @@ class TestSplitPatients:
         assert any("stratum 1" in w for w in warnings)
         assert any("stratum 2" in w for w in warnings)
 
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(ValidationError):
-            split_patients({"A": 0}, seed=1, fractions=(0.5, 0.5, 0.5, -0.5))
-        with pytest.raises(ValidationError):
-            split_patients({"A": 0}, seed=1, fractions=(0.25, 0.25, 0.25))
-
 
 class TestStandardizer:
     def test_hand_example(self):
@@ -391,17 +385,6 @@ class TestTrainModel:
         for tensor in model.params.values():
             assert np.all(np.isfinite(tensor.data))
 
-    def test_input_validation(self):
-        table, labels = _separable_batch(8)
-        model = SeqFuseModel(_tiny_config())
-        good = dict(lr=1e-2, batch_size=32, epochs=30, patience=5, w_pos=1.0, seed=1)
-        with pytest.raises(ValidationError, match="folds must be non-empty"):
-            train_model(model, table, labels, [], [0], **good)
-        with pytest.raises(ValidationError, match="lr, batch_size, and epochs must be positive"):
-            train_model(model, table, labels, [0], [1], **{**good, "lr": -1.0})
-        with pytest.raises(ValidationError, match="w_pos must be positive"):
-            train_model(model, table, labels, [0], [1], **{**good, "w_pos": 0.0})
-
 
 def population_folds(n_patients: int, seed: int):
     """The demo config's readmission events for a generated population of
@@ -533,10 +516,6 @@ class TestEnumerateGrid:
     def test_empty_axes_is_the_singleton_config(self):
         assert enumerate_grid({}) == [{}]
 
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValidationError):
-            enumerate_grid({"a": []})
-
 
 class TestGridSearch:
     @staticmethod
@@ -584,10 +563,6 @@ class TestGridSearch:
             assert trial["seed"] == expected
             if trial["status"] == "ok":
                 assert trial["seed_seen"] == expected
-
-    def test_duplicate_configs_rejected(self):
-        with pytest.raises(ValidationError, match="duplicate"):
-            grid_search({"lr": [1.0, 1.0]}, self._stub, base_seed=1)
 
     def test_all_failed_leaves_summary_empty(self):
         trials = grid_search({"lr": [0.0]}, self._stub, base_seed=1)
