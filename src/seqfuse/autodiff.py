@@ -408,8 +408,15 @@ class Sgd:
             t.zero_grad()
 
 
+# Kingma & Ba's defaults, the one setting training uses.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 class Adam:
-    """Adam with bias correction (Kingma & Ba, ICLR 2015).
+    """Adam with bias correction (Kingma & Ba, ICLR 2015), at
+    `_ADAM_BETA1`, `_ADAM_BETA2` and `_ADAM_EPS`.
 
     The moments of all parameters live in two flat buffers, in the order
     of `params`, so a step is one vectorised update over every gradient
@@ -417,13 +424,9 @@ class Adam:
     gradient, is skipped: its data and moments stay as they are.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._edges = np.cumsum([0] + [p.data.size for p in params.values()])
         self._m = np.zeros(self._edges[-1])
@@ -431,8 +434,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _ADAM_BETA1 ** self.t
+        b2c = 1.0 - _ADAM_BETA2 ** self.t
         live = [(i, p) for i, p in enumerate(self.params.values()) if p.requires_grad and p._grad is not None]
         if not live:
             return
@@ -441,13 +444,13 @@ class Adam:
         if len(live) < len(self.params):
             rows = np.concatenate([np.arange(self._edges[i], self._edges[i + 1]) for i, _ in live])
             m, v = m[rows], v[rows]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * g
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * g * g
         if rows is not None:
             self._m[rows], self._v[rows] = m, v
-        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
         start = 0
         for _, p in live:
             p.data -= update[start:start + p.data.size].reshape(p.data.shape)

@@ -78,14 +78,14 @@ def _nll_l2(margins: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> flo
     return float(loss + 0.5 * l2 * (w @ w))
 
 
-def train_lr(
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    l2: float,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> LrModel:
-    """Damped-Newton logistic regression; the intercept is unpenalized.
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL = 1e-8
+
+
+def train_lr(matrix: np.ndarray, labels: np.ndarray, l2: float) -> LrModel:
+    """Damped-Newton logistic regression; the intercept is unpenalized. It
+    runs until the largest gradient entry is at most `_NEWTON_TOL`, or
+    raises NumericsError after `_NEWTON_MAX_ITER` steps.
 
     Expects standardized columns (fit on the training fold). An all-zero
     column, the residue of a constant input, has zero gradient and a
@@ -94,7 +94,9 @@ def train_lr(
     gets weight exactly 0.0. The Hessian is formed as S'S with
     S = X diag(sqrt(p (1 - p))), a product numpy hands to BLAS `syrk`,
     which computes one triangle: half the flops of X' diag(.) X, and
-    exactly symmetric. Requires l2 > 0 so separable data stays bounded.
+    exactly symmetric. The penalty l2 is taken as given: it is positive
+    (the config's `train.lr_grid.l2` rule, or the surrogate's fixed
+    value), which keeps separable data bounded.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -102,8 +104,6 @@ def train_lr(
         raise ValidationError("matrix rows and labels must align")
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValidationError("labels must be 0/1")
-    if l2 <= 0:
-        raise ValidationError("l2 must be positive")
     n, d = matrix.shape
     live = np.flatnonzero((matrix != 0.0).any(axis=0))
     m = len(live)
@@ -113,11 +113,11 @@ def train_lr(
     current = _nll_l2(aug @ theta, y, theta[:m], l2)
     n_iter = 0
     converged = False
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _NEWTON_MAX_ITER + 1):
         margins = aug @ theta
         p = 1.0 / (1.0 + np.exp(-margins))
         grad = aug.T @ (p - y) / n + penalty * theta
-        if np.max(np.abs(grad)) <= tol:
+        if np.max(np.abs(grad)) <= _NEWTON_TOL:
             converged = True
             break
         scaled = aug * np.sqrt(p * (1.0 - p))[:, None]
@@ -142,9 +142,9 @@ def train_lr(
         margins = aug @ theta
         p = 1.0 / (1.0 + np.exp(-margins))
         grad = aug.T @ (p - y) / n + penalty * theta
-        converged = bool(np.max(np.abs(grad)) <= tol)
+        converged = bool(np.max(np.abs(grad)) <= _NEWTON_TOL)
     if not converged:
-        raise NumericsError(f"logistic regression did not converge in {max_iter} iterations")
+        raise NumericsError(f"logistic regression did not converge in {_NEWTON_MAX_ITER} iterations")
     weights = np.zeros(d)
     weights[live] = theta[:m]
     return LrModel(weights=weights, intercept=float(theta[m]), n_iter=n_iter, converged=converged)

@@ -17,6 +17,12 @@ from .errors import CalibrationError, NumericsError, ValidationError
 
 _CLAMP = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The one setting of each fitter and of ECE.
+_ECE_BINS = 10
+_TEMPERATURE_BOUNDS = (0.05, 20.0)
+_TEMPERATURE_TOL = 1e-4
+_PLATT_MAX_ITER = 100
+_PLATT_TOL = 1e-8
 
 
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -25,9 +31,9 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
 
 
-def ece(probs, labels, n_bins: int = 10) -> float:
-    """Expected calibration error over equal-width probability bins:
-    the prevalence-vs-mean-score gap, weighted by bin occupancy."""
+def ece(probs, labels) -> float:
+    """Expected calibration error over `_ECE_BINS` equal-width probability
+    bins: the prevalence-vs-mean-score gap, weighted by bin occupancy."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape or probs.ndim != 1:
@@ -36,9 +42,9 @@ def ece(probs, labels, n_bins: int = 10) -> float:
         raise ValidationError("ECE needs at least one prediction")
     if probs.min() < 0.0 or probs.max() > 1.0:
         raise ValidationError("probabilities must lie in [0, 1]")
-    bins = np.minimum((probs * n_bins).astype(int), n_bins - 1)
+    bins = np.minimum((probs * _ECE_BINS).astype(int), _ECE_BINS - 1)
     total = 0.0
-    for b in range(n_bins):
+    for b in range(_ECE_BINS):
         mask = bins == b
         count = int(mask.sum())
         if count:
@@ -88,14 +94,9 @@ def _fit_stats(raw: np.ndarray, labels: np.ndarray, calibrator: Calibrator) -> N
     }
 
 
-def fit_temperature(
-    logits,
-    labels,
-    fold: str = "calibration",
-    bounds: tuple[float, float] = (0.05, 20.0),
-    tol: float = 1e-4,
-) -> Calibrator:
-    """Golden-section search for the temperature minimizing NLL of
+def fit_temperature(logits, labels, fold: str = "calibration") -> Calibrator:
+    """Golden-section search over `_TEMPERATURE_BOUNDS`, to a bracket
+    narrower than `_TEMPERATURE_TOL`, for the temperature minimizing NLL of
     sigmoid(logit / T). Falls back to T=1 if no temperature beats it, so
     calibration never worsens the fold it was fit on."""
     _guard_fold(fold)
@@ -116,11 +117,11 @@ def fit_temperature(
     def objective(t: float) -> float:
         return nll(_sigmoid(logits / t), labels)
 
-    lo, hi = bounds
+    lo, hi = _TEMPERATURE_BOUNDS
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
+    while hi - lo > _TEMPERATURE_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -145,15 +146,10 @@ def _unit_platt(scores: np.ndarray, labels: np.ndarray, fold: str, reason: str) 
     return calibrator
 
 
-def fit_platt(
-    scores,
-    labels,
-    fold: str = "calibration",
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> Calibrator:
+def fit_platt(scores, labels, fold: str = "calibration") -> Calibrator:
     """Newton fit of p = sigmoid(a*s + b) against smoothed targets
-    (N+ + 1)/(N+ + 2) and 1/(N- + 2), run to gradient norm <= tol. A fold
+    (N+ + 1)/(N+ + 2) and 1/(N- + 2), run to gradient norm <= `_PLATT_TOL`
+    in at most `_PLATT_MAX_ITER` steps, else NumericsError. A fold
     of one class, or a fitted slope a <= 0 (which would reverse the ranking
     and so every AUC), leaves the map at a = 1, b = 0 and says so in
     `warning`, as `fit_temperature` leaves T at 1."""
@@ -177,12 +173,12 @@ def fit_platt(
     a, b = 1.0, 0.0
     current = loss_at(a, b)
     grad_norm = math.inf
-    for _ in range(max_iter):
+    for _ in range(_PLATT_MAX_ITER):
         p = _sigmoid(a * scores + b)
         residual = p - targets
         grad = np.array([float(residual @ scores), float(residual.sum())]) / len(scores)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
+        if grad_norm <= _PLATT_TOL:
             break
         w = p * (1.0 - p)
         hess = (
@@ -212,8 +208,8 @@ def fit_platt(
         grad_norm = float(
             np.linalg.norm(np.array([float((p - targets) @ scores), float((p - targets).sum())]) / len(scores))
         )
-    if grad_norm > tol:
-        raise NumericsError(f"Platt scaling stopped at gradient norm {grad_norm:.3e} > {tol:.0e}")
+    if grad_norm > _PLATT_TOL:
+        raise NumericsError(f"Platt scaling stopped at gradient norm {grad_norm:.3e} > {_PLATT_TOL:.0e}")
     if a <= 0.0:
         return _unit_platt(scores, labels, fold, f"fitted Platt slope a = {a:.6g} <= 0 would reverse the ranking")
     calibrator = Calibrator(kind="platt", a=float(a), b=float(b), fitted_on=fold)

@@ -405,7 +405,7 @@ class SyntheticConfig:
 
     n_patients: int
     seed: int
-    mean_claims_per_patient: float = 6.0
+    mean_claims_per_patient: float
     readmit_signal: OutcomeSignal = field(default_factory=lambda: default_signals()[0])
     mortality_signal: OutcomeSignal = field(default_factory=lambda: default_signals()[1])
 

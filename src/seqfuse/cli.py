@@ -173,8 +173,8 @@ _RANGES = {
     ),
     "train.fractions": (
         (
-            lambda v: len(v) == 4 and min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
-            "must be four non-negative numbers summing to 1",
+            lambda v: len(v) == 4 and min(v) > 0 and abs(sum(v) - 1.0) <= 1e-9,
+            "must be four positive numbers summing to 1",
         ),
     ),
     "train.epochs": _POSITIVE,
@@ -797,8 +797,8 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
     print(f"evaluate [{task}]: {lines}")
 
 
-def _fmt(value, digits: int = 4) -> str:
-    return "" if value is None else f"{value:.{digits}f}"
+def _fmt(value) -> str:
+    return "" if value is None else f"{value:.4f}"
 
 
 def stage_report(cfg: dict, outdir: Path) -> None:
@@ -836,7 +836,7 @@ def stage_report(cfg: dict, outdir: Path) -> None:
     for cat in range(n_proc_columns):
         label = "other" if cat == n_proc_columns - 1 else str(cat)
         groups[f"proc_ccs_{label}"] = np.where(member[:, cat], "present", "absent")
-    report_rows = subgroup_report(scores, labels, groups, n_min=cfg["evaluate"]["n_min"], threshold=cfg["evaluate"]["threshold"])
+    report_rows = subgroup_report(scores, labels, groups, cfg["evaluate"]["n_min"], cfg["evaluate"]["threshold"])
     _write_csv(
         stage_dir / "subgroups.csv",
         [["partition", "group", "n", "prevalence", "auc", "recall", "small_n"]]
@@ -861,7 +861,7 @@ def stage_importance(cfg: dict, outdir: Path) -> None:
     run = _load_sequences(outdir, task, split=True)
     _, scores = _cell_scores(outdir, best_cell)
     flat = run.flat()
-    rows = surrogate_importance(flat.matrix, flat.names, flat.categories, scores, threshold=threshold)
+    rows = surrogate_importance(flat.matrix, flat.names, flat.categories, scores, threshold)
     _write_csv(
         stage_dir / "importance.csv",
         [["category", "feature", "importance"]]

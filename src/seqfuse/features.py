@@ -57,9 +57,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SequenceOptions:
-    include_outpatient: bool = True
-    exclude_index_step: bool = False
-    lookback_days: int = 365
+    """The config's `features` section, as checked at load."""
+
+    include_outpatient: bool
+    exclude_index_step: bool
+    lookback_days: int
 
 
 # z's age block: the bands of `cohort.age_band_index`, labelled as z names them.
@@ -127,7 +129,7 @@ def _membership(cols, kind: str, dx_name: str, proc_name: str, dx_index, proc_in
 def featurize_events(
     cols: dict[str, np.ndarray],
     bundle: KnowledgeBundle,
-    opts: SequenceOptions = SequenceOptions(),
+    opts: SequenceOptions,
 ) -> tuple[EventTable, list[str]]:
     """The visit steps, z and labels of every eligible event in `cols`
     (the claim columns with the members of `cohort.POPULATION_MEMBERS`), in

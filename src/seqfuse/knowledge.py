@@ -15,7 +15,7 @@ the tables' categories, so no other map or table could describe that data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ValidationError
@@ -36,10 +36,10 @@ class CcsMap:
     categories occupy ``n_dx+1..n_dx+n_proc+1``.
     """
 
-    dx_to_ccs: dict[str, int] = field(default_factory=dict)
-    proc_to_ccs: dict[str, int] = field(default_factory=dict)
-    n_dx: int = 0
-    n_proc: int = 0
+    dx_to_ccs: dict[str, int]
+    proc_to_ccs: dict[str, int]
+    n_dx: int
+    n_proc: int
 
     # Category ids are local to each code type; "other" sits at the end of
     # the type's own range. Diagnosis categories come first in the input

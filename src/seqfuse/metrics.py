@@ -6,6 +6,9 @@ import numpy as np
 
 from .errors import MetricUndefinedError, ValidationError
 
+# The ridge penalty of `surrogate_importance`'s logistic surrogate.
+_SURROGATE_L2 = 1.0
+
 
 def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
@@ -37,7 +40,7 @@ def auc(scores, labels) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def recall_precision_at_threshold(scores, labels, threshold: float = 0.5) -> tuple[float, float | None]:
+def recall_precision_at_threshold(scores, labels, threshold: float) -> tuple[float, float | None]:
     """Recall and precision for predicted-positive = score >= threshold.
 
     Precision is None when nothing is predicted positive.
@@ -74,8 +77,8 @@ def subgroup_report(
     scores,
     labels,
     groups: dict[str, np.ndarray],
-    n_min: int = 50,
-    threshold: float = 0.5,
+    n_min: int,
+    threshold: float,
 ) -> list[dict]:
     """Per-partition, per-group metrics over one scored event set.
 
@@ -123,17 +126,17 @@ def surrogate_importance(
     names: list[str],
     categories: list[str],
     model_scores,
-    threshold: float = 0.5,
-    l2: float = 1.0,
+    threshold: float,
 ) -> list[dict]:
     """Explains a model by the weights of a logistic surrogate.
 
-    The surrogate is fit on standardized flat features against the model's
-    own predictions binarized at the threshold, not against outcomes; its
-    weights rank which inputs drive the model's decisions. Rows sort by
-    absolute weight as printed to six decimals, descending, name ascending
-    on ties, so weights that print alike (complementary one-hot columns)
-    keep one order whatever their last bits.
+    The surrogate, with ridge penalty `_SURROGATE_L2`, is fit on
+    standardized flat features against the model's own predictions
+    binarized at the threshold, not against outcomes; its weights rank
+    which inputs drive the model's decisions. Rows sort by absolute weight
+    as printed to six decimals, descending, name ascending on ties, so
+    weights that print alike (complementary one-hot columns) keep one
+    order whatever their last bits.
     """
     from .baseline import train_lr
     from .training import apply_standardizer, fit_standardizer
@@ -147,7 +150,7 @@ def surrogate_importance(
     targets = (scores >= threshold).astype(np.int64)
     if targets.min() == targets.max():
         raise MetricUndefinedError("binarized predictions are single-class; surrogate undefined")
-    lr = train_lr(apply_standardizer(matrix, *fit_standardizer(matrix)), targets, l2=l2)
+    lr = train_lr(apply_standardizer(matrix, *fit_standardizer(matrix)), targets, l2=_SURROGATE_L2)
     order = sorted(range(len(names)), key=lambda i: (-abs(float(f"{lr.weights[i]:.6f}")), names[i]))
     return [
         {"category": categories[i], "feature": names[i], "importance": float(lr.weights[i])}

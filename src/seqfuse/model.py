@@ -39,6 +39,8 @@ from .features import EventTable, _csr_take
 from .rng import Xoshiro256, derive_seed
 
 EMBEDDINGS = ("linear", "pretrained")
+# Events per forward pass of `SeqFuseModel.predict`.
+_PREDICT_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -223,13 +225,11 @@ class SeqFuseModel:
         targets = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
         return weighted_bce(y, targets, w_pos), y
 
-    def predict(
-        self, rows: np.ndarray, table: EventTable, batch_size: int = 256
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def predict(self, rows: np.ndarray, table: EventTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Probabilities, logits, and attention for table rows `rows`, in
         their order.
 
-        Chunks of `batch_size` are taken in length order, so each chunk
+        Chunks of `_PREDICT_BATCH` are taken in length order, so each chunk
         pads little. The attention is one (n, T_max) matrix, right-aligned:
         an event's weights fill its last `length` columns, zeros before.
         """
@@ -241,8 +241,8 @@ class SeqFuseModel:
         t_max = int(lengths.max(initial=0))
         attentions = np.zeros((n, t_max))
         order = np.argsort(lengths, kind="stable")
-        for start in range(0, n, batch_size):
-            chunk = order[start : start + batch_size]
+        for start in range(0, n, _PREDICT_BATCH):
+            chunk = order[start : start + _PREDICT_BATCH]
             y, logit, attention = self.forward(rows[chunk], table)
             probs[chunk] = y.data[:, 0]
             logits[chunk] = logit.data[:, 0]

@@ -82,10 +82,6 @@ def derive_seeds(root: int, label: str, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 def _highest_accepted(n: np.ndarray) -> np.ndarray:
     """The highest draw `randint` accepts for a range of n values (uint64,
     n >= 1): 2**64 - 2**64 % n - 1, in uint64 arithmetic that cannot
@@ -110,10 +106,10 @@ def _np_splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class Xoshiro256:
     """xoshiro256** with the draws the package takes from one stream:
-    words, bounded integers and shuffles. The scalar conversions that only
-    tests draw through (`random`, `randint`, `bernoulli`, `choice`,
-    `poisson`, `uniform`, `normal`) live in tests/reference.py's
-    `ReferenceXoshiro256`.
+    blocks of words, bounded integers and shuffles. The scalar word and the
+    scalar conversions that only tests draw through (`next_u64`, `random`,
+    `randint`, `bernoulli`, `choice`, `poisson`, `uniform`, `normal`) live
+    in tests/reference.py's `ReferenceXoshiro256`.
 
     A stream is exact integer arithmetic, so it is byte-for-byte
     reproducible everywhere, which the artifact contracts (identical
@@ -127,22 +123,9 @@ class Xoshiro256:
             state, out = splitmix64(state)
             self._s.append(out)
 
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
-
     def next_u64s(self, k: int) -> np.ndarray:
-        """The next k `next_u64` words as a uint64 array, stepped with the
-        state held in locals."""
+        """The stream's next k xoshiro256** words as a uint64 array, stepped
+        with the state held in locals."""
         s0, s1, s2, s3 = self._s
         out = [0] * k
         for i in range(k):
@@ -177,9 +160,9 @@ class Xoshiro256:
             self._s = state
             self.next_u64s(first)
             for i in range(first, len(sizes)):
-                word, highest = self.next_u64(), int(top[i])
+                word, highest = int(self.next_u64s(1)[0]), int(top[i])
                 while word > highest:
-                    word = self.next_u64()
+                    word = int(self.next_u64s(1)[0])
                 u[i] = word
         return np.where(raw, u, u % n)
 

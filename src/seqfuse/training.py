@@ -26,7 +26,6 @@ from .model import ModelConfig, SeqFuseModel, random_embedding
 from .rng import Xoshiro256, derive_seed, unit_floats
 
 FOLD_NAMES = ("train", "valid", "calibration", "test")
-DEFAULT_FRACTIONS = (0.70, 0.15, 0.05, 0.10)
 # Table 3 reports each cell's mean and std of test AUC over this many of
 # its best trials by validation AUC.
 TOP_N = 10
@@ -41,14 +40,15 @@ _SMOTE_BLOCK_BYTES = 8 << 20
 def split_patients(
     positive_events: dict[str, int],
     seed: int,
-    fractions: tuple[float, float, float, float] = DEFAULT_FRACTIONS,
+    fractions: tuple[float, float, float, float],
 ) -> tuple[dict[str, list[str]], list[str]]:
     """Assigns each patient to one fold, stratified by 0/1/2+ positives.
 
     Within a stratum, patients are shuffled and quotas are filled by
     largest remainder, so each fold holds floor or ceil of its exact share.
-    `fractions` are taken as given: four non-negative shares summing to 1,
-    as the config's `train.fractions` rule checks at load. Returns the fold
+    `fractions` are taken as given: four positive shares summing to 1, as
+    the config's `train.fractions` rule checks at load. A positive share
+    can still round to no patient, which `train` refuses. Returns the fold
     lists and warnings for empty strata.
     """
     strata: dict[int, list[str]] = {0: [], 1: [], 2: []}

@@ -4,17 +4,17 @@ artifacts, built once per session and reused read-only."""
 import numpy as np
 import pytest
 
-from seqfuse.claims import CLAIM_COLUMNS, SyntheticConfig
+from seqfuse.claims import CLAIM_COLUMNS
 from seqfuse.cohort import POPULATION_MEMBERS
-from seqfuse.features import SequenceOptions, featurize_events
+from seqfuse.features import featurize_events
 from seqfuse.knowledge import load_bundle
-from tests.reference import checked_cohort, population_records
+from tests.reference import DEMO_OPTIONS, checked_cohort, demo_synthetic, population_records
 
 
 @pytest.fixture(scope="session")
 def small_population():
     """The generator's columns for 250 patients, read back as records."""
-    cfg = SyntheticConfig(n_patients=250, seed=1234)
+    cfg = demo_synthetic(250, 1234)
     return population_records(cfg)
 
 
@@ -52,7 +52,7 @@ def small_columns(small_checked):
 @pytest.fixture(scope="session")
 def small_table(small_columns, bundle):
     """The featurized eligible events, as (EventTable, z names)."""
-    return featurize_events(small_columns, bundle, SequenceOptions())
+    return featurize_events(small_columns, bundle, DEMO_OPTIONS)
 
 
 @pytest.fixture()

@@ -128,6 +128,7 @@ from seqfuse.cohort import cohort_summary as kernel_cohort_summary
 from seqfuse.autodiff import Tensor, _check_finite, _result
 from seqfuse.baseline import LrModel, _nll_l2
 from seqfuse.calibration import Calibrator
+from seqfuse.cli import default_config
 from seqfuse.errors import DimensionError, NumericsError, ValidationError
 from seqfuse.features import (
     SUBGROUP_KEYS,
@@ -136,7 +137,20 @@ from seqfuse.features import (
     charlson_band,
 )
 from seqfuse.knowledge import CcsMap, HacRule, KnowledgeBundle, PlannedRules, load_charlson_weights
-from seqfuse.rng import Xoshiro256, derive_seed
+from seqfuse.rng import _MASK64, Xoshiro256, derive_seed
+
+
+# --- the demo config's values, which tests hand to the library ---------------------
+
+_DEMO = default_config()
+DEMO_OPTIONS = SequenceOptions(**_DEMO["features"])
+
+
+def demo_synthetic(n_patients: int, seed: int, **changes) -> SyntheticConfig:
+    """The `SyntheticConfig` generate builds from the demo config's
+    `generate` section at this size and seed, with `changes` made."""
+    generate = {**_DEMO["generate"], "n_patients": n_patients}
+    return replace(SyntheticConfig(seed=seed, **generate), **changes)
 
 
 # --- records ----------------------------------------------------------------------
@@ -1374,7 +1388,7 @@ def build_sequence(
     claims: list[ClaimRecord],
     stays: list[InpatientStay],
     ccs: CcsMap,
-    opts: SequenceOptions = SequenceOptions(),
+    opts: SequenceOptions = DEMO_OPTIONS,
 ) -> list[SequenceStep]:
     """Ordered visit steps for one index event.
 
@@ -1502,7 +1516,7 @@ def reference_table(
     claims: list[ClaimRecord],
     stays: list[InpatientStay],
     bundle: KnowledgeBundle,
-    opts: SequenceOptions = SequenceOptions(),
+    opts: SequenceOptions = DEMO_OPTIONS,
 ) -> tuple[EventTable, list[str], dict[str, np.ndarray]]:
     """Every eligible event with a visit step, featurized one at a time,
     as an `EventTable` with the kernel's dtypes; the names of z; and each
@@ -1994,12 +2008,32 @@ def scores_csv(outdir, task: str, cell: str) -> str:
 # --- the test-data stream -------------------------------------------------------
 
 
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
 class ReferenceXoshiro256(Xoshiro256):
-    """`Xoshiro256` plus the scalar conversions only tests draw through."""
+    """`Xoshiro256` plus the scalar word and the scalar conversions only
+    tests draw through."""
 
     def __init__(self, seed: int):
         super().__init__(seed)
         self._spare_normal: float | None = None
+
+    def next_u64(self) -> int:
+        """The stream's next word, one xoshiro256** step at a time: what
+        `Xoshiro256.next_u64s` draws in a block."""
+        s0, s1, s2, s3 = self._s
+        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = _rotl(s3, 45)
+        self._s = [s0, s1, s2, s3]
+        return result
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 bits of precision."""

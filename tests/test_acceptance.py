@@ -15,18 +15,20 @@ import pytest
 
 from seqfuse.autodiff import Tape, Tensor, backward
 from seqfuse.calibration import fit_platt, fit_temperature
-from seqfuse.claims import SyntheticConfig, iso_to_day
+from seqfuse.claims import iso_to_day
 from seqfuse.cli import default_config, main
-from seqfuse.features import SequenceOptions, featurize_events
+from seqfuse.features import featurize_events
 from seqfuse.knowledge import load_bundle
 from seqfuse.metrics import auc, recall_at_top_k, recall_precision_at_threshold
 from seqfuse.model import ModelConfig, SeqFuseModel
 from seqfuse.training import make_deep_runner, smote, split_patients
 from tests.reference import (
+    DEMO_OPTIONS,
     Beneficiary,
     ClaimRecord,
     ReferenceXoshiro256,
     checked_cohort,
+    demo_synthetic,
     grad_of,
     population_records,
     steps_table,
@@ -84,19 +86,19 @@ def planted_world():
     the visit-count and LOS parts of the planted outcome signal are only
     reachable through the domain vector."""
     start = time.monotonic()
-    population = population_records(SyntheticConfig(n_patients=2000, seed=20110901))
+    population = population_records(demo_synthetic(2000, 20110901))
     bundle = load_bundle()
     cols, *_ = checked_cohort(
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs
     )
-    table, _ = featurize_events(cols, bundle, SequenceOptions(include_outpatient=False))
+    table, _ = featurize_events(cols, bundle, replace(DEMO_OPTIONS, include_outpatient=False))
     labels = table.readmit_label.astype(np.float64)
     patient_of = table.beneficiary_id.tolist()
 
     positives: dict[str, int] = {}
     for pid, label in zip(patient_of, labels):
         positives[pid] = positives.get(pid, 0) + int(label)
-    folds, _ = split_patients(positives, seed=31)
+    folds, _ = split_patients(positives, seed=31, fractions=tuple(default_config()["train"]["fractions"]))
     fold_of = {pid: name for name, pids in folds.items() for pid in pids}
     fold_idx: dict[str, list[int]] = {name: [] for name in folds}
     for i, pid in enumerate(patient_of):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from seqfuse import baseline
 from seqfuse.baseline import flatten, make_lr_runner, train_lr
 from seqfuse.cli import _load_sequences, default_config, main
 from seqfuse.errors import NumericsError, ValidationError
@@ -204,23 +205,22 @@ class TestTrainLr:
     def test_input_validation(self):
         x, y = _logit_world(n=20)
         with pytest.raises(ValidationError):
-            train_lr(x, y, l2=0.0)
-        with pytest.raises(ValidationError):
             train_lr(x, y + 1.0, l2=0.1)
         with pytest.raises(ValidationError):
             train_lr(x[:10], y, l2=0.1)
 
-    def test_iteration_budget_is_enforced(self):
+    def test_iteration_budget_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(baseline, "_NEWTON_MAX_ITER", 1)
         x, y = _logit_world()
         with pytest.raises(NumericsError, match="did not converge"):
-            train_lr(x, y, l2=1e-6, max_iter=1)
+            train_lr(x, y, l2=1e-6)
 
 
-def _assert_matches_reference(x, y, l2, **kwargs):
+def _assert_matches_reference(x, y, l2):
     """`train_lr` takes the reference solver's iterations to the same
     optimum, to rounding, and gives every all-zero column weight 0.0."""
-    got = train_lr(x, y, l2=l2, **kwargs)
-    want = reference_train_lr(x, y, l2=l2, **kwargs)
+    got = train_lr(x, y, l2=l2)
+    want = reference_train_lr(x, y, l2=l2)
     assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
     np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
     assert abs(got.intercept - want.intercept) <= 1e-12
@@ -297,10 +297,11 @@ class TestTrainLrAgainstReference:
             x, y = smote(x, y, seed=20110901)
         _assert_matches_reference(x, y, l2)
 
-    def test_iteration_budget_raises_the_same_error(self):
+    def test_iteration_budget_raises_the_same_error(self, monkeypatch):
+        monkeypatch.setattr(baseline, "_NEWTON_MAX_ITER", 1)
         x, y = _logit_world()
         with pytest.raises(NumericsError) as got:
-            train_lr(x, y, l2=1e-6, max_iter=1)
+            train_lr(x, y, l2=1e-6)
         with pytest.raises(NumericsError) as want:
             reference_train_lr(x, y, l2=1e-6, max_iter=1)
         assert str(got.value) == str(want.value)
@@ -362,8 +363,12 @@ class TestLrRunner:
         assert len(searches) == 3
 
     def test_bad_config_reports_failure(self):
+        """A config the training fold cannot carry, SMOTE over fewer than
+        k + 1 minority rows, makes a failed trial rather than an error."""
         x, y = _logit_world(n=100)
+        y[:70] = 0.0
+        y[:3] = 1.0
         runner = make_lr_runner(x, y, self._folds(len(y)))
-        out = runner({"l2": 0.0, "smote": False}, seed=9)
+        out = runner({"l2": 0.1, "smote": True}, seed=9)
         assert out["status"] == "failed"
-        assert "l2" in out["failure"]
+        assert "needs at least 6 minority rows, got 3" in out["failure"]

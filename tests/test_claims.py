@@ -36,6 +36,7 @@ from tests.reference import (
     age_at,
     claim_columns,
     covers,
+    demo_synthetic,
     logit,
     population_records,
     read_population_npz,
@@ -373,7 +374,7 @@ class TestPopulationFiles:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"outdir": str(tmp_path / "run"), "seed": 7, "generate": {"n_patients": 60}}))
         assert main(["generate", "--config", str(config)]) == 0
-        cfg = SyntheticConfig(n_patients=60, seed=7)
+        cfg = demo_synthetic(60, 7)
         truth = generate_population(cfg).truth
         names = ["patient", "admit", "discharge", "readmit", "mortality", "p_readmit", "p_mortality"]
         with np.load(tmp_path / "run" / "generate" / "truth.npz", allow_pickle=False) as npz:
@@ -452,7 +453,7 @@ def patient_records(population, patients: int):
 
 class TestGenerator:
     def test_deterministic(self, small_population):
-        cfg = SyntheticConfig(n_patients=250, seed=1234)
+        cfg = demo_synthetic(250, 1234)
         again = population_records(cfg)
         assert again.beneficiaries == small_population.beneficiaries
         assert again.claims == small_population.claims
@@ -461,7 +462,7 @@ class TestGenerator:
 
     @pytest.mark.parametrize("n_patients, seed", [(1100, 5), (60, 20110901)])
     def test_equals_one_scalar_stream_per_patient(self, n_patients, seed):
-        assert_equals_reference(SyntheticConfig(n_patients=n_patients, seed=seed))
+        assert_equals_reference(demo_synthetic(n_patients, seed))
 
     def test_planted_categories_are_the_rule_tables(self):
         """The categories and DRGs the generator plants are read from the
@@ -483,7 +484,7 @@ class TestGenerator:
 
         monkeypatch.setattr(claims_module, "check_claim_columns", reject)
         with pytest.raises(ValidationError, match="the generated claims: rejected"):
-            generate_population(SyntheticConfig(n_patients=5, seed=1))
+            generate_population(demo_synthetic(5, 1))
 
     def test_every_claim_validates_and_references_a_beneficiary(self, small_population):
         ids = {b.beneficiary_id for b in small_population.beneficiaries}
@@ -548,12 +549,12 @@ class TestKernelAgainstReference:
     generator in `tests/reference.py`, one stream per patient."""
 
     def test_demo_population(self):
-        assert_equals_reference(SyntheticConfig(n_patients=2000, seed=20110901))
+        assert_equals_reference(demo_synthetic(2000, 20110901))
 
     def test_population_across_chunks(self, monkeypatch):
         # 5,000 patients in one chunk, then in chunks of 999 (the last one
         # short), against one reference run.
-        cfg = SyntheticConfig(n_patients=5000, seed=7)
+        cfg = demo_synthetic(5000, 7)
         reference = reference_population(cfg)
         assert cfg.n_patients <= claims_module._CHUNK_PATIENTS
         assert_equals_reference(cfg, reference)
@@ -570,12 +571,12 @@ class TestKernelAgainstReference:
         ids=["sparse", "dense"],
     )
     def test_configs_that_move_the_branch_mix(self, changes):
-        assert_equals_reference(SyntheticConfig(n_patients=400, seed=3, **changes))
+        assert_equals_reference(demo_synthetic(400, 3, **changes))
 
     @pytest.mark.parametrize("intercept, label", [(40.0, True), (-40.0, False)])
     def test_signals_that_fix_every_label(self, intercept, label):
         signal = OutcomeSignal(intercept=intercept, ccs_weights={1: 0.5, 29: 1.0, 99: 2.0}, charlson_weight=0.1)
-        cfg = SyntheticConfig(n_patients=400, seed=3, readmit_signal=signal, mortality_signal=signal)
+        cfg = demo_synthetic(400, 3, readmit_signal=signal, mortality_signal=signal)
         population = assert_equals_reference(cfg)
         assert len(population.truth["patient"])
         # A readmission or death is planted for every eligible event, or for none.
@@ -585,18 +586,18 @@ class TestKernelAgainstReference:
     def test_draws_stay_within_each_patient(self, monkeypatch):
         # A global max, sort or chunk boundary leaking between lanes would
         # change the first patients when more patients are generated.
-        small = population_records(SyntheticConfig(n_patients=60, seed=20110901))
-        large = population_records(SyntheticConfig(n_patients=1100, seed=20110901))
+        small = population_records(demo_synthetic(60, 20110901))
+        large = population_records(demo_synthetic(1100, 20110901))
         assert patient_records(large, 60) == (small.beneficiaries, small.claims, small.truth)
         monkeypatch.setattr(claims_module, "_CHUNK_PATIENTS", 7)
-        chunked = population_records(SyntheticConfig(n_patients=1100, seed=20110901))
+        chunked = population_records(demo_synthetic(1100, 20110901))
         assert chunked.beneficiaries == large.beneficiaries
         assert chunked.claims == large.claims and chunked.truth == large.truth
 
     def test_free_span_at_its_edges(self):
         # The two-day buffer's edges, which sampled populations rarely reach.
         taken = [[(100, 104)], [(100, 104), (150, 151)], []]
-        chunk = claims_module._Chunk(np.arange(3), SyntheticConfig(n_patients=3, seed=1))
+        chunk = claims_module._Chunk(np.arange(3), demo_synthetic(3, 1))
         for lane, spans in enumerate(taken):
             for start, end in spans:
                 chunk.take(np.array([lane]), np.array([start]), np.array([end]))
@@ -617,7 +618,7 @@ class TestKernelAgainstReference:
         lanes += [[uniform(0.99)] * 30 + [0, uniform(0.5)], [14]]
         long_stay = np.arange(len(lanes)) == len(lanes) - 1
         draws = [lane + [0] * (40 - len(lane)) for lane in lanes]
-        chunk = claims_module._Chunk(np.arange(len(lanes)), SyntheticConfig(n_patients=len(lanes), seed=1))
+        chunk = claims_module._Chunk(np.arange(len(lanes)), demo_synthetic(len(lanes), 1))
         chunk.rng._block = np.ascontiguousarray(np.array(draws, dtype=np.uint64).T)
         expected = []
         for lane, long in zip(draws, long_stay.tolist()):
@@ -632,7 +633,7 @@ class TestKernelAgainstReference:
         # sampled populations rarely reach, against the scalar rule.
         assert not _late_decoy_fits(200, 204, []) and _late_decoy_fits(200, 205, [])
         taken = [[(100, 104)], []]
-        chunk = claims_module._Chunk(np.arange(2), SyntheticConfig(n_patients=2, seed=1))
+        chunk = claims_module._Chunk(np.arange(2), demo_synthetic(2, 1))
         chunk.take(np.array([0]), np.array([100]), np.array([104]))
         for admit in range(90, 115):
             for death in (None, admit - 1, admit, admit + 3, admit + 4, admit + 5, admit + 30):
@@ -651,5 +652,5 @@ class TestKernelAgainstReference:
         assert np.argsort(ids, kind="stable").tolist() == sorted(range(5), key=lambda i: ids[i].decode())
 
     def test_single_patient(self):
-        population = assert_equals_reference(SyntheticConfig(n_patients=1, seed=20110901))
+        population = assert_equals_reference(demo_synthetic(1, 20110901))
         assert len(population.columns["beneficiary.beneficiary_id"]) == 1

@@ -280,11 +280,11 @@ class TestConfigHandling:
             ),
             (
                 {"train": {"fractions": [0.5, 0.5, 0.5, -0.5]}},
-                "train.fractions must be four non-negative numbers summing to 1",
+                "train.fractions must be four positive numbers summing to 1",
             ),
             (
                 {"train": {"fractions": [0.25, 0.25, 0.5]}},
-                "train.fractions must be four non-negative numbers summing to 1",
+                "train.fractions must be four positive numbers summing to 1",
             ),
             ({"train": {"epochs": 0}}, "train.epochs must be positive"),
             ({"train": {"patience": -1}}, "train.patience must be non-negative"),
@@ -308,6 +308,11 @@ class TestConfigHandling:
             ({"train": {"embedding_modes": ["linear", "linear"]}}, "train.embedding_modes must list each value once"),
             ({"train": {"algorithms": ["lr", "early_fusion", "lr"]}}, "train.algorithms must list each value once"),
             ({"evaluate": {"top_k": [50, 10, 50]}}, "evaluate.top_k must list each value once"),
+            # A share of 0 leaves its fold empty whatever the population.
+            (
+                {"train": {"fractions": [0.75, 0.15, 0.0, 0.10]}},
+                "train.fractions must be four positive numbers summing to 1",
+            ),
         ],
     )
     def test_malformed_shape_is_exit_2(self, tmp_path, capsys, overrides, problem):
@@ -530,11 +535,13 @@ class TestPipelineArtifacts:
         z_names = json.loads((outdir / "featurize" / "features.json").read_text())["z_names"]
         row_of = {event_id: i for i, event_id in enumerate(table.event_ids())}
         rows = [row_of[r["event_id"]] for r in test]
+        evaluate = json.loads(config.read_text())["evaluate"]
         expected = subgroup_report(
             np.array([float(r["prob_cal"]) for r in test]),
             np.array([int(r["label"]) for r in test]),
             {key: values[rows].tolist() for key, values in table.subgroups(z_names).items()},
-            n_min=5,
+            evaluate["n_min"],
+            evaluate["threshold"],
         )
         seen = []
 
@@ -718,12 +725,15 @@ class TestPretrainedEmbedding:
 
 class TestEmptyFold:
     def test_empty_calibration_fold_is_exit_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        """A positive share can still round to no patient: here 0.001 of
+        the 120-patient population's strata gives the calibration fold none."""
+
         def refuse(*args, **kwargs):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr("seqfuse.cli.grid_search", refuse)
         outdir = tmp_path / "run"
-        config = _write_config(tmp_path / "cfg.json", outdir, train={"fractions": [0.75, 0.15, 0.0, 0.10]})
+        config = _write_config(tmp_path / "cfg.json", outdir, train={"fractions": [0.75, 0.2, 0.001, 0.049]})
         assert main(["pipeline", "--config", str(config)]) == 2
         assert "fold 'calibration' received no events" in capsys.readouterr().err
         assert not (outdir / "train" / "models").exists()
@@ -1219,7 +1229,7 @@ class TestExcludeIndexStep:
             claims,
             stays,
             bundle,
-            SequenceOptions(exclude_index_step=True),
+            SequenceOptions(**cfg["features"]),
         )
         assert table.event_ids() == expected.event_ids()
         assert table.z.tobytes() == expected.z.tobytes()

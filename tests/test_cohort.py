@@ -9,10 +9,18 @@ assertions then read the reference's records."""
 import numpy as np
 import pytest
 
-from seqfuse.claims import SyntheticConfig, iso_to_day, text_words
+from seqfuse.claims import iso_to_day, text_words
 from seqfuse.cohort import AGE_BANDS, EXCLUSION_REASONS, age_band_index
 from seqfuse.knowledge import CcsMap, load_acute_drgs, load_bundle, load_planned_rules
-from tests.reference import Beneficiary, ClaimRecord, age_band, checked_cohort, cohort_summary, population_records
+from tests.reference import (
+    Beneficiary,
+    ClaimRecord,
+    age_band,
+    checked_cohort,
+    cohort_summary,
+    demo_synthetic,
+    population_records,
+)
 
 DAY0 = iso_to_day("2011-03-01")
 
@@ -500,7 +508,7 @@ class TestKernelWorlds:
 
 @pytest.mark.parametrize("n_patients, seed", [(2000, 20110901), (5000, 7)])
 def test_whole_populations_equal_the_reference(n_patients, seed):
-    population = population_records(SyntheticConfig(n_patients=n_patients, seed=seed))
+    population = population_records(demo_synthetic(n_patients, seed))
     bundle = load_bundle()
     cols, events, _, audit = checked_cohort(
         population.beneficiaries, population.claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs

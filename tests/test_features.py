@@ -17,7 +17,6 @@ from seqfuse.claims import (
     GENDERS,
     MEDICARE_STATUSES,
     RACES,
-    SyntheticConfig,
     day_to_iso,
     read_npz,
     write_npz,
@@ -27,12 +26,14 @@ from seqfuse.errors import PrerequisiteError, ValidationError
 from seqfuse.features import SUBGROUP_KEYS, EventTable, SequenceOptions, charlson_band, featurize_events
 from seqfuse.knowledge import load_acute_drgs
 from tests.reference import (
+    DEMO_OPTIONS,
     Z_BLOCKS,
     ClaimRecord,
     age_band,
     build_domain_vector,
     build_sequence,
     checked_cohort,
+    demo_synthetic,
     population_columns,
     population_records,
     reference_cohort,
@@ -79,7 +80,7 @@ def _same_groups(table: EventTable, z_names: list[str], expected: dict[str, np.n
         assert groups[key].dtype.kind == "U" and groups[key].tolist() == expected[key].tolist(), key
 
 
-def featurize_world(bens, claims, bundle, opts=SequenceOptions()):
+def featurize_world(bens, claims, bundle, opts=DEMO_OPTIONS):
     """The kernel's table for hand-built records, after checking that it
     equals the per-event reference byte for byte, its subgroups the
     reference's labels (and the cohort kernel's columns it reads equal the
@@ -135,15 +136,15 @@ class TestBuildSequence:
         assert steps[1][1] == (28,)
 
     def test_outpatient_steps_can_be_dropped(self, fixture_world, bundle):
-        table, _ = featurize_world(*fixture_world, bundle, SequenceOptions(include_outpatient=False))
+        table, _ = featurize_world(*fixture_world, bundle, replace(DEMO_OPTIONS, include_outpatient=False))
         assert [offset for offset, _ in steps_of(table, row_at(table, "B1", DAY0))] == [-200, 0]
 
     def test_index_step_can_be_excluded(self, fixture_world, bundle):
-        table, _ = featurize_world(*fixture_world, bundle, SequenceOptions(exclude_index_step=True))
+        table, _ = featurize_world(*fixture_world, bundle, replace(DEMO_OPTIONS, exclude_index_step=True))
         assert [offset for offset, _ in steps_of(table, row_at(table, "B1", DAY0))] == [-200, -30, -10]
 
     def test_lookback_trims_old_visits(self, fixture_world, bundle):
-        table, _ = featurize_world(*fixture_world, bundle, SequenceOptions(lookback_days=100))
+        table, _ = featurize_world(*fixture_world, bundle, replace(DEMO_OPTIONS, lookback_days=100))
         assert [offset for offset, _ in steps_of(table, row_at(table, "B1", DAY0))] == [-30, -10, 0]
 
     def test_event_without_steps_is_dropped(self, bundle):
@@ -155,11 +156,11 @@ class TestBuildSequence:
         ]
         events, stays, _ = reference_cohort(bens, claims, bundle.planned_rules, bundle.ccs, bundle.acute_drgs)
         with pytest.raises(ValidationError, match="no visits left"):
-            build_sequence(events[0], claims, stays, bundle.ccs, SequenceOptions(exclude_index_step=True))
-        table, _ = featurize_world(bens, claims, bundle, SequenceOptions(exclude_index_step=True))
+            build_sequence(events[0], claims, stays, bundle.ccs, replace(DEMO_OPTIONS, exclude_index_step=True))
+        table, _ = featurize_world(bens, claims, bundle, replace(DEMO_OPTIONS, exclude_index_step=True))
         assert table.beneficiary_id.tolist() == ["B2"]
         assert steps_of(table, 0) == [(-5, (28,))]
-        alone, z_names = featurize_world(bens[:1], claims[:1], bundle, SequenceOptions(exclude_index_step=True))
+        alone, z_names = featurize_world(bens[:1], claims[:1], bundle, replace(DEMO_OPTIONS, exclude_index_step=True))
         assert len(alone) == 0 and alone.z.shape == (0, len(z_names))
 
 
@@ -306,7 +307,7 @@ class TestKernelOnHandBuiltWorlds:
             point_claim(day=DAY0, kind="ed", dx=("D0040",)),
             inpatient(admit=DAY0, los=2),
         ]
-        table, z_names = featurize_world([ben()], claims, bundle, SequenceOptions(lookback_days=lookback_days))
+        table, z_names = featurize_world([ben()], claims, bundle, replace(DEMO_OPTIONS, lookback_days=lookback_days))
         row = row_at(table, "B1", DAY0)
         offsets = [offset for offset, _ in steps_of(table, row)]
         assert offsets[0] == -lookback_days and -lookback_days - 1 not in offsets and offsets[-1] == 0
@@ -345,7 +346,7 @@ class TestKernelOnHandBuiltWorlds:
 
 @pytest.fixture(scope="module")
 def second_population():
-    return population_records(SyntheticConfig(n_patients=300, seed=5))
+    return population_records(demo_synthetic(300, 5))
 
 
 @pytest.mark.parametrize(
@@ -413,7 +414,7 @@ class TestSubgroups:
 
     @pytest.mark.parametrize("exclude_index_step", [False, True])
     def test_readmission_events(self, small_columns, small_population, small_cohort, bundle, exclude_index_step):
-        opts = SequenceOptions(exclude_index_step=exclude_index_step)
+        opts = replace(DEMO_OPTIONS, exclude_index_step=exclude_index_step)
         table, z_names = featurize_events(small_columns, bundle, opts)
         events, stays, _ = small_cohort
         bens = {b.beneficiary_id: b for b in small_population.beneficiaries}
@@ -484,6 +485,7 @@ class TestEventTable:
                 [e for e, k in zip(eligible, keep) if k],
             ),
             bundle,
+            DEMO_OPTIONS,
         )
         # select keeps the full table's string widths.
         _same_table(table.select(keep), kept, exact=False)

@@ -115,7 +115,7 @@ class TestRecallPrecisionAtThreshold:
 
     def test_no_positives_undefined(self):
         with pytest.raises(MetricUndefinedError):
-            recall_precision_at_threshold([0.9, 0.1], [0, 0])
+            recall_precision_at_threshold([0.9, 0.1], [0, 0], threshold=0.5)
 
 
 class TestRecallAtTopK:
@@ -160,7 +160,7 @@ class TestSubgroupReport:
 
     def test_rows_cover_every_group_in_order(self):
         scores, labels, groups = self._world()
-        rows = subgroup_report(scores, labels, groups, n_min=3)
+        rows = subgroup_report(scores, labels, groups, n_min=3, threshold=0.5)
         keys = [(r["partition"], r["group"]) for r in rows]
         assert keys == [("band", "x"), ("band", "y"), ("site", "a"), ("site", "b")]
         by_partition = {}
@@ -171,7 +171,7 @@ class TestSubgroupReport:
 
     def test_group_metrics_match_direct_computation(self):
         scores, labels, groups = self._world()
-        rows = {(r["partition"], r["group"]): r for r in subgroup_report(scores, labels, groups)}
+        rows = {(r["partition"], r["group"]): r for r in subgroup_report(scores, labels, groups, n_min=50, threshold=0.5)}
         site_a = rows[("site", "a")]
         assert site_a["n"] == 3
         assert site_a["prevalence"] == pytest.approx(2 / 3)
@@ -180,14 +180,14 @@ class TestSubgroupReport:
 
     def test_single_class_group_reports_none(self):
         scores, labels, groups = self._world()
-        rows = {(r["partition"], r["group"]): r for r in subgroup_report(scores, labels, groups)}
+        rows = {(r["partition"], r["group"]): r for r in subgroup_report(scores, labels, groups, n_min=50, threshold=0.5)}
         band_y = rows[("band", "y")]  # one event, label 1
         assert band_y["auc"] is None
         assert band_y["recall"] == 0.0  # the 0.3 score misses threshold 0.5
 
     def test_small_groups_flagged_not_dropped(self):
         scores, labels, groups = self._world()
-        rows = subgroup_report(scores, labels, groups, n_min=4)
+        rows = subgroup_report(scores, labels, groups, n_min=4, threshold=0.5)
         flags = {(r["partition"], r["group"]): r["small_n"] for r in rows}
         assert flags[("band", "x")] is False
         assert flags[("band", "y")] is True
@@ -196,7 +196,7 @@ class TestSubgroupReport:
     def test_partition_length_must_match(self):
         scores, labels, _ = self._world()
         with pytest.raises(ValidationError):
-            subgroup_report(scores, labels, {"site": ["a", "b"]})
+            subgroup_report(scores, labels, {"site": ["a", "b"]}, n_min=50, threshold=0.5)
 
 
 class TestSurrogateImportance:
@@ -208,7 +208,7 @@ class TestSurrogateImportance:
         matrix = np.array([[rng.normal() for _ in range(4)] for _ in range(n)])
         model_scores = 1.0 / (1.0 + np.exp(-3.0 * matrix[:, 0]))
         rows = surrogate_importance(
-            matrix, ["f0", "f1", "f2", "f3"], ["A", "B", "B", "C"], model_scores
+            matrix, ["f0", "f1", "f2", "f3"], ["A", "B", "B", "C"], model_scores, threshold=0.5
         )
         assert rows[0]["feature"] == "f0"
         assert rows[0]["category"] == "A"
@@ -220,7 +220,7 @@ class TestSurrogateImportance:
         n = 300
         matrix = np.array([[rng.normal() for _ in range(3)] for _ in range(n)])
         model_scores = 1.0 / (1.0 + np.exp(-(2.0 * matrix[:, 1] - 1.5 * matrix[:, 2])))
-        rows = surrogate_importance(matrix, ["a", "b", "c"], ["x", "x", "x"], model_scores)
+        rows = surrogate_importance(matrix, ["a", "b", "c"], ["x", "x", "x"], model_scores, threshold=0.5)
         magnitudes = [abs(r["importance"]) for r in rows]
         assert magnitudes == sorted(magnitudes, reverse=True)
         assert rows[0]["feature"] == "b"
@@ -233,17 +233,17 @@ class TestSurrogateImportance:
         weights = np.array([0.1, 0.30000001, -0.30000004])
         monkeypatch.setattr("seqfuse.baseline.train_lr", lambda x, y, l2: SimpleNamespace(weights=weights))
         matrix = np.arange(12.0).reshape(4, 3)
-        rows = surrogate_importance(matrix, ["c", "gender=female", "gender=male"], ["x"] * 3, [0.9, 0.1, 0.9, 0.1])
+        rows = surrogate_importance(matrix, ["c", "gender=female", "gender=male"], ["x"] * 3, [0.9, 0.1, 0.9, 0.1], threshold=0.5)
         assert [r["feature"] for r in rows] == ["gender=female", "gender=male", "c"]
 
     def test_single_class_predictions_undefined(self):
         matrix = np.ones((10, 2))
         with pytest.raises(MetricUndefinedError):
-            surrogate_importance(matrix, ["a", "b"], ["x", "x"], np.full(10, 0.9))
+            surrogate_importance(matrix, ["a", "b"], ["x", "x"], np.full(10, 0.9), threshold=0.5)
 
     def test_shape_validation(self):
         matrix = np.zeros((5, 2))
         with pytest.raises(ValidationError):
-            surrogate_importance(matrix, ["a"], ["x"], np.zeros(5))
+            surrogate_importance(matrix, ["a"], ["x"], np.zeros(5), threshold=0.5)
         with pytest.raises(ValidationError):
-            surrogate_importance(matrix, ["a", "b"], ["x", "x"], np.zeros(4))
+            surrogate_importance(matrix, ["a", "b"], ["x", "x"], np.zeros(4), threshold=0.5)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from seqfuse import model as model_module
 from seqfuse.autodiff import Adam, Tape, Tensor, backward
 from seqfuse.cli import _load_best, _save_best
 from seqfuse.errors import DimensionError, PrerequisiteError, ValidationError
@@ -199,7 +200,8 @@ class TestAttention:
 
 
 class TestForward:
-    def test_predict_agrees_with_forward(self):
+    def test_predict_agrees_with_forward(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_PREDICT_BATCH", 2)
         cfg = small_config()
         model = SeqFuseModel(cfg)
         rng = ReferenceXoshiro256(31)
@@ -208,16 +210,17 @@ class TestForward:
         table, rows = steps_table(steps, z), np.arange(len(steps))
         with Tape():
             y, logit, attention = model.forward(rows, table)
-        probs, logits, attentions = model.predict(rows, table, batch_size=2)
+        probs, logits, attentions = model.predict(rows, table)
         np.testing.assert_array_equal(probs, y.data[:, 0])
         np.testing.assert_array_equal(logits, logit.data[:, 0])
         # One length, so predict's right-aligned matrix is forward's.
         assert attentions.shape == attention.data.shape
         np.testing.assert_array_equal(attentions, attention.data)
 
-    def test_predict_mixed_lengths_keeps_input_order(self):
+    def test_predict_mixed_lengths_keeps_input_order(self, monkeypatch):
         """Bucketing by length must not leak results across positions, and
         each event must score identically to a solo forward pass."""
+        monkeypatch.setattr(model_module, "_PREDICT_BATCH", 4)
         cfg = small_config()
         model = SeqFuseModel(cfg)
         rng = ReferenceXoshiro256(37)
@@ -225,7 +228,7 @@ class TestForward:
         steps = [random_steps(rng, 1, t, cfg.input_dim)[0] for t in lengths]
         z = np.array([[rng.normal() for _ in range(cfg.domain_dim)] for _ in lengths])
         table, rows = steps_table(steps, z), np.arange(len(steps))
-        probs, _, attentions = model.predict(rows, table, batch_size=4)
+        probs, _, attentions = model.predict(rows, table)
         assert attentions.shape == (len(lengths), max(lengths))
         for i, t in enumerate(lengths):
             with Tape():

@@ -133,3 +133,67 @@ def test_every_bundled_file_is_read():
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
     files = {path.name for path in (PACKAGE / "data").iterdir() if path.is_file()}
     assert sorted(files - _bundled_names(sources)) == []
+
+
+def _leaf_keys(config: dict) -> set[str]:
+    """The names of the keys of `config`, at any depth, that hold no object."""
+    keys: set[str] = set()
+    for key, value in config.items():
+        keys |= _leaf_keys(value) if isinstance(value, dict) else {key}
+    return keys
+
+
+def _defaults_named(source: str, names: set[str], exempt: set[str]) -> list[str]:
+    """Each parameter of a function, and each field of a dataclass, in
+    `source` that is named in `names` and carries a default, as
+    "function.parameter" or "Class.field"; a function named in `exempt`
+    is skipped."""
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in exempt:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            found += [f"{node.name}.{arg.arg}" for arg in defaulted if arg.arg in names]
+        elif isinstance(node, ast.ClassDef) and any(
+            isinstance(target, ast.Name) and target.id == "dataclass"
+            for target in (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+        ):
+            found += [
+                f"{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and item.value is not None and item.target.id in names
+            ]
+    return sorted(found)
+
+
+def test_the_scan_sees_defaulted_config_names():
+    source = (
+        "def f(a, seed=1, *, lr=0.1, task): pass\n"
+        "def g(seed, n=2): pass\n"
+        "def default_config(seed=3): pass\n"
+        "@dataclass(frozen=True)\nclass C:\n    seed: int\n    lr: float = 0.5\n    other: int = 1\n"
+        "@dataclass\nclass D:\n    task: str = 'x'\n"
+        "class E:\n    lr: float = 0.5\n"
+    )
+    assert _defaults_named(source, {"seed", "lr", "task"}, {"default_config"}) == [
+        "C.lr", "D.task", "f.lr", "f.seed"
+    ]
+
+
+def test_no_library_default_restates_the_config():
+    """A config value reaches the library only from the checked config: no
+    function or dataclass of the package gives a parameter or field named
+    like a key of `default_config()` a default of its own. `default_config`
+    states the values, and `load_config`'s `outdir` is the CLI override."""
+    from seqfuse.cli import default_config
+
+    names = _leaf_keys(default_config())
+    exempt = {"default_config", "load_config"}
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _defaults_named(path.read_text(encoding="utf-8"), names, exempt)
+    ]
+    assert found == []

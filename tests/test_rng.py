@@ -82,18 +82,19 @@ class TestDeriveSeed:
 
 class TestXoshiroStream:
     def test_matches_recurrence_oracle(self):
-        gen = Xoshiro256(42)
+        gen, scalar = Xoshiro256(42), ReferenceXoshiro256(42)
         expected = _xoshiro_oracle(list(gen._s), 1000)
-        assert [gen.next_u64() for _ in range(1000)] == expected
+        assert gen.next_u64s(1000).tolist() == expected
+        assert [scalar.next_u64() for _ in range(1000)] == expected
 
     def test_same_seed_same_stream(self):
         a = Xoshiro256(9)
-        b = Xoshiro256(9)
-        assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+        b = ReferenceXoshiro256(9)
+        assert a.next_u64s(50).tolist() == [b.next_u64() for _ in range(50)]
 
     def test_different_seeds_diverge(self):
-        a = Xoshiro256(1)
-        b = Xoshiro256(2)
+        a = ReferenceXoshiro256(1)
+        b = ReferenceXoshiro256(2)
         assert [a.next_u64() for _ in range(8)] != [b.next_u64() for _ in range(8)]
 
 
@@ -199,7 +200,7 @@ class TestBlockDraws:
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 1001])
     def test_words_equal_scalar_draws_and_leave_the_same_state(self, k):
         for seed in _BLOCK_SEEDS:
-            block, scalar = Xoshiro256(seed), Xoshiro256(seed)
+            block, scalar = Xoshiro256(seed), ReferenceXoshiro256(seed)
             words = block.next_u64s(k)
             assert words.dtype == np.uint64 and words.shape == (k,)
             assert words.tolist() == [scalar.next_u64() for _ in range(k)]
@@ -284,7 +285,7 @@ class TestBulkStreams:
         for _ in range(9):
             lanes_rng.next_u64(np.array([0, 2]))
         second = lanes_rng.next_u64(np.array([1]))
-        scalar = Xoshiro256(seeds[1])
+        scalar = ReferenceXoshiro256(seeds[1])
         assert first.tolist() + second.tolist() == [scalar.next_u64(), scalar.next_u64()]
 
     @pytest.mark.parametrize("lo, hi", [(0, 2), (5, 9), (0, 3 * 2**62)])

@@ -39,9 +39,11 @@ from tests.reference import ReferenceXoshiro256, reference_nearest_neighbors, st
 
 
 class TestSplitPatients:
+    FRACTIONS = (0.70, 0.15, 0.05, 0.10)
+
     def test_partition_is_exact_and_disjoint(self):
         counts = {f"P{i:03d}": i % 3 for i in range(137)}
-        folds, warnings = split_patients(counts, seed=11)
+        folds, warnings = split_patients(counts, seed=11, fractions=self.FRACTIONS)
         assert warnings == []
         assigned = [pid for fold in folds.values() for pid in fold]
         assert sorted(assigned) == sorted(counts)
@@ -49,8 +51,8 @@ class TestSplitPatients:
 
     def test_fold_sizes_within_one_of_share(self):
         counts = {f"P{i:03d}": 0 for i in range(103)}
-        folds, _ = split_patients(counts, seed=5)
-        for name, frac in zip(FOLD_NAMES, (0.70, 0.15, 0.05, 0.10)):
+        folds, _ = split_patients(counts, seed=5, fractions=self.FRACTIONS)
+        for name, frac in zip(FOLD_NAMES, self.FRACTIONS):
             assert abs(len(folds[name]) - 103 * frac) <= 1.0
 
     def test_stratification_balances_positive_patients(self):
@@ -63,22 +65,22 @@ class TestSplitPatients:
             counts[f"O{i:03d}"] = 1
         for i in range(20):
             counts[f"T{i:03d}"] = 2
-        folds, _ = split_patients(counts, seed=3)
-        for name, frac in zip(FOLD_NAMES, (0.70, 0.15, 0.05, 0.10)):
+        folds, _ = split_patients(counts, seed=3, fractions=self.FRACTIONS)
+        for name, frac in zip(FOLD_NAMES, self.FRACTIONS):
             n_two = sum(1 for pid in folds[name] if pid.startswith("T"))
             assert abs(n_two - 20 * frac) <= 1.0
 
     def test_deterministic_and_seed_sensitive(self):
         counts = {f"P{i:03d}": i % 2 for i in range(60)}
-        a, _ = split_patients(counts, seed=1)
-        b, _ = split_patients(counts, seed=1)
-        c, _ = split_patients(counts, seed=2)
+        a, _ = split_patients(counts, seed=1, fractions=self.FRACTIONS)
+        b, _ = split_patients(counts, seed=1, fractions=self.FRACTIONS)
+        c, _ = split_patients(counts, seed=2, fractions=self.FRACTIONS)
         assert a == b
         assert a != c
 
     def test_empty_stratum_warns(self):
         counts = {"A": 0, "B": 0, "C": 0, "D": 0}
-        _, warnings = split_patients(counts, seed=1)
+        _, warnings = split_patients(counts, seed=1, fractions=self.FRACTIONS)
         assert any("stratum 1" in w for w in warnings)
         assert any("stratum 2" in w for w in warnings)
 
