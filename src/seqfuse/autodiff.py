@@ -420,39 +420,32 @@ class Adam:
 
     The moments of all parameters live in two flat buffers, in the order
     of `params`, so a step is one vectorised update over every gradient
-    rather than one per tensor. A frozen parameter, or one with no
-    gradient, is skipped: its data and moments stay as they are.
+    rather than one per tensor. Every parameter it holds is updated, so
+    each must have a gradient when `step` runs: `train_model` hands it
+    `model.trainable()`, and `backward` reaches each of those.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self._edges = np.cumsum([0] + [p.data.size for p in params.values()])
-        self._m = np.zeros(self._edges[-1])
-        self._v = np.zeros(self._edges[-1])
+        size = sum(p.data.size for p in params.values())
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - _ADAM_BETA1 ** self.t
         b2c = 1.0 - _ADAM_BETA2 ** self.t
-        live = [(i, p) for i, p in enumerate(self.params.values()) if p.requires_grad and p._grad is not None]
-        if not live:
-            return
-        g = np.concatenate([p._grad.ravel() for _, p in live])
-        m, v, rows = self._m, self._v, None
-        if len(live) < len(self.params):
-            rows = np.concatenate([np.arange(self._edges[i], self._edges[i + 1]) for i, _ in live])
-            m, v = m[rows], v[rows]
+        g = np.concatenate([p._grad.ravel() for p in self.params.values()])
+        m, v = self._m, self._v
         m *= _ADAM_BETA1
         m += (1.0 - _ADAM_BETA1) * g
         v *= _ADAM_BETA2
         v += (1.0 - _ADAM_BETA2) * g * g
-        if rows is not None:
-            self._m[rows], self._v[rows] = m, v
         update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
         start = 0
-        for _, p in live:
+        for p in self.params.values():
             p.data -= update[start:start + p.data.size].reshape(p.data.shape)
             start += p.data.size
 

@@ -65,7 +65,6 @@ class LrModel:
     weights: np.ndarray
     intercept: float
     n_iter: int
-    converged: bool
 
     def margins(self, matrix: np.ndarray) -> np.ndarray:
         return matrix @ self.weights + self.intercept
@@ -147,7 +146,7 @@ def train_lr(matrix: np.ndarray, labels: np.ndarray, l2: float) -> LrModel:
         raise NumericsError(f"logistic regression did not converge in {_NEWTON_MAX_ITER} iterations")
     weights = np.zeros(d)
     weights[live] = theta[:m]
-    return LrModel(weights=weights, intercept=float(theta[m]), n_iter=n_iter, converged=converged)
+    return LrModel(weights=weights, intercept=float(theta[m]), n_iter=n_iter)
 
 
 def make_lr_runner(matrix: np.ndarray, labels: np.ndarray, fold_idx: dict[str, list[int]]):
@@ -157,7 +156,8 @@ def make_lr_runner(matrix: np.ndarray, labels: np.ndarray, fold_idx: dict[str, l
     trial; oversampling, when enabled, touches only the training fold after
     standardization.
     """
-    from .training import apply_standardizer, fit_standardizer, fold_auc, smote, smote_neighbors
+    # `auc` too comes from training, the one name every trial scores through.
+    from .training import apply_standardizer, auc, fit_standardizer, smote, smote_neighbors
 
     labels = np.asarray(labels, dtype=np.int64)
     mean, std = fit_standardizer(matrix[fold_idx["train"]])
@@ -181,8 +181,8 @@ def make_lr_runner(matrix: np.ndarray, labels: np.ndarray, fold_idx: dict[str, l
         valid, test = fold_idx["valid"], fold_idx["test"]
         return {
             "status": "ok",
-            "valid_auc": fold_auc(model.margins(standardized[valid]), labels[valid]),
-            "test_auc": fold_auc(model.margins(standardized[test]), labels[test]),
+            "valid_auc": auc(model.margins(standardized[valid]), labels[valid]),
+            "test_auc": auc(model.margins(standardized[test]), labels[test]),
             "model": model,
             "z_mean": mean,
             "z_std": std,

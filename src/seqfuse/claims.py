@@ -48,13 +48,12 @@ MEDICARE_STATUSES = ("aged_no_esrd", "aged_esrd", "disabled", "esrd_only")
 ESRD_STATUSES = frozenset({"aged_esrd", "esrd_only"})
 
 
-# Event ids convert many dates of a few distinct days; the caches are
-# bounded all the same.
-@functools.lru_cache(maxsize=1 << 16)
 def iso_to_day(text: str) -> int:
     return date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
 
 
+# Event ids format many dates of a few distinct days; the cache is bounded
+# all the same.
 @functools.lru_cache(maxsize=1 << 16)
 def day_to_iso(day: int) -> str:
     return date.fromordinal(day + _EPOCH_ORDINAL).isoformat()

@@ -597,11 +597,15 @@ def stage_train(cfg: dict, outdir: Path) -> None:
     for name, idx in fold_idx.items():
         if not idx:
             raise ValidationError(f"fold {name!r} received no events; increase the population or its fraction")
-    if labels.min() != labels.max():
-        for name, idx in fold_idx.items():
-            if idx and labels[idx].min() == labels[idx].max():
-                kind = "positive" if labels[idx[0]] else "negative"
-                warnings.append(f"fold {name!r} has {len(idx)} events, all {kind}")
+    class_counts = {name: {"events": len(idx), "positives": int(labels[idx].sum())} for name, idx in fold_idx.items()}
+    # Every trial scores the valid and test folds by AUC, which needs both classes.
+    for name in ("valid", "test"):
+        n, positives = class_counts[name]["events"], class_counts[name]["positives"]
+        if positives in (0, n):
+            raise ValidationError(
+                f"fold {name!r} has {n} events, {positives} positive; its AUC needs both classes, "
+                "so increase the population or its fraction"
+            )
     _write_json(
         stage_dir / "split.json",
         {
@@ -609,6 +613,7 @@ def stage_train(cfg: dict, outdir: Path) -> None:
             "seed": cfg["seed"],
             "fractions": train_cfg["fractions"],
             "warnings": warnings,
+            "data_health": {"class_counts": class_counts},
             "patients": run.patients,
         },
     )
@@ -760,10 +765,7 @@ def stage_evaluate(cfg: dict, outdir: Path) -> None:
         test_labels = run.labels[test_idx]
         test_cal = prob_cal[test_idx]
         test_raw_prob = _sigmoid(raw[test_idx])
-        try:
-            recall, precision = recall_precision_at_threshold(test_cal, test_labels, threshold)
-        except MetricUndefinedError:
-            recall, precision = None, None
+        recall, precision = recall_precision_at_threshold(test_cal, test_labels, threshold)
         # A k beyond the test fold has no top k: it reads null.
         top_k = {
             str(k): recall_at_top_k(test_cal, test_labels, k) if k <= len(test_idx) else None

@@ -303,8 +303,8 @@ _AGE_CUTS = (65, 70, 75, 80, 85)
 
 def age_band_index(age) -> np.ndarray:
     """Which age band each age falls in: 0 under 65, then one band per
-    five years, and 5 from 85 on. The subgroup labels (`AGE_BANDS[1:]`)
-    and z's age block label the same bands."""
+    five years, and 5 from 85 on, labelled `AGE_BANDS[1:]` in z's age
+    block, and so in the subgroups read back from it."""
     return np.searchsorted(_AGE_CUTS, age, side="right")
 
 

@@ -64,10 +64,9 @@ class SequenceOptions:
     lookback_days: int
 
 
-# z's age block: the bands of `cohort.age_band_index`, labelled as z names them.
-_Z_AGE_BANDS = ("<65", "65-69", "70-74", "75-79", "80-84", "85+")
-# `EventTable.subgroups` labels these blocks' slots, then charlson_index's band.
-_SUBGROUP_LABELS = dict(age_range=AGE_BANDS[1:], gender=GENDERS, race=RACES, medicare_status=MEDICARE_STATUSES)
+# `EventTable.subgroups` labels each event by these blocks of z, with the
+# level its column names, then by charlson_index's band.
+_SUBGROUP_LABELS = ("age_range", "gender", "race", "medicare_status")
 SUBGROUP_KEYS = (*_SUBGROUP_LABELS, "charlson_band")
 
 
@@ -224,7 +223,7 @@ def featurize_events(
 
     # z, block by block.
     blocks = [
-        _one_hot("age_range", _Z_AGE_BANDS, age_band_index(cols["event.age"][events])),
+        _one_hot("age_range", AGE_BANDS[1:], age_band_index(cols["event.age"][events])),
         _text_one_hot(cols, "gender", cols["beneficiary.gender"][ben_row], GENDERS),
         _text_one_hot(cols, "race", cols["beneficiary.race"][ben_row], RACES),
         _column("dual_eligible", cols["beneficiary.dual_eligible"][ben_row]),
@@ -320,10 +319,13 @@ class EventTable:
 
     def subgroups(self, z_names: list[str]) -> dict[str, np.ndarray]:
         """Each event's group in every `SUBGROUP_KEYS` partition, read back
-        from the raw z that `z_names` names."""
+        from the raw z that `z_names` names: a one-hot block's group is the
+        level after `name=` in its set column's name."""
         groups = {}
-        for name, labels in _SUBGROUP_LABELS.items():
-            groups[name] = np.array(labels)[self.z[:, [n.startswith(f"{name}=") for n in z_names]].argmax(axis=1)]
+        for name in _SUBGROUP_LABELS:
+            block = [i for i, n in enumerate(z_names) if n.startswith(f"{name}=")]
+            levels = np.array([z_names[i].removeprefix(f"{name}=") for i in block])
+            groups[name] = levels[self.z[:, block].argmax(axis=1)]
         groups["charlson_band"] = _strings(self.z[:, z_names.index("charlson_index")], charlson_band)
         return groups
 

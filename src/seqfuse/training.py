@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .autodiff import Adam, Tape, backward
-from .errors import MetricUndefinedError, NumericsError, ValidationError
+from .errors import NumericsError, ValidationError
 from .features import EventTable
 from .metrics import auc
 from .model import ModelConfig, SeqFuseModel, random_embedding
@@ -258,18 +258,9 @@ def batch_schedule(rows: list[int], lengths: np.ndarray, batch_size: int, seed: 
         yield batches
 
 
-def fold_auc(scores, labels) -> float:
-    """A fold's AUC, or 0.5 when the fold holds one class: how every trial
-    scores its validation and test folds."""
-    try:
-        return auc(scores, labels)
-    except MetricUndefinedError:
-        return 0.5
-
-
 def _model_auc(model: SeqFuseModel, table: EventTable, labels, idx) -> float:
     probs, _, _ = model.predict(idx, table)
-    return fold_auc(probs, labels[idx])
+    return auc(probs, labels[idx])
 
 
 def train_model(
@@ -299,8 +290,8 @@ def train_model(
     the `failure` message (None when ok).
 
     The arguments are taken as given: the config rules checked at load
-    keep the hyperparameters in range, and `train` refuses an empty fold
-    before any trial runs.
+    keep the hyperparameters in range, and `train` refuses an empty fold,
+    and a valid or test fold of one class, before any trial runs.
     """
     labels = np.asarray(labels, dtype=np.float64)
     optimizer = Adam(model.trainable(), lr=lr)
@@ -349,8 +340,6 @@ def config_hash(config: dict) -> str:
 def enumerate_grid(axes: dict[str, list]) -> list[dict]:
     """Every config of the grid, keys sorted, last key varying fastest. An
     empty axis gives no config; the config rules refuse one at load."""
-    if not axes:
-        return [{}]
     keys = sorted(axes)
     return [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
 

@@ -1296,7 +1296,7 @@ def _one_hot(value, levels: tuple) -> list[float]:
 # one 0/1 column per HAC rule, named `hac_flags[rule]`; any other block is
 # one-hot over its levels plus a trailing (other) slot, named `name=level`.
 Z_BLOCKS = (
-    ("age_range", ("<65", "65-69", "70-74", "75-79", "80-84", "85+")),
+    ("age_range", ("<65", "65~69", "70~74", "75~79", "80~84", ">85")),
     ("gender", ("male", "female")),
     ("race", ("unknown", "white", "black", "other", "asian", "hispanic", "north_american_native")),
     ("dual_eligible", ()),
@@ -1345,18 +1345,9 @@ def reference_z_names() -> list[str]:
     return names
 
 
-def _z_age_band(age: int) -> str:
-    if age < 65:
-        return "<65"
-    if age >= 85:
-        return "85+"
-    low = (age // 5) * 5
-    return f"{low}-{low + 4}"
-
-
 def age_band(age: int) -> str:
-    """The subgroup label of an age, one of `cohort.AGE_BANDS` after
-    "Unknown": the bands of z's age block, spelt as the reports spell them."""
+    """The band of an age, one of `cohort.AGE_BANDS` after "Unknown": the
+    level of z's age block, and the label the reports print."""
     if age < 65:
         return "<65"
     if age >= 85:
@@ -1480,7 +1471,7 @@ def _domain_values(
     flags = hac_flags(dx_cats, proc_cats, bundle.hac_rules)
 
     raw: dict[str, object] = {
-        "age_range": _z_age_band(event.age),
+        "age_range": age_band(event.age),
         "gender": beneficiary.gender,
         "race": beneficiary.race,
         "dual_eligible": beneficiary.dual_eligible,
@@ -1872,7 +1863,7 @@ def reference_gru_sequence(x: Tensor, h0: Tensor, w: tuple[Tensor, Tensor, Tenso
 
 class ReferenceAdam:
     """`autodiff.Adam` with one moment pair per tensor, updated tensor by
-    tensor; a frozen tensor, or one with no gradient, is skipped."""
+    tensor; every tensor it holds must have a gradient."""
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -1890,8 +1881,6 @@ class ReferenceAdam:
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
-            if not p.requires_grad or p._grad is None:
-                continue
             g = p._grad
             m = self._m[name]
             v = self._v[name]
@@ -1965,7 +1954,7 @@ def reference_train_lr(
         converged = bool(np.max(np.abs(grad)) <= tol)
     if not converged:
         raise NumericsError(f"logistic regression did not converge in {max_iter} iterations")
-    return LrModel(weights=theta[:d].copy(), intercept=float(theta[d]), n_iter=n_iter, converged=converged)
+    return LrModel(weights=theta[:d].copy(), intercept=float(theta[d]), n_iter=n_iter)
 
 
 # --- the scores people read ------------------------------------------------------

@@ -742,6 +742,40 @@ class TestEmptyFold:
         assert sorted(path.name for path in outdir.iterdir()) == ["cohort", "featurize", "generate"]
 
 
+class TestOneClassFold:
+    @pytest.mark.parametrize(
+        "fractions, message",
+        [
+            # Train, valid, calibration and test hold 342, 1, 30 and 33 events.
+            ([0.85, 0.005, 0.075, 0.07], "fold 'valid' has 1 events, 0 positive"),
+            # And here 342, 30, 33 and 1.
+            ([0.85, 0.075, 0.07, 0.005], "fold 'test' has 1 events, 0 positive"),
+        ],
+    )
+    def test_one_class_valid_or_test_fold_is_exit_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, fractions, message
+    ):
+        """On the 300-patient demo world, a tiny share gives the valid or
+        the test fold one event, a negative one. Its AUC is undefined, so
+        train refuses the fold before it writes anything or runs a trial."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        outdir = tmp_path / "run"
+        cfg = default_config(outdir=str(outdir), n_patients=300)
+        cfg["train"]["fractions"] = fractions
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        for stage in ("generate", "cohort", "featurize"):
+            assert main([stage, "--config", str(config)]) == 0
+        monkeypatch.setattr("seqfuse.cli.grid_search", refuse)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (outdir / "train").exists()
+
+
 class TestFailedCell:
     def test_every_trial_failing_is_exit_4_naming_each_reason_once(self, pipeline_run, tmp_path, monkeypatch, capsys):
         _, outdir = pipeline_run
@@ -1260,7 +1294,8 @@ class TestMortalityTask:
         n_split = len(fold_of)
         assert n_split == features["n_events"] - excluded
         # The run has deaths, but none among the calibration fold's events.
-        assert split["warnings"] == ["fold 'calibration' has 8 events, all negative"]
+        assert split["warnings"] == []
+        assert split["data_health"]["class_counts"]["calibration"] == {"events": 8, "positives": 0}
         report_info = json.loads((outdir / "report" / "report_info.json").read_text())
         assert report_info["n_test_events"] == (fold_of == "test").sum()
         shown = _show(capsys, "scores", "lr__linear", "--config", str(config))
@@ -1290,7 +1325,7 @@ class TestFoldPlacement:
             placed[argv[0]] = [run.fold_of.tolist() for run in loaded]
         capsys.readouterr()
         split = json.loads((tmp_path / "run" / "train" / "split.json").read_text())
-        assert sorted(split) == ["fractions", "patients", "seed", "task", "warnings"]
+        assert sorted(split) == ["data_health", "fractions", "patients", "seed", "task", "warnings"]
         assert split["task"] == task
         (train,) = placed["train"]
         assert set(train) == set(FOLD_NAMES)

@@ -168,7 +168,7 @@ class TestDomainVector:
     def test_named_entries_match_hand_computation(self, fixture_world, bundle):
         table, z_names = featurize_world(*fixture_world, bundle)
         at = z_of(table, z_names, row_at(table, "B1", DAY0))
-        assert at["age_range=70-74"] == 1.0
+        assert at["age_range=70~74"] == 1.0
         assert at["gender=female"] == 1.0
         assert at["length_of_stay"] == 4.0
         assert at["admission_type=emergent"] == 1.0
@@ -430,7 +430,8 @@ class TestSubgroups:
         _same_groups(table.select(~table.mortality_excluded), z_names, expected)
 
     def test_age_slots_are_the_report_bands(self, bundle):
-        """z's age slots, each side of every cut, map to `cohort.AGE_BANDS[1:]`."""
+        """z's age slots, each side of every cut, are named by
+        `cohort.AGE_BANDS[1:]`, and the subgroups read those names back."""
         ages = [64, 65, 69, 70, 84, 85, 99]
         # Admitted on 1 March, born on 15 January: `age` years old.
         bens = [ben(bid=f"B{i}", birth_year=2011 - age, status="aged_esrd") for i, age in enumerate(ages)]
@@ -438,7 +439,7 @@ class TestSubgroups:
         table, z_names = featurize_world(bens, claims, bundle)
         slots = [name for name in z_names if name.startswith("age_range=")]
         assert [slots[slot] for slot in table.z[:, : len(slots)].argmax(axis=1).tolist()] == [
-            f"age_range={band}" for band in ("<65", "65-69", "65-69", "70-74", "80-84", "85+", "85+")
+            f"age_range={band}" for band in ("<65", "65~69", "65~69", "70~74", "80~84", ">85", ">85")
         ]
         labels = table.subgroups(z_names)["age_range"].tolist()
         assert labels == ["<65", "65~69", "65~69", "70~74", "80~84", ">85", ">85"]
